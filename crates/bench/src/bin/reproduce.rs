@@ -912,28 +912,34 @@ fn run_bench_stream(args: &[String]) -> ! {
     std::process::exit(i32::from(!clean));
 }
 
+/// The report sections; `all` (also the default) prints every one.
+const SECTIONS: [&str; 6] = [
+    "figure2",
+    "table1",
+    "intro",
+    "ablations",
+    "opstats",
+    "compile-times",
+];
+
+/// A subcommand with its own argument parsing; it exits on its own.
+type Command = fn(&[String]) -> !;
+
+const COMMANDS: [(&str, Command); 7] = [
+    ("difftest", run_difftest),
+    ("analyze", run_analyze),
+    ("serve", run_serve),
+    ("bench-serve", run_bench_serve),
+    ("bench-parallel", run_bench_parallel),
+    ("stream", run_stream_cmd),
+    ("bench-stream", run_bench_stream),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "difftest") {
-        run_difftest(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "analyze") {
-        run_analyze(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "serve") {
-        run_serve(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "bench-serve") {
-        run_bench_serve(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "bench-parallel") {
-        run_bench_parallel(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "stream") {
-        run_stream_cmd(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "bench-stream") {
-        run_bench_stream(&args[1..]);
+    let first = args.first().map(String::as_str);
+    if let Some((_, run)) = COMMANDS.iter().find(|(name, _)| first == Some(name)) {
+        run(&args[1..]);
     }
     let quick = args.iter().any(|a| a == "--quick");
     let what = args
@@ -941,6 +947,16 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "all".into());
+    if what != "all" && !SECTIONS.contains(&what.as_str()) {
+        // A typo must not pass for a run that printed nothing.
+        let commands: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "reproduce: unknown subcommand `{what}`\nsubcommands: {} all {}",
+            SECTIONS.join(" "),
+            commands.join(" ")
+        );
+        std::process::exit(2);
+    }
     let scale = if quick {
         harness::Scale::quick()
     } else {

@@ -7,7 +7,9 @@
 
 use std::sync::Arc;
 use wolfram_bench::{programs, workloads};
-use wolfram_compiler_core::{Compiler, CompilerOptions};
+use wolfram_codegen::{fuse_program, NativeProgram, RegOp};
+use wolfram_compiler_core::{CompiledCodeFunction, Compiler, CompilerOptions};
+use wolfram_expr::{parse, Expr};
 use wolfram_runtime::Value;
 
 fn compilers() -> (Compiler, Compiler) {
@@ -157,43 +159,131 @@ fn fusion_actually_fires_on_the_benchmarks() {
         s_on.total(),
         s_off.total()
     );
-    // The unfused stream must contain no superinstructions.
-    const FUSED: &[&str] = &[
-        "br.cmp.i",
-        "br.cmp.f",
-        "br.cmp.i.sel",
-        "br.cmp.f.sel",
-        "brz.jmp",
-        "int.bin2",
-        "int.bin.imm2",
-        "int.bin.imm.jmp",
-        "flt.bin2",
-        "ten.part1.int.bin",
-        "ten.part1.int.imm",
-        "ten.part2.flt.bin",
-        "take.ten.set1",
-        "take.ten.set2",
-        "mov.i.jmp",
-        "mov2.i",
-        "mov2.i.jmp",
-        "release2",
-        "abort.br.cmp.i.sel",
-        "abort.br.cmp.i",
-        "int.bin.imm.mov",
-        "mov.c.jmp",
-        "int.imm.mov2.jmp",
-        "flt.cmp.mov",
-        "flt.cmp.mov.jmp",
-    ];
-    assert!(
-        s_off.ops.keys().all(|m| !FUSED.contains(m)),
-        "unfused run executed fused ops: {:?}",
-        s_off.hottest_ops()
-    );
-    // And the fused one must actually use some.
-    assert!(
-        s_on.ops.keys().any(|m| FUSED.contains(m)),
-        "fused run executed no superinstructions: {:?}",
-        s_on.hottest_ops()
-    );
+    // The unfused code holds no superinstruction; the fused code does.
+    let multi_part = |cf: &CompiledCodeFunction| {
+        let ops = cf.program.funcs.iter().flat_map(|f| &f.code);
+        ops.filter(|op| op.parts().len() > 1).count()
+    };
+    assert_eq!(multi_part(&off), 0, "unfused compile emitted fused ops");
+    assert!(multi_part(&on) > 0, "fused compile emitted no fused op");
+}
+
+/// The seven §6 programs.
+fn paper_programs() -> Vec<(&'static str, String)> {
+    vec![
+        ("FNV1a", programs::FNV1A_SRC.into()),
+        ("Mandelbrot", programs::MANDELBROT_SRC.into()),
+        ("Dot", programs::DOT_SRC.into()),
+        ("Blur", programs::BLUR_SRC.into()),
+        ("Histogram", programs::HISTOGRAM_SRC.into()),
+        (
+            "PrimeQ",
+            programs::primeq_src(&workloads::prime_seed_table()),
+        ),
+        ("QSort", programs::QSORT_SRC.into()),
+    ]
+}
+
+/// Compiles `func` without fusion, fuses a copy, and checks that every op
+/// of the fused code — `parts()` of a superinstruction, the op itself
+/// otherwise — is exactly the window of unfused ops it stands for.
+fn assert_parts_round_trip(name: &str, unfused: &Compiler, func: &Expr) {
+    let pm = unfused.compile_to_twir(func, None).expect("compiles");
+    let plain: NativeProgram = unfused.generate_native(&pm).expect("generates code");
+    let mut fused = plain.clone();
+    fuse_program(&mut fused);
+    for (pf, ff) in plain.funcs.iter().zip(&fused.funcs) {
+        // Old pc of each fused op, and the old-pc -> new-pc table that the
+        // windows' branch targets go through before comparing.
+        let mut new_pc = vec![usize::MAX; pf.code.len() + 1];
+        let mut old = 0;
+        for (new, op) in ff.code.iter().enumerate() {
+            new_pc[old] = new;
+            old += op.parts().len();
+        }
+        assert_eq!(old, pf.code.len(), "{name}/{}: op count", pf.name);
+        new_pc[old] = ff.code.len();
+        let mut old = 0;
+        for op in &ff.code {
+            let parts = op.parts();
+            let mut window: Vec<RegOp> = pf.code[old..old + parts.len()].to_vec();
+            for w in &mut window {
+                w.map_targets(|t| new_pc[t]);
+            }
+            assert_eq!(
+                format!("{:?}", &parts[..]),
+                format!("{window:?}"),
+                "{name}/{} at unfused pc {old}",
+                pf.name
+            );
+            old += parts.len();
+        }
+    }
+}
+
+#[test]
+fn parts_of_every_fused_group_are_the_window_it_replaced() {
+    let (_, unfused) = compilers();
+    for (name, src) in paper_programs() {
+        assert_parts_round_trip(name, &unfused, &parse(&src).unwrap());
+    }
+    for i in 0..200 {
+        let seed = wolfram_difftest::derive_seed(0x9A27_5EED, i);
+        let program = wolfram_difftest::gen::Program::generate(seed);
+        assert_parts_round_trip(&format!("difftest seed {seed}"), &unfused, &program.func);
+    }
+}
+
+#[test]
+fn every_take_store_fuses() {
+    // Regression for the gap the unchecked twins left: a proved-in-bounds
+    // 1-D in-place store (`take.v; ten.set1.u`) had no fused form.
+    let (fused, _) = compilers();
+    for (name, src) in paper_programs() {
+        let cf = programs::compile_new(&fused, &src);
+        for f in &cf.program.funcs {
+            for pair in f.code.windows(2) {
+                assert!(
+                    !matches!(
+                        pair,
+                        [
+                            RegOp::TakeV { .. },
+                            RegOp::TenSet1 { .. } | RegOp::TenSet2 { .. }
+                        ]
+                    ),
+                    "{name}/{}: unfused take-store {pair:?}",
+                    f.name
+                );
+            }
+        }
+    }
+    // Histogram's loop is 12 dispatches per element (13 with the store
+    // unfused), plus 16 outside the loop.
+    let n = 1000;
+    let cf = programs::compile_new(&fused, programs::HISTOGRAM_SRC);
+    cf.profile_ops(true);
+    cf.call(&[Value::Tensor(workloads::random_bytes_tensor(n, 4))])
+        .unwrap();
+    assert_eq!(cf.take_op_stats().total(), 12 * n as u64 + 16);
+}
+
+#[test]
+fn assembler_export_lists_the_code_that_runs() {
+    let (fused, _) = compilers();
+    for (name, src) in paper_programs() {
+        let func = parse(&src).unwrap();
+        let listing = fused.export_string(&func, "Assembler").unwrap();
+        let pm = fused.compile_to_twir(&func, None).unwrap();
+        let native = fused.generate_native(&pm).unwrap();
+        let ops: usize = native.funcs.iter().map(|f| f.code.len()).sum();
+        let op_lines = listing
+            .lines()
+            .filter(|l| l.starts_with('L') && l[1..5].bytes().all(|b| b.is_ascii_digit()))
+            .count();
+        assert_eq!(op_lines, ops, "{name}:\n{listing}");
+        if name == "Histogram" {
+            // Range facts reach the export: proved accesses list unchecked.
+            assert!(listing.contains(".u"), "{listing}");
+        }
+    }
 }

@@ -1,45 +1,20 @@
-//! The "Assembler" export backend: a textual listing of the native
+//! The "Assembler" export: a textual listing of the native
 //! register-machine code (the `FunctionCompileExportString[f, "Assembler"]`
 //! analog from appendix A.6.5).
 
-use crate::backend::Backend;
-use crate::lower::lower_program;
-use crate::machine::{NativeFunc, RegOp};
+use crate::machine::{NativeFunc, NativeProgram, RegOp};
 use std::fmt::Write as _;
-use wolfram_ir::ProgramModule;
 
-/// The assembler-listing backend. `fuse` mirrors the compiler's
-/// `SuperinstructionFusion` option so the listing shows the code the
-/// engine actually executes (fused by default).
-pub struct AsmBackend {
-    /// Run superinstruction fusion before rendering.
-    pub fuse: bool,
-}
-
-impl Default for AsmBackend {
-    fn default() -> Self {
-        AsmBackend { fuse: true }
+/// Renders a native program — the code the engine executes, superinstructions
+/// and `VecLoop`s included — as an assembler-style listing.
+pub fn render_program(p: &NativeProgram) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "\t.section __TEXT,wolfram,regular");
+    for f in &p.funcs {
+        out.push_str(&render_function(f));
     }
-}
-
-impl Backend for AsmBackend {
-    fn name(&self) -> &str {
-        "Assembler"
-    }
-
-    fn generate(&self, module: &ProgramModule) -> Result<String, String> {
-        let mut native = lower_program(module).map_err(|e| e.to_string())?;
-        if self.fuse {
-            crate::fuse::fuse_program(&mut native);
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "\t.section __TEXT,wolfram,regular");
-        for f in &native.funcs {
-            out.push_str(&render_function(f));
-        }
-        let _ = writeln!(out, "\t.subsections_via_symbols");
-        Ok(out)
-    }
+    let _ = writeln!(out, "\t.subsections_via_symbols");
+    out
 }
 
 /// Renders one function as an assembler-style listing.
@@ -58,12 +33,22 @@ pub fn render_function(f: &NativeFunc) -> String {
     out
 }
 
-/// Lowercased debug name of an op-code enum (label references stay `L`).
-fn lc(op: impl std::fmt::Debug) -> String {
-    format!("{op:?}").to_lowercase()
+/// `".u"` marks an element access whose bounds check was proved away.
+fn u(checked: bool) -> &'static str {
+    if checked {
+        ""
+    } else {
+        ".u"
+    }
 }
 
 fn render_op(op: &RegOp) -> String {
+    let parts = op.parts();
+    if parts.len() > 1 {
+        // A superinstruction is its parts in one dispatch.
+        let parts: Vec<String> = parts.iter().map(render_op).collect();
+        return format!("{} {{ {} }}", op.mnemonic(), parts.join("; "));
+    }
     match op {
         RegOp::LdcI { d, v } => format!("ldc.i64 i{d}, {v}"),
         RegOp::LdcF { d, v } => format!("ldc.f64 f{d}, {v}"),
@@ -102,18 +87,36 @@ fn render_op(op: &RegOp) -> String {
         RegOp::CpxConj { d, s } => format!("conj.c64 c{d}, c{s}"),
         RegOp::CpxEq { d, a, b } => format!("eq.c64 i{d}, c{a}, c{b}"),
         RegOp::TenLen { d, t } => format!("len.ten i{d}, v{t}"),
-        RegOp::TenPart1 { kind, d, t, i } => format!("part1.{kind:?} {d}, v{t}, i{i}"),
-        RegOp::TenPart2 { kind, d, t, i, j } => format!("part2.{kind:?} {d}, v{t}, i{i}, i{j}"),
-        RegOp::TenSet1 { kind, t, i, v } => format!("set1.{kind:?} v{t}, i{i}, {v}"),
-        RegOp::TenSet2 { kind, t, i, j, v } => format!("set2.{kind:?} v{t}, i{i}, i{j}, {v}"),
-        RegOp::TenPart1U { kind, d, t, i } => format!("part1.u.{kind:?} {d}, v{t}, i{i}"),
-        RegOp::TenPart2U { kind, d, t, i, j } => {
-            format!("part2.u.{kind:?} {d}, v{t}, i{i}, i{j}")
-        }
-        RegOp::TenSet1U { kind, t, i, v } => format!("set1.u.{kind:?} v{t}, i{i}, {v}"),
-        RegOp::TenSet2U { kind, t, i, j, v } => {
-            format!("set2.u.{kind:?} v{t}, i{i}, i{j}, {v}")
-        }
+        RegOp::TenPart1 {
+            kind,
+            d,
+            t,
+            i,
+            checked,
+        } => format!("part1{}.{kind:?} {d}, v{t}, i{i}", u(*checked)),
+        RegOp::TenPart2 {
+            kind,
+            d,
+            t,
+            i,
+            j,
+            checked,
+        } => format!("part2{}.{kind:?} {d}, v{t}, i{i}, i{j}", u(*checked)),
+        RegOp::TenSet1 {
+            kind,
+            t,
+            i,
+            v,
+            checked,
+        } => format!("set1{}.{kind:?} v{t}, i{i}, {v}", u(*checked)),
+        RegOp::TenSet2 {
+            kind,
+            t,
+            i,
+            j,
+            v,
+            checked,
+        } => format!("set2{}.{kind:?} v{t}, i{i}, i{j}, {v}", u(*checked)),
         RegOp::TenFill1 { kind, d, c, n } => format!("fill1.{kind:?} v{d}, {c}, i{n}"),
         RegOp::TenFill2 { kind, d, c, n1, n2 } => {
             format!("fill2.{kind:?} v{d}, {c}, i{n1}, i{n2}")
@@ -179,247 +182,6 @@ fn render_op(op: &RegOp) -> String {
         }
         RegOp::Jmp { pc } => format!("jmp L{pc:04}"),
         RegOp::Brz { c, pc } => format!("brz i{c}, L{pc:04}"),
-        RegOp::BrCmpIFalse { op, a, b, d, pc } => {
-            format!("br.not.{}.i64 i{d}, i{a}, i{b}, L{pc:04}", lc(op))
-        }
-        RegOp::BrCmpFFalse { op, a, b, d, pc } => {
-            format!("br.not.{}.f64 i{d}, f{a}, f{b}, L{pc:04}", lc(op))
-        }
-        RegOp::BrCmpISel {
-            op,
-            a,
-            b,
-            d,
-            pc_false,
-            pc_true,
-        } => {
-            format!(
-                "br.{}.i64 i{d}, i{a}, i{b}, L{pc_true:04}, L{pc_false:04}",
-                lc(op)
-            )
-        }
-        RegOp::BrCmpFSel {
-            op,
-            a,
-            b,
-            d,
-            pc_false,
-            pc_true,
-        } => {
-            format!(
-                "br.{}.f64 i{d}, f{a}, f{b}, L{pc_true:04}, L{pc_false:04}",
-                lc(op)
-            )
-        }
-        RegOp::BrzJmp { c, pc_z, pc_nz } => format!("brz.jmp i{c}, L{pc_z:04}, L{pc_nz:04}"),
-        RegOp::IntBin2 {
-            op1,
-            d1,
-            a1,
-            b1,
-            op2,
-            d2,
-            a2,
-            b2,
-        } => format!(
-            "{:?}.{:?}.i64 i{d1}, i{a1}, i{b1}; i{d2}, i{a2}, i{b2}",
-            op1, op2
-        )
-        .to_lowercase(),
-        RegOp::IntBinImm2 {
-            op1,
-            d1,
-            a1,
-            imm1,
-            op2,
-            d2,
-            a2,
-            imm2,
-        } => format!(
-            "{:?}i.{:?}i.i64 i{d1}, i{a1}, {imm1}; i{d2}, i{a2}, {imm2}",
-            op1, op2
-        )
-        .to_lowercase(),
-        RegOp::IntBinImmJmp { op, d, a, imm, pc } => {
-            format!("{}i.jmp.i64 i{d}, i{a}, {imm}, L{pc:04}", lc(op))
-        }
-        RegOp::FltBin2 {
-            op1,
-            d1,
-            a1,
-            b1,
-            op2,
-            d2,
-            a2,
-            b2,
-        } => format!(
-            "{:?}.{:?}.f64 f{d1}, f{a1}, f{b1}; f{d2}, f{a2}, f{b2}",
-            op1, op2
-        )
-        .to_lowercase(),
-        RegOp::TenPart1IntBin {
-            e,
-            t,
-            i,
-            op,
-            d,
-            a,
-            b,
-        } => format!("part1.{:?}.i64 i{e}, v{t}, i{i}; i{d}, i{a}, i{b}", op).to_lowercase(),
-        RegOp::TenPart1IntBinImm {
-            e,
-            t,
-            i,
-            op,
-            d,
-            a,
-            imm,
-        } => format!("part1.{:?}i.i64 i{e}, v{t}, i{i}; i{d}, i{a}, {imm}", op).to_lowercase(),
-        RegOp::TenPart2FltBin {
-            e,
-            t,
-            i,
-            j,
-            op,
-            d,
-            a,
-            b,
-        } => format!(
-            "part2.{:?}.f64 f{e}, v{t}, i{i}, i{j}; f{d}, f{a}, f{b}",
-            op
-        )
-        .to_lowercase(),
-        RegOp::TakeVTenSet1 {
-            dv,
-            sv,
-            kind,
-            t,
-            i,
-            v,
-        } => {
-            format!("take.set1.{kind:?} v{dv}, v{sv}; v{t}, i{i}, {v}")
-        }
-        RegOp::TakeVTenSet2 {
-            dv,
-            sv,
-            kind,
-            t,
-            i,
-            j,
-            v,
-        } => {
-            format!("take.set2.{kind:?} v{dv}, v{sv}; v{t}, i{i}, i{j}, {v}")
-        }
-        RegOp::TenPart1IntBinU {
-            e,
-            t,
-            i,
-            op,
-            d,
-            a,
-            b,
-        } => format!("part1.u.{:?}.i64 i{e}, v{t}, i{i}; i{d}, i{a}, i{b}", op).to_lowercase(),
-        RegOp::TenPart1IntBinImmU {
-            e,
-            t,
-            i,
-            op,
-            d,
-            a,
-            imm,
-        } => format!("part1.u.{:?}i.i64 i{e}, v{t}, i{i}; i{d}, i{a}, {imm}", op).to_lowercase(),
-        RegOp::TenPart2FltBinU {
-            e,
-            t,
-            i,
-            j,
-            op,
-            d,
-            a,
-            b,
-        } => format!(
-            "part2.u.{:?}.f64 f{e}, v{t}, i{i}, i{j}; f{d}, f{a}, f{b}",
-            op
-        )
-        .to_lowercase(),
-        RegOp::TakeVTenSet2U {
-            dv,
-            sv,
-            kind,
-            t,
-            i,
-            j,
-            v,
-        } => {
-            format!("take.set2.u.{kind:?} v{dv}, v{sv}; v{t}, i{i}, i{j}, {v}")
-        }
-        RegOp::MovIJmp { d, s, pc } => format!("mov.jmp.i64 i{d}, i{s}, L{pc:04}"),
-        RegOp::Mov2I { d1, s1, d2, s2 } => format!("mov2.i64 i{d1}, i{s1}; i{d2}, i{s2}"),
-        RegOp::Mov2IJmp { d1, s1, d2, s2, pc } => {
-            format!("mov2.jmp.i64 i{d1}, i{s1}; i{d2}, i{s2}, L{pc:04}")
-        }
-        RegOp::Release2 { v1, v2 } => format!("release2 v{v1}, v{v2}"),
-        RegOp::AbortBrCmpISel {
-            op,
-            a,
-            b,
-            d,
-            pc_false,
-            pc_true,
-        } => {
-            format!(
-                "abort.br.{}.i64 i{d}, i{a}, i{b}, L{pc_true:04}, L{pc_false:04}",
-                lc(op)
-            )
-        }
-        RegOp::AbortBrCmpIFalse { op, a, b, d, pc } => {
-            format!("abort.br.not.{}.i64 i{d}, i{a}, i{b}, L{pc:04}", lc(op))
-        }
-        RegOp::IntBinImmMovI {
-            op,
-            d,
-            a,
-            imm,
-            d2,
-            s2,
-        } => format!("{:?}i.mov.i64 i{d}, i{a}, {imm}; i{d2}, i{s2}", op).to_lowercase(),
-        RegOp::MovCJmp { d, s, pc } => format!("mov.jmp.c64 c{d}, c{s}, L{pc:04}"),
-        RegOp::IntBinImmMov2IJmp {
-            op,
-            d,
-            a,
-            imm,
-            d2,
-            s2,
-            d3,
-            s3,
-            pc,
-        } => format!(
-            "{}i.mov2.jmp.i64 i{d}, i{a}, {imm}; i{d2}, i{s2}; i{d3}, i{s3}, L{pc:04}",
-            lc(op)
-        ),
-        RegOp::FltCmpMovI {
-            op,
-            d,
-            a,
-            b,
-            d2,
-            s2,
-        } => format!("cmp{:?}.mov.f64 i{d}, f{a}, f{b}; i{d2}, i{s2}", op).to_lowercase(),
-        RegOp::FltCmpMovIJmp {
-            op,
-            d,
-            a,
-            b,
-            d2,
-            s2,
-            pc,
-        } => {
-            format!(
-                "cmp{}.mov.jmp.f64 i{d}, f{a}, f{b}; i{d2}, i{s2}, L{pc:04}",
-                lc(op)
-            )
-        }
         RegOp::AbortCheck => "abort.check".into(),
         RegOp::VecLoop { plan } => format!(
             "vec.loop i{}, {} i{}, {} nodes, out v{}",
@@ -433,6 +195,7 @@ fn render_op(op: &RegOp) -> String {
         RegOp::Release { v } => format!("release v{v}"),
         RegOp::Ret { s } => format!("ret {:?}{}", s.bank, s.ix),
         RegOp::RetNull => "ret.null".into(),
+        fused => unreachable!("{} renders through its parts", fused.mnemonic()),
     }
 }
 

@@ -9,10 +9,11 @@ use wolfram_ir::ProgramModule;
 /// and produces a textual artifact (source, listing, serialized form).
 ///
 /// The native backend produces an executable program instead and has its
-/// own entry point ([`crate::lower_program`]); textual backends share this
-/// trait.
+/// own entry point ([`crate::lower_program`]), and the `"Assembler"`
+/// listing is a rendering of that program ([`crate::asm::render_program`]),
+/// not of the module; the other textual backends share this trait.
 pub trait Backend {
-    /// The backend's registered name (`"C"`, `"Assembler"`, `"WVM"`, ...).
+    /// The backend's registered name (`"C"`, `"IR"`, `"WVM"`, ...).
     fn name(&self) -> &str;
 
     /// Generates the artifact.
@@ -36,7 +37,6 @@ impl Default for BackendRegistry {
             backends: HashMap::new(),
         };
         r.register(Arc::new(crate::c_source::CBackend));
-        r.register(Arc::new(crate::asm::AsmBackend::default()));
         r.register(Arc::new(crate::wvm::WvmBackend));
         r.register(Arc::new(IrBackend));
         r
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn builtin_backends_registered() {
         let r = BackendRegistry::new();
-        assert_eq!(r.names(), ["Assembler", "C", "IR", "WVM"]);
+        assert_eq!(r.names(), ["C", "IR", "WVM"]);
         assert!(r.get("C").is_some());
         assert!(r.get("CUDA").is_none());
     }
@@ -106,6 +106,6 @@ mod tests {
         let mut r = BackendRegistry::new();
         r.register(Arc::new(Null));
         assert!(r.get("Null").is_some());
-        assert_eq!(r.names().len(), 5);
+        assert_eq!(r.names().len(), 4);
     }
 }

@@ -41,31 +41,33 @@ pub fn fuse_program(p: &mut NativeProgram) -> usize {
 /// Rewrites one function's code with superinstructions, remapping all
 /// branch targets. Returns the number of instructions eliminated.
 pub fn fuse_function(f: &mut NativeFunc) -> usize {
-    let code = std::mem::take(&mut f.code);
+    let mut code = std::mem::take(&mut f.code);
     let n = code.len();
     // Leaders: instructions some branch can transfer control to. A fused
     // group may not *contain* a leader beyond its first op, otherwise the
     // jump would land mid-superinstruction.
     let mut leader = vec![false; n + 1];
-    for op in &code {
-        for t in jump_targets(op) {
+    for op in &mut code {
+        op.map_targets(|t| {
             leader[t] = true;
-        }
+            t
+        });
     }
     let mut out: Vec<RegOp> = Vec::with_capacity(n);
     let mut new_pc = vec![0usize; n + 1];
     let mut i = 0;
     while i < n {
         new_pc[i] = out.len();
-        let free2 = i + 1 < n && !leader[i + 1];
-        let free3 = free2 && i + 2 < n && !leader[i + 2];
-        let free4 = free3 && i + 3 < n && !leader[i + 3];
-        if let Some((fused, len)) = match_group(&code, i, free2, free3, free4) {
+        // The window a group may cover: up to the next leader.
+        let mut end = i + 1;
+        while end < n.min(i + MAX_GROUP) && !leader[end] {
+            end += 1;
+        }
+        if let Some(fused) = match_group(&code[i..end]) {
             // Interior positions are unreachable (not leaders); map them
             // to the group start anyway so the table is total.
-            for k in 1..len {
-                new_pc[i + k] = out.len();
-            }
+            let len = fused.parts().len();
+            new_pc[i..i + len].fill(out.len());
             out.push(fused);
             i += len;
         } else {
@@ -76,558 +78,312 @@ pub fn fuse_function(f: &mut NativeFunc) -> usize {
     new_pc[n] = out.len();
     let removed = n - out.len();
     for op in &mut out {
-        remap_targets(op, &new_pc);
+        op.map_targets(|t| new_pc[t]);
     }
     f.code = out;
     removed
 }
 
-/// Branch targets of `op` (empty for straight-line ops).
-pub(crate) fn jump_targets(op: &RegOp) -> Vec<usize> {
-    match op {
-        RegOp::Jmp { pc } | RegOp::Brz { pc, .. } => vec![*pc],
-        RegOp::BrCmpIFalse { pc, .. }
-        | RegOp::BrCmpFFalse { pc, .. }
-        | RegOp::IntBinImmJmp { pc, .. }
-        | RegOp::MovIJmp { pc, .. }
-        | RegOp::Mov2IJmp { pc, .. }
-        | RegOp::MovCJmp { pc, .. }
-        | RegOp::IntBinImmMov2IJmp { pc, .. }
-        | RegOp::FltCmpMovIJmp { pc, .. }
-        | RegOp::AbortBrCmpIFalse { pc, .. } => vec![*pc as usize],
-        RegOp::BrCmpISel {
-            pc_false, pc_true, ..
-        }
-        | RegOp::BrCmpFSel {
-            pc_false, pc_true, ..
-        }
-        | RegOp::AbortBrCmpISel {
-            pc_false, pc_true, ..
-        } => {
-            vec![*pc_false as usize, *pc_true as usize]
-        }
-        RegOp::BrzJmp { pc_z, pc_nz, .. } => vec![*pc_z as usize, *pc_nz as usize],
-        _ => Vec::new(),
-    }
-}
-
-/// Rewrites `op`'s branch targets through the old-pc → new-pc table.
-pub(crate) fn remap_targets(op: &mut RegOp, new_pc: &[usize]) {
-    match op {
-        RegOp::Jmp { pc } | RegOp::Brz { pc, .. } => *pc = new_pc[*pc],
-        RegOp::BrCmpIFalse { pc, .. }
-        | RegOp::BrCmpFFalse { pc, .. }
-        | RegOp::IntBinImmJmp { pc, .. }
-        | RegOp::MovIJmp { pc, .. }
-        | RegOp::Mov2IJmp { pc, .. }
-        | RegOp::MovCJmp { pc, .. }
-        | RegOp::IntBinImmMov2IJmp { pc, .. }
-        | RegOp::FltCmpMovIJmp { pc, .. }
-        | RegOp::AbortBrCmpIFalse { pc, .. } => *pc = new_pc[*pc as usize] as u32,
-        RegOp::BrCmpISel {
-            pc_false, pc_true, ..
-        }
-        | RegOp::BrCmpFSel {
-            pc_false, pc_true, ..
-        }
-        | RegOp::AbortBrCmpISel {
-            pc_false, pc_true, ..
-        } => {
-            *pc_false = new_pc[*pc_false as usize] as u32;
-            *pc_true = new_pc[*pc_true as usize] as u32;
-        }
-        RegOp::BrzJmp { pc_z, pc_nz, .. } => {
-            *pc_z = new_pc[*pc_z as usize] as u32;
-            *pc_nz = new_pc[*pc_nz as usize] as u32;
-        }
-        _ => {}
-    }
-}
+/// Longest sequence a superinstruction replaces.
+const MAX_GROUP: usize = 4;
 
 /// Narrows a register index / pc to the fused ops' compact `u32` operand
 /// width (fusion is refused on overflow rather than truncating).
-fn r(x: usize) -> Option<u32> {
-    u32::try_from(x).ok()
+fn r(x: &usize) -> Option<u32> {
+    u32::try_from(*x).ok()
 }
 
 /// Narrows an immediate to the fused ops' `i32` field.
-fn im(x: i64) -> Option<i32> {
-    i32::try_from(x).ok()
+fn im(x: &i64) -> Option<i32> {
+    i32::try_from(*x).ok()
 }
 
-/// Tries to fuse a group starting at `i`. `free2`/`free3` say whether the
-/// second/third positions exist and are not jump targets. Returns the
-/// fused op and the group length (in original instructions).
+/// Tries to fuse a prefix of `window` — the ops from the current position
+/// up to the next jump target, at most [`MAX_GROUP`]. Each pattern is the
+/// inverse of [`RegOp::parts`]: the fused op's parts are the ops matched.
 ///
-/// Pattern order matters: triples are tried before the pairs they extend,
-/// and branch fusions before generic ALU pairs, so the hottest shapes win.
+/// Pattern order matters: longer groups are tried before the pairs they
+/// extend, and branch fusions before generic ALU pairs, so the hottest
+/// shapes win.
 #[allow(clippy::too_many_lines)]
-fn match_group(
-    code: &[RegOp],
-    i: usize,
-    free2: bool,
-    free3: bool,
-    free4: bool,
-) -> Option<(RegOp, usize)> {
-    if !free2 {
-        return None;
-    }
-    let third = if free3 { Some(&code[i + 2]) } else { None };
-    let fourth = if free4 { Some(&code[i + 3]) } else { None };
-    match (&code[i], &code[i + 1]) {
-        // abort.check + cmp + brz (+ jmp): a full `While` loop header.
-        (&RegOp::AbortCheck, &RegOp::IntBin { op, d, a, b }) => match third {
-            Some(&RegOp::Brz { c, pc }) if c == d => {
-                let (a, b, d, pc) = (r(a)?, r(b)?, r(d)?, r(pc)?);
-                if let Some(&RegOp::Jmp { pc: pc_true }) = fourth {
-                    let pc_true = r(pc_true)?;
-                    Some((
-                        RegOp::AbortBrCmpISel {
-                            op,
-                            a,
-                            b,
-                            d,
-                            pc_false: pc,
-                            pc_true,
-                        },
-                        4,
-                    ))
-                } else {
-                    Some((RegOp::AbortBrCmpIFalse { op, a, b, d, pc }, 3))
-                }
-            }
-            _ => None,
-        },
-        // cmp + brz (+ jmp): the condition register is dual-written, so
-        // any later read still sees the comparison result.
-        (&RegOp::IntBin { op, d, a, b }, &RegOp::Brz { c, pc }) if c == d => {
-            let (a, b, d, pc) = (r(a)?, r(b)?, r(d)?, r(pc)?);
-            if let Some(&RegOp::Jmp { pc: pc_true }) = third {
-                let pc_true = r(pc_true)?;
-                Some((
-                    RegOp::BrCmpISel {
-                        op,
-                        a,
-                        b,
-                        d,
-                        pc_false: pc,
-                        pc_true,
-                    },
-                    3,
-                ))
-            } else {
-                Some((RegOp::BrCmpIFalse { op, a, b, d, pc }, 2))
+fn match_group(window: &[RegOp]) -> Option<RegOp> {
+    // Patterns name the primitives bare; the fused op built stays qualified.
+    use RegOp::{
+        AbortCheck, Brz, FltBin, FltCmp, IntBin, IntBinImm, Jmp, MovC, MovI, Release, TakeV,
+        TenPart1, TenPart2, TenSet1, TenSet2,
+    };
+    Some(match window {
+        // abort.check + cmp + brz + jmp: a full `While` loop header. (A
+        // `Branch` always lowers to `brz; jmp`, so there are no jump-less
+        // compare-and-branch forms.)
+        [AbortCheck, IntBin { op, d, a, b }, Brz { c, pc }, Jmp { pc: pc_true }] if c == d => {
+            RegOp::AbortBrCmpISel {
+                op: *op,
+                a: r(a)?,
+                b: r(b)?,
+                d: r(d)?,
+                pc_false: r(pc)?,
+                pc_true: r(pc_true)?,
             }
         }
-        (&RegOp::FltCmp { op, d, a, b }, &RegOp::Brz { c, pc }) if c == d => {
-            let (a, b, d, pc) = (r(a)?, r(b)?, r(d)?, r(pc)?);
-            if let Some(&RegOp::Jmp { pc: pc_true }) = third {
-                let pc_true = r(pc_true)?;
-                Some((
-                    RegOp::BrCmpFSel {
-                        op,
-                        a,
-                        b,
-                        d,
-                        pc_false: pc,
-                        pc_true,
-                    },
-                    3,
-                ))
-            } else {
-                Some((RegOp::BrCmpFFalse { op, a, b, d, pc }, 2))
+        // cmp + brz + jmp: the condition register is dual-written, so any
+        // later read still sees the comparison result.
+        [IntBin { op, d, a, b }, Brz { c, pc }, Jmp { pc: pc_true }, ..] if c == d => {
+            RegOp::BrCmpISel {
+                op: *op,
+                a: r(a)?,
+                b: r(b)?,
+                d: r(d)?,
+                pc_false: r(pc)?,
+                pc_true: r(pc_true)?,
+            }
+        }
+        [FltCmp { op, d, a, b }, Brz { c, pc }, Jmp { pc: pc_true }, ..] if c == d => {
+            RegOp::BrCmpFSel {
+                op: *op,
+                a: r(a)?,
+                b: r(b)?,
+                d: r(d)?,
+                pc_false: r(pc)?,
+                pc_true: r(pc_true)?,
             }
         }
         // brz + jmp: a two-way branch in one dispatch.
-        (&RegOp::Brz { c, pc }, &RegOp::Jmp { pc: pc_nz }) => Some((
-            RegOp::BrzJmp {
-                c: r(c)?,
-                pc_z: r(pc)?,
-                pc_nz: r(pc_nz)?,
-            },
-            2,
-        )),
+        [Brz { c, pc }, Jmp { pc: pc_nz }, ..] => RegOp::BrzJmp {
+            c: r(c)?,
+            pc_z: r(pc)?,
+            pc_nz: r(pc_nz)?,
+        },
         // Loop-counter increment / phi edge-move folded into a back-edge.
-        (&RegOp::IntBinImm { op, d, a, imm }, &RegOp::Jmp { pc }) => Some((
-            RegOp::IntBinImmJmp {
-                op,
-                d: r(d)?,
-                a: r(a)?,
-                imm: im(imm)?,
-                pc: r(pc)?,
-            },
-            2,
-        )),
+        [IntBinImm { op, d, a, imm }, Jmp { pc }, ..] => RegOp::IntBinImmJmp {
+            op: *op,
+            d: r(d)?,
+            a: r(a)?,
+            imm: im(imm)?,
+            pc: r(pc)?,
+        },
         // Phi edge-moves folded into a back-edge: mov+mov+jmp is a whole
         // two-variable loop latch in one dispatch.
-        (&RegOp::MovI { d: d1, s: s1 }, &RegOp::MovI { d: d2, s: s2 }) => {
-            let (d1, s1, d2, s2) = (r(d1)?, r(s1)?, r(d2)?, r(s2)?);
-            if let Some(&RegOp::Jmp { pc }) = third {
-                Some((
-                    RegOp::Mov2IJmp {
-                        d1,
-                        s1,
-                        d2,
-                        s2,
-                        pc: r(pc)?,
-                    },
-                    3,
-                ))
-            } else {
-                Some((RegOp::Mov2I { d1, s1, d2, s2 }, 2))
-            }
-        }
-        (&RegOp::MovI { d, s }, &RegOp::Jmp { pc }) => Some((
-            RegOp::MovIJmp {
-                d: r(d)?,
-                s: r(s)?,
-                pc: r(pc)?,
-            },
-            2,
-        )),
-        (&RegOp::MovC { d, s }, &RegOp::Jmp { pc }) => Some((
-            RegOp::MovCJmp {
-                d: r(d)?,
-                s: r(s)?,
-                pc: r(pc)?,
-            },
-            2,
-        )),
+        [MovI { d: d1, s: s1 }, MovI { d: d2, s: s2 }, Jmp { pc }, ..] => RegOp::Mov2IJmp {
+            d1: r(d1)?,
+            s1: r(s1)?,
+            d2: r(d2)?,
+            s2: r(s2)?,
+            pc: r(pc)?,
+        },
+        [MovI { d: d1, s: s1 }, MovI { d: d2, s: s2 }, ..] => RegOp::Mov2I {
+            d1: r(d1)?,
+            s1: r(s1)?,
+            d2: r(d2)?,
+            s2: r(s2)?,
+        },
+        [MovI { d, s }, Jmp { pc }, ..] => RegOp::MovIJmp {
+            d: r(d)?,
+            s: r(s)?,
+            pc: r(pc)?,
+        },
+        [MovC { d, s }, Jmp { pc }, ..] => RegOp::MovCJmp {
+            d: r(d)?,
+            s: r(s)?,
+            pc: r(pc)?,
+        },
         // Loop-counter increment feeding its phi move (`t = i + 1; i = t`),
         // extending to the whole latch (`...; s = u; jmp`) when the next
         // two ops are another move and the back-edge.
-        (&RegOp::IntBinImm { op, d, a, imm }, &RegOp::MovI { d: d2, s: s2 }) => {
-            let (op, d, a, imm, d2, s2) = (op, r(d)?, r(a)?, im(imm)?, r(d2)?, r(s2)?);
-            if let (Some(&RegOp::MovI { d: d3, s: s3 }), Some(&RegOp::Jmp { pc })) = (third, fourth)
-            {
-                let (d3, s3, pc) = (r(d3)?, r(s3)?, r(pc)?);
-                Some((
-                    RegOp::IntBinImmMov2IJmp {
-                        op,
-                        d,
-                        a,
-                        imm,
-                        d2,
-                        s2,
-                        d3,
-                        s3,
-                        pc,
-                    },
-                    4,
-                ))
-            } else {
-                Some((
-                    RegOp::IntBinImmMovI {
-                        op,
-                        d,
-                        a,
-                        imm,
-                        d2,
-                        s2,
-                    },
-                    2,
-                ))
+        [IntBinImm { op, d, a, imm }, MovI { d: d2, s: s2 }, MovI { d: d3, s: s3 }, Jmp { pc }] => {
+            RegOp::IntBinImmMov2IJmp {
+                op: *op,
+                d: r(d)?,
+                a: r(a)?,
+                imm: im(imm)?,
+                d2: r(d2)?,
+                s2: r(s2)?,
+                d3: r(d3)?,
+                s3: r(s3)?,
+                pc: r(pc)?,
             }
         }
+        [IntBinImm { op, d, a, imm }, MovI { d: d2, s: s2 }, ..] => RegOp::IntBinImmMovI {
+            op: *op,
+            d: r(d)?,
+            a: r(a)?,
+            imm: im(imm)?,
+            d2: r(d2)?,
+            s2: r(s2)?,
+        },
         // Real compare feeding a phi move of the condition (+ back-edge).
-        (&RegOp::FltCmp { op, d, a, b }, &RegOp::MovI { d: d2, s: s2 }) if s2 == d => {
-            let (a, b, d, d2, s2) = (r(a)?, r(b)?, r(d)?, r(d2)?, r(s2)?);
-            if let Some(&RegOp::Jmp { pc }) = third {
-                Some((
-                    RegOp::FltCmpMovIJmp {
-                        op,
-                        d,
-                        a,
-                        b,
-                        d2,
-                        s2,
-                        pc: r(pc)?,
-                    },
-                    3,
-                ))
-            } else {
-                Some((
-                    RegOp::FltCmpMovI {
-                        op,
-                        d,
-                        a,
-                        b,
-                        d2,
-                        s2,
-                    },
-                    2,
-                ))
+        [FltCmp { op, d, a, b }, MovI { d: d2, s: s2 }, Jmp { pc }, ..] if s2 == d => {
+            RegOp::FltCmpMovIJmp {
+                op: *op,
+                d: r(d)?,
+                a: r(a)?,
+                b: r(b)?,
+                d2: r(d2)?,
+                s2: r(s2)?,
+                pc: r(pc)?,
             }
         }
-        // Tensor element load feeding an ALU op (load-op).
-        (
-            &RegOp::TenPart1 {
-                kind: ElemKind::I64,
-                d: e,
-                t,
-                i: ix,
-            },
-            &RegOp::IntBinImm { op, d, a, imm },
-        ) => Some((
-            RegOp::TenPart1IntBinImm {
-                e: r(e)?,
-                t: r(t)?,
-                i: r(ix)?,
-                op,
-                d: r(d)?,
-                a: r(a)?,
-                imm: im(imm)?,
-            },
-            2,
-        )),
-        (
-            &RegOp::TenPart1 {
-                kind: ElemKind::I64,
-                d: e,
-                t,
-                i: ix,
-            },
-            &RegOp::IntBin { op, d, a, b },
-        ) => Some((
-            RegOp::TenPart1IntBin {
-                e: r(e)?,
-                t: r(t)?,
-                i: r(ix)?,
-                op,
-                d: r(d)?,
-                a: r(a)?,
-                b: r(b)?,
-            },
-            2,
-        )),
-        (
-            &RegOp::TenPart2 {
-                kind: ElemKind::F64,
-                d: e,
-                t,
-                i: ix,
-                j,
-            },
-            &RegOp::FltBin { op, d, a, b },
-        ) => Some((
-            RegOp::TenPart2FltBin {
-                e: r(e)?,
-                t: r(t)?,
-                i: r(ix)?,
-                j: r(j)?,
-                op,
-                d: r(d)?,
-                a: r(a)?,
-                b: r(b)?,
-            },
-            2,
-        )),
-        // Unchecked (bounds-proved) load-op mirrors of the above.
-        (
-            &RegOp::TenPart1U {
-                kind: ElemKind::I64,
-                d: e,
-                t,
-                i: ix,
-            },
-            &RegOp::IntBinImm { op, d, a, imm },
-        ) => Some((
-            RegOp::TenPart1IntBinImmU {
-                e: r(e)?,
-                t: r(t)?,
-                i: r(ix)?,
-                op,
-                d: r(d)?,
-                a: r(a)?,
-                imm: im(imm)?,
-            },
-            2,
-        )),
-        (
-            &RegOp::TenPart1U {
-                kind: ElemKind::I64,
-                d: e,
-                t,
-                i: ix,
-            },
-            &RegOp::IntBin { op, d, a, b },
-        ) => Some((
-            RegOp::TenPart1IntBinU {
-                e: r(e)?,
-                t: r(t)?,
-                i: r(ix)?,
-                op,
-                d: r(d)?,
-                a: r(a)?,
-                b: r(b)?,
-            },
-            2,
-        )),
-        (
-            &RegOp::TenPart2U {
-                kind: ElemKind::F64,
-                d: e,
-                t,
-                i: ix,
-                j,
-            },
-            &RegOp::FltBin { op, d, a, b },
-        ) => Some((
-            RegOp::TenPart2FltBinU {
-                e: r(e)?,
-                t: r(t)?,
-                i: r(ix)?,
-                j: r(j)?,
-                op,
-                d: r(d)?,
-                a: r(a)?,
-                b: r(b)?,
-            },
-            2,
-        )),
+        [FltCmp { op, d, a, b }, MovI { d: d2, s: s2 }, ..] if s2 == d => RegOp::FltCmpMovI {
+            op: *op,
+            d: r(d)?,
+            a: r(a)?,
+            b: r(b)?,
+            d2: r(d2)?,
+            s2: r(s2)?,
+        },
+        // Tensor element load feeding an ALU op (load-op); `checked` rides
+        // along, so proved and unproved accesses fuse alike.
+        [TenPart1 {
+            kind: ElemKind::I64,
+            d: e,
+            t,
+            i,
+            checked,
+        }, IntBinImm { op, d, a, imm }, ..] => RegOp::TenPart1IntBinImm {
+            e: r(e)?,
+            t: r(t)?,
+            i: r(i)?,
+            op: *op,
+            d: r(d)?,
+            a: r(a)?,
+            imm: im(imm)?,
+            checked: *checked,
+        },
+        [TenPart1 {
+            kind: ElemKind::I64,
+            d: e,
+            t,
+            i,
+            checked,
+        }, IntBin { op, d, a, b }, ..] => RegOp::TenPart1IntBin {
+            e: r(e)?,
+            t: r(t)?,
+            i: r(i)?,
+            op: *op,
+            d: r(d)?,
+            a: r(a)?,
+            b: r(b)?,
+            checked: *checked,
+        },
+        [TenPart2 {
+            kind: ElemKind::F64,
+            d: e,
+            t,
+            i,
+            j,
+            checked,
+        }, FltBin { op, d, a, b }, ..] => RegOp::TenPart2FltBin {
+            e: r(e)?,
+            t: r(t)?,
+            i: r(i)?,
+            j: r(j)?,
+            op: *op,
+            d: r(d)?,
+            a: r(a)?,
+            b: r(b)?,
+            checked: *checked,
+        },
         // Take-move + element store (op-store).
-        (&RegOp::TakeV { d: dv, s: sv }, &RegOp::TenSet1 { kind, t, i: ix, v }) => Some((
-            RegOp::TakeVTenSet1 {
-                dv: r(dv)?,
-                sv: r(sv)?,
-                kind,
-                t: r(t)?,
-                i: r(ix)?,
-                v: r(v)?,
-            },
-            2,
-        )),
-        (
-            &RegOp::TakeV { d: dv, s: sv },
-            &RegOp::TenSet2 {
-                kind,
-                t,
-                i: ix,
-                j,
-                v,
-            },
-        ) => Some((
-            RegOp::TakeVTenSet2 {
-                dv: r(dv)?,
-                sv: r(sv)?,
-                kind,
-                t: r(t)?,
-                i: r(ix)?,
-                j: r(j)?,
-                v: r(v)?,
-            },
-            2,
-        )),
-        (
-            &RegOp::TakeV { d: dv, s: sv },
-            &RegOp::TenSet2U {
-                kind,
-                t,
-                i: ix,
-                j,
-                v,
-            },
-        ) => Some((
-            RegOp::TakeVTenSet2U {
-                dv: r(dv)?,
-                sv: r(sv)?,
-                kind,
-                t: r(t)?,
-                i: r(ix)?,
-                j: r(j)?,
-                v: r(v)?,
-            },
-            2,
-        )),
+        [TakeV { d: dv, s: sv }, TenSet1 {
+            kind,
+            t,
+            i,
+            v,
+            checked,
+        }, ..] => RegOp::TakeVTenSet1 {
+            dv: r(dv)?,
+            sv: r(sv)?,
+            kind: *kind,
+            t: r(t)?,
+            i: r(i)?,
+            v: r(v)?,
+            checked: *checked,
+        },
+        [TakeV { d: dv, s: sv }, TenSet2 {
+            kind,
+            t,
+            i,
+            j,
+            v,
+            checked,
+        }, ..] => RegOp::TakeVTenSet2 {
+            dv: r(dv)?,
+            sv: r(sv)?,
+            kind: *kind,
+            t: r(t)?,
+            i: r(i)?,
+            j: r(j)?,
+            v: r(v)?,
+            checked: *checked,
+        },
         // ALU pairs (integer/float multiply-add chains and friends).
-        (
-            &RegOp::IntBinImm {
-                op: op1,
-                d: d1,
-                a: a1,
-                imm: imm1,
-            },
-            &RegOp::IntBinImm {
-                op: op2,
-                d: d2,
-                a: a2,
-                imm: imm2,
-            },
-        ) => Some((
-            RegOp::IntBinImm2 {
-                op1,
-                d1: r(d1)?,
-                a1: r(a1)?,
-                imm1: im(imm1)?,
-                op2,
-                d2: r(d2)?,
-                a2: r(a2)?,
-                imm2: im(imm2)?,
-            },
-            2,
-        )),
-        (
-            &RegOp::IntBin {
-                op: op1,
-                d: d1,
-                a: a1,
-                b: b1,
-            },
-            &RegOp::IntBin {
-                op: op2,
-                d: d2,
-                a: a2,
-                b: b2,
-            },
-        ) => Some((
-            RegOp::IntBin2 {
-                op1,
-                d1: r(d1)?,
-                a1: r(a1)?,
-                b1: r(b1)?,
-                op2,
-                d2: r(d2)?,
-                a2: r(a2)?,
-                b2: r(b2)?,
-            },
-            2,
-        )),
-        (
-            &RegOp::FltBin {
-                op: op1,
-                d: d1,
-                a: a1,
-                b: b1,
-            },
-            &RegOp::FltBin {
-                op: op2,
-                d: d2,
-                a: a2,
-                b: b2,
-            },
-        ) => Some((
-            RegOp::FltBin2 {
-                op1,
-                d1: r(d1)?,
-                a1: r(a1)?,
-                b1: r(b1)?,
-                op2,
-                d2: r(d2)?,
-                a2: r(a2)?,
-                b2: r(b2)?,
-            },
-            2,
-        )),
+        [IntBinImm {
+            op: op1,
+            d: d1,
+            a: a1,
+            imm: imm1,
+        }, IntBinImm {
+            op: op2,
+            d: d2,
+            a: a2,
+            imm: imm2,
+        }, ..] => RegOp::IntBinImm2 {
+            op1: *op1,
+            d1: r(d1)?,
+            a1: r(a1)?,
+            imm1: im(imm1)?,
+            op2: *op2,
+            d2: r(d2)?,
+            a2: r(a2)?,
+            imm2: im(imm2)?,
+        },
+        [IntBin {
+            op: op1,
+            d: d1,
+            a: a1,
+            b: b1,
+        }, IntBin {
+            op: op2,
+            d: d2,
+            a: a2,
+            b: b2,
+        }, ..] => RegOp::IntBin2 {
+            op1: *op1,
+            d1: r(d1)?,
+            a1: r(a1)?,
+            b1: r(b1)?,
+            op2: *op2,
+            d2: r(d2)?,
+            a2: r(a2)?,
+            b2: r(b2)?,
+        },
+        [FltBin {
+            op: op1,
+            d: d1,
+            a: a1,
+            b: b1,
+        }, FltBin {
+            op: op2,
+            d: d2,
+            a: a2,
+            b: b2,
+        }, ..] => RegOp::FltBin2 {
+            op1: *op1,
+            d1: r(d1)?,
+            a1: r(a1)?,
+            b1: r(b1)?,
+            op2: *op2,
+            d2: r(d2)?,
+            a2: r(a2)?,
+            b2: r(b2)?,
+        },
         // Function-epilogue release pairs.
-        (&RegOp::Release { v: v1 }, &RegOp::Release { v: v2 }) => Some((
-            RegOp::Release2 {
-                v1: r(v1)?,
-                v2: r(v2)?,
-            },
-            2,
-        )),
-        _ => None,
-    }
+        [Release { v: v1 }, Release { v: v2 }, ..] => RegOp::Release2 {
+            v1: r(v1)?,
+            v2: r(v2)?,
+        },
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -742,8 +498,8 @@ mod tests {
 
     #[test]
     fn dual_write_keeps_condition_register_observable() {
-        // The comparison result is read again *after* the branch — the
-        // fused op must still have written it.
+        // The comparison result is read again *after* the two-way branch,
+        // on both edges — the fused op must still have written it.
         let mut f = func(
             vec![
                 RegOp::LdcI { d: 1, v: 10 },
@@ -753,15 +509,19 @@ mod tests {
                     a: 0,
                     b: 1,
                 },
-                RegOp::Brz { c: 2, pc: 3 },
+                RegOp::Brz { c: 2, pc: 5 },
+                RegOp::Jmp { pc: 4 },
+                RegOp::Ret {
+                    s: Slot::new(Bank::I, 2),
+                },
                 RegOp::Ret {
                     s: Slot::new(Bank::I, 2),
                 },
             ],
             3,
         );
-        let removed = fuse_function(&mut f);
-        assert!(removed >= 1, "{:?}", f.code);
+        fuse_function(&mut f);
+        assert!(matches!(f.code[1], RegOp::BrCmpISel { .. }), "{:?}", f.code);
         assert_eq!(
             run_i(&f, 5),
             1,

@@ -31,7 +31,6 @@ pub mod machine;
 pub mod vectorize;
 pub mod wvm;
 
-pub use asm::AsmBackend;
 pub use backend::{Backend, BackendRegistry};
 pub use fuse::{fuse_function, fuse_program};
 pub use lower::{lower_program, LowerError};

@@ -179,20 +179,14 @@ fn lower_function(
     // Patch jumps.
     for (at, target) in std::mem::take(&mut l.patches) {
         let pc = *l.block_pc.get(&target).unwrap_or(&0);
-        match &mut l.code[at] {
-            RegOp::Jmp { pc: t } | RegOp::Brz { pc: t, .. } => *t = pc,
-            other => unreachable!("patching non-jump {other:?}"),
-        }
+        l.code[at].map_targets(|_| pc);
     }
     // Hoist the deduplicated constant loads into a prologue, shifting all
     // jump targets accordingly.
     if !l.prologue.is_empty() {
         let shift = l.prologue.len();
         for op in &mut l.code {
-            match op {
-                RegOp::Jmp { pc } | RegOp::Brz { pc, .. } => *pc += shift,
-                _ => {}
-            }
+            op.map_targets(|pc| pc + shift);
         }
         let mut code = std::mem::take(&mut l.prologue);
         code.append(&mut l.code);
@@ -270,13 +264,17 @@ impl<'a> Lowering<'a> {
             .contains(&(self.current_block.0, self.current_event, v))
     }
 
-    /// Whether the interval analysis proved every index of the current
-    /// Part/set instruction in bounds.
-    fn part_proved(&self) -> bool {
-        self.facts.is_some_and(|ff| {
+    /// The `checked` operand of the current Part/set instruction: `false`
+    /// when the interval analysis proved every index in bounds. Counts the
+    /// site either way.
+    fn part_checked(&mut self) -> bool {
+        let proved = self.facts.is_some_and(|ff| {
             ff.proved_parts
                 .contains(&(self.current_block, self.current_event))
-        })
+        });
+        self.elision.bounds_total += 1;
+        self.elision.bounds_elided += u32::from(proved);
+        !proved
     }
 
     /// Whether the interval analysis proved the current checked integer
@@ -1041,13 +1039,14 @@ impl<'a> Lowering<'a> {
                 let kind = elem_kind(&elem);
                 let t = a!(0, Bank::V);
                 let i = a!(1, Bank::I);
-                self.elision.bounds_total += 1;
-                if self.part_proved() {
-                    self.elision.bounds_elided += 1;
-                    self.code.push(RegOp::TenPart1U { kind, d, t, i });
-                } else {
-                    self.code.push(RegOp::TenPart1 { kind, d, t, i });
-                }
+                let checked = self.part_checked();
+                self.code.push(RegOp::TenPart1 {
+                    kind,
+                    d,
+                    t,
+                    i,
+                    checked,
+                });
                 Ok(())
             }
             "tensor_part_2" => {
@@ -1055,13 +1054,15 @@ impl<'a> Lowering<'a> {
                 let kind = elem_kind(&elem);
                 let t = a!(0, Bank::V);
                 let (i, j) = (a!(1, Bank::I), a!(2, Bank::I));
-                self.elision.bounds_total += 1;
-                if self.part_proved() {
-                    self.elision.bounds_elided += 1;
-                    self.code.push(RegOp::TenPart2U { kind, d, t, i, j });
-                } else {
-                    self.code.push(RegOp::TenPart2 { kind, d, t, i, j });
-                }
+                let checked = self.part_checked();
+                self.code.push(RegOp::TenPart2 {
+                    kind,
+                    d,
+                    t,
+                    i,
+                    j,
+                    checked,
+                });
                 Ok(())
             }
             "tensor_set_1" => {
@@ -1074,13 +1075,14 @@ impl<'a> Lowering<'a> {
                 // dead (in-place update), and is cloned (copy-on-write)
                 // when still live — the F5 copy analysis.
                 self.push_v_move(d, t, take);
-                self.elision.bounds_total += 1;
-                if self.part_proved() {
-                    self.elision.bounds_elided += 1;
-                    self.code.push(RegOp::TenSet1U { kind, t: d, i, v });
-                } else {
-                    self.code.push(RegOp::TenSet1 { kind, t: d, i, v });
-                }
+                let checked = self.part_checked();
+                self.code.push(RegOp::TenSet1 {
+                    kind,
+                    t: d,
+                    i,
+                    v,
+                    checked,
+                });
                 Ok(())
             }
             "tensor_set_2" => {
@@ -1090,25 +1092,15 @@ impl<'a> Lowering<'a> {
                 let (i, j) = (a!(1, Bank::I), a!(2, Bank::I));
                 let v = a!(3, bank_of(&elem));
                 self.push_v_move(d, t, take);
-                self.elision.bounds_total += 1;
-                if self.part_proved() {
-                    self.elision.bounds_elided += 1;
-                    self.code.push(RegOp::TenSet2U {
-                        kind,
-                        t: d,
-                        i,
-                        j,
-                        v,
-                    });
-                } else {
-                    self.code.push(RegOp::TenSet2 {
-                        kind,
-                        t: d,
-                        i,
-                        j,
-                        v,
-                    });
-                }
+                let checked = self.part_checked();
+                self.code.push(RegOp::TenSet2 {
+                    kind,
+                    t: d,
+                    i,
+                    j,
+                    v,
+                    checked,
+                });
                 Ok(())
             }
             "tensor_fill_1" => {

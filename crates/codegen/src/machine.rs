@@ -2,6 +2,7 @@
 //! instruction set. This is the execution substrate standing in for the
 //! paper's LLVM-JITed native code (DESIGN.md §1).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wolfram_expr::Expr;
@@ -333,11 +334,16 @@ pub enum RegOp {
         d: usize,
         t: usize,
     },
+    /// Element load `d = t[[i]]`. Every element access carries `checked`:
+    /// `false` means the interval analysis proved each index in
+    /// `[-len,-1] ∪ [1,len]`, so execution only resolves the sign (negative
+    /// indices count from the end) without validating the range.
     TenPart1 {
         kind: ElemKind,
         d: usize,
         t: usize,
         i: usize,
+        checked: bool,
     },
     TenPart2 {
         kind: ElemKind,
@@ -345,12 +351,14 @@ pub enum RegOp {
         t: usize,
         i: usize,
         j: usize,
+        checked: bool,
     },
     TenSet1 {
         kind: ElemKind,
         t: usize,
         i: usize,
         v: usize,
+        checked: bool,
     },
     TenSet2 {
         kind: ElemKind,
@@ -358,39 +366,7 @@ pub enum RegOp {
         i: usize,
         j: usize,
         v: usize,
-    },
-    /// [`RegOp::TenPart1`] with the bounds check elided: the interval
-    /// analysis proved `i ∈ [-len,-1] ∪ [1,len]`, so execution only
-    /// resolves the sign (negative indices count from the end) without
-    /// validating the range.
-    TenPart1U {
-        kind: ElemKind,
-        d: usize,
-        t: usize,
-        i: usize,
-    },
-    /// [`RegOp::TenPart2`] with both bounds checks elided.
-    TenPart2U {
-        kind: ElemKind,
-        d: usize,
-        t: usize,
-        i: usize,
-        j: usize,
-    },
-    /// [`RegOp::TenSet1`] with the bounds check elided.
-    TenSet1U {
-        kind: ElemKind,
-        t: usize,
-        i: usize,
-        v: usize,
-    },
-    /// [`RegOp::TenSet2`] with both bounds checks elided.
-    TenSet2U {
-        kind: ElemKind,
-        t: usize,
-        i: usize,
-        j: usize,
-        v: usize,
+        checked: bool,
     },
     TenFill1 {
         kind: ElemKind,
@@ -533,32 +509,16 @@ pub enum RegOp {
     },
     // ---- Superinstructions (see `fuse`) ----
     //
-    // Every fused op performs *all* the register writes of the sequence it
-    // replaces (the pass needs no liveness analysis to stay bit-identical),
-    // and no jump target may land inside a fused group.
+    // A fused op *is* the sequence [`RegOp::parts`] lists: it performs all
+    // the register writes of the ops it replaces (the pass needs no
+    // liveness analysis to stay bit-identical), and no jump target may land
+    // inside a fused group.
     //
     // Fused variants use `u32` register/pc fields and `i32` immediates so
     // they stay within the enum's pre-fusion payload: growing `RegOp` would
     // tax the fetch of *every* op in the code array. The pass refuses to
-    // fuse on overflow (fuse::narrow/narrow_imm); the interpreter widens
-    // with zero-extending casts.
-    /// Fused compare-and-branch: `d = a (op) b`, then jump to `pc` when
-    /// the result is zero (comparison false).
-    BrCmpIFalse {
-        op: IntOp,
-        a: u32,
-        b: u32,
-        d: u32,
-        pc: u32,
-    },
-    /// Fused compare-and-branch on reals.
-    BrCmpFFalse {
-        op: CmpCode,
-        a: u32,
-        b: u32,
-        d: u32,
-        pc: u32,
-    },
+    // fuse on overflow (`fuse::r`/`fuse::im`); the interpreter widens with
+    // zero-extending casts.
     /// Fused compare + two-way branch (cmp, brz, jmp): `d = a (op) b`,
     /// then jump to `pc_true` when nonzero, `pc_false` when zero.
     BrCmpISel {
@@ -637,6 +597,7 @@ pub enum RegOp {
         d: u32,
         a: u32,
         b: u32,
+        checked: bool,
     },
     /// Integer tensor element load feeding an immediate-form integer op.
     TenPart1IntBinImm {
@@ -647,6 +608,7 @@ pub enum RegOp {
         d: u32,
         a: u32,
         imm: i32,
+        checked: bool,
     },
     /// Real matrix element load feeding a real op (Blur's stencil taps).
     TenPart2FltBin {
@@ -658,6 +620,7 @@ pub enum RegOp {
         d: u32,
         a: u32,
         b: u32,
+        checked: bool,
     },
     /// Take-move + element store (op-store around in-place mutation).
     TakeVTenSet1 {
@@ -667,6 +630,7 @@ pub enum RegOp {
         t: u32,
         i: u32,
         v: u32,
+        checked: bool,
     },
     /// [`RegOp::TakeVTenSet1`] for matrices.
     TakeVTenSet2 {
@@ -677,47 +641,7 @@ pub enum RegOp {
         i: u32,
         j: u32,
         v: u32,
-    },
-    /// [`RegOp::TenPart1IntBin`] over an unchecked element load.
-    TenPart1IntBinU {
-        e: u32,
-        t: u32,
-        i: u32,
-        op: IntOp,
-        d: u32,
-        a: u32,
-        b: u32,
-    },
-    /// [`RegOp::TenPart1IntBinImm`] over an unchecked element load.
-    TenPart1IntBinImmU {
-        e: u32,
-        t: u32,
-        i: u32,
-        op: IntOp,
-        d: u32,
-        a: u32,
-        imm: i32,
-    },
-    /// [`RegOp::TenPart2FltBin`] over an unchecked element load.
-    TenPart2FltBinU {
-        e: u32,
-        t: u32,
-        i: u32,
-        j: u32,
-        op: FltOp,
-        d: u32,
-        a: u32,
-        b: u32,
-    },
-    /// [`RegOp::TakeVTenSet2`] with both bounds checks elided.
-    TakeVTenSet2U {
-        dv: u32,
-        sv: u32,
-        kind: ElemKind,
-        t: u32,
-        i: u32,
-        j: u32,
-        v: u32,
+        checked: bool,
     },
     /// Phi edge-move fused with the loop back-edge.
     MovIJmp {
@@ -755,15 +679,6 @@ pub enum RegOp {
         d: u32,
         pc_false: u32,
         pc_true: u32,
-    },
-    /// Abort poll + fused compare-and-branch (header without the trailing
-    /// jump).
-    AbortBrCmpIFalse {
-        op: IntOp,
-        a: u32,
-        b: u32,
-        d: u32,
-        pc: u32,
     },
     /// Immediate-form integer op feeding a phi move (`t = i + 1; i = t`).
     IntBinImmMovI {
@@ -874,14 +789,14 @@ impl RegOp {
             RegOp::CpxConj { .. } => "cpx.conj",
             RegOp::CpxEq { .. } => "cpx.eq",
             RegOp::TenLen { .. } => "ten.len",
-            RegOp::TenPart1 { .. } => "ten.part1",
-            RegOp::TenPart2 { .. } => "ten.part2",
-            RegOp::TenSet1 { .. } => "ten.set1",
-            RegOp::TenSet2 { .. } => "ten.set2",
-            RegOp::TenPart1U { .. } => "ten.part1.u",
-            RegOp::TenPart2U { .. } => "ten.part2.u",
-            RegOp::TenSet1U { .. } => "ten.set1.u",
-            RegOp::TenSet2U { .. } => "ten.set2.u",
+            RegOp::TenPart1 { checked: true, .. } => "ten.part1",
+            RegOp::TenPart1 { checked: false, .. } => "ten.part1.u",
+            RegOp::TenPart2 { checked: true, .. } => "ten.part2",
+            RegOp::TenPart2 { checked: false, .. } => "ten.part2.u",
+            RegOp::TenSet1 { checked: true, .. } => "ten.set1",
+            RegOp::TenSet1 { checked: false, .. } => "ten.set1.u",
+            RegOp::TenSet2 { checked: true, .. } => "ten.set2",
+            RegOp::TenSet2 { checked: false, .. } => "ten.set2.u",
             RegOp::TenFill1 { .. } => "ten.fill1",
             RegOp::TenFill2 { .. } => "ten.fill2",
             RegOp::TenBin { .. } => "ten.bin",
@@ -910,8 +825,6 @@ impl RegOp {
             RegOp::CallKernel { .. } => "call.kernel",
             RegOp::Jmp { .. } => "jmp",
             RegOp::Brz { .. } => "brz",
-            RegOp::BrCmpIFalse { .. } => "br.cmp.i",
-            RegOp::BrCmpFFalse { .. } => "br.cmp.f",
             RegOp::BrCmpISel { .. } => "br.cmp.i.sel",
             RegOp::BrCmpFSel { .. } => "br.cmp.f.sel",
             RegOp::BrzJmp { .. } => "brz.jmp",
@@ -919,21 +832,21 @@ impl RegOp {
             RegOp::IntBinImm2 { .. } => "int.bin.imm2",
             RegOp::IntBinImmJmp { .. } => "int.bin.imm.jmp",
             RegOp::FltBin2 { .. } => "flt.bin2",
-            RegOp::TenPart1IntBin { .. } => "ten.part1.int.bin",
-            RegOp::TenPart1IntBinImm { .. } => "ten.part1.int.imm",
-            RegOp::TenPart2FltBin { .. } => "ten.part2.flt.bin",
-            RegOp::TakeVTenSet1 { .. } => "take.ten.set1",
-            RegOp::TakeVTenSet2 { .. } => "take.ten.set2",
-            RegOp::TenPart1IntBinU { .. } => "ten.part1.int.bin.u",
-            RegOp::TenPart1IntBinImmU { .. } => "ten.part1.int.imm.u",
-            RegOp::TenPart2FltBinU { .. } => "ten.part2.flt.bin.u",
-            RegOp::TakeVTenSet2U { .. } => "take.ten.set2.u",
+            RegOp::TenPart1IntBin { checked: true, .. } => "ten.part1.int.bin",
+            RegOp::TenPart1IntBin { checked: false, .. } => "ten.part1.int.bin.u",
+            RegOp::TenPart1IntBinImm { checked: true, .. } => "ten.part1.int.imm",
+            RegOp::TenPart1IntBinImm { checked: false, .. } => "ten.part1.int.imm.u",
+            RegOp::TenPart2FltBin { checked: true, .. } => "ten.part2.flt.bin",
+            RegOp::TenPart2FltBin { checked: false, .. } => "ten.part2.flt.bin.u",
+            RegOp::TakeVTenSet1 { checked: true, .. } => "take.ten.set1",
+            RegOp::TakeVTenSet1 { checked: false, .. } => "take.ten.set1.u",
+            RegOp::TakeVTenSet2 { checked: true, .. } => "take.ten.set2",
+            RegOp::TakeVTenSet2 { checked: false, .. } => "take.ten.set2.u",
             RegOp::MovIJmp { .. } => "mov.i.jmp",
             RegOp::Mov2I { .. } => "mov2.i",
             RegOp::Mov2IJmp { .. } => "mov2.i.jmp",
             RegOp::Release2 { .. } => "release2",
             RegOp::AbortBrCmpISel { .. } => "abort.br.cmp.i.sel",
-            RegOp::AbortBrCmpIFalse { .. } => "abort.br.cmp.i",
             RegOp::IntBinImmMovI { .. } => "int.bin.imm.mov",
             RegOp::MovCJmp { .. } => "mov.c.jmp",
             RegOp::IntBinImmMov2IJmp { .. } => "int.imm.mov2.jmp",
@@ -947,6 +860,331 @@ impl RegOp {
             RegOp::RetNull => "ret.null",
         }
     }
+
+    /// The primitive ops this op executes, in order, with the fused
+    /// variants' compact `u32`/`i32` operands widened; a primitive is its
+    /// own single part. This is *the* definition of a superinstruction: the
+    /// executor's fused arms are fast paths for exactly this sequence, the
+    /// fuser's patterns are its inverse, and everything else (assembler
+    /// listing, vectorizer, tests) derives its rule from it.
+    pub fn parts(&self) -> Cow<'_, [RegOp]> {
+        let w = |r: u32| r as usize;
+        Cow::Owned(match *self {
+            RegOp::BrCmpISel {
+                op,
+                a,
+                b,
+                d,
+                pc_false,
+                pc_true,
+            } => vec![
+                int_bin_op(op, d, a, b),
+                brz_op(d, pc_false),
+                jmp_op(pc_true),
+            ],
+            RegOp::BrCmpFSel {
+                op,
+                a,
+                b,
+                d,
+                pc_false,
+                pc_true,
+            } => vec![
+                flt_cmp_op(op, d, a, b),
+                brz_op(d, pc_false),
+                jmp_op(pc_true),
+            ],
+            RegOp::AbortBrCmpISel {
+                op,
+                a,
+                b,
+                d,
+                pc_false,
+                pc_true,
+            } => vec![
+                RegOp::AbortCheck,
+                int_bin_op(op, d, a, b),
+                brz_op(d, pc_false),
+                jmp_op(pc_true),
+            ],
+            RegOp::BrzJmp { c, pc_z, pc_nz } => vec![brz_op(c, pc_z), jmp_op(pc_nz)],
+            RegOp::IntBin2 {
+                op1,
+                d1,
+                a1,
+                b1,
+                op2,
+                d2,
+                a2,
+                b2,
+            } => vec![int_bin_op(op1, d1, a1, b1), int_bin_op(op2, d2, a2, b2)],
+            RegOp::IntBinImm2 {
+                op1,
+                d1,
+                a1,
+                imm1,
+                op2,
+                d2,
+                a2,
+                imm2,
+            } => vec![int_imm_op(op1, d1, a1, imm1), int_imm_op(op2, d2, a2, imm2)],
+            RegOp::FltBin2 {
+                op1,
+                d1,
+                a1,
+                b1,
+                op2,
+                d2,
+                a2,
+                b2,
+            } => vec![flt_bin_op(op1, d1, a1, b1), flt_bin_op(op2, d2, a2, b2)],
+            RegOp::IntBinImmJmp { op, d, a, imm, pc } => {
+                vec![int_imm_op(op, d, a, imm), jmp_op(pc)]
+            }
+            RegOp::IntBinImmMovI {
+                op,
+                d,
+                a,
+                imm,
+                d2,
+                s2,
+            } => vec![int_imm_op(op, d, a, imm), mov_i_op(d2, s2)],
+            RegOp::IntBinImmMov2IJmp {
+                op,
+                d,
+                a,
+                imm,
+                d2,
+                s2,
+                d3,
+                s3,
+                pc,
+            } => vec![
+                int_imm_op(op, d, a, imm),
+                mov_i_op(d2, s2),
+                mov_i_op(d3, s3),
+                jmp_op(pc),
+            ],
+            RegOp::MovIJmp { d, s, pc } => vec![mov_i_op(d, s), jmp_op(pc)],
+            RegOp::Mov2I { d1, s1, d2, s2 } => vec![mov_i_op(d1, s1), mov_i_op(d2, s2)],
+            RegOp::Mov2IJmp { d1, s1, d2, s2, pc } => {
+                vec![mov_i_op(d1, s1), mov_i_op(d2, s2), jmp_op(pc)]
+            }
+            RegOp::MovCJmp { d, s, pc } => vec![RegOp::MovC { d: w(d), s: w(s) }, jmp_op(pc)],
+            RegOp::FltCmpMovI {
+                op,
+                d,
+                a,
+                b,
+                d2,
+                s2,
+            } => vec![flt_cmp_op(op, d, a, b), mov_i_op(d2, s2)],
+            RegOp::FltCmpMovIJmp {
+                op,
+                d,
+                a,
+                b,
+                d2,
+                s2,
+                pc,
+            } => vec![flt_cmp_op(op, d, a, b), mov_i_op(d2, s2), jmp_op(pc)],
+            RegOp::Release2 { v1, v2 } => {
+                vec![RegOp::Release { v: w(v1) }, RegOp::Release { v: w(v2) }]
+            }
+            RegOp::TenPart1IntBin {
+                e,
+                t,
+                i,
+                op,
+                d,
+                a,
+                b,
+                checked,
+            } => vec![int_part1_op(e, t, i, checked), int_bin_op(op, d, a, b)],
+            RegOp::TenPart1IntBinImm {
+                e,
+                t,
+                i,
+                op,
+                d,
+                a,
+                imm,
+                checked,
+            } => vec![int_part1_op(e, t, i, checked), int_imm_op(op, d, a, imm)],
+            RegOp::TenPart2FltBin {
+                e,
+                t,
+                i,
+                j,
+                op,
+                d,
+                a,
+                b,
+                checked,
+            } => vec![
+                RegOp::TenPart2 {
+                    kind: ElemKind::F64,
+                    d: w(e),
+                    t: w(t),
+                    i: w(i),
+                    j: w(j),
+                    checked,
+                },
+                flt_bin_op(op, d, a, b),
+            ],
+            RegOp::TakeVTenSet1 {
+                dv,
+                sv,
+                kind,
+                t,
+                i,
+                v,
+                checked,
+            } => vec![
+                take_v_op(dv, sv),
+                RegOp::TenSet1 {
+                    kind,
+                    t: w(t),
+                    i: w(i),
+                    v: w(v),
+                    checked,
+                },
+            ],
+            RegOp::TakeVTenSet2 {
+                dv,
+                sv,
+                kind,
+                t,
+                i,
+                j,
+                v,
+                checked,
+            } => vec![
+                take_v_op(dv, sv),
+                RegOp::TenSet2 {
+                    kind,
+                    t: w(t),
+                    i: w(i),
+                    j: w(j),
+                    v: w(v),
+                    checked,
+                },
+            ],
+            _ => return Cow::Borrowed(std::slice::from_ref(self)),
+        })
+    }
+
+    /// Rewrites every branch target of the op through `f`. This is the one
+    /// listing of the pc-carrying variants; passing an identity `f` that
+    /// records its argument enumerates the targets.
+    pub fn map_targets(&mut self, mut f: impl FnMut(usize) -> usize) {
+        let mut narrow = |pc: &mut u32| {
+            *pc = u32::try_from(f(*pc as usize)).expect("branch target fits the compact pc field");
+        };
+        match self {
+            RegOp::Jmp { pc } | RegOp::Brz { pc, .. } => *pc = f(*pc),
+            RegOp::IntBinImmJmp { pc, .. }
+            | RegOp::MovIJmp { pc, .. }
+            | RegOp::Mov2IJmp { pc, .. }
+            | RegOp::MovCJmp { pc, .. }
+            | RegOp::IntBinImmMov2IJmp { pc, .. }
+            | RegOp::FltCmpMovIJmp { pc, .. } => narrow(pc),
+            RegOp::BrCmpISel {
+                pc_false, pc_true, ..
+            }
+            | RegOp::BrCmpFSel {
+                pc_false, pc_true, ..
+            }
+            | RegOp::AbortBrCmpISel {
+                pc_false, pc_true, ..
+            } => {
+                narrow(pc_false);
+                narrow(pc_true);
+            }
+            RegOp::BrzJmp { pc_z, pc_nz, .. } => {
+                narrow(pc_z);
+                narrow(pc_nz);
+            }
+            _ => {}
+        }
+    }
+}
+
+// Growing `RegOp` taxes the fetch of every op in the code array
+// (EXPERIMENTS.md: a wider enum cost Mandelbrot 9%).
+const _: () = assert!(std::mem::size_of::<RegOp>() == 48);
+
+// Primitive constructors over the fused ops' compact operands, for
+// [`RegOp::parts`].
+fn mov_i_op(d: u32, s: u32) -> RegOp {
+    RegOp::MovI {
+        d: d as usize,
+        s: s as usize,
+    }
+}
+
+fn take_v_op(d: u32, s: u32) -> RegOp {
+    RegOp::TakeV {
+        d: d as usize,
+        s: s as usize,
+    }
+}
+
+fn int_bin_op(op: IntOp, d: u32, a: u32, b: u32) -> RegOp {
+    RegOp::IntBin {
+        op,
+        d: d as usize,
+        a: a as usize,
+        b: b as usize,
+    }
+}
+
+fn int_imm_op(op: IntOp, d: u32, a: u32, imm: i32) -> RegOp {
+    RegOp::IntBinImm {
+        op,
+        d: d as usize,
+        a: a as usize,
+        imm: i64::from(imm),
+    }
+}
+
+fn flt_bin_op(op: FltOp, d: u32, a: u32, b: u32) -> RegOp {
+    RegOp::FltBin {
+        op,
+        d: d as usize,
+        a: a as usize,
+        b: b as usize,
+    }
+}
+
+fn flt_cmp_op(op: CmpCode, d: u32, a: u32, b: u32) -> RegOp {
+    RegOp::FltCmp {
+        op,
+        d: d as usize,
+        a: a as usize,
+        b: b as usize,
+    }
+}
+
+fn int_part1_op(d: u32, t: u32, i: u32, checked: bool) -> RegOp {
+    RegOp::TenPart1 {
+        kind: ElemKind::I64,
+        d: d as usize,
+        t: t as usize,
+        i: i as usize,
+        checked,
+    }
+}
+
+fn brz_op(c: u32, pc: u32) -> RegOp {
+    RegOp::Brz {
+        c: c as usize,
+        pc: pc as usize,
+    }
+}
+
+fn jmp_op(pc: u32) -> RegOp {
+    RegOp::Jmp { pc: pc as usize }
 }
 
 /// Clones a runtime value, short-circuiting the cheap scalar variants so
@@ -1131,6 +1369,80 @@ impl Frame {
             }
         }
         Ok(())
+    }
+
+    /// The one `Release` body: balanced with the acquire even if the value
+    /// has been moved out of the slot meanwhile (`TakeV`).
+    #[inline(always)]
+    fn release(&mut self, v: usize) {
+        if std::mem::take(&mut self.acquired[v]) {
+            wolfram_runtime::memory::record_release();
+        }
+    }
+
+    /// `vals[d] = take(vals[s])`: the one `TakeV` body.
+    #[inline(always)]
+    fn take_v(&mut self, d: usize, s: usize) {
+        self.vals[d] = std::mem::replace(&mut self.vals[s], Value::Null);
+    }
+
+    /// Element load `d = t[[i]]` (`d = t[[i, j]]` with `j`) into the bank
+    /// `kind` selects: the one body behind `TenPart1`/`TenPart2` and every
+    /// fused load-op.
+    #[inline(always)]
+    fn load_elem(
+        &mut self,
+        kind: ElemKind,
+        d: usize,
+        t: usize,
+        i: usize,
+        j: Option<usize>,
+        checked: bool,
+    ) -> Result<(), RuntimeError> {
+        let t = self.vals[t].expect_tensor()?;
+        let off = match j {
+            None => offset1(t, self.ints[i], checked)?,
+            Some(j) => offset2(t, self.ints[i], self.ints[j], checked)?,
+        };
+        match (kind, t.data()) {
+            (ElemKind::I64, TensorData::I64(v)) => self.ints[d] = v[off],
+            (ElemKind::F64, TensorData::F64(v)) => self.flts[d] = v[off],
+            (ElemKind::F64, TensorData::I64(v)) => self.flts[d] = v[off] as f64,
+            (ElemKind::C64, TensorData::Complex(v)) => self.cpxs[d] = v[off],
+            _ => return Err(RuntimeError::Type("tensor element kind mismatch".into())),
+        }
+        Ok(())
+    }
+
+    /// Element store `t[[i]] = v` (`t[[i, j]] = v` with `j`) from the bank
+    /// `kind` selects: the one body behind `TenSet1`/`TenSet2` and the fused
+    /// take-stores.
+    #[inline(always)]
+    fn store_elem(
+        &mut self,
+        kind: ElemKind,
+        t: usize,
+        i: usize,
+        j: Option<usize>,
+        v: usize,
+        checked: bool,
+    ) -> Result<(), RuntimeError> {
+        let value = match kind {
+            ElemKind::I64 => ArgVal::I(self.ints[v]),
+            ElemKind::F64 => ArgVal::F(self.flts[v]),
+            ElemKind::C64 => {
+                let (re, im) = self.cpxs[v];
+                ArgVal::C(re, im)
+            }
+        };
+        let Value::Tensor(tensor) = &mut self.vals[t] else {
+            return Err(RuntimeError::Type("SetPart on non-tensor".into()));
+        };
+        let off = match j {
+            None => offset1(tensor, self.ints[i], checked)?,
+            Some(j) => offset2(tensor, self.ints[i], self.ints[j], checked)?,
+        };
+        tensor_store(tensor, off, value)
     }
 
     fn load(&self, slot: Slot) -> ArgVal {
@@ -1473,9 +1785,7 @@ impl Machine {
                     let v = clone_cheap(&fr.vals[*s]);
                     fr.vals[*d] = v;
                 }
-                RegOp::TakeV { d, s } => {
-                    fr.vals[*d] = std::mem::replace(&mut fr.vals[*s], Value::Null);
-                }
+                RegOp::TakeV { d, s } => fr.take_v(*d, *s),
                 RegOp::IntBin { op, d, a, b } => {
                     let (x, y) = (fr.ints[*a], fr.ints[*b]);
                     fr.ints[*d] = int_bin(*op, x, y)?;
@@ -1600,132 +1910,36 @@ impl Machine {
                     let t = fr.vals[*t].expect_tensor()?;
                     fr.ints[*d] = t.length() as i64;
                 }
-                RegOp::TenPart1 { kind, d, t, i } => {
-                    let ix = fr.ints[*i];
-                    let t = fr.vals[*t].expect_tensor()?;
-                    let off = t.resolve_index(ix)?;
-                    match (kind, t.data()) {
-                        (ElemKind::I64, TensorData::I64(v)) => fr.ints[*d] = v[off],
-                        (ElemKind::F64, TensorData::F64(v)) => fr.flts[*d] = v[off],
-                        (ElemKind::F64, TensorData::I64(v)) => fr.flts[*d] = v[off] as f64,
-                        (ElemKind::C64, TensorData::Complex(v)) => fr.cpxs[*d] = v[off],
-                        _ => return Err(RuntimeError::Type("tensor element kind mismatch".into())),
-                    }
-                }
-                RegOp::TenPart2 { kind, d, t, i, j } => {
-                    let (ix, jx) = (fr.ints[*i], fr.ints[*j]);
-                    let t = fr.vals[*t].expect_tensor()?;
-                    if t.rank() != 2 {
-                        return Err(RuntimeError::Type("Part[_,i,j] on non-matrix".into()));
-                    }
-                    let cols = t.shape()[1];
-                    let r = checked::resolve_part_index(ix, t.shape()[0])?;
-                    let c = checked::resolve_part_index(jx, cols)?;
-                    let off = r * cols + c;
-                    match (kind, t.data()) {
-                        (ElemKind::I64, TensorData::I64(v)) => fr.ints[*d] = v[off],
-                        (ElemKind::F64, TensorData::F64(v)) => fr.flts[*d] = v[off],
-                        (ElemKind::F64, TensorData::I64(v)) => fr.flts[*d] = v[off] as f64,
-                        (ElemKind::C64, TensorData::Complex(v)) => fr.cpxs[*d] = v[off],
-                        _ => return Err(RuntimeError::Type("tensor element kind mismatch".into())),
-                    }
-                }
-                RegOp::TenSet1 { kind, t, i, v } => {
-                    let ix = fr.ints[*i];
-                    let value = match kind {
-                        ElemKind::I64 => ArgVal::I(fr.ints[*v]),
-                        ElemKind::F64 => ArgVal::F(fr.flts[*v]),
-                        ElemKind::C64 => {
-                            let (re, im) = fr.cpxs[*v];
-                            ArgVal::C(re, im)
-                        }
-                    };
-                    let Value::Tensor(tensor) = &mut fr.vals[*t] else {
-                        return Err(RuntimeError::Type("SetPart on non-tensor".into()));
-                    };
-                    let off = tensor.resolve_index(ix)?;
-                    tensor_store(tensor, off, value)?;
-                }
-                RegOp::TenSet2 { kind, t, i, j, v } => {
-                    let (ix, jx) = (fr.ints[*i], fr.ints[*j]);
-                    let value = match kind {
-                        ElemKind::I64 => ArgVal::I(fr.ints[*v]),
-                        ElemKind::F64 => ArgVal::F(fr.flts[*v]),
-                        ElemKind::C64 => {
-                            let (re, im) = fr.cpxs[*v];
-                            ArgVal::C(re, im)
-                        }
-                    };
-                    let Value::Tensor(tensor) = &mut fr.vals[*t] else {
-                        return Err(RuntimeError::Type("SetPart on non-tensor".into()));
-                    };
-                    if tensor.rank() != 2 {
-                        return Err(RuntimeError::Type("SetPart2 on non-matrix".into()));
-                    }
-                    let cols = tensor.shape()[1];
-                    let r = checked::resolve_part_index(ix, tensor.shape()[0])?;
-                    let c = checked::resolve_part_index(jx, cols)?;
-                    tensor_store(tensor, r * cols + c, value)?;
-                }
-                RegOp::TenPart1U { kind, d, t, i } => {
-                    let ix = fr.ints[*i];
-                    let t = fr.vals[*t].expect_tensor()?;
-                    let off = unchecked_index(ix, t.length());
-                    match (kind, t.data()) {
-                        (ElemKind::I64, TensorData::I64(v)) => fr.ints[*d] = v[off],
-                        (ElemKind::F64, TensorData::F64(v)) => fr.flts[*d] = v[off],
-                        (ElemKind::F64, TensorData::I64(v)) => fr.flts[*d] = v[off] as f64,
-                        (ElemKind::C64, TensorData::Complex(v)) => fr.cpxs[*d] = v[off],
-                        _ => return Err(RuntimeError::Type("tensor element kind mismatch".into())),
-                    }
-                }
-                RegOp::TenPart2U { kind, d, t, i, j } => {
-                    let (ix, jx) = (fr.ints[*i], fr.ints[*j]);
-                    let t = fr.vals[*t].expect_tensor()?;
-                    let cols = t.shape()[1];
-                    let off = unchecked_index(ix, t.shape()[0]) * cols + unchecked_index(jx, cols);
-                    match (kind, t.data()) {
-                        (ElemKind::I64, TensorData::I64(v)) => fr.ints[*d] = v[off],
-                        (ElemKind::F64, TensorData::F64(v)) => fr.flts[*d] = v[off],
-                        (ElemKind::F64, TensorData::I64(v)) => fr.flts[*d] = v[off] as f64,
-                        (ElemKind::C64, TensorData::Complex(v)) => fr.cpxs[*d] = v[off],
-                        _ => return Err(RuntimeError::Type("tensor element kind mismatch".into())),
-                    }
-                }
-                RegOp::TenSet1U { kind, t, i, v } => {
-                    let ix = fr.ints[*i];
-                    let value = match kind {
-                        ElemKind::I64 => ArgVal::I(fr.ints[*v]),
-                        ElemKind::F64 => ArgVal::F(fr.flts[*v]),
-                        ElemKind::C64 => {
-                            let (re, im) = fr.cpxs[*v];
-                            ArgVal::C(re, im)
-                        }
-                    };
-                    let Value::Tensor(tensor) = &mut fr.vals[*t] else {
-                        return Err(RuntimeError::Type("SetPart on non-tensor".into()));
-                    };
-                    let off = unchecked_index(ix, tensor.length());
-                    tensor_store(tensor, off, value)?;
-                }
-                RegOp::TenSet2U { kind, t, i, j, v } => {
-                    let (ix, jx) = (fr.ints[*i], fr.ints[*j]);
-                    let value = match kind {
-                        ElemKind::I64 => ArgVal::I(fr.ints[*v]),
-                        ElemKind::F64 => ArgVal::F(fr.flts[*v]),
-                        ElemKind::C64 => {
-                            let (re, im) = fr.cpxs[*v];
-                            ArgVal::C(re, im)
-                        }
-                    };
-                    let Value::Tensor(tensor) = &mut fr.vals[*t] else {
-                        return Err(RuntimeError::Type("SetPart on non-tensor".into()));
-                    };
-                    let cols = tensor.shape()[1];
-                    let off =
-                        unchecked_index(ix, tensor.shape()[0]) * cols + unchecked_index(jx, cols);
-                    tensor_store(tensor, off, value)?;
-                }
+                RegOp::TenPart1 {
+                    kind,
+                    d,
+                    t,
+                    i,
+                    checked,
+                } => fr.load_elem(*kind, *d, *t, *i, None, *checked)?,
+                RegOp::TenPart2 {
+                    kind,
+                    d,
+                    t,
+                    i,
+                    j,
+                    checked,
+                } => fr.load_elem(*kind, *d, *t, *i, Some(*j), *checked)?,
+                RegOp::TenSet1 {
+                    kind,
+                    t,
+                    i,
+                    v,
+                    checked,
+                } => fr.store_elem(*kind, *t, *i, None, *v, *checked)?,
+                RegOp::TenSet2 {
+                    kind,
+                    t,
+                    i,
+                    j,
+                    v,
+                    checked,
+                } => fr.store_elem(*kind, *t, *i, Some(*j), *v, *checked)?,
                 RegOp::TenFill1 { kind, d, c, n } => {
                     let n = fr.ints[*n].max(0) as usize;
                     let data = match kind {
@@ -2061,20 +2275,6 @@ impl Machine {
                         pc = *t;
                     }
                 }
-                RegOp::BrCmpIFalse { op, a, b, d, pc: t } => {
-                    let v = int_bin(*op, fr.ints[*a as usize], fr.ints[*b as usize])?;
-                    fr.ints[*d as usize] = v;
-                    if v == 0 {
-                        pc = *t as usize;
-                    }
-                }
-                RegOp::BrCmpFFalse { op, a, b, d, pc: t } => {
-                    let cond = flt_cmp(*op, fr.flts[*a as usize], fr.flts[*b as usize]);
-                    fr.ints[*d as usize] = cond as i64;
-                    if !cond {
-                        pc = *t as usize;
-                    }
-                }
                 RegOp::BrCmpISel {
                     op,
                     a,
@@ -2175,14 +2375,10 @@ impl Machine {
                     d,
                     a,
                     b,
+                    checked,
                 } => {
-                    let ix = fr.ints[*i as usize];
-                    let tt = fr.vals[*t as usize].expect_tensor()?;
-                    let off = tt.resolve_index(ix)?;
-                    let TensorData::I64(v) = tt.data() else {
-                        return Err(RuntimeError::Type("tensor element kind mismatch".into()));
-                    };
-                    fr.ints[*e as usize] = v[off];
+                    let (e, t, i) = (*e as usize, *t as usize, *i as usize);
+                    fr.load_elem(ElemKind::I64, e, t, i, None, *checked)?;
                     fr.ints[*d as usize] =
                         int_bin(*op, fr.ints[*a as usize], fr.ints[*b as usize])?;
                 }
@@ -2194,14 +2390,10 @@ impl Machine {
                     d,
                     a,
                     imm,
+                    checked,
                 } => {
-                    let ix = fr.ints[*i as usize];
-                    let tt = fr.vals[*t as usize].expect_tensor()?;
-                    let off = tt.resolve_index(ix)?;
-                    let TensorData::I64(v) = tt.data() else {
-                        return Err(RuntimeError::Type("tensor element kind mismatch".into()));
-                    };
-                    fr.ints[*e as usize] = v[off];
+                    let (e, t, i) = (*e as usize, *t as usize, *i as usize);
+                    fr.load_elem(ElemKind::I64, e, t, i, None, *checked)?;
                     fr.ints[*d as usize] = int_bin(*op, fr.ints[*a as usize], *imm as i64)?;
                 }
                 RegOp::TenPart2FltBin {
@@ -2213,21 +2405,10 @@ impl Machine {
                     d,
                     a,
                     b,
+                    checked,
                 } => {
-                    let (ix, jx) = (fr.ints[*i as usize], fr.ints[*j as usize]);
-                    let tt = fr.vals[*t as usize].expect_tensor()?;
-                    if tt.rank() != 2 {
-                        return Err(RuntimeError::Type("Part[_,i,j] on non-matrix".into()));
-                    }
-                    let cols = tt.shape()[1];
-                    let r = checked::resolve_part_index(ix, tt.shape()[0])?;
-                    let c = checked::resolve_part_index(jx, cols)?;
-                    let off = r * cols + c;
-                    fr.flts[*e as usize] = match tt.data() {
-                        TensorData::F64(v) => v[off],
-                        TensorData::I64(v) => v[off] as f64,
-                        _ => return Err(RuntimeError::Type("tensor element kind mismatch".into())),
-                    };
+                    let (e, t, i, j) = (*e as usize, *t as usize, *i as usize, *j as usize);
+                    fr.load_elem(ElemKind::F64, e, t, i, Some(j), *checked)?;
                     fr.flts[*d as usize] =
                         flt_bin(*op, fr.flts[*a as usize], fr.flts[*b as usize])?;
                 }
@@ -2238,23 +2419,11 @@ impl Machine {
                     t,
                     i,
                     v,
+                    checked,
                 } => {
-                    fr.vals[*dv as usize] =
-                        std::mem::replace(&mut fr.vals[*sv as usize], Value::Null);
-                    let ix = fr.ints[*i as usize];
-                    let value = match kind {
-                        ElemKind::I64 => ArgVal::I(fr.ints[*v as usize]),
-                        ElemKind::F64 => ArgVal::F(fr.flts[*v as usize]),
-                        ElemKind::C64 => {
-                            let (re, im) = fr.cpxs[*v as usize];
-                            ArgVal::C(re, im)
-                        }
-                    };
-                    let Value::Tensor(tensor) = &mut fr.vals[*t as usize] else {
-                        return Err(RuntimeError::Type("SetPart on non-tensor".into()));
-                    };
-                    let off = tensor.resolve_index(ix)?;
-                    tensor_store(tensor, off, value)?;
+                    fr.take_v(*dv as usize, *sv as usize);
+                    let (t, i, v) = (*t as usize, *i as usize, *v as usize);
+                    fr.store_elem(*kind, t, i, None, v, *checked)?;
                 }
                 RegOp::TakeVTenSet2 {
                     dv,
@@ -2264,115 +2433,11 @@ impl Machine {
                     i,
                     j,
                     v,
+                    checked,
                 } => {
-                    fr.vals[*dv as usize] =
-                        std::mem::replace(&mut fr.vals[*sv as usize], Value::Null);
-                    let (ix, jx) = (fr.ints[*i as usize], fr.ints[*j as usize]);
-                    let value = match kind {
-                        ElemKind::I64 => ArgVal::I(fr.ints[*v as usize]),
-                        ElemKind::F64 => ArgVal::F(fr.flts[*v as usize]),
-                        ElemKind::C64 => {
-                            let (re, im) = fr.cpxs[*v as usize];
-                            ArgVal::C(re, im)
-                        }
-                    };
-                    let Value::Tensor(tensor) = &mut fr.vals[*t as usize] else {
-                        return Err(RuntimeError::Type("SetPart on non-tensor".into()));
-                    };
-                    if tensor.rank() != 2 {
-                        return Err(RuntimeError::Type("SetPart2 on non-matrix".into()));
-                    }
-                    let cols = tensor.shape()[1];
-                    let r = checked::resolve_part_index(ix, tensor.shape()[0])?;
-                    let c = checked::resolve_part_index(jx, cols)?;
-                    tensor_store(tensor, r * cols + c, value)?;
-                }
-                RegOp::TenPart1IntBinU {
-                    e,
-                    t,
-                    i,
-                    op,
-                    d,
-                    a,
-                    b,
-                } => {
-                    let ix = fr.ints[*i as usize];
-                    let tt = fr.vals[*t as usize].expect_tensor()?;
-                    let off = unchecked_index(ix, tt.length());
-                    let TensorData::I64(v) = tt.data() else {
-                        return Err(RuntimeError::Type("tensor element kind mismatch".into()));
-                    };
-                    fr.ints[*e as usize] = v[off];
-                    fr.ints[*d as usize] =
-                        int_bin(*op, fr.ints[*a as usize], fr.ints[*b as usize])?;
-                }
-                RegOp::TenPart1IntBinImmU {
-                    e,
-                    t,
-                    i,
-                    op,
-                    d,
-                    a,
-                    imm,
-                } => {
-                    let ix = fr.ints[*i as usize];
-                    let tt = fr.vals[*t as usize].expect_tensor()?;
-                    let off = unchecked_index(ix, tt.length());
-                    let TensorData::I64(v) = tt.data() else {
-                        return Err(RuntimeError::Type("tensor element kind mismatch".into()));
-                    };
-                    fr.ints[*e as usize] = v[off];
-                    fr.ints[*d as usize] = int_bin(*op, fr.ints[*a as usize], *imm as i64)?;
-                }
-                RegOp::TenPart2FltBinU {
-                    e,
-                    t,
-                    i,
-                    j,
-                    op,
-                    d,
-                    a,
-                    b,
-                } => {
-                    let (ix, jx) = (fr.ints[*i as usize], fr.ints[*j as usize]);
-                    let tt = fr.vals[*t as usize].expect_tensor()?;
-                    let cols = tt.shape()[1];
-                    let off = unchecked_index(ix, tt.shape()[0]) * cols + unchecked_index(jx, cols);
-                    fr.flts[*e as usize] = match tt.data() {
-                        TensorData::F64(v) => v[off],
-                        TensorData::I64(v) => v[off] as f64,
-                        _ => return Err(RuntimeError::Type("tensor element kind mismatch".into())),
-                    };
-                    fr.flts[*d as usize] =
-                        flt_bin(*op, fr.flts[*a as usize], fr.flts[*b as usize])?;
-                }
-                RegOp::TakeVTenSet2U {
-                    dv,
-                    sv,
-                    kind,
-                    t,
-                    i,
-                    j,
-                    v,
-                } => {
-                    fr.vals[*dv as usize] =
-                        std::mem::replace(&mut fr.vals[*sv as usize], Value::Null);
-                    let (ix, jx) = (fr.ints[*i as usize], fr.ints[*j as usize]);
-                    let value = match kind {
-                        ElemKind::I64 => ArgVal::I(fr.ints[*v as usize]),
-                        ElemKind::F64 => ArgVal::F(fr.flts[*v as usize]),
-                        ElemKind::C64 => {
-                            let (re, im) = fr.cpxs[*v as usize];
-                            ArgVal::C(re, im)
-                        }
-                    };
-                    let Value::Tensor(tensor) = &mut fr.vals[*t as usize] else {
-                        return Err(RuntimeError::Type("SetPart on non-tensor".into()));
-                    };
-                    let cols = tensor.shape()[1];
-                    let off =
-                        unchecked_index(ix, tensor.shape()[0]) * cols + unchecked_index(jx, cols);
-                    tensor_store(tensor, off, value)?;
+                    fr.take_v(*dv as usize, *sv as usize);
+                    let (t, i, j, v) = (*t as usize, *i as usize, *j as usize, *v as usize);
+                    fr.store_elem(*kind, t, i, Some(j), v, *checked)?;
                 }
                 RegOp::MovIJmp { d, s, pc: t } => {
                     fr.ints[*d as usize] = fr.ints[*s as usize];
@@ -2394,12 +2459,8 @@ impl Machine {
                     pc = *t as usize;
                 }
                 RegOp::Release2 { v1, v2 } => {
-                    for v in [*v1 as usize, *v2 as usize] {
-                        if fr.acquired[v] {
-                            wolfram_runtime::memory::record_release();
-                            fr.acquired[v] = false;
-                        }
-                    }
+                    fr.release(*v1 as usize);
+                    fr.release(*v2 as usize);
                 }
                 RegOp::AbortBrCmpISel {
                     op,
@@ -2417,14 +2478,6 @@ impl Machine {
                     } else {
                         *pc_true as usize
                     };
-                }
-                RegOp::AbortBrCmpIFalse { op, a, b, d, pc: t } => {
-                    self.abort.check()?;
-                    let v = int_bin(*op, fr.ints[*a as usize], fr.ints[*b as usize])?;
-                    fr.ints[*d as usize] = v;
-                    if v == 0 {
-                        pc = *t as usize;
-                    }
                 }
                 RegOp::IntBinImmMovI {
                     op,
@@ -2502,14 +2555,7 @@ impl Machine {
                         fr.acquired[*v] = true;
                     }
                 }
-                RegOp::Release { v } => {
-                    // Balanced with the acquire even if the value has been
-                    // moved out of the slot meanwhile (TakeV).
-                    if fr.acquired[*v] {
-                        wolfram_runtime::memory::record_release();
-                        fr.acquired[*v] = false;
-                    }
-                }
+                RegOp::Release { v } => fr.release(*v),
                 RegOp::Ret { s } => return Ok(fr.load(*s)),
                 RegOp::RetNull => return Ok(ArgVal::V(Value::Null)),
             }
@@ -2529,6 +2575,32 @@ fn unchecked_index(ix: i64, len: usize) -> usize {
     } else {
         (len as i64 + ix) as usize
     }
+}
+
+/// Flat offset of the 1-based, possibly negative index `ix` into a vector.
+#[inline(always)]
+fn offset1(t: &Tensor, ix: i64, checked: bool) -> Result<usize, RuntimeError> {
+    if checked {
+        t.resolve_index(ix)
+    } else {
+        Ok(unchecked_index(ix, t.length()))
+    }
+}
+
+/// Row-major flat offset of `[[ix, jx]]` into a matrix.
+#[inline(always)]
+fn offset2(t: &Tensor, ix: i64, jx: i64, checked: bool) -> Result<usize, RuntimeError> {
+    if !checked {
+        let cols = t.shape()[1];
+        return Ok(unchecked_index(ix, t.shape()[0]) * cols + unchecked_index(jx, cols));
+    }
+    if t.rank() != 2 {
+        return Err(RuntimeError::Type("Part[_,i,j] on non-matrix".into()));
+    }
+    let cols = t.shape()[1];
+    let r = checked::resolve_part_index(ix, t.shape()[0])?;
+    let c = checked::resolve_part_index(jx, cols)?;
+    Ok(r * cols + c)
 }
 
 fn int_bin(op: IntOp, x: i64, y: i64) -> Result<i64, RuntimeError> {
@@ -2897,12 +2969,14 @@ mod tests {
                     t: 0,
                     i: 0,
                     v: 1,
+                    checked: true,
                 },
                 RegOp::TenPart1 {
                     kind: ElemKind::I64,
                     d: 2,
                     t: 0,
                     i: 0,
+                    checked: true,
                 },
                 RegOp::Ret {
                     s: Slot::new(Bank::I, 2),

@@ -66,7 +66,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::fuse;
 use crate::machine::{ElemKind, FltOp, IntOp, IntUnOp, NativeFunc, NativeProgram, RegOp};
 use wolfram_runtime::simd::{self, SimdOp};
 use wolfram_runtime::{
@@ -610,20 +609,19 @@ impl Planner {
         }
     }
 
-    /// Symbolically executes one body op. `None` = refuse the loop.
-    #[allow(clippy::too_many_lines)]
+    /// Symbolically executes one body op — a superinstruction as the
+    /// primitives it is made of. `None` = refuse the loop.
     fn step(&mut self, op: &RegOp) -> Option<()> {
+        op.parts().iter().try_for_each(|p| self.step_primitive(p))
+    }
+
+    #[allow(clippy::too_many_lines)]
+    fn step_primitive(&mut self, op: &RegOp) -> Option<()> {
         match op {
             RegOp::LdcI { d, v } => self.wr_i(*d, IForm::Aff(SymAffine::konst(*v))),
             RegOp::MovI { d, s } => {
                 let f = self.rd_i(*s);
                 self.wr_i(*d, f);
-            }
-            RegOp::Mov2I { d1, s1, d2, s2 } => {
-                let f = self.rd_i(*s1 as usize);
-                self.wr_i(*d1 as usize, f);
-                let f = self.rd_i(*s2 as usize);
-                self.wr_i(*d2 as usize, f);
             }
             RegOp::IntBin { op, d, a, b } => {
                 let (x, y) = (self.rd_i(*a), self.rd_i(*b));
@@ -634,56 +632,6 @@ impl Planner {
                 let x = self.rd_i(*a);
                 let f = self.int_bin_sym(*op, x, IForm::Aff(SymAffine::konst(*imm)))?;
                 self.wr_i(*d, f);
-            }
-            RegOp::IntBinImm2 {
-                op1,
-                d1,
-                a1,
-                imm1,
-                op2,
-                d2,
-                a2,
-                imm2,
-            } => {
-                let x = self.rd_i(*a1 as usize);
-                let f =
-                    self.int_bin_sym(*op1, x, IForm::Aff(SymAffine::konst(i64::from(*imm1))))?;
-                self.wr_i(*d1 as usize, f);
-                let x = self.rd_i(*a2 as usize);
-                let f =
-                    self.int_bin_sym(*op2, x, IForm::Aff(SymAffine::konst(i64::from(*imm2))))?;
-                self.wr_i(*d2 as usize, f);
-            }
-            RegOp::IntBin2 {
-                op1,
-                d1,
-                a1,
-                b1,
-                op2,
-                d2,
-                a2,
-                b2,
-            } => {
-                let (x, y) = (self.rd_i(*a1 as usize), self.rd_i(*b1 as usize));
-                let f = self.int_bin_sym(*op1, x, y)?;
-                self.wr_i(*d1 as usize, f);
-                let (x, y) = (self.rd_i(*a2 as usize), self.rd_i(*b2 as usize));
-                let f = self.int_bin_sym(*op2, x, y)?;
-                self.wr_i(*d2 as usize, f);
-            }
-            RegOp::IntBinImmMovI {
-                op,
-                d,
-                a,
-                imm,
-                d2,
-                s2,
-            } => {
-                let x = self.rd_i(*a as usize);
-                let f = self.int_bin_sym(*op, x, IForm::Aff(SymAffine::konst(i64::from(*imm))))?;
-                self.wr_i(*d as usize, f);
-                let f = self.rd_i(*s2 as usize);
-                self.wr_i(*d2 as usize, f);
             }
             RegOp::IntUn { op, d, s } => match op {
                 IntUnOp::Neg => {
@@ -717,142 +665,61 @@ impl Planner {
                 let n = self.flt_bin_sym(*op, l, r)?;
                 self.wr_f(*d, n);
             }
-            RegOp::FltBin2 {
-                op1,
-                d1,
-                a1,
-                b1,
-                op2,
-                d2,
-                a2,
-                b2,
-            } => {
-                let (l, r) = (self.rd_f(*a1 as usize), self.rd_f(*b1 as usize));
-                let n = self.flt_bin_sym(*op1, l, r)?;
-                self.wr_f(*d1 as usize, n);
-                let (l, r) = (self.rd_f(*a2 as usize), self.rd_f(*b2 as usize));
-                let n = self.flt_bin_sym(*op2, l, r)?;
-                self.wr_f(*d2 as usize, n);
-            }
             // Total float unaries without kernels: dead-only result.
             RegOp::FltUn { d, .. } | RegOp::IntToFlt { d, .. } => {
                 let n = self.push(SymNode::Opaque);
                 self.wr_f(*d, n);
             }
             RegOp::FltCmp { d, .. } => self.wr_i(*d, IForm::Unknown),
-            RegOp::FltCmpMovI { d, d2, s2, .. } => {
-                self.wr_i(*d as usize, IForm::Unknown);
-                let f = self.rd_i(*s2 as usize);
-                self.wr_i(*d2 as usize, f);
-            }
-            RegOp::TenPart1 { kind, d, t, i } | RegOp::TenPart1U { kind, d, t, i } => {
-                let relaxed = matches!(op, RegOp::TenPart1U { .. });
+            RegOp::TenPart1 {
+                kind,
+                d,
+                t,
+                i,
+                checked,
+            } => {
                 let ix = self.rd_i(*i);
-                let n = self.load_sym(*kind, *t, ix, None, relaxed)?;
+                let n = self.load_sym(*kind, *t, ix, None, !checked)?;
                 self.wr_f(*d, n);
             }
-            RegOp::TenPart2 { kind, d, t, i, j } | RegOp::TenPart2U { kind, d, t, i, j } => {
-                let relaxed = matches!(op, RegOp::TenPart2U { .. });
+            RegOp::TenPart2 {
+                kind,
+                d,
+                t,
+                i,
+                j,
+                checked,
+            } => {
                 let (ix, jx) = (self.rd_i(*i), self.rd_i(*j));
-                let n = self.load_sym(*kind, *t, ix, Some(jx), relaxed)?;
+                let n = self.load_sym(*kind, *t, ix, Some(jx), !checked)?;
                 self.wr_f(*d, n);
             }
-            RegOp::TenPart2FltBin {
-                e,
+            RegOp::TenSet1 {
+                kind,
                 t,
                 i,
-                j,
-                op: fop,
-                d,
-                a,
-                b,
-            }
-            | RegOp::TenPart2FltBinU {
-                e,
-                t,
-                i,
-                j,
-                op: fop,
-                d,
-                a,
-                b,
+                v,
+                checked,
             } => {
-                let relaxed = matches!(op, RegOp::TenPart2FltBinU { .. });
-                let (ix, jx) = (self.rd_i(*i as usize), self.rd_i(*j as usize));
-                let n = self.load_sym(ElemKind::F64, *t as usize, ix, Some(jx), relaxed)?;
-                self.wr_f(*e as usize, n);
-                let (l, r) = (self.rd_f(*a as usize), self.rd_f(*b as usize));
-                let n = self.flt_bin_sym(*fop, l, r)?;
-                self.wr_f(*d as usize, n);
-            }
-            RegOp::TenSet1 { kind, t, i, v } | RegOp::TenSet1U { kind, t, i, v } => {
-                let relaxed = matches!(op, RegOp::TenSet1U { .. });
-                if *kind != ElemKind::F64 {
-                    return None;
-                }
                 let ix = self.rd_i(*i);
                 let vn = self.rd_f(*v);
-                self.store_sym(*kind, *t, ix, None, vn, relaxed)?;
+                self.store_sym(*kind, *t, ix, None, vn, !checked)?;
             }
-            RegOp::TenSet2 { kind, t, i, j, v } | RegOp::TenSet2U { kind, t, i, j, v } => {
-                let relaxed = matches!(op, RegOp::TenSet2U { .. });
-                if *kind != ElemKind::F64 {
-                    return None;
-                }
+            RegOp::TenSet2 {
+                kind,
+                t,
+                i,
+                j,
+                v,
+                checked,
+            } => {
                 let (ix, jx) = (self.rd_i(*i), self.rd_i(*j));
                 let vn = self.rd_f(*v);
-                self.store_sym(*kind, *t, ix, Some(jx), vn, relaxed)?;
-            }
-            RegOp::TakeVTenSet1 {
-                dv,
-                sv,
-                kind,
-                t,
-                i,
-                v,
-            } => {
-                if *kind != ElemKind::F64 {
-                    return None;
-                }
-                self.take_v(*dv as usize, *sv as usize);
-                let ix = self.rd_i(*i as usize);
-                let vn = self.rd_f(*v as usize);
-                self.store_sym(*kind, *t as usize, ix, None, vn, false)?;
-            }
-            RegOp::TakeVTenSet2 {
-                dv,
-                sv,
-                kind,
-                t,
-                i,
-                j,
-                v,
-            }
-            | RegOp::TakeVTenSet2U {
-                dv,
-                sv,
-                kind,
-                t,
-                i,
-                j,
-                v,
-            } => {
-                let relaxed = matches!(op, RegOp::TakeVTenSet2U { .. });
-                if *kind != ElemKind::F64 {
-                    return None;
-                }
-                self.take_v(*dv as usize, *sv as usize);
-                let (ix, jx) = (self.rd_i(*i as usize), self.rd_i(*j as usize));
-                let vn = self.rd_f(*v as usize);
-                self.store_sym(*kind, *t as usize, ix, Some(jx), vn, relaxed)?;
+                self.store_sym(*kind, *t, ix, Some(jx), vn, !checked)?;
             }
             RegOp::TakeV { d, s } => self.take_v(*d, *s),
             RegOp::Acquire { v } => self.acquire(*v),
             RegOp::Release { v } => self.release(*v)?,
-            RegOp::Release2 { v1, v2 } => {
-                self.release(*v1 as usize)?;
-                self.release(*v2 as usize)?;
-            }
             // The batch polls the abort flag per chunk instead.
             RegOp::AbortCheck => {}
             // Anything else — calls, boxing, RNG, strings, complex,
@@ -867,89 +734,50 @@ impl Planner {
 // Loop discovery and plan construction.
 // ---------------------------------------------------------------------------
 
-/// The back-edge target of a latch-shaped op.
+/// The back-edge target of an op that ends in an unconditional jump.
 fn latch_target(op: &RegOp) -> Option<usize> {
-    match op {
-        RegOp::Jmp { pc } => Some(*pc),
-        RegOp::MovIJmp { pc, .. }
-        | RegOp::Mov2IJmp { pc, .. }
-        | RegOp::IntBinImmJmp { pc, .. }
-        | RegOp::IntBinImmMov2IJmp { pc, .. } => Some(*pc as usize),
+    match op.parts().last() {
+        Some(RegOp::Jmp { pc }) => Some(*pc),
         _ => None,
     }
 }
 
-/// Rewrites a latch's back-edge target (used after global remapping).
-fn set_latch_target(op: &mut RegOp, t: usize) {
-    match op {
-        RegOp::Jmp { pc } => *pc = t,
-        RegOp::MovIJmp { pc, .. }
-        | RegOp::Mov2IJmp { pc, .. }
-        | RegOp::IntBinImmJmp { pc, .. }
-        | RegOp::IntBinImmMov2IJmp { pc, .. } => *pc = t as u32,
-        _ => unreachable!("not a latch"),
-    }
-}
-
 /// Header compare shape: induction variable, bound, inclusivity, the
-/// condition register it writes, and the exit target.
+/// condition register it writes, the exit target and the body start.
 struct Header {
     iv: usize,
     bound: usize,
     inclusive: bool,
     cond: usize,
     exit: usize,
-    /// For `Sel` forms, the true-edge target (must be the body start).
-    body: Option<usize>,
+    body: usize,
 }
 
+/// A counted-loop header is one dispatch made of: optional abort poll,
+/// `cond = iv < bound` (or `<=`), `brz cond` to the exit, `jmp` to the body.
 fn header_compare(op: &RegOp) -> Option<Header> {
-    let (iop, a, b, d, exit, body) = match op {
-        RegOp::AbortBrCmpISel {
-            op,
-            a,
-            b,
-            d,
-            pc_false,
-            pc_true,
-        }
-        | RegOp::BrCmpISel {
-            op,
-            a,
-            b,
-            d,
-            pc_false,
-            pc_true,
-        } => (
-            *op,
-            *a as usize,
-            *b as usize,
-            *d as usize,
-            *pc_false as usize,
-            Some(*pc_true as usize),
-        ),
-        RegOp::AbortBrCmpIFalse { op, a, b, d, pc } | RegOp::BrCmpIFalse { op, a, b, d, pc } => (
-            *op,
-            *a as usize,
-            *b as usize,
-            *d as usize,
-            *pc as usize,
-            None,
-        ),
-        _ => return None,
+    let parts = op.parts();
+    let parts = match &parts[..] {
+        [RegOp::AbortCheck, rest @ ..] => rest,
+        all => all,
     };
-    let inclusive = match iop {
+    let [RegOp::IntBin { op, d, a, b }, RegOp::Brz { c, pc: exit }, RegOp::Jmp { pc: body }] =
+        parts
+    else {
+        return None;
+    };
+    let inclusive = match op {
         IntOp::Lt => false,
         IntOp::Le => true,
         _ => return None,
     };
-    Some(Header {
-        iv: a,
-        bound: b,
+    (c == d).then_some(Header {
+        iv: *a,
+        bound: *b,
         inclusive,
-        cond: d,
-        exit,
-        body,
+        cond: *d,
+        exit: *exit,
+        body: *body,
     })
 }
 
@@ -957,10 +785,10 @@ fn to_u32(x: usize) -> Option<u32> {
     u32::try_from(x).ok()
 }
 
-/// Tries to plan the loop `[l, latch]`. `None` = leave it scalar.
+/// Tries to plan the loop `[l, latch]`; `edges` lists every `(pc, target)`
+/// branch edge of the function. `None` = leave it scalar.
 #[allow(clippy::too_many_lines)]
-fn try_plan(f: &NativeFunc, l: usize, latch: usize) -> Option<VecPlan> {
-    let code = &f.code;
+fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) -> Option<VecPlan> {
     // Header: a run of Acquires, then the counted compare.
     let mut c = l;
     while c < latch && matches!(code[c], RegOp::Acquire { .. }) {
@@ -970,11 +798,10 @@ fn try_plan(f: &NativeFunc, l: usize, latch: usize) -> Option<VecPlan> {
         return None;
     }
     let h = header_compare(&code[c])?;
-    // The iterated body starts at the compare's taken edge: `Sel` forms
-    // jump there (the not-taken exit path — often the *outer* loop's
-    // latch — sits between the compare and the body), `False` forms fall
-    // through.
-    let bt = h.body.unwrap_or(c + 1);
+    // The iterated body starts at the compare's taken edge (the not-taken
+    // exit path — often the *outer* loop's latch — sits between the compare
+    // and the body).
+    let bt = h.body;
     if bt <= c || bt > latch {
         return None;
     }
@@ -984,19 +811,11 @@ fn try_plan(f: &NativeFunc, l: usize, latch: usize) -> Option<VecPlan> {
     }
     // Straight-line body: no op inside branches, and no op anywhere else
     // jumps into the iterated region.
-    for op in &code[bt..latch] {
-        if !fuse::jump_targets(op).is_empty() {
+    for &(p, t) in edges {
+        let from_body = (bt..latch).contains(&p);
+        let into_region = p != c && p != latch && (bt..=latch).contains(&t);
+        if from_body || into_region {
             return None;
-        }
-    }
-    for (p, op) in code.iter().enumerate() {
-        if p == c || p == latch {
-            continue;
-        }
-        for t in fuse::jump_targets(op) {
-            if t >= bt && t <= latch {
-                return None;
-            }
         }
     }
     // Symbolic execution of one full iteration: header acquires, the
@@ -1009,43 +828,16 @@ fn try_plan(f: &NativeFunc, l: usize, latch: usize) -> Option<VecPlan> {
     for op in &code[bt..latch] {
         pl.step(op)?;
     }
-    match &code[latch] {
-        RegOp::Jmp { .. } => {}
-        RegOp::MovIJmp { d, s, .. } => {
-            let v = pl.rd_i(*s as usize);
-            pl.wr_i(*d as usize, v);
+    // The latch: integer phi moves and immediate steps, then the back-edge.
+    let latch_parts = code[latch].parts();
+    let (RegOp::Jmp { .. }, updates) = latch_parts.split_last()? else {
+        return None;
+    };
+    for p in updates {
+        if !matches!(p, RegOp::MovI { .. } | RegOp::IntBinImm { .. }) {
+            return None;
         }
-        RegOp::Mov2IJmp { d1, s1, d2, s2, .. } => {
-            let v = pl.rd_i(*s1 as usize);
-            pl.wr_i(*d1 as usize, v);
-            let v = pl.rd_i(*s2 as usize);
-            pl.wr_i(*d2 as usize, v);
-        }
-        RegOp::IntBinImmJmp { op, d, a, imm, .. } => {
-            let x = pl.rd_i(*a as usize);
-            let v = pl.int_bin_sym(*op, x, IForm::Aff(SymAffine::konst(i64::from(*imm))))?;
-            pl.wr_i(*d as usize, v);
-        }
-        RegOp::IntBinImmMov2IJmp {
-            op,
-            d,
-            a,
-            imm,
-            d2,
-            s2,
-            d3,
-            s3,
-            ..
-        } => {
-            let x = pl.rd_i(*a as usize);
-            let v = pl.int_bin_sym(*op, x, IForm::Aff(SymAffine::konst(i64::from(*imm))))?;
-            pl.wr_i(*d as usize, v);
-            let v = pl.rd_i(*s2 as usize);
-            pl.wr_i(*d2 as usize, v);
-            let v = pl.rd_i(*s3 as usize);
-            pl.wr_i(*d3 as usize, v);
-        }
-        _ => return None,
+        pl.step_primitive(p)?;
     }
     // The induction variable must step by exactly one per iteration, and
     // the bound must be invariant.
@@ -1245,6 +1037,13 @@ pub fn vectorize_program(p: &mut NativeProgram) -> usize {
 /// [`vectorize_program`] for a single function.
 pub fn vectorize_function(f: &mut NativeFunc) -> usize {
     let n = f.code.len();
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for (p, op) in f.code.iter_mut().enumerate() {
+        op.map_targets(|t| {
+            edges.push((p, t));
+            t
+        });
+    }
     let mut accepted: Vec<(usize, usize, VecPlan)> = Vec::new();
     for latch in 0..n {
         let Some(l) = latch_target(&f.code[latch]) else {
@@ -1259,7 +1058,7 @@ pub fn vectorize_function(f: &mut NativeFunc) -> usize {
         {
             continue; // overlaps an accepted loop
         }
-        if let Some(plan) = try_plan(f, l, latch) {
+        if let Some(plan) = try_plan(&f.code, &edges, l, latch) {
             accepted.push((l, latch, plan));
         }
     }
@@ -1289,13 +1088,13 @@ pub fn vectorize_function(f: &mut NativeFunc) -> usize {
         out.push(op.clone());
     }
     for op in &mut out {
-        fuse::remap_targets(op, &new_pc);
+        op.map_targets(|t| new_pc[t]);
     }
     // Back-edges must re-enter at the *scalar header*, not the VecLoop:
     // re-batching per scalar iteration would re-run the prechecks each
     // time for a batch the entry already consumed.
     for &(l, latch, _) in &accepted {
-        set_latch_target(&mut out[shift(latch)], shift(l));
+        out[shift(latch)].map_targets(|_| shift(l));
     }
     f.code = out;
     count
@@ -1747,6 +1546,7 @@ mod tests {
                     d: 0,
                     t: 0,
                     i: 0,
+                    checked: true,
                 },
                 RegOp::FltBinImm {
                     op: FltOp::Mul,
@@ -1759,6 +1559,7 @@ mod tests {
                     d: 2,
                     t: 1,
                     i: 0,
+                    checked: true,
                 },
                 RegOp::FltBin {
                     op: FltOp::Add,
@@ -1771,6 +1572,7 @@ mod tests {
                     t: 2,
                     i: 0,
                     v: 3,
+                    checked: true,
                 },
                 RegOp::Release { v: 0 },
                 RegOp::IntBinImmJmp {
@@ -1839,29 +1641,16 @@ mod tests {
     }
 
     /// `saxpy` with every check discharged by the interval analysis: the
-    /// loads/stores are the unchecked variants and the latch increment is
+    /// loads/stores are unchecked and the latch increment is
     /// `AddU` (as `lower` emits when the range facts prove the loop).
     fn saxpy_unchecked() -> NativeFunc {
         let mut f = saxpy();
         for op in &mut f.code {
-            match *op {
-                RegOp::TenPart1 { kind, d, t, i } => *op = RegOp::TenPart1U { kind, d, t, i },
-                RegOp::TenSet1 { kind, t, i, v } => *op = RegOp::TenSet1U { kind, t, i, v },
-                RegOp::IntBinImmJmp {
-                    op: IntOp::Add,
-                    d,
-                    a,
-                    imm,
-                    pc,
-                } => {
-                    *op = RegOp::IntBinImmJmp {
-                        op: IntOp::AddU,
-                        d,
-                        a,
-                        imm,
-                        pc,
-                    }
+            match op {
+                RegOp::TenPart1 { checked, .. } | RegOp::TenSet1 { checked, .. } => {
+                    *checked = false;
                 }
+                RegOp::IntBinImmJmp { op, .. } if *op == IntOp::Add => *op = IntOp::AddU,
                 _ => {}
             }
         }
@@ -2007,6 +1796,7 @@ mod tests {
                     d: 0,
                     t: 0,
                     i: 0,
+                    checked: true,
                 },
                 RegOp::FltBin {
                     op: FltOp::Div,
@@ -2019,6 +1809,7 @@ mod tests {
                     t: 1,
                     i: 0,
                     v: 1,
+                    checked: true,
                 },
                 RegOp::IntBinImmJmp {
                     op: IntOp::Add,
@@ -2099,6 +1890,7 @@ mod tests {
                     t: 0,
                     i: 0,
                     j: 3,
+                    checked: true,
                 },
                 RegOp::FltBinImm {
                     op: FltOp::Mul,
@@ -2112,6 +1904,7 @@ mod tests {
                     i: 0,
                     j: 3,
                     v: 1,
+                    checked: true,
                 },
                 RegOp::IntBinImmJmp {
                     op: IntOp::Add,
@@ -2192,6 +1985,7 @@ mod tests {
                     d: 0,
                     t: 0,
                     i: 0,
+                    checked: true,
                 },
                 RegOp::FltBinImm {
                     op: FltOp::Mul,
@@ -2204,6 +1998,7 @@ mod tests {
                     t: 1,
                     i: 0,
                     v: 1,
+                    checked: true,
                 },
                 RegOp::FltBin {
                     op: FltOp::Add,

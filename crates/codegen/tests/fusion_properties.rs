@@ -1,12 +1,14 @@
-//! Property test: random straight-line integer/float programs must produce
-//! identical results under fused and unfused dispatch — for *every*
-//! observable register, not just a designated output. This pins down the
-//! pass's dual-write invariant: a fused op performs all the register
-//! writes of the pair it replaced.
+//! Property test: random straight-line integer/float/tensor programs must
+//! produce identical results under fused and unfused dispatch — for *every*
+//! observable register and tensor, not just a designated output. This pins
+//! down the pass's dual-write invariant: a fused op performs all the
+//! register writes of the ops it replaced.
 
 use proptest::prelude::*;
 use wolfram_codegen::fuse::fuse_function;
+use wolfram_codegen::machine::ElemKind;
 use wolfram_codegen::{ArgVal, Bank, Machine, NativeFunc, NativeProgram, RegOp, Slot};
+use wolfram_runtime::{Tensor, TensorData, Value};
 
 const NI: usize = 6;
 const NF: usize = 6;
@@ -126,13 +128,131 @@ fn random_body(rng: &mut Rng, len: usize) -> Vec<RegOp> {
 }
 
 fn run(f: &NativeFunc) -> Result<ArgVal, String> {
+    run_with(f, Vec::new())
+}
+
+fn run_with(f: &NativeFunc, args: Vec<ArgVal>) -> Result<ArgVal, String> {
     let prog = NativeProgram {
         parallel: None,
         funcs: vec![f.clone()],
     };
     let mut m = Machine::standalone();
-    m.call_with_engine(&prog, 0, Vec::new(), None)
+    m.call_with_engine(&prog, 0, args, None)
         .map_err(|e| format!("{e:?}"))
+}
+
+/// Side length of the tensor-shape test's vector and square matrix.
+const DIM: usize = 4;
+/// Int registers `0..N_IX` hold Part indices and are never overwritten;
+/// the last one is out of range and only ever used by checked accesses.
+const N_IX: usize = 5;
+/// Int bank of the tensor-shape test: the index registers plus a data pool.
+const TNI: usize = N_IX + 4;
+
+/// Builds a straight-line body of fusable tensor pairs — integer load-op
+/// (register and immediate form), real matrix load-op, and 1-D/2-D
+/// take-store — each in a random `checked` state. The vector starts in
+/// `v0` and the matrix in `v1`; a take-store moves its tensor to the twin
+/// slot (`v2`/`v3`) and back.
+fn random_tensor_body(rng: &mut Rng, pairs: usize) -> Vec<RegOp> {
+    let valid: [i64; N_IX - 1] = [1, DIM as i64, -1, -(DIM as i64)];
+    let mut code: Vec<RegOp> = valid
+        .iter()
+        .enumerate()
+        .map(|(d, &v)| RegOp::LdcI { d, v })
+        .collect();
+    code.push(RegOp::LdcI {
+        d: N_IX - 1,
+        v: DIM as i64 + 3,
+    });
+    for d in N_IX..TNI {
+        code.push(RegOp::LdcI {
+            d,
+            v: rng.below(21) as i64 - 10,
+        });
+    }
+    for d in 0..NF {
+        code.push(RegOp::LdcF {
+            d,
+            v: (rng.below(401) as f64 - 200.0) / 8.0,
+        });
+    }
+    let (mut vec_slot, mut mat_slot) = (0, 1);
+    for _ in 0..pairs {
+        let checked = rng.below(2) == 0;
+        // Out-of-range indices are for the checked error path only.
+        let index = |rng: &mut Rng| rng.below(if checked { N_IX } else { N_IX - 1 });
+        let int_reg = |rng: &mut Rng| N_IX + rng.below(TNI - N_IX);
+        match rng.below(5) {
+            0 | 1 => {
+                code.push(RegOp::TenPart1 {
+                    kind: ElemKind::I64,
+                    d: int_reg(rng),
+                    t: vec_slot,
+                    i: index(rng),
+                    checked,
+                });
+                let (op, d, a) = (rng.int_op(), int_reg(rng), int_reg(rng));
+                code.push(if rng.below(2) == 0 {
+                    RegOp::IntBin {
+                        op,
+                        d,
+                        a,
+                        b: int_reg(rng),
+                    }
+                } else {
+                    RegOp::IntBinImm {
+                        op,
+                        d,
+                        a,
+                        imm: rng.below(15) as i64 - 7,
+                    }
+                });
+            }
+            2 => {
+                code.push(RegOp::TenPart2 {
+                    kind: ElemKind::F64,
+                    d: rng.below(NF),
+                    t: mat_slot,
+                    i: index(rng),
+                    j: index(rng),
+                    checked,
+                });
+                code.push(RegOp::FltBin {
+                    op: rng.flt_op(),
+                    d: rng.below(NF),
+                    a: rng.below(NF),
+                    b: rng.below(NF),
+                });
+            }
+            3 => {
+                let to = vec_slot ^ 2;
+                code.push(RegOp::TakeV { d: to, s: vec_slot });
+                code.push(RegOp::TenSet1 {
+                    kind: ElemKind::I64,
+                    t: to,
+                    i: index(rng),
+                    v: int_reg(rng),
+                    checked,
+                });
+                vec_slot = to;
+            }
+            _ => {
+                let to = mat_slot ^ 2;
+                code.push(RegOp::TakeV { d: to, s: mat_slot });
+                code.push(RegOp::TenSet2 {
+                    kind: ElemKind::F64,
+                    t: to,
+                    i: index(rng),
+                    j: index(rng),
+                    v: rng.below(NF),
+                    checked,
+                });
+                mat_slot = to;
+            }
+        }
+    }
+    code
 }
 
 proptest! {
@@ -175,6 +295,54 @@ proptest! {
                     ret.ix
                 ),
             }
+        }
+    }
+
+    /// Tensor load-op and take-store pairs, checked and unchecked: every
+    /// pair fuses, and every int/float register and every value slot (the
+    /// mutated tensors included) ends up identical — as does the error when
+    /// a checked access is out of range.
+    #[test]
+    fn tensor_pairs_agree_under_fusion(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let pairs = 1 + rng.below(12);
+        let body = random_tensor_body(&mut rng, pairs);
+        let args = || {
+            let vector = Tensor::from_i64((0..DIM as i64).map(|k| 3 * k - 4).collect());
+            let matrix = Tensor::with_shape(
+                vec![DIM, DIM],
+                TensorData::F64((0..DIM * DIM).map(|k| k as f64 * 0.5 - 3.0).collect()),
+            )
+            .unwrap();
+            vec![ArgVal::V(Value::Tensor(vector)), ArgVal::V(Value::Tensor(matrix))]
+        };
+        let observables: Vec<Slot> = (0..TNI)
+            .map(|ix| Slot::new(Bank::I, ix))
+            .chain((0..NF).map(|ix| Slot::new(Bank::F, ix)))
+            .chain((0..4).map(|ix| Slot::new(Bank::V, ix)))
+            .collect();
+        for ret in observables {
+            let mut code = body.clone();
+            code.push(RegOp::Ret { s: ret });
+            let unfused = NativeFunc {
+                name: "Main".into(),
+                code,
+                n_int: TNI,
+                n_flt: NF,
+                n_cpx: 0,
+                n_val: 4,
+                params: vec![Slot::new(Bank::V, 0), Slot::new(Bank::V, 1)],
+                elision: Default::default(),
+            };
+            let mut fused = unfused.clone();
+            prop_assert_eq!(fuse_function(&mut fused), pairs, "{:?}", fused.code);
+            prop_assert_eq!(
+                run_with(&unfused, args()),
+                run_with(&fused, args()),
+                "observable {:?}{}",
+                ret.bank,
+                ret.ix
+            );
         }
     }
 

@@ -225,25 +225,14 @@ impl Default for Compiler {
     }
 }
 
-/// The builtin backend registry, with the Assembler backend mirroring the
-/// `SuperinstructionFusion` option so exports show the code that runs.
-fn registry_for(options: &CompilerOptions) -> BackendRegistry {
-    let mut backends = BackendRegistry::new();
-    backends.register(std::sync::Arc::new(wolfram_codegen::AsmBackend {
-        fuse: options.superinstruction_fusion,
-    }));
-    backends
-}
-
 impl Compiler {
     /// A compiler with the builtin macro and type environments.
     pub fn new(options: CompilerOptions) -> Self {
-        let backends = registry_for(&options);
         Compiler {
             options,
             macros: MacroEnvironment::builtin(),
             types: stdlib::builtin_type_environment(),
-            backends,
+            backends: BackendRegistry::new(),
             timings: RefCell::new(Vec::new()),
         }
     }
@@ -255,12 +244,11 @@ impl Compiler {
         macros: MacroEnvironment,
         types: TypeEnvironment,
     ) -> Self {
-        let backends = registry_for(&options);
         Compiler {
             options,
             macros,
             types,
-            backends,
+            backends: BackendRegistry::new(),
             timings: RefCell::new(Vec::new()),
         }
     }
@@ -421,19 +409,25 @@ impl Compiler {
     }
 
     /// `FunctionCompileExportString` (A.6.4/A.6.5): renders the compiled
-    /// function through a textual backend (`"IR"`, `"C"`, `"Assembler"`,
-    /// `"WVM"`).
+    /// function through a textual backend (`"IR"`, `"C"`, `"WVM"`, or a
+    /// registered one). `"Assembler"` lists the native program
+    /// [`Compiler::generate_native`] builds under this compiler's options —
+    /// the code that runs, not a separate lowering.
     ///
     /// # Errors
     ///
     /// See [`CompileError`].
     pub fn export_string(&self, f: &Expr, backend: &str) -> Result<String, CompileError> {
         let pm = self.compile_to_twir(f, None)?;
-        let backend = self
-            .backends
-            .get(backend)
-            .ok_or_else(|| CompileError::Backend(format!("unknown backend `{backend}`")))?;
-        backend.generate(&pm).map_err(CompileError::Backend)
+        match self.backends.get(backend) {
+            Some(backend) => backend.generate(&pm).map_err(CompileError::Backend),
+            None if backend == "Assembler" => Ok(wolfram_codegen::asm::render_program(
+                &self.generate_native(&pm)?,
+            )),
+            None => Err(CompileError::Backend(format!(
+                "unknown backend `{backend}`"
+            ))),
+        }
     }
 
     /// `FunctionCompileExportLibrary` (F10): writes a standalone library

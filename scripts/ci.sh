@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 verification (ROADMAP.md) plus lint.
 #
-#   tier-1:  cargo build --release && cargo test -q
-#   lint:    cargo fmt --all -- --check
-#            cargo clippy --all-targets -- -D warnings
+#   tier-1:     cargo build --release && cargo test -q
+#   lint:       cargo fmt --all -- --check
+#               cargo clippy --all-targets -- -D warnings
+#   benchmark:  bash benchmark/run.sh --smoke
+#               cargo test -q --offline --manifest-path benchmark/Cargo.toml
 #
 # Run from the repository root: ./scripts/ci.sh
 
@@ -18,6 +20,11 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+# The root package does not depend on wolfram-bench, so the tier-1 build
+# above leaves ./target/release/reproduce missing or stale.
+echo "==> build: reproduce CLI"
+cargo build --release -p wolfram-bench --bin reproduce
 
 echo "==> analyzer: reproduce analyze on the committed corpus"
 for wl in difftest/corpus/*.wl; do
@@ -101,6 +108,21 @@ if [ "$STREAM_OUT" != "$(printf 'ok 1\nok 4\nerr type error: argument nope does 
   echo "$STREAM_OUT" >&2
   exit 1
 fi
+
+echo "==> reproduce: an unknown subcommand fails instead of printing nothing"
+if ./target/release/reproduce no-such-subcommand 2>/dev/null; then
+  echo "reproduce accepted an unknown subcommand" >&2
+  exit 1
+fi
+
+echo "==> benchmark: build + smoke every workload (benchmark/run.sh --smoke)"
+# benchmark/ is its own package outside the workspace, compiled against
+# crates/*'s public surface: an API change that breaks it must fail here,
+# not when the driver next runs BENCHMARK.json.
+bash benchmark/run.sh --smoke > /dev/null
+
+echo "==> benchmark: its own tests (spec/BENCHMARK.json contract)"
+CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> lint: cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
