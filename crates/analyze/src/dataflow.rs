@@ -1,17 +1,23 @@
 //! A small lattice-based dataflow framework over the IR's CFG.
 //!
 //! Checkers describe a join-semilattice fact, a direction, and a block
-//! transfer function; [`solve`] runs the classic worklist iteration to a
-//! fixpoint. Facts start at bottom (no information), so back edges are
-//! handled by re-iteration rather than pessimistic initialization.
+//! transfer function; [`solve`] iterates to a fixpoint with a worklist in
+//! sweep order: blocks are visited in reverse postorder (reversed for
+//! backward analyses), pass after pass, but a block is re-transferred only
+//! when the fact on one of its incoming edges changed since its last
+//! transfer. A block transfer is a pure function of those facts, so the
+//! skipped transfers are exactly the ones that would reproduce what is
+//! already stored. Facts start at bottom (no information), so back edges
+//! are handled by re-iteration rather than pessimistic initialization.
 
-use std::collections::HashMap;
 use wolfram_ir::analysis::Cfg;
 use wolfram_ir::{BlockId, Function, Instr};
 
 /// A join-semilattice fact.
 pub trait Lattice: Clone + PartialEq {
-    /// The least element (no information).
+    /// The least element (no information): joining `x` into it must leave
+    /// exactly `x`. [`solve`] relies on that to start a block's incoming
+    /// fact from its first edge instead of joining that edge into bottom.
     fn bottom() -> Self;
     /// In-place least upper bound. Returns whether `self` changed.
     fn join(&mut self, other: &Self) -> bool;
@@ -43,89 +49,140 @@ pub trait Analysis {
     /// backward analyses, which should walk the instructions in reverse).
     fn transfer_block(&self, f: &Function, b: BlockId, fact: &mut Self::Fact);
 
-    /// Refines the fact flowing along one CFG edge, applied to a copy of
-    /// the source endpoint's fact before it is joined into the target.
-    /// Forward analyses see `from -> to` with the fact at `from`'s exit;
-    /// backward analyses see the fact at `to`'s entry flowing into
-    /// `from`. The default is the identity — only path-sensitive
-    /// analyses (branch-condition refinement, per-edge phi transfer)
-    /// need to override it.
-    fn transfer_edge(&self, f: &Function, from: BlockId, to: BlockId, fact: &mut Self::Fact) {
+    /// The fact flowing along one CFG edge, given the fact at its source
+    /// endpoint, or `None` when the edge passes that fact on unchanged (it
+    /// is then joined into the target without a copy). Forward analyses
+    /// see `from -> to` with the fact at `from`'s exit; backward analyses
+    /// see the fact at `to`'s entry flowing into `from`. The default is
+    /// the identity — only path-sensitive analyses (branch-condition
+    /// refinement, per-edge phi transfer) need to override it.
+    fn transfer_edge(
+        &self,
+        f: &Function,
+        from: BlockId,
+        to: BlockId,
+        fact: &Self::Fact,
+    ) -> Option<Self::Fact> {
         let _ = (f, from, to, fact);
+        None
     }
 }
 
-/// Converged facts at block boundaries. `on_entry` is always the fact at
+/// Converged facts at block boundaries, indexed by block number; `None`
+/// for blocks the entry does not reach. `on_entry` is always the fact at
 /// the block's start and `on_exit` the fact at its end, regardless of
 /// direction.
 #[derive(Debug, Clone)]
 pub struct Results<F> {
     /// Fact at each reachable block's start.
-    pub on_entry: HashMap<BlockId, F>,
+    pub on_entry: Vec<Option<F>>,
     /// Fact at each reachable block's end.
-    pub on_exit: HashMap<BlockId, F>,
+    pub on_exit: Vec<Option<F>>,
+    /// Block transfers performed: the solver's unit of work.
+    pub transfers: usize,
+}
+
+impl<F> Results<F> {
+    /// The fact at the block's start, if the block is reachable.
+    pub fn entry(&self, b: BlockId) -> Option<&F> {
+        self.on_entry[b.0 as usize].as_ref()
+    }
+}
+
+/// The fact flowing into `b`: the boundary fact where `b` is at the
+/// boundary, joined with the fact along each incoming edge. `ends[n]` is
+/// the fact at the far endpoint of the edge from (forward) or to
+/// (backward) block `n`, `None` while no fact has reached it; `join` is the
+/// lattice join, a parameter so that a client can re-run the flow under a
+/// different one (the interval analysis narrows without widening).
+pub fn flow_in<A: Analysis>(
+    a: &A,
+    f: &Function,
+    cfg: &Cfg,
+    b: BlockId,
+    ends: &[Option<A::Fact>],
+    join: impl Fn(&mut A::Fact, &A::Fact),
+) -> A::Fact {
+    let (neighbours, at_boundary) = match A::DIRECTION {
+        Direction::Forward => (&cfg.preds[b.0 as usize], b == f.entry),
+        Direction::Backward => (
+            &cfg.succs[b.0 as usize],
+            matches!(f.block(b).instrs.last(), Some(Instr::Return { .. })),
+        ),
+    };
+    let mut fact = at_boundary.then(|| a.boundary(f));
+    for &n in neighbours {
+        let Some(end) = &ends[n.0 as usize] else {
+            continue;
+        };
+        let along = match A::DIRECTION {
+            Direction::Forward => a.transfer_edge(f, n, b, end),
+            Direction::Backward => a.transfer_edge(f, b, n, end),
+        };
+        match (&mut fact, along) {
+            (Some(fact), Some(along)) => join(fact, &along),
+            (Some(fact), None) => join(fact, end),
+            (None, Some(along)) => fact = Some(along),
+            (None, None) => fact = Some(end.clone()),
+        }
+    }
+    fact.unwrap_or_else(A::Fact::bottom)
 }
 
 /// Runs the worklist iteration to a fixpoint over the reachable blocks.
 pub fn solve<A: Analysis>(a: &A, f: &Function, cfg: &Cfg) -> Results<A::Fact> {
-    let mut on_entry: HashMap<BlockId, A::Fact> = HashMap::new();
-    let mut on_exit: HashMap<BlockId, A::Fact> = HashMap::new();
+    let n = f.blocks.len();
+    // `outs[b]` is the fact `b`'s transfer leaves, in the analysis' own
+    // direction: at the block's end forward, at its start backward.
+    let mut outs: Vec<Option<A::Fact>> = vec![None; n];
     let order: Vec<BlockId> = match A::DIRECTION {
         Direction::Forward => cfg.rpo.clone(),
         Direction::Backward => cfg.rpo.iter().rev().copied().collect(),
     };
-    let is_exit = |b: BlockId| matches!(f.block(b).instrs.last(), Some(Instr::Return { .. }));
+    let downstream = match A::DIRECTION {
+        Direction::Forward => &cfg.succs,
+        Direction::Backward => &cfg.preds,
+    };
+    // Only the blocks of `order` are ever looked at.
+    let mut dirty = vec![true; n];
+    let join = |fact: &mut A::Fact, other: &A::Fact| {
+        fact.join(other);
+    };
+    let mut transfers = 0;
     let mut changed = true;
     while changed {
         changed = false;
         for &b in &order {
-            match A::DIRECTION {
-                Direction::Forward => {
-                    let mut fact = if b == f.entry {
-                        a.boundary(f)
-                    } else {
-                        A::Fact::bottom()
-                    };
-                    for &p in &cfg.preds[b.0 as usize] {
-                        if let Some(out) = on_exit.get(&p) {
-                            let mut edge = out.clone();
-                            a.transfer_edge(f, p, b, &mut edge);
-                            fact.join(&edge);
-                        }
-                    }
-                    if on_entry.get(&b) != Some(&fact) {
-                        on_entry.insert(b, fact.clone());
-                    }
-                    a.transfer_block(f, b, &mut fact);
-                    if on_exit.get(&b) != Some(&fact) {
-                        on_exit.insert(b, fact);
-                        changed = true;
-                    }
-                }
-                Direction::Backward => {
-                    let mut fact = if is_exit(b) {
-                        a.boundary(f)
-                    } else {
-                        A::Fact::bottom()
-                    };
-                    for &s in &cfg.succs[b.0 as usize] {
-                        if let Some(inn) = on_entry.get(&s) {
-                            let mut edge = inn.clone();
-                            a.transfer_edge(f, b, s, &mut edge);
-                            fact.join(&edge);
-                        }
-                    }
-                    if on_exit.get(&b) != Some(&fact) {
-                        on_exit.insert(b, fact.clone());
-                    }
-                    a.transfer_block(f, b, &mut fact);
-                    if on_entry.get(&b) != Some(&fact) {
-                        on_entry.insert(b, fact);
-                        changed = true;
-                    }
+            let ix = b.0 as usize;
+            if !std::mem::take(&mut dirty[ix]) {
+                continue;
+            }
+            let mut fact = flow_in(a, f, cfg, b, &outs, join);
+            a.transfer_block(f, b, &mut fact);
+            transfers += 1;
+            if outs[ix].as_ref() != Some(&fact) {
+                outs[ix] = Some(fact);
+                changed = true;
+                for &d in &downstream[ix] {
+                    dirty[d.0 as usize] = true;
                 }
             }
         }
     }
-    Results { on_entry, on_exit }
+    // No block is dirty, so each one's last transfer saw the final facts on
+    // its incoming edges: the fact flowing in is computed once, here,
+    // rather than stored at every transfer.
+    let mut ins: Vec<Option<A::Fact>> = vec![None; n];
+    for &b in &order {
+        ins[b.0 as usize] = Some(flow_in(a, f, cfg, b, &outs, join));
+    }
+    let (on_entry, on_exit) = match A::DIRECTION {
+        Direction::Forward => (ins, outs),
+        Direction::Backward => (outs, ins),
+    };
+    Results {
+        on_entry,
+        on_exit,
+        transfers,
+    }
 }

@@ -21,7 +21,8 @@
 //! Checkers are built on a small lattice-based [`dataflow`] solver over
 //! the IR's existing CFG analyses. Error-severity findings turn into
 //! [`VerifyError`]s via [`pipeline_verifier`], which the compiler plugs
-//! into `run_pipeline` at `VerifyLevel::Full` so every pass is checked.
+//! into `run_pipeline` at `VerifyLevel::Full` so the function entering the
+//! pipeline and the result of every pass that changes it are checked.
 
 pub mod dataflow;
 pub mod diag;

@@ -69,7 +69,7 @@ pub fn maybe_uninitialized(f: &Function) -> Vec<Diagnostic> {
     let results = solve(&MustInit, f, &cfg);
     let mut out = Vec::new();
     for &b in &cfg.rpo {
-        let Some(InitFact(Some(entry))) = results.on_entry.get(&b) else {
+        let Some(InitFact(Some(entry))) = results.entry(b) else {
             continue;
         };
         let mut defined = entry.clone();

@@ -6,13 +6,16 @@
 //! Forward may-analysis over a per-variable state set drawn from
 //! {Unheld, Held, Released}; the join is set union, so a variable whose
 //! paths disagree carries several bits and the report sweep can name the
-//! imbalanced path. Before `memory-management` has run there are no
-//! acquire instructions, every variable stays Unheld, and the checker is
-//! vacuously quiet — which is what lets it run after *every* pass.
+//! imbalanced path. Only *managed* variables — those some
+//! `MemoryAcquire`/`MemoryRelease` names — are tracked: any other variable
+//! is Unheld at every point, so no finding can mention it. Before
+//! `memory-management` has run there are none, and the checker answers
+//! without building a CFG — which is what makes it cheap to run on every
+//! IR state the pipeline produces.
 
 use crate::dataflow::{solve, Analysis, Direction, Lattice};
 use crate::diag::Diagnostic;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use wolfram_ir::analysis::Cfg;
 use wolfram_ir::{BlockId, Function, Instr, Operand, VarId};
 
@@ -20,34 +23,12 @@ const UNHELD: u8 = 1;
 const HELD: u8 = 2;
 const RELEASED: u8 = 4;
 
-/// Per-variable refcount state sets. `None` is the solver's bottom (no
-/// path has reached this point yet); in a real (`Some`) fact, variables
-/// never mentioned are implicitly `UNHELD` — so the join must add the
-/// `UNHELD` bit for keys the *other* real fact does not mention.
+/// Refcount state sets, one per managed variable (in the order of
+/// [`RefcountAnalysis::managed`]). `None` is the solver's bottom: no path
+/// has reached this point yet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RcFact {
-    states: Option<BTreeMap<VarId, u8>>,
-}
-
-impl RcFact {
-    fn real() -> Self {
-        RcFact {
-            states: Some(BTreeMap::new()),
-        }
-    }
-
-    fn get(&self, v: VarId) -> u8 {
-        self.states
-            .as_ref()
-            .and_then(|m| m.get(&v).copied())
-            .unwrap_or(UNHELD)
-    }
-
-    fn set(&mut self, v: VarId, bits: u8) {
-        if let Some(m) = &mut self.states {
-            m.insert(v, bits);
-        }
-    }
+    states: Option<Vec<u8>>,
 }
 
 impl Lattice for RcFact {
@@ -64,34 +45,56 @@ impl Lattice for RcFact {
             return true;
         };
         let mut changed = false;
-        for (&v, &bits) in theirs {
-            let e = mine.entry(v).or_insert(UNHELD);
-            let merged = *e | bits;
-            changed |= merged != *e;
-            *e = merged;
-        }
-        for (&v, e) in mine.iter_mut() {
-            if !theirs.contains_key(&v) {
-                let merged = *e | UNHELD;
-                changed |= merged != *e;
-                *e = merged;
-            }
+        for (e, bits) in mine.iter_mut().zip(theirs) {
+            changed |= (*e | bits) != *e;
+            *e |= bits;
         }
         changed
     }
 }
 
-struct RefcountAnalysis;
+struct RefcountAnalysis {
+    /// The variables some acquire or release names, ascending.
+    managed: Vec<VarId>,
+}
 
-/// One instruction's effect on the state map (shared between the solver
-/// and the report sweep).
-fn transfer(fact: &mut RcFact, i: &Instr) {
-    match i {
-        Instr::MemoryAcquire { var } => fact.set(*var, HELD),
-        Instr::MemoryRelease { var } => fact.set(*var, RELEASED),
-        _ => {
-            if let Some(d) = i.def() {
-                fact.set(d, UNHELD);
+impl RefcountAnalysis {
+    fn of(f: &Function) -> Self {
+        let mut managed: Vec<VarId> = f
+            .instrs()
+            .filter_map(|i| match i {
+                Instr::MemoryAcquire { var } | Instr::MemoryRelease { var } => Some(*var),
+                _ => None,
+            })
+            .collect();
+        managed.sort_unstable();
+        managed.dedup();
+        RefcountAnalysis { managed }
+    }
+
+    fn get(&self, fact: &RcFact, v: VarId) -> u8 {
+        match (&fact.states, self.managed.binary_search(&v)) {
+            (Some(states), Ok(slot)) => states[slot],
+            _ => UNHELD,
+        }
+    }
+
+    fn set(&self, fact: &mut RcFact, v: VarId, bits: u8) {
+        if let (Some(states), Ok(slot)) = (&mut fact.states, self.managed.binary_search(&v)) {
+            states[slot] = bits;
+        }
+    }
+
+    /// One instruction's effect on the state sets (shared between the
+    /// solver and the report sweep).
+    fn transfer(&self, fact: &mut RcFact, i: &Instr) {
+        match i {
+            Instr::MemoryAcquire { var } => self.set(fact, *var, HELD),
+            Instr::MemoryRelease { var } => self.set(fact, *var, RELEASED),
+            _ => {
+                if let Some(d) = i.def() {
+                    self.set(fact, d, UNHELD);
+                }
             }
         }
     }
@@ -102,26 +105,29 @@ impl Analysis for RefcountAnalysis {
     const DIRECTION: Direction = Direction::Forward;
 
     fn boundary(&self, _f: &Function) -> RcFact {
-        RcFact::real()
+        RcFact {
+            states: Some(vec![UNHELD; self.managed.len()]),
+        }
     }
 
     fn transfer_block(&self, f: &Function, b: BlockId, fact: &mut RcFact) {
         for i in &f.block(b).instrs {
-            transfer(fact, i);
+            self.transfer(fact, i);
         }
     }
 }
 
 /// Checks one function.
 pub fn check(f: &Function) -> Vec<Diagnostic> {
-    if f.blocks.is_empty() {
+    let rc = RefcountAnalysis::of(f);
+    if rc.managed.is_empty() {
         return Vec::new();
     }
     let cfg = Cfg::new(f);
-    let results = solve(&RefcountAnalysis, f, &cfg);
+    let results = solve(&rc, f, &cfg);
     let mut out = Vec::new();
     for &b in &cfg.rpo {
-        let Some(entry) = results.on_entry.get(&b) else {
+        let Some(entry) = results.entry(b) else {
             continue;
         };
         let mut state = entry.clone();
@@ -133,7 +139,7 @@ pub fn check(f: &Function) -> Vec<Diagnostic> {
         for (ix, i) in f.block(b).instrs.iter().enumerate() {
             match i {
                 Instr::MemoryAcquire { var } => {
-                    if state.get(*var) & HELD != 0 {
+                    if rc.get(&state, *var) & HELD != 0 {
                         out.push(
                             Diagnostic::error(
                                 "refcount-double-acquire",
@@ -145,7 +151,7 @@ pub fn check(f: &Function) -> Vec<Diagnostic> {
                     }
                 }
                 Instr::MemoryRelease { var } => {
-                    let bits = state.get(*var);
+                    let bits = rc.get(&state, *var);
                     if bits & RELEASED != 0 {
                         out.push(
                             Diagnostic::error(
@@ -182,7 +188,7 @@ pub fn check(f: &Function) -> Vec<Diagnostic> {
                 Instr::Phi { .. } => {}
                 _ => {
                     for v in i.uses() {
-                        if state.get(v) & RELEASED != 0
+                        if rc.get(&state, v) & RELEASED != 0
                             && !(released_here.contains(&v) && i.is_terminator())
                         {
                             out.push(
@@ -197,9 +203,9 @@ pub fn check(f: &Function) -> Vec<Diagnostic> {
                     }
                 }
             }
-            transfer(&mut state, i);
+            rc.transfer(&mut state, i);
             if let Instr::Return { .. } = i {
-                for (&v, &bits) in state.states.iter().flatten() {
+                for (v, bits) in rc.managed.iter().zip(state.states.iter().flatten()) {
                     if bits & HELD != 0 {
                         out.push(
                             Diagnostic::error(
@@ -230,7 +236,7 @@ pub fn check(f: &Function) -> Vec<Diagnostic> {
                         continue;
                     }
                     if let Operand::Var(v) = o {
-                        if state.get(*v) & RELEASED != 0 && !released_here.contains(v) {
+                        if rc.get(&state, *v) & RELEASED != 0 && !released_here.contains(v) {
                             out.push(
                                 Diagnostic::error(
                                     "refcount-use-after-release",
@@ -365,6 +371,25 @@ mod tests {
                 value: Constant::Null.into(),
             },
         ]);
+        assert!(check(&f).is_empty());
+    }
+
+    #[test]
+    fn a_function_without_managed_variables_is_answered_without_a_cfg() {
+        // `Cfg::new` indexes its edge tables by the branch targets, so it
+        // cannot survive this function: a quiet answer means none was built.
+        let f = one_block(vec![
+            Instr::LoadConst {
+                dst: VarId(0),
+                value: Constant::Bool(true),
+            },
+            Instr::Branch {
+                cond: VarId(0).into(),
+                then_block: BlockId(7),
+                else_block: BlockId(8),
+            },
+        ]);
+        assert!(std::panic::catch_unwind(|| Cfg::new(&f)).is_err());
         assert!(check(&f).is_empty());
     }
 

@@ -1044,7 +1044,7 @@ fn main() {
     }
 
     if matches!(what.as_str(), "compile-times" | "all") {
-        println!("== Section 5: compilation time and per-pass timings ==");
+        println!("== Section 5: compilation time per stage (ms, median of repeated compiles) ==");
         let compiler = Compiler::default();
         let table = wolfram_bench::workloads::prime_seed_table();
         let programs: Vec<(&str, String)> = vec![
@@ -1056,21 +1056,51 @@ fn main() {
             ("PrimeQ", wolfram_bench::programs::primeq_src(&table)),
             ("QSort", wolfram_bench::programs::QSORT_SRC.into()),
         ];
+        // Medians over repeated compiles, in ms. `passes` and `verification`
+        // split what the IR pass pipeline costs into the passes themselves
+        // and the checking of their results (`optimize[f]` and
+        // `optimize[f].verify` in `Compiler::timings()`, summed over the
+        // program's functions).
+        let reps = if quick { 3 } else { 15 };
+        type Belongs = fn(&str) -> bool;
+        let stages: [(&str, Belongs); 5] = [
+            ("passes", |t| t.starts_with("optimize[") && t.ends_with(']')),
+            ("verification", |t| {
+                t.starts_with("optimize[") && t.ends_with(".verify") || t == "analyze"
+            }),
+            ("range-analysis", |t| t == "range-analysis"),
+            ("macro-expansion", |t| t == "macro-expansion"),
+            ("inference", |t| t == "type-inference"),
+        ];
+        print!("{:<11} {:>9}", "program", "total");
+        for (stage, _) in &stages {
+            print!(" {stage:>15}");
+        }
+        println!();
         for (name, src) in &programs {
-            let start = std::time::Instant::now();
-            let _ = compiler.function_compile_src(src).expect("compiles");
-            let total = start.elapsed();
-            let mut timings = compiler.timings();
-            timings.retain(|(_, d)| d.as_secs_f64() > 1e-4);
-            let per_pass: Vec<String> = timings
-                .into_iter()
-                .map(|(pass, d)| format!("{pass} {:.2}ms", d.as_secs_f64() * 1e3))
-                .collect();
-            println!(
-                "{name:<11} total {:>8.2}ms | {}",
-                total.as_secs_f64() * 1e3,
-                per_pass.join(", ")
-            );
+            // One column of samples for the total, one per stage.
+            let mut samples = vec![Vec::with_capacity(reps); 1 + stages.len()];
+            for _ in 0..reps {
+                let start = std::time::Instant::now();
+                let _ = compiler.function_compile_src(src).expect("compiles");
+                samples[0].push(start.elapsed().as_secs_f64() * 1e3);
+                let timings = compiler.timings();
+                for ((_, belongs), column) in stages.iter().zip(&mut samples[1..]) {
+                    column.push(
+                        timings
+                            .iter()
+                            .filter(|(t, _)| belongs(t))
+                            .map(|(_, d)| d.as_secs_f64() * 1e3)
+                            .sum::<f64>(),
+                    );
+                }
+            }
+            print!("{name:<11}");
+            for (i, column) in samples.iter_mut().enumerate() {
+                column.sort_by(f64::total_cmp);
+                print!(" {:>1$.3}", column[reps / 2], if i == 0 { 9 } else { 15 });
+            }
+            println!();
         }
     }
 }

@@ -15,7 +15,8 @@
 //! 3. arbitrary metadata attaches to each node.
 //!
 //! Lowering goes *directly to SSA form* (Braun et al.) via [`builder`]; an
-//! IR linter ([`verify`]) checks the SSA property after every pass.
+//! IR linter ([`verify`]) checks the SSA property of every state of a
+//! function the pass pipeline produces ([`run_pipeline`]).
 
 pub mod analysis;
 pub mod builder;
@@ -28,5 +29,5 @@ pub use builder::FunctionBuilder;
 pub use module::{
     Block, BlockId, Callee, Constant, FuncId, Function, Instr, Operand, ProgramModule, VarId,
 };
-pub use passes::{run_pass, run_pipeline, FullVerifier, PassOptions, VerifyLevel};
+pub use passes::{run_pass, run_pipeline, FullVerifier, PassOptions, PipelineReport, VerifyLevel};
 pub use verify::{verify_function, VerifyError};

@@ -13,14 +13,15 @@ use crate::module::{Block, BlockId, Callee, Constant, Function, Instr, Operand, 
 use crate::verify::{verify_function, VerifyError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use wolfram_types::Type;
 
-/// How much verification `run_pipeline` performs after each pass.
+/// How `run_pipeline` verifies each state of the function it produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyLevel {
-    /// No per-pass verification (release benchmark runs).
+    /// No verification (release benchmark runs).
     Off,
-    /// The bare SSA linter (`verify_function`) after each pass.
+    /// The bare SSA linter (`verify_function`).
     Ssa,
     /// SSA linter plus the injected semantic checker (`full_check`) —
     /// typically the `wolfram-analyze` type + refcount verifiers.
@@ -84,11 +85,12 @@ pub const OPT_PASSES: &[&str] = &[
     "simplify-cfg",
 ];
 
-/// Runs a single pass by name. Returns whether anything changed.
+/// Runs a single pass by name. Returns whether anything changed — exactly:
+/// [`run_pipeline`] verifies the function again only after a `true`.
 ///
 /// # Errors
 ///
-/// Propagates linter failures when the pass breaks SSA.
+/// An unknown pass name.
 pub fn run_pass(name: &str, f: &mut Function) -> Result<bool, VerifyError> {
     let changed = match name {
         "constant-fold" => constant_fold(f),
@@ -103,55 +105,79 @@ pub fn run_pass(name: &str, f: &mut Function) -> Result<bool, VerifyError> {
     Ok(changed)
 }
 
+/// What one [`run_pipeline`] call did.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PipelineReport {
+    /// Names of the passes that changed the function, in order: one entry
+    /// per fixpoint round in which a pass changed it.
+    pub ran: Vec<String>,
+    /// Passes executed, whether or not they changed anything.
+    pub steps: usize,
+    /// Verifications performed: the incoming function, then the result of
+    /// each pass that changed it (zero at `VerifyLevel::Off`).
+    pub verifications: usize,
+    /// Time spent in those verifications, out of the call's total.
+    pub verify_time: Duration,
+}
+
 /// Runs the standard pipeline (optimizations to fixpoint, then abort and
-/// memory-management insertion). Returns the names of passes that ran.
+/// memory-management insertion).
+///
+/// Each distinct state of the function is verified once: the incoming
+/// function, then the result of every pass that reports a change. A pass
+/// that reports none left an already verified function, which is why a
+/// pass must never mutate and answer `false`.
 ///
 /// # Errors
 ///
-/// Propagates linter failures.
-pub fn run_pipeline(f: &mut Function, opts: &PassOptions) -> Result<Vec<String>, VerifyError> {
-    let mut ran = Vec::new();
-    let step = |name: &str, f: &mut Function, ran: &mut Vec<String>| -> Result<(), VerifyError> {
-        if opts.disabled.contains(name) {
+/// Propagates linter failures, anchored to the pipeline's entry or to the
+/// pass whose result failed.
+pub fn run_pipeline(f: &mut Function, opts: &PassOptions) -> Result<PipelineReport, VerifyError> {
+    let mut report = PipelineReport::default();
+    let verify = |f: &Function, at: std::fmt::Arguments, report: &mut PipelineReport| {
+        if opts.verify == VerifyLevel::Off {
             return Ok(());
         }
-        if run_pass(name, f)? {
-            ran.push(name.to_owned());
+        let start = Instant::now();
+        let mut result = verify_function(f);
+        if let (Ok(()), VerifyLevel::Full, Some(check)) = (&result, opts.verify, &opts.full_check) {
+            result = check(f);
         }
-        let anchor = |e: VerifyError| {
-            VerifyError(format!(
-                "function `{}`, after pass `{name}`: {}",
-                f.name, e.0
-            ))
-        };
-        if opts.verify != VerifyLevel::Off {
-            verify_function(f).map_err(anchor)?;
-        }
-        if opts.verify == VerifyLevel::Full {
-            if let Some(check) = &opts.full_check {
-                check(f).map_err(anchor)?;
-            }
-        }
-        Ok(())
+        report.verifications += 1;
+        report.verify_time += start.elapsed();
+        result.map_err(|e| VerifyError(format!("function `{}`, {at}: {}", f.name, e.0)))
     };
+    let step =
+        |name: &str, f: &mut Function, report: &mut PipelineReport| -> Result<(), VerifyError> {
+            if opts.disabled.contains(name) {
+                return Ok(());
+            }
+            report.steps += 1;
+            if run_pass(name, f)? {
+                report.ran.push(name.to_owned());
+                verify(f, format_args!("after pass `{name}`"), report)?;
+            }
+            Ok(())
+        };
+    verify(f, format_args!("on entry to the pipeline"), &mut report)?;
     if opts.optimization_level > 0 {
         for _round in 0..3 {
-            let before = ran.len();
+            let before = report.ran.len();
             for name in OPT_PASSES {
-                step(name, f, &mut ran)?;
+                step(name, f, &mut report)?;
             }
-            if ran.len() == before {
+            if report.ran.len() == before {
                 break;
             }
         }
     }
     if opts.abort_handling && f.info.abort_handling {
-        step("abort-insertion", f, &mut ran)?;
+        step("abort-insertion", f, &mut report)?;
     }
     if opts.memory_management {
-        step("memory-management", f, &mut ran)?;
+        step("memory-management", f, &mut report)?;
     }
-    Ok(ran)
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------
@@ -1338,17 +1364,69 @@ mod tests {
     #[test]
     fn pipeline_runs_and_reports() {
         let mut f = branchy();
-        let ran = run_pipeline(&mut f, &PassOptions::default()).unwrap();
-        assert!(ran.iter().any(|p| p == "constant-fold"));
-        assert!(ran.iter().any(|p| p == "abort-insertion"));
+        let report = run_pipeline(&mut f, &PassOptions::default()).unwrap();
+        assert!(report.ran.iter().any(|p| p == "constant-fold"));
+        assert!(report.ran.iter().any(|p| p == "abort-insertion"));
+        // One verification of the incoming function, one per changing pass.
+        assert_eq!(report.verifications, 1 + report.ran.len());
+        assert!(report.steps > report.ran.len(), "{report:?}");
         verify_function(&f).unwrap();
         // Disabling a pass by name skips it.
         let mut f2 = branchy();
         let mut opts = PassOptions::default();
         opts.disabled.insert("constant-fold".into());
         opts.optimization_level = 1;
-        let ran2 = run_pipeline(&mut f2, &opts).unwrap();
-        assert!(!ran2.iter().any(|p| p == "constant-fold"));
+        let report2 = run_pipeline(&mut f2, &opts).unwrap();
+        assert!(!report2.ran.iter().any(|p| p == "constant-fold"));
+        // Nothing is verified at `Off`.
+        opts.verify = VerifyLevel::Off;
+        let report3 = run_pipeline(&mut branchy(), &opts).unwrap();
+        assert_eq!(report3.verifications, 0);
+        assert_eq!(report3.ran, report2.ran);
+    }
+
+    /// `PassOptions` whose semantic checker rejects whatever `broken` holds
+    /// of: a stand-in for "this state of the function is wrong".
+    fn rejecting(broken: fn(&Function) -> bool) -> PassOptions {
+        PassOptions {
+            verify: VerifyLevel::Full,
+            full_check: Some(Arc::new(move |f: &Function| {
+                if broken(f) {
+                    Err(VerifyError("rejected".into()))
+                } else {
+                    Ok(())
+                }
+            })),
+            ..PassOptions::default()
+        }
+    }
+
+    #[test]
+    fn a_bad_incoming_function_is_blamed_on_the_entry_not_on_a_pass() {
+        let err = run_pipeline(&mut branchy(), &rejecting(|_| true)).unwrap_err();
+        assert!(
+            err.0
+                .contains("function `f`, on entry to the pipeline: rejected"),
+            "{err}"
+        );
+        // The SSA linter alone catches a malformed incoming function too.
+        let mut f = branchy();
+        f.blocks[0].instrs.pop();
+        let err = run_pipeline(&mut f, &PassOptions::default()).unwrap_err();
+        assert!(err.0.contains("on entry to the pipeline"), "{err}");
+    }
+
+    #[test]
+    fn a_pass_whose_result_is_bad_is_reported_under_its_own_name() {
+        // The incoming function and everything the optimising passes make
+        // of it are fine; what abort-insertion produces is not.
+        let has_abort_check = |f: &Function| f.instrs().any(|i| matches!(i, Instr::AbortCheck));
+        let err = run_pipeline(&mut branchy(), &rejecting(has_abort_check)).unwrap_err();
+        assert!(
+            err.0
+                .contains("function `f`, after pass `abort-insertion`: rejected"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -109,6 +109,9 @@ if [ "$STREAM_OUT" != "$(printf 'ok 1\nok 4\nerr type error: argument nope does 
   exit 1
 fi
 
+echo "==> reproduce: compile-times smoke (the per-stage compile-time table)"
+./target/release/reproduce compile-times > /dev/null
+
 echo "==> reproduce: an unknown subcommand fails instead of printing nothing"
 if ./target/release/reproduce no-such-subcommand 2>/dev/null; then
   echo "reproduce accepted an unknown subcommand" >&2

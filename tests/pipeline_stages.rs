@@ -72,6 +72,11 @@ fn per_stage_timings_recorded() {
         "lowering",
         "type-inference",
         "function-resolution",
+        // Per function: the IR passes, and the verification of their
+        // results, as separate entries; then the whole-module check.
+        "optimize[Main]",
+        "optimize[Main].verify",
+        "analyze",
     ] {
         assert!(
             stages.iter().any(|s| s == expected),
