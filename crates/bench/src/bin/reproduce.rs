@@ -12,7 +12,6 @@
 //! reproduce bench-parallel [--quick] [--json [PATH]] [--min-chunk N]
 //! reproduce stream --function 'Function[...]' [--input FILE] [--tier T] [--batch N]
 //!                  [--workers N]
-//! reproduce bench-stream [--quick] [--json [PATH]]
 //! ```
 //!
 //! `--quick` shrinks the workloads (CI-sized); without it the paper's §6
@@ -56,14 +55,6 @@
 //! line per record, in input order. SIGTERM/SIGINT drains the in-flight
 //! batches (every admitted record still reaches stdout) and the per-stage
 //! metrics table is printed on stderr either way.
-//!
-//! `bench-stream` runs the streaming-engine sweep (per-event workloads at
-//! interpreter/bytecode/native tiers, batched vs call-per-record);
-//! `--json` additionally writes `BENCH_stream.json`. It exits nonzero if
-//! any configuration's output differs from a one-shot loop of the same
-//! tier, the memory counters end up imbalanced, no frame resets were
-//! recorded (the fast path didn't run), or the best streamed speedup
-//! falls below the floor (3x at paper scale, 1.5x sanity at `--quick`).
 
 use wolfram_bench::{ablations, harness, intro, opstats, table1};
 use wolfram_compiler_core::{Compiler, CompilerOptions};
@@ -747,7 +738,7 @@ fn run_stream_cmd(args: &[String]) -> ! {
     };
     let Some(src) = flag("--function") else {
         eprintln!("usage: reproduce stream --function 'Function[...]' [--input FILE]");
-        eprintln!("       [--tier native|naive|bytecode|interp] [--batch N] [--workers N]");
+        eprintln!("       [--tier native|bytecode|interp] [--batch N] [--workers N]");
         std::process::exit(2);
     };
     let batch: usize = flag("--batch").map_or(256, |v| v.parse().expect("--batch N"));
@@ -755,20 +746,13 @@ fn run_stream_cmd(args: &[String]) -> ! {
     let tier = flag("--tier").unwrap_or_else(|| "native".into());
 
     let func = match tier.as_str() {
-        "native" | "naive" => {
-            let artifact = match Compiler::default().function_compile_src(&src) {
-                Ok(cf) => cf.artifact(),
-                Err(e) => {
-                    eprintln!("stream: compile failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-            if tier == "native" {
-                StreamFunction::Native(artifact)
-            } else {
-                StreamFunction::NativeNaive(artifact)
+        "native" => match Compiler::default().function_compile_src(&src) {
+            Ok(cf) => StreamFunction::Native(cf.artifact()),
+            Err(e) => {
+                eprintln!("stream: compile failed: {e}");
+                std::process::exit(1);
             }
-        }
+        },
         "bytecode" => {
             let compiled = wolfram_expr::parse(&src)
                 .map_err(|e| e.to_string())
@@ -795,7 +779,7 @@ fn run_stream_cmd(args: &[String]) -> ! {
             }
         },
         other => {
-            eprintln!("unknown --tier `{other}` (expected native, naive, bytecode, or interp)");
+            eprintln!("unknown --tier `{other}` (expected native, bytecode, or interp)");
             std::process::exit(2);
         }
     };
@@ -849,69 +833,6 @@ fn run_stream_cmd(args: &[String]) -> ! {
     }
 }
 
-/// `bench-stream` subcommand: the streaming-engine sweep, also a CI
-/// smoke gate (nonzero exit on divergence, counter leaks, a cold frame
-/// pool, or a sub-floor streamed speedup).
-fn run_bench_stream(args: &[String]) -> ! {
-    use wolfram_bench::stream_bench;
-
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick {
-        stream_bench::StreamScale::quick()
-    } else {
-        stream_bench::StreamScale::paper()
-    };
-    let next_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-    };
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|_| next_value("--json").unwrap_or_else(|| "BENCH_stream.json".into()));
-
-    println!(
-        "== bench-stream ({} scale): {} scalar, {} tensor, {} interp records ==",
-        if quick { "quick" } else { "paper" },
-        scale.scalar_records,
-        scale.tensor_records,
-        scale.interp_records,
-    );
-    let report = stream_bench::run(&scale);
-    print!("{}", stream_bench::render(&report));
-
-    if let Some(path) = json_path {
-        let doc = stream_bench::to_json(&report, if quick { "quick" } else { "paper" });
-        match std::fs::write(&path, doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // Quick scale still gates throughput, at a sanity floor: tiny record
-    // counts leave executor setup un-amortized, so the paper-scale 3x
-    // claim is only asserted at paper scale.
-    let floor = if quick { 1.5 } else { 3.0 };
-    let throughput_ok = report.best_stream_speedup >= floor;
-    if !throughput_ok {
-        println!(
-            "streamed speedup {:.2}x is below the {floor:.1}x floor",
-            report.best_stream_speedup
-        );
-    }
-    let clean = report.equivalence_failures == 0
-        && report.memory_balanced
-        && report.frame_resets > 0
-        && throughput_ok;
-    println!("bench-stream: {}", if clean { "PASS" } else { "FAIL" });
-    std::process::exit(i32::from(!clean));
-}
-
 /// The report sections; `all` (also the default) prints every one.
 const SECTIONS: [&str; 6] = [
     "figure2",
@@ -925,14 +846,13 @@ const SECTIONS: [&str; 6] = [
 /// A subcommand with its own argument parsing; it exits on its own.
 type Command = fn(&[String]) -> !;
 
-const COMMANDS: [(&str, Command); 7] = [
+const COMMANDS: [(&str, Command); 6] = [
     ("difftest", run_difftest),
     ("analyze", run_analyze),
     ("serve", run_serve),
     ("bench-serve", run_bench_serve),
     ("bench-parallel", run_bench_parallel),
     ("stream", run_stream_cmd),
-    ("bench-stream", run_bench_stream),
 ];
 
 fn main() {

@@ -30,7 +30,6 @@ pub mod opstats;
 pub mod parallel;
 pub mod programs;
 pub mod serve_load;
-pub mod stream_bench;
 pub mod table1;
 pub mod workloads;
 

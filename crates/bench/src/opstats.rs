@@ -3,15 +3,15 @@
 //! Superinstruction selection is driven by data, not guesses: this module
 //! compiles each benchmark, runs it once with the machine's opt-in
 //! profiler enabled, and reports the hottest mnemonics and consecutive
-//! dyads, plus the frame-pool hit/miss counters. `reproduce -- opstats`
-//! prints the result.
+//! dyads, plus the frame-pool hits and misses `wolfram_runtime::memory`
+//! counted over that run. `reproduce -- opstats` prints the result.
 
 use crate::harness::Scale;
 use crate::{programs, workloads};
 use std::sync::Arc;
 use wolfram_codegen::OpStats;
 use wolfram_compiler_core::Compiler;
-use wolfram_runtime::Value;
+use wolfram_runtime::{memory, Value};
 
 /// One benchmark's dynamic profile.
 #[derive(Debug)]
@@ -20,6 +20,8 @@ pub struct BenchProfile {
     pub name: &'static str,
     /// Counters collected over one profiled run.
     pub stats: OpStats,
+    /// Frame-pool (hits, misses) over the same run.
+    pub frames: (u64, u64),
 }
 
 /// Compiles and profiles all seven benchmarks at the given scale.
@@ -34,11 +36,20 @@ pub fn collect(scale: &Scale) -> Vec<BenchProfile> {
     let mut profile = |name: &'static str, src: &str, args: Vec<Value>| {
         let cf = programs::compile_new(&compiler, src);
         cf.profile_ops(true);
+        let before = memory::stats();
         cf.call(&args)
             .unwrap_or_else(|e| panic!("{name} failed under profiling: {e}"));
+        let after = memory::stats();
         let stats = cf.take_op_stats();
         cf.profile_ops(false);
-        out.push(BenchProfile { name, stats });
+        out.push(BenchProfile {
+            name,
+            stats,
+            frames: (
+                after.frame_hits - before.frame_hits,
+                after.frame_misses - before.frame_misses,
+            ),
+        });
     };
 
     profile(
@@ -104,8 +115,8 @@ pub fn render(profiles: &[BenchProfile], top: usize) -> String {
             "{} — {} ops executed, frame pool {} hits / {} misses\n",
             p.name,
             p.stats.total(),
-            p.stats.pool_hits,
-            p.stats.pool_misses
+            p.frames.0,
+            p.frames.1
         ));
         let total = p.stats.total().max(1) as f64;
         out.push_str("  hottest ops:\n");

@@ -111,7 +111,13 @@ impl CompiledFunction {
         engine.eval(&call).map(|e| Value::from_expr(&e))
     }
 
-    fn check_args(&self, args: &[Value]) -> Result<(), RuntimeError> {
+    /// Checks a call's arguments against the spec table: count, then one
+    /// type tag per argument.
+    ///
+    /// # Errors
+    ///
+    /// A type error naming the first argument that does not fit.
+    pub fn check_args(&self, args: &[Value]) -> Result<(), RuntimeError> {
         if args.len() != self.arg_specs.len() {
             return Err(RuntimeError::Type(format!(
                 "CompiledFunction expected {} arguments, got {}",
@@ -169,8 +175,7 @@ impl CompiledFunction {
     }
 }
 
-/// Checks one runtime value against a VM type tag (the per-record half
-/// of `ArgSpec` validation — everything else is per-stream).
+/// Checks one runtime value against a VM type tag.
 #[inline]
 fn check_tag(a: &Value, ty: VmType) -> Result<(), RuntimeError> {
     let ok = match ty {
@@ -192,33 +197,24 @@ fn check_tag(a: &Value, ty: VmType) -> Result<(), RuntimeError> {
     }
 }
 
-/// A compile-once, call-millions executor over one [`CompiledFunction`]:
-/// the bytecode half of the streaming fast path.
+/// A compile-once, call-millions executor over one [`CompiledFunction`].
 ///
-/// [`CompiledFunction::run_abortable`] walks the full `ArgSpec` table and
-/// allocates an `nregs`-slot boxed register file on every call. A stream
-/// applies one function to every record, so the spec table, register
-/// count, and abort signal are fixed per stream: this runner hoists them
-/// to construction, keeps a dense `VmType` tag row for the per-record
-/// value check (the only part that depends on the record), and reuses one
-/// register-file allocation across calls via [`vm::execute_in`].
+/// [`CompiledFunction::run_abortable`] allocates an `nregs`-slot boxed
+/// register file on every call; a stream applies one function to every
+/// record, so this runner keeps one register-file allocation and reuses it
+/// across calls via [`vm::execute_in`]. Arguments are checked per record
+/// exactly as the one-shot entry checks them.
 pub struct StreamRunner {
     cf: std::sync::Arc<CompiledFunction>,
-    tags: Vec<VmType>,
-    nregs: usize,
     regs: Vec<Value>,
     abort: AbortSignal,
 }
 
 impl StreamRunner {
-    /// Binds `cf` for streaming, validating the spec table once.
+    /// Binds `cf` for streaming.
     pub fn new(cf: std::sync::Arc<CompiledFunction>) -> Self {
-        let tags: Vec<VmType> = cf.arg_specs.iter().map(|s| s.ty).collect();
-        let nregs = cf.nregs.max(tags.len());
         StreamRunner {
             cf,
-            tags,
-            nregs,
             regs: Vec::new(),
             abort: AbortSignal::new(),
         }
@@ -226,7 +222,7 @@ impl StreamRunner {
 
     /// Number of parameters (record fields per event).
     pub fn arity(&self) -> usize {
-        self.tags.len()
+        self.cf.arg_specs.len()
     }
 
     /// The abort signal checked between instruction batches; trigger it
@@ -242,19 +238,10 @@ impl StreamRunner {
     /// Exactly the errors [`CompiledFunction::run_abortable`] would
     /// produce for the same arguments.
     pub fn call(&mut self, args: &[Value]) -> Result<Value, RuntimeError> {
-        if args.len() != self.tags.len() {
-            return Err(RuntimeError::Type(format!(
-                "CompiledFunction expected {} arguments, got {}",
-                self.tags.len(),
-                args.len()
-            )));
-        }
-        for (a, ty) in args.iter().zip(&self.tags) {
-            check_tag(a, *ty)?;
-        }
+        self.cf.check_args(args)?;
         vm::execute_in(
             &self.cf.ops,
-            self.nregs,
+            self.cf.nregs.max(args.len()),
             args,
             &mut self.regs,
             &self.abort,

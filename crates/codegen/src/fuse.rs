@@ -411,10 +411,7 @@ mod tests {
             funcs: vec![f.clone()],
         };
         let mut m = Machine::standalone();
-        match m
-            .call_with_engine(&prog, 0, vec![ArgVal::I(arg)], None)
-            .unwrap()
-        {
+        match m.call(&prog, 0, [Ok(ArgVal::I(arg))], None).unwrap() {
             ArgVal::I(v) => v,
             other => panic!("expected int, got {other:?}"),
         }

@@ -35,7 +35,6 @@ pub use backend::{Backend, BackendRegistry};
 pub use fuse::{fuse_function, fuse_program};
 pub use lower::{lower_program, LowerError};
 pub use machine::{
-    ArgVal, Bank, CallSession, Machine, NativeFunc, NativeProgram, OpStats, RegOp, Slot,
-    FRAME_POOL_CAP,
+    ArgVal, Bank, Machine, NativeFunc, NativeProgram, OpStats, RegOp, Slot, FRAME_POOL_CAP,
 };
 pub use vectorize::{vectorize_function, vectorize_program, VecPlan};

@@ -1469,7 +1469,7 @@ mod tests {
         let pm = wolfram_ir::ProgramModule::with_main(f);
         let native = lower_program(&pm).unwrap();
         let mut m = Machine::standalone();
-        let out = m.call(&native, 0, vec![ArgVal::I(41)]).unwrap();
+        let out = m.call(&native, 0, [Ok(ArgVal::I(41))], None).unwrap();
         assert_eq!(out, ArgVal::I(42));
     }
 
@@ -1543,7 +1543,7 @@ mod tests {
         let pm = wolfram_ir::ProgramModule::with_main(f);
         let native = lower_program(&pm).unwrap();
         let mut m = Machine::standalone();
-        let out = m.call(&native, 0, vec![ArgVal::I(100)]).unwrap();
+        let out = m.call(&native, 0, [Ok(ArgVal::I(100))], None).unwrap();
         assert_eq!(out, ArgVal::I(5050));
     }
 
@@ -1566,7 +1566,7 @@ mod tests {
         let native = lower_program(&pm).unwrap();
         let mut m = Machine::standalone();
         assert_eq!(
-            m.call(&native, 0, vec![ArgVal::F(1.5)]).unwrap(),
+            m.call(&native, 0, [Ok(ArgVal::F(1.5))], None).unwrap(),
             ArgVal::F(2.5)
         );
     }

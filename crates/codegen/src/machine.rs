@@ -1371,6 +1371,30 @@ impl Frame {
         Ok(())
     }
 
+    /// Stores a call's arguments into `f`'s parameter slots, stopping at
+    /// the first one that fails.
+    fn store_args(
+        &mut self,
+        f: &NativeFunc,
+        args: impl IntoIterator<Item = Result<ArgVal, RuntimeError>>,
+    ) -> Result<(), RuntimeError> {
+        let mut got = 0;
+        for arg in args {
+            if let Some(slot) = f.params.get(got) {
+                self.store(*slot, arg?)?;
+            }
+            got += 1;
+        }
+        if got != f.params.len() {
+            return Err(RuntimeError::Type(format!(
+                "{} expected {} arguments, got {got}",
+                f.name,
+                f.params.len()
+            )));
+        }
+        Ok(())
+    }
+
     /// The one `Release` body: balanced with the acquire even if the value
     /// has been moved out of the slot meanwhile (`TakeV`).
     #[inline(always)]
@@ -1463,27 +1487,9 @@ impl Frame {
 /// allocating; recursion deeper than the cap falls back to fresh frames.
 pub const FRAME_POOL_CAP: usize = 64;
 
-/// A dedicated entry frame for a run of repeated calls to one function
-/// (the `wolfram-stream` executor). The first call through
-/// [`Machine::call_streaming`] allocates the frame (a recorded miss);
-/// every later call resets and reuses it (a recorded reset), bypassing
-/// the machine's shared pool entirely. Inner indirect calls made *during*
-/// execution still go through the pool as before.
-#[derive(Default)]
-pub struct CallSession {
-    frame: Option<Frame>,
-}
-
-impl CallSession {
-    /// A session with no frame yet; the first call allocates it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Execution statistics: dynamic op/dyad frequencies (populated only while
-/// [`Machine::profile_ops`] is enabled) and the always-on frame-pool
-/// hit/miss counters.
+/// Execution statistics: dynamic op/dyad frequencies, populated only while
+/// [`Machine::profile_ops`] is enabled. (Frame-pool hits and misses are
+/// counted in `wolfram_runtime::memory`.)
 #[derive(Debug, Clone, Default)]
 pub struct OpStats {
     /// Executed instruction count per mnemonic.
@@ -1491,10 +1497,6 @@ pub struct OpStats {
     /// Executed consecutive-pair (dyad) count — the data that drives
     /// superinstruction selection.
     pub pairs: HashMap<(&'static str, &'static str), u64>,
-    /// Calls served by a pooled frame.
-    pub pool_hits: u64,
-    /// Calls that had to allocate a fresh frame.
-    pub pool_misses: u64,
 }
 
 impl OpStats {
@@ -1548,8 +1550,6 @@ pub struct Machine {
     /// Recycled call frames (indirect calls in tight loops — the QSort
     /// comparator — would otherwise allocate per call).
     frame_pool: Vec<Frame>,
-    pool_hits: u64,
-    pool_misses: u64,
     profile: Option<Box<ProfileState>>,
 }
 
@@ -1560,8 +1560,6 @@ impl Machine {
             abort: AbortSignal::new(),
             rng: 0x2545F4914F6CDD1D,
             frame_pool: Vec::new(),
-            pool_hits: 0,
-            pool_misses: 0,
             profile: None,
         }
     }
@@ -1575,22 +1573,16 @@ impl Machine {
 
     /// Takes the accumulated statistics, resetting all counters.
     pub fn take_stats(&mut self) -> OpStats {
-        let (ops, pairs) = match self.profile.as_deref_mut() {
-            Some(p) => (std::mem::take(&mut p.ops), std::mem::take(&mut p.pairs)),
-            None => Default::default(),
-        };
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.last = None;
+        match self.profile.as_deref_mut() {
+            Some(p) => {
+                p.last = None;
+                OpStats {
+                    ops: std::mem::take(&mut p.ops),
+                    pairs: std::mem::take(&mut p.pairs),
+                }
+            }
+            None => OpStats::default(),
         }
-        let stats = OpStats {
-            ops,
-            pairs,
-            pool_hits: self.pool_hits,
-            pool_misses: self.pool_misses,
-        };
-        self.pool_hits = 0;
-        self.pool_misses = 0;
-        stats
     }
 
     /// Seeds the machine RNG.
@@ -1606,60 +1598,56 @@ impl Machine {
         ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Calls function `fix` of `prog` with marshaled arguments, standalone.
+    /// Calls function `fix` of `prog`: the one way into compiled code, for
+    /// the wrapper's entry and for calls between compiled functions alike.
+    /// A frame comes from the pool (or is made), `args` are stored straight
+    /// into its register banks as the iterator yields them, the function
+    /// runs, and the frame goes back to the pool whatever happened. `engine`
+    /// is the hosting interpreter for kernel escapes and symbolic ops
+    /// (`None` in standalone mode, F10).
     ///
     /// # Errors
     ///
-    /// Numeric exceptions, aborts, and type errors propagate to the caller
+    /// The first argument the iterator fails to produce or the frame fails
+    /// to store, an argument count other than the function's arity, and
+    /// whatever the function raises: numeric exceptions, aborts, type errors
     /// (the compiled-code wrapper decides about soft fallback).
+    // Out of line: inlined into the `CallFunc`/`CallValue` arms it grows
+    // `run`'s frame, and every other op pays for that.
+    #[inline(never)]
     pub fn call(
         &mut self,
         prog: &NativeProgram,
         fix: usize,
-        args: Vec<ArgVal>,
-    ) -> Result<ArgVal, RuntimeError> {
-        self.call_with_engine(prog, fix, args, None)
-    }
-
-    /// Calls with a hosting engine for kernel escapes and symbolic ops.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::call`].
-    pub fn call_with_engine(
-        &mut self,
-        prog: &NativeProgram,
-        fix: usize,
-        args: Vec<ArgVal>,
+        args: impl IntoIterator<Item = Result<ArgVal, RuntimeError>>,
         mut engine: Option<&mut Interpreter>,
     ) -> Result<ArgVal, RuntimeError> {
         let func = &prog.funcs[fix];
-        if args.len() != func.params.len() {
-            return Err(RuntimeError::Type(format!(
-                "{} expected {} arguments, got {}",
-                func.name,
-                func.params.len(),
-                args.len()
-            )));
-        }
-        let mut frame = match self.frame_pool.pop() {
+        let mut frame = self.take_frame(func);
+        let out = match frame.store_args(func, args) {
+            Ok(()) => self.run(prog, func, &mut frame, &mut engine),
+            Err(e) => Err(e),
+        };
+        self.recycle(frame, out.is_err());
+        out
+    }
+
+    fn take_frame(&mut self, func: &NativeFunc) -> Frame {
+        match self.frame_pool.pop() {
             Some(mut fr) => {
-                self.pool_hits += 1;
                 wolfram_runtime::memory::record_frame_hit();
                 fr.reset(func);
                 fr
             }
             None => {
-                self.pool_misses += 1;
                 wolfram_runtime::memory::record_frame_miss();
                 Frame::new(func)
             }
-        };
-        for (slot, arg) in func.params.iter().zip(args) {
-            frame.store(*slot, arg)?;
         }
-        let out = self.run(prog, func, &mut frame, &mut engine);
-        if out.is_err() {
+    }
+
+    fn recycle(&mut self, mut frame: Frame, unwound: bool) {
+        if unwound {
             // Unwind accounting (F7): an abort or runtime error skips the
             // remaining MemoryRelease instructions, but the held values are
             // dropped just below — record those releases so acquire/release
@@ -1676,75 +1664,6 @@ impl Machine {
         if self.frame_pool.len() < FRAME_POOL_CAP {
             self.frame_pool.push(frame);
         }
-        out
-    }
-
-    /// Calls function `fix` through a [`CallSession`], resetting and
-    /// reusing the session's dedicated frame instead of cycling it through
-    /// the machine pool. This is the `wolfram-stream` entry path: a stream
-    /// applies one compiled function to millions of records, so the frame
-    /// shape never changes between calls and the pop/push plus full
-    /// re-shape of [`Machine::call_with_engine`] is pure overhead.
-    ///
-    /// The refcount-balance invariant is identical to the pooled path: an
-    /// error unwind drains the frame's `acquired` flags through
-    /// `record_release`, and held values are dropped before the frame goes
-    /// back into the session, so an aborted record cannot poison the next.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::call`]. `args` is drained on every path, including
-    /// errors, so the caller can keep reusing its argument buffer.
-    pub fn call_streaming(
-        &mut self,
-        prog: &NativeProgram,
-        fix: usize,
-        session: &mut CallSession,
-        args: &mut Vec<ArgVal>,
-        mut engine: Option<&mut Interpreter>,
-    ) -> Result<ArgVal, RuntimeError> {
-        let func = &prog.funcs[fix];
-        if args.len() != func.params.len() {
-            args.clear();
-            return Err(RuntimeError::Type(format!(
-                "{} expected {} arguments, got {}",
-                func.name,
-                func.params.len(),
-                args.len()
-            )));
-        }
-        let mut frame = match session.frame.take() {
-            Some(mut fr) => {
-                wolfram_runtime::memory::record_frame_reset();
-                fr.reset(func);
-                fr
-            }
-            None => {
-                wolfram_runtime::memory::record_frame_miss();
-                Frame::new(func)
-            }
-        };
-        let mut stored = Ok(());
-        for (slot, arg) in func.params.iter().zip(args.drain(..)) {
-            if stored.is_ok() {
-                stored = frame.store(*slot, arg);
-            }
-        }
-        let out = match stored {
-            Ok(()) => self.run(prog, func, &mut frame, &mut engine),
-            Err(e) => Err(e),
-        };
-        if out.is_err() {
-            // Same unwind accounting as `call_with_engine` (F7).
-            for ac in &mut frame.acquired {
-                if std::mem::take(ac) {
-                    wolfram_runtime::memory::record_release();
-                }
-            }
-        }
-        frame.vals.clear();
-        session.frame = Some(frame);
-        out
     }
 
     #[allow(clippy::too_many_lines)]
@@ -2220,37 +2139,28 @@ impl Machine {
                     }));
                 }
                 RegOp::CallFunc { f, args, ret } => {
-                    let argv: Vec<ArgVal> = args.iter().map(|s| fr.load(*s)).collect();
-                    let out = self.call_with_engine(prog, *f, argv, engine.as_deref_mut())?;
+                    let argv = args.iter().map(|s| Ok(fr.load(*s)));
+                    let out = self.call(prog, *f, argv, engine.as_deref_mut())?;
                     fr.store(*ret, out)?;
                 }
                 RegOp::CallValue { fv, args, ret } => {
                     let fval = fr.vals[*fv].expect_function()?.clone();
-                    let mut argv: Vec<ArgVal> =
-                        fval.captures.iter().map(|c| ArgVal::V(c.clone())).collect();
-                    // Marshal each arg into the callee's expected bank.
                     let callee = &prog.funcs[fval.index];
-                    let skip = argv.len();
-                    for (s, param) in args.iter().zip(callee.params.iter().skip(skip)) {
-                        let raw = fr.load(*s);
-                        let v = match (param.bank, raw) {
-                            (Bank::V, ArgVal::V(v)) => ArgVal::V(v),
-                            (_, other) => other,
-                        };
-                        argv.push(v);
-                    }
-                    // Captures must be re-marshaled from boxed to banks.
-                    let mut marshaled = Vec::with_capacity(argv.len());
-                    for (v, param) in argv.into_iter().zip(callee.params.iter()) {
-                        marshaled.push(match v {
-                            ArgVal::V(boxed) if param.bank != Bank::V => {
-                                ArgVal::from_value(&boxed, param.bank)?
+                    // Captures are boxed and arguments sit in the caller's
+                    // banks: unbox what the callee declares in a machine bank.
+                    let argv = fval
+                        .captures
+                        .iter()
+                        .map(|c| ArgVal::V(c.clone()))
+                        .chain(args.iter().map(|s| fr.load(*s)))
+                        .enumerate()
+                        .map(|(i, v)| match (v, callee.params.get(i)) {
+                            (ArgVal::V(boxed), Some(p)) if p.bank != Bank::V => {
+                                ArgVal::from_value(&boxed, p.bank)
                             }
-                            other => other,
+                            (other, _) => Ok(other),
                         });
-                    }
-                    let out =
-                        self.call_with_engine(prog, fval.index, marshaled, engine.as_deref_mut())?;
+                    let out = self.call(prog, fval.index, argv, engine.as_deref_mut())?;
                     fr.store(*ret, out)?;
                 }
                 RegOp::CallKernel { head, args, ret } => {
@@ -2892,7 +2802,7 @@ mod tests {
             (3, 0, 0, 0),
         );
         let mut m = Machine::standalone();
-        let out = m.call(&prog, 0, vec![ArgVal::I(41)]).unwrap();
+        let out = m.call(&prog, 0, [Ok(ArgVal::I(41))], None).unwrap();
         assert_eq!(out, ArgVal::I(42));
     }
 
@@ -2915,7 +2825,7 @@ mod tests {
         );
         let mut m = Machine::standalone();
         assert_eq!(
-            m.call(&prog, 0, vec![ArgVal::I(i64::MAX)]),
+            m.call(&prog, 0, [Ok(ArgVal::I(i64::MAX))], None),
             Err(RuntimeError::IntegerOverflow)
         );
     }
@@ -2930,7 +2840,7 @@ mod tests {
         );
         let mut m = Machine::standalone();
         m.abort.trigger();
-        assert_eq!(m.call(&prog, 0, vec![]), Err(RuntimeError::Aborted));
+        assert_eq!(m.call(&prog, 0, [], None), Err(RuntimeError::Aborted));
     }
 
     #[test]
@@ -2954,7 +2864,7 @@ mod tests {
             (1, 1, 2, 0),
         );
         let mut m = Machine::standalone();
-        assert_eq!(m.call(&prog, 0, vec![]).unwrap(), ArgVal::F(1.0));
+        assert_eq!(m.call(&prog, 0, [], None).unwrap(), ArgVal::F(1.0));
     }
 
     #[test]
@@ -2987,7 +2897,9 @@ mod tests {
         );
         let mut m = Machine::standalone();
         let alias = t.clone();
-        let out = m.call(&prog, 0, vec![ArgVal::V(Value::Tensor(t))]).unwrap();
+        let out = m
+            .call(&prog, 0, [Ok(ArgVal::V(Value::Tensor(t)))], None)
+            .unwrap();
         assert_eq!(out, ArgVal::I(99));
         // Caller's alias untouched: copy-on-write fired inside the machine.
         assert_eq!(alias.as_i64().unwrap(), &[10, 20, 30]);
@@ -3047,7 +2959,7 @@ mod tests {
         };
         let mut m = Machine::standalone();
         assert_eq!(
-            m.call(&prog, 0, vec![ArgVal::I(21)]).unwrap(),
+            m.call(&prog, 0, [Ok(ArgVal::I(21))], None).unwrap(),
             ArgVal::I(42)
         );
     }
@@ -3069,12 +2981,51 @@ mod tests {
             (0, 0, 0, 1),
         );
         let mut m = Machine::standalone();
-        assert!(m.call(&prog, 0, vec![]).is_err());
+        assert!(m.call(&prog, 0, [], None).is_err());
         let mut engine = Interpreter::new();
-        let out = m
-            .call_with_engine(&prog, 0, vec![], Some(&mut engine))
-            .unwrap();
+        let out = m.call(&prog, 0, [], Some(&mut engine)).unwrap();
         assert_eq!(out, ArgVal::V(Value::I64(0)));
+    }
+
+    #[test]
+    fn entry_errors_are_truthful_and_return_the_frame() {
+        use wolfram_runtime::memory;
+        let prog = onefunc(
+            vec![RegOp::Ret {
+                s: Slot::new(Bank::I, 0),
+            }],
+            vec![Slot::new(Bank::I, 0)],
+            (1, 0, 0, 0),
+        );
+        let mut m = Machine::standalone();
+        memory::reset_stats();
+        // Wrong arity, both ways: the message carries the real count.
+        for (args, got) in [(vec![], 0), (vec![ArgVal::I(1); 3], 3)] {
+            let err = m
+                .call(&prog, 0, args.into_iter().map(Ok), None)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                RuntimeError::Type(format!("Main expected 1 arguments, got {got}"))
+            );
+        }
+        // A managed value does not go into an integer slot, and an argument
+        // the caller failed to decode stops the call the same way.
+        let boxed = ArgVal::V(Value::Str(Arc::new("x".into())));
+        assert!(matches!(
+            m.call(&prog, 0, [Ok(boxed)], None),
+            Err(RuntimeError::Type(_))
+        ));
+        let undecoded = RuntimeError::Type("no".into());
+        assert_eq!(
+            m.call(&prog, 0, [Err(undecoded.clone())], None),
+            Err(undecoded)
+        );
+        // Every failed call gave its frame back: one allocation in all.
+        assert_eq!(m.call(&prog, 0, [Ok(ArgVal::I(7))], None), Ok(ArgVal::I(7)));
+        let st = memory::stats();
+        assert_eq!((st.frame_misses, st.frame_hits), (1, 4), "{st:?}");
+        assert!(st.balanced(), "{st:?}");
     }
 
     #[test]

@@ -1522,7 +1522,7 @@ mod tests {
     }
 
     fn run(prog: &NativeProgram, args: Vec<ArgVal>) -> Result<ArgVal, RuntimeError> {
-        Machine::standalone().call(prog, 0, args)
+        Machine::standalone().call(prog, 0, args.into_iter().map(Ok), None)
     }
 
     /// `out[j] = a[j]*2 + b[j]` for `j = 1..=n`, with a header acquire and

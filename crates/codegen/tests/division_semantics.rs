@@ -41,7 +41,7 @@ fn run_int(op: IntOp, x: i64, y: i64) -> Result<i64, RuntimeError> {
         ],
         Bank::I,
     );
-    match Machine::standalone().call(&prog, 0, vec![ArgVal::I(x), ArgVal::I(y)])? {
+    match Machine::standalone().call(&prog, 0, [Ok(ArgVal::I(x)), Ok(ArgVal::I(y))], None)? {
         ArgVal::I(v) => Ok(v),
         other => panic!("integer op returned {other:?}"),
     }
@@ -62,7 +62,7 @@ fn run_flt(op: FltOp, x: f64, y: f64) -> Result<f64, RuntimeError> {
         ],
         Bank::F,
     );
-    match Machine::standalone().call(&prog, 0, vec![ArgVal::F(x), ArgVal::F(y)])? {
+    match Machine::standalone().call(&prog, 0, [Ok(ArgVal::F(x)), Ok(ArgVal::F(y))], None)? {
         ArgVal::F(v) => Ok(v),
         other => panic!("real op returned {other:?}"),
     }

@@ -137,7 +137,7 @@ fn run_with(f: &NativeFunc, args: Vec<ArgVal>) -> Result<ArgVal, String> {
         funcs: vec![f.clone()],
     };
     let mut m = Machine::standalone();
-    m.call_with_engine(&prog, 0, args, None)
+    m.call(&prog, 0, args.into_iter().map(Ok), None)
         .map_err(|e| format!("{e:?}"))
 }
 

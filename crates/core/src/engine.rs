@@ -1,6 +1,15 @@
 //! `CompiledCodeFunction` (§4.5): the auxiliary boxing/unboxing wrapper
 //! (F1), soft numeric failure with interpreter re-run (F2), abortability
 //! (F3), and seamless installation into a hosting engine.
+//!
+//! There is one way into compiled code. [`CompiledCodeFunction::call`]
+//! (runtime values), [`CompiledCodeFunction::call_exprs`] (expressions) and
+//! the function [`CompiledCodeFunction::install`] registers each decode
+//! their arguments and hand them to one private `enter`, which owns the
+//! machine borrow and the F2 fallback; the machine stores the decoded
+//! arguments straight into a pooled frame. What depends only on the
+//! signature — the [`ParamPlan`] per parameter, the abort signal the
+//! machine checks — is worked out when the function is built, not per call.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -11,7 +20,7 @@ use wolfram_expr::Expr;
 use wolfram_interp::Interpreter;
 use wolfram_ir::ProgramModule;
 use wolfram_runtime::value::expr_to_tensor;
-use wolfram_runtime::{AbortSignal, RuntimeError, Value};
+use wolfram_runtime::{AbortSignal, RuntimeError, Tensor, Value};
 use wolfram_types::Type;
 
 /// A compiled Wolfram function: "To the Wolfram interpreter, all functions
@@ -36,8 +45,12 @@ pub struct CompiledCodeFunction {
     pub engine: Option<Rc<RefCell<Interpreter>>>,
     /// Standalone mode (F10): engine-dependent functionality is disabled.
     pub standalone: bool,
-    /// The abort signal used for standalone calls.
+    /// The abort signal compiled code checks: a private one, or the hosting
+    /// engine's once [`CompiledCodeFunction::hosted`]. Trigger it; replacing
+    /// it does nothing, the machine was bound to it when it was made.
     pub abort: AbortSignal,
+    /// One decode plan per parameter, shared with the artifact.
+    plans: Arc<[ParamPlan]>,
     /// A cached execution machine (frame pool reuse across calls); falls
     /// back to a fresh machine on re-entrant calls.
     machine: Rc<RefCell<Machine>>,
@@ -67,8 +80,8 @@ impl std::fmt::Debug for CompiledCodeFunction {
 /// rebinds it locally with [`CompiledArtifact::instantiate`] (or
 /// [`CompiledArtifact::instantiate_hosted`] to attach an engine). The
 /// compiled payload (`ProgramModule`, `NativeProgram`, embedded constant
-/// `Value`s) is never copied: instantiation is two `Arc` bumps plus a
-/// fresh machine.
+/// `Value`s, the parameter decode plans) is never copied: instantiation is
+/// three `Arc` bumps plus a fresh machine.
 #[derive(Clone)]
 pub struct CompiledArtifact {
     /// The original input function.
@@ -81,6 +94,7 @@ pub struct CompiledArtifact {
     pub param_types: Vec<Type>,
     /// The return type.
     pub return_type: Type,
+    plans: Arc<[ParamPlan]>,
 }
 
 impl std::fmt::Debug for CompiledArtifact {
@@ -102,6 +116,7 @@ impl CompiledArtifact {
     /// Rebinds the artifact to the calling thread as a standalone
     /// function (fresh abort signal, fresh machine, no engine).
     pub fn instantiate(&self) -> CompiledCodeFunction {
+        let abort = AbortSignal::new();
         CompiledCodeFunction {
             original: self.original.clone(),
             module: Arc::clone(&self.module),
@@ -110,8 +125,9 @@ impl CompiledArtifact {
             return_type: self.return_type.clone(),
             engine: None,
             standalone: false,
-            abort: AbortSignal::new(),
-            machine: Rc::new(RefCell::new(Machine::standalone())),
+            machine: Rc::new(RefCell::new(machine_on(&abort))),
+            abort,
+            plans: Arc::clone(&self.plans),
         }
     }
 
@@ -130,6 +146,115 @@ const _: () = {
     assert_send_sync::<CompiledArtifact>();
 };
 
+/// A machine whose `AbortCheck`s watch `abort`.
+fn machine_on(abort: &AbortSignal) -> Machine {
+    let mut machine = Machine::standalone();
+    machine.abort = abort.clone();
+    machine
+}
+
+/// How one parameter's [`Value`] arguments are decoded: the part of the
+/// boxing rules that depends only on the parameter type, read off it once
+/// when the function is built.
+#[derive(Debug)]
+enum ParamPlan {
+    /// A scalar or boxed parameter: the register bank it is stored in.
+    Bank(Bank),
+    /// A `Tensor[elem, rank]` parameter.
+    Tensor(TensorPlan),
+    /// A function-typed parameter: function values pass through.
+    Arrow,
+}
+
+#[derive(Debug)]
+struct TensorPlan {
+    /// The declared element type, if atomic.
+    elem: Option<Arc<str>>,
+    /// Integer data is promoted to a `Real64` element type.
+    promote_real: bool,
+    /// The declared rank, if literal.
+    rank: Option<usize>,
+}
+
+impl ParamPlan {
+    fn new(ty: &Type) -> Self {
+        match ty {
+            Type::Arrow { .. } => ParamPlan::Arrow,
+            Type::Constructor { name, args } if &**name == "Tensor" => {
+                let elem = match args.first() {
+                    Some(Type::Atomic(n)) => Some(n.clone()),
+                    _ => None,
+                };
+                ParamPlan::Tensor(TensorPlan {
+                    promote_real: elem.as_deref() == Some("Real64"),
+                    elem,
+                    rank: match args.get(1) {
+                        Some(Type::Literal(r)) => Some(*r as usize),
+                        _ => None,
+                    },
+                })
+            }
+            Type::Atomic(n) => ParamPlan::Bank(match &**n {
+                "Integer64" | "Integer32" | "Integer16" | "Integer8" | "Boolean" => Bank::I,
+                "Real64" | "Real32" => Bank::F,
+                "ComplexReal64" => Bank::C,
+                _ => Bank::V,
+            }),
+            _ => ParamPlan::Bank(Bank::V),
+        }
+    }
+}
+
+impl TensorPlan {
+    /// The tensor rules, for a list expression and a tensor value alike:
+    /// a declared literal rank must match, integer data is promoted to a
+    /// `Real64` element type, and the element type must then agree.
+    fn fit(&self, t: &Tensor, ty: &Type) -> Result<ArgVal, RuntimeError> {
+        if self.rank.is_some_and(|r| r != t.rank()) {
+            return Err(mismatch(&format!("rank-{} tensor", t.rank()), ty));
+        }
+        let t = if self.promote_real {
+            t.to_f64_tensor()
+        } else {
+            t.clone()
+        };
+        match &self.elem {
+            Some(n) if t.data().element_type() != &**n => {
+                Err(mismatch(&format!("{} tensor", t.data().element_type()), ty))
+            }
+            _ => Ok(ArgVal::V(Value::Tensor(t))),
+        }
+    }
+}
+
+fn mismatch(what: &str, ty: &Type) -> RuntimeError {
+    RuntimeError::Type(format!(
+        "argument {what} does not match parameter type {ty}"
+    ))
+}
+
+/// How a call ended: in compiled code, or (F2) re-run by the interpreter.
+enum Answer {
+    Compiled(Value),
+    Reran(Expr),
+}
+
+impl Answer {
+    fn into_value(self) -> Value {
+        match self {
+            Answer::Compiled(v) => v,
+            Answer::Reran(e) => Value::from_expr(&e),
+        }
+    }
+
+    fn into_expr(self) -> Expr {
+        match self {
+            Answer::Compiled(v) => v.to_expr(),
+            Answer::Reran(e) => e,
+        }
+    }
+}
+
 impl CompiledCodeFunction {
     /// Extracts the shareable (`Send + Sync`) portion: the compiled
     /// payload without this thread's engine/abort/machine bindings.
@@ -140,6 +265,7 @@ impl CompiledCodeFunction {
             program: Arc::clone(&self.program),
             param_types: self.param_types.clone(),
             return_type: self.return_type.clone(),
+            plans: Arc::clone(&self.plans),
         }
     }
 
@@ -164,16 +290,18 @@ impl CompiledCodeFunction {
             }
         }
         let return_type = main.return_type.clone().unwrap_or_else(Type::void);
+        let abort = AbortSignal::new();
         Ok(CompiledCodeFunction {
             original,
             module,
             program,
+            plans: param_types.iter().map(ParamPlan::new).collect(),
             param_types,
             return_type,
             engine: None,
             standalone: false,
-            abort: AbortSignal::new(),
-            machine: Rc::new(RefCell::new(Machine::standalone())),
+            machine: Rc::new(RefCell::new(machine_on(&abort))),
+            abort,
         })
     }
 
@@ -182,6 +310,8 @@ impl CompiledCodeFunction {
     /// to uncompiled evaluation (F1/F2/F3).
     pub fn hosted(mut self, engine: Rc<RefCell<Interpreter>>) -> Self {
         self.abort = engine.borrow().abort_signal().clone();
+        // A machine of its own: clones of the unhosted function keep theirs.
+        self.machine = Rc::new(RefCell::new(machine_on(&self.abort)));
         self.engine = Some(engine);
         self
     }
@@ -191,135 +321,77 @@ impl CompiledCodeFunction {
         self.param_types.len()
     }
 
-    /// Unboxes an argument expression against a parameter type.
-    pub(crate) fn unbox(&self, e: &Expr, ty: &Type) -> Result<ArgVal, RuntimeError> {
-        let type_err = |what: &str| {
-            RuntimeError::Type(format!(
-                "argument {what} does not match parameter type {ty}"
-            ))
-        };
+    /// Unboxes an argument expression against parameter `i`: the boxing
+    /// rules (F1), which the [`Value`] route follows through
+    /// [`ParamPlan`].
+    fn unbox(&self, e: &Expr, i: usize) -> Result<ArgVal, RuntimeError> {
+        let ty = &self.param_types[i];
+        if let ParamPlan::Tensor(plan) = &self.plans[i] {
+            let t = expr_to_tensor(e).ok_or_else(|| mismatch("non-rectangular list", ty))?;
+            return plan.fit(&t, ty);
+        }
+        let type_err = || mismatch(&e.to_input_form(), ty);
         match ty {
             Type::Atomic(name) => match &**name {
-                "Integer64" | "Integer32" | "Integer16" | "Integer8" => e
-                    .as_i64()
-                    .map(ArgVal::I)
-                    .ok_or_else(|| type_err(&e.to_input_form())),
+                "Integer64" | "Integer32" | "Integer16" | "Integer8" => {
+                    e.as_i64().map(ArgVal::I).ok_or_else(type_err)
+                }
                 "Boolean" => {
                     if e.is_true() {
                         Ok(ArgVal::I(1))
                     } else if e.is_false() {
                         Ok(ArgVal::I(0))
                     } else {
-                        Err(type_err(&e.to_input_form()))
+                        Err(type_err())
                     }
                 }
-                "Real64" | "Real32" => e
-                    .as_f64()
-                    .map(ArgVal::F)
-                    .ok_or_else(|| type_err(&e.to_input_form())),
+                "Real64" | "Real32" => e.as_f64().map(ArgVal::F).ok_or_else(type_err),
                 "ComplexReal64" => match e.kind() {
                     wolfram_expr::ExprKind::Complex(re, im) => Ok(ArgVal::C(*re, *im)),
-                    _ => e
-                        .as_f64()
-                        .map(|v| ArgVal::C(v, 0.0))
-                        .ok_or_else(|| type_err(&e.to_input_form())),
+                    _ => e.as_f64().map(|v| ArgVal::C(v, 0.0)).ok_or_else(type_err),
                 },
                 "String" => e
                     .as_str()
                     .map(|s| ArgVal::V(Value::Str(Arc::new(s.to_owned()))))
-                    .ok_or_else(|| type_err(&e.to_input_form())),
+                    .ok_or_else(type_err),
                 // The "Expression" type accepts anything (F8).
                 "Expression" => Ok(ArgVal::V(Value::Expr(e.clone()))),
-                _ => Err(type_err(&e.to_input_form())),
+                _ => Err(type_err()),
             },
-            Type::Constructor { name, args } if &**name == "Tensor" => {
-                let t = expr_to_tensor(e).ok_or_else(|| type_err("non-rectangular list"))?;
-                let want_rank = match args.get(1) {
-                    Some(Type::Literal(r)) => *r as usize,
-                    _ => t.rank(),
-                };
-                if t.rank() != want_rank {
-                    return Err(type_err(&format!("rank-{} tensor", t.rank())));
-                }
-                // Element promotion: integer data passed to a real tensor.
-                let elem = args.first();
-                let t = match elem {
-                    Some(Type::Atomic(n)) if &**n == "Real64" => t.to_f64_tensor(),
-                    _ => t,
-                };
-                let ok = match elem {
-                    Some(Type::Atomic(n)) => t.data().element_type() == &**n,
-                    _ => true,
-                };
-                if !ok {
-                    return Err(type_err(&format!("{} tensor", t.data().element_type())));
-                }
-                Ok(ArgVal::V(Value::Tensor(t)))
-            }
-            _ => Err(type_err(&e.to_input_form())),
+            _ => Err(type_err()),
         }
     }
 
-    fn unbox_value(&self, v: &Value, ty: &Type) -> Result<ArgVal, RuntimeError> {
-        // Values mostly map directly; route exotic cases through exprs.
-        match (v, ty) {
-            (Value::Function(_), Type::Arrow { .. }) => Ok(ArgVal::V(v.clone())),
-            (Value::Tensor(t), Type::Constructor { name, args }) if &**name == "Tensor" => {
-                let t = match args.first() {
-                    Some(Type::Atomic(n)) if &**n == "Real64" => t.to_f64_tensor(),
-                    _ => t.clone(),
-                };
-                if let Some(Type::Atomic(n)) = args.first() {
-                    if t.data().element_type() != &**n {
-                        return Err(RuntimeError::Type(format!(
-                            "{} tensor does not match {ty}",
-                            t.data().element_type()
-                        )));
-                    }
-                }
-                Ok(ArgVal::V(Value::Tensor(t)))
-            }
-            (Value::Expr(e), _) => self.unbox(e, ty),
-            _ => {
-                let bank = match ty {
-                    Type::Atomic(n) => match &**n {
-                        "Integer64" | "Integer32" | "Integer16" | "Integer8" | "Boolean" => Bank::I,
-                        "Real64" | "Real32" => Bank::F,
-                        "ComplexReal64" => Bank::C,
-                        _ => Bank::V,
-                    },
-                    _ => Bank::V,
-                };
-                ArgVal::from_value(v, bank)
-            }
+    /// Decodes a runtime value against parameter `i`'s plan. Symbolic
+    /// values take the expression route, so the two cannot disagree.
+    fn decode(&self, v: &Value, i: usize) -> Result<ArgVal, RuntimeError> {
+        match (v, &self.plans[i]) {
+            (Value::Expr(e), _) => self.unbox(e, i),
+            (_, ParamPlan::Bank(bank)) => ArgVal::from_value(v, *bank),
+            (Value::Tensor(t), ParamPlan::Tensor(plan)) => plan.fit(t, &self.param_types[i]),
+            (Value::Function(_), ParamPlan::Arrow) => Ok(ArgVal::V(v.clone())),
+            _ => Err(mismatch(v.type_name(), &self.param_types[i])),
         }
     }
 
-    /// Calls with runtime values (fast path used by benchmarks and other
-    /// compiled code).
+    /// Calls with runtime values (what benchmarks, the serve pool and the
+    /// stream workers use).
     ///
     /// # Errors
     ///
+    /// Arguments that do not match the parameter types are type errors.
     /// Numeric errors soft-fail to the interpreter when hosted; everything
-    /// propagates otherwise.
+    /// propagates otherwise. An error leaves the function reusable, with
+    /// balanced refcount accounting.
     pub fn call(&self, args: &[Value]) -> Result<Value, RuntimeError> {
         if args.len() != self.arity() {
-            return Err(RuntimeError::Type(format!(
-                "expected {} arguments, got {}",
-                self.arity(),
-                args.len()
-            )));
+            return Err(self.arity_error(args.len()));
         }
-        let mut marshaled = Vec::with_capacity(args.len());
-        for (v, ty) in args.iter().zip(&self.param_types) {
-            marshaled.push(self.unbox_value(v, ty)?);
-        }
-        match self.run(marshaled) {
-            Err(e) if e.is_numeric() && self.engine.is_some() => {
-                self.soft_fallback_values(args, &e)
-            }
-            other => other.map(|r| result_to_value(r, &self.return_type)),
-        }
+        let decoded = args.iter().enumerate().map(|(i, v)| self.decode(v, i));
+        self.with_engine(None, |engine| {
+            let arg_exprs = || args.iter().map(Value::to_expr).collect();
+            Ok(self.enter(engine, decoded, arg_exprs)?.into_value())
+        })
     }
 
     /// The auxiliary wrapper (F1): "takes the input expression, unpacks and
@@ -332,108 +404,95 @@ impl CompiledCodeFunction {
     /// Argument mismatches fall back to uncompiled evaluation when hosted;
     /// they are type errors otherwise.
     pub fn call_exprs(&self, args: &[Expr]) -> Result<Expr, RuntimeError> {
-        if args.len() != self.arity() {
-            return self.mismatch_fallback(
-                args,
-                &format!("expected {} arguments, got {}", self.arity(), args.len()),
-            );
-        }
-        let mut marshaled = Vec::with_capacity(args.len());
-        for (e, ty) in args.iter().zip(&self.param_types) {
-            match self.unbox(e, ty) {
-                Ok(v) => marshaled.push(v),
-                Err(err) => return self.mismatch_fallback(args, &err.to_string()),
-            }
-        }
-        match self.run(marshaled) {
-            Ok(r) => Ok(result_to_value(r, &self.return_type).to_expr()),
-            Err(e) if e.is_numeric() && self.engine.is_some() => self.soft_fallback_exprs(args, &e),
-            Err(e) => Err(e),
-        }
+        self.apply(None, args)
     }
 
-    fn run(&self, args: Vec<ArgVal>) -> Result<ArgVal, RuntimeError> {
-        // Reuse the cached machine (and its frame pool); re-entrant calls
-        // get a fresh one.
-        let mut fresh;
-        let mut cached;
-        let machine: &mut Machine = match self.machine.try_borrow_mut() {
-            Ok(guard) => {
-                cached = guard;
-                &mut cached
+    /// [`CompiledCodeFunction::call_exprs`] in `given`, the engine an
+    /// installed function is called from, or in the hosting one.
+    fn apply(&self, given: Option<&mut Interpreter>, args: &[Expr]) -> Result<Expr, RuntimeError> {
+        self.with_engine(given, |mut engine| {
+            let mut unboxed = true;
+            let why = if args.len() != self.arity() {
+                self.arity_error(args.len())
+            } else {
+                let decoded = args
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| self.unbox(e, i).inspect_err(|_| unboxed = false));
+                match self.enter(engine.as_deref_mut(), decoded, || args.to_vec()) {
+                    Err(why) if !unboxed => why,
+                    out => return out.map(Answer::into_expr),
+                }
+            };
+            // A mismatch: interpret the original in place of the call.
+            match engine {
+                Some(engine) => engine.eval(&Expr::normal(self.original.clone(), args.to_vec())),
+                None => Err(why),
             }
-            Err(_) => {
-                fresh = Machine::standalone();
-                &mut fresh
-            }
-        };
-        machine.abort = self.abort.clone();
-        match (&self.engine, self.standalone) {
-            (Some(engine), false) => {
-                let mut guard = engine.borrow_mut();
-                machine.call_with_engine(&self.program, 0, args, Some(&mut guard))
-            }
-            _ => machine.call_with_engine(&self.program, 0, args, None),
-        }
+        })
     }
 
-    /// Runs with an already-borrowed engine (re-entrant path used when the
-    /// compiled function is *installed* and called from inside evaluation).
-    fn run_in(&self, engine: &mut Interpreter, args: Vec<ArgVal>) -> Result<ArgVal, RuntimeError> {
-        let mut fresh;
-        let mut cached;
-        let machine: &mut Machine = match self.machine.try_borrow_mut() {
-            Ok(guard) => {
-                cached = guard;
-                &mut cached
-            }
-            Err(_) => {
-                fresh = Machine::standalone();
-                &mut fresh
-            }
-        };
-        machine.abort = engine.abort_signal().clone();
-        machine.call_with_engine(&self.program, 0, args, Some(engine))
+    fn arity_error(&self, got: usize) -> RuntimeError {
+        RuntimeError::Type(format!("expected {} arguments, got {got}", self.arity()))
     }
 
-    fn warn(&self, tag: &str) {
-        if let Some(engine) = &self.engine {
-            engine.borrow_mut().push_output(format!(
-                "CompiledCodeFunction: A compiled code runtime error occurred; \
-                 reverting to uncompiled evaluation: {tag}"
-            ));
-        }
-    }
-
-    /// F2: "Numerical exceptions are propagated to the top-level auxiliary
-    /// function which calls the interpreter to rerun the function."
-    fn soft_fallback_values(
+    /// Runs `f` with the engine this call evaluates in: `given` (an
+    /// installed function is entered from inside an evaluation, which
+    /// holds the engine already) or else the hosting engine, if any.
+    fn with_engine<R>(
         &self,
-        args: &[Value],
-        err: &RuntimeError,
-    ) -> Result<Value, RuntimeError> {
-        self.warn(err.tag());
-        let engine = self.engine.as_ref().expect("checked by caller");
-        let arg_exprs: Vec<Expr> = args.iter().map(Value::to_expr).collect();
-        let call = Expr::normal(self.original.clone(), arg_exprs);
-        let out = engine.borrow_mut().eval(&call)?;
-        Ok(Value::from_expr(&out))
+        given: Option<&mut Interpreter>,
+        f: impl FnOnce(Option<&mut Interpreter>) -> R,
+    ) -> R {
+        match (given, &self.engine) {
+            (Some(engine), _) => f(Some(engine)),
+            (None, Some(own)) => f(Some(&mut own.borrow_mut())),
+            (None, None) => f(None),
+        }
     }
 
-    fn soft_fallback_exprs(&self, args: &[Expr], err: &RuntimeError) -> Result<Expr, RuntimeError> {
-        self.warn(err.tag());
-        let engine = self.engine.as_ref().expect("checked by caller");
-        let call = Expr::normal(self.original.clone(), args.to_vec());
-        engine.borrow_mut().eval(&call)
-    }
-
-    fn mismatch_fallback(&self, args: &[Expr], why: &str) -> Result<Expr, RuntimeError> {
-        match &self.engine {
-            Some(engine) => {
-                let call = Expr::normal(self.original.clone(), args.to_vec());
-                engine.borrow_mut().eval(&call)
+    /// The one entry into the compiled code, for every route: runs the
+    /// program on the cached machine over `args` as they are decoded and,
+    /// where there is an engine, re-runs a numeric failure uncompiled (F2:
+    /// "Numerical exceptions are propagated to the top-level auxiliary
+    /// function which calls the interpreter to rerun the function").
+    fn enter(
+        &self,
+        mut engine: Option<&mut Interpreter>,
+        args: impl Iterator<Item = Result<ArgVal, RuntimeError>>,
+        arg_exprs: impl FnOnce() -> Vec<Expr>,
+    ) -> Result<Answer, RuntimeError> {
+        let ran = {
+            // Reuse the cached machine (and its frame pool); a re-entrant
+            // call finds it borrowed and gets a fresh one.
+            let mut fresh;
+            let mut cached;
+            let machine: &mut Machine = match self.machine.try_borrow_mut() {
+                Ok(guard) => {
+                    cached = guard;
+                    &mut cached
+                }
+                Err(_) => {
+                    fresh = machine_on(&self.abort);
+                    &mut fresh
+                }
+            };
+            // Standalone mode (F10) runs without the engine it may have.
+            let escapes = engine.as_deref_mut().filter(|_| !self.standalone);
+            machine.call(&self.program, 0, args, escapes)
+        };
+        match (ran, engine) {
+            (Ok(r), _) => Ok(Answer::Compiled(result_to_value(r, &self.return_type))),
+            (Err(e), Some(engine)) if e.is_numeric() => {
+                engine.push_output(format!(
+                    "CompiledCodeFunction: A compiled code runtime error occurred; \
+                     reverting to uncompiled evaluation: {}",
+                    e.tag()
+                ));
+                let call = Expr::normal(self.original.clone(), arg_exprs());
+                engine.eval(&call).map(Answer::Reran)
             }
-            None => Err(RuntimeError::Type(why.to_owned())),
+            (Err(e), _) => Err(e),
         }
     }
 
@@ -443,9 +502,8 @@ impl CompiledCodeFunction {
         self.machine.borrow_mut().profile_ops(enable);
     }
 
-    /// Takes the cached machine's accumulated execution statistics
-    /// (op/dyad frequencies while profiling, frame-pool hits/misses
-    /// always), resetting the counters.
+    /// Takes the cached machine's accumulated op/dyad frequencies (empty
+    /// unless profiling), resetting the counters.
     pub fn take_op_stats(&self) -> wolfram_codegen::OpStats {
         self.machine.borrow_mut().take_stats()
     }
@@ -466,38 +524,35 @@ impl CompiledCodeFunction {
         let this = self.clone();
         engine.borrow_mut().register_native(
             name,
-            Rc::new(move |interp: &mut Interpreter, args: &[Expr]| {
-                // Unbox; on mismatch interpret the original in place.
-                if args.len() != this.arity() {
-                    let call = Expr::normal(this.original.clone(), args.to_vec());
-                    return interp.eval(&call);
-                }
-                let mut marshaled = Vec::with_capacity(args.len());
-                for (e, ty) in args.iter().zip(&this.param_types) {
-                    match this.unbox(e, ty) {
-                        Ok(v) => marshaled.push(v),
-                        Err(_) => {
-                            let call = Expr::normal(this.original.clone(), args.to_vec());
-                            return interp.eval(&call);
-                        }
-                    }
-                }
-                match this.run_in(interp, marshaled) {
-                    Ok(r) => Ok(result_to_value(r, &this.return_type).to_expr()),
-                    Err(e) if e.is_numeric() => {
-                        interp.push_output(format!(
-                            "CompiledCodeFunction: A compiled code runtime error occurred; \
-                             reverting to uncompiled evaluation: {}",
-                            e.tag()
-                        ));
-                        let call = Expr::normal(this.original.clone(), args.to_vec());
-                        interp.eval(&call)
-                    }
-                    Err(e) => Err(e),
-                }
-            }),
+            Rc::new(move |interp: &mut Interpreter, args: &[Expr]| this.apply(Some(interp), args)),
         );
         Ok(())
+    }
+}
+
+/// [`CompiledCodeFunction`] under the name `benchmark/` calls it by (`new`,
+/// `arity`, `call`): an instantiated artifact and nothing else — no
+/// decoder, machine or buffer of its own.
+pub struct StreamCaller(CompiledCodeFunction);
+
+impl StreamCaller {
+    /// Instantiates `artifact` on the calling thread.
+    pub fn new(artifact: &CompiledArtifact) -> Self {
+        StreamCaller(artifact.instantiate())
+    }
+
+    /// [`CompiledCodeFunction::arity`].
+    pub fn arity(&self) -> usize {
+        self.0.arity()
+    }
+
+    /// [`CompiledCodeFunction::call`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`CompiledCodeFunction::call`].
+    pub fn call(&mut self, args: &[Value]) -> Result<Value, RuntimeError> {
+        self.0.call(args)
     }
 }
 
@@ -646,5 +701,255 @@ mod tests {
             stats.acquires > 0,
             "managed values were bracketed: {stats:?}"
         );
+    }
+
+    #[test]
+    fn the_entry_frame_is_a_pool_hit_after_the_first_call() {
+        wolfram_runtime::memory::reset_stats();
+        let cf = compile("Function[{Typed[n, \"MachineInteger\"]}, n*n]");
+        for n in 0..10 {
+            cf.call(&[Value::I64(n)]).unwrap();
+        }
+        let stats = wolfram_runtime::memory::stats();
+        assert_eq!(stats.frame_misses, 1, "{stats:?}");
+        assert_eq!(stats.frame_hits, 9, "{stats:?}");
+    }
+
+    #[test]
+    fn errors_do_not_poison_the_function() {
+        let cf = compile("Function[{Typed[n, \"MachineInteger\"]}, n*n]");
+        // Thread-local counters are per-test-thread, so the balance of
+        // exactly this call sequence is observable here.
+        wolfram_runtime::memory::reset_stats();
+        assert!(cf.call(&[Value::I64(i64::MAX)]).is_err());
+        assert!(cf.call(&[Value::Str(Arc::new("x".into()))]).is_err());
+        assert_eq!(cf.call(&[Value::I64(9)]).unwrap(), Value::I64(81));
+        let st = wolfram_runtime::memory::stats();
+        assert!(st.balanced(), "aborted calls must release: {st:?}");
+        assert_eq!(
+            (st.frame_misses, st.frame_hits),
+            (1, 2),
+            "the entry frame survived the errors: {st:?}"
+        );
+    }
+
+    #[test]
+    fn tensor_and_expr_values_decode() {
+        let cf = compile("Function[{Typed[v, \"Tensor\"[\"Real64\", 1]]}, v[[1]] + v[[-1]]]");
+        // Direct tensor value: integer data promotes to the real element
+        // type, as a list expression does.
+        let t = Value::Tensor(wolfram_runtime::Tensor::from_i64(vec![1, 2, 3]));
+        assert_eq!(cf.call(&[t]).unwrap(), Value::F64(4.0));
+        // Symbolic route: a list expression goes through the full unboxer.
+        let e = Value::Expr(parse("{1.5, 2.0, 3.5}").unwrap());
+        assert_eq!(cf.call(&[e]).unwrap(), Value::F64(5.0));
+        // Mismatched expression stays an error.
+        let bad = Value::Expr(Expr::string("nope"));
+        assert!(cf.call(&[bad]).is_err());
+    }
+
+    /// One row of [`every_route_decodes_alike`]: a parameter type, an
+    /// argument, and the identity function's answer where the argument is
+    /// accepted.
+    struct Row {
+        what: &'static str,
+        param: &'static str,
+        arg: Value,
+        accepted: Option<&'static str>,
+    }
+
+    #[test]
+    fn every_route_decodes_alike() {
+        use wolfram_runtime::Tensor;
+        let real_t1 = "\"Tensor\"[\"Real64\", 1]";
+        let matrix = || {
+            Tensor::with_shape(
+                vec![2, 2],
+                wolfram_runtime::TensorData::F64(vec![1.0, 2.0, 3.0, 4.0]),
+            )
+            .unwrap()
+        };
+        let rows = [
+            Row {
+                what: "int",
+                param: "\"MachineInteger\"",
+                arg: Value::I64(5),
+                accepted: Some("5"),
+            },
+            Row {
+                what: "real",
+                param: "\"Real64\"",
+                arg: Value::F64(2.5),
+                accepted: Some("2.5"),
+            },
+            Row {
+                what: "bool",
+                param: "\"Boolean\"",
+                arg: Value::Bool(true),
+                accepted: Some("True"),
+            },
+            Row {
+                what: "complex",
+                param: "\"ComplexReal64\"",
+                arg: Value::Complex(1.0, -2.0),
+                accepted: Some("Complex[1., -2.]"),
+            },
+            Row {
+                what: "string",
+                param: "\"String\"",
+                arg: Value::Str(Arc::new("ab".into())),
+                accepted: Some("\"ab\""),
+            },
+            Row {
+                what: "expression",
+                param: "\"Expression\"",
+                arg: Value::Expr(parse("f[x, 1]").unwrap()),
+                accepted: Some("f[x, 1]"),
+            },
+            Row {
+                what: "rank-1 real tensor",
+                param: real_t1,
+                arg: Value::Tensor(Tensor::from_f64(vec![1.0, 2.0, 3.0])),
+                accepted: Some("{1., 2., 3.}"),
+            },
+            Row {
+                what: "rank-2 real tensor",
+                param: "\"Tensor\"[\"Real64\", 2]",
+                arg: Value::Tensor(matrix()),
+                accepted: Some("{{1., 2.}, {3., 4.}}"),
+            },
+            Row {
+                what: "int tensor into a real parameter",
+                param: real_t1,
+                arg: Value::Tensor(Tensor::from_i64(vec![1, 2, 3])),
+                accepted: Some("{1., 2., 3.}"),
+            },
+            Row {
+                what: "real tensor into an int parameter",
+                param: "\"Tensor\"[\"Integer64\", 1]",
+                arg: Value::Tensor(Tensor::from_f64(vec![1.5])),
+                accepted: None,
+            },
+            // The silent wrong answer this table exists for: the flat data
+            // of a 2x2 matrix read as a length-2 vector.
+            Row {
+                what: "rank-2 tensor into a rank-1 parameter",
+                param: real_t1,
+                arg: Value::Tensor(matrix()),
+                accepted: None,
+            },
+            Row {
+                what: "scalar into a tensor parameter",
+                param: real_t1,
+                arg: Value::F64(1.0),
+                accepted: None,
+            },
+            Row {
+                what: "string into an int parameter",
+                param: "\"MachineInteger\"",
+                arg: Value::Str(Arc::new("ab".into())),
+                accepted: None,
+            },
+        ];
+        for row in rows {
+            let src = format!("Function[{{Typed[x, {}]}}, x]", row.param);
+            let (cf, engine) = hosted(&src);
+            cf.install("installed").unwrap();
+            let alone = cf.artifact().instantiate();
+            let arg = row.arg.to_expr();
+            let via_call = alone.call(std::slice::from_ref(&row.arg));
+            let routes = [
+                ("call", via_call.clone().map(|v| v.to_expr())),
+                (
+                    "StreamCaller::call",
+                    StreamCaller::new(&cf.artifact())
+                        .call(std::slice::from_ref(&row.arg))
+                        .map(|v| v.to_expr()),
+                ),
+                ("call_exprs", alone.call_exprs(std::slice::from_ref(&arg))),
+            ];
+            for (route, got) in &routes {
+                match (row.accepted, got) {
+                    (Some(want), Ok(out)) => {
+                        assert_eq!(out.to_input_form(), want, "{}: {route}", row.what)
+                    }
+                    (None, Err(RuntimeError::Type(_))) => {}
+                    _ => panic!("{}: {route} answered {got:?}", row.what),
+                }
+            }
+            // A tensor is rejected in the expression wrapper's words.
+            if matches!(row.arg, Value::Tensor(_)) {
+                assert_eq!(routes[0].1, routes[2].1, "{}", row.what);
+            }
+            // An installed function is never a type error: what the compiled
+            // code accepts it computes, the rest is evaluated uncompiled.
+            let mapped = engine
+                .borrow_mut()
+                .eval(&Expr::call(
+                    "Map",
+                    [Expr::sym("installed"), Expr::list([arg.clone()])],
+                ))
+                .unwrap();
+            let uncompiled = engine
+                .borrow_mut()
+                .eval(&Expr::normal(cf.original.clone(), vec![arg]))
+                .unwrap();
+            let want = row
+                .accepted
+                .map_or_else(|| uncompiled.to_input_form(), str::to_owned);
+            assert_eq!(mapped.args()[0].to_input_form(), want, "{}: Map", row.what);
+        }
+
+        // The motivating program, pinned: summing a "vector" that is a matrix.
+        let sum = compile(
+            "Function[{Typed[v, \"Tensor\"[\"Real64\", 1]]}, \
+             Module[{s = 0., i = 1}, While[i <= Length[v], s = s + v[[i]]; i = i + 1]; s]]",
+        );
+        let err = sum.call(&[Value::Tensor(matrix())]).unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::Type(
+                "argument rank-2 tensor does not match parameter type Tensor[Real64, 1]".into()
+            )
+        );
+    }
+
+    #[test]
+    fn function_values_pass_to_arrow_parameters() {
+        // A compiled function value has no expression form, so only the
+        // value routes can carry one; anything else is a type error.
+        let cf = compile(
+            "Function[{Typed[f, {\"MachineInteger\"} -> \"MachineInteger\"], \
+                       Typed[n, \"MachineInteger\"]}, \
+             Module[{g = Function[{Typed[k, \"MachineInteger\"]}, k + 1]}, f[n] + g[n]]]",
+        );
+        let lifted = cf
+            .program
+            .funcs
+            .iter()
+            .position(|f| f.params.len() == 1)
+            .expect("the local function is lifted");
+        let g = Value::Function(Arc::new(wolfram_runtime::FunctionValue {
+            name: Arc::from(cf.program.funcs[lifted].name.as_str()),
+            index: lifted,
+            captures: Vec::new(),
+        }));
+        let args = [g, Value::I64(20)];
+        assert_eq!(cf.call(&args), Ok(Value::I64(42)));
+        assert_eq!(
+            StreamCaller::new(&cf.artifact()).call(&args),
+            Ok(Value::I64(42))
+        );
+        let exprs: Vec<Expr> = args.iter().map(Value::to_expr).collect();
+        for rejected in [
+            cf.call(&[Value::I64(1), Value::I64(20)])
+                .map(|v| v.to_expr()),
+            cf.call_exprs(&exprs),
+        ] {
+            assert!(
+                matches!(rejected, Err(RuntimeError::Type(_))),
+                "{rejected:?}"
+            );
+        }
     }
 }

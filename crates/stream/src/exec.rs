@@ -9,9 +9,10 @@
 //!
 //! The producer groups records into sequence-numbered batches and blocks
 //! when the input queue is full (backpressure; see [`crate::queue`]).
-//! Each worker instantiates the stream function **once** — a
-//! `StreamCaller` / `StreamRunner` with its dedicated reusable frame —
-//! and applies it record by record. The caller thread drains the output
+//! Each worker instantiates the stream function **once** — the artifact's
+//! `CompiledCodeFunction` (its machine's frame pool hands every record
+//! the frame the last one returned) or the bytecode `StreamRunner` — and
+//! applies it record by record. The caller thread drains the output
 //! queue and re-establishes input order with a sequence-number reorder
 //! buffer before invoking the sink, so results are emitted exactly as a
 //! sequential one-shot loop would emit them.
@@ -32,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use wolfram_bytecode::{CompiledFunction, StreamRunner};
-use wolfram_compiler_core::{CompiledArtifact, CompiledCodeFunction, StreamCaller};
+use wolfram_compiler_core::{CompiledArtifact, CompiledCodeFunction};
 use wolfram_expr::Expr;
 use wolfram_interp::Interpreter;
 use wolfram_runtime::{RuntimeError, Value};
@@ -42,17 +43,11 @@ use wolfram_runtime::{RuntimeError, Value};
 /// inside each worker by [`StreamFunction::instantiate`].
 #[derive(Clone)]
 pub enum StreamFunction {
-    /// Native register machine through the streaming fast path (frame
-    /// reuse, per-stream argument validation).
+    /// Native register machine: the artifact, instantiated per worker
+    /// and called per record.
     Native(CompiledArtifact),
-    /// Native register machine through the ordinary one-shot wrapper:
-    /// the naive call-per-record baseline.
-    NativeNaive(CompiledArtifact),
-    /// Bytecode VM through the streaming fast path (register-file
-    /// reuse, per-stream spec validation).
+    /// Bytecode VM over one reused register file per worker.
     Bytecode(Arc<CompiledFunction>),
-    /// Bytecode VM through the ordinary per-call entry.
-    BytecodeNaive(Arc<CompiledFunction>),
     /// The interpreter applying the original `Function[...]` per record
     /// (one engine per worker).
     Interpreter(Expr),
@@ -62,8 +57,8 @@ impl StreamFunction {
     /// Number of arguments each record must carry.
     pub fn arity(&self) -> usize {
         match self {
-            StreamFunction::Native(a) | StreamFunction::NativeNaive(a) => a.param_types.len(),
-            StreamFunction::Bytecode(cf) | StreamFunction::BytecodeNaive(cf) => cf.arg_specs.len(),
+            StreamFunction::Native(a) => a.param_types.len(),
+            StreamFunction::Bytecode(cf) => cf.arg_specs.len(),
             StreamFunction::Interpreter(f) => {
                 f.args().first().map_or(0, |params| params.args().len())
             }
@@ -73,10 +68,8 @@ impl StreamFunction {
     /// Builds this worker's thread-confined executor.
     pub(crate) fn instantiate(&self) -> WorkerExec {
         match self {
-            StreamFunction::Native(a) => WorkerExec::Native(Box::new(StreamCaller::new(a))),
-            StreamFunction::NativeNaive(a) => WorkerExec::NativeNaive(a.instantiate()),
+            StreamFunction::Native(a) => WorkerExec::Native(Box::new(a.instantiate())),
             StreamFunction::Bytecode(cf) => WorkerExec::Bytecode(StreamRunner::new(Arc::clone(cf))),
-            StreamFunction::BytecodeNaive(cf) => WorkerExec::BytecodeNaive(Arc::clone(cf)),
             StreamFunction::Interpreter(f) => {
                 WorkerExec::Interp(Box::new(Interpreter::new()), f.clone())
             }
@@ -88,20 +81,16 @@ impl StreamFunction {
 /// One long-lived value per worker thread, so the variants are boxed
 /// for size parity rather than speed.
 pub(crate) enum WorkerExec {
-    Native(Box<StreamCaller>),
-    NativeNaive(CompiledCodeFunction),
+    Native(Box<CompiledCodeFunction>),
     Bytecode(StreamRunner),
-    BytecodeNaive(Arc<CompiledFunction>),
     Interp(Box<Interpreter>, Expr),
 }
 
 impl WorkerExec {
     pub(crate) fn call(&mut self, args: &[Value]) -> Result<Value, RuntimeError> {
         match self {
-            WorkerExec::Native(caller) => caller.call(args),
-            WorkerExec::NativeNaive(cf) => cf.call(args),
+            WorkerExec::Native(cf) => cf.call(args),
             WorkerExec::Bytecode(runner) => runner.call(args),
-            WorkerExec::BytecodeNaive(cf) => cf.run(args),
             WorkerExec::Interp(engine, f) => {
                 let call = Expr::normal(
                     f.clone(),
@@ -411,58 +400,6 @@ mod tests {
                 assert!(r.is_err(), "record 50 overflows");
             } else {
                 assert_eq!(r, &Ok(Value::I64((i * i) as i64)), "record {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_tiers_match_one_shot_across_batch_sizes() {
-        use wolfram_bytecode::{ArgSpec, BytecodeCompiler};
-
-        let src = "Function[{Typed[x, \"Real64\"]}, x*(x - 0.5) + 1.25]";
-        let art = native(src);
-        let one_shot = art.instantiate();
-        let records: Vec<Record> = (0..200)
-            .map(|i| vec![Value::F64(i as f64 * 0.01)])
-            .collect();
-        let expected: Vec<Value> = records.iter().map(|r| one_shot.call(r).unwrap()).collect();
-        drop(one_shot);
-
-        let f = wolfram_expr::parse(src).unwrap();
-        let specs = ArgSpec::from_function(&f).unwrap();
-        let bc = Arc::new(
-            BytecodeCompiler::new()
-                .compile(&specs, &f.args()[1])
-                .unwrap(),
-        );
-        let tiers = [
-            StreamFunction::Native(art.clone()),
-            StreamFunction::NativeNaive(art),
-            StreamFunction::Bytecode(Arc::clone(&bc)),
-            StreamFunction::BytecodeNaive(bc),
-            StreamFunction::Interpreter(f),
-        ];
-        for (t, func) in tiers.iter().enumerate() {
-            for (batch, workers) in [(1, 1), (7, 1), (64, 3)] {
-                let metrics = StreamMetrics::new();
-                let stop = AtomicBool::new(false);
-                let cfg = StreamConfig {
-                    batch_size: batch,
-                    workers,
-                    queue_batches: 2,
-                };
-                let mut got = Vec::new();
-                run_stream(
-                    func,
-                    &cfg,
-                    records.iter().map(|r| Ok(r.clone())),
-                    &metrics,
-                    &stop,
-                    |r| got.push(r.unwrap()),
-                );
-                // Bit-identical, not approximately equal: streaming is an
-                // optimization, never a semantic.
-                assert_eq!(got, expected, "tier {t} b={batch} w={workers}");
             }
         }
     }

@@ -11,10 +11,10 @@
 //!   and the `!stream` wire mode in [`net`]);
 //! - [`queue`] — bounded blocking queues: backpressure *blocks* the
 //!   producer rather than shedding records or growing without bound;
-//! - [`exec`] — the batching executor: sequence-numbered batches, one
-//!   register machine per worker with a dedicated reset-and-reuse call
-//!   frame (`StreamCaller` / `StreamRunner`), in-order delivery through
-//!   a reorder buffer;
+//! - [`exec`] — the batching executor: sequence-numbered batches, the
+//!   function instantiated once per worker and called per record through
+//!   the one entry every caller of compiled code uses, in-order delivery
+//!   through a reorder buffer;
 //! - [`metrics`] — events/sec, batch fill ratio, queue depth, and
 //!   per-record latency quantiles on the serve layer's histogram atoms.
 //!
@@ -22,9 +22,8 @@
 //! is bit-identical to N independent one-shot evaluations across every
 //! tier, batching mode, and worker count, and the refcount balance the
 //! analyzer proves for one call holds process-wide across a run —
-//! including runs with mid-stream errors. The equivalence and balance
-//! tests in this crate and the `bench-stream` CI gate hold both
-//! properties down.
+//! including runs with mid-stream errors. `tests/equivalence.rs` holds
+//! both properties down.
 
 pub mod exec;
 pub mod metrics;

@@ -3,9 +3,8 @@
 //! A client sends one `!stream Function[...]` frame; the server compiles
 //! the function **once** and replies `ok stream`. Every following frame
 //! is a record line (see [`crate::record`]) answered by one in-order
-//! reply frame, executed through the same streaming fast path the batch
-//! executor uses — a dedicated reusable frame, arguments validated per
-//! stream. The `!end` sentinel closes the session and returns the
+//! reply frame, executed by the same per-worker executor the batch
+//! pipeline uses. The `!end` sentinel closes the session and returns the
 //! stream metrics table. Backpressure is the connection's existing
 //! pipelining cap: un-drained replies stop the server reading the
 //! socket, which pushes back through TCP flow control.
@@ -171,6 +170,28 @@ mod tests {
             .call("{Function[{Typed[n, \"MachineInteger\"]}, n - 1], {10}}")
             .unwrap();
         assert_eq!(normal.result.as_deref(), Ok("9"));
+        shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    #[test]
+    fn a_wrong_rank_record_is_a_type_error_on_the_wire() {
+        let (addr, shutdown) = start_stream_server(TierPolicy::NativeOnly);
+        let mut client = NetClient::connect(&addr).unwrap();
+        let hello = client
+            .call_raw(
+                "!stream Function[{Typed[v, \"Tensor\"[\"Real64\", 1]]}, \
+                 Module[{s = 0., i = 1}, While[i <= Length[v], s = s + v[[i]]; i = i + 1]; s]]",
+            )
+            .unwrap();
+        assert_eq!(hello, "ok stream");
+        assert_eq!(client.call_raw("{1., 2., 3.}").unwrap(), "ok 6.");
+        // Not the sum of the matrix's first two cells.
+        assert_eq!(
+            client.call_raw("{{1., 2.}, {3., 4.}}").unwrap(),
+            "err type error: argument rank-2 tensor does not match parameter type \
+             Tensor[Real64, 1]"
+        );
+        assert_eq!(client.call_raw("{5., 6.}").unwrap(), "ok 11.");
         shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
     }
 

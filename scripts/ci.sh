@@ -1,11 +1,26 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verification (ROADMAP.md) plus lint.
+# CI gate: tier-1 verification (ROADMAP.md), the CLI smokes, the benchmark
+# and lint. In the order they run:
 #
-#   tier-1:     cargo build --release && cargo test -q
 #   lint:       cargo fmt --all -- --check
-#               cargo clippy --all-targets -- -D warnings
+#   tier-1:     cargo build --release && cargo test -q
+#   build:      cargo build --release -p wolfram-bench --bin reproduce
+#   analyzer:   reproduce analyze over difftest/corpus/*.wl, at every IR
+#               stage, and --stats against ANALYZE_stats.golden
+#   serve:      reproduce bench-serve --quick; a socket server started,
+#               driven (bench-serve --net), SIGTERMed and restarted over one
+#               disk-cache dir (writes BENCH_serve_net_{cold,warm}.json)
+#   parallel:   reproduce bench-parallel --quick (writes BENCH_parallel.json)
+#   stream:     reproduce stream over two short record streams, checked
+#               line by line
+#   reproduce:  compile-times smoke; an unknown subcommand must exit nonzero
 #   benchmark:  bash benchmark/run.sh --smoke
 #               cargo test -q --offline --manifest-path benchmark/Cargo.toml
+#   lint:       cargo clippy --all-targets -- -D warnings (root, then
+#               --workspace)
+#
+# The crates' own tests (cargo test --release --workspace) are not part of
+# this script.
 #
 # Run from the repository root: ./scripts/ci.sh
 
@@ -92,19 +107,21 @@ echo "==> parallel: bench-parallel smoke (result equivalence, balanced counters)
 # report is uploaded as a workflow artifact by ci.yml.
 ./target/release/reproduce bench-parallel --quick --json BENCH_parallel.json
 
-echo "==> stream: bench-stream smoke (equivalence, balanced counters, throughput floor)"
-# Quick-scale streaming sweep; exits nonzero if any configuration's output
-# differs from a one-shot loop of the same tier, the memory counters end
-# up imbalanced, no frame resets were recorded (the reuse path didn't
-# run), or the best streamed speedup misses the sanity floor. The JSON
-# report is uploaded as a workflow artifact by ci.yml.
-./target/release/reproduce bench-stream --quick --json BENCH_stream.json
-
 echo "==> stream: CLI smoke (line-delimited records, in-order replies)"
 STREAM_OUT="$(printf '1\n2\nnope\n4\n' | ./target/release/reproduce stream \
   --function 'Function[{Typed[n, "MachineInteger"]}, n*n]' --batch 2 2>/dev/null)"
 if [ "$STREAM_OUT" != "$(printf 'ok 1\nok 4\nerr type error: argument nope does not match parameter type Integer64\nok 16')" ]; then
   echo "unexpected stream output:" >&2
+  echo "$STREAM_OUT" >&2
+  exit 1
+fi
+# A matrix is not a vector: the record is a type error in its place in the
+# order (not the sum of its first two cells), and the next one computes.
+STREAM_OUT="$(printf '{1., 2., 3.}\n{{1., 2.}, {3., 4.}}\n{5., 6.}\n' | ./target/release/reproduce stream \
+  --function 'Function[{Typed[v, "Tensor"["Real64", 1]]}, Module[{s = 0., i = 1}, While[i <= Length[v], s = s + v[[i]]; i = i + 1]; s]]' \
+  2>/dev/null)"
+if [ "$STREAM_OUT" != "$(printf 'ok 6.\nerr type error: argument rank-2 tensor does not match parameter type Tensor[Real64, 1]\nok 11.')" ]; then
+  echo "unexpected stream output for a wrong-rank record:" >&2
   echo "$STREAM_OUT" >&2
   exit 1
 fi
