@@ -1,9 +1,10 @@
 //! The §6 in-text ablations: abort-check overhead, inlining, constant-array
-//! handling, the mutability copy, and superinstruction fusion.
+//! handling, the mutability copy, superinstruction fusion and range-check
+//! elision.
 
 use crate::harness::bench_seconds;
 use crate::{native, programs, workloads};
-use wolfram_compiler_core::{Compiler, CompilerOptions, InlinePolicy};
+use wolfram_compiler_core::{CompiledCodeFunction, Compiler, CompilerOptions, InlinePolicy};
 use wolfram_runtime::Value;
 
 /// A named ablation measurement: baseline vs ablated seconds.
@@ -46,6 +47,36 @@ fn options(f: impl FnOnce(&mut CompilerOptions)) -> Compiler {
     Compiler::new(opts)
 }
 
+/// Times `src` on `args` compiled with the default options and with
+/// `ablate` applied, having checked that both compute the same value.
+fn default_vs_ablated(
+    name: &'static str,
+    paper_claim: &'static str,
+    src: &str,
+    args: &[Value],
+    reps: usize,
+    ablate: impl FnOnce(&mut CompilerOptions),
+) -> Ablation {
+    let default = options(|_| {}).function_compile_src(src).expect(name);
+    let ablated = options(ablate).function_compile_src(src).expect(name);
+    assert_eq!(
+        ablated.call(args).unwrap(),
+        default.call(args).unwrap(),
+        "{name}"
+    );
+    let time = |cf: &CompiledCodeFunction| {
+        bench_seconds(reps, || {
+            cf.call(std::hint::black_box(args)).unwrap();
+        })
+    };
+    Ablation {
+        name,
+        paper_claim,
+        default_secs: time(&default),
+        ablated_secs: time(&ablated),
+    }
+}
+
 /// §6: "disabling function inline within the new compiler results in a 10x
 /// slowdown for Mandelbrot over the C implementation" — here measured as
 /// never-inline vs automatic on the NestList-heavy random walk (whose
@@ -55,27 +86,14 @@ pub fn inline_ablation(iterations: i64, reps: usize) -> Ablation {
     const SRC: &str = "Function[{Typed[n, \"MachineInteger\"]}, \
                        Module[{s = 0, k = 0}, \
                         While[k < n, If[EvenQ[k], s = s + k]; k = k + 1]; s]]";
-    let auto = options(|o| o.inline_policy = InlinePolicy::Automatic)
-        .function_compile_src(SRC)
-        .expect("inline auto");
-    let never = options(|o| o.inline_policy = InlinePolicy::Never)
-        .function_compile_src(SRC)
-        .expect("inline never");
-    let expected = auto.call(&[Value::I64(iterations)]).unwrap();
-    assert_eq!(never.call(&[Value::I64(iterations)]).unwrap(), expected);
-    Ablation {
-        name: "inlining disabled",
-        paper_claim: "~10x on Mandelbrot's tight loops",
-        default_secs: bench_seconds(reps, || {
-            auto.call(std::hint::black_box(&[Value::I64(iterations)]))
-                .unwrap();
-        }),
-        ablated_secs: bench_seconds(reps, || {
-            never
-                .call(std::hint::black_box(&[Value::I64(iterations)]))
-                .unwrap();
-        }),
-    }
+    default_vs_ablated(
+        "inlining disabled",
+        "~10x on Mandelbrot's tight loops",
+        SRC,
+        &[Value::I64(iterations)],
+        reps,
+        |o| o.inline_policy = InlinePolicy::Never,
+    )
 }
 
 /// §6: "abort checking inhibits vectorized loads" on Histogram; "abort
@@ -113,27 +131,14 @@ pub fn constant_array_ablation(limit: i64, reps: usize) -> Ablation {
     // A table-heavy variant: sums seed-table entries in a loop, so the
     // constant-array load sits on the hot path as in the unfixed compiler.
     let table = workloads::prime_seed_table();
-    let src = programs::primeq_src(&table);
-    let optimized = options(|_| {}).function_compile_src(&src).unwrap();
-    let naive = options(|o| o.naive_constant_arrays = true)
-        .function_compile_src(&src)
-        .unwrap();
-    let expected = optimized.call(&[Value::I64(limit)]).unwrap();
-    assert_eq!(naive.call(&[Value::I64(limit)]).unwrap(), expected);
-    Ablation {
-        name: "naive constant arrays (PrimeQ)",
-        paper_claim: "1.5x degradation (fixed in the next compiler version)",
-        default_secs: bench_seconds(reps, || {
-            optimized
-                .call(std::hint::black_box(&[Value::I64(limit)]))
-                .unwrap();
-        }),
-        ablated_secs: bench_seconds(reps, || {
-            naive
-                .call(std::hint::black_box(&[Value::I64(limit)]))
-                .unwrap();
-        }),
-    }
+    default_vs_ablated(
+        "naive constant arrays (PrimeQ)",
+        "1.5x degradation (fixed in the next compiler version)",
+        &programs::primeq_src(&table),
+        &[Value::I64(limit)],
+        reps,
+        |o| o.naive_constant_arrays = true,
+    )
 }
 
 /// §6 QSort: "the mutability semantics do not allow sorting to happen in
@@ -179,29 +184,28 @@ pub fn mutability_copy_ablation(n: usize, reps: usize) -> Ablation {
 /// `part1`+`bitxor`, `muli`+`modi`, paired phi moves).
 pub fn fusion_ablation(string_len: usize, reps: usize) -> Ablation {
     let input = workloads::random_string(string_len, 0x5eed);
-    let fused = options(|_| {})
-        .function_compile_src(programs::FNV1A_SRC)
-        .unwrap();
-    let unfused = options(|o| o.superinstruction_fusion = false)
-        .function_compile_src(programs::FNV1A_SRC)
-        .unwrap();
-    let arg = Value::Str(std::sync::Arc::new(input));
-    let expected = fused.call(std::slice::from_ref(&arg)).unwrap();
-    assert_eq!(unfused.call(std::slice::from_ref(&arg)).unwrap(), expected);
-    Ablation {
-        name: "superinstruction fusion off",
-        paper_claim: "fused dispatch recovers ~40% of FNV1a's interpreter steps",
-        default_secs: bench_seconds(reps, || {
-            fused
-                .call(std::hint::black_box(std::slice::from_ref(&arg)))
-                .unwrap();
-        }),
-        ablated_secs: bench_seconds(reps, || {
-            unfused
-                .call(std::hint::black_box(std::slice::from_ref(&arg)))
-                .unwrap();
-        }),
-    }
+    default_vs_ablated(
+        "superinstruction fusion off",
+        "fused dispatch recovers ~40% of FNV1a's interpreter steps",
+        programs::FNV1A_SRC,
+        &[Value::Str(std::sync::Arc::new(input))],
+        reps,
+        |o| o.superinstruction_fusion = false,
+    )
+}
+
+/// Range-check elision (this reproduction's interval analysis proving
+/// Part bounds and overflow checks away): Histogram with the proofs used
+/// vs every check executed.
+pub fn elision_ablation(n: usize, reps: usize) -> Ablation {
+    default_vs_ablated(
+        "range-check elision off",
+        "ours: ~1.00x while dispatch, not the checks, bounds the loop",
+        programs::HISTOGRAM_SRC,
+        &[Value::Tensor(workloads::random_bytes_tensor(n, 4))],
+        reps,
+        |o| o.range_checks_elision = false,
+    )
 }
 
 #[cfg(test)]
@@ -243,6 +247,12 @@ mod tests {
         let a = fusion_ablation(20_000, 2);
         // The ablated (unfused) configuration must not be faster than the
         // fused default beyond noise.
+        assert!(a.slowdown() > 0.9, "{:.2}x", a.slowdown());
+    }
+
+    #[test]
+    fn elision_on_is_not_slower() {
+        let a = elision_ablation(20_000, 2);
         assert!(a.slowdown() > 0.9, "{:.2}x", a.slowdown());
     }
 

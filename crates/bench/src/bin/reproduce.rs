@@ -7,9 +7,6 @@
 //! reproduce analyze --stats [<file.wl | source>] [--golden F] [--write-golden F]
 //! reproduce serve [--workers N] [--cache-cap N] [--queue-cap N] [--deadline-ms N] [--tier T]
 //!                 [--listen ADDR] [--cache-dir DIR]
-//! reproduce bench-serve [--quick]
-//! reproduce bench-serve --net ADDR [--quick] [--clients N] [--json [PATH]] [--expect-warm]
-//! reproduce bench-parallel [--quick] [--json [PATH]] [--min-chunk N]
 //! reproduce stream --function 'Function[...]' [--input FILE] [--tier T] [--batch N]
 //!                  [--workers N]
 //! ```
@@ -34,21 +31,6 @@
 //! length-prefixed TCP wire protocol. `--cache-dir DIR` enables the
 //! disk-backed second cache level so restarts start warm. Both modes
 //! print the metrics table on graceful shutdown (EOF or SIGTERM).
-//!
-//! `bench-serve` drives the Zipf closed-loop load generator over the pool
-//! at 1/4/8 workers with the artifact cache on vs off, then the deadline
-//! sub-experiment; it exits nonzero on any divergence, a zero hit rate,
-//! or leaked memory counters (the CI smoke gate). `bench-serve --net ADDR`
-//! instead drives a *live* `serve --listen` process over sockets,
-//! reporting client-observed latency percentiles (`--json` writes the SLO
-//! artifact); `--expect-warm` additionally asserts the warm-restart
-//! contract (zero compiles, disk hits observed).
-//!
-//! `bench-parallel` runs the data-parallel tier ablation (fused-scalar
-//! baseline vs SIMD at 1/2/4/8 threads on Blur, Dot, and a Listable
-//! zip); `--json` additionally writes `BENCH_parallel.json` (or the
-//! given path). It exits nonzero if any configuration's result differs
-//! from the scalar baseline or the memory counters end up imbalanced.
 //!
 //! `stream` compiles one function and streams line-delimited records from
 //! stdin (or `--input FILE`) to stdout — one `ok <result>` / `err <msg>`
@@ -416,7 +398,10 @@ fn run_serve(args: &[String]) -> ! {
                 std::process::exit(1);
             }
         };
-        eprintln!("wolfram-serve: listening on {addr} (length-prefixed frames)");
+        // The bound address, not the requested one: `--listen HOST:0` asks
+        // the OS for a free port and this line is how a caller learns it.
+        let bound = listener.local_addr().map_or(addr, |a| a.to_string());
+        eprintln!("wolfram-serve: listening on {bound} (length-prefixed frames)");
         let pool = std::sync::Arc::new(pool);
         // `!stream` sessions compile at the pool's tier policy and run on
         // the connection thread through the streaming fast path.
@@ -480,12 +465,7 @@ fn run_serve(args: &[String]) -> ! {
             Ok(v) => println!(
                 "{lineno}: {v}  [{} {} compile {} execute {}]",
                 reply.tier.map_or_else(|| "?".into(), |t| t.to_string()),
-                match reply.cache {
-                    wolfram_serve::CacheStatus::Hit => "hit",
-                    wolfram_serve::CacheStatus::DiskHit => "disk",
-                    wolfram_serve::CacheStatus::Miss => "miss",
-                    wolfram_serve::CacheStatus::Unreached => "-",
-                },
+                reply.cache,
                 wolfram_serve::fmt_ns(reply.compile_ns),
                 wolfram_serve::fmt_ns(reply.execute_ns),
             ),
@@ -495,233 +475,6 @@ fn run_serve(args: &[String]) -> ! {
     print!("{}", pool.metrics().render());
     pool.shutdown();
     std::process::exit(0);
-}
-
-/// `bench-serve --net ADDR`: the socket-load experiment against a live
-/// `reproduce serve --listen` process. Reports client-observed latency
-/// percentiles (the SLO numbers), writes the SLO JSON artifact, and —
-/// with `--expect-warm` — asserts the warm-restart guarantee: every
-/// first-sight program served from the disk cache, zero compiles.
-fn run_bench_serve_net(args: &[String], addr: &str) -> ! {
-    use wolfram_bench::serve_load::{self, Catalog, Zipf};
-
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-            .filter(|v| !v.starts_with("--"))
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let expect_warm = args.iter().any(|a| a == "--expect-warm");
-    let (programs, requests) = if quick { (12, 240) } else { (24, 2_000) };
-    let clients: usize = flag("--clients").map_or(4, |v| v.parse().expect("--clients N"));
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|_| flag("--json").unwrap_or_else(|| "BENCH_serve_net.json".into()));
-
-    let catalog = Catalog::new(programs, 64);
-    let zipf = Zipf::new(catalog.len(), 1.1);
-    println!(
-        "== bench-serve --net {addr} ({} scale): {programs} programs, Zipf s=1.1, \
-         {requests} requests, {clients} clients ==",
-        if quick { "quick" } else { "paper" },
-    );
-    let report =
-        match serve_load::run_net_load(addr, &catalog, &zipf, clients, requests, 0x5E12_F00D) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench-serve --net: load failed against {addr}: {e}");
-                std::process::exit(1);
-            }
-        };
-    println!("{}", serve_load::render_net_report(&report));
-    println!(
-        "server: compiles {}  cache-hits {}  disk-hits {}  disk-stores {}  disk-corrupt {}  \
-         p50 {}  p99 {}",
-        report.server_stat("compiles"),
-        report.server_stat("cache_hits"),
-        report.server_stat("disk_hits"),
-        report.server_stat("disk_stores"),
-        report.server_stat("disk_corrupt"),
-        wolfram_serve::fmt_ns(report.server_stat("request_p50_ns")),
-        wolfram_serve::fmt_ns(report.server_stat("request_p99_ns")),
-    );
-    if let Some(path) = json_path {
-        let doc = serve_load::net_report_to_json(&report, if quick { "quick" } else { "paper" });
-        match std::fs::write(&path, doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let mut failures = 0u32;
-    if report.divergences > 0 || report.errors > 0 {
-        failures += 1;
-    }
-    if report.ok == 0 {
-        failures += 1;
-    }
-    if expect_warm {
-        // The warm-restart contract: a restarted server over a populated
-        // cache dir serves every first-sight program from disk and never
-        // recompiles.
-        if report.server_stat("compiles") != 0 {
-            println!(
-                "warm-restart violation: server compiled {} time(s)",
-                report.server_stat("compiles")
-            );
-            failures += 1;
-        }
-        if report.server_stat("disk_hits") == 0 {
-            println!("warm-restart violation: zero disk hits");
-            failures += 1;
-        }
-    }
-    println!(
-        "bench-serve --net: {}",
-        if failures == 0 { "PASS" } else { "FAIL" }
-    );
-    std::process::exit(i32::from(failures > 0));
-}
-
-/// `bench-serve` subcommand: the Zipf closed-loop experiment, also the CI
-/// smoke gate (nonzero exit on divergence, zero hit rate, or leaks).
-fn run_bench_serve(args: &[String]) -> ! {
-    use wolfram_bench::serve_load::{self, Catalog, Zipf};
-
-    if let Some(i) = args.iter().position(|a| a == "--net") {
-        let addr = args
-            .get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:7788".into());
-        run_bench_serve_net(args, &addr);
-    }
-
-    let quick = args.iter().any(|a| a == "--quick");
-    let (programs, requests, spin_rounds) = if quick { (12, 240, 2) } else { (24, 2_000, 6) };
-    let catalog = Catalog::new(programs, 64);
-    let zipf = Zipf::new(catalog.len(), 1.1);
-    println!(
-        "== bench-serve ({} scale): {} programs, Zipf s=1.1, {} requests/config ==",
-        if quick { "quick" } else { "paper" },
-        programs,
-        requests
-    );
-
-    let mut failures = 0u32;
-    let mut at8 = (0.0f64, 0.0f64); // (cache-off, cache-on) throughput
-    for workers in [1usize, 4, 8] {
-        for cache_on in [false, true] {
-            let r = serve_load::run_load(
-                &catalog,
-                &zipf,
-                workers,
-                cache_on,
-                workers * 2,
-                requests,
-                0x5E12_F00D,
-            );
-            println!("{}", serve_load::render_row(&r));
-            if r.divergences > 0 {
-                failures += 1;
-            }
-            if cache_on && r.hit_rate <= 0.0 {
-                failures += 1;
-            }
-            if workers == 8 {
-                if cache_on {
-                    at8.1 = r.throughput;
-                } else {
-                    at8.0 = r.throughput;
-                }
-            }
-        }
-    }
-    let speedup = at8.1 / at8.0.max(1e-9);
-    println!(
-        "cache speedup at 8 workers: {speedup:.2}x (acceptance floor 3x{})",
-        if quick {
-            "; advisory at quick scale"
-        } else {
-            ""
-        }
-    );
-    if !quick && speedup < 3.0 {
-        failures += 1;
-    }
-
-    let d = serve_load::run_deadline_experiment(spin_rounds);
-    println!(
-        "deadline experiment: {}/{} aborted, pool alive: {}, memory balanced: {}",
-        d.aborted, d.issued, d.pool_alive, d.memory_balanced
-    );
-    if d.aborted != d.issued || !d.pool_alive || !d.memory_balanced {
-        failures += 1;
-    }
-    println!(
-        "bench-serve: {}",
-        if failures == 0 { "PASS" } else { "FAIL" }
-    );
-    std::process::exit(i32::from(failures > 0));
-}
-
-/// `bench-parallel` subcommand: the data-parallel tier ablation, also a
-/// CI smoke gate (nonzero exit on result divergence or counter leaks).
-fn run_bench_parallel(args: &[String]) -> ! {
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick {
-        harness::Scale::quick()
-    } else {
-        harness::Scale::paper()
-    };
-    let next_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-    };
-    // Quick scale shrinks the tensors, so shrink the chunk floor with it
-    // or the threaded paths never engage.
-    let min_chunk: usize = next_value("--min-chunk").map_or_else(
-        || if quick { 256 } else { 4096 },
-        |v| v.parse().expect("--min-chunk N"),
-    );
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|_| next_value("--json").unwrap_or_else(|| "BENCH_parallel.json".into()));
-
-    println!(
-        "== bench-parallel ({} scale): blur {n}x{n}, dot {d}x{d}, listable {l}; \
-         min chunk {min_chunk} ==",
-        if quick { "quick" } else { "paper" },
-        n = scale.blur_n,
-        d = scale.dot_n,
-        l = scale.histogram_n,
-    );
-    let report =
-        wolfram_bench::parallel::run(&scale, &wolfram_bench::parallel::THREAD_STEPS, min_chunk);
-    print!("{}", wolfram_bench::parallel::render(&report));
-
-    if let Some(path) = json_path {
-        let doc = wolfram_bench::parallel::to_json(&report, if quick { "quick" } else { "paper" });
-        match std::fs::write(&path, doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let clean = report.equivalence_failures == 0 && report.memory_balanced;
-    println!("bench-parallel: {}", if clean { "PASS" } else { "FAIL" });
-    std::process::exit(i32::from(!clean));
 }
 
 /// `stream` subcommand: compile once, evaluate a line-delimited record
@@ -756,13 +509,7 @@ fn run_stream_cmd(args: &[String]) -> ! {
         "bytecode" => {
             let compiled = wolfram_expr::parse(&src)
                 .map_err(|e| e.to_string())
-                .and_then(|f| {
-                    let specs = wolfram_bytecode::ArgSpec::from_function(&f)?;
-                    let body = f.args().get(1).cloned().ok_or("function has no body")?;
-                    wolfram_bytecode::BytecodeCompiler::new()
-                        .compile(&specs, &body)
-                        .map_err(|e| e.to_string())
-                });
+                .and_then(|f| wolfram_bytecode::BytecodeCompiler::new().compile_function(&f));
             match compiled {
                 Ok(cf) => StreamFunction::Bytecode(std::sync::Arc::new(cf)),
                 Err(e) => {
@@ -846,12 +593,10 @@ const SECTIONS: [&str; 6] = [
 /// A subcommand with its own argument parsing; it exits on its own.
 type Command = fn(&[String]) -> !;
 
-const COMMANDS: [(&str, Command); 6] = [
+const COMMANDS: [(&str, Command); 4] = [
     ("difftest", run_difftest),
     ("analyze", run_analyze),
     ("serve", run_serve),
-    ("bench-serve", run_bench_serve),
-    ("bench-parallel", run_bench_parallel),
     ("stream", run_stream_cmd),
 ];
 
@@ -952,6 +697,10 @@ fn main() {
         println!(
             "{}",
             ablations::fusion_ablation(scale.string_len, scale.repetitions).render()
+        );
+        println!(
+            "{}",
+            ablations::elision_ablation(hist_n, scale.repetitions).render()
         );
         println!();
     }

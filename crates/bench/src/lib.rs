@@ -14,20 +14,24 @@
 //! - [`intro`] — the §1 in-text numbers: random-walk interpreter vs
 //!   bytecode vs FunctionCompile, and `FindRoot` auto-compilation.
 //! - [`ablations`] — §6 in-text ablations: abort checking, inlining,
-//!   constant-array handling, mutability copies, superinstruction fusion.
+//!   constant-array handling, mutability copies, superinstruction fusion,
+//!   range-check elision.
 //! - [`opstats`] — dynamic op/dyad frequency profiles of the seven
 //!   benchmarks (the data superinstruction selection is driven by).
-//! - [`serve_load`] — the closed-loop Zipf load generator for the
-//!   `wolfram-serve` pool (`reproduce bench-serve`): throughput and tail
-//!   latency at 1/4/8 workers with the artifact cache on vs off, plus the
-//!   deadline/leak sub-experiment.
+//! - [`serve_load`] — the served request mix (a program catalog with
+//!   ground truth and a Zipf sampler) that `benchmark/` and this crate's
+//!   serve gates draw from.
+//!
+//! Numbers for what this repository added to the paper's system (serve,
+//! stream, the data-parallel tier, the call entry) come from `benchmark/`;
+//! their pass/fail contracts are the integration tests under `tests/`
+//! (`serve_gates`, `cli_serve`, `parallel_equivalence`).
 
 pub mod ablations;
 pub mod harness;
 pub mod intro;
 pub mod native;
 pub mod opstats;
-pub mod parallel;
 pub mod programs;
 pub mod serve_load;
 pub mod table1;

@@ -1,0 +1,109 @@
+//! The data-parallel tier's contract: every configuration computes
+//! bit-for-bit what the fused-scalar baseline computes (elementwise
+//! chunking and the vectorized loops keep evaluation order, and the
+//! per-row dot folds are not reassociated), and no worker thread leaks an
+//! acquire. What the tier is worth is `benchmark/`'s business
+//! (`runtime.parallel.*` beside `codegen.machine.blur_ms`,
+//! `runtime.linalg.dot_ms`, `runtime.tensor.listable_ms`).
+//!
+//! One test in its own file, so the process-wide memory counters see this
+//! run and nothing else.
+
+use wolfram_bench::{programs, workloads};
+use wolfram_compiler_core::{Compiler, CompilerOptions};
+use wolfram_runtime::{memory, ParallelConfig, Tensor, Value};
+
+const LISTABLE_SRC: &str = r#"
+Function[{Typed[a, "Tensor"["Real64", 1]], Typed[b, "Tensor"["Real64", 1]]},
+    (a + b) * a]
+"#;
+
+fn compiler(parallel: Option<ParallelConfig>) -> Compiler {
+    let mut options = CompilerOptions::default();
+    if let Some(cfg) = parallel {
+        options.data_parallel = true;
+        options.parallel = cfg;
+    }
+    Compiler::new(options)
+}
+
+fn real_vector(n: usize, seed: u64) -> Value {
+    let row = workloads::random_matrix_hw(1, n, seed);
+    Value::Tensor(Tensor::from_f64(
+        row.as_f64().expect("real matrix").to_vec(),
+    ))
+}
+
+/// Shape and bit pattern of a real tensor: a single flipped bit is a
+/// routing bug, so there is no tolerance.
+fn bits(v: &Value) -> (Vec<usize>, Vec<u64>) {
+    let Value::Tensor(t) = v else {
+        panic!("expected a tensor, got {v:?}")
+    };
+    let cells = t.as_f64().expect("real tensor");
+    (
+        t.shape().to_vec(),
+        cells.iter().map(|x| x.to_bits()).collect(),
+    )
+}
+
+#[test]
+fn every_parallel_configuration_is_bit_identical_and_balanced() {
+    // Tensors small enough to run in milliseconds; the chunk floor is
+    // lowered with them (8 elements) so the threaded paths still engage.
+    let (blur_n, dot_n, list_n) = (24usize, 24usize, 4000usize);
+    let kernels: [(&str, &str, Vec<Value>); 3] = [
+        (
+            "Blur",
+            programs::BLUR_SRC,
+            vec![
+                Value::Tensor(workloads::random_matrix_hw(blur_n, blur_n, 3)),
+                Value::I64(blur_n as i64),
+                Value::I64(blur_n as i64),
+            ],
+        ),
+        (
+            "Dot",
+            programs::DOT_SRC,
+            vec![
+                Value::Tensor(workloads::random_matrix(dot_n, 1)),
+                Value::Tensor(workloads::random_matrix(dot_n, 2)),
+            ],
+        ),
+        (
+            "Listable",
+            LISTABLE_SRC,
+            vec![real_vector(list_n, 5), real_vector(list_n, 6)],
+        ),
+    ];
+
+    memory::reset_stats();
+    memory::reset_global_stats();
+    for (name, src, args) in &kernels {
+        let expected = programs::compile_new(&compiler(None), src)
+            .call(args)
+            .expect("fused-scalar baseline runs");
+        let (want_shape, want_cells) = bits(&expected);
+        for threads in [1, 2, 4, 8] {
+            let cfg = ParallelConfig {
+                num_threads: threads,
+                min_elems_per_chunk: 8,
+                simd: true,
+            };
+            let got = programs::compile_new(&compiler(Some(cfg)), src)
+                .call(args)
+                .expect("parallel configuration runs");
+            let (shape, cells) = bits(&got);
+            assert_eq!(shape, want_shape, "{name} at {threads} thread(s)");
+            assert_eq!(
+                cells.iter().zip(&want_cells).position(|(a, b)| a != b),
+                None,
+                "{name} at {threads} thread(s): first cell differing from the scalar baseline"
+            );
+        }
+    }
+    memory::flush_thread_stats();
+    let stats = memory::global_stats();
+    assert!(stats.acquires > 0, "nothing was counted: {stats:?}");
+    assert!(stats.balanced(), "leaked acquires: {stats:?}");
+}

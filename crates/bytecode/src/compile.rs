@@ -228,6 +228,27 @@ impl BytecodeCompiler {
         self.compile(&specs, body)
     }
 
+    /// Compiles a new-compiler `Function[{Typed[...], ...}, body]`
+    /// expression: the one door from a served or streamed program to this
+    /// tier.
+    ///
+    /// # Errors
+    ///
+    /// A message when `func` is not a `Function` with a body, a parameter
+    /// is outside [`ArgSpec::from_function`]'s datatype set, or the body
+    /// fails [`BytecodeCompiler::compile`].
+    pub fn compile_function(&self, func: &Expr) -> Result<CompiledFunction, String> {
+        if !func.has_head("Function") {
+            return Err(format!(
+                "expected Function[...], got {}",
+                func.head().to_input_form()
+            ));
+        }
+        let specs = ArgSpec::from_function(func)?;
+        let body = func.args().get(1).ok_or("function has no body")?;
+        self.compile(&specs, body).map_err(|e| e.to_string())
+    }
+
     /// Compiles a body over typed arguments.
     ///
     /// # Errors
@@ -1108,5 +1129,25 @@ mod tests {
             run(&[ArgSpec::int("x")], "0 < x < 10", &[Value::I64(15)]),
             Value::Bool(false)
         );
+    }
+
+    #[test]
+    fn compile_function_is_the_door_from_function_exprs() {
+        let bc = BytecodeCompiler::new();
+        let door = |src: &str| bc.compile_function(&parse(src).unwrap());
+        let cf = door(r#"Function[{Typed[a, "MachineInteger"], Typed[x, "Real64"]}, a * x + 1.]"#)
+            .unwrap();
+        assert_eq!(
+            cf.run(&[Value::I64(3), Value::F64(0.5)]).unwrap(),
+            Value::F64(2.5)
+        );
+        assert!(door("Function[{x}]").is_err());
+        assert_eq!(
+            door(r#"Function[{Typed[x, "Real64"]}]"#).unwrap_err(),
+            "function has no body"
+        );
+        assert!(door(r#"Compile[{Typed[x, "Real64"]}, x]"#)
+            .unwrap_err()
+            .starts_with("expected Function[...]"));
     }
 }

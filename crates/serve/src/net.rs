@@ -52,7 +52,7 @@
 //! requests finish and their replies are written before the process
 //! prints its final stats table.
 
-use crate::pool::{CacheStatus, PendingReply, ServePool, ServeReply, ServeRequest};
+use crate::pool::{PendingReply, ServePool, ServeReply, ServeRequest};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -151,21 +151,12 @@ pub fn render_reply(reply: &ServeReply) -> String {
         Ok(v) => format!(
             "ok {} {} {} {} {} {v}",
             reply.tier.map_or_else(|| "?".into(), |t| t.to_string()),
-            cache_token(reply.cache),
+            reply.cache,
             reply.compile_ns,
             reply.execute_ns,
             u8::from(reply.fell_back),
         ),
         Err(e) => format!("err {e}"),
-    }
-}
-
-fn cache_token(c: CacheStatus) -> &'static str {
-    match c {
-        CacheStatus::Hit => "hit",
-        CacheStatus::DiskHit => "disk",
-        CacheStatus::Miss => "miss",
-        CacheStatus::Unreached => "-",
     }
 }
 

@@ -136,6 +136,18 @@ pub enum CacheStatus {
     Unreached,
 }
 
+/// The token the wire protocol and the stdin service print for it.
+impl std::fmt::Display for CacheStatus {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            CacheStatus::Hit => "hit",
+            CacheStatus::DiskHit => "disk",
+            CacheStatus::Miss => "miss",
+            CacheStatus::Unreached => "-",
+        })
+    }
+}
+
 /// A request failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {

@@ -25,7 +25,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Instant;
-use wolfram_bytecode::{ArgSpec, BytecodeCompiler};
+use wolfram_bytecode::BytecodeCompiler;
 use wolfram_compiler_core::{CompiledCodeFunction, Compiler, CompilerOptions};
 use wolfram_expr::{parse, Expr};
 use wolfram_interp::Interpreter;
@@ -378,7 +378,7 @@ impl Worker {
     ) -> Result<(SharedArtifact, LocalArtifact, Tier, u64), ServeError> {
         if !matches!(self.tier_policy, TierPolicy::NativeOnly) {
             let start = Instant::now();
-            if let Ok(cf) = compile_bytecode(func) {
+            if let Ok(cf) = BytecodeCompiler::new().compile_function(func) {
                 let shared = Arc::new(cf);
                 return Ok((
                     SharedArtifact::Bytecode(Arc::clone(&shared)),
@@ -426,16 +426,4 @@ impl Worker {
             }
         }
     }
-}
-
-fn compile_bytecode(func: &Expr) -> Result<wolfram_bytecode::CompiledFunction, String> {
-    let specs = ArgSpec::from_function(func)?;
-    let body = func
-        .args()
-        .get(1)
-        .cloned()
-        .ok_or_else(|| "function has no body".to_owned())?;
-    BytecodeCompiler::new()
-        .compile(&specs, &body)
-        .map_err(|e| e.to_string())
 }

@@ -15,7 +15,7 @@ use crate::record::{parse_record, render_result};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-use wolfram_bytecode::{ArgSpec, BytecodeCompiler};
+use wolfram_bytecode::BytecodeCompiler;
 use wolfram_compiler_core::{Compiler, CompilerOptions};
 use wolfram_serve::{StreamHandler, StreamSession, TierPolicy};
 
@@ -40,15 +40,7 @@ impl ServeStreamHandler {
         }
         match self.tier {
             TierPolicy::BytecodeOnly => {
-                let specs = ArgSpec::from_function(&func)?;
-                let body = func
-                    .args()
-                    .get(1)
-                    .cloned()
-                    .ok_or_else(|| "function has no body".to_owned())?;
-                let cf = BytecodeCompiler::new()
-                    .compile(&specs, &body)
-                    .map_err(|e| e.to_string())?;
+                let cf = BytecodeCompiler::new().compile_function(&func)?;
                 Ok(StreamFunction::Bytecode(Arc::new(cf)))
             }
             _ => {

@@ -8,7 +8,7 @@
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use wolfram_bytecode::{ArgSpec, BytecodeCompiler};
+use wolfram_bytecode::BytecodeCompiler;
 use wolfram_compiler_core::Compiler;
 use wolfram_expr::{parse, Expr};
 use wolfram_interp::Interpreter;
@@ -65,12 +65,7 @@ fn every_tier_streams_what_its_one_shot_loop_computes() {
     for (src, records) in &workloads {
         let f = parse(src).unwrap();
         let artifact = Compiler::default().function_compile(&f).unwrap().artifact();
-        let specs = ArgSpec::from_function(&f).unwrap();
-        let bytecode = Arc::new(
-            BytecodeCompiler::new()
-                .compile(&specs, &f.args()[1])
-                .unwrap(),
-        );
+        let bytecode = Arc::new(BytecodeCompiler::new().compile_function(&f).unwrap());
 
         let native = artifact.instantiate();
         let mut engine = Interpreter::new();

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verification (ROADMAP.md), the CLI smokes, the benchmark
-# and lint. In the order they run:
+# CI gate: tier-1 verification (ROADMAP.md), every crate's tests, the CLI
+# smokes, the benchmark and lint. In the order they run:
 #
 #   lint:       cargo fmt --all -- --check
 #   tier-1:     cargo build --release && cargo test -q
+#   tests:      cargo test --release --workspace -q (every crate's unit and
+#               integration tests; the serve, wire, warm-restart and
+#               data-parallel contracts are crates/bench/tests/*.rs)
 #   build:      cargo build --release -p wolfram-bench --bin reproduce
 #   analyzer:   reproduce analyze over difftest/corpus/*.wl, at every IR
 #               stage, and --stats against ANALYZE_stats.golden
-#   serve:      reproduce bench-serve --quick; a socket server started,
-#               driven (bench-serve --net), SIGTERMed and restarted over one
-#               disk-cache dir (writes BENCH_serve_net_{cold,warm}.json)
-#   parallel:   reproduce bench-parallel --quick (writes BENCH_parallel.json)
 #   stream:     reproduce stream over two short record streams, checked
 #               line by line
 #   reproduce:  compile-times smoke; an unknown subcommand must exit nonzero
@@ -19,8 +18,8 @@
 #   lint:       cargo clippy --all-targets -- -D warnings (root, then
 #               --workspace)
 #
-# The crates' own tests (cargo test --release --workspace) are not part of
-# this script.
+# Nothing here prints a number to keep: systems numbers come from
+# benchmark/, the paper's tables from `reproduce`.
 #
 # Run from the repository root: ./scripts/ci.sh
 
@@ -35,6 +34,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> tests: cargo test --release --workspace -q"
+cargo test --release --workspace -q
 
 # The root package does not depend on wolfram-bench, so the tier-1 build
 # above leaves ./target/release/reproduce missing or stale.
@@ -54,58 +56,6 @@ done
 
 echo "==> analyzer: range-check elision stats vs committed golden"
 ./target/release/reproduce analyze --stats --golden ANALYZE_stats.golden > /dev/null
-
-echo "==> serve: bench-serve smoke (zero divergences, nonzero hit rate)"
-./target/release/reproduce bench-serve --quick
-
-echo "==> serve: networked warm-restart smoke (wire protocol + disk cache)"
-# Start a socket server over an empty disk-cache dir, drive it with the
-# closed-loop wire client, SIGTERM it, restart it over the *same* dir,
-# and require the second run to serve every first-sight program from the
-# disk cache with zero recompiles (the warm-restart contract). Both runs
-# fail on any divergence from ground truth.
-SERVE_ADDR="127.0.0.1:7788"
-SERVE_CACHE_DIR="$(mktemp -d)"
-SERVE_PID=""
-cleanup_serve() {
-  [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true
-  rm -rf "$SERVE_CACHE_DIR"
-}
-trap cleanup_serve EXIT
-wait_for_serve() {
-  for _ in $(seq 1 100); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/7788") 2>/dev/null; then
-      exec 3>&- 2>/dev/null || true
-      return 0
-    fi
-    sleep 0.1
-  done
-  echo "serve did not start listening on $SERVE_ADDR" >&2
-  return 1
-}
-./target/release/reproduce serve --listen "$SERVE_ADDR" --tier bytecode \
-  --cache-dir "$SERVE_CACHE_DIR" &
-SERVE_PID=$!
-wait_for_serve
-./target/release/reproduce bench-serve --net "$SERVE_ADDR" --quick \
-  --json BENCH_serve_net_cold.json
-kill -TERM "$SERVE_PID" && wait "$SERVE_PID" || true
-./target/release/reproduce serve --listen "$SERVE_ADDR" --tier bytecode \
-  --cache-dir "$SERVE_CACHE_DIR" &
-SERVE_PID=$!
-wait_for_serve
-./target/release/reproduce bench-serve --net "$SERVE_ADDR" --quick --expect-warm \
-  --json BENCH_serve_net_warm.json
-kill -TERM "$SERVE_PID" && wait "$SERVE_PID" || true
-SERVE_PID=""
-rm -rf "$SERVE_CACHE_DIR"
-
-echo "==> parallel: bench-parallel smoke (result equivalence, balanced counters)"
-# Quick-scale ablation over the tensor benchmarks; exits nonzero if any
-# data-parallel configuration (including threads=2) diverges from the
-# fused-scalar baseline or global_stats() ends up imbalanced. The JSON
-# report is uploaded as a workflow artifact by ci.yml.
-./target/release/reproduce bench-parallel --quick --json BENCH_parallel.json
 
 echo "==> stream: CLI smoke (line-delimited records, in-order replies)"
 STREAM_OUT="$(printf '1\n2\nnope\n4\n' | ./target/release/reproduce stream \
