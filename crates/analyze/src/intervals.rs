@@ -57,7 +57,7 @@ use std::rc::Rc;
 
 use wolfram_ir::analysis::Cfg;
 use wolfram_ir::{BlockId, Callee, Constant, Function, Instr, Operand, ProgramModule, VarId};
-use wolfram_types::Type;
+use wolfram_types::{Cmp, Prim, Type};
 
 use crate::dataflow::{flow_in, solve, Analysis, Direction, Lattice};
 use crate::diag::Diagnostic;
@@ -566,8 +566,8 @@ impl Lattice for Env {
     }
 }
 
-fn base_name(p: &str) -> &str {
-    p.split('$').next().unwrap_or(p)
+fn is_integer64(t: &Type) -> bool {
+    matches!(t, Type::Atomic(n) if &**n == "Integer64")
 }
 
 /// What a variable's type annotation means to the analysis.
@@ -956,8 +956,11 @@ fn transfer_call(kinds: &Kinds, env: &mut Env, dst: VarId, callee: &Callee, args
         .map(|iv| iv.grows)
         .max()
         .unwrap_or(0);
-    let name = match callee {
-        Callee::Primitive(n) => n,
+    match callee {
+        Callee::Primitive { prim, params } => {
+            // `None`: an overload or an operand count that carries no fact.
+            let _ = transfer_primitive(kinds, env, dst, *prim, params, args);
+        }
         Callee::Builtin(n) if &**n == "List" => {
             env.set_dims(dst, vec![AxisLen::known(args.len() as i64)]);
             return;
@@ -968,51 +971,86 @@ fn transfer_call(kinds: &Kinds, env: &mut Env, dst: VarId, callee: &Callee, args
             }
             return;
         }
+    }
+    if carried > 0 {
+        if let Some(iv) = &mut env.vars[dst.0 as usize] {
+            let iv = Rc::make_mut(iv);
+            iv.grows = iv.grows.max(carried);
+        }
+    }
+    if env.dims(dst).is_none() {
+        if let Some(rank) = kinds.tensor_rank(dst) {
+            env.set_dims(dst, vec![AxisLen::unknown(); rank]);
+        }
+    }
+}
+
+/// What a call of `prim`, resolved at `params`, says about its result and
+/// operands. Every primitive has an arm, so one added to the table does
+/// not compile until its transfer is decided here. Overloaded arithmetic
+/// is tracked at its `Integer64` instance only.
+#[allow(clippy::too_many_lines)]
+fn transfer_primitive(
+    kinds: &Kinds,
+    env: &mut Env,
+    dst: VarId,
+    prim: Prim,
+    params: &[Type],
+    args: &[Operand],
+) -> Option<()> {
+    let arg = |i: usize| args.get(i);
+    // The operand intervals of the `Integer64` instance of a scalar
+    // primitive.
+    let int = params.first().is_some_and(is_integer64);
+    let int1 = |env: &Env| match (int, arg(0)) {
+        (true, Some(x)) => Some(eval(env, x)),
+        _ => None,
     };
-    let base = base_name(name);
-    match base {
-        "checked_binary_plus" | "checked_binary_subtract" | "checked_binary_times"
-            if args.len() == 2 && kinds.is_i64(dst) =>
-        {
-            let a = eval(env, &args[0]);
-            let b = eval(env, &args[1]);
-            let mut r = match base {
-                "checked_binary_plus" => a.add(&b),
-                "checked_binary_subtract" => a.sub(&b),
-                _ => a.mul(&b),
-            };
-            // var ± const keeps an exact affine relation: shift the
-            // var's symbolic bounds and record the relation itself.
-            if base != "checked_binary_times" {
-                let shift = |r: &mut Ival, iv: &Ival, v: Option<VarId>, k: i64| {
-                    for &(s, o) in &iv.hi_syms {
-                        r.add_hi_sym(s, o.saturating_add(k));
-                    }
-                    for &(s, o) in &iv.lo_syms {
-                        r.add_lo_sym(s, o.saturating_add(k));
-                    }
-                    if let Some(v) = v {
-                        if kinds.is_i64(v) {
-                            r.add_hi_sym(Sym::Var(v), k);
-                            r.add_lo_sym(Sym::Var(v), k);
-                        }
-                    }
-                };
-                if base == "checked_binary_plus" {
-                    if let Some(k) = b.singleton() {
-                        shift(&mut r, &a, args[0].as_var(), k);
-                    } else if let Some(k) = a.singleton() {
-                        shift(&mut r, &b, args[1].as_var(), k);
-                    }
-                } else if let Some(k) = b.singleton() {
-                    shift(&mut r, &a, args[0].as_var(), -k);
-                }
+    let int2 = |env: &Env| match (int, arg(0), arg(1)) {
+        (true, Some(x), Some(y)) => Some((eval(env, x), eval(env, y))),
+        _ => None,
+    };
+    // var ± const keeps an exact affine relation: shift the var's
+    // symbolic bounds and record the relation itself.
+    let shift = |r: &mut Ival, iv: &Ival, v: Option<VarId>, k: i64| {
+        for &(s, o) in &iv.hi_syms {
+            r.add_hi_sym(s, o.saturating_add(k));
+        }
+        for &(s, o) in &iv.lo_syms {
+            r.add_lo_sym(s, o.saturating_add(k));
+        }
+        if let Some(v) = v {
+            if kinds.is_i64(v) {
+                r.add_hi_sym(Sym::Var(v), k);
+                r.add_lo_sym(Sym::Var(v), k);
+            }
+        }
+    };
+    match prim {
+        Prim::Plus => {
+            let (a, b) = int2(env)?;
+            let mut r = a.add(&b);
+            if let Some(k) = b.singleton() {
+                shift(&mut r, &a, args[0].as_var(), k);
+            } else if let Some(k) = a.singleton() {
+                shift(&mut r, &b, args[1].as_var(), k);
             }
             env.set_var(dst, r);
         }
-        "checked_binary_quotient" if args.len() == 2 && kinds.is_i64(dst) => {
-            let a = eval(env, &args[0]);
-            let b = eval(env, &args[1]);
+        Prim::Subtract => {
+            let (a, b) = int2(env)?;
+            let mut r = a.sub(&b);
+            if let Some(k) = b.singleton() {
+                shift(&mut r, &a, args[0].as_var(), -k);
+            }
+            env.set_var(dst, r);
+        }
+        Prim::Times => {
+            let (a, b) = int2(env)?;
+            env.set_var(dst, a.mul(&b));
+        }
+        Prim::Quotient => {
+            let (a, b) = int2(env)?;
             // `b.hi >= b.lo` rejects inconsistent (empty) intervals that
             // branch refinement can produce along infeasible paths, where
             // `b.lo >= 1` alone would still let `b.hi` be zero.
@@ -1031,57 +1069,56 @@ fn transfer_call(kinds: &Kinds, env: &mut Env, dst: VarId, callee: &Callee, args
                 env.set_var(dst, Ival::range(0, a.hi));
             }
         }
-        "checked_binary_mod" if args.len() == 2 && kinds.is_i64(dst) => {
+        Prim::Mod => {
             // Flooring mod: the result takes the divisor's sign.
-            let b = eval(env, &args[1]);
+            if !int {
+                return None;
+            }
+            let b = eval(env, arg(1)?);
             if b.lo >= 1 {
                 let hi = if b.hi == POS_INF { POS_INF } else { b.hi - 1 };
                 env.set_var(dst, Ival::range(0, hi));
             }
         }
-        "checked_unary_minus" if args.len() == 1 && kinds.is_i64(dst) => {
-            let r = eval(env, &args[0]).neg();
+        Prim::Minus => {
+            let r = int1(env)?.neg();
             env.set_var(dst, r);
         }
-        "unary_abs" | "checked_unary_abs" if args.len() == 1 && kinds.is_i64(dst) => {
-            let r = eval(env, &args[0]).abs();
+        Prim::Abs => {
+            let r = int1(env)?.abs();
             env.set_var(dst, r);
         }
-        "binary_min" | "binary_max" if args.len() == 2 && kinds.is_i64(dst) => {
-            let a = eval(env, &args[0]);
-            let b = eval(env, &args[1]);
-            let mut r = if base == "binary_min" {
-                let mut r = Ival::range(a.lo.min(b.lo), a.hi.min(b.hi));
-                // min(a, b) inherits every upper bound of either input.
-                for &(s, k) in a.hi_syms.iter().chain(&b.hi_syms) {
-                    r.add_hi_sym(s, k);
-                }
-                r
-            } else {
-                let mut r = Ival::range(a.lo.max(b.lo), a.hi.max(b.hi));
-                for &(s, k) in a.lo_syms.iter().chain(&b.lo_syms) {
-                    r.add_lo_sym(s, k);
-                }
-                r
-            };
+        Prim::Min => {
+            let (a, b) = int2(env)?;
+            let mut r = Ival::range(a.lo.min(b.lo), a.hi.min(b.hi));
+            // min(a, b) inherits every upper bound of either input.
+            for &(s, k) in a.hi_syms.iter().chain(&b.hi_syms) {
+                r.add_hi_sym(s, k);
+            }
             r.nz = false;
             env.set_var(dst, r);
         }
-        "binary_gcd" if args.len() == 2 && kinds.is_i64(dst) => {
-            let a = eval(env, &args[0]).abs();
-            let b = eval(env, &args[1]).abs();
-            env.set_var(dst, Ival::range(0, a.hi.max(b.hi)));
+        Prim::Max => {
+            let (a, b) = int2(env)?;
+            let mut r = Ival::range(a.lo.max(b.lo), a.hi.max(b.hi));
+            for &(s, k) in a.lo_syms.iter().chain(&b.lo_syms) {
+                r.add_lo_sym(s, k);
+            }
+            r.nz = false;
+            env.set_var(dst, r);
         }
-        "bit_and" if args.len() == 2 && kinds.is_i64(dst) => {
-            let a = eval(env, &args[0]);
-            let b = eval(env, &args[1]);
+        Prim::Gcd => {
+            let (a, b) = int2(env)?;
+            env.set_var(dst, Ival::range(0, a.abs().hi.max(b.abs().hi)));
+        }
+        Prim::BitAnd => {
+            let (a, b) = int2(env)?;
             if a.lo >= 0 && b.lo >= 0 {
                 env.set_var(dst, Ival::range(0, a.hi.min(b.hi)));
             }
         }
-        "bit_or" | "bit_xor" if args.len() == 2 && kinds.is_i64(dst) => {
-            let a = eval(env, &args[0]);
-            let b = eval(env, &args[1]);
+        Prim::BitOr | Prim::BitXor => {
+            let (a, b) = int2(env)?;
             if a.lo >= 0 && b.lo >= 0 {
                 let m = a.hi.max(b.hi);
                 let hi = if !(0..(1 << 62)).contains(&m) {
@@ -1092,32 +1129,28 @@ fn transfer_call(kinds: &Kinds, env: &mut Env, dst: VarId, callee: &Callee, args
                 env.set_var(dst, Ival::range(0, hi));
             }
         }
-        "bit_shift_right" if args.len() == 2 && kinds.is_i64(dst) => {
-            let a = eval(env, &args[0]);
-            let b = eval(env, &args[1]);
+        Prim::BitShiftRight => {
+            let (a, b) = int2(env)?;
             if a.lo >= 0 && b.lo >= 0 {
                 env.set_var(dst, Ival::range(0, a.hi));
             }
         }
-        "logical_and" | "logical_or" | "unary_not" | "boole" if kinds.int_like(dst) => {
-            env.set_var(dst, Ival::range(0, 1));
+        Prim::Not | Prim::Boole | Prim::Compare(_) => env.set_var(dst, Ival::range(0, 1)),
+        Prim::Sign => {
+            if int {
+                env.set_var(dst, Ival::range(-1, 1));
+            }
         }
-        "unary_sign" if kinds.is_i64(dst) => {
-            env.set_var(dst, Ival::range(-1, 1));
-        }
-        "power_mod" if args.len() == 3 && kinds.is_i64(dst) => {
-            let m = eval(env, &args[2]);
+        Prim::PowerMod => {
+            let m = eval(env, arg(2)?);
             if m.lo >= 1 {
                 let hi = if m.hi == POS_INF { POS_INF } else { m.hi - 1 };
                 env.set_var(dst, Ival::range(0, hi));
             }
         }
-        _ if base.starts_with("compare_") && kinds.int_like(dst) => {
-            env.set_var(dst, Ival::range(0, 1));
-        }
-        "tensor_length" if args.len() == 1 && kinds.is_i64(dst) => {
+        Prim::TensorLength => {
             let mut r = Ival::range(0, MAX_LEN);
-            match &args[0] {
+            match arg(0)? {
                 Operand::Var(t) => {
                     if let Some(ax) = env.dims(*t).and_then(|d| d.first()) {
                         r.lo = r.lo.max(ax.lo);
@@ -1148,85 +1181,92 @@ fn transfer_call(kinds: &Kinds, env: &mut Env, dst: VarId, callee: &Callee, args
             }
             env.set_var(dst, r);
         }
-        "string_length" if kinds.is_i64(dst) => {
-            env.set_var(dst, Ival::range(0, POS_INF));
+        Prim::StringLength => env.set_var(dst, Ival::range(0, POS_INF)),
+        Prim::TensorPart1 => {
+            assume_in_bounds(env, kinds, arg(0)?, &[(arg(1)?, 0)]);
         }
-        "tensor_part_1" if args.len() == 2 => {
-            assume_in_bounds(env, kinds, &args[0], &[(&args[1], 0)]);
+        Prim::TensorPart2 => {
+            assume_in_bounds(env, kinds, arg(0)?, &[(arg(1)?, 0), (arg(2)?, 1)]);
         }
-        "tensor_part_2" if args.len() == 3 => {
-            assume_in_bounds(env, kinds, &args[0], &[(&args[1], 0), (&args[2], 1)]);
+        Prim::TensorSet1 | Prim::TensorSetRow => {
+            let (t, i, _) = (arg(0)?, arg(1)?, arg(2)?);
+            set_dims_from(env, kinds, dst, t);
+            assume_in_bounds(env, kinds, t, &[(i, 0)]);
         }
-        "tensor_set_1" if args.len() == 3 => {
-            set_dims_from(env, kinds, dst, &args[0]);
-            assume_in_bounds(env, kinds, &args[0], &[(&args[1], 0)]);
+        Prim::TensorSet2 => {
+            let (t, i, j, _) = (arg(0)?, arg(1)?, arg(2)?, arg(3)?);
+            set_dims_from(env, kinds, dst, t);
+            assume_in_bounds(env, kinds, t, &[(i, 0), (j, 1)]);
         }
-        "tensor_set_2" if args.len() == 4 => {
-            set_dims_from(env, kinds, dst, &args[0]);
-            assume_in_bounds(env, kinds, &args[0], &[(&args[1], 0), (&args[2], 1)]);
-        }
-        "tensor_set_row" if args.len() == 3 => {
-            set_dims_from(env, kinds, dst, &args[0]);
-            assume_in_bounds(env, kinds, &args[0], &[(&args[1], 0)]);
-        }
-        "tensor_fill_1" if args.len() == 2 => {
-            let ax = axis_from_count(env, kinds, &args[1]);
+        Prim::TensorFill1 => {
+            let ax = axis_from_count(env, kinds, arg(1)?);
             env.set_dims(dst, vec![ax]);
         }
-        "tensor_fill_2" if args.len() == 3 => {
-            let ax1 = axis_from_count(env, kinds, &args[1]);
-            let ax2 = axis_from_count(env, kinds, &args[2]);
+        Prim::TensorFill2 => {
+            let ax1 = axis_from_count(env, kinds, arg(1)?);
+            let ax2 = axis_from_count(env, kinds, arg(2)?);
             env.set_dims(dst, vec![ax1, ax2]);
         }
-        "list_construct" => {
+        Prim::ListConstruct => {
             env.set_dims(dst, vec![AxisLen::known(args.len() as i64)]);
         }
-        "tensor_plus" | "tensor_subtract" | "tensor_times" => {
+        Prim::TensorPlus | Prim::TensorSubtract | Prim::TensorTimes => {
             // Elementwise: the result shares every input's lengths.
-            for a in args {
-                if let Some(v) = a.as_var() {
-                    if env.dims(v).is_some() {
-                        set_dims_from(env, kinds, dst, a);
-                        break;
-                    }
-                }
-            }
+            let shaped = args
+                .iter()
+                .find(|a| a.as_var().is_some_and(|v| env.dims(v).is_some()))?;
+            set_dims_from(env, kinds, dst, shaped);
         }
-        _ => {}
+        // No integer or length fact: real, complex, string and symbolic
+        // results, integers of unbounded range, and tensors whose lengths
+        // the operands do not determine (the caller gives those unknown
+        // axes of the result's rank).
+        Prim::Divide
+        | Prim::Power
+        | Prim::Floor
+        | Prim::Ceiling
+        | Prim::Round
+        | Prim::Convert
+        | Prim::ArcTan2
+        | Prim::Elementary(_)
+        | Prim::BitShiftLeft
+        | Prim::Factorial
+        | Prim::ComplexConstruct
+        | Prim::ComplexRe
+        | Prim::ComplexIm
+        | Prim::ComplexConjugate
+        | Prim::ComplexAbs
+        | Prim::DotVector
+        | Prim::DotMatrix
+        | Prim::DotMatrixVector
+        | Prim::TensorScalarPlus
+        | Prim::TensorScalarSubtract
+        | Prim::TensorScalarTimes
+        | Prim::ScalarTensorPlus
+        | Prim::ScalarTensorSubtract
+        | Prim::ScalarTensorTimes
+        | Prim::StringToCodes
+        | Prim::StringFromCodes
+        | Prim::StringJoin
+        | Prim::RandomUnit
+        | Prim::RandomRange
+        | Prim::ExprPlus
+        | Prim::ExprSubtract
+        | Prim::ExprTimes
+        | Prim::ExprPower
+        | Prim::ExprUnary(_) => {}
     }
-    if carried > 0 {
-        if let Some(iv) = &mut env.vars[dst.0 as usize] {
-            let iv = Rc::make_mut(iv);
-            iv.grows = iv.grows.max(carried);
-        }
-    }
-    if env.dims(dst).is_none() {
-        if let Some(rank) = kinds.tensor_rank(dst) {
-            env.set_dims(dst, vec![AxisLen::unknown(); rank]);
-        }
-    }
+    Some(())
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CmpKind {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-}
-
-impl CmpKind {
-    fn negate(self) -> CmpKind {
-        match self {
-            CmpKind::Lt => CmpKind::Ge,
-            CmpKind::Le => CmpKind::Gt,
-            CmpKind::Gt => CmpKind::Le,
-            CmpKind::Ge => CmpKind::Lt,
-            CmpKind::Eq => CmpKind::Ne,
-            CmpKind::Ne => CmpKind::Eq,
-        }
+fn negate(c: Cmp) -> Cmp {
+    match c {
+        Cmp::Less => Cmp::GreaterEqual,
+        Cmp::LessEqual => Cmp::Greater,
+        Cmp::Greater => Cmp::LessEqual,
+        Cmp::GreaterEqual => Cmp::Less,
+        Cmp::Equal => Cmp::Unequal,
+        Cmp::Unequal => Cmp::Equal,
     }
 }
 
@@ -1235,9 +1275,8 @@ impl CmpKind {
 /// transfer functions.
 struct Ranges {
     kinds: Kinds,
-    cmps: HashMap<VarId, (CmpKind, Operand, Operand)>,
+    cmps: HashMap<VarId, (Cmp, Operand, Operand)>,
     nots: HashMap<VarId, VarId>,
-    junctions: HashMap<VarId, (bool, VarId, VarId)>,
     /// Whether each block holds a phi (indexed by block number).
     has_phis: Vec<bool>,
 }
@@ -1248,7 +1287,6 @@ impl Ranges {
         let mut r = Ranges {
             cmps: HashMap::new(),
             nots: HashMap::new(),
-            junctions: HashMap::new(),
             has_phis: f
                 .blocks
                 .iter()
@@ -1260,39 +1298,18 @@ impl Ranges {
         for i in f.instrs() {
             let Instr::Call {
                 dst,
-                callee: Callee::Primitive(p),
+                callee: Callee::Primitive { prim, .. },
                 args,
             } = i
             else {
                 continue;
             };
-            let base = base_name(p);
-            let kind = match base {
-                "compare_less" => Some(CmpKind::Lt),
-                "compare_less_equal" => Some(CmpKind::Le),
-                "compare_greater" => Some(CmpKind::Gt),
-                "compare_greater_equal" => Some(CmpKind::Ge),
-                "compare_equal" => Some(CmpKind::Eq),
-                "compare_unequal" => Some(CmpKind::Ne),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                if args.len() == 2 && args.iter().all(|a| kinds.int_operand(a)) {
-                    r.cmps
-                        .insert(*dst, (kind, args[0].clone(), args[1].clone()));
+            match (prim, &args[..]) {
+                (Prim::Compare(cmp), [x, y]) if kinds.int_operand(x) && kinds.int_operand(y) => {
+                    r.cmps.insert(*dst, (*cmp, x.clone(), y.clone()));
                 }
-                continue;
-            }
-            match base {
-                "unary_not" if args.len() == 1 => {
-                    if let Some(v) = args[0].as_var() {
-                        r.nots.insert(*dst, v);
-                    }
-                }
-                "logical_and" | "logical_or" if args.len() == 2 => {
-                    if let (Some(a), Some(b)) = (args[0].as_var(), args[1].as_var()) {
-                        r.junctions.insert(*dst, (base == "logical_and", a, b));
-                    }
+                (Prim::Not, [Operand::Var(v)]) => {
+                    r.nots.insert(*dst, *v);
                 }
                 _ => {}
             }
@@ -1310,13 +1327,6 @@ impl Ranges {
         }
         if let Some((kind, l, r)) = self.cmps.get(&v) {
             apply_cmp(&self.kinds, env, *kind, l, r, truth);
-        }
-        if let Some(&(is_and, a, b)) = self.junctions.get(&v) {
-            // `a && b` true (or `a || b` false) pins both operands.
-            if is_and == truth {
-                self.refine_var(env, a, truth, depth - 1);
-                self.refine_var(env, b, truth, depth - 1);
-            }
         }
     }
 }
@@ -1404,32 +1414,32 @@ fn exclude(env: &mut Env, kinds: &Kinds, x: &Operand, y: &Operand) {
     }
 }
 
-fn apply_cmp(kinds: &Kinds, env: &mut Env, kind: CmpKind, l: &Operand, r: &Operand, truth: bool) {
-    let kind = if truth { kind } else { kind.negate() };
+fn apply_cmp(kinds: &Kinds, env: &mut Env, kind: Cmp, l: &Operand, r: &Operand, truth: bool) {
+    let kind = if truth { kind } else { negate(kind) };
     match kind {
-        CmpKind::Lt => {
+        Cmp::Less => {
             bound_le(env, kinds, l, r, -1);
             bound_ge(env, kinds, r, l, 1);
         }
-        CmpKind::Le => {
+        Cmp::LessEqual => {
             bound_le(env, kinds, l, r, 0);
             bound_ge(env, kinds, r, l, 0);
         }
-        CmpKind::Gt => {
+        Cmp::Greater => {
             bound_ge(env, kinds, l, r, 1);
             bound_le(env, kinds, r, l, -1);
         }
-        CmpKind::Ge => {
+        Cmp::GreaterEqual => {
             bound_ge(env, kinds, l, r, 0);
             bound_le(env, kinds, r, l, 0);
         }
-        CmpKind::Eq => {
+        Cmp::Equal => {
             bound_le(env, kinds, l, r, 0);
             bound_ge(env, kinds, l, r, 0);
             bound_le(env, kinds, r, l, 0);
             bound_ge(env, kinds, r, l, 0);
         }
-        CmpKind::Ne => {
+        Cmp::Unequal => {
             exclude(env, kinds, l, r);
             exclude(env, kinds, r, l);
         }
@@ -1621,21 +1631,19 @@ fn inspect(
     facts: &mut FnRangeFacts,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let Instr::Call { dst, callee, args } = instr else {
+    let Instr::Call { callee, args, .. } = instr else {
         return;
     };
     match callee {
         Callee::Builtin(n) if &**n == "Part" && args.len() == 2 => {
             part_lint(env, f, &args[0], &args[1], site, diags);
         }
-        Callee::Primitive(p) => {
-            let base = base_name(p);
-            let sites: &[(usize, usize)] = match base {
-                "tensor_part_1" if args.len() == 2 => &[(1, 0)],
-                "tensor_part_2" if args.len() == 3 => &[(1, 0), (2, 1)],
-                "tensor_set_1" if args.len() == 3 => &[(1, 0)],
-                "tensor_set_2" if args.len() == 4 => &[(1, 0), (2, 1)],
-                "tensor_set_row" if args.len() == 3 => &[(1, 0)],
+        Callee::Primitive { prim, params } => {
+            let sites: &[(usize, usize)] = match prim {
+                Prim::TensorPart1 if args.len() == 2 => &[(1, 0)],
+                Prim::TensorPart2 if args.len() == 3 => &[(1, 0), (2, 1)],
+                Prim::TensorSet1 | Prim::TensorSetRow if args.len() == 3 => &[(1, 0)],
+                Prim::TensorSet2 if args.len() == 4 => &[(1, 0), (2, 1)],
                 _ => &[],
             };
             if !sites.is_empty() {
@@ -1647,16 +1655,14 @@ fn inspect(
                     facts.proved_parts.insert(site);
                     facts.parts_proved += 1;
                 }
-                if base == "tensor_part_1" {
+                if *prim == Prim::TensorPart1 {
                     part_lint(env, f, &args[0], &args[1], site, diags);
                 }
                 return;
             }
-            if matches!(
-                base,
-                "checked_binary_plus" | "checked_binary_subtract" | "checked_binary_times"
-            ) && args.len() == 2
-                && kinds.is_i64(*dst)
+            if matches!(prim, Prim::Plus | Prim::Subtract | Prim::Times)
+                && args.len() == 2
+                && params.first().is_some_and(is_integer64)
                 && args.iter().all(|a| kinds.int_operand(a))
             {
                 facts.arith_total += 1;
@@ -1670,9 +1676,9 @@ fn inspect(
                     resolve_lo(env, &bi, 2) as i128,
                     resolve_hi(env, &bi, 2) as i128,
                 );
-                let (lo, hi) = match base {
-                    "checked_binary_plus" => (alo + blo, ahi + bhi),
-                    "checked_binary_subtract" => (alo - bhi, ahi - blo),
+                let (lo, hi) = match prim {
+                    Prim::Plus => (alo + blo, ahi + bhi),
+                    Prim::Subtract => (alo - bhi, ahi - blo),
                     _ => {
                         let c = [alo * blo, alo * bhi, ahi * blo, ahi * bhi];
                         (*c.iter().min().unwrap(), *c.iter().max().unwrap())
@@ -1779,8 +1785,8 @@ mod tests {
     use std::sync::Arc;
     use wolfram_ir::module::Block;
 
-    fn prim(name: &str) -> Callee {
-        Callee::Primitive(Arc::from(name))
+    fn prim(prim: Prim, params: &[Type]) -> Callee {
+        Callee::primitive(prim, params)
     }
 
     fn ity() -> Type {
@@ -1850,7 +1856,7 @@ mod tests {
                 },
                 Instr::Call {
                     dst: VarId(2),
-                    callee: prim("tensor_part_1$TensorInteger64R1$Integer64"),
+                    callee: prim(Prim::TensorPart1, &[tty(), ity()]),
                     args: vec![VarId(1).into(), Constant::I64(5).into()],
                 },
                 Instr::Return {
@@ -1916,7 +1922,7 @@ mod tests {
                 },
                 Instr::Call {
                     dst: VarId(2),
-                    callee: prim("tensor_fill_1$Integer64$Integer64"),
+                    callee: prim(Prim::TensorFill1, &[ity(), ity()]),
                     args: vec![VarId(0).into(), VarId(1).into()],
                 },
                 Instr::LoadConst {
@@ -1935,7 +1941,7 @@ mod tests {
                 },
                 Instr::Call {
                     dst: VarId(5),
-                    callee: prim("compare_less_equal$Integer64$Integer64"),
+                    callee: prim(Prim::Compare(Cmp::LessEqual), &[ity(), ity()]),
                     args: vec![VarId(4).into(), Constant::I64(100).into()],
                 },
                 Instr::Branch {
@@ -1950,12 +1956,12 @@ mod tests {
             instrs: vec![
                 Instr::Call {
                     dst: VarId(6),
-                    callee: prim("tensor_part_1$TensorInteger64R1$Integer64"),
+                    callee: prim(Prim::TensorPart1, &[tty(), ity()]),
                     args: vec![VarId(2).into(), VarId(4).into()],
                 },
                 Instr::Call {
                     dst: VarId(8),
-                    callee: prim("checked_binary_plus$Integer64$Integer64"),
+                    callee: prim(Prim::Plus, &[ity(), ity()]),
                     args: vec![VarId(4).into(), Constant::I64(1).into()],
                 },
                 Instr::Jump { target: BlockId(1) },
@@ -1994,7 +2000,7 @@ mod tests {
                 },
                 Instr::Call {
                     dst: VarId(1),
-                    callee: prim("tensor_length$TensorInteger64R1"),
+                    callee: prim(Prim::TensorLength, &[tty()]),
                     args: vec![VarId(0).into()],
                 },
                 Instr::LoadConst {
@@ -2013,7 +2019,7 @@ mod tests {
                 },
                 Instr::Call {
                     dst: VarId(4),
-                    callee: prim("compare_less_equal$Integer64$Integer64"),
+                    callee: prim(Prim::Compare(Cmp::LessEqual), &[ity(), ity()]),
                     args: vec![VarId(3).into(), VarId(1).into()],
                 },
                 Instr::Branch {
@@ -2028,12 +2034,12 @@ mod tests {
             instrs: vec![
                 Instr::Call {
                     dst: VarId(5),
-                    callee: prim("tensor_part_1$TensorInteger64R1$Integer64"),
+                    callee: prim(Prim::TensorPart1, &[tty(), ity()]),
                     args: vec![VarId(0).into(), VarId(3).into()],
                 },
                 Instr::Call {
                     dst: VarId(6),
-                    callee: prim("checked_binary_plus$Integer64$Integer64"),
+                    callee: prim(Prim::Plus, &[ity(), ity()]),
                     args: vec![VarId(3).into(), Constant::I64(1).into()],
                 },
                 Instr::Jump { target: BlockId(1) },
@@ -2074,12 +2080,12 @@ mod tests {
                 },
                 Instr::Call {
                     dst: VarId(2),
-                    callee: prim("tensor_part_1$TensorInteger64R1$Integer64"),
+                    callee: prim(Prim::TensorPart1, &[tty(), ity()]),
                     args: vec![VarId(0).into(), VarId(1).into()],
                 },
                 Instr::Call {
                     dst: VarId(3),
-                    callee: prim("tensor_part_1$TensorInteger64R1$Integer64"),
+                    callee: prim(Prim::TensorPart1, &[tty(), ity()]),
                     args: vec![VarId(0).into(), VarId(1).into()],
                 },
                 Instr::Return {
@@ -2121,7 +2127,7 @@ mod tests {
                 },
                 Instr::Call {
                     dst: VarId(2),
-                    callee: prim("compare_greater_equal$Integer64$Integer64"),
+                    callee: prim(Prim::Compare(Cmp::GreaterEqual), &[ity(), ity()]),
                     args: vec![VarId(0).into(), Constant::I64(1).into()],
                 },
                 Instr::Branch {
@@ -2136,7 +2142,7 @@ mod tests {
             instrs: vec![
                 Instr::Call {
                     dst: VarId(3),
-                    callee: prim("compare_less_equal$Integer64$Integer64"),
+                    callee: prim(Prim::Compare(Cmp::LessEqual), &[ity(), ity()]),
                     args: vec![VarId(0).into(), VarId(1).into()],
                 },
                 Instr::Branch {
@@ -2151,12 +2157,12 @@ mod tests {
             instrs: vec![
                 Instr::Call {
                     dst: VarId(4),
-                    callee: prim("tensor_fill_1$Integer64$Integer64"),
+                    callee: prim(Prim::TensorFill1, &[ity(), ity()]),
                     args: vec![Constant::I64(0).into(), VarId(1).into()],
                 },
                 Instr::Call {
                     dst: VarId(5),
-                    callee: prim("tensor_part_1$TensorInteger64R1$Integer64"),
+                    callee: prim(Prim::TensorPart1, &[tty(), ity()]),
                     args: vec![VarId(4).into(), VarId(0).into()],
                 },
                 Instr::Return {
@@ -2169,12 +2175,12 @@ mod tests {
             instrs: vec![
                 Instr::Call {
                     dst: VarId(6),
-                    callee: prim("tensor_fill_1$Integer64$Integer64"),
+                    callee: prim(Prim::TensorFill1, &[ity(), ity()]),
                     args: vec![Constant::I64(0).into(), VarId(1).into()],
                 },
                 Instr::Call {
                     dst: VarId(7),
-                    callee: prim("tensor_part_1$TensorInteger64R1$Integer64"),
+                    callee: prim(Prim::TensorPart1, &[tty(), ity()]),
                     args: vec![VarId(6).into(), VarId(0).into()],
                 },
                 Instr::Return {
@@ -2223,7 +2229,7 @@ mod tests {
                 },
                 Instr::Call {
                     dst: VarId(3),
-                    callee: prim("compare_less$Integer64$Integer64"),
+                    callee: prim(Prim::Compare(Cmp::Less), &[ity(), ity()]),
                     args: vec![VarId(2).into(), VarId(4).into()],
                 },
                 Instr::Branch {
@@ -2238,12 +2244,12 @@ mod tests {
             instrs: vec![
                 Instr::Call {
                     dst: VarId(5),
-                    callee: prim("checked_binary_plus$Integer64$Integer64"),
+                    callee: prim(Prim::Plus, &[ity(), ity()]),
                     args: vec![VarId(2).into(), Constant::I64(3).into()],
                 },
                 Instr::Call {
                     dst: VarId(6),
-                    callee: prim("checked_binary_subtract$Integer64$Integer64"),
+                    callee: prim(Prim::Subtract, &[ity(), ity()]),
                     args: vec![VarId(4).into(), Constant::I64(1).into()],
                 },
                 Instr::Jump { target: BlockId(1) },
@@ -2286,7 +2292,7 @@ mod tests {
                 },
                 Instr::Call {
                     dst: VarId(2),
-                    callee: prim("compare_greater_equal$Integer64$Integer64"),
+                    callee: prim(Prim::Compare(Cmp::GreaterEqual), &[ity(), ity()]),
                     args: vec![VarId(1).into(), Constant::I64(1).into()],
                 },
                 Instr::Branch {
@@ -2301,7 +2307,7 @@ mod tests {
             instrs: vec![
                 Instr::Call {
                     dst: VarId(3),
-                    callee: prim("checked_binary_quotient$Integer64$Integer64"),
+                    callee: prim(Prim::Quotient, &[ity(), ity()]),
                     args: vec![VarId(0).into(), VarId(1).into()],
                 },
                 Instr::Return {

@@ -9,7 +9,7 @@
 use crate::diag::Diagnostic;
 use std::collections::HashMap;
 use wolfram_ir::{BlockId, Callee, Function, Instr, Operand, ProgramModule};
-use wolfram_types::Type;
+use wolfram_types::{mangle, Type};
 
 /// Parameter and return types per (mangled) function name, harvested from
 /// the module before the pass pipeline mutates bodies. `None` entries mean
@@ -77,50 +77,6 @@ fn arg_compatible(want: &Type, got: &Type) -> bool {
         (numeric_rank(want), numeric_rank(got)),
         (Some(w), Some(g)) if g <= w
     )
-}
-
-/// Parses one `$`-separated segment of a mangled primitive name back into
-/// a type. Returns `None` for segments the demangler cannot reconstruct
-/// exactly (unknown-rank tensors, function types), which simply skips the
-/// corresponding argument check.
-fn demangle_segment(seg: &str) -> Option<Type> {
-    const ATOMICS: &[&str] = &[
-        "ComplexReal64",
-        "Integer64",
-        "Real64",
-        "Boolean",
-        "String",
-        "Expression",
-        "Void",
-    ];
-    if let Some(rest) = seg.strip_prefix("Tensor") {
-        // `Tensor{elem}R{rank}`: split at the rightmost `R` whose suffix
-        // is a rank (digits, or `N` for statically unknown).
-        for (pos, _) in rest.char_indices().rev().filter(|(_, c)| *c == 'R') {
-            let (elem, rank) = (&rest[..pos], &rest[pos + 1..]);
-            if rank == "N" {
-                return None; // rank unknown at compile time
-            }
-            if let (Ok(rank), Some(elem)) = (rank.parse::<i64>(), demangle_segment(elem)) {
-                return Some(Type::tensor(elem, rank));
-            }
-        }
-        return None;
-    }
-    if seg.starts_with("Fn") {
-        return None; // function types are not reconstructed
-    }
-    ATOMICS.iter().find(|a| **a == seg).map(|a| Type::atomic(a))
-}
-
-/// The expected argument types encoded in a mangled primitive name
-/// (`checked_binary_plus$Integer64$Integer64` -> two `Integer64`s), or
-/// `None` when the name carries no specialization suffix.
-fn primitive_params(name: &str) -> Option<Vec<Option<Type>>> {
-    let mut segs = name.split('$');
-    segs.next()?; // the base
-    let params: Vec<Option<Type>> = segs.map(demangle_segment).collect();
-    (!params.is_empty()).then_some(params)
 }
 
 /// Checks one function. `sigs` resolves `Callee::Function` targets; pass
@@ -208,31 +164,32 @@ pub fn check(f: &Function, sigs: &Signatures) -> Vec<Diagnostic> {
                     }
                 }
                 Instr::Call { dst, callee, args } => match callee {
-                    Callee::Primitive(name) => {
-                        if let Some(params) = primitive_params(name) {
-                            if params.len() != args.len() {
-                                mismatch(
-                                    b,
-                                    ix,
-                                    format!(
-                                        "primitive `{name}` specialized for {} arguments, called with {}",
-                                        params.len(),
-                                        args.len()
-                                    ),
-                                );
-                            } else {
-                                for (k, (want, arg)) in params.iter().zip(args).enumerate() {
-                                    if let (Some(want), Some(got)) = (want, op_ty(arg)) {
-                                        if !arg_compatible(want, &got) {
-                                            mismatch(
-                                                b,
-                                                ix,
-                                                format!(
-                                                    "argument {} of `{name}` has type {got}, expected {want}",
-                                                    k + 1
-                                                ),
-                                            );
-                                        }
+                    Callee::Primitive { prim, params } => {
+                        let name = || mangle(prim.name(), params);
+                        if params.len() != args.len() {
+                            mismatch(
+                                b,
+                                ix,
+                                format!(
+                                    "primitive `{}` specialized for {} arguments, called with {}",
+                                    name(),
+                                    params.len(),
+                                    args.len()
+                                ),
+                            );
+                        } else {
+                            for (k, (want, arg)) in params.iter().zip(args).enumerate() {
+                                if let Some(got) = op_ty(arg) {
+                                    if !arg_compatible(want, &got) {
+                                        mismatch(
+                                            b,
+                                            ix,
+                                            format!(
+                                                "argument {} of `{}` has type {got}, expected {want}",
+                                                k + 1,
+                                                name()
+                                            ),
+                                        );
                                     }
                                 }
                             }
@@ -356,23 +313,71 @@ pub fn check(f: &Function, sigs: &Signatures) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use wolfram_ir::{Constant, VarId};
+    use wolfram_types::Prim;
+
+    /// `%1 = Call prim$params [%0, ...consts]` with `%0` typed `arg0`.
+    fn call_of(prim: Prim, params: &[Type], arg0: Type, consts: &[Constant]) -> Function {
+        let mut f = Function::new("f", 1);
+        let mut args = vec![VarId(0).into()];
+        args.extend(consts.iter().cloned().map(Into::into));
+        f.blocks.push(wolfram_ir::module::Block {
+            label: "start".into(),
+            instrs: vec![
+                Instr::LoadArgument {
+                    dst: VarId(0),
+                    index: 0,
+                },
+                Instr::Call {
+                    dst: VarId(1),
+                    callee: Callee::primitive(prim, params),
+                    args,
+                },
+                Instr::Return {
+                    value: VarId(1).into(),
+                },
+            ],
+        });
+        f.var_types.insert(VarId(0), arg0);
+        f
+    }
 
     #[test]
-    fn demangles_primitive_suffixes() {
-        let p = primitive_params("checked_binary_plus$Integer64$Integer64").unwrap();
-        assert_eq!(p, vec![Some(Type::integer64()), Some(Type::integer64())]);
-        let p = primitive_params("tensor_part_1$TensorInteger64R1$Integer64").unwrap();
+    fn primitive_operands_are_checked_against_the_resolved_parameters() {
+        let (int, real) = (Type::integer64(), Type::real64());
+        let ints = Type::tensor(Type::integer64(), 1);
+        let messages = |f: &Function| -> Vec<String> {
+            check(f, &Signatures::default())
+                .into_iter()
+                .map(|d| d.message)
+                .collect()
+        };
+        // Scalars: exact, widened along the numeric tower, and narrowed.
+        let plus = [int.clone(), int.clone()];
+        let one = [Constant::I64(1)];
+        assert!(messages(&call_of(Prim::Plus, &plus, int.clone(), &one)).is_empty());
+        let real_plus = [real.clone(), real.clone()];
+        assert!(messages(&call_of(Prim::Plus, &real_plus, int.clone(), &one)).is_empty());
         assert_eq!(
-            p,
-            vec![
-                Some(Type::tensor(Type::integer64(), 1)),
-                Some(Type::integer64())
-            ]
+            messages(&call_of(Prim::Plus, &plus, real.clone(), &one)),
+            ["argument 1 of `checked_binary_plus$Integer64$Integer64` has type Real64, expected Integer64"]
         );
-        // Unknown-rank tensors and function types skip, but keep arity.
-        let p = primitive_params("length$TensorReal64RN").unwrap();
-        assert_eq!(p, vec![None]);
-        assert!(primitive_params("random_unit").is_none());
+        // Tensor parameters compare element type and rank.
+        let part = [ints.clone(), int.clone()];
+        assert!(messages(&call_of(Prim::TensorPart1, &part, ints, &one)).is_empty());
+        let reals = Type::tensor(Type::real64(), 1);
+        assert_eq!(
+            messages(&call_of(Prim::TensorPart1, &part, reals, &one)).len(),
+            1
+        );
+        // Arity, including the primitive of no parameters.
+        assert_eq!(
+            messages(&call_of(Prim::Plus, &plus, int.clone(), &[])),
+            ["primitive `checked_binary_plus$Integer64$Integer64` specialized for 2 arguments, called with 1"]
+        );
+        assert_eq!(
+            messages(&call_of(Prim::RandomUnit, &[], int, &[])),
+            ["primitive `random_unit` specialized for 0 arguments, called with 1"]
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Lowers fully-typed TWIR program modules onto the native register
 //! machine: SSA destruction (phi -> edge moves), bank assignment by type,
-//! and monomorphic instruction selection from mangled primitive names.
+//! and monomorphic instruction selection, one arm per resolved primitive.
 
 use crate::machine::{
-    ArgVal, Bank, CmpCode, CpxOp, ElemKind, ElisionCounters, FltOp, FltUnOp, IntOp, IntUnOp,
-    NativeFunc, NativeProgram, RegOp, Slot, TenOp,
+    ArgVal, Bank, CmpCode, CpxOp, ElemKind, ElisionCounters, ExprOp, FltOp, FltUnOp, IntOp,
+    IntUnOp, NativeFunc, NativeProgram, RegOp, Slot, TenOp,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use wolfram_analyze::intervals::{FnRangeFacts, RangeFacts};
 use wolfram_expr::Expr;
 use wolfram_ir::module::{Block, BlockId, Callee, Constant, Function, Instr, Operand, VarId};
 use wolfram_runtime::{Tensor, Value};
-use wolfram_types::Type;
+use wolfram_types::{Cmp, Elementary, Prim, Type};
 
 /// Lowering failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -657,492 +657,310 @@ impl<'a> Lowering<'a> {
                 });
                 Ok(())
             }
-            Callee::Primitive(name) => self.select_primitive(name, dslot, args),
+            Callee::Primitive { prim, params } => self.select_primitive(*prim, params, dslot, args),
             Callee::Builtin(name) => Err(LowerError::Unsupported(format!(
                 "unresolved builtin `{name}` reached code generation"
             ))),
         }
     }
 
-    /// Monomorphic instruction selection from a mangled primitive name and
-    /// the statically known operand types.
+    /// Monomorphic instruction selection: one arm per primitive, so one
+    /// added to the table does not compile until it has an instruction
+    /// here. The destination's bank picks the instance of an overloaded
+    /// primitive; `params` are the types resolution instantiated it at,
+    /// which an operand (an `Integer64` immediate in a `Real64` position)
+    /// may still have to be widened to.
     #[allow(clippy::too_many_lines)]
     fn select_primitive(
         &mut self,
-        name: &str,
+        prim: Prim,
+        params: &[Type],
         dslot: Slot,
         args: &[Operand],
     ) -> Result<(), LowerError> {
-        let base = name.split("$").next().unwrap_or(name);
         let d = dslot.ix;
-        // Helpers to materialize operands in a requested bank.
+        // Materializes an operand in a requested bank.
         macro_rules! a {
             ($ix:expr, $bank:expr) => {
                 self.operand(&args[$ix], $bank)?
             };
         }
-        let arg_bank = |l: &Self, ix: usize| -> Result<Bank, LowerError> {
-            Ok(bank_of(&l.operand_ty(&args[ix])?))
-        };
-
-        // Scalar binary arithmetic dispatching on the destination bank.
-        let int_ops: &[(&str, IntOp)] = &[
-            ("checked_binary_plus", IntOp::Add),
-            ("checked_binary_subtract", IntOp::Sub),
-            ("checked_binary_times", IntOp::Mul),
-            ("checked_binary_quotient", IntOp::Quot),
-            ("checked_binary_mod", IntOp::Mod),
-            ("checked_binary_power", IntOp::Pow),
-            ("binary_min", IntOp::Min),
-            ("binary_max", IntOp::Max),
-            ("binary_gcd", IntOp::Gcd),
-            ("bit_and", IntOp::BitAnd),
-            ("bit_or", IntOp::BitOr),
-            ("bit_xor", IntOp::BitXor),
-            ("bit_shift_left", IntOp::Shl),
-            ("bit_shift_right", IntOp::Shr),
-            ("logical_and", IntOp::And),
-            ("logical_or", IntOp::Or),
-        ];
-        let flt_ops: &[(&str, FltOp)] = &[
-            ("checked_binary_plus", FltOp::Add),
-            ("checked_binary_subtract", FltOp::Sub),
-            ("checked_binary_times", FltOp::Mul),
-            ("checked_binary_divide", FltOp::Div),
-            ("checked_binary_power", FltOp::Pow),
-            ("checked_binary_mod", FltOp::Mod),
-            ("binary_min", FltOp::Min),
-            ("binary_max", FltOp::Max),
-            ("binary_arctan2", FltOp::ArcTan2),
-        ];
-        let cpx_ops: &[(&str, CpxOp)] = &[
-            ("checked_binary_plus", CpxOp::Add),
-            ("checked_binary_subtract", CpxOp::Sub),
-            ("checked_binary_times", CpxOp::Mul),
-            ("checked_binary_divide", CpxOp::Div),
-        ];
-        let ten_ops: &[(&str, TenOp)] = &[
-            ("tensor_plus", TenOp::Add),
-            ("tensor_subtract", TenOp::Sub),
-            ("tensor_times", TenOp::Mul),
-        ];
-
-        match dslot.bank {
-            Bank::I => {
-                if let Some((_, op)) = int_ops.iter().find(|(b, _)| *b == base) {
-                    // Promote add/sub/mul whose overflow the interval
-                    // analysis discharged to the unchecked (wrapping) form.
-                    let mut op = *op;
-                    if let Some(unchecked) = match op {
-                        IntOp::Add => Some(IntOp::AddU),
-                        IntOp::Sub => Some(IntOp::SubU),
-                        IntOp::Mul => Some(IntOp::MulU),
-                        _ => None,
-                    } {
-                        self.elision.ovf_total += 1;
-                        if self.arith_proved() {
-                            self.elision.ovf_elided += 1;
-                            op = unchecked;
-                        }
-                    }
-                    let x = a!(0, Bank::I);
-                    // Immediate forms avoid a register read per iteration.
-                    if let Some(Constant::I64(imm)) = args[1].as_const() {
-                        self.code.push(RegOp::IntBinImm {
-                            op,
-                            d,
-                            a: x,
-                            imm: *imm,
-                        });
-                        return Ok(());
-                    }
-                    let y = a!(1, Bank::I);
-                    self.code.push(RegOp::IntBin { op, d, a: x, b: y });
-                    return Ok(());
-                }
-            }
-            Bank::F => {
-                if let Some((_, op)) = flt_ops.iter().find(|(b, _)| *b == base) {
-                    let x = a!(0, Bank::F);
-                    let imm = match args[1].as_const() {
-                        Some(Constant::F64(v)) => Some(*v),
-                        Some(Constant::I64(v)) => Some(*v as f64),
-                        _ => None,
-                    };
-                    if let Some(imm) = imm {
-                        self.code.push(RegOp::FltBinImm {
-                            op: *op,
-                            d,
-                            a: x,
-                            imm,
-                        });
-                        return Ok(());
-                    }
-                    let y = a!(1, Bank::F);
-                    self.code.push(RegOp::FltBin {
-                        op: *op,
-                        d,
-                        a: x,
-                        b: y,
-                    });
-                    return Ok(());
-                }
-            }
-            Bank::C => {
-                if base == "checked_binary_power" {
-                    // complex ^ integer stays exact.
-                    let x = a!(0, Bank::C);
-                    if arg_bank(self, 1)? == Bank::I {
-                        let e = a!(1, Bank::I);
-                        self.code.push(RegOp::CpxPowI { d, a: x, e });
-                        return Ok(());
-                    }
-                }
-                if let Some((_, op)) = cpx_ops.iter().find(|(b, _)| *b == base) {
-                    let (x, y) = (a!(0, Bank::C), a!(1, Bank::C));
-                    self.code.push(RegOp::CpxBin {
-                        op: *op,
-                        d,
-                        a: x,
-                        b: y,
-                    });
-                    return Ok(());
-                }
-            }
-            Bank::V => {
-                if let Some((_, op)) = ten_ops.iter().find(|(b, _)| *b == base) {
-                    let (x, y) = (a!(0, Bank::V), a!(1, Bank::V));
-                    self.code.push(RegOp::TenBin {
-                        op: *op,
-                        d,
-                        a: x,
-                        b: y,
-                    });
-                    return Ok(());
-                }
-            }
+        // Scalar `d = a op b`: the op per destination bank, `None` where
+        // the primitive has no instance.
+        macro_rules! binary {
+            ($int:expr, $flt:expr, $cpx:expr) => {
+                self.select_binary(prim, dslot, args, $int, $flt, $cpx)
+            };
         }
-
-        // Comparisons: dispatch on the *argument* bank.
-        let cmp: &[(&str, CmpCode, IntOp)] = &[
-            ("compare_less_equal", CmpCode::Le, IntOp::Le),
-            ("compare_less", CmpCode::Lt, IntOp::Lt),
-            ("compare_greater_equal", CmpCode::Ge, IntOp::Ge),
-            ("compare_greater", CmpCode::Gt, IntOp::Gt),
-            ("compare_equal", CmpCode::Eq, IntOp::Eq),
-            ("compare_unequal", CmpCode::Ne, IntOp::Ne),
-        ];
-        if let Some((_, fcode, icode)) = cmp.iter().find(|(b, ..)| *b == base) {
-            let ab = arg_bank(self, 0)?.max_num(arg_bank(self, 1)?);
-            match ab {
-                Bank::I => {
-                    let (x, y) = (a!(0, Bank::I), a!(1, Bank::I));
-                    self.code.push(RegOp::IntBin {
-                        op: *icode,
-                        d,
-                        a: x,
-                        b: y,
-                    });
+        // Elementwise tensor arithmetic, tensor (+) scalar broadcast with the
+        // tensor at operand `$t`, and symbolic arithmetic.
+        macro_rules! tensor {
+            ($op:expr) => {
+                RegOp::TenBin {
+                    op: $op,
+                    d,
+                    a: a!(0, Bank::V),
+                    b: a!(1, Bank::V),
                 }
-                Bank::C => {
-                    let (x, y) = (a!(0, Bank::C), a!(1, Bank::C));
-                    let eq = matches!(fcode, CmpCode::Eq);
-                    if !(eq || matches!(fcode, CmpCode::Ne)) {
-                        return Err(LowerError::Unsupported("ordered complex compare".into()));
-                    }
-                    self.code.push(RegOp::CpxEq { d, a: x, b: y });
-                    if matches!(fcode, CmpCode::Ne) {
-                        self.code.push(RegOp::IntUn {
+            };
+        }
+        macro_rules! broadcast {
+            ($op:expr, $t:expr, $s:expr) => {{
+                let elem = tensor_elem_of(&params[$t])?;
+                RegOp::TenScalar {
+                    op: $op,
+                    kind: elem_kind(elem),
+                    d,
+                    t: a!($t, Bank::V),
+                    s: a!($s, bank_of(elem)),
+                    rev: $t == 1,
+                }
+            }};
+        }
+        macro_rules! symbolic {
+            ($op:expr) => {
+                RegOp::ExprBin {
+                    op: $op,
+                    d,
+                    a: a!(0, Bank::V),
+                    b: a!(1, Bank::V),
+                }
+            };
+        }
+        let op = match prim {
+            Prim::Plus => return binary!(Some(IntOp::Add), Some(FltOp::Add), Some(CpxOp::Add)),
+            Prim::Subtract => return binary!(Some(IntOp::Sub), Some(FltOp::Sub), Some(CpxOp::Sub)),
+            Prim::Times => return binary!(Some(IntOp::Mul), Some(FltOp::Mul), Some(CpxOp::Mul)),
+            Prim::Divide => return binary!(None, Some(FltOp::Div), Some(CpxOp::Div)),
+            // complex ^ integer stays exact.
+            Prim::Power if dslot.bank == Bank::C && bank_of(&params[1]) == Bank::I => {
+                RegOp::CpxPowI {
+                    d,
+                    a: a!(0, Bank::C),
+                    e: a!(1, Bank::I),
+                }
+            }
+            Prim::Power => return binary!(Some(IntOp::Pow), Some(FltOp::Pow), None),
+            Prim::Mod => return binary!(Some(IntOp::Mod), Some(FltOp::Mod), None),
+            Prim::Quotient => return binary!(Some(IntOp::Quot), None, None),
+            Prim::Min => return binary!(Some(IntOp::Min), Some(FltOp::Min), None),
+            Prim::Max => return binary!(Some(IntOp::Max), Some(FltOp::Max), None),
+            Prim::ArcTan2 => return binary!(None, Some(FltOp::ArcTan2), None),
+            Prim::Gcd => return binary!(Some(IntOp::Gcd), None, None),
+            Prim::BitAnd => return binary!(Some(IntOp::BitAnd), None, None),
+            Prim::BitOr => return binary!(Some(IntOp::BitOr), None, None),
+            Prim::BitXor => return binary!(Some(IntOp::BitXor), None, None),
+            Prim::BitShiftLeft => return binary!(Some(IntOp::Shl), None, None),
+            Prim::BitShiftRight => return binary!(Some(IntOp::Shr), None, None),
+            Prim::TensorPlus => tensor!(TenOp::Add),
+            Prim::TensorSubtract => tensor!(TenOp::Sub),
+            Prim::TensorTimes => tensor!(TenOp::Mul),
+            Prim::TensorScalarPlus => broadcast!(TenOp::Add, 0, 1),
+            Prim::TensorScalarSubtract => broadcast!(TenOp::Sub, 0, 1),
+            Prim::TensorScalarTimes => broadcast!(TenOp::Mul, 0, 1),
+            Prim::ScalarTensorPlus => broadcast!(TenOp::Add, 1, 0),
+            Prim::ScalarTensorSubtract => broadcast!(TenOp::Sub, 1, 0),
+            Prim::ScalarTensorTimes => broadcast!(TenOp::Mul, 1, 0),
+            Prim::ExprPlus => symbolic!(ExprOp::Plus),
+            Prim::ExprSubtract => symbolic!(ExprOp::Subtract),
+            Prim::ExprTimes => symbolic!(ExprOp::Times),
+            Prim::ExprPower => symbolic!(ExprOp::Power),
+            Prim::Compare(cmp) => {
+                let (fcode, icode) = match cmp {
+                    Cmp::Less => (CmpCode::Lt, IntOp::Lt),
+                    Cmp::LessEqual => (CmpCode::Le, IntOp::Le),
+                    Cmp::Greater => (CmpCode::Gt, IntOp::Gt),
+                    Cmp::GreaterEqual => (CmpCode::Ge, IntOp::Ge),
+                    Cmp::Equal => (CmpCode::Eq, IntOp::Eq),
+                    Cmp::Unequal => (CmpCode::Ne, IntOp::Ne),
+                };
+                match bank_of(&params[0]) {
+                    Bank::I => RegOp::IntBin {
+                        op: icode,
+                        d,
+                        a: a!(0, Bank::I),
+                        b: a!(1, Bank::I),
+                    },
+                    Bank::F => RegOp::FltCmp {
+                        op: fcode,
+                        d,
+                        a: a!(0, Bank::F),
+                        b: a!(1, Bank::F),
+                    },
+                    Bank::C => {
+                        let (x, y) = (a!(0, Bank::C), a!(1, Bank::C));
+                        let negate = match cmp {
+                            Cmp::Equal => false,
+                            Cmp::Unequal => true,
+                            Cmp::Less | Cmp::LessEqual | Cmp::Greater | Cmp::GreaterEqual => {
+                                return Err(LowerError::Unsupported(
+                                    "ordered complex compare".into(),
+                                ))
+                            }
+                        };
+                        self.code.push(RegOp::CpxEq { d, a: x, b: y });
+                        if !negate {
+                            return Ok(());
+                        }
+                        RegOp::IntUn {
                             op: IntUnOp::Not,
                             d,
                             s: d,
-                        });
-                    }
-                }
-                Bank::V => {
-                    return Err(LowerError::Unsupported(
-                        "comparison of managed values".into(),
-                    ))
-                }
-                Bank::F => {
-                    let (x, y) = (a!(0, Bank::F), a!(1, Bank::F));
-                    self.code.push(RegOp::FltCmp {
-                        op: *fcode,
-                        d,
-                        a: x,
-                        b: y,
-                    });
-                }
-            }
-            return Ok(());
-        }
-
-        match base {
-            "checked_unary_minus" | "checked_unary_abs" | "unary_sign" => {
-                let un_i = match base {
-                    "checked_unary_minus" => IntUnOp::Neg,
-                    "checked_unary_abs" => IntUnOp::Abs,
-                    _ => IntUnOp::Sign,
-                };
-                match dslot.bank {
-                    Bank::I => {
-                        let s = a!(0, Bank::I);
-                        self.code.push(RegOp::IntUn { op: un_i, d, s });
-                    }
-                    Bank::F => {
-                        // Abs of a complex lands in the float bank.
-                        if arg_bank(self, 0)? == Bank::C {
-                            let s = a!(0, Bank::C);
-                            self.code.push(RegOp::CpxAbs { d, s });
-                        } else {
-                            let s = a!(0, Bank::F);
-                            let op = match un_i {
-                                IntUnOp::Neg => FltUnOp::Neg,
-                                IntUnOp::Abs => FltUnOp::Abs,
-                                _ => FltUnOp::Sign,
-                            };
-                            self.code.push(RegOp::FltUn { op, d, s });
                         }
                     }
-                    Bank::C => {
-                        let s = a!(0, Bank::C);
-                        let zero = self.bump(Bank::C);
-                        self.code.push(RegOp::LdcC {
-                            d: zero,
-                            re: 0.0,
-                            im: 0.0,
-                        });
-                        self.code.push(RegOp::CpxBin {
-                            op: CpxOp::Sub,
-                            d,
-                            a: zero,
-                            b: s,
-                        });
-                    }
-                    Bank::V => return Err(LowerError::Unsupported("unary op on value".into())),
-                }
-                Ok(())
-            }
-            "unary_not" => {
-                let s = a!(0, Bank::I);
-                self.code.push(RegOp::IntUn {
-                    op: IntUnOp::Not,
-                    d,
-                    s,
-                });
-                Ok(())
-            }
-            "unary_factorial" => {
-                let s = a!(0, Bank::I);
-                self.code.push(RegOp::IntUn {
-                    op: IntUnOp::Factorial,
-                    d,
-                    s,
-                });
-                Ok(())
-            }
-            "unary_sin" | "unary_cos" | "unary_tan" | "unary_exp" | "unary_log" | "unary_sqrt"
-            | "unary_arctan" | "unary_arcsin" | "unary_arccos" => {
-                let op = match base {
-                    "unary_sin" => FltUnOp::Sin,
-                    "unary_cos" => FltUnOp::Cos,
-                    "unary_tan" => FltUnOp::Tan,
-                    "unary_exp" => FltUnOp::Exp,
-                    "unary_log" => FltUnOp::Log,
-                    "unary_sqrt" => FltUnOp::Sqrt,
-                    "unary_arctan" => FltUnOp::ArcTan,
-                    "unary_arcsin" => FltUnOp::ArcSin,
-                    _ => FltUnOp::ArcCos,
-                };
-                let s = a!(0, Bank::F);
-                self.code.push(RegOp::FltUn { op, d, s });
-                Ok(())
-            }
-            "unary_floor" | "unary_ceiling" | "unary_round" => {
-                if arg_bank(self, 0)? == Bank::I {
-                    let s = a!(0, Bank::I);
-                    self.code.push(RegOp::MovI { d, s });
-                } else {
-                    let s = a!(0, Bank::F);
-                    self.code.push(match base {
-                        "unary_floor" => RegOp::FloorFI { d, s },
-                        "unary_ceiling" => RegOp::CeilFI { d, s },
-                        _ => RegOp::RoundFI { d, s },
-                    });
-                }
-                Ok(())
-            }
-            "power_mod" => {
-                let (x, y, m) = (a!(0, Bank::I), a!(1, Bank::I), a!(2, Bank::I));
-                self.code.push(RegOp::PowModI { d, a: x, b: y, m });
-                Ok(())
-            }
-            "boole" => {
-                let s = a!(0, Bank::I);
-                self.code.push(RegOp::MovI { d, s });
-                Ok(())
-            }
-            "complex_construct" => {
-                let (re, im) = (a!(0, Bank::F), a!(1, Bank::F));
-                self.code.push(RegOp::CpxMake { d, re, im });
-                Ok(())
-            }
-            "complex_re" => {
-                let s = a!(0, Bank::C);
-                self.code.push(RegOp::CpxRe { d, s });
-                Ok(())
-            }
-            "complex_im" => {
-                let s = a!(0, Bank::C);
-                self.code.push(RegOp::CpxIm { d, s });
-                Ok(())
-            }
-            "complex_conjugate" => {
-                let s = a!(0, Bank::C);
-                self.code.push(RegOp::CpxConj { d, s });
-                Ok(())
-            }
-            "complex_abs" => {
-                let s = a!(0, Bank::C);
-                self.code.push(RegOp::CpxAbs { d, s });
-                Ok(())
-            }
-            "convert" => {
-                // convert: dst bank decides.
-                match dslot.bank {
-                    Bank::F => {
-                        let s = a!(0, Bank::F);
-                        self.code.push(RegOp::MovF { d, s });
-                    }
-                    Bank::C => {
-                        let s = a!(0, Bank::C);
-                        self.code.push(RegOp::MovC { d, s });
-                    }
-                    Bank::I => {
-                        let s = a!(0, Bank::I);
-                        self.code.push(RegOp::MovI { d, s });
-                    }
                     Bank::V => {
-                        let s = a!(0, Bank::V);
-                        self.code.push(RegOp::MovV { d, s });
+                        return Err(LowerError::Unsupported(
+                            "comparison of managed values".into(),
+                        ))
                     }
                 }
-                Ok(())
             }
-            "tensor_length" => {
-                let t = a!(0, Bank::V);
-                self.code.push(RegOp::TenLen { d, t });
-                Ok(())
-            }
-            "tensor_part_1" => {
-                let elem = self.elem_of(&args[0])?;
-                let kind = elem_kind(&elem);
-                let t = a!(0, Bank::V);
-                let i = a!(1, Bank::I);
-                let checked = self.part_checked();
-                self.code.push(RegOp::TenPart1 {
-                    kind,
-                    d,
-                    t,
-                    i,
-                    checked,
+            Prim::Minus if dslot.bank == Bank::C => {
+                let s = a!(0, Bank::C);
+                let zero = self.bump(Bank::C);
+                self.code.push(RegOp::LdcC {
+                    d: zero,
+                    re: 0.0,
+                    im: 0.0,
                 });
-                Ok(())
-            }
-            "tensor_part_2" => {
-                let elem = self.elem_of(&args[0])?;
-                let kind = elem_kind(&elem);
-                let t = a!(0, Bank::V);
-                let (i, j) = (a!(1, Bank::I), a!(2, Bank::I));
-                let checked = self.part_checked();
-                self.code.push(RegOp::TenPart2 {
-                    kind,
+                RegOp::CpxBin {
+                    op: CpxOp::Sub,
                     d,
-                    t,
-                    i,
-                    j,
-                    checked,
-                });
-                Ok(())
+                    a: zero,
+                    b: s,
+                }
             }
-            "tensor_set_1" => {
-                let elem = self.elem_of(&args[0])?;
-                let kind = elem_kind(&elem);
+            Prim::Minus => return self.select_unary(dslot, args, IntUnOp::Neg, FltUnOp::Neg),
+            Prim::Abs => return self.select_unary(dslot, args, IntUnOp::Abs, FltUnOp::Abs),
+            Prim::Sign => return self.select_unary(dslot, args, IntUnOp::Sign, FltUnOp::Sign),
+            Prim::Not => RegOp::IntUn {
+                op: IntUnOp::Not,
+                d,
+                s: a!(0, Bank::I),
+            },
+            Prim::Factorial => RegOp::IntUn {
+                op: IntUnOp::Factorial,
+                d,
+                s: a!(0, Bank::I),
+            },
+            Prim::Elementary(f) => RegOp::FltUn {
+                op: match f {
+                    Elementary::Sin => FltUnOp::Sin,
+                    Elementary::Cos => FltUnOp::Cos,
+                    Elementary::Tan => FltUnOp::Tan,
+                    Elementary::Exp => FltUnOp::Exp,
+                    Elementary::Log => FltUnOp::Log,
+                    Elementary::ArcTan => FltUnOp::ArcTan,
+                    Elementary::ArcSin => FltUnOp::ArcSin,
+                    Elementary::ArcCos => FltUnOp::ArcCos,
+                },
+                d,
+                s: a!(0, Bank::F),
+            },
+            // Rounding an integer is a move.
+            Prim::Floor | Prim::Ceiling | Prim::Round if bank_of(&params[0]) == Bank::I => {
+                RegOp::MovI {
+                    d,
+                    s: a!(0, Bank::I),
+                }
+            }
+            Prim::Floor => RegOp::FloorFI {
+                d,
+                s: a!(0, Bank::F),
+            },
+            Prim::Ceiling => RegOp::CeilFI {
+                d,
+                s: a!(0, Bank::F),
+            },
+            Prim::Round => RegOp::RoundFI {
+                d,
+                s: a!(0, Bank::F),
+            },
+            Prim::Boole => RegOp::MovI {
+                d,
+                s: a!(0, Bank::I),
+            },
+            Prim::PowerMod => RegOp::PowModI {
+                d,
+                a: a!(0, Bank::I),
+                b: a!(1, Bank::I),
+                m: a!(2, Bank::I),
+            },
+            Prim::ComplexConstruct => RegOp::CpxMake {
+                d,
+                re: a!(0, Bank::F),
+                im: a!(1, Bank::F),
+            },
+            Prim::ComplexRe => RegOp::CpxRe {
+                d,
+                s: a!(0, Bank::C),
+            },
+            Prim::ComplexIm => RegOp::CpxIm {
+                d,
+                s: a!(0, Bank::C),
+            },
+            Prim::ComplexConjugate => RegOp::CpxConj {
+                d,
+                s: a!(0, Bank::C),
+            },
+            Prim::ComplexAbs => RegOp::CpxAbs {
+                d,
+                s: a!(0, Bank::C),
+            },
+            // A widening move: the destination's bank decides.
+            Prim::Convert => mov(dslot.bank, d, a!(0, dslot.bank)),
+            Prim::TensorLength => RegOp::TenLen {
+                d,
+                t: a!(0, Bank::V),
+            },
+            Prim::TensorPart1 => RegOp::TenPart1 {
+                kind: elem_kind(tensor_elem_of(&params[0])?),
+                d,
+                t: a!(0, Bank::V),
+                i: a!(1, Bank::I),
+                checked: self.part_checked(),
+            },
+            Prim::TensorPart2 => RegOp::TenPart2 {
+                kind: elem_kind(tensor_elem_of(&params[0])?),
+                d,
+                t: a!(0, Bank::V),
+                i: a!(1, Bank::I),
+                j: a!(2, Bank::I),
+                checked: self.part_checked(),
+            },
+            Prim::TensorSet1 => {
+                let elem = tensor_elem_of(&params[0])?;
                 let (t, take) = self.operand_v_take(&args[0])?;
                 let i = a!(1, Bank::I);
-                let v = a!(2, bank_of(&elem));
+                let v = a!(2, bank_of(elem));
                 // Functional result: the source tensor moves into dst when
                 // dead (in-place update), and is cloned (copy-on-write)
                 // when still live — the F5 copy analysis.
                 self.push_v_move(d, t, take);
-                let checked = self.part_checked();
-                self.code.push(RegOp::TenSet1 {
-                    kind,
+                RegOp::TenSet1 {
+                    kind: elem_kind(elem),
                     t: d,
                     i,
                     v,
-                    checked,
-                });
-                Ok(())
+                    checked: self.part_checked(),
+                }
             }
-            "tensor_set_2" => {
-                let elem = self.elem_of(&args[0])?;
-                let kind = elem_kind(&elem);
+            Prim::TensorSet2 => {
+                let elem = tensor_elem_of(&params[0])?;
                 let (t, take) = self.operand_v_take(&args[0])?;
                 let (i, j) = (a!(1, Bank::I), a!(2, Bank::I));
-                let v = a!(3, bank_of(&elem));
+                let v = a!(3, bank_of(elem));
                 self.push_v_move(d, t, take);
-                let checked = self.part_checked();
-                self.code.push(RegOp::TenSet2 {
-                    kind,
+                RegOp::TenSet2 {
+                    kind: elem_kind(elem),
                     t: d,
                     i,
                     j,
                     v,
-                    checked,
-                });
-                Ok(())
-            }
-            "tensor_fill_1" => {
-                let ety = self.operand_ty(&args[0])?;
-                let c = a!(0, bank_of(&ety));
-                let n = a!(1, Bank::I);
-                self.code.push(RegOp::TenFill1 {
-                    kind: elem_kind(&ety),
-                    d,
-                    c,
-                    n,
-                });
-                Ok(())
-            }
-            "tensor_fill_2" => {
-                let ety = self.operand_ty(&args[0])?;
-                let c = a!(0, bank_of(&ety));
-                let (n1, n2) = (a!(1, Bank::I), a!(2, Bank::I));
-                self.code.push(RegOp::TenFill2 {
-                    kind: elem_kind(&ety),
-                    d,
-                    c,
-                    n1,
-                    n2,
-                });
-                Ok(())
-            }
-            "list_construct" => {
-                let ety = self.operand_ty(&args[0])?;
-                let bank = bank_of(&ety);
-                let mut items = Vec::with_capacity(args.len());
-                for arg in args {
-                    items.push(self.operand(arg, bank)?);
+                    checked: self.part_checked(),
                 }
-                self.code.push(RegOp::TenFromList {
-                    kind: elem_kind(&ety),
-                    d,
-                    items,
-                });
-                Ok(())
             }
-            "tensor_set_row" => {
+            Prim::TensorSetRow => {
                 let (t, take) = self.operand_v_take(&args[0])?;
                 let i = a!(1, Bank::I);
                 let row = a!(2, Bank::V);
@@ -1150,130 +968,197 @@ impl<'a> Lowering<'a> {
                 // Row stores keep their check (no unchecked variant): the
                 // row-length match is not provable from index intervals.
                 self.elision.bounds_total += 1;
-                self.code.push(RegOp::TenSetRow { t: d, i, row });
-                Ok(())
+                RegOp::TenSetRow { t: d, i, row }
             }
-            "dot_vector" => {
-                let (x, y) = (a!(0, Bank::V), a!(1, Bank::V));
-                match dslot.bank {
-                    Bank::I => self.code.push(RegOp::DotVecI { d, a: x, b: y }),
-                    _ => self.code.push(RegOp::DotVecF { d, a: x, b: y }),
+            Prim::TensorFill1 => RegOp::TenFill1 {
+                kind: elem_kind(&params[0]),
+                d,
+                c: a!(0, bank_of(&params[0])),
+                n: a!(1, Bank::I),
+            },
+            Prim::TensorFill2 => RegOp::TenFill2 {
+                kind: elem_kind(&params[0]),
+                d,
+                c: a!(0, bank_of(&params[0])),
+                n1: a!(1, Bank::I),
+                n2: a!(2, Bank::I),
+            },
+            Prim::ListConstruct => {
+                let bank = bank_of(&params[0]);
+                let mut items = Vec::with_capacity(args.len());
+                for arg in args {
+                    items.push(self.operand(arg, bank)?);
                 }
-                Ok(())
-            }
-            "dot_matrix" => {
-                let (x, y) = (a!(0, Bank::V), a!(1, Bank::V));
-                self.code.push(RegOp::DotMat { d, a: x, b: y });
-                Ok(())
-            }
-            "dot_matrix_vector" => {
-                let (x, y) = (a!(0, Bank::V), a!(1, Bank::V));
-                self.code.push(RegOp::DotMatVec { d, a: x, b: y });
-                Ok(())
-            }
-            "string_length" => {
-                let s = a!(0, Bank::V);
-                self.code.push(RegOp::StrLen { d, s });
-                Ok(())
-            }
-            "string_to_codes" => {
-                let s = a!(0, Bank::V);
-                self.code.push(RegOp::StrToCodes { d, s });
-                Ok(())
-            }
-            "string_from_codes" => {
-                let s = a!(0, Bank::V);
-                self.code.push(RegOp::StrFromCodes { d, s });
-                Ok(())
-            }
-            "string_join" => {
-                let (x, y) = (a!(0, Bank::V), a!(1, Bank::V));
-                self.code.push(RegOp::StrJoin { d, a: x, b: y });
-                Ok(())
-            }
-            "expr_plus" | "expr_times" | "expr_subtract" | "expr_power" => {
-                let op = match base {
-                    "expr_plus" => crate::machine::ExprOp::Plus,
-                    "expr_times" => crate::machine::ExprOp::Times,
-                    "expr_subtract" => crate::machine::ExprOp::Subtract,
-                    _ => crate::machine::ExprOp::Power,
-                };
-                let (x, y) = (a!(0, Bank::V), a!(1, Bank::V));
-                self.code.push(RegOp::ExprBin { op, d, a: x, b: y });
-                Ok(())
-            }
-            "tensor_scalar_plus"
-            | "tensor_scalar_subtract"
-            | "tensor_scalar_times"
-            | "scalar_tensor_plus"
-            | "scalar_tensor_subtract"
-            | "scalar_tensor_times" => {
-                let rev = base.starts_with("scalar_tensor");
-                let op = if base.ends_with("plus") {
-                    TenOp::Add
-                } else if base.ends_with("subtract") {
-                    TenOp::Sub
-                } else {
-                    TenOp::Mul
-                };
-                let (t_ix, s_ix) = if rev { (1, 0) } else { (0, 1) };
-                let elem = self.elem_of(&args[t_ix])?;
-                let t = self.operand(&args[t_ix], Bank::V)?;
-                let sc = self.operand(&args[s_ix], bank_of(&elem))?;
-                self.code.push(RegOp::TenScalar {
-                    op,
-                    kind: elem_kind(&elem),
+                RegOp::TenFromList {
+                    kind: elem_kind(&params[0]),
                     d,
-                    t,
-                    s: sc,
-                    rev,
-                });
-                Ok(())
-            }
-            "random_unit" => {
-                self.code.push(RegOp::RndUnit { d });
-                Ok(())
-            }
-            "random_range" => {
-                let (x, y) = (a!(0, Bank::F), a!(1, Bank::F));
-                self.code.push(RegOp::RndRange { d, a: x, b: y });
-                Ok(())
-            }
-            other => {
-                // Symbolic unary application: `expr_unary_Sin` etc.
-                if let Some(head) = other.strip_prefix("expr_unary_") {
-                    let x = a!(0, Bank::V);
-                    self.code.push(RegOp::ExprUnary {
-                        head: std::sync::Arc::from(head),
-                        d,
-                        a: x,
-                    });
-                    return Ok(());
+                    items,
                 }
-                Err(LowerError::Unsupported(format!("primitive `{other}`")))
             }
-        }
+            Prim::DotVector => {
+                let (a, b) = (a!(0, Bank::V), a!(1, Bank::V));
+                match dslot.bank {
+                    Bank::I => RegOp::DotVecI { d, a, b },
+                    _ => RegOp::DotVecF { d, a, b },
+                }
+            }
+            Prim::DotMatrix => RegOp::DotMat {
+                d,
+                a: a!(0, Bank::V),
+                b: a!(1, Bank::V),
+            },
+            Prim::DotMatrixVector => RegOp::DotMatVec {
+                d,
+                a: a!(0, Bank::V),
+                b: a!(1, Bank::V),
+            },
+            Prim::StringLength => RegOp::StrLen {
+                d,
+                s: a!(0, Bank::V),
+            },
+            Prim::StringToCodes => RegOp::StrToCodes {
+                d,
+                s: a!(0, Bank::V),
+            },
+            Prim::StringFromCodes => RegOp::StrFromCodes {
+                d,
+                s: a!(0, Bank::V),
+            },
+            Prim::StringJoin => RegOp::StrJoin {
+                d,
+                a: a!(0, Bank::V),
+                b: a!(1, Bank::V),
+            },
+            Prim::RandomUnit => RegOp::RndUnit { d },
+            Prim::RandomRange => RegOp::RndRange {
+                d,
+                a: a!(0, Bank::F),
+                b: a!(1, Bank::F),
+            },
+            Prim::ExprUnary(head) => RegOp::ExprUnary {
+                head: Arc::from(head.head()),
+                d,
+                a: a!(0, Bank::V),
+            },
+        };
+        self.code.push(op);
+        Ok(())
     }
 
-    fn elem_of(&self, o: &Operand) -> Result<Type, LowerError> {
-        let ty = self.operand_ty(o)?;
-        tensor_elem(&ty)
-            .cloned()
-            .ok_or_else(|| LowerError::MissingType("tensor element type".into()))
+    /// `d = a op b` of a scalar primitive, by the destination's bank.
+    fn select_binary(
+        &mut self,
+        prim: Prim,
+        dslot: Slot,
+        args: &[Operand],
+        int: Option<IntOp>,
+        flt: Option<FltOp>,
+        cpx: Option<CpxOp>,
+    ) -> Result<(), LowerError> {
+        let d = dslot.ix;
+        let op = match (dslot.bank, int, flt, cpx) {
+            (Bank::I, Some(mut op), _, _) => {
+                // Promote add/sub/mul whose overflow the interval
+                // analysis discharged to the unchecked (wrapping) form.
+                if let Some(unchecked) = match op {
+                    IntOp::Add => Some(IntOp::AddU),
+                    IntOp::Sub => Some(IntOp::SubU),
+                    IntOp::Mul => Some(IntOp::MulU),
+                    _ => None,
+                } {
+                    self.elision.ovf_total += 1;
+                    if self.arith_proved() {
+                        self.elision.ovf_elided += 1;
+                        op = unchecked;
+                    }
+                }
+                let a = self.operand(&args[0], Bank::I)?;
+                // Immediate forms avoid a register read per iteration.
+                match args[1].as_const() {
+                    Some(Constant::I64(imm)) => RegOp::IntBinImm {
+                        op,
+                        d,
+                        a,
+                        imm: *imm,
+                    },
+                    _ => RegOp::IntBin {
+                        op,
+                        d,
+                        a,
+                        b: self.operand(&args[1], Bank::I)?,
+                    },
+                }
+            }
+            (Bank::F, _, Some(op), _) => {
+                let a = self.operand(&args[0], Bank::F)?;
+                match args[1].as_const() {
+                    Some(Constant::F64(imm)) => RegOp::FltBinImm {
+                        op,
+                        d,
+                        a,
+                        imm: *imm,
+                    },
+                    Some(Constant::I64(imm)) => RegOp::FltBinImm {
+                        op,
+                        d,
+                        a,
+                        imm: *imm as f64,
+                    },
+                    _ => RegOp::FltBin {
+                        op,
+                        d,
+                        a,
+                        b: self.operand(&args[1], Bank::F)?,
+                    },
+                }
+            }
+            (Bank::C, _, _, Some(op)) => RegOp::CpxBin {
+                op,
+                d,
+                a: self.operand(&args[0], Bank::C)?,
+                b: self.operand(&args[1], Bank::C)?,
+            },
+            _ => {
+                return Err(LowerError::Unsupported(format!(
+                    "primitive `{}`",
+                    prim.name()
+                )))
+            }
+        };
+        self.code.push(op);
+        Ok(())
+    }
+
+    /// `d = op s` of a real-or-integer primitive, by the destination's bank.
+    fn select_unary(
+        &mut self,
+        dslot: Slot,
+        args: &[Operand],
+        int: IntUnOp,
+        flt: FltUnOp,
+    ) -> Result<(), LowerError> {
+        let d = dslot.ix;
+        let op = match dslot.bank {
+            Bank::I => RegOp::IntUn {
+                op: int,
+                d,
+                s: self.operand(&args[0], Bank::I)?,
+            },
+            Bank::F => RegOp::FltUn {
+                op: flt,
+                d,
+                s: self.operand(&args[0], Bank::F)?,
+            },
+            Bank::C | Bank::V => return Err(LowerError::Unsupported("unary op on value".into())),
+        };
+        self.code.push(op);
+        Ok(())
     }
 }
 
-impl Bank {
-    /// Numeric join for comparison operand banks.
-    fn max_num(self, other: Bank) -> Bank {
-        use Bank::*;
-        match (self, other) {
-            (V, _) | (_, V) => V,
-            (C, _) | (_, C) => C,
-            (F, _) | (_, F) => F,
-            _ => I,
-        }
-    }
+/// The element type of a tensor-typed parameter.
+fn tensor_elem_of(ty: &Type) -> Result<&Type, LowerError> {
+    tensor_elem(ty).ok_or_else(|| LowerError::MissingType("tensor element type".into()))
 }
 
 fn mov(bank: Bank, d: usize, s: usize) -> RegOp {
@@ -1458,7 +1343,7 @@ mod tests {
         let arg = b.func.fresh_var();
         b.push(Instr::LoadArgument { dst: arg, index: 0 });
         let sum = b.call(
-            Callee::Primitive(Arc::from("checked_binary_plus$Integer64$Integer64")),
+            Callee::primitive(Prim::Plus, &[Type::integer64(), Type::integer64()]),
             vec![arg.into(), Constant::I64(1).into()],
         );
         b.ret(sum);
@@ -1502,7 +1387,10 @@ mod tests {
         b.switch_to(header);
         let i0 = b.read_var("i").unwrap();
         let c = b.call(
-            Callee::Primitive(Arc::from("compare_less$Integer64$Integer64")),
+            Callee::primitive(
+                Prim::Compare(Cmp::Less),
+                &[Type::integer64(), Type::integer64()],
+            ),
             vec![i0.clone(), n.into()],
         );
         b.branch(c, body, exit);
@@ -1511,11 +1399,11 @@ mod tests {
         let i1 = b.read_var("i").unwrap();
         let acc1 = b.read_var("acc").unwrap();
         let i2 = b.call(
-            Callee::Primitive(Arc::from("checked_binary_plus$Integer64$Integer64")),
+            Callee::primitive(Prim::Plus, &[Type::integer64(), Type::integer64()]),
             vec![i1, Constant::I64(1).into()],
         );
         let acc2 = b.call(
-            Callee::Primitive(Arc::from("checked_binary_plus$Integer64$Integer64")),
+            Callee::primitive(Prim::Plus, &[Type::integer64(), Type::integer64()]),
             vec![acc1, i2.into()],
         );
         b.write_var("i", i2);
@@ -1554,7 +1442,7 @@ mod tests {
         let arg = b.func.fresh_var();
         b.push(Instr::LoadArgument { dst: arg, index: 0 });
         let sum = b.call(
-            Callee::Primitive(Arc::from("checked_binary_plus$Real64$Real64")),
+            Callee::primitive(Prim::Plus, &[Type::real64(), Type::real64()]),
             vec![arg.into(), Constant::I64(1).into()],
         );
         b.ret(sum);

@@ -12,6 +12,7 @@ use wolfram_bytecode::instr::{BinOp, CmpOp, Op, UnOp};
 use wolfram_ir::module::{Callee, Constant, Function, Instr, Operand, VarId};
 use wolfram_ir::ProgramModule;
 use wolfram_runtime::Value;
+use wolfram_types::{Cmp, Elementary, Prim};
 
 /// The WVM textual backend (renders the compiled bytecode listing).
 pub struct WvmBackend;
@@ -156,93 +157,88 @@ fn const_value(c: &Constant) -> Result<Value, String> {
 }
 
 fn emit_call(ops: &mut Vec<Op>, d: u16, callee: &Callee, regs: &[u16]) -> Result<(), String> {
-    let Callee::Primitive(name) = callee else {
+    let Callee::Primitive { prim, .. } = callee else {
         return Err(format!("the WVM cannot call {}", callee.name()));
     };
-    let base = name.split('$').next().unwrap_or(name);
-    let bin = |op: BinOp| -> Result<Op, String> {
-        Ok(Op::Bin {
-            op,
-            d,
-            a: regs[0],
-            b: regs[1],
-        })
+    let bin = |op: BinOp| Op::Bin {
+        op,
+        d,
+        a: regs[0],
+        b: regs[1],
     };
-    let un = |op: UnOp| -> Result<Op, String> { Ok(Op::Un { op, d, s: regs[0] }) };
-    let cmp = |op: CmpOp| -> Result<Op, String> {
-        Ok(Op::Cmp {
-            op,
-            d,
-            a: regs[0],
-            b: regs[1],
-        })
-    };
-    let op = match base {
-        "checked_binary_plus" => bin(BinOp::Add)?,
-        "checked_binary_subtract" => bin(BinOp::Sub)?,
-        "checked_binary_times" => bin(BinOp::Mul)?,
-        "checked_binary_divide" => bin(BinOp::Div)?,
-        "checked_binary_power" => bin(BinOp::Pow)?,
-        "checked_binary_mod" => bin(BinOp::Mod)?,
-        "checked_binary_quotient" => bin(BinOp::Quot)?,
-        "binary_min" => bin(BinOp::Min)?,
-        "binary_max" => bin(BinOp::Max)?,
-        "checked_unary_minus" => un(UnOp::Neg)?,
-        "checked_unary_abs" => un(UnOp::Abs)?,
-        "unary_sqrt" => un(UnOp::Sqrt)?,
-        "unary_sin" => un(UnOp::Sin)?,
-        "unary_cos" => un(UnOp::Cos)?,
-        "unary_tan" => un(UnOp::Tan)?,
-        "unary_exp" => un(UnOp::Exp)?,
-        "unary_log" => un(UnOp::Log)?,
-        "unary_floor" => un(UnOp::Floor)?,
-        "unary_ceiling" => un(UnOp::Ceiling)?,
-        "unary_round" => un(UnOp::Round)?,
-        "unary_not" => un(UnOp::Not)?,
-        "complex_re" => un(UnOp::Re)?,
-        "complex_im" => un(UnOp::Im)?,
-        "complex_construct" => Op::ComplexMake {
+    let un = |op: UnOp| Op::Un { op, d, s: regs[0] };
+    let op = match *prim {
+        Prim::Plus => bin(BinOp::Add),
+        Prim::Subtract => bin(BinOp::Sub),
+        Prim::Times => bin(BinOp::Mul),
+        Prim::Divide => bin(BinOp::Div),
+        Prim::Power => bin(BinOp::Pow),
+        Prim::Mod => bin(BinOp::Mod),
+        Prim::Quotient => bin(BinOp::Quot),
+        Prim::Min => bin(BinOp::Min),
+        Prim::Max => bin(BinOp::Max),
+        Prim::Minus => un(UnOp::Neg),
+        Prim::Abs | Prim::ComplexAbs => un(UnOp::Abs),
+        Prim::Elementary(Elementary::Sin) => un(UnOp::Sin),
+        Prim::Elementary(Elementary::Cos) => un(UnOp::Cos),
+        Prim::Elementary(Elementary::Tan) => un(UnOp::Tan),
+        Prim::Elementary(Elementary::Exp) => un(UnOp::Exp),
+        Prim::Elementary(Elementary::Log) => un(UnOp::Log),
+        Prim::Floor => un(UnOp::Floor),
+        Prim::Ceiling => un(UnOp::Ceiling),
+        Prim::Round => un(UnOp::Round),
+        Prim::Not => un(UnOp::Not),
+        Prim::ComplexRe => un(UnOp::Re),
+        Prim::ComplexIm => un(UnOp::Im),
+        Prim::ComplexConstruct => Op::ComplexMake {
             d,
             re: regs[0],
             im: regs[1],
         },
-        "complex_abs" => un(UnOp::Abs)?,
-        "compare_less" => cmp(CmpOp::Lt)?,
-        "compare_less_equal" => cmp(CmpOp::Le)?,
-        "compare_greater" => cmp(CmpOp::Gt)?,
-        "compare_greater_equal" => cmp(CmpOp::Ge)?,
-        "compare_equal" => cmp(CmpOp::Eq)?,
-        "compare_unequal" => cmp(CmpOp::Ne)?,
-        "tensor_length" => Op::Length { d, s: regs[0] },
-        "tensor_part_1" => Op::Part1 {
+        Prim::Compare(cmp) => Op::Cmp {
+            op: match cmp {
+                Cmp::Less => CmpOp::Lt,
+                Cmp::LessEqual => CmpOp::Le,
+                Cmp::Greater => CmpOp::Gt,
+                Cmp::GreaterEqual => CmpOp::Ge,
+                Cmp::Equal => CmpOp::Eq,
+                Cmp::Unequal => CmpOp::Ne,
+            },
+            d,
+            a: regs[0],
+            b: regs[1],
+        },
+        Prim::TensorLength => Op::Length { d, s: regs[0] },
+        Prim::TensorPart1 => Op::Part1 {
             d,
             t: regs[0],
             i: regs[1],
         },
-        "tensor_part_2" => Op::Part2 {
+        Prim::TensorPart2 => Op::Part2 {
             d,
             t: regs[0],
             i: regs[1],
             j: regs[2],
         },
-        "dot_vector" | "dot_matrix" => Op::Dot {
+        Prim::DotVector | Prim::DotMatrix => Op::Dot {
             d,
             a: regs[0],
             b: regs[1],
         },
-        "tensor_fill_1" => Op::ConstArray {
+        Prim::TensorFill1 => Op::ConstArray {
             d,
             c: regs[0],
             n1: regs[1],
             n2: None,
         },
-        "tensor_fill_2" => Op::ConstArray {
+        Prim::TensorFill2 => Op::ConstArray {
             d,
             c: regs[0],
             n1: regs[1],
             n2: Some(regs[2]),
         },
-        other => return Err(format!("the WVM has no instruction for `{other}`")),
+        // The legacy machine is partial by design (L1).
+        other => return Err(format!("the WVM has no instruction for `{}`", other.name())),
     };
     ops.push(op);
     Ok(())
@@ -262,7 +258,7 @@ mod tests {
         let arg = b.func.fresh_var();
         b.push(Instr::LoadArgument { dst: arg, index: 0 });
         let sq = b.call(
-            Callee::Primitive(Arc::from("checked_binary_times$Integer64$Integer64")),
+            Callee::primitive(Prim::Times, &[Type::integer64(), Type::integer64()]),
             vec![arg.into(), arg.into()],
         );
         b.ret(sq);

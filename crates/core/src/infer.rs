@@ -169,7 +169,7 @@ pub fn infer(pm: &mut ProgramModule, env: &TypeEnvironment) -> Result<Inference,
                                 // argument types unconstrained but pin any
                                 // that stay free to Expression afterwards.
                             }
-                            Callee::Primitive(_) => {
+                            Callee::Primitive { .. } => {
                                 // Pre-resolved calls appear only after
                                 // resolution; nothing to infer.
                             }

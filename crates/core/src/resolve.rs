@@ -7,12 +7,11 @@
 //! at this stage if it has been marked by users to be forcibly inlined."
 
 use crate::infer::{infer, sites_of, Inference};
-use crate::stdlib::mangle;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wolfram_ir::module::{Block, BlockId, Callee, Function, InlineValue, Instr, Operand, VarId};
 use wolfram_ir::{FuncId, ProgramModule};
-use wolfram_types::{FunctionImpl, SolveError, Type, TypeEnvironment};
+use wolfram_types::{mangle, FunctionImpl, SolveError, Type, TypeEnvironment};
 
 /// Resolution failure.
 #[derive(Debug)]
@@ -102,9 +101,7 @@ fn resolve_pass(
                 continue;
             };
             let new_callee = match &resolved.implementation {
-                FunctionImpl::Primitive(base) => {
-                    Callee::Primitive(Arc::from(mangle(base, &resolved.params).as_str()))
-                }
+                FunctionImpl::Primitive(prim) => Callee::primitive(*prim, &resolved.params),
                 FunctionImpl::Kernel => Callee::Kernel(Arc::from(&*name)),
                 FunctionImpl::Source(body) => {
                     let mangled = mangle(&name, &resolved.params);

@@ -2,50 +2,15 @@
 //! declarations for the compiled function vocabulary, mapped onto runtime
 //! primitives or Wolfram-source implementations.
 
-use std::sync::Arc;
 use wolfram_expr::parse;
-use wolfram_types::{FunctionImpl, Type, TypeEnvironment};
-
-/// Mangles a type for primitive/function specialization names
-/// (`Integer64`, `TensorInteger64R1`, ...).
-pub fn mangle_type(t: &Type) -> String {
-    match t {
-        Type::Atomic(name) => name.to_string(),
-        Type::Constructor { name, args } if &**name == "Tensor" => {
-            let elem = args.first().map(mangle_type).unwrap_or_default();
-            let rank = match args.get(1) {
-                Some(Type::Literal(r)) => r.to_string(),
-                _ => "N".into(),
-            };
-            format!("Tensor{elem}R{rank}")
-        }
-        Type::Arrow { params, ret } => {
-            let ps: Vec<String> = params.iter().map(mangle_type).collect();
-            format!("Fn{}To{}", ps.join(""), mangle_type(ret))
-        }
-        other => other
-            .to_string()
-            .replace([' ', ',', '[', ']', '(', ')'], ""),
-    }
-}
-
-/// The specialization name of a primitive or source function at concrete
-/// parameter types: `checked_binary_plus$Integer64$Integer64`.
-pub fn mangle(base: &str, params: &[Type]) -> String {
-    let mut out = base.to_owned();
-    for p in params {
-        out.push('$');
-        out.push_str(&mangle_type(p));
-    }
-    out
-}
+use wolfram_types::{Cmp, Elementary, ExprHead, FunctionImpl, Prim, Type, TypeEnvironment};
 
 fn scheme(src: &str) -> Type {
     Type::from_expr(&parse(src).expect("stdlib scheme source")).expect("stdlib scheme")
 }
 
-fn prim(env: &mut TypeEnvironment, name: &str, spec: &str, base: &str) {
-    env.declare_function(name, scheme(spec), FunctionImpl::Primitive(Arc::from(base)));
+fn prim(env: &mut TypeEnvironment, name: &str, spec: &str, prim: Prim) {
+    env.declare_function(name, scheme(spec), FunctionImpl::Primitive(prim));
 }
 
 fn source(env: &mut TypeEnvironment, name: &str, spec: &str, body_src: &str, inline: bool) {
@@ -66,16 +31,21 @@ pub fn builtin_type_environment() -> TypeEnvironment {
     let mut env = TypeEnvironment::new();
 
     // ---- scalar arithmetic (Number-polymorphic) ----
-    for (name, base) in [
-        ("Plus", "checked_binary_plus"),
-        ("Subtract", "checked_binary_subtract"),
-        ("Times", "checked_binary_times"),
+    for (name, scalar, tensor, symbolic) in [
+        ("Plus", Prim::Plus, Prim::TensorPlus, Prim::ExprPlus),
+        (
+            "Subtract",
+            Prim::Subtract,
+            Prim::TensorSubtract,
+            Prim::ExprSubtract,
+        ),
+        ("Times", Prim::Times, Prim::TensorTimes, Prim::ExprTimes),
     ] {
         prim(
             &mut env,
             name,
             "TypeForAll[{\"a\"}, {Element[\"a\", \"Number\"]}, {\"a\", \"a\"} -> \"a\"]",
-            base,
+            scalar,
         );
         // Element-wise tensor overload (rank polymorphic).
         prim(
@@ -83,47 +53,39 @@ pub fn builtin_type_environment() -> TypeEnvironment {
             name,
             "TypeForAll[{\"a\", \"n\"}, {Element[\"a\", \"Number\"]}, \
              {\"Tensor\"[\"a\", \"n\"], \"Tensor\"[\"a\", \"n\"]} -> \"Tensor\"[\"a\", \"n\"]]",
-            match base {
-                "checked_binary_plus" => "tensor_plus",
-                "checked_binary_subtract" => "tensor_subtract",
-                _ => "tensor_times",
-            },
+            tensor,
         );
         // Symbolic overload (F8).
         prim(
             &mut env,
             name,
             "{\"Expression\", \"Expression\"} -> \"Expression\"",
-            match base {
-                "checked_binary_plus" => "expr_plus",
-                "checked_binary_subtract" => "expr_subtract",
-                _ => "expr_times",
-            },
+            symbolic,
         );
     }
     prim(
         &mut env,
         "Divide",
         "{\"Real64\", \"Real64\"} -> \"Real64\"",
-        "checked_binary_divide",
+        Prim::Divide,
     );
     prim(
         &mut env,
         "Divide",
         "{\"ComplexReal64\", \"ComplexReal64\"} -> \"ComplexReal64\"",
-        "checked_binary_divide",
+        Prim::Divide,
     );
     prim(
         &mut env,
         "Power",
         "{\"Integer64\", \"Integer64\"} -> \"Integer64\"",
-        "checked_binary_power",
+        Prim::Power,
     );
     prim(
         &mut env,
         "Power",
         "{\"Real64\", \"Real64\"} -> \"Real64\"",
-        "checked_binary_power",
+        Prim::Power,
     );
     // Without this overload `x^n` with real base and integer exponent
     // resolves via ComplexReal64 promotion, and the result *type* (complex
@@ -132,71 +94,66 @@ pub fn builtin_type_environment() -> TypeEnvironment {
         &mut env,
         "Power",
         "{\"Real64\", \"Integer64\"} -> \"Real64\"",
-        "checked_binary_power",
+        Prim::Power,
     );
     prim(
         &mut env,
         "Power",
         "{\"ComplexReal64\", \"Integer64\"} -> \"ComplexReal64\"",
-        "checked_binary_power",
+        Prim::Power,
     );
     prim(
         &mut env,
         "Power",
         "{\"Expression\", \"Expression\"} -> \"Expression\"",
-        "expr_power",
+        Prim::ExprPower,
     );
     prim(
         &mut env,
         "Minus",
         "TypeForAll[{\"a\"}, {Element[\"a\", \"Number\"]}, {\"a\"} -> \"a\"]",
-        "checked_unary_minus",
+        Prim::Minus,
     );
     prim(
         &mut env,
         "Abs",
         "{\"Integer64\"} -> \"Integer64\"",
-        "checked_unary_abs",
+        Prim::Abs,
     );
-    prim(
-        &mut env,
-        "Abs",
-        "{\"Real64\"} -> \"Real64\"",
-        "checked_unary_abs",
-    );
+    prim(&mut env, "Abs", "{\"Real64\"} -> \"Real64\"", Prim::Abs);
     prim(
         &mut env,
         "Abs",
         "{\"ComplexReal64\"} -> \"Real64\"",
-        "complex_abs",
+        Prim::ComplexAbs,
     );
     prim(
         &mut env,
         "Sign",
         "{\"Integer64\"} -> \"Integer64\"",
-        "unary_sign",
+        Prim::Sign,
     );
-    prim(&mut env, "Sign", "{\"Real64\"} -> \"Real64\"", "unary_sign");
+    prim(&mut env, "Sign", "{\"Real64\"} -> \"Real64\"", Prim::Sign);
     prim(
         &mut env,
         "Mod",
         "{\"Integer64\", \"Integer64\"} -> \"Integer64\"",
-        "checked_binary_mod",
+        Prim::Mod,
     );
     prim(
         &mut env,
         "Mod",
         "{\"Real64\", \"Real64\"} -> \"Real64\"",
-        "checked_binary_mod",
+        Prim::Mod,
     );
     prim(
         &mut env,
         "Quotient",
         "{\"Integer64\", \"Integer64\"} -> \"Integer64\"",
-        "checked_binary_quotient",
+        Prim::Quotient,
     );
     // The paper's §4.4 Min declaration, verbatim shape.
-    for (name, base) in [("Min", "binary_min"), ("Max", "binary_max")] {
+    for (name, base) in [("Min", Prim::Min), ("Max", Prim::Max)] {
         prim(
             &mut env,
             name,
@@ -207,10 +164,10 @@ pub fn builtin_type_environment() -> TypeEnvironment {
 
     // ---- comparisons and logic ----
     for (name, base) in [
-        ("Less", "compare_less"),
-        ("LessEqual", "compare_less_equal"),
-        ("Greater", "compare_greater"),
-        ("GreaterEqual", "compare_greater_equal"),
+        ("Less", Prim::Compare(Cmp::Less)),
+        ("LessEqual", Prim::Compare(Cmp::LessEqual)),
+        ("Greater", Prim::Compare(Cmp::Greater)),
+        ("GreaterEqual", Prim::Compare(Cmp::GreaterEqual)),
     ] {
         prim(
             &mut env,
@@ -220,10 +177,10 @@ pub fn builtin_type_environment() -> TypeEnvironment {
         );
     }
     for (name, base) in [
-        ("Equal", "compare_equal"),
-        ("Unequal", "compare_unequal"),
-        ("SameQ", "compare_equal"),
-        ("UnsameQ", "compare_unequal"),
+        ("Equal", Prim::Compare(Cmp::Equal)),
+        ("Unequal", Prim::Compare(Cmp::Unequal)),
+        ("SameQ", Prim::Compare(Cmp::Equal)),
+        ("UnsameQ", Prim::Compare(Cmp::Unequal)),
     ] {
         prim(
             &mut env,
@@ -238,58 +195,62 @@ pub fn builtin_type_environment() -> TypeEnvironment {
             base,
         );
     }
-    prim(&mut env, "Not", "{\"Boolean\"} -> \"Boolean\"", "unary_not");
-    prim(&mut env, "Boole", "{\"Boolean\"} -> \"Integer64\"", "boole");
+    prim(&mut env, "Not", "{\"Boolean\"} -> \"Boolean\"", Prim::Not);
+    prim(
+        &mut env,
+        "Boole",
+        "{\"Boolean\"} -> \"Integer64\"",
+        Prim::Boole,
+    );
 
     // ---- elementary functions ----
-    for (name, base) in [
-        ("Sin", "unary_sin"),
-        ("Cos", "unary_cos"),
-        ("Tan", "unary_tan"),
-        ("Exp", "unary_exp"),
-        ("Log", "unary_log"),
-        ("ArcTan", "unary_arctan"),
-        ("ArcSin", "unary_arcsin"),
-        ("ArcCos", "unary_arccos"),
-    ] {
-        prim(&mut env, name, "{\"Real64\"} -> \"Real64\"", base);
+    for f in Elementary::ALL {
+        prim(
+            &mut env,
+            f.head(),
+            "{\"Real64\"} -> \"Real64\"",
+            Prim::Elementary(*f),
+        );
     }
     prim(
         &mut env,
         "ArcTan",
         "{\"Real64\", \"Real64\"} -> \"Real64\"",
-        "binary_arctan2",
+        Prim::ArcTan2,
     );
     // Symbolic overloads (F8): elementary functions of a boxed Expression
     // stay symbolic, normalized by the hosting engine.
-    for name in [
-        "Sin", "Cos", "Tan", "Exp", "Log", "ArcTan", "ArcSin", "ArcCos", "Abs",
-    ] {
+    for head in ExprHead::ALL {
         prim(
             &mut env,
-            name,
+            head.head(),
             "{\"Expression\"} -> \"Expression\"",
-            &format!("expr_unary_{name}"),
+            Prim::ExprUnary(*head),
         );
     }
     for (name, base) in [
-        ("Floor", "unary_floor"),
-        ("Ceiling", "unary_ceiling"),
-        ("Round", "unary_round"),
+        ("Floor", Prim::Floor),
+        ("Ceiling", Prim::Ceiling),
+        ("Round", Prim::Round),
     ] {
         prim(&mut env, name, "{\"Real64\"} -> \"Integer64\"", base);
         prim(&mut env, name, "{\"Integer64\"} -> \"Integer64\"", base);
     }
-    prim(&mut env, "N", "{\"Integer64\"} -> \"Real64\"", "convert");
-    prim(&mut env, "N", "{\"Real64\"} -> \"Real64\"", "convert");
+    prim(
+        &mut env,
+        "N",
+        "{\"Integer64\"} -> \"Real64\"",
+        Prim::Convert,
+    );
+    prim(&mut env, "N", "{\"Real64\"} -> \"Real64\"", Prim::Convert);
 
     // ---- bit operations and number theory ----
     for (name, base) in [
-        ("BitAnd", "bit_and"),
-        ("BitOr", "bit_or"),
-        ("BitXor", "bit_xor"),
-        ("BitShiftLeft", "bit_shift_left"),
-        ("BitShiftRight", "bit_shift_right"),
+        ("BitAnd", Prim::BitAnd),
+        ("BitOr", Prim::BitOr),
+        ("BitXor", Prim::BitXor),
+        ("BitShiftLeft", Prim::BitShiftLeft),
+        ("BitShiftRight", Prim::BitShiftRight),
     ] {
         prim(
             &mut env,
@@ -302,7 +263,7 @@ pub fn builtin_type_environment() -> TypeEnvironment {
         &mut env,
         "GCD",
         "{\"Integer64\", \"Integer64\"} -> \"Integer64\"",
-        "binary_gcd",
+        Prim::Gcd,
     );
     // Factorial overflows machine integers at 21! — the canonical soft-
     // failure (F2) demo after cfib.
@@ -310,13 +271,13 @@ pub fn builtin_type_environment() -> TypeEnvironment {
         &mut env,
         "Factorial",
         "{\"Integer64\"} -> \"Integer64\"",
-        "unary_factorial",
+        Prim::Factorial,
     );
     prim(
         &mut env,
         "PowerMod",
         "{\"Integer64\", \"Integer64\", \"Integer64\"} -> \"Integer64\"",
-        "power_mod",
+        Prim::PowerMod,
     );
     // EvenQ/OddQ as *source* implementations: instantiated and inlined by
     // function resolution (exercises FunctionImpl::Source end to end).
@@ -340,26 +301,26 @@ pub fn builtin_type_environment() -> TypeEnvironment {
         &mut env,
         "Complex",
         "{\"Real64\", \"Real64\"} -> \"ComplexReal64\"",
-        "complex_construct",
+        Prim::ComplexConstruct,
     );
     prim(
         &mut env,
         "Re",
         "{\"ComplexReal64\"} -> \"Real64\"",
-        "complex_re",
+        Prim::ComplexRe,
     );
     prim(
         &mut env,
         "Im",
         "{\"ComplexReal64\"} -> \"Real64\"",
-        "complex_im",
+        Prim::ComplexIm,
     );
-    prim(&mut env, "Re", "{\"Real64\"} -> \"Real64\"", "convert");
+    prim(&mut env, "Re", "{\"Real64\"} -> \"Real64\"", Prim::Convert);
     prim(
         &mut env,
         "Conjugate",
         "{\"ComplexReal64\"} -> \"ComplexReal64\"",
-        "complex_conjugate",
+        Prim::ComplexConjugate,
     );
 
     // ---- tensors ----
@@ -367,46 +328,46 @@ pub fn builtin_type_environment() -> TypeEnvironment {
         &mut env,
         "Length",
         "TypeForAll[{\"a\", \"n\"}, {\"Tensor\"[\"a\", \"n\"]} -> \"Integer64\"]",
-        "tensor_length",
+        Prim::TensorLength,
     );
     prim(
         &mut env,
         "Part",
         "TypeForAll[{\"a\"}, {\"Tensor\"[\"a\", 1], \"Integer64\"} -> \"a\"]",
-        "tensor_part_1",
+        Prim::TensorPart1,
     );
     prim(
         &mut env,
         "Part",
         "TypeForAll[{\"a\"}, {\"Tensor\"[\"a\", 2], \"Integer64\", \"Integer64\"} -> \"a\"]",
-        "tensor_part_2",
+        Prim::TensorPart2,
     );
     prim(
         &mut env,
         "Part$Set",
         "TypeForAll[{\"a\"}, {\"Tensor\"[\"a\", 1], \"Integer64\", \"a\"} -> \"Tensor\"[\"a\", 1]]",
-        "tensor_set_1",
+        Prim::TensorSet1,
     );
     prim(
         &mut env,
         "Part$Set",
         "TypeForAll[{\"a\"}, {\"Tensor\"[\"a\", 2], \"Integer64\", \"Integer64\", \"a\"} \
          -> \"Tensor\"[\"a\", 2]]",
-        "tensor_set_2",
+        Prim::TensorSet2,
     );
     prim(
         &mut env,
         "ConstantArray",
         "TypeForAll[{\"a\"}, {Element[\"a\", \"Number\"]}, {\"a\", \"Integer64\"} -> \
          \"Tensor\"[\"a\", 1]]",
-        "tensor_fill_1",
+        Prim::TensorFill1,
     );
     prim(
         &mut env,
         "ConstantArray",
         "TypeForAll[{\"a\"}, {Element[\"a\", \"Number\"]}, \
          {\"a\", \"Integer64\", \"Integer64\"} -> \"Tensor\"[\"a\", 2]]",
-        "tensor_fill_2",
+        Prim::TensorFill2,
     );
     for arity in 1..=8usize {
         let params: Vec<String> = (0..arity).map(|_| "\"a\"".to_owned()).collect();
@@ -414,38 +375,38 @@ pub fn builtin_type_environment() -> TypeEnvironment {
             "TypeForAll[{{\"a\"}}, {{Element[\"a\", \"Number\"]}}, {{{}}} -> \"Tensor\"[\"a\", 1]]",
             params.join(", ")
         );
-        prim(&mut env, "List", &spec, "list_construct");
+        prim(&mut env, "List", &spec, Prim::ListConstruct);
     }
     prim(
         &mut env,
         "Dot",
         "TypeForAll[{\"a\"}, {Element[\"a\", \"Number\"]}, \
          {\"Tensor\"[\"a\", 1], \"Tensor\"[\"a\", 1]} -> \"a\"]",
-        "dot_vector",
+        Prim::DotVector,
     );
     prim(
         &mut env,
         "Dot",
         "{\"Tensor\"[\"Real64\", 2], \"Tensor\"[\"Real64\", 2]} -> \"Tensor\"[\"Real64\", 2]",
-        "dot_matrix",
+        Prim::DotMatrix,
     );
     prim(
         &mut env,
         "Dot",
         "{\"Tensor\"[\"Real64\", 2], \"Tensor\"[\"Real64\", 1]} -> \"Tensor\"[\"Real64\", 1]",
-        "dot_matrix_vector",
+        Prim::DotMatrixVector,
     );
 
     // Tensor (+) scalar broadcast (Listable arithmetic against a scalar;
     // the scalar promotes to the element type by the usual cost rules).
     for (name, tbase, sbase) in [
-        ("Plus", "tensor_scalar_plus", "scalar_tensor_plus"),
+        ("Plus", Prim::TensorScalarPlus, Prim::ScalarTensorPlus),
         (
             "Subtract",
-            "tensor_scalar_subtract",
-            "scalar_tensor_subtract",
+            Prim::TensorScalarSubtract,
+            Prim::ScalarTensorSubtract,
         ),
-        ("Times", "tensor_scalar_times", "scalar_tensor_times"),
+        ("Times", Prim::TensorScalarTimes, Prim::ScalarTensorTimes),
     ] {
         prim(
             &mut env,
@@ -467,7 +428,7 @@ pub fn builtin_type_environment() -> TypeEnvironment {
         "Native`SetRow",
         "TypeForAll[{\"a\"}, {\"Tensor\"[\"a\", 2], \"Integer64\", \"Tensor\"[\"a\", 1]} \
          -> \"Tensor\"[\"a\", 2]]",
-        "tensor_set_row",
+        Prim::TensorSetRow,
     );
     // NestList over rank-1 tensors: a *source* implementation building the
     // rank-2 result row by row (the random-walk benchmark's workhorse).
@@ -558,34 +519,34 @@ pub fn builtin_type_environment() -> TypeEnvironment {
         &mut env,
         "StringLength",
         "{\"String\"} -> \"Integer64\"",
-        "string_length",
+        Prim::StringLength,
     );
     prim(
         &mut env,
         "ToCharacterCode",
         "{\"String\"} -> \"Tensor\"[\"Integer64\", 1]",
-        "string_to_codes",
+        Prim::StringToCodes,
     );
     prim(
         &mut env,
         "FromCharacterCode",
         "{\"Tensor\"[\"Integer64\", 1]} -> \"String\"",
-        "string_from_codes",
+        Prim::StringFromCodes,
     );
     prim(
         &mut env,
         "StringJoin",
         "{\"String\", \"String\"} -> \"String\"",
-        "string_join",
+        Prim::StringJoin,
     );
 
     // ---- random numbers ----
-    prim(&mut env, "RandomReal", "{} -> \"Real64\"", "random_unit");
+    prim(&mut env, "RandomReal", "{} -> \"Real64\"", Prim::RandomUnit);
     prim(
         &mut env,
         "Native`RandomRange",
         "{\"Real64\", \"Real64\"} -> \"Real64\"",
-        "random_range",
+        Prim::RandomRange,
     );
 
     env
@@ -661,25 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn mangling() {
-        assert_eq!(
-            mangle(
-                "checked_binary_plus",
-                &[Type::integer64(), Type::integer64()]
-            ),
-            "checked_binary_plus$Integer64$Integer64"
-        );
-        assert_eq!(
-            mangle_type(&Type::tensor(Type::real64(), 2)),
-            "TensorReal64R2"
-        );
-        assert_eq!(
-            mangle_type(&Type::arrow(vec![Type::integer64()], Type::boolean())),
-            "FnInteger64ToBoolean"
-        );
-    }
-
-    #[test]
     fn source_impls_carried() {
         let env = builtin_type_environment();
         let r = env.resolve_call("EvenQ", &[Type::integer64()]).unwrap();
@@ -699,5 +641,107 @@ mod tests {
             .resolve_call("List", &[Type::integer64(), Type::real64()])
             .unwrap();
         assert_eq!(r.ret, Type::tensor(Type::real64(), 1));
+    }
+
+    #[test]
+    fn the_environment_declares_exactly_the_primitive_table() {
+        let env = builtin_type_environment();
+        let mut declared = std::collections::HashSet::new();
+        for name in env.function_names() {
+            for def in env.lookup(&name) {
+                if let FunctionImpl::Primitive(p) = def.implementation {
+                    declared.insert(p);
+                    // A primitive folds as a head it is declared under.
+                    if let Some(head) = p.fold_head() {
+                        assert!(
+                            env.lookup(head)
+                                .iter()
+                                .any(|d| d.implementation == FunctionImpl::Primitive(p)),
+                            "{} folds as {head} but is not declared under it",
+                            p.name()
+                        );
+                    }
+                }
+            }
+        }
+        let all: std::collections::HashSet<Prim> = Prim::ALL.iter().copied().collect();
+        assert_eq!(declared, all);
+    }
+
+    /// `pure_builtin`/`total_builtin` classify a head before resolution
+    /// has picked an overload; a primitive's row classifies the overload.
+    /// Where the two disagree on a scalar overload the pair is written
+    /// down here, once; a pair that starts to agree must leave the list.
+    #[test]
+    fn head_level_purity_agrees_with_the_primitive_rows_up_to_the_listed_pairs() {
+        use wolfram_ir::module::{pure_builtin, total_builtin};
+        use Prim::*;
+        let listed: &[(&str, Prim)] = &[
+            // The row is conservatively impure, the head is listed pure
+            // (BitAnd, BitOr, BitXor, Re, Im, Conjugate also total).
+            ("BitAnd", BitAnd),
+            ("BitOr", BitOr),
+            ("BitXor", BitXor),
+            ("BitShiftLeft", BitShiftLeft),
+            ("BitShiftRight", BitShiftRight),
+            ("Abs", ComplexAbs),
+            ("Re", ComplexRe),
+            ("Im", ComplexIm),
+            ("Conjugate", ComplexConjugate),
+            ("N", Convert),
+            ("Re", Convert),
+            ("StringJoin", StringJoin),
+            ("ToCharacterCode", StringToCodes),
+            ("FromCharacterCode", StringFromCodes),
+            // The row is pure, the head is not listed.
+            ("ArcSin", Elementary(wolfram_types::Elementary::ArcSin)),
+            ("ArcCos", Elementary(wolfram_types::Elementary::ArcCos)),
+            ("GCD", Gcd),
+            ("Factorial", Factorial),
+            // Totality: the row says total and the head list does not (Exp),
+            // or the reverse (ArcTan; List, whose elements may not promote).
+            ("Exp", Elementary(wolfram_types::Elementary::Exp)),
+            ("ArcTan", Elementary(wolfram_types::Elementary::ArcTan)),
+            ("List", ListConstruct),
+        ];
+        let env = builtin_type_environment();
+        for head in env.function_names() {
+            for def in env.lookup(&head) {
+                let FunctionImpl::Primitive(p) = def.implementation else {
+                    continue;
+                };
+                // Tensor, broadcast and symbolic overloads of a head are
+                // all conservatively impure; the head-level lists speak
+                // for the scalar overload.
+                if matches!(
+                    p,
+                    TensorPlus
+                        | TensorSubtract
+                        | TensorTimes
+                        | TensorScalarPlus
+                        | TensorScalarSubtract
+                        | TensorScalarTimes
+                        | ScalarTensorPlus
+                        | ScalarTensorSubtract
+                        | ScalarTensorTimes
+                        | ExprPlus
+                        | ExprSubtract
+                        | ExprTimes
+                        | ExprPower
+                        | ExprUnary(_)
+                ) {
+                    assert!(!p.is_pure());
+                    continue;
+                }
+                let agrees =
+                    pure_builtin(&head) == p.is_pure() && total_builtin(&head) == p.is_total();
+                assert_eq!(
+                    agrees,
+                    !listed.contains(&(head.as_str(), p)),
+                    "{head} / {}",
+                    p.name()
+                );
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use wolfram_expr::Expr;
-use wolfram_types::Type;
+use wolfram_types::{mangle, Prim, Type};
 
 /// An SSA variable (`%n` in dumps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,9 +63,15 @@ impl Constant {
 pub enum Callee {
     /// An unresolved Wolfram function (WIR stage): `Plus`, `Part`, ...
     Builtin(Arc<str>),
-    /// A runtime primitive with a mangled name (TWIR stage), e.g.
-    /// `checked_binary_plus_Integer64_Integer64`.
-    Primitive(Arc<str>),
+    /// A runtime primitive at the parameter types function resolution
+    /// instantiated it with (TWIR stage); dumps render the pair through
+    /// [`mangle`], e.g. `checked_binary_plus$Integer64$Integer64`.
+    Primitive {
+        /// The primitive.
+        prim: Prim,
+        /// Its resolved parameter types.
+        params: Arc<[Type]>,
+    },
     /// A resolved call to another function in this program module.
     Function {
         /// The mangled name.
@@ -81,11 +87,21 @@ pub enum Callee {
 }
 
 impl Callee {
+    /// A call of `prim` resolved at `params`.
+    pub fn primitive(prim: Prim, params: &[Type]) -> Callee {
+        Callee::Primitive {
+            prim,
+            params: params.into(),
+        }
+    }
+
     /// Display name for dumps.
     pub fn name(&self) -> String {
         match self {
             Callee::Builtin(n) => n.to_string(),
-            Callee::Primitive(n) => format!("Native`PrimitiveFunction[{n}]"),
+            Callee::Primitive { prim, params } => {
+                format!("Native`PrimitiveFunction[{}]", mangle(prim.name(), params))
+            }
             Callee::Function { name, .. } => name.to_string(),
             Callee::Value(v) => format!("%{}", v.0),
             Callee::Kernel(n) => format!("KernelFunction[{n}]"),
@@ -351,7 +367,7 @@ impl Instr {
             | Instr::MakeClosure { .. } => true,
             Instr::Call { callee, .. } => match callee {
                 Callee::Builtin(name) => pure_builtin(name),
-                Callee::Primitive(name) => pure_primitive(name),
+                Callee::Primitive { prim, .. } => prim.is_pure(),
                 _ => false,
             },
             _ => false,
@@ -376,7 +392,7 @@ impl Instr {
             | Instr::MakeClosure { .. } => true,
             Instr::Call { callee, .. } => match callee {
                 Callee::Builtin(name) => total_builtin(name),
-                Callee::Primitive(name) => total_primitive(name),
+                Callee::Primitive { prim, .. } => prim.is_total(),
                 _ => false,
             },
             _ => false,
@@ -444,34 +460,6 @@ pub fn pure_builtin(name: &str) -> bool {
     )
 }
 
-/// Runtime primitives that are pure (mangled names start with these bases).
-pub fn pure_primitive(name: &str) -> bool {
-    const PURE_BASES: &[&str] = &[
-        "checked_binary_plus",
-        "checked_binary_times",
-        "checked_binary_subtract",
-        "checked_binary_divide",
-        "checked_binary_power",
-        "checked_binary_mod",
-        "checked_binary_quotient",
-        "checked_unary_minus",
-        "checked_unary_abs",
-        "binary_", // binary_min, binary_max, comparisons
-        "unary_",  // unary_sin, unary_cos, ...
-        "compare_",
-        "string_length",
-        "string_byte",
-        "tensor_length",
-        "tensor_part",
-        "tensor_dimensions",
-        "list_construct",
-        "convert_",
-        "boole",
-        "dot_",
-    ];
-    PURE_BASES.iter().any(|base| name.starts_with(base))
-}
-
 /// Builtins that are pure *and total* — they cannot raise a runtime error
 /// on any well-typed input, so a dead instance may be removed. Checked
 /// arithmetic (overflow), division (zero), `Part` (range), `Dot` (shape)
@@ -511,29 +499,6 @@ pub fn total_builtin(name: &str) -> bool {
             | "N"
             | "Boole"
     )
-}
-
-/// Runtime primitives that are pure and total (see [`total_builtin`]).
-pub fn total_primitive(name: &str) -> bool {
-    const TOTAL_BASES: &[&str] = &[
-        "binary_min",
-        "binary_max",
-        "binary_arctan2",
-        "compare_",
-        "unary_not",
-        "unary_sin",
-        "unary_cos",
-        "unary_tan",
-        "unary_exp",
-        "unary_sign",
-        "logical_and",
-        "logical_or",
-        "string_length",
-        "tensor_length",
-        "tensor_dimensions",
-        "boole",
-    ];
-    TOTAL_BASES.iter().any(|base| name.starts_with(base))
 }
 
 /// A basic block: instructions ending in exactly one terminator.
@@ -771,7 +736,7 @@ mod tests {
     fn purity_classification() {
         let pure = Instr::Call {
             dst: VarId(0),
-            callee: Callee::Primitive(Arc::from("checked_binary_plus_Integer64_Integer64")),
+            callee: Callee::primitive(Prim::Plus, &[Type::integer64(), Type::integer64()]),
             args: vec![],
         };
         assert!(pure.is_pure());

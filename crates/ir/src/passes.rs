@@ -378,15 +378,16 @@ fn constant_fold(f: &mut Function) -> bool {
                 }
                 // Fold fully-constant pure calls.
                 if let Instr::Call { dst, callee, args } = i {
-                    let foldable = matches!(callee, Callee::Builtin(_) | Callee::Primitive(_));
+                    let foldable = matches!(callee, Callee::Builtin(_) | Callee::Primitive { .. });
                     if foldable {
                         let const_args: Option<Vec<Constant>> =
                             args.iter().map(|a| a.as_const().cloned()).collect();
                         if let Some(const_args) = const_args {
                             let folded = match callee {
                                 Callee::Builtin(name) => eval_const_builtin(name, &const_args),
-                                Callee::Primitive(name) => primitive_base(name)
-                                    .and_then(|base| eval_const_builtin(base, &const_args)),
+                                Callee::Primitive { prim, .. } => prim
+                                    .fold_head()
+                                    .and_then(|head| eval_const_builtin(head, &const_args)),
                                 _ => None,
                             };
                             if let Some(c) = folded {
@@ -444,45 +445,6 @@ fn constant_fold(f: &mut Function) -> bool {
         prune_phis(f);
     }
     changed
-}
-
-/// Maps a mangled primitive name back to its builtin base for folding
-/// (`checked_binary_plus_Integer64_Integer64` -> `Plus`).
-fn primitive_base(name: &str) -> Option<&'static str> {
-    const MAP: &[(&str, &str)] = &[
-        ("checked_binary_plus", "Plus"),
-        ("checked_binary_subtract", "Subtract"),
-        ("checked_binary_times", "Times"),
-        ("checked_binary_divide", "Divide"),
-        ("checked_binary_power", "Power"),
-        ("checked_binary_mod", "Mod"),
-        ("checked_binary_quotient", "Quotient"),
-        ("checked_unary_minus", "Minus"),
-        ("checked_unary_abs", "Abs"),
-        ("compare_less", "Less"),
-        ("compare_greater_equal", "GreaterEqual"),
-        ("compare_greater", "Greater"),
-        ("compare_less_equal", "LessEqual"),
-        ("compare_equal", "Equal"),
-        ("compare_unequal", "Unequal"),
-        ("binary_min", "Min"),
-        ("binary_max", "Max"),
-        ("unary_not", "Not"),
-        ("unary_sin", "Sin"),
-        ("unary_cos", "Cos"),
-        ("unary_tan", "Tan"),
-        ("unary_exp", "Exp"),
-        ("unary_sqrt", "Sqrt"),
-        ("unary_log", "Log"),
-        ("string_length", "StringLength"),
-    ];
-    // Longest match wins: `compare_less_equal_…` must resolve to LessEqual,
-    // not to the `compare_less` prefix it also starts with. (Found by
-    // wolfram-difftest: the short-prefix fold turned `1 <= 1` into False.)
-    MAP.iter()
-        .filter(|(base, _)| name.starts_with(base))
-        .max_by_key(|(base, _)| base.len())
-        .map(|(_, b)| *b)
 }
 
 /// Recomputes predecessor sets and prunes phi incoming lists accordingly;

@@ -103,7 +103,7 @@ impl Function {
             Instr::Call { dst, callee, args } => {
                 let args: Vec<String> = args.iter().map(|a| self.operand_text(a)).collect();
                 let sig = match callee {
-                    Callee::Primitive(_) | Callee::Function { .. } => {
+                    Callee::Primitive { .. } | Callee::Function { .. } => {
                         match (self.call_sig(args.len()), self.var_type(*dst)) {
                             (Some(sig), Some(_)) => sig,
                             _ => String::new(),
@@ -208,8 +208,7 @@ impl ProgramModule {
 mod tests {
     use crate::builder::FunctionBuilder;
     use crate::module::{Callee, Constant, Instr};
-    use std::sync::Arc;
-    use wolfram_types::Type;
+    use wolfram_types::{Prim, Type};
 
     #[test]
     fn paper_style_dump() {
@@ -218,7 +217,7 @@ mod tests {
         let arg = b.func.fresh_var();
         b.push(Instr::LoadArgument { dst: arg, index: 0 });
         let sum = b.call(
-            Callee::Primitive(Arc::from("checked_binary_plus_Integer64_Integer64")),
+            Callee::primitive(Prim::Plus, &[Type::integer64(), Type::integer64()]),
             vec![arg.into(), Constant::I64(1).into()],
         );
         b.ret(sum);
@@ -232,7 +231,7 @@ mod tests {
         assert!(text.contains("%0:I64 = LoadArgument arg"), "{text}");
         assert!(
             text.contains(
-                "Call Native`PrimitiveFunction[checked_binary_plus_Integer64_Integer64] [%0, 1:I64]"
+                "Call Native`PrimitiveFunction[checked_binary_plus$Integer64$Integer64] [%0, 1:I64]"
             ),
             "{text}"
         );

@@ -3,6 +3,7 @@
 //! sites ("Function Resolution", §4.5).
 
 use crate::classes::ClassRegistry;
+use crate::prim::Prim;
 use crate::subst::{numeric_lub, promotion_cost, unify, Subst};
 use crate::ty::{Qualifier, Type, TypeError};
 use std::collections::HashMap;
@@ -12,10 +13,10 @@ use wolfram_expr::Expr;
 /// How a declared function is implemented.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FunctionImpl {
-    /// A compiler-runtime primitive; the base name is mangled with the
-    /// instantiated argument types at resolution (the paper's
-    /// `checked_binary_plus_Integer64_Integer64`).
-    Primitive(Arc<str>),
+    /// A compiler-runtime primitive. Resolution pairs it with the
+    /// instantiated parameter types; [`crate::mangle`] renders the pair as
+    /// the paper's `checked_binary_plus$Integer64$Integer64`.
+    Primitive(Prim),
     /// Wolfram source compiled on demand at its instantiated type.
     Source(Expr),
     /// Escapes to the interpreter (`KernelFunction`).
@@ -378,7 +379,7 @@ mod tests {
         env.declare_function(
             "Min",
             scheme("TypeForAll[{\"a\"}, {Element[\"a\", \"Ordered\"]}, {\"a\", \"a\"} -> \"a\"]"),
-            FunctionImpl::Primitive(Arc::from("min")),
+            FunctionImpl::Primitive(Prim::Min),
         );
         env
     }
@@ -389,7 +390,7 @@ mod tests {
         env.declare_function(
             "Plus",
             scheme("{\"Integer64\", \"Integer64\"} -> \"Integer64\""),
-            FunctionImpl::Primitive(Arc::from("checked_binary_plus")),
+            FunctionImpl::Primitive(Prim::Plus),
         );
         let r = env
             .resolve_call("Plus", &[Type::integer64(), Type::integer64()])
@@ -443,12 +444,12 @@ mod tests {
         env.declare_function(
             "F",
             scheme("{\"Real64\"} -> \"Real64\""),
-            FunctionImpl::Primitive(Arc::from("f_real")),
+            FunctionImpl::Primitive(Prim::Sign),
         );
         env.declare_function(
             "F",
             scheme("{\"Integer64\"} -> \"Integer64\""),
-            FunctionImpl::Primitive(Arc::from("f_int")),
+            FunctionImpl::Primitive(Prim::Abs),
         );
         let r = env.resolve_call("F", &[Type::integer64()]).unwrap();
         assert_eq!(
@@ -467,12 +468,12 @@ mod tests {
         env.declare_function(
             "G",
             scheme("{\"Integer64\"} -> \"Integer64\""),
-            FunctionImpl::Primitive(Arc::from("g1")),
+            FunctionImpl::Primitive(Prim::Minus),
         );
         env.declare_function(
             "G",
             scheme("{\"Integer64\", \"Integer64\"} -> \"Integer64\""),
-            FunctionImpl::Primitive(Arc::from("g2")),
+            FunctionImpl::Primitive(Prim::Plus),
         );
         assert_eq!(
             env.resolve_call("G", &[Type::integer64()])
@@ -496,12 +497,12 @@ mod tests {
         env.declare_function(
             "H",
             scheme("{\"Real64\"} -> \"Integer64\""),
-            FunctionImpl::Primitive(Arc::from("h1")),
+            FunctionImpl::Primitive(Prim::Floor),
         );
         env.declare_function(
             "H",
             scheme("{\"Real64\"} -> \"Real64\""),
-            FunctionImpl::Primitive(Arc::from("h2")),
+            FunctionImpl::Primitive(Prim::Convert),
         );
         assert!(matches!(
             env.resolve_call("H", &[Type::real64()]),
@@ -519,7 +520,7 @@ mod tests {
                 "TypeForAll[{\"a\"}, {Element[\"a\", \"Ordered\"]}, \
                  {\"Tensor\"[\"a\", 1]} -> \"a\"]",
             ),
-            FunctionImpl::Primitive(Arc::from("min_container")),
+            FunctionImpl::Primitive(Prim::Min),
         );
         let r = env
             .resolve_call("MinContainer", &[Type::tensor(Type::real64(), 1)])

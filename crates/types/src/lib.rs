@@ -12,6 +12,8 @@
 //!   usable as qualifiers on polymorphic types.
 //! - [`TypeEnvironment`] — extensible function/type store supporting
 //!   overloading by type, arity, and return type (F6).
+//! - [`Prim`] — the closed table of runtime primitives a declaration can
+//!   name, and [`mangle`], the writer of specialization names.
 //! - [`unify`] and the constraint solver ([`mod@solve`]) — two-phase inference:
 //!   constraint generation produces [`Constraint`]s
 //!   (`Equality`/`Alternative`/`Instantiate`/`Generalize`), then the graph
@@ -22,6 +24,7 @@
 pub mod classes;
 pub mod constraint;
 pub mod env;
+pub mod prim;
 pub mod solve;
 pub mod subst;
 pub mod ty;
@@ -29,6 +32,7 @@ pub mod ty;
 pub use classes::ClassRegistry;
 pub use constraint::Constraint;
 pub use env::{FunctionDef, FunctionImpl, TypeEnvironment};
+pub use prim::{mangle, Cmp, Elementary, ExprHead, Prim};
 pub use solve::{solve, SolveError};
 pub use subst::{unify, Subst, UnifyError};
 pub use ty::{Qualifier, Type, TypeError, TypeVar};

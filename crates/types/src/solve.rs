@@ -458,7 +458,7 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        env.declare_function("Plus", scheme, FunctionImpl::Primitive(Arc::from("plus")));
+        env.declare_function("Plus", scheme, FunctionImpl::Primitive(crate::Prim::Plus));
         env
     }
 
