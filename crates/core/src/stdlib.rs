@@ -688,8 +688,6 @@ mod tests {
             ("Re", ComplexRe),
             ("Im", ComplexIm),
             ("Conjugate", ComplexConjugate),
-            ("N", Convert),
-            ("Re", Convert),
             ("StringJoin", StringJoin),
             ("ToCharacterCode", StringToCodes),
             ("FromCharacterCode", StringFromCodes),

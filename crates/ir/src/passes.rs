@@ -1209,6 +1209,33 @@ mod tests {
     }
 
     #[test]
+    fn a_coercion_is_merged_when_repeated_and_removed_when_dead() {
+        use wolfram_types::{Prim, Type};
+        let convert = || Callee::primitive(Prim::Convert, &[Type::integer64()]);
+        let mut b = FunctionBuilder::new("f", 1);
+        let arg = b.func.fresh_var();
+        b.push(Instr::LoadArgument { dst: arg, index: 0 });
+        let x = b.call(convert(), vec![arg.into()]);
+        let y = b.call(convert(), vec![arg.into()]);
+        let _dead = b.call(convert(), vec![x.into()]);
+        let sum = b.call(
+            Callee::primitive(Prim::Plus, &[Type::real64(), Type::real64()]),
+            vec![x.into(), y.into()],
+        );
+        b.ret(sum);
+        let mut f = b.finish();
+        assert!(cse(&mut f));
+        copy_propagation(&mut f);
+        assert!(dce(&mut f));
+        verify_function(&f).unwrap();
+        let converts = f
+            .instrs()
+            .filter(|i| matches!(i, Instr::Call { callee, .. } if *callee == convert()))
+            .count();
+        assert_eq!(converts, 1, "{}", f.to_text());
+    }
+
+    #[test]
     fn dce_keeps_impure() {
         let mut b = FunctionBuilder::new("f", 0);
         let _unused = b.call(

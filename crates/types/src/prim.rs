@@ -104,7 +104,7 @@ prims! {
     Floor             = "unary_floor",             None,                 Partial;
     Ceiling           = "unary_ceiling",           None,                 Partial;
     Round             = "unary_round",             None,                 Partial;
-    Convert           = "convert",                 None,                 Impure;
+    Convert           = "convert",                 None,                 Total;
     ArcTan2           = "binary_arctan2",          None,                 Total;
     // ---- logic ----
     Not               = "unary_not",               Some("Not"),          Total;
