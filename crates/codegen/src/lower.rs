@@ -788,24 +788,26 @@ impl<'a> Lowering<'a> {
                         b: a!(1, Bank::F),
                     },
                     Bank::C => {
-                        let (x, y) = (a!(0, Bank::C), a!(1, Bank::C));
-                        let negate = match cmp {
-                            Cmp::Equal => false,
-                            Cmp::Unequal => true,
+                        let eq = RegOp::CpxEq {
+                            d,
+                            a: a!(0, Bank::C),
+                            b: a!(1, Bank::C),
+                        };
+                        match cmp {
+                            Cmp::Equal => eq,
+                            Cmp::Unequal => {
+                                self.code.push(eq);
+                                RegOp::IntUn {
+                                    op: IntUnOp::Not,
+                                    d,
+                                    s: d,
+                                }
+                            }
                             Cmp::Less | Cmp::LessEqual | Cmp::Greater | Cmp::GreaterEqual => {
                                 return Err(LowerError::Unsupported(
                                     "ordered complex compare".into(),
                                 ))
                             }
-                        };
-                        self.code.push(RegOp::CpxEq { d, a: x, b: y });
-                        if !negate {
-                            return Ok(());
-                        }
-                        RegOp::IntUn {
-                            op: IntUnOp::Not,
-                            d,
-                            s: d,
                         }
                     }
                     Bank::V => {

@@ -153,17 +153,17 @@ pub fn builtin_type_environment() -> TypeEnvironment {
         Prim::Quotient,
     );
     // The paper's §4.4 Min declaration, verbatim shape.
-    for (name, base) in [("Min", Prim::Min), ("Max", Prim::Max)] {
+    for (name, p) in [("Min", Prim::Min), ("Max", Prim::Max)] {
         prim(
             &mut env,
             name,
             "TypeForAll[{\"a\"}, {Element[\"a\", \"Ordered\"]}, {\"a\", \"a\"} -> \"a\"]",
-            base,
+            p,
         );
     }
 
     // ---- comparisons and logic ----
-    for (name, base) in [
+    for (name, p) in [
         ("Less", Prim::Compare(Cmp::Less)),
         ("LessEqual", Prim::Compare(Cmp::LessEqual)),
         ("Greater", Prim::Compare(Cmp::Greater)),
@@ -173,10 +173,10 @@ pub fn builtin_type_environment() -> TypeEnvironment {
             &mut env,
             name,
             "TypeForAll[{\"a\"}, {Element[\"a\", \"Ordered\"]}, {\"a\", \"a\"} -> \"Boolean\"]",
-            base,
+            p,
         );
     }
-    for (name, base) in [
+    for (name, p) in [
         ("Equal", Prim::Compare(Cmp::Equal)),
         ("Unequal", Prim::Compare(Cmp::Unequal)),
         ("SameQ", Prim::Compare(Cmp::Equal)),
@@ -186,13 +186,13 @@ pub fn builtin_type_environment() -> TypeEnvironment {
             &mut env,
             name,
             "TypeForAll[{\"a\"}, {Element[\"a\", \"Equatable\"]}, {\"a\", \"a\"} -> \"Boolean\"]",
-            base,
+            p,
         );
         prim(
             &mut env,
             name,
             "{\"ComplexReal64\", \"ComplexReal64\"} -> \"Boolean\"",
-            base,
+            p,
         );
     }
     prim(&mut env, "Not", "{\"Boolean\"} -> \"Boolean\"", Prim::Not);
@@ -228,13 +228,13 @@ pub fn builtin_type_environment() -> TypeEnvironment {
             Prim::ExprUnary(*head),
         );
     }
-    for (name, base) in [
+    for (name, p) in [
         ("Floor", Prim::Floor),
         ("Ceiling", Prim::Ceiling),
         ("Round", Prim::Round),
     ] {
-        prim(&mut env, name, "{\"Real64\"} -> \"Integer64\"", base);
-        prim(&mut env, name, "{\"Integer64\"} -> \"Integer64\"", base);
+        prim(&mut env, name, "{\"Real64\"} -> \"Integer64\"", p);
+        prim(&mut env, name, "{\"Integer64\"} -> \"Integer64\"", p);
     }
     prim(
         &mut env,
@@ -245,7 +245,7 @@ pub fn builtin_type_environment() -> TypeEnvironment {
     prim(&mut env, "N", "{\"Real64\"} -> \"Real64\"", Prim::Convert);
 
     // ---- bit operations and number theory ----
-    for (name, base) in [
+    for (name, p) in [
         ("BitAnd", Prim::BitAnd),
         ("BitOr", Prim::BitOr),
         ("BitXor", Prim::BitXor),
@@ -256,7 +256,7 @@ pub fn builtin_type_environment() -> TypeEnvironment {
             &mut env,
             name,
             "{\"Integer64\", \"Integer64\"} -> \"Integer64\"",
-            base,
+            p,
         );
     }
     prim(
@@ -399,7 +399,7 @@ pub fn builtin_type_environment() -> TypeEnvironment {
 
     // Tensor (+) scalar broadcast (Listable arithmetic against a scalar;
     // the scalar promotes to the element type by the usual cost rules).
-    for (name, tbase, sbase) in [
+    for (name, tensor_scalar, scalar_tensor) in [
         ("Plus", Prim::TensorScalarPlus, Prim::ScalarTensorPlus),
         (
             "Subtract",
@@ -413,14 +413,14 @@ pub fn builtin_type_environment() -> TypeEnvironment {
             name,
             "TypeForAll[{\"a\", \"n\"}, {Element[\"a\", \"Number\"]}, \
              {\"Tensor\"[\"a\", \"n\"], \"a\"} -> \"Tensor\"[\"a\", \"n\"]]",
-            tbase,
+            tensor_scalar,
         );
         prim(
             &mut env,
             name,
             "TypeForAll[{\"a\", \"n\"}, {Element[\"a\", \"Number\"]}, \
              {\"a\", \"Tensor\"[\"a\", \"n\"]} -> \"Tensor\"[\"a\", \"n\"]]",
-            sbase,
+            scalar_tensor,
         );
     }
     prim(

@@ -12,6 +12,7 @@
 //! [`crate::FunctionImpl::Kernel`].
 
 use crate::ty::Type;
+use std::fmt::Write as _;
 
 /// What a call can do besides compute its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +41,6 @@ macro_rules! prims {
     ) => {
         /// A runtime primitive.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        #[allow(missing_docs)]
         pub enum Prim {
             $( $unit, )*
             $( $fam($payload), )*
@@ -49,8 +49,7 @@ macro_rules! prims {
         $(
             /// The members of a [`Prim`] family, named by Wolfram head.
             #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-            #[allow(missing_docs)]
-            pub enum $payload {
+                pub enum $payload {
                 $( $member, )*
             }
 
@@ -228,7 +227,7 @@ fn mangle_type(out: &mut String, t: &Type) {
                 mangle_type(out, elem);
             }
             match args.get(1) {
-                Some(Type::Literal(r)) => out.push_str(&format!("R{r}")),
+                Some(Type::Literal(r)) => write!(out, "R{r}").expect("writing to a String"),
                 _ => out.push_str("RN"),
             }
         }

@@ -7,6 +7,8 @@
 #   tests:      cargo test --release --workspace -q (every crate's unit and
 #               integration tests; the serve, wire, warm-restart and
 #               data-parallel contracts are crates/bench/tests/*.rs)
+#   primitives: no primitive base name is spelled in crates/ outside the
+#               table (crates/types/src/prim.rs) and test modules
 #   build:      cargo build --release -p wolfram-bench --bin reproduce
 #   analyzer:   reproduce analyze over difftest/corpus/*.wl, at every IR
 #               stage, and --stats against ANALYZE_stats.golden
@@ -37,6 +39,11 @@ cargo test -q
 
 echo "==> tests: cargo test --release --workspace -q"
 cargo test --release --workspace -q
+
+echo "==> primitives: base names are spelled only in crates/types/src/prim.rs"
+pat='"((checked_(binary|unary)|compare|unary|binary|bit|tensor|scalar_tensor|dot|complex|string|random|expr)_[A-Za-z0-9_]*|power_mod|list_construct|boole|convert)[$"]'
+spelled=$(find crates -name '*.rs' ! -path crates/types/src/prim.rs -print0 | xargs -0 awk -v pat="$pat" '/#\[cfg\(test\)\]/{nextfile} $0 ~ pat {print FILENAME":"FNR": "$0}')
+if [ -n "$spelled" ]; then echo "$spelled"; exit 1; fi
 
 # The root package does not depend on wolfram-bench, so the tier-1 build
 # above leaves ./target/release/reproduce missing or stale.
