@@ -88,7 +88,6 @@ fn every_parallel_configuration_is_bit_identical_and_balanced() {
             let cfg = ParallelConfig {
                 num_threads: threads,
                 min_elems_per_chunk: 8,
-                simd: true,
             };
             let got = programs::compile_new(&compiler(Some(cfg)), src)
                 .call(args)

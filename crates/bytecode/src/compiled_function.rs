@@ -225,12 +225,6 @@ impl StreamRunner {
         self.cf.arg_specs.len()
     }
 
-    /// The abort signal checked between instruction batches; trigger it
-    /// to stop a record mid-execution (shutdown, deadlines).
-    pub fn abort_signal(&self) -> &AbortSignal {
-        &self.abort
-    }
-
     /// Applies the compiled function to one record.
     ///
     /// # Errors

@@ -105,13 +105,6 @@ impl ExportedLibrary {
     pub fn function(&self) -> Result<Expr, ParseError> {
         parse(&self.source)
     }
-
-    /// Whether a loader at `current_version` must recompile (always, in
-    /// this reproduction — matching the version-check-then-recompile
-    /// behavior).
-    pub fn needs_recompile(&self, current_version: &str) -> bool {
-        self.compiler_version != current_version
-    }
 }
 
 #[cfg(test)]
@@ -126,8 +119,6 @@ mod tests {
         assert_eq!(loaded, lib);
         assert_eq!(loaded.function().unwrap(), f);
         assert!(loaded.standalone);
-        assert!(loaded.needs_recompile("2.0"));
-        assert!(!loaded.needs_recompile("1.0.1.0"));
     }
 
     #[test]

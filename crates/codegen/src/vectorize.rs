@@ -1274,10 +1274,6 @@ pub(crate) fn exec_batch(
     flts: &[f64],
     vals: &mut [Value],
 ) -> Result<(), RuntimeError> {
-    if !cfg.simd {
-        // Ablation switch: leave the scalar loop fully in charge.
-        return Ok(());
-    }
     let iv0 = i128::from(ints[plan.iv as usize]);
     let bound = i128::from(ints[plan.bound as usize]);
     let n_total = bound - iv0 + i128::from(plan.inclusive);
@@ -1517,7 +1513,6 @@ mod tests {
         ParallelConfig {
             num_threads: threads,
             min_elems_per_chunk: 16,
-            simd: true,
         }
     }
 
@@ -2166,31 +2161,5 @@ mod tests {
             *pc_false = 11;
         }
         assert_eq!(vectorize_function(&mut f), 0);
-
-        // Simd ablation flag off: plan exists but the batch never runs.
-        let scalar = saxpy();
-        let mut vectored = scalar.clone();
-        assert_eq!(vectorize_function(&mut vectored), 1);
-        let n = 50;
-        let want = run(
-            &NativeProgram {
-                parallel: None,
-                funcs: vec![scalar],
-            },
-            saxpy_args(n, n as i64),
-        )
-        .unwrap();
-        let got = run(
-            &NativeProgram {
-                parallel: Some(ParallelConfig {
-                    simd: false,
-                    ..cfg(2)
-                }),
-                funcs: vec![vectored],
-            },
-            saxpy_args(n, n as i64),
-        )
-        .unwrap();
-        assert_eq!(got, want);
     }
 }

@@ -127,7 +127,6 @@ impl CompilerOptions {
             eat(b"parallel:");
             eat(&(self.parallel.num_threads as u64).to_le_bytes());
             eat(&(self.parallel.min_elems_per_chunk as u64).to_le_bytes());
-            eat(&[u8::from(self.parallel.simd)]);
         }
         eat(match self.inline_policy {
             InlinePolicy::Automatic => b"inline:auto",
@@ -697,14 +696,6 @@ mod tests {
                 ..CompilerOptions::default()
             },
             CompilerOptions {
-                data_parallel: true,
-                parallel: ParallelConfig {
-                    simd: false,
-                    ..ParallelConfig::default()
-                },
-                ..CompilerOptions::default()
-            },
-            CompilerOptions {
                 range_checks_elision: false,
                 ..CompilerOptions::default()
             },
@@ -732,7 +723,6 @@ mod tests {
             parallel: ParallelConfig {
                 num_threads: 7,
                 min_elems_per_chunk: 3,
-                simd: false,
             },
             ..CompilerOptions::default()
         };
@@ -800,7 +790,6 @@ Function[{Typed[img, "Tensor"["Real64", 2]], Typed[h, "MachineInteger"], Typed[w
                 parallel: ParallelConfig {
                     num_threads: threads,
                     min_elems_per_chunk: 8,
-                    simd: true,
                 },
                 ..CompilerOptions::default()
             };
@@ -853,7 +842,6 @@ Function[{Typed[a, "Tensor"["Real64", 1]], Typed[b, "Tensor"["Real64", 1]]}, (a 
             parallel: ParallelConfig {
                 num_threads: 4,
                 min_elems_per_chunk: 256,
-                simd: true,
             },
             ..CompilerOptions::default()
         };

@@ -325,7 +325,6 @@ pub fn prepare_with(func: &Expr, verify: VerifyLevel) -> Result<PreparedSubject,
         parallel: ParallelConfig {
             num_threads: 2,
             min_elems_per_chunk: 16,
-            simd: true,
         },
         ..opts(true)
     };

@@ -153,7 +153,7 @@ pub struct NaturalLoop {
 
 /// Finds natural loops via back edges (`latch -> header` where the header
 /// dominates the latch).
-pub fn natural_loops(_f: &Function, cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
+pub fn natural_loops(cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
     let mut loops: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
     for &b in &cfg.rpo {
         for &succ in &cfg.succs[b.0 as usize] {
@@ -243,59 +243,6 @@ pub fn liveness(f: &Function, cfg: &Cfg) -> Liveness {
     Liveness { live_in, live_out }
 }
 
-/// A linear instruction numbering (RPO, block-major) plus per-variable live
-/// intervals `[def_point, last_live_point]` — the "live intervals" the
-/// memory-management pass brackets with acquire/release (§4.5).
-#[derive(Debug, Clone)]
-pub struct LiveIntervals {
-    /// Global point of each (block, instr index).
-    pub point: HashMap<(BlockId, usize), usize>,
-    /// Interval per variable.
-    pub intervals: HashMap<VarId, (usize, usize)>,
-}
-
-/// Computes conservative live intervals over an RPO numbering.
-pub fn live_intervals(f: &Function, cfg: &Cfg) -> LiveIntervals {
-    let live = liveness(f, cfg);
-    let mut point = HashMap::new();
-    let mut counter = 0usize;
-    let mut block_range: HashMap<BlockId, (usize, usize)> = HashMap::new();
-    for &b in &cfg.rpo {
-        let start = counter;
-        for ix in 0..f.block(b).instrs.len() {
-            point.insert((b, ix), counter);
-            counter += 1;
-        }
-        block_range.insert(b, (start, counter.saturating_sub(1)));
-    }
-    let mut intervals: HashMap<VarId, (usize, usize)> = HashMap::new();
-    let mut extend = |v: VarId, p: usize| {
-        let e = intervals.entry(v).or_insert((p, p));
-        e.0 = e.0.min(p);
-        e.1 = e.1.max(p);
-    };
-    for &b in &cfg.rpo {
-        let (bstart, bend) = block_range[&b];
-        for (ix, i) in f.block(b).instrs.iter().enumerate() {
-            let p = point[&(b, ix)];
-            if let Some(d) = i.def() {
-                extend(d, p);
-            }
-            for u in i.uses() {
-                extend(u, p);
-            }
-        }
-        // Variables live across the block span it entirely.
-        for &v in live.live_out.get(&b).iter().flat_map(|s| s.iter()) {
-            extend(v, bend);
-        }
-        for &v in live.live_in.get(&b).iter().flat_map(|s| s.iter()) {
-            extend(v, bstart);
-        }
-    }
-    LiveIntervals { point, intervals }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +310,7 @@ mod tests {
         let f = loop_function();
         let cfg = Cfg::new(&f);
         let dom = Dominators::new(&f, &cfg);
-        let loops = natural_loops(&f, &cfg, &dom);
+        let loops = natural_loops(&cfg, &dom);
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].header, BlockId(1));
         assert!(loops[0].body.contains(&BlockId(2)));
@@ -387,24 +334,12 @@ mod tests {
     }
 
     #[test]
-    fn intervals_cover_defs_and_uses() {
-        let f = loop_function();
-        let cfg = Cfg::new(&f);
-        let intervals = live_intervals(&f, &cfg);
-        let (start, end) = intervals.intervals[&VarId(0)];
-        assert!(start < end);
-        // n is used in the header each iteration: interval reaches at least
-        // into the loop body region.
-        assert!(end >= intervals.point[&(BlockId(2), 0)]);
-    }
-
-    #[test]
     fn straight_line_has_no_loops() {
         let mut b = FunctionBuilder::new("g", 0);
         b.ret(Constant::I64(1));
         let f = b.finish();
         let cfg = Cfg::new(&f);
         let dom = Dominators::new(&f, &cfg);
-        assert!(natural_loops(&f, &cfg, &dom).is_empty());
+        assert!(natural_loops(&cfg, &dom).is_empty());
     }
 }

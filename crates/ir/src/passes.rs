@@ -828,7 +828,7 @@ fn abort_insertion(f: &mut Function) -> bool {
     }
     let cfg = Cfg::new(f);
     let dom = Dominators::new(f, &cfg);
-    let loops = natural_loops(f, &cfg, &dom);
+    let loops = natural_loops(&cfg, &dom);
     let mut targets: Vec<BlockId> = vec![f.entry];
     for l in &loops {
         if !targets.contains(&l.header) {

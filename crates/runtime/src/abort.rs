@@ -4,11 +4,16 @@
 //! quitting the session. The interpreter checks the flag periodically, the
 //! legacy VM checks it per instruction, and the new compiler inserts checks
 //! at loop headers and function prologues (§4.5).
+//!
+//! A wall-clock budget ([`AbortSignal::deadline`]) is one more way to pull
+//! the same trigger: every deadline in the process — a served request's,
+//! the difftest oracle's watchdog — is armed on one timer thread.
 
 use crate::error::RuntimeError;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
+use std::time::{Duration, Instant};
 
 /// A shared, asynchronously-triggerable abort flag.
 ///
@@ -67,23 +72,15 @@ impl AbortSignal {
         }
     }
 
-    /// Arms the signal to auto-trigger after `n` successful checks. Used by
-    /// tests to simulate a user abort landing mid-computation.
-    pub fn trigger_after(&self, n: u64) -> CountdownAbort {
-        CountdownAbort {
-            signal: self.clone(),
-            remaining: n,
-        }
-    }
-
-    /// Arms a wall-clock deadline: a watchdog thread triggers this signal
-    /// after `after`, unless the returned guard is dropped first.
+    /// Arms a wall-clock deadline: the process's one timer thread triggers
+    /// this signal after `after`, unless the returned guard is dropped
+    /// first.
     ///
-    /// Dropping the [`DeadlineGuard`] cancels the watchdog and joins it, so
-    /// a completed evaluation never races with a late trigger on a reused
-    /// signal. The signal itself is *not* reset by the guard — callers that
-    /// reuse signals (like the difftest oracle's shared host interpreters)
-    /// reset explicitly after checking [`DeadlineGuard::fired`].
+    /// Dropping the [`DeadlineGuard`] disarms the deadline under the lock
+    /// the timer fires under, so once the drop returns the signal can no
+    /// longer be triggered by it. The signal itself is *not* reset by the
+    /// guard — callers that reuse signals (a serve worker, the difftest
+    /// oracle's shared host interpreters) reset explicitly afterwards.
     ///
     /// # Examples
     ///
@@ -94,94 +91,102 @@ impl AbortSignal {
     /// {
     ///     let _guard = signal.deadline(Duration::from_secs(60));
     ///     // ... finishes well before the deadline ...
-    /// } // guard dropped: watchdog cancelled
+    /// } // guard dropped: deadline disarmed
     /// assert!(!signal.is_triggered());
     /// ```
     pub fn deadline(&self, after: Duration) -> DeadlineGuard {
-        let state = Arc::new(DeadlineState {
-            lock: Mutex::new(false),
-            cancelled: Condvar::new(),
-            fired: AtomicBool::new(false),
-        });
-        let armed = self.clone();
-        let shared = Arc::clone(&state);
-        let watchdog = std::thread::spawn(move || {
-            let mut done = shared.lock.lock().expect("deadline lock poisoned");
-            let deadline = std::time::Instant::now() + after;
-            while !*done {
-                let now = std::time::Instant::now();
-                let Some(left) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    shared.fired.store(true, Ordering::Release);
-                    armed.trigger();
-                    return;
-                };
-                let (guard, _timeout) = shared
-                    .cancelled
-                    .wait_timeout(done, left)
-                    .expect("deadline lock poisoned");
-                done = guard;
-            }
-        });
-        DeadlineGuard {
-            state,
-            watchdog: Some(watchdog),
-        }
+        TIMER.arm(Instant::now() + after, self.clone())
     }
 }
 
-/// Shared state between a [`DeadlineGuard`] and its watchdog thread.
-#[derive(Debug)]
-struct DeadlineState {
-    /// Set to `true` by the guard to cancel the watchdog.
-    lock: Mutex<bool>,
-    cancelled: Condvar,
-    /// Whether the watchdog actually triggered the signal.
-    fired: AtomicBool,
-}
-
-/// Cancels an armed [`AbortSignal::deadline`] watchdog when dropped.
+/// Disarms an [`AbortSignal::deadline`] when dropped.
 #[derive(Debug)]
 pub struct DeadlineGuard {
-    state: Arc<DeadlineState>,
-    watchdog: Option<std::thread::JoinHandle<()>>,
-}
-
-impl DeadlineGuard {
-    /// Whether the deadline expired and triggered the signal.
-    pub fn fired(&self) -> bool {
-        self.state.fired.load(Ordering::Acquire)
-    }
+    key: (Instant, u64),
 }
 
 impl Drop for DeadlineGuard {
     fn drop(&mut self) {
-        if let Ok(mut done) = self.state.lock.lock() {
-            *done = true;
-        }
-        self.state.cancelled.notify_all();
-        if let Some(handle) = self.watchdog.take() {
-            let _ = handle.join();
-        }
+        TIMER.lock().armed.remove(&self.key);
     }
 }
 
-/// Helper that triggers an [`AbortSignal`] after a countdown of checks.
-#[derive(Debug)]
-pub struct CountdownAbort {
-    signal: AbortSignal,
-    remaining: u64,
+/// The process's one deadline timer: a thread, started on first use, that
+/// sleeps until the earliest armed deadline and triggers its signal.
+/// Arming, disarming and firing all hold one lock, so a disarmed deadline
+/// never fires.
+struct DeadlineTimer {
+    state: Mutex<TimerState>,
+    changed: Condvar,
 }
 
-impl CountdownAbort {
-    /// Decrements the countdown; triggers the signal when it reaches zero.
-    pub fn tick(&mut self) {
-        if self.remaining == 0 {
-            self.signal.trigger();
-        } else {
-            self.remaining -= 1;
+struct TimerState {
+    /// Armed deadlines by expiry; the id keeps keys unique and lets a
+    /// guard remove exactly its own entry.
+    armed: BTreeMap<(Instant, u64), AbortSignal>,
+    next_id: u64,
+}
+
+static TIMER: DeadlineTimer = DeadlineTimer {
+    state: Mutex::new(TimerState {
+        armed: BTreeMap::new(),
+        next_id: 0,
+    }),
+    changed: Condvar::new(),
+};
+
+impl DeadlineTimer {
+    fn lock(&self) -> MutexGuard<'_, TimerState> {
+        // Every update is one map insert or remove, so the state is valid
+        // even after a panic elsewhere; recover rather than leave every
+        // later deadline unarmable (and a guard's drop must not panic).
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn arm(&self, at: Instant, signal: AbortSignal) -> DeadlineGuard {
+        // The thread lives as long as the process, like the data-parallel
+        // pool's workers; it is never joined.
+        static START: Once = Once::new();
+        START.call_once(|| {
+            std::thread::Builder::new()
+                .name("wolfram-deadline".into())
+                .spawn(|| TIMER.run())
+                .expect("spawn deadline timer");
+        });
+        let mut st = self.lock();
+        let key = (at, st.next_id);
+        st.next_id += 1;
+        let earliest = st
+            .armed
+            .first_key_value()
+            .is_none_or(|(&first, _)| key < first);
+        st.armed.insert(key, signal);
+        if earliest {
+            self.changed.notify_one();
+        }
+        DeadlineGuard { key }
+    }
+
+    fn run(&self) {
+        let mut st = self.lock();
+        loop {
+            let now = Instant::now();
+            while let Some(due) = st.armed.first_entry().filter(|e| e.key().0 <= now) {
+                due.remove().trigger();
+            }
+            st = match st.armed.first_key_value() {
+                Some((&(at, _), _)) => {
+                    let wait = at.saturating_duration_since(now);
+                    self.changed
+                        .wait_timeout(st, wait)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => self
+                    .changed
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
         }
     }
 }
@@ -210,37 +215,37 @@ mod tests {
     #[test]
     fn deadline_fires_after_timeout() {
         let signal = AbortSignal::new();
-        let guard = signal.deadline(Duration::from_millis(10));
-        let start = std::time::Instant::now();
+        let _guard = signal.deadline(Duration::from_millis(10));
+        let start = Instant::now();
         while !signal.is_triggered() {
             assert!(
                 start.elapsed() < Duration::from_secs(5),
-                "watchdog never fired"
+                "deadline never fired"
             );
             std::thread::yield_now();
         }
-        assert!(guard.fired());
         assert_eq!(signal.check(), Err(RuntimeError::Aborted));
     }
 
     #[test]
-    fn deadline_cancelled_by_drop() {
+    fn disarmed_deadline_never_fires() {
         let signal = AbortSignal::new();
-        let guard = signal.deadline(Duration::from_secs(60));
-        assert!(!guard.fired());
-        drop(guard); // joins the watchdog without waiting a minute
+        drop(signal.deadline(Duration::from_millis(30)));
+        std::thread::sleep(Duration::from_millis(80));
         assert!(!signal.is_triggered());
     }
 
     #[test]
-    fn countdown() {
-        let a = AbortSignal::new();
-        let mut countdown = a.trigger_after(2);
-        countdown.tick();
-        assert!(!a.is_triggered());
-        countdown.tick();
-        assert!(!a.is_triggered());
-        countdown.tick();
-        assert!(a.is_triggered());
+    fn deadlines_fire_independently_of_arming_order() {
+        let slow = AbortSignal::new();
+        let quick = AbortSignal::new();
+        let _s = slow.deadline(Duration::from_secs(60));
+        let _q = quick.deadline(Duration::from_millis(5));
+        let start = Instant::now();
+        while !quick.is_triggered() {
+            assert!(start.elapsed() < Duration::from_secs(5));
+            std::thread::yield_now();
+        }
+        assert!(!slow.is_triggered());
     }
 }

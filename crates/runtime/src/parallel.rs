@@ -10,8 +10,7 @@
 //! are merged sequentially in chunk order. Running the same op with 1, 2,
 //! or 8 threads therefore produces bit-identical results.
 //!
-//! Elementwise chunked ops (zip/map, dgemm row blocks, histogram bins)
-//! are bit-identical to the sequential path outright. Chunked *float
+//! Elementwise chunked ops (zip/map, dgemm row blocks) are bit-identical to the sequential path outright. Chunked *float
 //! reductions* ([`sum_f64`], [`dot_f64`]) are reassociated — per-chunk
 //! partials (themselves 4-lane SIMD sums, see [`crate::simd`]) folded
 //! left-to-right in chunk order — which differs from the interpreter's
@@ -43,9 +42,6 @@ pub struct ParallelConfig {
     /// sequential path; above it, the chunk count is `len / min` (floor),
     /// so every chunk holds at least `min` elements.
     pub min_elems_per_chunk: usize,
-    /// Whether to use the SIMD kernels (`crate::simd`) for inner loops.
-    /// When false, chunks run plain scalar loops (useful for ablations).
-    pub simd: bool,
 }
 
 impl Default for ParallelConfig {
@@ -53,7 +49,6 @@ impl Default for ParallelConfig {
         ParallelConfig {
             num_threads: 0,
             min_elems_per_chunk: 16 * 1024,
-            simd: true,
         }
     }
 }
@@ -79,11 +74,6 @@ impl ParallelConfig {
         } else {
             len / min
         }
-    }
-
-    /// Whether `len` elements are worth dispatching to the pool at all.
-    pub fn worth_parallelizing(&self, len: usize) -> bool {
-        self.threads() > 1 && self.chunk_count(len) > 1
     }
 }
 
@@ -351,15 +341,8 @@ pub fn for_each_row_block<T: Send>(
 pub fn zip_f64(cfg: &ParallelConfig, op: SimdOp, a: &[f64], b: &[f64], out: &mut [f64]) {
     let len = out.len();
     let n_chunks = cfg.chunk_count(len);
-    let simd = cfg.simd;
     for_each_row_block(cfg.threads(), n_chunks, len, 1, out, &|_, lo, hi, o| {
-        if simd {
-            simd::vv(op, &a[lo..hi], &b[lo..hi], o);
-        } else {
-            for (i, slot) in o.iter_mut().enumerate() {
-                *slot = op.apply(a[lo + i], b[lo + i]);
-            }
-        }
+        simd::vv(op, &a[lo..hi], &b[lo..hi], o);
     });
 }
 
@@ -369,30 +352,20 @@ pub fn zip_f64(cfg: &ParallelConfig, op: SimdOp, a: &[f64], b: &[f64], out: &mut
 pub fn map_f64(cfg: &ParallelConfig, op: SimdOp, a: &[f64], s: f64, rev: bool, out: &mut [f64]) {
     let len = out.len();
     let n_chunks = cfg.chunk_count(len);
-    let simd = cfg.simd;
     for_each_row_block(cfg.threads(), n_chunks, len, 1, out, &|_, lo, hi, o| {
-        if simd {
-            if rev {
-                simd::sv(op, s, &a[lo..hi], o);
-            } else {
-                simd::vs(op, &a[lo..hi], s, o);
-            }
+        if rev {
+            simd::sv(op, s, &a[lo..hi], o);
         } else {
-            for (i, slot) in o.iter_mut().enumerate() {
-                let x = a[lo + i];
-                *slot = if rev { op.apply(s, x) } else { op.apply(x, s) };
-            }
+            simd::vs(op, &a[lo..hi], s, o);
         }
     });
 }
 
-/// Chunked sum. Per-chunk partials (SIMD 4-lane sums when `cfg.simd`)
-/// are merged sequentially in chunk order — the deterministic chunk-tree
+/// Chunked sum. Per-chunk partials (SIMD 4-lane sums) are merged sequentially in chunk order — the deterministic chunk-tree
 /// reduction order documented in DESIGN.md.
 pub fn sum_f64(cfg: &ParallelConfig, a: &[f64]) -> f64 {
     let n_chunks = cfg.chunk_count(a.len());
     let mut partials = vec![0.0f64; n_chunks];
-    let simd = cfg.simd;
     let len = a.len();
     for_each_row_block(
         cfg.threads(),
@@ -402,11 +375,7 @@ pub fn sum_f64(cfg: &ParallelConfig, a: &[f64]) -> f64 {
         &mut partials,
         &|i, _, _, p| {
             let (lo, hi) = chunk_bounds(len, n_chunks, i);
-            p[0] = if simd {
-                simd::sum(&a[lo..hi])
-            } else {
-                a[lo..hi].iter().sum()
-            };
+            p[0] = simd::sum(&a[lo..hi]);
         },
     );
     partials.into_iter().sum()
@@ -417,7 +386,6 @@ pub fn dot_f64(cfg: &ParallelConfig, a: &[f64], b: &[f64]) -> f64 {
     assert!(a.len() == b.len(), "dot length mismatch");
     let n_chunks = cfg.chunk_count(a.len());
     let mut partials = vec![0.0f64; n_chunks];
-    let simd = cfg.simd;
     let len = a.len();
     for_each_row_block(
         cfg.threads(),
@@ -427,48 +395,10 @@ pub fn dot_f64(cfg: &ParallelConfig, a: &[f64], b: &[f64]) -> f64 {
         &mut partials,
         &|i, _, _, p| {
             let (lo, hi) = chunk_bounds(len, n_chunks, i);
-            p[0] = if simd {
-                simd::dot(&a[lo..hi], &b[lo..hi])
-            } else {
-                a[lo..hi].iter().zip(&b[lo..hi]).map(|(x, y)| x * y).sum()
-            };
+            p[0] = simd::dot(&a[lo..hi], &b[lo..hi]);
         },
     );
     partials.into_iter().sum()
-}
-
-/// Chunked histogram: values `v` in `0..n_bins` are counted, others
-/// ignored. Each chunk fills a private bin vector; the per-chunk bins are
-/// merged in chunk order. Integer adds are exact and commutative, so this
-/// is bit-identical to the sequential count.
-pub fn histogram_i64(cfg: &ParallelConfig, data: &[i64], n_bins: usize) -> Vec<i64> {
-    let n_chunks = cfg.chunk_count(data.len());
-    let len = data.len();
-    let mut local = vec![0i64; n_chunks * n_bins];
-    for_each_row_block(
-        cfg.threads(),
-        n_chunks,
-        n_chunks,
-        n_bins,
-        &mut local,
-        &|i, _, _, bins| {
-            let (lo, hi) = chunk_bounds(len, n_chunks, i);
-            for &v in &data[lo..hi] {
-                if v >= 0 {
-                    if let Some(slot) = bins.get_mut(v as usize) {
-                        *slot += 1;
-                    }
-                }
-            }
-        },
-    );
-    let mut bins = vec![0i64; n_bins];
-    for chunk in local.chunks_exact(n_bins.max(1)) {
-        for (b, c) in bins.iter_mut().zip(chunk) {
-            *b += c;
-        }
-    }
-    bins
 }
 
 /// Row-block-parallel matrix multiply: chunk `i` computes output rows
@@ -495,20 +425,13 @@ pub fn dgemm(
 }
 
 /// Row-block-parallel matrix × vector. Each output element is one row
-/// dot; with `cfg.simd` the rows use the reassociated [`simd::dot`]
-/// (deterministic per row), otherwise the sequential [`crate::linalg::ddot`].
+/// dot through the reassociated [`simd::dot`] (deterministic per row).
 pub fn dgemv(cfg: &ParallelConfig, a: &[f64], x: &[f64], out: &mut [f64], m: usize, n: usize) {
     assert!(a.len() == m * n && x.len() == n && out.len() == m);
     let n_chunks = cfg.chunk_count(m * n).min(m.max(1));
-    let simd = cfg.simd;
     for_each_row_block(cfg.threads(), n_chunks, m, 1, out, &|_, r0, _, stripe| {
         for (i, slot) in stripe.iter_mut().enumerate() {
-            let row = &a[(r0 + i) * n..(r0 + i + 1) * n];
-            *slot = if simd {
-                simd::dot(row, x)
-            } else {
-                crate::linalg::ddot(row, x)
-            };
+            *slot = simd::dot(&a[(r0 + i) * n..(r0 + i + 1) * n], x);
         }
     });
 }
@@ -521,7 +444,6 @@ mod tests {
         ParallelConfig {
             num_threads: threads,
             min_elems_per_chunk: min,
-            simd: true,
         }
     }
 
@@ -568,8 +490,6 @@ mod tests {
         let mut out = [0.0];
         zip_f64(&c, SimdOp::Mul, &[3.0], &[4.0], &mut out);
         assert_eq!(out[0], 12.0);
-        assert_eq!(histogram_i64(&c, &[], 4), vec![0; 4]);
-        assert_eq!(histogram_i64(&c, &[2], 4), vec![0, 0, 1, 0]);
     }
 
     #[test]
@@ -606,13 +526,11 @@ mod tests {
     fn thread_counts_give_identical_results() {
         let a: Vec<f64> = (0..4096).map(|i| (i as f64).sin()).collect();
         let b: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.7).cos()).collect();
-        let data: Vec<i64> = (0..4096).map(|i| (i * 37) % 256).collect();
         let base = cfg(1, 256);
         let base_sum = sum_f64(&base, &a);
         let base_dot = dot_f64(&base, &a, &b);
         let mut base_zip = vec![0.0; a.len()];
         zip_f64(&base, SimdOp::Mul, &a, &b, &mut base_zip);
-        let base_hist = histogram_i64(&base, &data, 256);
         for threads in [2usize, 8] {
             let c = cfg(threads, 256);
             assert_eq!(
@@ -626,7 +544,6 @@ mod tests {
             for i in 0..a.len() {
                 assert_eq!(out[i].to_bits(), base_zip[i].to_bits());
             }
-            assert_eq!(histogram_i64(&c, &data, 256), base_hist);
         }
     }
 
@@ -641,7 +558,6 @@ mod tests {
             let c = ParallelConfig {
                 num_threads: threads,
                 min_elems_per_chunk: 16,
-                simd: true,
             };
             let mut out = vec![0.0; m * n];
             dgemm(&c, &a, &b, &mut out, m, k, n);

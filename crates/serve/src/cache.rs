@@ -9,17 +9,12 @@
 //!   shares. Now that artifacts are `Send + Sync`
 //!   ([`wolfram_compiler_core::CompiledArtifact`]), one compilation
 //!   serves every thread: the store is a vector of `Mutex`-guarded
-//!   [`ArtifactCache`] shards (keyed by canonical-key hash, independent
-//!   of request routing), each with a [`Condvar`] that implements
+//!   [`ArtifactCache`] shards (keyed by canonical-key hash), each with a [`Condvar`] that implements
 //!   cross-worker **single-flight**: the first claimant of an absent key
 //!   gets a [`ComputeTicket`] and compiles; every other claimant blocks
 //!   on the condvar and wakes to a hit. N concurrent requests for one
-//!   uncached program — even different textual spellings landing on
+//!   uncached program — even different textual spellings taken by
 //!   different pool workers — trigger exactly one compile.
-//!
-//! Request *routing* (which worker runs a request) still hashes raw
-//! source bytes (see [`crate::key`]); artifact *storage* hashes the
-//! canonical key, so spellings that parse to one program share one entry.
 
 use crate::key::CacheKey;
 use std::collections::{HashMap, HashSet};
@@ -171,13 +166,6 @@ impl<A> ArtifactCache<A> {
         }
     }
 
-    /// Peeks at `key` without touching recency or counters (tier
-    /// promotion re-reads the entry it just looked up).
-    pub fn peek_mut(&mut self, key: &CacheKey) -> Option<&mut Entry<A>> {
-        let ix = self.map.get(key).copied()?;
-        Some(&mut self.slots[ix].entry)
-    }
-
     /// Inserts a freshly compiled artifact as most-recently-used,
     /// evicting the least-recently-used entry if the cache is full.
     /// Returns the evicted key, if any.
@@ -324,8 +312,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// per-shard condvars for cross-thread single-flight.
 ///
 /// Storage sharding is by canonical [`CacheKey`] hash and exists only to
-/// cut lock contention; it is unrelated to request routing. Capacity is
-/// `shards * cap_per_shard` total entries.
+/// cut lock contention. Capacity is `shards * cap_per_shard` total
+/// entries.
 pub struct SharedArtifactCache<A> {
     shards: Vec<Shard<A>>,
 }

@@ -6,13 +6,6 @@
 //! sugar, and comment differences) combined with the
 //! [`CompilerOptions::fingerprint`] — the same source compiled under
 //! different options is a different artifact and must not collide.
-//!
-//! Routing happens *before* the worker parses the program, so the pool
-//! routes on a cheaper pre-key over the raw source bytes. Two textual
-//! spellings of the same program may therefore land on different shards
-//! and compile once each; within a shard the canonical key still unifies
-//! them. This trades a bounded amount of duplicate compilation for
-//! lock-free, shared-nothing shard caches (see the crate docs).
 
 use wolfram_compiler_core::CompilerOptions;
 use wolfram_expr::Expr;
@@ -59,21 +52,6 @@ impl CacheKey {
     }
 }
 
-/// The pre-parse routing hash: raw source bytes plus the options
-/// fingerprint. Equal sources always route to the same shard, which is
-/// what single-flight deduplication relies on.
-pub fn route_hash(source: &str, options: &CompilerOptions) -> u64 {
-    fnv1a(options.fingerprint(), source.as_bytes())
-}
-
-/// The shard index for a request, given `workers` shards.
-pub fn shard_for(source: &str, options: &CompilerOptions, workers: usize) -> usize {
-    debug_assert!(workers > 0);
-    // Multiply-shift spreads the low-entropy FNV tail across shards.
-    let spread = route_hash(source, options).wrapping_mul(0x2545_f491_4f6c_dd1d);
-    (spread >> 33) as usize % workers
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,7 +82,6 @@ mod tests {
         };
         let f = parse("Function[{Typed[n, \"MachineInteger\"]}, n + 1]").unwrap();
         assert_ne!(CacheKey::of(&f, &a), CacheKey::of(&f, &b));
-        assert_ne!(route_hash("x", &a), route_hash("x", &b));
     }
 
     #[test]
@@ -128,7 +105,6 @@ mod tests {
         let f = parse("Function[{Typed[n, \"MachineInteger\"]}, n + 1]").unwrap();
         assert_ne!(CacheKey::of(&f, &scalar), CacheKey::of(&f, &parallel));
         assert_ne!(CacheKey::of(&f, &parallel), CacheKey::of(&f, &tuned));
-        assert_ne!(route_hash("x", &scalar), route_hash("x", &parallel));
 
         // With the tier off, tuning must NOT perturb the key: a tuned-
         // but-disabled config is the same artifact as the default.
@@ -147,7 +123,7 @@ mod tests {
         // An artifact compiled with range-check elision (the default) and
         // the fully checked ablation baseline differ instruction for
         // instruction (unchecked RegOp variants), so they must occupy
-        // distinct cache entries and route independently.
+        // distinct cache entries.
         let on = CompilerOptions::default();
         assert!(on.range_checks_elision, "elision is the compiler default");
         let off = CompilerOptions {
@@ -156,18 +132,5 @@ mod tests {
         };
         let f = parse("Function[{Typed[n, \"MachineInteger\"]}, n + 1]").unwrap();
         assert_ne!(CacheKey::of(&f, &on), CacheKey::of(&f, &off));
-        assert_ne!(route_hash("x", &on), route_hash("x", &off));
-    }
-
-    #[test]
-    fn routing_is_deterministic_and_in_range() {
-        let options = CompilerOptions::default();
-        for workers in [1usize, 2, 4, 8] {
-            for src in ["a", "b", "Function[{Typed[n, \"MachineInteger\"]}, n]"] {
-                let s = shard_for(src, &options, workers);
-                assert!(s < workers);
-                assert_eq!(s, shard_for(src, &options, workers));
-            }
-        }
     }
 }

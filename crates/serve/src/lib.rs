@@ -18,17 +18,18 @@
 //!   and N−1 condvar waiters; exactly one compile runs, and a failed or
 //!   abandoned compile releases the waiters to retry rather than wedging
 //!   them.
-//! - **Worker pool with bounded admission** ([`pool`]): requests route by
-//!   content hash to a fixed worker queue; overflow is an explicit
-//!   [`ServeError::Overloaded`] rejection, never an unbounded backlog.
+//! - **Worker pool with bounded admission** ([`pool`], [`queue`]): every
+//!   worker drains one bounded queue, so any idle worker takes the next
+//!   request; overflow is an explicit [`ServeError::Overloaded`]
+//!   rejection, never an unbounded backlog.
 //! - **Wire protocol** ([`net`]): `u32`-length-prefixed UTF-8 frames over
 //!   TCP with in-order replies and a per-client pipelining cap as the
 //!   fairness layer on top of pool shedding.
-//! - **Deadlines** ([`deadline`]): every request's remaining budget is
-//!   armed on a shared timer that triggers the worker's
-//!   [`wolfram_runtime::AbortSignal`]; compiled code observes it at loop
-//!   headers and prologues (§4.5) and unwinds as `Aborted` without
-//!   poisoning the worker.
+//! - **Deadlines**: every request's remaining budget is armed through
+//!   [`wolfram_runtime::AbortSignal::deadline`] on the process's one timer
+//!   thread, which triggers the worker's abort signal; compiled code
+//!   observes it at loop headers and prologues (§4.5) and unwinds as
+//!   `Aborted` without poisoning the worker.
 //! - **Metrics** ([`metrics`]): request/outcome counters, cache and disk
 //!   hit counters, queue depth, and compile/execute/request latency
 //!   histograms, served machine-readably over the wire as `!stats`.
@@ -82,18 +83,17 @@
 //! ```
 
 pub mod cache;
-pub mod deadline;
 pub mod disk;
 pub mod key;
 pub mod metrics;
 pub mod net;
 pub mod pool;
+pub mod queue;
 mod worker;
 
 pub use cache::{
     ArtifactCache, CacheCounters, Claim, ComputeTicket, Entry, SharedArtifactCache, Tier,
 };
-pub use deadline::DeadlineTimer;
 pub use disk::{DiskCache, DiskOutcome};
 pub use key::CacheKey;
 pub use metrics::{fmt_ns, Histogram, ServeMetrics};
@@ -102,6 +102,7 @@ pub use pool::{
     CacheStatus, PendingReply, ServeConfig, ServeError, ServePool, ServeReply, ServeRequest,
     TierPolicy,
 };
+pub use queue::BoundedQueue;
 
 // Re-exported so callers configuring requests need only this crate.
 pub use wolfram_compiler_core::CompilerOptions;

@@ -92,7 +92,7 @@ pub fn fmt_ns(ns: u64) -> String {
 /// by every worker, the admission path, and the stats renderer.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
-    /// Requests admitted into a shard queue.
+    /// Requests admitted into the pool queue.
     pub admitted: AtomicU64,
     /// Requests rejected at admission with `Overloaded`.
     pub rejected: AtomicU64,
@@ -122,7 +122,7 @@ pub struct ServeMetrics {
     pub disk_stores: AtomicU64,
     /// Disk entries rejected as corrupt/stale (each cost one recompile).
     pub disk_corrupt: AtomicU64,
-    /// Current total queued requests across all shards.
+    /// Requests currently in the pool queue.
     pub queue_depth: AtomicU64,
     /// High-water mark of `queue_depth`.
     pub queue_depth_max: AtomicU64,

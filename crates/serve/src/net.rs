@@ -34,7 +34,7 @@
 //!
 //! Two layers bound a client:
 //!
-//! 1. **Pool shedding** (existing): a full shard queue rejects with
+//! 1. **Pool shedding** (existing): a full pool queue rejects with
 //!    `Overloaded`, reported as an `err` reply.
 //! 2. **Per-client pipelining cap** (this module): a connection may have
 //!    at most [`NetConfig::max_pipeline`] requests in flight. At the

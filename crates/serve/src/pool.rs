@@ -1,20 +1,19 @@
-//! The sharded worker pool: admission, routing, and the request/reply
-//! surface.
+//! The worker pool: admission and the request/reply surface.
 //!
-//! Requests are routed to a shard by content hash (same program + options
-//! → same shard, always), admitted into that shard's bounded queue, and
-//! executed serially by the shard's worker thread. Backpressure is
+//! Requests are admitted into one bounded [`BoundedQueue`] that every
+//! worker drains, so any idle worker takes the next request and a hot
+//! program runs on all of them; the shared artifact cache, not the
+//! queue, is what makes one program compile once. Backpressure is
 //! explicit: a full queue rejects with [`ServeError::Overloaded`] rather
 //! than queueing unboundedly — the client decides whether to retry,
 //! shed, or slow down.
 
 use crate::cache::{SharedArtifactCache, Tier};
-use crate::deadline::DeadlineTimer;
 use crate::disk::DiskCache;
-use crate::key;
 use crate::metrics::ServeMetrics;
+use crate::queue::BoundedQueue;
 use crate::worker;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,10 +39,11 @@ pub enum TierPolicy {
 /// Pool construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads (= cache shards). Must be ≥ 1.
+    /// Worker threads, all draining the pool's one queue (and the
+    /// shared store's lock-shard count). Must be ≥ 1.
     pub workers: usize,
-    /// Bounded queue length per shard; a full queue rejects with
-    /// [`ServeError::Overloaded`].
+    /// Bound on the pool's one queue of admitted, not yet started
+    /// requests; a full queue rejects with [`ServeError::Overloaded`].
     pub queue_cap: usize,
     /// Artifact-cache entries per lock shard of the shared store (the
     /// store has one shard per worker, so total capacity is
@@ -75,8 +75,8 @@ impl Default for ServeConfig {
 
 /// A compile-and-evaluate request. Everything here is plain data
 /// (`Send`): the program and its arguments cross the thread boundary as
-/// text and are parsed on the owning shard (see the crate-level
-/// Send/Sync audit).
+/// text and are parsed on the worker that takes the request (see the
+/// crate-level Send/Sync audit).
 #[derive(Debug, Clone)]
 pub struct ServeRequest {
     /// `Function[...]` source text.
@@ -151,7 +151,7 @@ impl std::fmt::Display for CacheStatus {
 /// A request failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The shard queue was full at admission.
+    /// The pool's queue was full at admission.
     Overloaded,
     /// The deadline expired (in queue, or mid-execution via the abort
     /// signal).
@@ -169,7 +169,7 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Overloaded => write!(f, "Overloaded: shard queue full"),
+            ServeError::Overloaded => write!(f, "Overloaded: queue full"),
             ServeError::DeadlineExceeded => write!(f, "Aborted: deadline exceeded"),
             ServeError::Parse(e) => write!(f, "parse error: {e}"),
             ServeError::Compile(e) => write!(f, "compile error: {e}"),
@@ -240,20 +240,20 @@ impl PendingReply {
 
 /// The serving pool. Dropping it shuts the workers down (in-flight
 /// requests finish; queued requests are drained and answered).
+///
+/// When the last worker exits — at shutdown, or by unwinding — it closes
+/// the queue and drops what is still queued: their waiters and every
+/// later submit get [`ServeError::PoolClosed`] rather than blocking.
 pub struct ServePool {
-    shards: Vec<SyncSender<Job>>,
+    jobs: Arc<BoundedQueue<Job>>,
     metrics: Arc<ServeMetrics>,
     cache: Arc<SharedArtifactCache<worker::SharedArtifact>>,
-    default_options: CompilerOptions,
     default_deadline: Option<Duration>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    // Keeps the timer thread alive for the pool's lifetime.
-    _timer: DeadlineTimer,
 }
 
 impl ServePool {
-    /// Starts `config.workers` shard threads and the shared deadline
-    /// timer.
+    /// Starts `config.workers` worker threads over one queue.
     ///
     /// # Panics
     ///
@@ -261,7 +261,6 @@ impl ServePool {
     pub fn start(config: ServeConfig) -> ServePool {
         assert!(config.workers > 0, "ServeConfig.workers must be >= 1");
         let metrics = Arc::new(ServeMetrics::new());
-        let timer = DeadlineTimer::start();
         // One shared store for the whole pool: one lock shard per worker
         // keeps total capacity = workers * cache_cap, matching the old
         // per-worker-cache semantics while letting every worker see
@@ -280,12 +279,15 @@ impl ServePool {
                 }
             }
         });
-        let mut shards = Vec::with_capacity(config.workers);
+        let jobs = Arc::new(BoundedQueue::new(config.queue_cap));
+        let live = Arc::new(AtomicUsize::new(config.workers));
         let mut handles = Vec::with_capacity(config.workers);
-        for shard in 0..config.workers {
-            let (tx, rx) = sync_channel::<Job>(config.queue_cap.max(1));
-            let worker_metrics = Arc::clone(&metrics);
-            let worker_timer = timer.clone();
+        for id in 0..config.workers {
+            let hold = worker::QueueHold {
+                jobs: Arc::clone(&jobs),
+                live: Arc::clone(&live),
+                metrics: Arc::clone(&metrics),
+            };
             let worker_cfg = worker::WorkerConfig {
                 tier_policy: config.tier_policy,
                 cache: Arc::clone(&cache),
@@ -296,20 +298,17 @@ impl ServePool {
                 instance_cap: config.cache_cap.max(16),
             };
             let handle = std::thread::Builder::new()
-                .name(format!("wolfram-serve-{shard}"))
-                .spawn(move || worker::run(rx, worker_metrics, worker_timer, worker_cfg))
+                .name(format!("wolfram-serve-{id}"))
+                .spawn(move || worker::run(hold, worker_cfg))
                 .expect("spawn serve worker");
-            shards.push(tx);
             handles.push(handle);
         }
         ServePool {
-            shards,
+            jobs,
             metrics,
             cache,
-            default_options: CompilerOptions::default(),
             default_deadline: config.default_deadline,
             handles,
-            _timer: timer,
         }
     }
 
@@ -324,20 +323,19 @@ impl ServePool {
         self.cache.len()
     }
 
-    /// Number of shards.
+    /// Number of worker threads started.
     pub fn workers(&self) -> usize {
-        self.shards.len()
+        self.handles.len()
     }
 
     /// Submits a request without blocking on execution.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when the target shard's queue is full;
-    /// [`ServeError::PoolClosed`] if the pool is shutting down.
+    /// [`ServeError::Overloaded`] when the queue is full;
+    /// [`ServeError::PoolClosed`] if the pool is shutting down or every
+    /// worker has exited.
     pub fn submit(&self, req: ServeRequest) -> Result<PendingReply, ServeError> {
-        let options = req.options.as_ref().unwrap_or(&self.default_options);
-        let shard = key::shard_for(&req.source, options, self.shards.len());
         let submitted = Instant::now();
         let deadline_at = req
             .deadline
@@ -350,10 +348,10 @@ impl ServePool {
             deadline_at,
             reply: reply_tx,
         };
-        // Count the depth before sending so the worker's decrement can
+        // Count the depth before pushing so the worker's decrement can
         // never observe the queue below zero.
         self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-        match self.shards[shard].try_send(job) {
+        match self.jobs.try_push(job) {
             Ok(()) => {
                 self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
                 let depth = self.metrics.queue_depth.load(Ordering::Relaxed);
@@ -385,17 +383,15 @@ impl ServePool {
     }
 
     /// Shuts the pool down, joining every worker.
-    pub fn shutdown(mut self) {
-        self.shards.clear(); // disconnect the queues
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ServePool {
     fn drop(&mut self) {
-        self.shards.clear();
+        // Workers drain and answer what is queued, then exit.
+        self.jobs.close();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }

@@ -1,4 +1,4 @@
-//! The shard worker: a request executor over the process-wide artifact
+//! The pool worker: a request executor over the process-wide artifact
 //! store.
 //!
 //! Since the artifact types went `Send + Sync` (see
@@ -13,16 +13,15 @@
 //! artifact is picked up immediately.
 
 use crate::cache::{Claim, Entry, SharedArtifactCache, Tier};
-use crate::deadline::DeadlineTimer;
 use crate::disk::{DiskCache, DiskOutcome};
 use crate::key::CacheKey;
 use crate::metrics::ServeMetrics;
 use crate::pool::{CacheStatus, Job, ServeError, ServeReply, TierPolicy};
+use crate::queue::BoundedQueue;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::Receiver;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use wolfram_bytecode::BytecodeCompiler;
@@ -80,16 +79,32 @@ struct Worker {
     /// per-options, not per-request).
     compilers: HashMap<u64, Compiler>,
     metrics: Arc<ServeMetrics>,
-    timer: DeadlineTimer,
     tier_policy: TierPolicy,
 }
 
-pub(crate) fn run(
-    jobs: Receiver<Job>,
-    metrics: Arc<ServeMetrics>,
-    timer: DeadlineTimer,
-    cfg: WorkerConfig,
-) {
+/// A worker's share of the pool's queue. The last one to drop — the last
+/// worker returning after shutdown, or unwinding — closes the queue and
+/// drops what is still queued, so those waiters and every later submit
+/// see `PoolClosed` instead of blocking forever.
+pub(crate) struct QueueHold {
+    pub jobs: Arc<BoundedQueue<Job>>,
+    /// Workers still running.
+    pub live: Arc<AtomicUsize>,
+    pub metrics: Arc<ServeMetrics>,
+}
+
+impl Drop for QueueHold {
+    fn drop(&mut self) {
+        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.jobs.close();
+            while self.jobs.pop().is_some() {
+                self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+pub(crate) fn run(hold: QueueHold, cfg: WorkerConfig) {
     let engine = Rc::new(RefCell::new(Interpreter::new()));
     let signal = engine.borrow().abort_signal().clone();
     let mut worker = Worker {
@@ -100,11 +115,10 @@ pub(crate) fn run(
         instances: HashMap::new(),
         instance_cap: cfg.instance_cap.max(1),
         compilers: HashMap::new(),
-        metrics,
-        timer,
+        metrics: Arc::clone(&hold.metrics),
         tier_policy: cfg.tier_policy,
     };
-    while let Ok(job) = jobs.recv() {
+    while let Some(job) = hold.jobs.pop() {
         worker.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         let mut reply = worker.serve_one(&job);
         reply.total_ns = elapsed_ns(job.submitted);
@@ -163,9 +177,10 @@ impl Worker {
         // The deadline is armed across compile + execute: the compiler
         // itself is not abortable, but a deadline firing mid-compile
         // still aborts the subsequent execution at its first check.
-        let armed = job
-            .deadline_at
-            .map(|at| self.timer.arm(at, self.signal.clone()));
+        let armed = job.deadline_at.map(|at| {
+            self.signal
+                .deadline(at.saturating_duration_since(Instant::now()))
+        });
 
         let key = CacheKey::of(&func, &options);
         let (artifact, tier, compile_ns, cache_status) =
@@ -425,5 +440,57 @@ impl Worker {
                 Ok(out.to_expr().to_input_form())
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::ServeRequest;
+    use std::sync::mpsc::{sync_channel, TrySendError};
+
+    fn job() -> (Job, std::sync::mpsc::Receiver<ServeReply>) {
+        let (reply, rx) = sync_channel(1);
+        let req = ServeRequest::new("Function[{}, 1]", Vec::<String>::new());
+        let job = Job {
+            req,
+            submitted: Instant::now(),
+            deadline_at: None,
+            reply,
+        };
+        (job, rx)
+    }
+
+    #[test]
+    fn last_worker_out_closes_the_queue_and_fails_what_is_queued() {
+        let jobs = Arc::new(BoundedQueue::new(4));
+        let live = Arc::new(AtomicUsize::new(2));
+        let metrics = Arc::new(ServeMetrics::new());
+        let hold = || QueueHold {
+            jobs: Arc::clone(&jobs),
+            live: Arc::clone(&live),
+            metrics: Arc::clone(&metrics),
+        };
+        let (first, second) = (hold(), hold());
+        let (queued, waiter) = job();
+        metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+        assert!(jobs.try_push(queued).is_ok());
+
+        drop(first);
+        assert_eq!(jobs.len(), 1, "a worker is left: the job stays queued");
+
+        // The last worker dies mid-request.
+        let died = std::thread::spawn(move || {
+            let _hold = second;
+            panic!("worker unwinds");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(waiter.recv().is_err(), "the waiter is released");
+        assert!(matches!(
+            jobs.try_push(job().0),
+            Err(TrySendError::Disconnected(_))
+        ));
+        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
     }
 }

@@ -23,9 +23,9 @@ fn g(c: &AtomicU64) -> u64 {
     c.load(Ordering::Relaxed)
 }
 
-/// N clients race the same uncached program; content routing serializes
-/// them onto one shard, so exactly one compile happens and everyone else
-/// hits the artifact it produced.
+/// N clients race the same uncached program across four workers; the
+/// shared cache's compute ticket lets exactly one compile happen, and
+/// everyone else hits the artifact it produced.
 #[test]
 fn single_flight_under_contention() {
     let pool = pool(4, 64);

@@ -39,7 +39,6 @@ fn data_parallel_requests_balance_and_cache_separately() {
         parallel: ParallelConfig {
             num_threads: 2,
             min_elems_per_chunk: 16,
-            simd: true,
         },
         ..CompilerOptions::default()
     };

@@ -4,7 +4,7 @@
 //! promotes hot entries.
 
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wolfram_serve::{
     CacheStatus, ServeConfig, ServeError, ServePool, ServeRequest, Tier, TierPolicy,
 };
@@ -28,7 +28,7 @@ fn deadline_aborts_without_poisoning_the_pool() {
         reply.result.unwrap_err().to_string().contains("Aborted"),
         "deadline failures surface as Aborted"
     );
-    // The worker survives: the same shard keeps serving, and the abort
+    // The worker survives: the same worker keeps serving, and the abort
     // signal was reset (the next request is not stillborn).
     let ok = pool.call(ServeRequest::new(INC, ["41"]));
     assert_eq!(ok.result.as_deref(), Ok("42"));
@@ -152,4 +152,35 @@ fn adaptive_policy_promotes_hot_entries() {
         2,
         "bytecode + promotion"
     );
+}
+
+/// Any idle worker takes the next request: with one worker spinning,
+/// distinct quick programs are all served by the other, none waits
+/// behind the spinner.
+#[test]
+fn idle_worker_serves_while_another_spins() {
+    let pool = ServePool::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let started = Instant::now();
+    let spin = pool
+        .submit(ServeRequest::new(SPIN, ["0"]).with_deadline(Duration::from_secs(2)))
+        .expect("admit the spinner");
+    for k in 1..=8 {
+        let src = format!("Function[{{Typed[n, \"MachineInteger\"]}}, n + {k}]");
+        let submitted = Instant::now();
+        let reply = pool.call(ServeRequest::new(src, ["1"]));
+        assert_eq!(reply.result, Ok((k + 1).to_string()), "program n + {k}");
+        assert!(
+            submitted.elapsed() < Duration::from_secs(1),
+            "n + {k} waited {:?} behind the spinner",
+            submitted.elapsed()
+        );
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "the spinner was still running"
+    );
+    assert_eq!(spin.wait().result, Err(ServeError::DeadlineExceeded));
 }

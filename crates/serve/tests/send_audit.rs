@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use wolfram_serve::{
-    Claim, CompilerOptions, DeadlineTimer, DiskCache, Entry, ServeConfig, ServeError, ServeMetrics,
+    BoundedQueue, Claim, CompilerOptions, DiskCache, Entry, ServeConfig, ServeError, ServeMetrics,
     ServePool, ServeReply, ServeRequest, SharedArtifactCache, Tier,
 };
 
@@ -38,7 +38,7 @@ fn service_boundary_types_are_send_and_sync() {
     assert_send_sync::<ServeReply>();
     assert_send_sync::<ServeError>();
     assert_send_sync::<ServeMetrics>();
-    assert_send_sync::<DeadlineTimer>();
+    assert_send_sync::<BoundedQueue<ServeRequest>>();
     assert_send_sync::<CompilerOptions>();
     // The cache layers themselves.
     assert_send_sync::<SharedArtifactCache<wolfram_compiler_core::CompiledArtifact>>();
@@ -67,8 +67,8 @@ fn sixteen_threads_one_program_one_compile() {
             let failures = Arc::clone(&failures);
             std::thread::spawn(move || {
                 // Vary whitespace and sugar: different request texts
-                // (which route to different shards), one canonical
-                // program (one cache key).
+                // (taken by different workers), one canonical program
+                // (one cache key).
                 let pad = " ".repeat(i + 1);
                 let body = if i % 2 == 0 {
                     "x * x + 1"

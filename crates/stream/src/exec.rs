@@ -8,7 +8,7 @@
 //! ```
 //!
 //! The producer groups records into sequence-numbered batches and blocks
-//! when the input queue is full (backpressure; see [`crate::queue`]).
+//! when the input queue is full (backpressure; see [`wolfram_serve::queue`]).
 //! Each worker instantiates the stream function **once** — the artifact's
 //! `CompiledCodeFunction` (its machine's frame pool hands every record
 //! the frame the last one returned) or the bytecode `StreamRunner` — and
@@ -26,7 +26,6 @@
 //! `reproduce stream`).
 
 use crate::metrics::StreamMetrics;
-use crate::queue::BoundedQueue;
 use crate::record::Record;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -37,6 +36,7 @@ use wolfram_compiler_core::{CompiledArtifact, CompiledCodeFunction};
 use wolfram_expr::Expr;
 use wolfram_interp::Interpreter;
 use wolfram_runtime::{RuntimeError, Value};
+use wolfram_serve::BoundedQueue;
 
 /// The function a stream applies, in one of the engine's tiers. All
 /// variants are `Send + Sync` — per-thread execution state is created

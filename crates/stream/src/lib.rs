@@ -9,8 +9,9 @@
 //!
 //! - [`record`] — the line-delimited source/sink layer (stdin, files,
 //!   and the `!stream` wire mode in [`net`]);
-//! - [`queue`] — bounded blocking queues: backpressure *blocks* the
-//!   producer rather than shedding records or growing without bound;
+//! - [`wolfram_serve::queue`] — the bounded queue serve admits into:
+//!   here backpressure *blocks* the producer rather than shedding records
+//!   or growing without bound;
 //! - [`exec`] — the batching executor: sequence-numbered batches, the
 //!   function instantiated once per worker and called per record through
 //!   the one entry every caller of compiled code uses, in-order delivery
@@ -28,13 +29,11 @@
 pub mod exec;
 pub mod metrics;
 pub mod net;
-pub mod queue;
 pub mod record;
 
 pub use exec::{run_stream, StreamConfig, StreamFunction, StreamSummary};
 pub use metrics::StreamMetrics;
 pub use net::ServeStreamHandler;
-pub use queue::BoundedQueue;
 pub use record::{parse_record, render_result, Record};
 
 use std::io::{BufRead, Write};

@@ -38,19 +38,18 @@ impl ServeStreamHandler {
         if !func.has_head("Function") {
             return Err("!stream expects a Function[...]".into());
         }
-        match self.tier {
-            TierPolicy::BytecodeOnly => {
-                let cf = BytecodeCompiler::new().compile_function(&func)?;
-                Ok(StreamFunction::Bytecode(Arc::new(cf)))
-            }
-            _ => {
-                let artifact = Compiler::new(self.options.clone())
-                    .function_compile(&func)
-                    .map_err(|e| e.to_string())?
-                    .artifact();
-                Ok(StreamFunction::Native(artifact))
+        if self.tier == TierPolicy::BytecodeOnly {
+            // Outside the bytecode subset (limitation L1) the function
+            // still gets the native pipeline, as a pooled request does.
+            if let Ok(cf) = BytecodeCompiler::new().compile_function(&func) {
+                return Ok(StreamFunction::Bytecode(Arc::new(cf)));
             }
         }
+        let artifact = Compiler::new(self.options.clone())
+            .function_compile(&func)
+            .map_err(|e| e.to_string())?
+            .artifact();
+        Ok(StreamFunction::Native(artifact))
     }
 }
 
@@ -196,6 +195,21 @@ mod tests {
             .unwrap();
         assert_eq!(hello, "ok stream");
         assert_eq!(client.call_raw("12").unwrap(), "ok 144");
+        assert!(client.call_raw("!end").unwrap().contains("stream stats"));
+        shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    #[test]
+    fn bytecode_tier_streams_natively_outside_the_bytecode_subset() {
+        // A String parameter is outside the bytecode compiler's subset; a
+        // request for it is served natively, and so is its stream.
+        let (addr, shutdown) = start_stream_server(TierPolicy::BytecodeOnly);
+        let mut client = NetClient::connect(&addr).unwrap();
+        let hello = client
+            .call_raw("!stream Function[{Typed[s, \"String\"]}, Length[ToCharacterCode[s]]]")
+            .unwrap();
+        assert_eq!(hello, "ok stream");
+        assert_eq!(client.call_raw("\"abc\"").unwrap(), "ok 3");
         assert!(client.call_raw("!end").unwrap().contains("stream stats"));
         shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
     }

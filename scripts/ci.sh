@@ -13,7 +13,8 @@
 #   analyzer:   reproduce analyze over difftest/corpus/*.wl, at every IR
 #               stage, and --stats against ANALYZE_stats.golden
 #   stream:     reproduce stream over two short record streams, checked
-#               line by line
+#               line by line; the first again with --workers 3 --batch 1,
+#               byte-identical (the shared queue and the reorder buffer)
 #   reproduce:  compile-times smoke; an unknown subcommand must exit nonzero
 #   benchmark:  bash benchmark/run.sh --smoke
 #               cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -65,11 +66,21 @@ echo "==> analyzer: range-check elision stats vs committed golden"
 ./target/release/reproduce analyze --stats --golden ANALYZE_stats.golden > /dev/null
 
 echo "==> stream: CLI smoke (line-delimited records, in-order replies)"
+SQUARE='Function[{Typed[n, "MachineInteger"]}, n*n]'
 STREAM_OUT="$(printf '1\n2\nnope\n4\n' | ./target/release/reproduce stream \
-  --function 'Function[{Typed[n, "MachineInteger"]}, n*n]' --batch 2 2>/dev/null)"
+  --function "$SQUARE" --batch 2 2>/dev/null)"
 if [ "$STREAM_OUT" != "$(printf 'ok 1\nok 4\nerr type error: argument nope does not match parameter type Integer64\nok 16')" ]; then
   echo "unexpected stream output:" >&2
   echo "$STREAM_OUT" >&2
+  exit 1
+fi
+# Three workers, one record per batch: batches finish out of order and the
+# reorder buffer must restore the single-worker output byte for byte.
+PARALLEL_OUT="$(printf '1\n2\nnope\n4\n' | ./target/release/reproduce stream \
+  --function "$SQUARE" --workers 3 --batch 1 2>/dev/null)"
+if [ "$PARALLEL_OUT" != "$STREAM_OUT" ]; then
+  echo "stream output differs with --workers 3 --batch 1:" >&2
+  echo "$PARALLEL_OUT" >&2
   exit 1
 fi
 # A matrix is not a vector: the record is a type error in its place in the
