@@ -2,14 +2,14 @@
 //! handling, the mutability copy, superinstruction fusion and range-check
 //! elision.
 
-use crate::harness::bench_seconds;
+use crate::harness::{bench_seconds, timing_compiler};
 use crate::{native, programs, workloads};
-use wolfram_compiler_core::{CompiledCodeFunction, Compiler, CompilerOptions, InlinePolicy};
+use wolfram_compiler_core::{Ablation, CompiledCodeFunction};
 use wolfram_runtime::Value;
 
 /// A named ablation measurement: baseline vs ablated seconds.
 #[derive(Debug, Clone)]
-pub struct Ablation {
+pub struct AblationRow {
     /// What was toggled.
     pub name: &'static str,
     /// The paper's reported effect.
@@ -20,7 +20,7 @@ pub struct Ablation {
     pub ablated_secs: f64,
 }
 
-impl Ablation {
+impl AblationRow {
     /// Slowdown of the ablated configuration.
     pub fn slowdown(&self) -> f64 {
         self.ablated_secs / self.default_secs
@@ -37,28 +37,20 @@ impl Ablation {
     }
 }
 
-fn options(f: impl FnOnce(&mut CompilerOptions)) -> Compiler {
-    // Ablations time steady-state execution; skip per-pass verification.
-    let mut opts = CompilerOptions {
-        verify: wolfram_ir::VerifyLevel::Off,
-        ..CompilerOptions::default()
-    };
-    f(&mut opts);
-    Compiler::new(opts)
-}
-
 /// Times `src` on `args` compiled with the default options and with
-/// `ablate` applied, having checked that both compute the same value.
+/// `ablation` applied, having checked that both compute the same value.
 fn default_vs_ablated(
     name: &'static str,
     paper_claim: &'static str,
     src: &str,
     args: &[Value],
     reps: usize,
-    ablate: impl FnOnce(&mut CompilerOptions),
-) -> Ablation {
-    let default = options(|_| {}).function_compile_src(src).expect(name);
-    let ablated = options(ablate).function_compile_src(src).expect(name);
+    ablation: Ablation,
+) -> AblationRow {
+    let default = timing_compiler(None).function_compile_src(src).expect(name);
+    let ablated = timing_compiler(Some(ablation))
+        .function_compile_src(src)
+        .expect(name);
     assert_eq!(
         ablated.call(args).unwrap(),
         default.call(args).unwrap(),
@@ -69,7 +61,7 @@ fn default_vs_ablated(
             cf.call(std::hint::black_box(args)).unwrap();
         })
     };
-    Ablation {
+    AblationRow {
         name,
         paper_claim,
         default_secs: time(&default),
@@ -82,7 +74,7 @@ fn default_vs_ablated(
 /// never-inline vs automatic on the NestList-heavy random walk (whose
 /// instantiated source functions are the inlining beneficiaries) and on
 /// EvenQ-style trivial calls in a tight loop.
-pub fn inline_ablation(iterations: i64, reps: usize) -> Ablation {
+pub fn inline_ablation(iterations: i64, reps: usize) -> AblationRow {
     const SRC: &str = "Function[{Typed[n, \"MachineInteger\"]}, \
                        Module[{s = 0, k = 0}, \
                         While[k < n, If[EvenQ[k], s = s + k]; k = k + 1]; s]]";
@@ -92,22 +84,22 @@ pub fn inline_ablation(iterations: i64, reps: usize) -> Ablation {
         SRC,
         &[Value::I64(iterations)],
         reps,
-        |o| o.inline_policy = InlinePolicy::Never,
+        Ablation::Inlining,
     )
 }
 
 /// §6: "abort checking inhibits vectorized loads" on Histogram; "abort
 /// checking ... at the function header is insignificant" for Mandelbrot.
-pub fn abort_ablation_histogram(n: usize, reps: usize) -> Ablation {
+pub fn abort_ablation_histogram(n: usize, reps: usize) -> AblationRow {
     let data = workloads::random_bytes_tensor(n, 17);
-    let with = options(|_| {})
+    let with = timing_compiler(None)
         .function_compile_src(programs::HISTOGRAM_SRC)
         .unwrap();
-    let without = options(|o| o.abort_handling = false)
+    let without = timing_compiler(Some(Ablation::AbortChecks))
         .function_compile_src(programs::HISTOGRAM_SRC)
         .unwrap();
     let dv = Value::Tensor(data);
-    Ablation {
+    AblationRow {
         name: "abort checks (Histogram)",
         paper_claim: "memory-bound loops pay for the checks",
         // Note the inversion: the *default* here is checks ON; the ablation
@@ -127,7 +119,7 @@ pub fn abort_ablation_histogram(n: usize, reps: usize) -> Ablation {
 /// §6 PrimeQ: "Due to non-optimal handling of constant arrays, we observe
 /// a 1.5x performance degradation" — naive constant arrays re-materialize
 /// the 2^14 seed table on every load.
-pub fn constant_array_ablation(limit: i64, reps: usize) -> Ablation {
+pub fn constant_array_ablation(limit: i64, reps: usize) -> AblationRow {
     // A table-heavy variant: sums seed-table entries in a loop, so the
     // constant-array load sits on the hot path as in the unfixed compiler.
     let table = workloads::prime_seed_table();
@@ -137,7 +129,7 @@ pub fn constant_array_ablation(limit: i64, reps: usize) -> Ablation {
         &programs::primeq_src(&table),
         &[Value::I64(limit)],
         reps,
-        |o| o.naive_constant_arrays = true,
+        Ablation::ConstantArraySharing,
     )
 }
 
@@ -147,11 +139,11 @@ pub fn constant_array_ablation(limit: i64, reps: usize) -> Ablation {
 /// against the same sort reusing its buffer in place (the "hand-written C"
 /// behavior). The compiled function's copy is verified to actually happen
 /// via the runtime's copy-on-write instrumentation.
-pub fn mutability_copy_ablation(n: usize, reps: usize) -> Ablation {
+pub fn mutability_copy_ablation(n: usize, reps: usize) -> AblationRow {
     let input = workloads::sorted_list(n);
     let data = input.as_i64().unwrap().to_vec();
     // Evidence that the compiled sort performs exactly one defensive copy.
-    let cf = options(|_| {})
+    let cf = timing_compiler(None)
         .function_compile_src(programs::QSORT_SRC)
         .unwrap();
     wolfram_runtime::memory::reset_stats();
@@ -162,7 +154,7 @@ pub fn mutability_copy_ablation(n: usize, reps: usize) -> Ablation {
     // In-place: a persistent scratch buffer, re-derived per run from a
     // rotation so the sort does real work each time.
     let mut scratch = data.clone();
-    Ablation {
+    AblationRow {
         name: "mutability copy (QSort)",
         paper_claim: "1.2x over in-place C",
         default_secs: bench_seconds(reps, || {
@@ -182,7 +174,7 @@ pub fn mutability_copy_ablation(n: usize, reps: usize) -> Ablation {
 /// the paper's JIT advantage): FNV1a with fusion on vs off. `opstats`
 /// shows fusion removes ~40% of FNV1a's dispatches (cmp+brz+jmp headers,
 /// `part1`+`bitxor`, `muli`+`modi`, paired phi moves).
-pub fn fusion_ablation(string_len: usize, reps: usize) -> Ablation {
+pub fn fusion_ablation(string_len: usize, reps: usize) -> AblationRow {
     let input = workloads::random_string(string_len, 0x5eed);
     default_vs_ablated(
         "superinstruction fusion off",
@@ -190,21 +182,21 @@ pub fn fusion_ablation(string_len: usize, reps: usize) -> Ablation {
         programs::FNV1A_SRC,
         &[Value::Str(std::sync::Arc::new(input))],
         reps,
-        |o| o.superinstruction_fusion = false,
+        Ablation::Fusion,
     )
 }
 
 /// Range-check elision (this reproduction's interval analysis proving
 /// Part bounds and overflow checks away): Histogram with the proofs used
 /// vs every check executed.
-pub fn elision_ablation(n: usize, reps: usize) -> Ablation {
+pub fn elision_ablation(n: usize, reps: usize) -> AblationRow {
     default_vs_ablated(
         "range-check elision off",
         "ours: ~1.00x while dispatch, not the checks, bounds the loop",
         programs::HISTOGRAM_SRC,
         &[Value::Tensor(workloads::random_bytes_tensor(n, 4))],
         reps,
-        |o| o.range_checks_elision = false,
+        Ablation::RangeElision,
     )
 }
 
@@ -258,7 +250,7 @@ mod tests {
 
     #[test]
     fn ablation_rendering() {
-        let a = Ablation {
+        let a = AblationRow {
             name: "x",
             paper_claim: "y",
             default_secs: 1.0,

@@ -14,7 +14,7 @@
 //! `--quick` shrinks the workloads (CI-sized); without it the paper's §6
 //! parameters are used. Build with `--release` for meaningful numbers.
 //!
-//! `difftest` runs the tri-engine differential fuzzer instead: it exits
+//! `difftest` runs the differential fuzzer over every engine instead: it exits
 //! nonzero if any divergence (or compile hole) survives, and writes shrunk
 //! counterexample artifacts into `--out` (default `difftest/found`).
 //!

@@ -6,7 +6,7 @@ use crate::{native, programs, workloads};
 use std::sync::Arc;
 use std::time::Instant;
 use wolfram_bytecode::ArgSpec;
-use wolfram_compiler_core::{Compiler, CompilerOptions};
+use wolfram_compiler_core::{Ablation, Compiler, CompilerOptions};
 use wolfram_runtime::Value;
 
 /// Benchmark problem sizes. `paper()` reproduces the §6 parameters;
@@ -124,14 +124,18 @@ impl Figure2Row {
     }
 }
 
-fn compiler_with(abort: bool) -> Compiler {
-    Compiler::new(CompilerOptions {
-        abort_handling: abort,
-        // Benchmarks measure steady-state execution; skip the per-pass
-        // analyzer so compile time stays out of the way.
+/// The default compiler, or the default with `ablation` applied, as the
+/// paper-figure timings use it: they measure steady-state execution, so
+/// the per-pass analyzer is skipped to keep compile time out of the way.
+pub(crate) fn timing_compiler(ablation: Option<Ablation>) -> Compiler {
+    let mut options = CompilerOptions {
         verify: wolfram_ir::VerifyLevel::Off,
         ..CompilerOptions::default()
-    })
+    };
+    if let Some(ablation) = ablation {
+        ablation.apply(&mut options);
+    }
+    Compiler::new(options)
 }
 
 /// Runs the full Figure 2 suite at the given scale.
@@ -143,8 +147,8 @@ fn compiler_with(abort: bool) -> Compiler {
 #[allow(clippy::too_many_lines)]
 pub fn figure2(scale: &Scale) -> Vec<Figure2Row> {
     let reps = scale.repetitions;
-    let compiler = compiler_with(true);
-    let compiler_noabort = compiler_with(false);
+    let compiler = timing_compiler(None);
+    let compiler_noabort = timing_compiler(Some(Ablation::AbortChecks));
     let mut rows = Vec::new();
 
     // ---- FNV1a ----

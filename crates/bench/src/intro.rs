@@ -2,8 +2,6 @@
 //! bytecode vs new compiler) and the `FindRoot` auto-compilation speedup.
 
 use crate::harness::bench_seconds;
-use std::cell::RefCell;
-use std::rc::Rc;
 use wolfram_bytecode::{ArgSpec, BytecodeCompiler, CompiledFunction};
 use wolfram_compiler_core::{CompiledCodeFunction, Compiler};
 use wolfram_expr::{parse, Expr};
@@ -207,7 +205,7 @@ pub fn findroot_speedup(solves: usize) -> FindRootTimings {
     // Auto-compiled objective: the compiler package installs the hook,
     // with per-expression caching of compiled objectives.
     let mut hosted = Interpreter::new();
-    install_cached_auto_compile(&mut hosted);
+    Compiler::install_auto_compile(&mut hosted);
     check(&hosted.eval_src(src).unwrap());
     let autocompiled_secs = bench_seconds(2, || {
         for _ in 0..solves {
@@ -220,38 +218,6 @@ pub fn findroot_speedup(solves: usize) -> FindRootTimings {
         autocompiled_secs,
         autocompile_hits: hosted.autocompile_hits,
     }
-}
-
-/// Installs the auto-compile hook with a compiled-objective cache (repeat
-/// solves of the same equation reuse the compiled code, as the production
-/// compiler's code cache does).
-pub fn install_cached_auto_compile(engine: &mut Interpreter) {
-    let cache: Rc<
-        RefCell<std::collections::HashMap<String, wolfram_interp::findroot::CompiledUnary>>,
-    > = Rc::new(RefCell::new(std::collections::HashMap::new()));
-    let hook: wolfram_interp::AutoCompileHook = Rc::new(move |body: &Expr, var| {
-        let key = format!("{}@{}", var.name(), body.to_full_form());
-        if let Some(hit) = cache.borrow().get(&key) {
-            return Some(hit.clone());
-        }
-        let compiler = Compiler::default();
-        let f = Expr::call(
-            "Function",
-            [
-                Expr::list([Expr::call(
-                    "Typed",
-                    [Expr::symbol(var.clone()), Expr::string("Real64")],
-                )]),
-                body.clone(),
-            ],
-        );
-        let compiled = Rc::new(compiler.function_compile(&f).ok()?);
-        let entry: wolfram_interp::findroot::CompiledUnary =
-            Rc::new(move |x: f64| compiled.call(&[Value::F64(x)])?.expect_f64());
-        cache.borrow_mut().insert(key, entry.clone());
-        Some(entry)
-    });
-    engine.auto_compile = Some(hook);
 }
 
 #[cfg(test)]

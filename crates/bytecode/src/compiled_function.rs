@@ -31,11 +31,6 @@ pub struct CompiledFunction {
 }
 
 impl CompiledFunction {
-    /// Number of instructions.
-    pub fn instruction_count(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Runs the compiled code with pre-unboxed values and no engine:
     /// interpreter escapes and soft failure are unavailable.
     ///

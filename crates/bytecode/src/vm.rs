@@ -2,7 +2,6 @@
 //! abort check every instruction batch, and interpreter escapes.
 
 use crate::instr::{BinOp, CmpOp, Op, UnOp};
-use wolfram_expr::{BigInt, Expr};
 use wolfram_interp::Interpreter;
 use wolfram_runtime::{AbortSignal, RuntimeError, Tensor, TensorData, Value};
 
@@ -489,26 +488,10 @@ pub fn cmp(op: CmpOp, a: &Value, b: &Value) -> Result<bool, RuntimeError> {
     })
 }
 
-/// Promotes an overflow result into the interpreter's bignum domain — used
-/// by the soft-failure path's diagnostics.
-pub fn overflow_to_big(a: i64, b: i64, op: BinOp) -> Option<BigInt> {
-    let (x, y) = (BigInt::from(a), BigInt::from(b));
-    match op {
-        BinOp::Add => Some(&x + &y),
-        BinOp::Sub => Some(&x - &y),
-        BinOp::Mul => Some(&x * &y),
-        _ => None,
-    }
-}
-
-/// Helper: evaluates `expr` (no registers) — used by tests.
-pub fn eval_const(expr: &Expr) -> Value {
-    Value::from_expr(expr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wolfram_expr::Expr;
 
     #[test]
     fn bin_dispatch() {

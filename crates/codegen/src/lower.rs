@@ -11,6 +11,7 @@ use std::sync::Arc;
 use wolfram_analyze::intervals::{FnRangeFacts, RangeFacts};
 use wolfram_expr::Expr;
 use wolfram_ir::module::{Block, BlockId, Callee, Constant, Function, Instr, Operand, VarId};
+use wolfram_ir::CompilerOptions;
 use wolfram_runtime::{Tensor, Value};
 use wolfram_types::{Cmp, Elementary, Prim, Type};
 
@@ -35,37 +36,19 @@ impl std::fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-/// Options for lowering.
-#[derive(Debug, Clone, Default)]
-pub struct LowerOptions {
-    /// Model the paper's §6 "non-optimal handling of constant arrays"
-    /// (PrimeQ's 1.5×): constant arrays are deep-copied at each load
-    /// instead of shared.
-    pub naive_constant_arrays: bool,
-    /// Interval-analysis facts (keyed by function name, then by
-    /// `(block, instr)`) that let the lowering emit unchecked tensor and
-    /// integer ops and skip provably redundant refcount traffic. `None`
-    /// lowers fully checked code.
-    pub range_facts: Option<RangeFacts>,
-}
-
-/// Lowers a program module.
+/// Lowers a program module under `options` (it reads
+/// `naive_constant_arrays`). `range_facts` are the interval analysis's
+/// proofs, keyed by function name, then by `(block, instr)`: with them the
+/// lowering emits unchecked tensor and integer ops and skips provably
+/// redundant refcount traffic; `None` lowers fully checked code.
 ///
 /// # Errors
 ///
 /// See [`LowerError`].
-pub fn lower_program(pm: &wolfram_ir::ProgramModule) -> Result<NativeProgram, LowerError> {
-    lower_program_with(pm, &LowerOptions::default())
-}
-
-/// Lowers a program module with options.
-///
-/// # Errors
-///
-/// See [`LowerError`].
-pub fn lower_program_with(
+pub fn lower_program(
     pm: &wolfram_ir::ProgramModule,
-    opts: &LowerOptions,
+    options: &CompilerOptions,
+    range_facts: Option<&RangeFacts>,
 ) -> Result<NativeProgram, LowerError> {
     let name_to_index: HashMap<&str, usize> = pm
         .functions
@@ -75,7 +58,9 @@ pub fn lower_program_with(
         .collect();
     let mut out = NativeProgram::default();
     for f in &pm.functions {
-        out.funcs.push(lower_function(f, &name_to_index, opts)?);
+        let facts = range_facts.and_then(|rf| rf.functions.get(&f.name));
+        out.funcs
+            .push(lower_function(f, &name_to_index, options, facts)?);
     }
     Ok(out)
 }
@@ -111,7 +96,7 @@ fn tensor_elem(ty: &Type) -> Option<&Type> {
 struct Lowering<'a> {
     f: &'a Function,
     funcs: &'a HashMap<&'a str, usize>,
-    opts: &'a LowerOptions,
+    opts: &'a CompilerOptions,
     slots: HashMap<VarId, Slot>,
     counters: [usize; 4],
     code: Vec<RegOp>,
@@ -144,7 +129,8 @@ struct Lowering<'a> {
 fn lower_function(
     f: &Function,
     funcs: &HashMap<&str, usize>,
-    opts: &LowerOptions,
+    opts: &CompilerOptions,
+    facts: Option<&FnRangeFacts>,
 ) -> Result<NativeFunc, LowerError> {
     let cfg = wolfram_ir::analysis::Cfg::new(f);
     let mut l = Lowering {
@@ -163,10 +149,7 @@ fn lower_function(
         current_event: 0,
         const_cache: HashMap::new(),
         prologue: Vec::new(),
-        facts: opts
-            .range_facts
-            .as_ref()
-            .and_then(|rf| rf.functions.get(&f.name)),
+        facts,
         elision: ElisionCounters::default(),
     };
     l.assign_slots()?;
@@ -390,7 +373,7 @@ impl<'a> Lowering<'a> {
                         im: *im,
                     },
                     (c, Bank::V) => {
-                        let v = const_value(c, self.opts);
+                        let v = const_value(c);
                         if naive_array {
                             RegOp::LdcArrayCopy { d, v }
                         } else {
@@ -1172,17 +1155,14 @@ fn mov(bank: Bank, d: usize, s: usize) -> RegOp {
     }
 }
 
-fn const_value(c: &Constant, opts: &LowerOptions) -> Value {
+fn const_value(c: &Constant) -> Value {
     match c {
         Constant::I64(v) => Value::I64(*v),
         Constant::F64(v) => Value::F64(*v),
         Constant::Bool(b) => Value::Bool(*b),
         Constant::Complex(re, im) => Value::Complex(*re, *im),
         Constant::Str(s) => Value::Str(Arc::new(s.to_string())),
-        Constant::I64Array(v) => {
-            let _ = opts;
-            Value::Tensor(Tensor::from_i64(v.to_vec()))
-        }
+        Constant::I64Array(v) => Value::Tensor(Tensor::from_i64(v.to_vec())),
         Constant::F64Array(v) => Value::Tensor(Tensor::from_f64(v.to_vec())),
         Constant::Expr(e) => Value::Expr(e.clone()),
         Constant::Null => Value::Null,
@@ -1354,7 +1334,7 @@ mod tests {
         f.var_types.insert(sum, Type::integer64());
         f.return_type = Some(Type::integer64());
         let pm = wolfram_ir::ProgramModule::with_main(f);
-        let native = lower_program(&pm).unwrap();
+        let native = lower_program(&pm, &CompilerOptions::default(), None).unwrap();
         let mut m = Machine::standalone();
         let out = m.call(&native, 0, [Ok(ArgVal::I(41))], None).unwrap();
         assert_eq!(out, ArgVal::I(42));
@@ -1369,7 +1349,7 @@ mod tests {
         let f = b.finish(); // no var_types
         let pm = wolfram_ir::ProgramModule::with_main(f);
         assert!(matches!(
-            lower_program(&pm),
+            lower_program(&pm, &CompilerOptions::default(), None),
             Err(LowerError::MissingType(_))
         ));
     }
@@ -1431,7 +1411,7 @@ mod tests {
         f.return_type = Some(Type::integer64());
         wolfram_ir::verify_function(&f).unwrap();
         let pm = wolfram_ir::ProgramModule::with_main(f);
-        let native = lower_program(&pm).unwrap();
+        let native = lower_program(&pm, &CompilerOptions::default(), None).unwrap();
         let mut m = Machine::standalone();
         let out = m.call(&native, 0, [Ok(ArgVal::I(100))], None).unwrap();
         assert_eq!(out, ArgVal::I(5050));
@@ -1453,7 +1433,7 @@ mod tests {
         f.var_types.insert(sum, Type::real64());
         f.return_type = Some(Type::real64());
         let pm = wolfram_ir::ProgramModule::with_main(f);
-        let native = lower_program(&pm).unwrap();
+        let native = lower_program(&pm, &CompilerOptions::default(), None).unwrap();
         let mut m = Machine::standalone();
         assert_eq!(
             m.call(&native, 0, [Ok(ArgVal::F(1.5))], None).unwrap(),

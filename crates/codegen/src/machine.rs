@@ -2048,7 +2048,9 @@ impl Machine {
                 }
                 RegOp::StrToCodes { d, s } => {
                     let s = fr.vals[*s].expect_str()?;
-                    let codes: Vec<i64> = s.bytes().map(|b| b as i64).collect();
+                    // Code points, as the interpreter and `StrLen` count.
+                    let mut codes = Vec::with_capacity(s.len());
+                    codes.extend(s.chars().map(|c| i64::from(u32::from(c))));
                     fr.vals[*d] = Value::Tensor(Tensor::from_i64(codes));
                 }
                 RegOp::StrFromCodes { d, s } => {

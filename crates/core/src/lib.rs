@@ -36,6 +36,6 @@ pub mod stdlib;
 
 pub use engine::{CompiledArtifact, CompiledCodeFunction, StreamCaller};
 pub use macros::{MacroEnvironment, MacroRule};
-pub use pipeline::{CompileError, Compiler, CompilerOptions, TargetSystem};
+pub use pipeline::{Ablation, CompileError, Compiler, CompilerOptions, TargetSystem};
 pub use resolve::InlinePolicy;
 pub use stdlib::builtin_type_environment;

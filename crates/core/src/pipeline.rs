@@ -1,171 +1,32 @@
 //! The `FunctionCompile` pipeline (§4, §4.7): `MExpr -> WIR -> TWIR ->
-//! code generation`, with user-injectable macro/type environments, pass
-//! toggles, per-stage artifacts, and pass timing (the §6 internal
-//! benchmark suite measures "compilation time, time to run specific
-//! passes").
+//! code generation`, with user-injectable macro/type environments,
+//! per-stage artifacts, and pass timing (the §6 internal benchmark suite
+//! measures "compilation time, time to run specific passes"). Every stage
+//! reads the one [`CompilerOptions`] the compiler was built with.
 
 use crate::binding;
 use crate::engine::CompiledCodeFunction;
 use crate::infer;
 use crate::lower;
 use crate::macros::MacroEnvironment;
-use crate::resolve::{self, InlinePolicy};
+use crate::resolve;
 use crate::stdlib;
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wolfram_codegen::lower::{lower_program_with, LowerOptions};
 use wolfram_codegen::{BackendRegistry, NativeProgram};
 use wolfram_expr::{parse, Expr};
+use wolfram_interp::findroot::CompiledUnary;
 use wolfram_interp::Interpreter;
-use wolfram_ir::{PassOptions, ProgramModule, VerifyLevel};
-use wolfram_runtime::ParallelConfig;
+use wolfram_ir::{ProgramModule, VerifyLevel};
 use wolfram_types::TypeEnvironment;
+
+pub use wolfram_ir::options::{Ablation, CompilerOptions, TargetSystem};
 
 /// The compiler version string (the paper evaluates v1.0.1.0).
 pub const COMPILER_VERSION: &str = "1.0.1.0";
-
-/// Compilation target (F4). Only `Native` produces executable code in this
-/// reproduction; `C`, `Assembler`, `IR`, and `WVM` are export backends, and
-/// `Cuda` exists for the §4.7 conditioned-macro extension point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TargetSystem {
-    /// The native register machine (default; the LLVM JIT stand-in).
-    Native,
-    /// CUDA (macro-level retargeting demo only).
-    Cuda,
-}
-
-/// Options accepted by `FunctionCompile` (§4.7: "Macro rules, type system
-/// definitions, and passes can be predicated on the FunctionCompile
-/// options").
-#[derive(Debug, Clone)]
-pub struct CompilerOptions {
-    /// Compilation target.
-    pub target_system: TargetSystem,
-    /// Insert abort checks (F3); `Native`AbortInhibit` in the paper turns
-    /// this off for benchmarking.
-    pub abort_handling: bool,
-    /// Insert memory-management instructions (F7).
-    pub memory_management: bool,
-    /// Optimization level (0 disables the optimizing passes).
-    pub optimization_level: u8,
-    /// Inlining policy (the §6 ablation: Never costs ~10× on Mandelbrot).
-    pub inline_policy: InlinePolicy,
-    /// Pass names to skip.
-    pub disabled_passes: HashSet<String>,
-    /// Model the §6 "non-optimal handling of constant arrays" (PrimeQ).
-    pub naive_constant_arrays: bool,
-    /// Rewrite the native code with superinstructions after register
-    /// allocation (fused compare-and-branch, tensor load-op/op-store,
-    /// multiply-add, back-edge folding). Off gives the ablation baseline.
-    pub superinstruction_fusion: bool,
-    /// IR verification level. `Full` (the default) runs the SSA linter plus
-    /// the `wolfram-analyze` type and refcount checkers on the function
-    /// entering the pass pipeline and on the result of every pass that
-    /// changes it; benchmarks set `Off` to measure pure pass cost.
-    pub verify: VerifyLevel,
-    /// Enable the data-parallel execution tier: whole-tensor builtins run
-    /// chunked across the runtime's worker pool, and fused counted loops
-    /// are batched through the SIMD kernels (`vectorize` pass). Off by
-    /// default — the scalar engine is the semantics reference.
-    pub data_parallel: bool,
-    /// Tuning for the data-parallel tier (threads, chunk granularity,
-    /// SIMD on/off). Ignored unless `data_parallel` is set.
-    pub parallel: ParallelConfig,
-    /// Run the interval range analysis over the optimized TWIR and let
-    /// the lowering elide runtime checks it discharges: Part bounds
-    /// checks become unchecked accesses, provably overflow-free integer
-    /// add/subtract/times become wrapping ops, and redundant refcount
-    /// pairs disappear. On by default; off gives the fully checked
-    /// ablation baseline.
-    pub range_checks_elision: bool,
-}
-
-impl CompilerOptions {
-    /// A stable 64-bit fingerprint of every option that can change the
-    /// compiled artifact. Two option sets with equal fingerprints produce
-    /// byte-identical code for the same canonical source, so the serving
-    /// layer's content-addressed cache keys on `(canonical MExpr,
-    /// fingerprint)` — same source under different options must not
-    /// collide (§4.7: "Macro rules, type system definitions, and passes
-    /// can be predicated on the FunctionCompile options").
-    ///
-    /// The hash is FNV-1a over a canonical byte rendering: enum
-    /// discriminants, option booleans, and the *sorted* disabled-pass
-    /// names (a `HashSet`'s iteration order must not leak into the key).
-    pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(match self.target_system {
-            TargetSystem::Native => b"target:native",
-            TargetSystem::Cuda => b"target:cuda",
-        });
-        eat(&[
-            u8::from(self.abort_handling),
-            u8::from(self.memory_management),
-            self.optimization_level,
-            u8::from(self.naive_constant_arrays),
-            u8::from(self.superinstruction_fusion),
-            u8::from(self.data_parallel),
-            u8::from(self.range_checks_elision),
-        ]);
-        if self.data_parallel {
-            // The config changes the emitted program (the embedded
-            // ParallelConfig and the planted VecLoops), so it must
-            // separate cache keys; when the tier is off it is inert and
-            // must NOT perturb the fingerprint.
-            eat(b"parallel:");
-            eat(&(self.parallel.num_threads as u64).to_le_bytes());
-            eat(&(self.parallel.min_elems_per_chunk as u64).to_le_bytes());
-        }
-        eat(match self.inline_policy {
-            InlinePolicy::Automatic => b"inline:auto",
-            InlinePolicy::Never => b"inline:never",
-            InlinePolicy::Always => b"inline:always",
-        });
-        eat(match self.verify {
-            VerifyLevel::Off => b"verify:off",
-            VerifyLevel::Ssa => b"verify:ssa",
-            VerifyLevel::Full => b"verify:full",
-        });
-        let mut disabled: Vec<&str> = self.disabled_passes.iter().map(String::as_str).collect();
-        disabled.sort_unstable();
-        for pass in disabled {
-            eat(b"disable:");
-            eat(pass.as_bytes());
-        }
-        h
-    }
-}
-
-impl Default for CompilerOptions {
-    fn default() -> Self {
-        CompilerOptions {
-            target_system: TargetSystem::Native,
-            abort_handling: true,
-            memory_management: true,
-            optimization_level: 1,
-            inline_policy: InlinePolicy::Automatic,
-            disabled_passes: HashSet::new(),
-            naive_constant_arrays: false,
-            superinstruction_fusion: true,
-            verify: VerifyLevel::Full,
-            data_parallel: false,
-            parallel: ParallelConfig::default(),
-            range_checks_elision: true,
-        }
-    }
-}
 
 /// A compile-time failure, tagged by pipeline stage.
 #[derive(Debug)]
@@ -237,22 +98,6 @@ impl Compiler {
         }
     }
 
-    /// A compiler with custom environments (the paper's
-    /// "specify which type environment to use at FunctionCompile time").
-    pub fn with_environments(
-        options: CompilerOptions,
-        macros: MacroEnvironment,
-        types: TypeEnvironment,
-    ) -> Self {
-        Compiler {
-            options,
-            macros,
-            types,
-            backends: BackendRegistry::new(),
-            timings: RefCell::new(Vec::new()),
-        }
-    }
-
     fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
@@ -313,21 +158,13 @@ impl Compiler {
             resolve::resolve_module(&mut pm, &self.types, inference, self.options.inline_policy)
         })
         .map_err(CompileError::Resolve)?;
-        let pass_opts = PassOptions {
-            optimization_level: self.options.optimization_level,
-            abort_handling: self.options.abort_handling,
-            memory_management: self.options.memory_management,
-            disabled: self.options.disabled_passes.clone(),
-            verify: self.options.verify,
-            full_check: (self.options.verify == VerifyLevel::Full).then(|| {
-                wolfram_analyze::pipeline_verifier(wolfram_analyze::module_signatures(&pm))
-            }),
-        };
+        let full_check = (self.options.verify == VerifyLevel::Full)
+            .then(|| wolfram_analyze::pipeline_verifier(wolfram_analyze::module_signatures(&pm)));
         for f in &mut pm.functions {
             // Two entries per function: the passes themselves, and what
             // `run_pipeline` spent verifying their results.
             let start = Instant::now();
-            let report = wolfram_ir::run_pipeline(f, &pass_opts);
+            let report = wolfram_ir::run_pipeline(f, &self.options, full_check.as_ref());
             let total = start.elapsed();
             let verifying = report.as_ref().map_or(Duration::ZERO, |r| r.verify_time);
             let mut timings = self.timings.borrow_mut();
@@ -357,16 +194,15 @@ impl Compiler {
     ///
     /// See [`CompileError`].
     pub fn generate_native(&self, pm: &ProgramModule) -> Result<NativeProgram, CompileError> {
-        let opts = LowerOptions {
-            naive_constant_arrays: self.options.naive_constant_arrays,
-            range_facts: self.options.range_checks_elision.then(|| {
-                self.time("range-analysis", || {
-                    wolfram_analyze::intervals::analyze_module_ranges(pm)
-                })
-            }),
-        };
+        let range_facts = self.options.range_checks_elision.then(|| {
+            self.time("range-analysis", || {
+                wolfram_analyze::intervals::analyze_module_ranges(pm)
+            })
+        });
         let mut native = self
-            .time("code-generation", || lower_program_with(pm, &opts))
+            .time("code-generation", || {
+                wolfram_codegen::lower_program(pm, &self.options, range_facts.as_ref())
+            })
             .map_err(CompileError::Codegen)?;
         if self.options.superinstruction_fusion {
             self.time("superinstruction-fusion", || {
@@ -485,10 +321,16 @@ impl Compiler {
 
     /// Installs the `FindRoot` auto-compilation hook (§1) into an engine:
     /// numerical solvers hosted there transparently compile their
-    /// objective functions.
+    /// objective functions. Compiled objectives are cached per expression,
+    /// so repeat solves of the same equation reuse the compiled code, as
+    /// the production compiler's code cache does.
     pub fn install_auto_compile(engine: &mut Interpreter) {
+        let cache: RefCell<HashMap<String, CompiledUnary>> = RefCell::default();
         let hook: wolfram_interp::AutoCompileHook = Rc::new(move |body: &Expr, var| {
-            let compiler = Compiler::new(CompilerOptions::default());
+            let key = format!("{}@{}", var.name(), body.to_full_form());
+            if let Some(hit) = cache.borrow().get(&key) {
+                return Some(hit.clone());
+            }
             let f = Expr::call(
                 "Function",
                 [
@@ -499,12 +341,14 @@ impl Compiler {
                     body.clone(),
                 ],
             );
-            let compiled = compiler.function_compile(&f).ok()?;
-            let compiled = Rc::new(compiled);
-            Some(Rc::new(move |x: f64| {
-                let out = compiled.call(&[wolfram_runtime::Value::F64(x)])?;
-                out.expect_f64()
-            }) as wolfram_interp::findroot::CompiledUnary)
+            let compiled = Rc::new(Compiler::default().function_compile(&f).ok()?);
+            let entry: CompiledUnary = Rc::new(move |x: f64| {
+                compiled
+                    .call(&[wolfram_runtime::Value::F64(x)])?
+                    .expect_f64()
+            });
+            cache.borrow_mut().insert(key, entry.clone());
+            Some(entry)
         });
         engine.auto_compile = Some(hook);
     }
@@ -513,7 +357,7 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wolfram_runtime::Value;
+    use wolfram_runtime::{ParallelConfig, Value};
 
     #[test]
     fn add_one_compiles_and_runs() {
@@ -654,79 +498,20 @@ mod tests {
     }
 
     #[test]
-    fn options_fingerprint_is_stable_and_discriminating() {
-        let base = CompilerOptions::default();
-        assert_eq!(base.fingerprint(), CompilerOptions::default().fingerprint());
-        // Every artifact-affecting knob moves the fingerprint.
-        let variants = [
-            CompilerOptions {
-                abort_handling: false,
-                ..CompilerOptions::default()
-            },
-            CompilerOptions {
-                memory_management: false,
-                ..CompilerOptions::default()
-            },
-            CompilerOptions {
-                optimization_level: 0,
-                ..CompilerOptions::default()
-            },
-            CompilerOptions {
-                inline_policy: InlinePolicy::Never,
-                ..CompilerOptions::default()
-            },
-            CompilerOptions {
-                superinstruction_fusion: false,
-                ..CompilerOptions::default()
-            },
-            CompilerOptions {
-                naive_constant_arrays: true,
-                ..CompilerOptions::default()
-            },
-            CompilerOptions {
-                data_parallel: true,
-                ..CompilerOptions::default()
-            },
-            CompilerOptions {
-                data_parallel: true,
-                parallel: ParallelConfig {
-                    num_threads: 2,
-                    ..ParallelConfig::default()
-                },
-                ..CompilerOptions::default()
-            },
-            CompilerOptions {
-                range_checks_elision: false,
-                ..CompilerOptions::default()
-            },
-        ];
-        let mut prints: Vec<u64> = variants.iter().map(CompilerOptions::fingerprint).collect();
-        prints.push(base.fingerprint());
-        let unique: HashSet<u64> = prints.iter().copied().collect();
-        assert_eq!(
-            unique.len(),
-            prints.len(),
-            "fingerprint collision: {prints:?}"
-        );
-        // Disabled-pass order does not matter (set semantics).
-        let mut a = CompilerOptions::default();
-        a.disabled_passes
-            .extend(["cse".to_owned(), "dce".to_owned()]);
-        let mut b = CompilerOptions::default();
-        b.disabled_passes
-            .extend(["dce".to_owned(), "cse".to_owned()]);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), base.fingerprint());
-        // The parallel tuning is inert — and must not perturb the cache
-        // key — while the tier is off.
-        let tuned_but_off = CompilerOptions {
-            parallel: ParallelConfig {
-                num_threads: 7,
-                min_elems_per_chunk: 3,
-            },
-            ..CompilerOptions::default()
-        };
-        assert_eq!(tuned_but_off.fingerprint(), base.fingerprint());
+    fn auto_compiled_findroot_finds_the_interpreted_root() {
+        let src = "FindRoot[Sin[x] + E^x, {x, 0}]";
+        let mut plain = Interpreter::new();
+        let want = plain.eval_src(src).unwrap();
+        let mut hosted = Interpreter::new();
+        Compiler::install_auto_compile(&mut hosted);
+        assert_eq!(hosted.autocompile_hits, 0);
+        assert_eq!(hosted.eval_src(src).unwrap(), want);
+        let hits = hosted.autocompile_hits;
+        assert!(hits > 0, "the hook must compile the objective");
+        // A repeat solve is served from the hook's cache, and still counts.
+        assert_eq!(hosted.eval_src(src).unwrap(), want);
+        assert!(hosted.autocompile_hits > hits);
+        assert_eq!(plain.autocompile_hits, 0);
     }
 
     /// 3x3 blur (the §6 benchmark shape): its fused inner loop is the

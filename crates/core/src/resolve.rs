@@ -7,11 +7,12 @@
 //! at this stage if it has been marked by users to be forcibly inlined."
 
 use crate::infer::{infer, sites_of, Inference};
-use std::collections::HashMap;
 use std::sync::Arc;
 use wolfram_ir::module::{Block, BlockId, Callee, Function, InlineValue, Instr, Operand, VarId};
 use wolfram_ir::{FuncId, ProgramModule};
 use wolfram_types::{mangle, FunctionImpl, SolveError, Type, TypeEnvironment};
+
+pub use wolfram_ir::options::InlinePolicy;
 
 /// Resolution failure.
 #[derive(Debug)]
@@ -32,18 +33,6 @@ impl std::fmt::Display for ResolveFail {
 }
 
 impl std::error::Error for ResolveFail {}
-
-/// Inlining policy (§4.5 / §6: disabling inlining costs ~10× on tight
-/// loops).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InlinePolicy {
-    /// Inline force-marked and trivial functions (the default).
-    Automatic,
-    /// Never inline (the ablation mode).
-    Never,
-    /// Inline everything non-recursive.
-    Always,
-}
 
 /// Resolves every `Callee::Builtin` call in the module using the inference
 /// results, instantiating source implementations on demand, then applies
@@ -401,15 +390,6 @@ pub fn unresolved_builtins(pm: &ProgramModule) -> usize {
             )
         })
         .count()
-}
-
-/// Builds a name -> index map used by codegen closure resolution.
-pub fn function_indices(pm: &ProgramModule) -> HashMap<String, FuncId> {
-    pm.functions
-        .iter()
-        .enumerate()
-        .map(|(ix, f)| (f.name.clone(), FuncId(ix as u32)))
-        .collect()
 }
 
 #[cfg(test)]

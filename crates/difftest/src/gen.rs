@@ -1,4 +1,4 @@
-//! Seeded program generation over the tri-engine subset.
+//! Seeded program generation over the subset every engine evaluates.
 //!
 //! Every program this module emits must be *accepted* by all three engines
 //! — the tree-walking interpreter, the bytecode VM, and the native register

@@ -1,9 +1,14 @@
-//! `wolfram-difftest` — a tri-engine differential fuzzer.
+//! `wolfram-difftest` — a differential fuzzer over every engine.
 //!
 //! The repository carries three ways to evaluate the same Wolfram
 //! Language subset: the tree-walking interpreter (the semantic oracle),
 //! the legacy bytecode VM, and the native register machine the compiler
-//! targets (with superinstruction fusion on or off). Any observable
+//! targets. The native machine runs under several option sets, derived
+//! from one list ([`oracle::native_engines`]): the shipped
+//! `CompilerOptions::default()`, the default with each §6 ablation applied
+//! (`wolfram_compiler_core::Ablation`, all but abort checks), and the
+//! default plus the data-parallel tier — eight configurations with the
+//! interpreter and the VM ([`oracle::engine_names`]). Any observable
 //! disagreement between them on the common subset is a bug in at least
 //! one engine; this crate generates programs, runs all configurations,
 //! compares the outcomes under a documented equivalence relation
@@ -26,7 +31,7 @@ pub use corpus::CorpusEntry;
 pub use gen::Program;
 pub use oracle::{
     outcomes_equivalent, outcomes_equivalent_within, prepare, prepare_with, values_equivalent,
-    values_equivalent_within, verify_failure, Outcome, TriRun,
+    values_equivalent_within, verify_failure, EngineRun, Outcome,
 };
 pub use shrink::Shrunk;
 
@@ -68,13 +73,16 @@ pub struct Counterexample {
     pub shrunk: CorpusEntry,
 }
 
-/// Aggregate result of a fuzzing run.
+/// Aggregate result of a fuzzing run over the engine configurations of
+/// [`oracle::engine_names`]: the interpreter, the bytecode VM, and the
+/// native machine under each of [`oracle::native_engines`].
 #[derive(Debug, Default)]
 pub struct FuzzReport {
-    /// Programs generated and compiled on all engines.
+    /// Programs generated and compiled on every engine configuration.
     pub programs_run: u64,
-    /// Programs some compiled engine refused (subset holes, not
-    /// divergences). Samples are in `prepare_samples`.
+    /// Programs some compiled engine configuration refused (subset holes,
+    /// not divergences). Samples, naming the engine, are in
+    /// `prepare_samples`.
     pub prepare_failures: u64,
     /// Up to five prepare-failure messages with their seeds.
     pub prepare_samples: Vec<(u64, String)>,
@@ -92,34 +100,35 @@ pub struct FuzzReport {
 
 impl FuzzReport {
     /// Divergences attributed to each engine configuration (in
-    /// [`oracle::ENGINE_NAMES`] order), by the engine named in the
-    /// counterexample note. The interpreter is the oracle, so its slot
-    /// counts notes that name no compiled engine (analyzer findings and
-    /// shrink residues).
-    pub fn per_engine_divergences(&self) -> [usize; oracle::ENGINE_NAMES.len()] {
-        let mut counts = [0usize; oracle::ENGINE_NAMES.len()];
+    /// [`oracle::engine_names`] order), by the engine named at the start
+    /// of the counterexample note. The interpreter is the oracle, so its
+    /// slot counts notes that name no compiled engine (analyzer findings
+    /// and shrink residues).
+    pub fn per_engine_divergences(&self) -> Vec<usize> {
+        let names = oracle::engine_names();
+        let mut counts = vec![0; names.len()];
         for case in &self.divergences {
-            let slot = oracle::ENGINE_NAMES
-                .iter()
-                .enumerate()
-                .skip(1)
-                .find(|(_, name)| case.shrunk.note.starts_with(**name))
-                .map_or(0, |(i, _)| i);
-            counts[slot] += 1;
+            // The whole name, then a space: `native` begins other names.
+            let slot = names.iter().skip(1).position(|name| {
+                case.shrunk
+                    .note
+                    .strip_prefix(name.as_str())
+                    .is_some_and(|rest| rest.starts_with(' '))
+            });
+            counts[slot.map_or(0, |i| i + 1)] += 1;
         }
         counts
     }
 
     /// One-paragraph human summary. The configuration count and the
     /// per-engine divergence breakdown are derived from
-    /// [`oracle::ENGINE_NAMES`], so adding an engine configuration (as
-    /// the data-parallel tier did for the fifth) extends this line
-    /// automatically instead of silently undercounting.
+    /// [`oracle::engine_names`], so every engine configuration is counted.
     pub fn summary(&self) -> String {
+        let names = oracle::engine_names();
         let counts = self.per_engine_divergences();
-        let breakdown: Vec<String> = oracle::ENGINE_NAMES
+        let breakdown: Vec<String> = names
             .iter()
-            .zip(counts)
+            .zip(&counts)
             .skip(1)
             .map(|(name, n)| format!("{name} {n}"))
             .chain((counts[0] > 0).then(|| format!("other {}", counts[0])))
@@ -129,7 +138,7 @@ impl FuzzReport {
              {} prepare failures, {} round-trip failures, {} timeouts, \
              {} out-of-subset",
             self.programs_run,
-            oracle::ENGINE_NAMES.len(),
+            names.len(),
             self.divergences.len(),
             breakdown.join(", "),
             self.prepare_failures,
@@ -259,6 +268,60 @@ mod tests {
         let c = derive_seed(2, 0);
         assert_ne!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn the_shipped_default_is_an_engine_and_every_engine_is_reported() {
+        // One native engine compiles with exactly what serve, stream and
+        // `Compiler::default()` ship.
+        let engines = oracle::native_engines();
+        assert!(engines
+            .iter()
+            .any(|(_, options)| *options == wolfram_compiler_core::CompilerOptions::default()));
+        let names = oracle::engine_names();
+        assert_eq!(
+            names,
+            [
+                "interpreter",
+                "bytecode",
+                "native",
+                "native-inlining",
+                "native-constant-array-sharing",
+                "native-fusion",
+                "native-range-elision",
+                "native+parallel",
+            ]
+        );
+        // A divergence on each compiled engine is counted in that engine's
+        // slot and named in the summary.
+        let report = FuzzReport {
+            divergences: names[1..]
+                .iter()
+                .map(|name| Counterexample {
+                    seed: 0,
+                    original: String::new(),
+                    shrunk: CorpusEntry {
+                        seed: 0,
+                        note: format!("{name} returned 1 but the interpreter returned 2"),
+                        func: wolfram_expr::Expr::int(0),
+                        arg_sets: Vec::new(),
+                    },
+                })
+                .collect(),
+            ..FuzzReport::default()
+        };
+        let counts = report.per_engine_divergences();
+        let mut want = vec![1; names.len()];
+        want[0] = 0;
+        assert_eq!(counts, want);
+        let summary = report.summary();
+        assert!(
+            summary.contains("across 8 engine configurations"),
+            "{summary}"
+        );
+        for name in &names[1..] {
+            assert!(summary.contains(&format!("{name} 1")), "{summary}");
+        }
     }
 
     #[test]

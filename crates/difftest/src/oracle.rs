@@ -1,24 +1,19 @@
-//! The tri-engine oracle and the equivalence relation it judges by.
+//! The differential oracle and the equivalence relation it judges by.
 //!
-//! A program is run through six configurations:
+//! A program is run through every engine configuration of
+//! [`engine_names`], in this order:
 //!
 //! 1. the tree-walking **interpreter** (the language oracle),
 //! 2. the **bytecode VM** (hosted, so numeric errors revert to the
 //!    interpreter — F2),
-//! 3. the **native register machine with superinstruction fusion**
-//!    (hosted),
-//! 4. the **native machine with fusion disabled** (hosted) — fusion is an
-//!    ablation knob, so fused and unfused code must agree bit-for-bit,
-//! 5. the **native machine with the data-parallel tier** (hosted) —
-//!    fusion plus vectorized counted loops and chunked whole-tensor
-//!    builtins on the worker pool, tuned aggressively (2 threads, tiny
-//!    chunks) so even fuzz-sized tensors exercise the parallel paths, and
-//! 6. the **native machine with range-check elision** (hosted) — the
-//!    interval analysis proves bounds/overflow checks and refcount pairs
-//!    redundant and the lowering drops them, on top of fusion and the
-//!    aggressive parallel tier; a wrong proof shows up as a divergence
-//!    (or a panic) against the fully checked engines. The other native
-//!    configurations pin elision *off* so they stay checked baselines.
+//! 3. then the native register machine (hosted) under each of
+//!    [`native_engines`]: `native`, the shipped
+//!    `CompilerOptions::default()`; `native-<name>`, the default with one
+//!    [`Ablation`] applied; and `native+parallel`, the default plus the
+//!    data-parallel tier. An ablation switches an optimisation off, so the
+//!    default and each ablated build must agree; a wrong range proof, a bad
+//!    fusion or a bad inline shows up as a divergence (or a panic) against
+//!    the engines that do not use it.
 //!
 //! # Equivalence relation
 //!
@@ -50,7 +45,9 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use wolfram_bytecode::{ArgSpec, BytecodeCompiler};
-use wolfram_compiler_core::{CompileError, Compiler, CompilerOptions};
+use wolfram_compiler_core::{
+    Ablation, CompileError, CompiledCodeFunction, Compiler, CompilerOptions,
+};
 use wolfram_expr::Expr;
 use wolfram_interp::Interpreter;
 use wolfram_ir::VerifyLevel;
@@ -117,28 +114,59 @@ impl Outcome {
     }
 }
 
-/// The engine configurations under test, in report order.
-pub const ENGINE_NAMES: [&str; 6] = [
-    "interpreter",
-    "bytecode",
-    "native+fusion",
-    "native-fusion",
-    "native+parallel",
-    "native+elision",
-];
+/// The native engine configurations, in report order, each with the
+/// options it compiles with: the shipped default, the default with each
+/// [`Ablation`] applied, and the default plus the data-parallel tier.
+pub fn native_engines() -> Vec<(String, CompilerOptions)> {
+    let ablated = Ablation::ALL
+        .into_iter()
+        // The watchdog stops runaway candidates through exactly these
+        // checks, so an engine without them could not be stopped.
+        .filter(|a| *a != Ablation::AbortChecks)
+        .map(|a| {
+            let mut options = CompilerOptions::default();
+            a.apply(&mut options);
+            (format!("native-{}", a.name()), options)
+        });
+    // Deliberately aggressive tuning: fuzz tensors are small, so the
+    // production chunk threshold would route everything to the sequential
+    // path and test nothing.
+    let parallel = CompilerOptions {
+        data_parallel: true,
+        parallel: ParallelConfig {
+            num_threads: 2,
+            min_elems_per_chunk: 16,
+        },
+        ..CompilerOptions::default()
+    };
+    std::iter::once(("native".to_owned(), CompilerOptions::default()))
+        .chain(ablated)
+        .chain(std::iter::once(("native+parallel".to_owned(), parallel)))
+        .collect()
+}
 
-/// All six outcomes for one argument set.
+/// Every engine configuration's name, in [`EngineRun::outcomes`] order:
+/// the interpreter, the bytecode VM, then [`native_engines`].
+pub fn engine_names() -> Vec<String> {
+    ["interpreter", "bytecode"]
+        .into_iter()
+        .map(String::from)
+        .chain(native_engines().into_iter().map(|(name, _)| name))
+        .collect()
+}
+
+/// Every engine's outcome for one argument set.
 #[derive(Debug, Clone)]
-pub struct TriRun {
-    /// Indexed as [`ENGINE_NAMES`].
-    pub outcomes: [Outcome; 6],
+pub struct EngineRun {
+    /// Indexed as [`engine_names`].
+    pub outcomes: Vec<Outcome>,
     /// Absolute real-comparison allowance for this run:
     /// [`CANCELLATION_EPS`] times the largest magnitude among the
     /// program's literals and this argument set.
     pub abs_tol: f64,
 }
 
-impl TriRun {
+impl EngineRun {
     /// Whether any engine hit the [`RUN_TIMEOUT`] watchdog. A timed-out
     /// run is inconclusive, not a divergence: the engines were stopped at
     /// arbitrary points, so their outcomes are not comparable.
@@ -170,7 +198,7 @@ impl TriRun {
             if !outcomes_equivalent_within(oracle, got, self.abs_tol) {
                 return Some(format!(
                     "{} returned {} but the interpreter returned {}",
-                    ENGINE_NAMES[i],
+                    engine_names()[i],
                     got.describe(),
                     oracle.describe()
                 ));
@@ -185,7 +213,7 @@ impl TriRun {
 #[derive(Debug, Clone)]
 pub struct PrepareError {
     /// Which engine refused.
-    pub engine: &'static str,
+    pub engine: String,
     /// The compiler's message.
     pub message: String,
 }
@@ -204,10 +232,8 @@ pub struct PreparedSubject {
     /// per-run cancellation allowance (see [`CANCELLATION_EPS`]).
     literal_scale: f64,
     bytecode: wolfram_bytecode::CompiledFunction,
-    native_fused: wolfram_compiler_core::CompiledCodeFunction,
-    native_unfused: wolfram_compiler_core::CompiledCodeFunction,
-    native_parallel: wolfram_compiler_core::CompiledCodeFunction,
-    native_elision: wolfram_compiler_core::CompiledCodeFunction,
+    /// One hosted function per [`native_engines`] entry, in its order.
+    natives: Vec<CompiledCodeFunction>,
 }
 
 /// Largest magnitude among the numeric literals in `e`, recursively.
@@ -287,66 +313,39 @@ pub fn verify_failure(func: &Expr) -> Option<String> {
 ///
 /// Returns the first [`PrepareError`].
 pub fn prepare_with(func: &Expr, verify: VerifyLevel) -> Result<PreparedSubject, PrepareError> {
-    let specs = specs_from_function(func).map_err(|message| PrepareError {
-        engine: "bytecode",
+    let refused = |engine: &str, message: String| PrepareError {
+        engine: engine.to_owned(),
         message,
-    })?;
+    };
+    let specs = specs_from_function(func).map_err(|message| refused("bytecode", message))?;
     let body = func.args().get(1).cloned().unwrap_or_else(|| Expr::int(0));
     let bytecode = BytecodeCompiler::new()
         .compile(&specs, &body)
-        .map_err(|e| PrepareError {
-            engine: "bytecode",
-            message: e.to_string(),
-        })?;
-
-    let native = |engine: &'static str, options: CompilerOptions| -> Result<_, PrepareError> {
-        Compiler::new(options)
-            .function_compile(func)
-            .map(|cf| cf.hosted(Rc::new(RefCell::new(Interpreter::new()))))
-            .map_err(|e| PrepareError {
-                engine,
-                message: e.to_string(),
-            })
-    };
-    // Elision stays off in the baselines (despite being the compiler
-    // default) so they remain fully checked references for the dedicated
-    // elision engine below.
-    let opts = |fuse: bool| CompilerOptions {
-        superinstruction_fusion: fuse,
-        verify,
-        range_checks_elision: false,
-        ..CompilerOptions::default()
-    };
-    // Deliberately aggressive tuning: fuzz tensors are small, so the
-    // production chunk threshold would route everything to the sequential
-    // path and test nothing.
-    let parallel_opts = CompilerOptions {
-        data_parallel: true,
-        parallel: ParallelConfig {
-            num_threads: 2,
-            min_elems_per_chunk: 16,
-        },
-        ..opts(true)
-    };
-    let elision_opts = CompilerOptions {
-        range_checks_elision: true,
-        ..parallel_opts.clone()
-    };
-
+        .map_err(|e| refused("bytecode", e.to_string()))?;
+    // One compiler, its options swapped per engine: building the builtin
+    // macro and type environments costs more than compiling a fuzz program.
+    let mut compiler = Compiler::default();
+    let natives = native_engines()
+        .into_iter()
+        .map(|(engine, options)| {
+            compiler.options = CompilerOptions { verify, ..options };
+            compiler
+                .function_compile(func)
+                .map(|cf| cf.hosted(Rc::new(RefCell::new(Interpreter::new()))))
+                .map_err(|e| refused(&engine, e.to_string()))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(PreparedSubject {
         func: func.clone(),
         literal_scale: literal_scale(func),
         bytecode,
-        native_fused: native("native+fusion", opts(true))?,
-        native_unfused: native("native-fusion", opts(false))?,
-        native_parallel: native("native+parallel", parallel_opts)?,
-        native_elision: native("native+elision", elision_opts)?,
+        natives,
     })
 }
 
 impl PreparedSubject {
-    /// Runs one argument set through all six configurations.
-    pub fn run(&self, args: &[Value]) -> TriRun {
+    /// Runs one argument set through every engine configuration.
+    pub fn run(&self, args: &[Value]) -> EngineRun {
         // Fresh interpreters per run: generated programs reuse local
         // names, and leaked definitions must not couple iterations. Each
         // engine runs under a watchdog so a non-terminating candidate
@@ -365,25 +364,17 @@ impl PreparedSubject {
             Outcome::from_run(self.bytecode.run_with_engine(args, &mut host))
         });
 
-        let fused = with_watchdog(&self.native_fused.abort.clone(), || {
-            Outcome::from_run(self.native_fused.call(args))
-        });
-        let unfused = with_watchdog(&self.native_unfused.abort.clone(), || {
-            Outcome::from_run(self.native_unfused.call(args))
-        });
-        let parallel = with_watchdog(&self.native_parallel.abort.clone(), || {
-            Outcome::from_run(self.native_parallel.call(args))
-        });
-        let elision = with_watchdog(&self.native_elision.abort.clone(), || {
-            Outcome::from_run(self.native_elision.call(args))
-        });
+        let natives = self
+            .natives
+            .iter()
+            .map(|cf| with_watchdog(&cf.abort, || Outcome::from_run(cf.call(args))));
 
         let scale = args
             .iter()
             .map(value_scale)
             .fold(self.literal_scale, f64::max);
-        TriRun {
-            outcomes: [interp, bytecode, fused, unfused, parallel, elision],
+        EngineRun {
+            outcomes: [interp, bytecode].into_iter().chain(natives).collect(),
             abs_tol: CANCELLATION_EPS * scale,
         }
     }

@@ -119,13 +119,6 @@ impl Environment {
         self.module_counter += 1;
         Symbol::new(&format!("{}${}", base.name(), self.module_counter))
     }
-
-    /// Whether the symbol has any definition at all.
-    pub fn has_definition(&self, s: &Symbol) -> bool {
-        self.defs
-            .get(s)
-            .is_some_and(|d| d.own.is_some() || !d.down.is_empty())
-    }
 }
 
 #[cfg(test)]

@@ -97,13 +97,6 @@ impl Interpreter {
         }
     }
 
-    /// A fresh interpreter sharing `abort`.
-    pub fn with_abort(abort: AbortSignal) -> Self {
-        let mut i = Self::new();
-        i.abort = abort;
-        i
-    }
-
     /// The abort signal checked during evaluation.
     pub fn abort_signal(&self) -> &AbortSignal {
         &self.abort
@@ -315,11 +308,6 @@ impl Interpreter {
     /// `name[args...]` call the hook with evaluated arguments.
     pub fn register_native(&mut self, name: &str, hook: NativeHook) {
         self.native_functions.insert(name.to_owned(), hook);
-    }
-
-    /// Removes an installed compiled function.
-    pub fn unregister_native(&mut self, name: &str) {
-        self.native_functions.remove(name);
     }
 
     /// Applies a `Function[...]` head to evaluated arguments.

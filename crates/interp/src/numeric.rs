@@ -91,15 +91,6 @@ impl Num {
         }
     }
 
-    /// Is exactly one.
-    pub fn is_one(&self) -> bool {
-        match self {
-            Num::Int(v) => *v == 1,
-            Num::Real(v) => *v == 1.0,
-            _ => false,
-        }
-    }
-
     /// Addition with automatic promotion (overflow -> bignum).
     pub fn add(&self, rhs: &Num) -> Num {
         match (self, rhs) {

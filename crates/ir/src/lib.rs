@@ -17,10 +17,14 @@
 //! Lowering goes *directly to SSA form* (Braun et al.) via [`builder`]; an
 //! IR linter ([`verify`]) checks the SSA property of every state of a
 //! function the pass pipeline produces ([`run_pipeline`]).
+//!
+//! [`CompilerOptions`] lives here too: the passes and every layer above
+//! read the one definition ([`options`]).
 
 pub mod analysis;
 pub mod builder;
 pub mod module;
+pub mod options;
 pub mod passes;
 pub mod print;
 pub mod verify;
@@ -29,5 +33,6 @@ pub use builder::FunctionBuilder;
 pub use module::{
     Block, BlockId, Callee, Constant, FuncId, Function, Instr, Operand, ProgramModule, VarId,
 };
-pub use passes::{run_pass, run_pipeline, FullVerifier, PassOptions, PipelineReport, VerifyLevel};
+pub use options::{Ablation, CompilerOptions, InlinePolicy, TargetSystem, VerifyLevel};
+pub use passes::{run_pass, run_pipeline, FullVerifier, PipelineReport};
 pub use verify::{verify_function, VerifyError};

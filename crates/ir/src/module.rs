@@ -675,11 +675,6 @@ impl ProgramModule {
         &self.functions[0]
     }
 
-    /// Mutable entry function.
-    pub fn main_mut(&mut self) -> &mut Function {
-        &mut self.functions[0]
-    }
-
     /// Finds a function by name.
     pub fn find(&self, name: &str) -> Option<FuncId> {
         self.functions

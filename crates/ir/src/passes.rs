@@ -4,77 +4,24 @@
 //! block fusion, etc.) ... are safe to perform on the WIR"; "Traditional
 //! compiler optimizations such as: sparse conditional constant propagation,
 //! common subexpression elimination, dead code elimination, etc. are ...
-//! safe to perform on the TWIR". Each pass is registered by name so users
-//! can toggle passes at `FunctionCompile` time (§4.7) — the ablation
-//! benchmarks rely on this.
+//! safe to perform on the TWIR". Each pass has a name ([`run_pass`]);
+//! [`run_pipeline`] runs them in order under the [`CompilerOptions`] that
+//! `FunctionCompile` was given (§4.7): the optimization level, abort and
+//! memory-management insertion, and the verification level.
 
 use crate::analysis::{liveness, natural_loops, Cfg, Dominators};
 use crate::module::{Block, BlockId, Callee, Constant, Function, Instr, Operand, VarId};
+use crate::options::{CompilerOptions, VerifyLevel};
 use crate::verify::{verify_function, VerifyError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wolfram_types::Type;
 
-/// How `run_pipeline` verifies each state of the function it produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyLevel {
-    /// No verification (release benchmark runs).
-    Off,
-    /// The bare SSA linter (`verify_function`).
-    Ssa,
-    /// SSA linter plus the injected semantic checker (`full_check`) —
-    /// typically the `wolfram-analyze` type + refcount verifiers.
-    Full,
-}
-
 /// A semantic checker injected into the pipeline at `VerifyLevel::Full`.
 /// Lives behind a function pointer because `wolfram-ir` cannot depend on
 /// the analyzer crate (it depends on us).
 pub type FullVerifier = Arc<dyn Fn(&Function) -> Result<(), VerifyError>>;
-
-/// Options controlling the standard pipeline.
-#[derive(Clone)]
-pub struct PassOptions {
-    /// Optimization level: 0 disables the optimizing passes.
-    pub optimization_level: u8,
-    /// Insert abort checks at loop headers and prologues (F3).
-    pub abort_handling: bool,
-    /// Insert `MemoryAcquire`/`MemoryRelease` around live intervals (F7).
-    pub memory_management: bool,
-    /// Pass names explicitly disabled (for ablations).
-    pub disabled: HashSet<String>,
-    /// Per-pass verification level (the linter).
-    pub verify: VerifyLevel,
-    /// Extra semantic checker run at `VerifyLevel::Full`.
-    pub full_check: Option<FullVerifier>,
-}
-
-impl std::fmt::Debug for PassOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PassOptions")
-            .field("optimization_level", &self.optimization_level)
-            .field("abort_handling", &self.abort_handling)
-            .field("memory_management", &self.memory_management)
-            .field("disabled", &self.disabled)
-            .field("verify", &self.verify)
-            .field("full_check", &self.full_check.is_some())
-            .finish()
-    }
-}
-
-impl Default for PassOptions {
-    fn default() -> Self {
-        PassOptions {
-            optimization_level: 1,
-            abort_handling: true,
-            memory_management: true,
-            disabled: HashSet::new(),
-            verify: VerifyLevel::Ssa,
-            full_check: None,
-        }
-    }
-}
 
 /// The optimizing passes, in pipeline order.
 pub const OPT_PASSES: &[&str] = &[
@@ -121,7 +68,8 @@ pub struct PipelineReport {
 }
 
 /// Runs the standard pipeline (optimizations to fixpoint, then abort and
-/// memory-management insertion).
+/// memory-management insertion) as `opts` asks. At `VerifyLevel::Full`,
+/// `full_check` runs after the SSA linter.
 ///
 /// Each distinct state of the function is verified once: the incoming
 /// function, then the result of every pass that reports a change. A pass
@@ -132,7 +80,11 @@ pub struct PipelineReport {
 ///
 /// Propagates linter failures, anchored to the pipeline's entry or to the
 /// pass whose result failed.
-pub fn run_pipeline(f: &mut Function, opts: &PassOptions) -> Result<PipelineReport, VerifyError> {
+pub fn run_pipeline(
+    f: &mut Function,
+    opts: &CompilerOptions,
+    full_check: Option<&FullVerifier>,
+) -> Result<PipelineReport, VerifyError> {
     let mut report = PipelineReport::default();
     let verify = |f: &Function, at: std::fmt::Arguments, report: &mut PipelineReport| {
         if opts.verify == VerifyLevel::Off {
@@ -140,7 +92,7 @@ pub fn run_pipeline(f: &mut Function, opts: &PassOptions) -> Result<PipelineRepo
         }
         let start = Instant::now();
         let mut result = verify_function(f);
-        if let (Ok(()), VerifyLevel::Full, Some(check)) = (&result, opts.verify, &opts.full_check) {
+        if let (Ok(()), VerifyLevel::Full, Some(check)) = (&result, opts.verify, full_check) {
             result = check(f);
         }
         report.verifications += 1;
@@ -149,9 +101,6 @@ pub fn run_pipeline(f: &mut Function, opts: &PassOptions) -> Result<PipelineRepo
     };
     let step =
         |name: &str, f: &mut Function, report: &mut PipelineReport| -> Result<(), VerifyError> {
-            if opts.disabled.contains(name) {
-                return Ok(());
-            }
             report.steps += 1;
             if run_pass(name, f)? {
                 report.ran.push(name.to_owned());
@@ -1353,46 +1302,42 @@ mod tests {
     #[test]
     fn pipeline_runs_and_reports() {
         let mut f = branchy();
-        let report = run_pipeline(&mut f, &PassOptions::default()).unwrap();
+        let report = run_pipeline(&mut f, &CompilerOptions::default(), None).unwrap();
         assert!(report.ran.iter().any(|p| p == "constant-fold"));
         assert!(report.ran.iter().any(|p| p == "abort-insertion"));
         // One verification of the incoming function, one per changing pass.
         assert_eq!(report.verifications, 1 + report.ran.len());
         assert!(report.steps > report.ran.len(), "{report:?}");
         verify_function(&f).unwrap();
-        // Disabling a pass by name skips it.
-        let mut f2 = branchy();
-        let mut opts = PassOptions::default();
-        opts.disabled.insert("constant-fold".into());
-        opts.optimization_level = 1;
-        let report2 = run_pipeline(&mut f2, &opts).unwrap();
-        assert!(!report2.ran.iter().any(|p| p == "constant-fold"));
-        // Nothing is verified at `Off`.
-        opts.verify = VerifyLevel::Off;
-        let report3 = run_pipeline(&mut branchy(), &opts).unwrap();
-        assert_eq!(report3.verifications, 0);
-        assert_eq!(report3.ran, report2.ran);
+        // Nothing is verified at `Off`, and the same passes run.
+        let opts = CompilerOptions {
+            verify: VerifyLevel::Off,
+            ..CompilerOptions::default()
+        };
+        let report2 = run_pipeline(&mut branchy(), &opts, None).unwrap();
+        assert_eq!(report2.verifications, 0);
+        assert_eq!(report2.ran, report.ran);
     }
 
-    /// `PassOptions` whose semantic checker rejects whatever `broken` holds
-    /// of: a stand-in for "this state of the function is wrong".
-    fn rejecting(broken: fn(&Function) -> bool) -> PassOptions {
-        PassOptions {
-            verify: VerifyLevel::Full,
-            full_check: Some(Arc::new(move |f: &Function| {
-                if broken(f) {
-                    Err(VerifyError("rejected".into()))
-                } else {
-                    Ok(())
-                }
-            })),
-            ..PassOptions::default()
-        }
+    /// A semantic checker that rejects whatever `broken` holds of: a
+    /// stand-in for "this state of the function is wrong".
+    fn rejecting(broken: fn(&Function) -> bool) -> FullVerifier {
+        Arc::new(move |f: &Function| {
+            if broken(f) {
+                Err(VerifyError("rejected".into()))
+            } else {
+                Ok(())
+            }
+        })
+    }
+
+    fn run_rejecting(f: &mut Function, broken: fn(&Function) -> bool) -> VerifyError {
+        run_pipeline(f, &CompilerOptions::default(), Some(&rejecting(broken))).unwrap_err()
     }
 
     #[test]
     fn a_bad_incoming_function_is_blamed_on_the_entry_not_on_a_pass() {
-        let err = run_pipeline(&mut branchy(), &rejecting(|_| true)).unwrap_err();
+        let err = run_rejecting(&mut branchy(), |_| true);
         assert!(
             err.0
                 .contains("function `f`, on entry to the pipeline: rejected"),
@@ -1401,7 +1346,7 @@ mod tests {
         // The SSA linter alone catches a malformed incoming function too.
         let mut f = branchy();
         f.blocks[0].instrs.pop();
-        let err = run_pipeline(&mut f, &PassOptions::default()).unwrap_err();
+        let err = run_pipeline(&mut f, &CompilerOptions::default(), None).unwrap_err();
         assert!(err.0.contains("on entry to the pipeline"), "{err}");
     }
 
@@ -1410,7 +1355,7 @@ mod tests {
         // The incoming function and everything the optimising passes make
         // of it are fine; what abort-insertion produces is not.
         let has_abort_check = |f: &Function| f.instrs().any(|i| matches!(i, Instr::AbortCheck));
-        let err = run_pipeline(&mut branchy(), &rejecting(has_abort_check)).unwrap_err();
+        let err = run_rejecting(&mut branchy(), has_abort_check);
         assert!(
             err.0
                 .contains("function `f`, after pass `abort-insertion`: rejected"),

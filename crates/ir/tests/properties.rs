@@ -7,8 +7,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use wolfram_ir::builder::FunctionBuilder;
 use wolfram_ir::module::{Callee, Constant, Function, Instr, Operand};
-use wolfram_ir::passes::{eval_const_builtin, run_pass, run_pipeline, PassOptions};
+use wolfram_ir::passes::{eval_const_builtin, run_pass, run_pipeline};
 use wolfram_ir::verify::verify_function;
+use wolfram_ir::CompilerOptions;
 
 // ---------------------------------------------------------------------
 // Constant evaluator: folding must agree with checked arithmetic and
@@ -153,7 +154,7 @@ proptest! {
     fn pipeline_preserves_verification(writes in prop::collection::vec(any::<(bool, bool)>(), 0..8)) {
         let mut f = diamond_chain(&writes);
         let phis_before = f.instrs().filter(|i| matches!(i, Instr::Phi { .. })).count();
-        run_pipeline(&mut f, &PassOptions::default()).unwrap();
+        run_pipeline(&mut f, &CompilerOptions::default(), None).unwrap();
         verify_function(&f).unwrap();
         // The optimizer never invents phis, and it clears the trivial ones
         // the builder left behind.
@@ -178,10 +179,10 @@ proptest! {
     #[test]
     fn pipeline_is_idempotent(writes in prop::collection::vec(any::<(bool, bool)>(), 0..8)) {
         let mut f = diamond_chain(&writes);
-        let opts = PassOptions { memory_management: false, ..PassOptions::default() };
-        run_pipeline(&mut f, &opts).unwrap();
+        let opts = CompilerOptions { memory_management: false, ..CompilerOptions::default() };
+        run_pipeline(&mut f, &opts, None).unwrap();
         let after_first = f.instr_count();
-        run_pipeline(&mut f, &opts).unwrap();
+        run_pipeline(&mut f, &opts, None).unwrap();
         prop_assert_eq!(f.instr_count(), after_first);
     }
 

@@ -33,7 +33,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 const MAX_WORKERS: usize = 31;
 
 /// Tuning knobs for the data-parallel tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     /// Worker threads to use. `0` means auto-detect via
     /// `std::thread::available_parallelism`.

@@ -162,14 +162,6 @@ impl Tensor {
         }
     }
 
-    /// The complex elements, if complex-typed.
-    pub fn as_complex(&self) -> Option<&[(f64, f64)]> {
-        match &self.0.data {
-            TensorData::Complex(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The integer elements, or a type error.
     ///
     /// # Errors

@@ -74,63 +74,17 @@ mod tests {
     }
 
     #[test]
-    fn options_fingerprint_separates_keys() {
-        let a = CompilerOptions::default();
-        let b = CompilerOptions {
-            optimization_level: 0,
-            ..CompilerOptions::default()
-        };
+    fn the_options_word_is_the_options_fingerprint() {
+        // Which options split keys is the fingerprint's contract
+        // (`CompilerOptions::fingerprint`); the key only carries it.
         let f = parse("Function[{Typed[n, \"MachineInteger\"]}, n + 1]").unwrap();
-        assert_ne!(CacheKey::of(&f, &a), CacheKey::of(&f, &b));
-    }
-
-    #[test]
-    fn data_parallel_fingerprint_separates_keys() {
-        // A data-parallel artifact must never be served from the scalar
-        // cache entry (and vice versa): the plan layout and NativeProgram
-        // differ. Tuning knobs split keys only while the tier is on.
-        let scalar = CompilerOptions::default();
+        let default = CompilerOptions::default();
         let parallel = CompilerOptions {
             data_parallel: true,
             ..CompilerOptions::default()
         };
-        let tuned = CompilerOptions {
-            data_parallel: true,
-            parallel: wolfram_runtime::ParallelConfig {
-                num_threads: 2,
-                ..wolfram_runtime::ParallelConfig::default()
-            },
-            ..CompilerOptions::default()
-        };
-        let f = parse("Function[{Typed[n, \"MachineInteger\"]}, n + 1]").unwrap();
-        assert_ne!(CacheKey::of(&f, &scalar), CacheKey::of(&f, &parallel));
-        assert_ne!(CacheKey::of(&f, &parallel), CacheKey::of(&f, &tuned));
-
-        // With the tier off, tuning must NOT perturb the key: a tuned-
-        // but-disabled config is the same artifact as the default.
-        let tuned_off = CompilerOptions {
-            parallel: wolfram_runtime::ParallelConfig {
-                num_threads: 7,
-                ..wolfram_runtime::ParallelConfig::default()
-            },
-            ..CompilerOptions::default()
-        };
-        assert_eq!(CacheKey::of(&f, &scalar), CacheKey::of(&f, &tuned_off));
-    }
-
-    #[test]
-    fn range_elision_fingerprint_separates_keys() {
-        // An artifact compiled with range-check elision (the default) and
-        // the fully checked ablation baseline differ instruction for
-        // instruction (unchecked RegOp variants), so they must occupy
-        // distinct cache entries.
-        let on = CompilerOptions::default();
-        assert!(on.range_checks_elision, "elision is the compiler default");
-        let off = CompilerOptions {
-            range_checks_elision: false,
-            ..CompilerOptions::default()
-        };
-        let f = parse("Function[{Typed[n, \"MachineInteger\"]}, n + 1]").unwrap();
-        assert_ne!(CacheKey::of(&f, &on), CacheKey::of(&f, &off));
+        for options in [default, parallel] {
+            assert_eq!(CacheKey::of(&f, &options).options, options.fingerprint());
+        }
     }
 }

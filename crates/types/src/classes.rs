@@ -101,13 +101,6 @@ impl ClassRegistry {
             _ => false,
         }
     }
-
-    /// All declared class names, sorted.
-    pub fn class_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.members.keys().map(|k| k.to_string()).collect();
-        names.sort();
-        names
-    }
 }
 
 #[cfg(test)]

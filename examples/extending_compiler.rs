@@ -5,7 +5,7 @@
 //!   exactly like the paper's example);
 //! - declares a user type class and a qualified polymorphic function with
 //!   a Wolfram-source implementation (the paper's §4.4 `Min`);
-//! - toggles compiler passes by name;
+//! - compiles with the optimizing passes off (`optimization_level: 0`);
 //! - plugs a custom textual backend into the backend registry (F4).
 //!
 //! Run with `cargo run --example extending_compiler`.
@@ -70,16 +70,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_err();
     println!("MyMin on complex rejected: {err}");
 
-    // ---- pass toggles ----
-    let mut opts = CompilerOptions::default();
-    opts.disabled_passes.insert("cse".into());
-    opts.disabled_passes.insert("constant-fold".into());
-    let no_opt = Compiler::new(opts);
+    // ---- the optimization level ----
+    let no_opt = Compiler::new(CompilerOptions {
+        optimization_level: 0,
+        ..CompilerOptions::default()
+    });
     let f = parse("Function[{Typed[n, \"MachineInteger\"]}, (n*n) + (n*n) + 1 + 2]")?;
     let optimized = Compiler::default().compile_to_twir(&f, None)?;
     let unoptimized = no_opt.compile_to_twir(&f, None)?;
     println!(
-        "pass toggles: {} instructions optimized vs {} with cse/constant-fold disabled",
+        "optimization level: {} instructions optimized vs {} at level 0",
         optimized.main().instr_count(),
         unoptimized.main().instr_count()
     );

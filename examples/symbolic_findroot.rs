@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // FindRoot with auto-compilation: the compiler package installs a hook
     // that compiles the objective and its symbolic derivative.
     let mut hosted = Interpreter::new();
-    wolfram_bench::intro::install_cached_auto_compile(&mut hosted);
+    Compiler::install_auto_compile(&mut hosted);
     hosted.eval_src("FindRoot[Sin[x] + E^x, {x, 0}]")?; // warm the code cache
     let start = Instant::now();
     for _ in 0..solves {

@@ -18,6 +18,9 @@
 #   reproduce:  compile-times smoke; an unknown subcommand must exit nonzero
 #   benchmark:  bash benchmark/run.sh --smoke
 #               cargo test -q --offline --manifest-path benchmark/Cargo.toml
+#   placement:  scripts/placement.sh on the benchmark binary just built
+#               (Machine::run's address, size, address mod 64; fails if
+#               the symbol is gone)
 #   lint:       cargo clippy --all-targets -- -D warnings (root, then
 #               --workspace)
 #
@@ -111,6 +114,9 @@ bash benchmark/run.sh --smoke > /dev/null
 
 echo "==> benchmark: its own tests (spec/BENCHMARK.json contract)"
 CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> placement: where Machine::run landed in the benchmark binary"
+scripts/placement.sh "${CARGO_TARGET_DIR:-$PWD/target}/release/wolfram-benchmark"
 
 echo "==> lint: cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings

@@ -16,10 +16,7 @@ use wolfram_compiler_core::{Compiler, CompilerOptions};
 use wolfram_difftest::gen::Program;
 use wolfram_expr::{parse, Expr};
 use wolfram_ir::passes::OPT_PASSES;
-use wolfram_ir::{
-    run_pass, Block, BlockId, Constant, Function, Instr, PassOptions, ProgramModule, VarId,
-    VerifyLevel,
-};
+use wolfram_ir::{run_pass, Block, BlockId, Constant, Function, Instr, ProgramModule, VarId};
 use wolfram_types::Type;
 
 /// The seven §6 programs.
@@ -145,12 +142,9 @@ fn an_ill_typed_incoming_function_is_blamed_on_the_entry() {
         ],
     });
     f.var_types.insert(VarId(0), Type::real64());
-    let opts = PassOptions {
-        verify: VerifyLevel::Full,
-        full_check: Some(wolfram_analyze::pipeline_verifier(Default::default())),
-        ..PassOptions::default()
-    };
-    let err = wolfram_ir::run_pipeline(&mut f, &opts).unwrap_err();
+    let check = wolfram_analyze::pipeline_verifier(Default::default());
+    let err =
+        wolfram_ir::run_pipeline(&mut f, &CompilerOptions::default(), Some(&check)).unwrap_err();
     assert!(
         err.0
             .starts_with("function `f`, on entry to the pipeline: error[type-mismatch]"),

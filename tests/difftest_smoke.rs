@@ -16,7 +16,7 @@ fn three_hundred_programs_agree_across_engines() {
     let report = run_fuzz(&cfg);
     assert!(
         report.divergences.is_empty(),
-        "tri-engine divergences found:\n{}",
+        "engine divergences found:\n{}",
         report
             .divergences
             .iter()

@@ -132,6 +132,14 @@ const ROWS: &[(&str, &str, &str, &str)] = &[
         "\"hello\"",
         "",
     ),
+    // Character codes are code points, not UTF-8 bytes.
+    (STRING, "ToCharacterCode[s]", "\"héllo\"", ""),
+    (
+        STRING,
+        "FromCharacterCode[ToCharacterCode[s]]",
+        "\"héllo\"",
+        "",
+    ),
     // Random numbers: only the range is comparable.
     (
         REAL,
