@@ -10,11 +10,9 @@
 //!
 //! 1. **Check elision.** [`analyze_ranges`] exports a [`FnRangeFacts`]
 //!    side table keyed by `(block, instr)` naming every Part access whose
-//!    bounds check is proved redundant, every checked integer
-//!    plus/subtract/times that provably cannot overflow, and every
-//!    acquire/release pair the refcount checker proves elidable
-//!    ([`crate::refcount::elidable_pairs`]). Codegen consumes the table
-//!    to emit unchecked register ops.
+//!    bounds check is proved redundant and every checked integer
+//!    plus/subtract/times that provably cannot overflow. Codegen consumes
+//!    the table to emit unchecked register ops.
 //! 2. **Linting.** [`part_bounds`] owns the `part-out-of-bounds`
 //!    diagnostic (formerly a constant-only peephole in `lints.rs`), now
 //!    flow-sensitive: lengths propagate through copies, phis and fills,
@@ -1565,9 +1563,6 @@ pub struct FnRangeFacts {
     pub proved_parts: HashSet<(BlockId, usize)>,
     /// Checked integer plus/subtract/times sites proved overflow-free.
     pub proved_arith: HashSet<(BlockId, usize)>,
-    /// Acquire/release instructions in provably redundant pairs
-    /// ([`crate::refcount::elidable_pairs`]).
-    pub elidable_rc: HashSet<(BlockId, usize)>,
     /// Total Part-style bounds-checked sites seen.
     pub parts_total: u32,
     /// Sites in `proved_parts`.
@@ -1576,8 +1571,6 @@ pub struct FnRangeFacts {
     pub arith_total: u32,
     /// Sites in `proved_arith`.
     pub arith_proved: u32,
-    /// Elidable acquire/release pairs.
-    pub rc_pairs: u32,
 }
 
 /// Module-wide elision facts, keyed by function name.
@@ -1751,8 +1744,6 @@ fn run(f: &Function) -> (FnRangeFacts, Vec<Diagnostic>) {
             transfer_instr(&ranges.kinds, &mut env, instr);
         }
     }
-    facts.elidable_rc = crate::refcount::elidable_pairs(f);
-    facts.rc_pairs = (facts.elidable_rc.len() / 2) as u32;
     (facts, diags)
 }
 

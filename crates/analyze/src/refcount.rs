@@ -258,91 +258,6 @@ pub fn check(f: &Function) -> Vec<Diagnostic> {
     out
 }
 
-/// Must-be-last-use query for the interval analysis: acquire/release
-/// pairs that are provably redundant and can be elided at lowering.
-///
-/// A pair `(Acquire %v at i, Release %v at j)` in the same block
-/// qualifies when the acquire is immediately followed (on every path —
-/// same block, so trivially) by the final release of `%v`:
-///
-/// * no instruction between them mentions `%v` (no use, no nested
-///   acquire/release),
-/// * nothing after the release in the block reads `%v` (including the
-///   terminator and phi reads on outgoing edges), and
-/// * `%v` is dead at the block's end (`liveness`).
-///
-/// Eliding such a pair is observationally safe: the machine's
-/// acquire/release only move counters and the frame's acquired flags,
-/// and with no intervening or subsequent use the +1/-1 cannot change
-/// any copy-on-write or lifetime decision.
-pub fn elidable_pairs(f: &Function) -> HashSet<(BlockId, usize)> {
-    let mut out = HashSet::new();
-    if f.blocks.is_empty() {
-        return out;
-    }
-    let cfg = Cfg::new(f);
-    let live = wolfram_ir::analysis::liveness(f, &cfg);
-    for b in f.block_ids() {
-        let instrs = &f.block(b).instrs;
-        'acquire: for i in 0..instrs.len() {
-            let Instr::MemoryAcquire { var } = &instrs[i] else {
-                continue;
-            };
-            let v = *var;
-            // Find the matching release with no mention of %v between.
-            let mut release = None;
-            for (k, later) in instrs.iter().enumerate().skip(i + 1) {
-                match later {
-                    Instr::MemoryRelease { var } if *var == v => {
-                        release = Some(k);
-                        break;
-                    }
-                    Instr::MemoryAcquire { var } | Instr::MemoryRelease { var } if *var == v => {
-                        continue 'acquire;
-                    }
-                    _ => {
-                        if later.uses().contains(&v) {
-                            continue 'acquire;
-                        }
-                    }
-                }
-            }
-            let Some(j) = release else { continue };
-            // No read of %v after the release in this block.
-            for later in &instrs[j + 1..] {
-                let mentions = match later {
-                    Instr::MemoryAcquire { var } | Instr::MemoryRelease { var } => *var == v,
-                    _ => later.uses().contains(&v),
-                };
-                if mentions {
-                    continue 'acquire;
-                }
-            }
-            // No phi on an outgoing edge reads %v.
-            for &s in &cfg.succs[b.0 as usize] {
-                for instr in &f.block(s).instrs {
-                    let Instr::Phi { incoming, .. } = instr else {
-                        break;
-                    };
-                    if incoming
-                        .iter()
-                        .any(|(p, o)| *p == b && *o == Operand::Var(v))
-                    {
-                        continue 'acquire;
-                    }
-                }
-            }
-            // Dead past the block boundary.
-            if live.live_out.get(&b).is_some_and(|s| s.contains(&v)) {
-                continue 'acquire;
-            }
-            out.insert((b, i));
-            out.insert((b, j));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,88 +427,5 @@ mod tests {
         });
         let diags = check(&f);
         assert!(diags.iter().any(|d| d.code == "refcount-leak"), "{diags:?}");
-    }
-
-    #[test]
-    fn redundant_pair_with_no_use_is_elidable() {
-        let f = one_block(vec![
-            Instr::LoadConst {
-                dst: VarId(0),
-                value: Constant::Str("x".into()),
-            },
-            Instr::MemoryAcquire { var: VarId(0) },
-            Instr::MemoryRelease { var: VarId(0) },
-            Instr::Return {
-                value: Constant::Null.into(),
-            },
-        ]);
-        let pairs = elidable_pairs(&f);
-        assert!(pairs.contains(&(BlockId(0), 1)), "{pairs:?}");
-        assert!(pairs.contains(&(BlockId(0), 2)), "{pairs:?}");
-        assert_eq!(pairs.len(), 2);
-    }
-
-    #[test]
-    fn pair_guarding_a_use_is_kept() {
-        // A use between acquire and release: the pair is load-bearing.
-        let f = one_block(vec![
-            Instr::LoadConst {
-                dst: VarId(0),
-                value: Constant::Str("x".into()),
-            },
-            Instr::MemoryAcquire { var: VarId(0) },
-            Instr::Copy {
-                dst: VarId(1),
-                src: VarId(0),
-            },
-            Instr::MemoryRelease { var: VarId(0) },
-            Instr::Return {
-                value: Constant::Null.into(),
-            },
-        ]);
-        assert!(elidable_pairs(&f).is_empty());
-    }
-
-    #[test]
-    fn pair_before_returning_the_value_is_kept() {
-        // The release is not final: the value escapes via the return.
-        let f = one_block(vec![
-            Instr::LoadConst {
-                dst: VarId(0),
-                value: Constant::Str("x".into()),
-            },
-            Instr::MemoryAcquire { var: VarId(0) },
-            Instr::MemoryRelease { var: VarId(0) },
-            Instr::Return {
-                value: VarId(0).into(),
-            },
-        ]);
-        assert!(elidable_pairs(&f).is_empty());
-    }
-
-    #[test]
-    fn live_out_var_keeps_its_pair() {
-        // The pair sits in the entry block but a successor still reads
-        // the variable, so liveness vetoes the elision.
-        let mut f = Function::new("f", 0);
-        f.blocks.push(Block {
-            label: "start".into(),
-            instrs: vec![
-                Instr::LoadConst {
-                    dst: VarId(0),
-                    value: Constant::Str("x".into()),
-                },
-                Instr::MemoryAcquire { var: VarId(0) },
-                Instr::MemoryRelease { var: VarId(0) },
-                Instr::Jump { target: BlockId(1) },
-            ],
-        });
-        f.blocks.push(Block {
-            label: "exit".into(),
-            instrs: vec![Instr::Return {
-                value: VarId(0).into(),
-            }],
-        });
-        assert!(elidable_pairs(&f).is_empty());
     }
 }

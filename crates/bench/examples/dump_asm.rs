@@ -1,4 +1,4 @@
-use wolfram_bench::programs;
+use wolfram_bench::{programs, workloads};
 use wolfram_compiler_core::Compiler;
 use wolfram_expr::parse;
 
@@ -9,6 +9,11 @@ fn main() {
         ("Mandelbrot", programs::MANDELBROT_SRC.to_string()),
         ("Histogram", programs::HISTOGRAM_SRC.to_string()),
         ("Blur", programs::BLUR_SRC.to_string()),
+        ("QSort", programs::QSORT_SRC.to_string()),
+        (
+            "PrimeQ",
+            programs::primeq_src(&workloads::prime_seed_table()),
+        ),
     ] {
         let f = parse(&src).unwrap();
         let asm = compiler.export_string(&f, "Assembler").unwrap();

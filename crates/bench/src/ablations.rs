@@ -216,9 +216,10 @@ mod tests {
 
     #[test]
     fn abort_checks_cost_on_memory_bound_loops() {
-        // Min-of-5: a single rep flakes below the noise floor when the
-        // test binary runs its threads in parallel.
-        let a = abort_ablation_histogram(200_000, 5);
+        // Min-of-5 over a million elements: a single rep, or a shorter
+        // one, flakes below the noise floor when the test binary runs its
+        // threads in parallel.
+        let a = abort_ablation_histogram(1_000_000, 5);
         // The check adds work; at minimum it must not speed things up
         // (beyond noise).
         assert!(a.slowdown() > 0.9, "{:.2}x", a.slowdown());
@@ -244,7 +245,8 @@ mod tests {
 
     #[test]
     fn elision_on_is_not_slower() {
-        let a = elision_ablation(20_000, 2);
+        // Min-of-5 over 200,000 elements, as for the abort checks.
+        let a = elision_ablation(200_000, 5);
         assert!(a.slowdown() > 0.9, "{:.2}x", a.slowdown());
     }
 

@@ -234,10 +234,18 @@ fn parts_of_every_fused_group_are_the_window_it_replaced() {
     }
 }
 
+/// Dispatches one call of `src` executes.
+fn dispatches(src: &str, args: &[Value]) -> u64 {
+    let cf = programs::compile_new(&Compiler::default(), src);
+    cf.profile_ops(true);
+    cf.call(args).unwrap();
+    cf.take_op_stats().total()
+}
+
 #[test]
-fn every_take_store_fuses() {
-    // Regression for the gap the unchecked twins left: a proved-in-bounds
-    // 1-D in-place store (`take.v; ten.set1.u`) had no fused form.
+fn every_take_store_coalesces() {
+    // An in-place store's result shares the register of the tensor that
+    // dies at it, so no take-move is left in front of a store.
     let (fused, _) = compilers();
     for (name, src) in paper_programs() {
         let cf = programs::compile_new(&fused, &src);
@@ -251,20 +259,83 @@ fn every_take_store_fuses() {
                             RegOp::TenSet1 { .. } | RegOp::TenSet2 { .. }
                         ]
                     ),
-                    "{name}/{}: unfused take-store {pair:?}",
+                    "{name}/{}: take-store {pair:?}",
                     f.name
                 );
             }
         }
     }
-    // Histogram's loop is 12 dispatches per element (13 with the store
-    // unfused), plus 16 outside the loop.
-    let n = 1000;
-    let cf = programs::compile_new(&fused, programs::HISTOGRAM_SRC);
-    cf.profile_ops(true);
-    cf.call(&[Value::Tensor(workloads::random_bytes_tensor(n, 4))])
-        .unwrap();
-    assert_eq!(cf.take_op_stats().total(), 12 * n as u64 + 16);
+    // Histogram's loop is 5 dispatches per element: the header, the two
+    // load-adds, the store and the counter's increment-and-jump. The bins
+    // tensor and the counter each stay in one register, so no move or
+    // refcount op is left in the loop. 12 more run outside it.
+    for n in [0, 1, 1000] {
+        let data = workloads::random_bytes_tensor(n, 4);
+        assert_eq!(
+            dispatches(programs::HISTOGRAM_SRC, &[Value::Tensor(data)]),
+            5 * n as u64 + 12,
+            "Histogram n = {n}"
+        );
+    }
+    let n = 24;
+    let img = workloads::random_matrix_hw(n, n, 3);
+    let blur = [
+        Value::Tensor(img),
+        Value::I64(n as i64),
+        Value::I64(n as i64),
+    ];
+    assert_eq!(dispatches(programs::BLUR_SRC, &blur), BLUR_24);
+    let qsort = [
+        Value::Tensor(workloads::sorted_list(256)),
+        Value::Bool(true),
+    ];
+    assert_eq!(dispatches(programs::QSORT_SRC, &qsort), QSORT_256);
+}
+
+/// Blur on a 24 x 24 image: 21 dispatches per interior pixel (the
+/// header, 19 body ops and the latch), 4 per row, 12 outside the loops.
+const BLUR_24: u64 = 21 * 22 * 22 + 4 * 22 + 12;
+
+/// QSort of the sorted 256-element list (46,693 with one register per
+/// SSA value).
+const QSORT_256: u64 = 24_440;
+
+/// Whether `op` moves a register onto itself.
+fn self_move(op: &RegOp) -> bool {
+    matches!(
+        op,
+        RegOp::MovI { d, s }
+            | RegOp::MovF { d, s }
+            | RegOp::MovC { d, s }
+            | RegOp::MovV { d, s }
+            | RegOp::TakeV { d, s } if d == s
+    )
+}
+
+#[test]
+fn lowering_emits_no_self_move() {
+    let (_, unfused) = compilers();
+    let check = |name: &str, func: &Expr| {
+        let Ok(pm) = unfused.compile_to_twir(func, None) else {
+            return;
+        };
+        let Ok(native) = unfused.generate_native(&pm) else {
+            return;
+        };
+        for f in &native.funcs {
+            if let Some(op) = f.code.iter().find(|op| self_move(op)) {
+                panic!("{name}/{}: self-move {op:?}", f.name);
+            }
+        }
+    };
+    for (name, src) in paper_programs() {
+        check(name, &parse(&src).unwrap());
+    }
+    for i in 0..2000 {
+        let seed = wolfram_difftest::derive_seed(42, i);
+        let program = wolfram_difftest::gen::Program::generate(seed);
+        check(&format!("difftest seed {seed}"), &program.func);
+    }
 }
 
 #[test]

@@ -28,6 +28,8 @@ pub mod export;
 pub mod fuse;
 pub mod lower;
 pub mod machine;
+mod refcount;
+mod regalloc;
 pub mod vectorize;
 pub mod wvm;
 

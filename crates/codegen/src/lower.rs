@@ -1,11 +1,15 @@
 //! Lowers fully-typed TWIR program modules onto the native register
-//! machine: SSA destruction (phi -> edge moves), bank assignment by type,
-//! and monomorphic instruction selection, one arm per resolved primitive.
+//! machine: bank assignment by type, register coalescing
+//! ([`crate::regalloc`]), SSA destruction (phi -> edge moves, self-moves
+//! dropped), monomorphic instruction selection, one arm per resolved
+//! primitive, and finally the cancellation of refcount pairs that bracket
+//! nothing ([`crate::refcount`]).
 
 use crate::machine::{
     ArgVal, Bank, CmpCode, CpxOp, ElemKind, ElisionCounters, ExprOp, FltOp, FltUnOp, IntOp,
     IntUnOp, NativeFunc, NativeProgram, RegOp, Slot, TenOp,
 };
+use crate::{refcount, regalloc};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use wolfram_analyze::intervals::{FnRangeFacts, RangeFacts};
@@ -39,8 +43,8 @@ impl std::error::Error for LowerError {}
 /// Lowers a program module under `options` (it reads
 /// `naive_constant_arrays`). `range_facts` are the interval analysis's
 /// proofs, keyed by function name, then by `(block, instr)`: with them the
-/// lowering emits unchecked tensor and integer ops and skips provably
-/// redundant refcount traffic; `None` lowers fully checked code.
+/// lowering emits unchecked tensor and integer ops; `None` lowers fully
+/// checked code.
 ///
 /// # Errors
 ///
@@ -97,7 +101,8 @@ struct Lowering<'a> {
     f: &'a Function,
     funcs: &'a HashMap<&'a str, usize>,
     opts: &'a CompilerOptions,
-    slots: HashMap<VarId, Slot>,
+    /// The register of each variable, indexed by its number.
+    slots: Vec<Option<Slot>>,
     counters: [usize; 4],
     code: Vec<RegOp>,
     block_pc: HashMap<BlockId, usize>,
@@ -119,8 +124,8 @@ struct Lowering<'a> {
     /// loop bodies do not re-materialize immediates each iteration.
     const_cache: HashMap<(String, Bank), usize>,
     prologue: Vec<RegOp>,
-    /// Interval facts for this function (proved bounds/overflow sites and
-    /// elidable refcount pairs), when range-check elision is on.
+    /// Interval facts for this function (proved bounds/overflow sites),
+    /// when range-check elision is on.
     facts: Option<&'a FnRangeFacts>,
     /// Counts of checks elided vs. seen while lowering this function.
     elision: ElisionCounters,
@@ -133,18 +138,32 @@ fn lower_function(
     facts: Option<&FnRangeFacts>,
 ) -> Result<NativeFunc, LowerError> {
     let cfg = wolfram_ir::analysis::Cfg::new(f);
+    let mut banks = vec![None; f.next_var as usize];
+    for d in f.instrs().filter_map(Instr::def) {
+        let ty = f
+            .var_type(d)
+            .ok_or_else(|| LowerError::MissingType(format!("%{} in {}", d.0, f.name)))?;
+        banks[d.0 as usize] = Some(bank_of(ty));
+    }
+    let regs = regalloc::assign(f, &cfg, &banks);
+    let mut params = vec![Slot::new(Bank::I, 0); f.arity];
+    for i in f.instrs() {
+        if let Instr::LoadArgument { dst, index } = i {
+            params[*index] = regs.slots[dst.0 as usize].expect("a defined variable");
+        }
+    }
     let mut l = Lowering {
         f,
         funcs,
         opts,
-        slots: HashMap::new(),
-        counters: [0; 4],
+        slots: regs.slots,
+        counters: regs.counts,
         code: Vec::new(),
         block_pc: HashMap::new(),
         patches: Vec::new(),
         edge_moves: HashMap::new(),
-        params: vec![Slot::new(Bank::I, 0); f.arity],
-        dying_reads: HashSet::new(),
+        params,
+        dying_reads: regs.dying_reads,
         current_block: BlockId(0),
         current_event: 0,
         const_cache: HashMap::new(),
@@ -152,9 +171,7 @@ fn lower_function(
         facts,
         elision: ElisionCounters::default(),
     };
-    l.assign_slots()?;
     l.collect_phi_moves();
-    l.dying_reads = compute_dying_reads(f, &cfg, &l.slots);
     for &b in &cfg.rpo {
         l.block_pc.insert(b, l.code.len());
         l.lower_block(b)?;
@@ -175,6 +192,7 @@ fn lower_function(
         code.append(&mut l.code);
         l.code = code;
     }
+    l.elision.rc_elided = refcount::cancel_idle_pairs(&mut l.code);
     Ok(NativeFunc {
         name: f.name.clone(),
         code: l.code,
@@ -189,41 +207,17 @@ fn lower_function(
 
 impl<'a> Lowering<'a> {
     fn bump(&mut self, bank: Bank) -> usize {
-        let ix = match bank {
-            Bank::I => 0,
-            Bank::F => 1,
-            Bank::C => 2,
-            Bank::V => 3,
-        };
+        let ix = regalloc::bank_index(bank);
         let v = self.counters[ix];
         self.counters[ix] += 1;
         v
-    }
-
-    fn assign_slots(&mut self) -> Result<(), LowerError> {
-        for b in self.f.block_ids() {
-            for i in &self.f.block(b).instrs {
-                if let Some(d) = i.def() {
-                    let ty = self.f.var_type(d).ok_or_else(|| {
-                        LowerError::MissingType(format!("%{} in {}", d.0, self.f.name))
-                    })?;
-                    let bank = bank_of(ty);
-                    let ix = self.bump(bank);
-                    self.slots.insert(d, Slot::new(bank, ix));
-                }
-                if let Instr::LoadArgument { dst, index } = i {
-                    self.params[*index] = self.slots[dst];
-                }
-            }
-        }
-        Ok(())
     }
 
     fn collect_phi_moves(&mut self) {
         for b in self.f.block_ids() {
             for i in &self.f.block(b).instrs {
                 if let Instr::Phi { dst, incoming } = i {
-                    let dslot = self.slots[dst];
+                    let dslot = self.var_slot(*dst);
                     for (pred, op) in incoming {
                         self.edge_moves
                             .entry(*pred)
@@ -236,7 +230,7 @@ impl<'a> Lowering<'a> {
     }
 
     fn var_slot(&self, v: VarId) -> Slot {
-        self.slots[&v]
+        self.slots[v.0 as usize].expect("a defined variable")
     }
 
     /// Whether the value in `v`'s register dies at the current read: no
@@ -269,15 +263,6 @@ impl<'a> Lowering<'a> {
         })
     }
 
-    /// Whether the current acquire/release belongs to a provably
-    /// redundant same-block pair.
-    fn rc_elided(&self) -> bool {
-        self.facts.is_some_and(|ff| {
-            ff.elidable_rc
-                .contains(&(self.current_block, self.current_event))
-        })
-    }
-
     /// Materializes a value-bank operand, reporting whether the resulting
     /// register may be *consumed* (moved from) by the instruction.
     fn operand_v_take(&mut self, o: &Operand) -> Result<(usize, bool), LowerError> {
@@ -294,12 +279,27 @@ impl<'a> Lowering<'a> {
         })
     }
 
-    /// Emits a value move that steals the source register when allowed.
+    /// Emits a value move that steals the source register when allowed;
+    /// nothing when coalescing gave both ends one register.
     fn push_v_move(&mut self, d: usize, s: usize, take: bool) {
-        if take {
-            self.code.push(RegOp::TakeV { d, s });
-        } else {
-            self.code.push(RegOp::MovV { d, s });
+        if d != s {
+            self.code.push(if take {
+                RegOp::TakeV { d, s }
+            } else {
+                RegOp::MovV { d, s }
+            });
+        }
+    }
+
+    /// Emits `d = s` in `bank`; nothing when both ends are one register.
+    fn push_mov(&mut self, bank: Bank, d: usize, s: usize) {
+        if d != s {
+            self.code.push(match bank {
+                Bank::I => RegOp::MovI { d, s },
+                Bank::F => RegOp::MovF { d, s },
+                Bank::C => RegOp::MovC { d, s },
+                Bank::V => RegOp::MovV { d, s },
+            });
         }
     }
 
@@ -414,17 +414,22 @@ impl<'a> Lowering<'a> {
             return Ok(());
         }
         let saved_event = self.current_event;
-        self.current_event = usize::MAX; // the edge-move event
+        self.current_event = regalloc::EDGE_EVENT;
         let result = self.flush_edge_moves_inner(&moves);
         self.current_event = saved_event;
         result
     }
 
     fn flush_edge_moves_inner(&mut self, moves: &[(Slot, Operand)]) -> Result<(), LowerError> {
+        // A phi coalesced with its incoming value needs no move.
+        let moves: Vec<(Slot, Operand)> = moves
+            .iter()
+            .filter(|(d, op)| op.as_var().map(|v| self.var_slot(v)) != Some(*d))
+            .cloned()
+            .collect();
         // Fast path: when no destination doubles as another move's source,
         // the parallel copy degenerates to direct moves (no temps).
         let dst_slots: Vec<Slot> = moves.iter().map(|(d, _)| *d).collect();
-        let moves = moves.to_vec();
         let interferes = moves.iter().any(|(_, op)| {
             op.as_var()
                 .map(|v| self.var_slot(v))
@@ -437,9 +442,7 @@ impl<'a> Lowering<'a> {
                     self.push_v_move(dslot.ix, src, take);
                 } else {
                     let src = self.operand(op, dslot.bank)?;
-                    if src != dslot.ix {
-                        self.code.push(mov(dslot.bank, dslot.ix, src));
-                    }
+                    self.push_mov(dslot.bank, dslot.ix, src);
                 }
             }
             return Ok(());
@@ -456,7 +459,7 @@ impl<'a> Lowering<'a> {
             } else {
                 let src = self.operand(op, dslot.bank)?;
                 let tmp = self.bump(dslot.bank);
-                self.code.push(mov(dslot.bank, tmp, src));
+                self.push_mov(dslot.bank, tmp, src);
                 temps.push(tmp);
             }
         }
@@ -468,7 +471,7 @@ impl<'a> Lowering<'a> {
                     s: tmp,
                 });
             } else {
-                self.code.push(mov(dslot.bank, dslot.ix, tmp));
+                self.push_mov(dslot.bank, dslot.ix, tmp);
             }
         }
         Ok(())
@@ -477,7 +480,8 @@ impl<'a> Lowering<'a> {
     fn lower_block(&mut self, b: BlockId) -> Result<(), LowerError> {
         let block: &Block = self.f.block(b);
         self.current_block = b;
-        for (ix, i) in block.instrs.iter().enumerate() {
+        for ix in refcount_runs_releases_first(&block.instrs) {
+            let i = &block.instrs[ix];
             self.current_event = ix;
             match i {
                 Instr::Phi { .. } | Instr::LoadArgument { .. } => {}
@@ -488,7 +492,7 @@ impl<'a> Lowering<'a> {
                         self.push_v_move(slot.ix, op, take);
                     } else {
                         let op = self.operand(&Operand::Const(value.clone()), slot.bank)?;
-                        self.code.push(mov(slot.bank, slot.ix, op));
+                        self.push_mov(slot.bank, slot.ix, op);
                     }
                 }
                 Instr::Copy { dst, src } => {
@@ -498,7 +502,7 @@ impl<'a> Lowering<'a> {
                         self.push_v_move(d.ix, s, take);
                     } else {
                         let s = self.operand(&Operand::Var(*src), d.bank)?;
-                        self.code.push(mov(d.bank, d.ix, s));
+                        self.push_mov(d.bank, d.ix, s);
                     }
                 }
                 Instr::Call { dst, callee, args } => self.lower_call(*dst, callee, args)?,
@@ -528,21 +532,13 @@ impl<'a> Lowering<'a> {
                 Instr::MemoryAcquire { var } => {
                     let s = self.var_slot(*var);
                     if s.bank == Bank::V {
-                        if self.rc_elided() {
-                            self.elision.rc_elided += 1;
-                        } else {
-                            self.code.push(RegOp::Acquire { v: s.ix });
-                        }
+                        self.code.push(RegOp::Acquire { v: s.ix });
                     }
                 }
                 Instr::MemoryRelease { var } => {
                     let s = self.var_slot(*var);
                     if s.bank == Bank::V {
-                        if self.rc_elided() {
-                            self.elision.rc_elided += 1;
-                        } else {
-                            self.code.push(RegOp::Release { v: s.ix });
-                        }
+                        self.code.push(RegOp::Release { v: s.ix });
                     }
                 }
                 Instr::Jump { target } => {
@@ -844,10 +840,9 @@ impl<'a> Lowering<'a> {
             },
             // Rounding an integer is a move.
             Prim::Floor | Prim::Ceiling | Prim::Round if bank_of(&params[0]) == Bank::I => {
-                RegOp::MovI {
-                    d,
-                    s: a!(0, Bank::I),
-                }
+                let s = a!(0, Bank::I);
+                self.push_mov(Bank::I, d, s);
+                return Ok(());
             }
             Prim::Floor => RegOp::FloorFI {
                 d,
@@ -861,10 +856,11 @@ impl<'a> Lowering<'a> {
                 d,
                 s: a!(0, Bank::F),
             },
-            Prim::Boole => RegOp::MovI {
-                d,
-                s: a!(0, Bank::I),
-            },
+            Prim::Boole => {
+                let s = a!(0, Bank::I);
+                self.push_mov(Bank::I, d, s);
+                return Ok(());
+            }
             Prim::PowerMod => RegOp::PowModI {
                 d,
                 a: a!(0, Bank::I),
@@ -893,7 +889,11 @@ impl<'a> Lowering<'a> {
                 s: a!(0, Bank::C),
             },
             // A widening move: the destination's bank decides.
-            Prim::Convert => mov(dslot.bank, d, a!(0, dslot.bank)),
+            Prim::Convert => {
+                let s = a!(0, dslot.bank);
+                self.push_mov(dslot.bank, d, s);
+                return Ok(());
+            }
             Prim::TensorLength => RegOp::TenLen {
                 d,
                 t: a!(0, Bank::V),
@@ -1146,13 +1146,39 @@ fn tensor_elem_of(ty: &Type) -> Result<&Type, LowerError> {
     tensor_elem(ty).ok_or_else(|| LowerError::MissingType("tensor element type".into()))
 }
 
-fn mov(bank: Bank, d: usize, s: usize) -> RegOp {
-    match bank {
-        Bank::I => RegOp::MovI { d, s },
-        Bank::F => RegOp::MovF { d, s },
-        Bank::C => RegOp::MovC { d, s },
-        Bank::V => RegOp::MovV { d, s },
+/// The order `instrs` lower in: each run of consecutive acquires and
+/// releases puts first the releases whose variable the run did not
+/// acquire earlier. The ops of distinct variables commute; with coalescing,
+/// an in-place store or a loop header can end one variable's interval and
+/// start the next one's in the same register, and the register's acquires
+/// and releases must alternate.
+fn refcount_runs_releases_first(instrs: &[Instr]) -> Vec<usize> {
+    let mut order = Vec::with_capacity(instrs.len());
+    let mut ix = 0;
+    while ix < instrs.len() {
+        let end = ix
+            + instrs[ix..]
+                .iter()
+                .take_while(|i| {
+                    matches!(i, Instr::MemoryAcquire { .. } | Instr::MemoryRelease { .. })
+                })
+                .count();
+        if end == ix {
+            order.push(ix);
+            ix += 1;
+            continue;
+        }
+        let early = |k: usize| match &instrs[k] {
+            Instr::MemoryRelease { var } => !instrs[ix..k]
+                .iter()
+                .any(|i| matches!(i, Instr::MemoryAcquire { var: a } if a == var)),
+            _ => false,
+        };
+        order.extend((ix..end).filter(|&k| early(k)));
+        order.extend((ix..end).filter(|&k| !early(k)));
+        ix = end;
     }
+    order
 }
 
 fn const_value(c: &Constant) -> Value {
@@ -1178,137 +1204,6 @@ pub fn result_to_value(result: ArgVal, ret_ty: &Type) -> Value {
 /// The `Expr` used in docs/tests.
 pub fn _doc_expr() -> Expr {
     Expr::null()
-}
-
-/// Slot-level liveness over the phi-destructed program (§4.5's copy/live
-/// analysis): a read of a value-bank register may *consume* it iff every
-/// path from the read reaches a write of that register before any other
-/// read. Phi edge moves count as writes of the phi's register at the end
-/// of each predecessor (reads of their sources happen first).
-fn compute_dying_reads(
-    f: &Function,
-    cfg: &wolfram_ir::analysis::Cfg,
-    slots: &HashMap<VarId, Slot>,
-) -> HashSet<(u32, usize, VarId)> {
-    use wolfram_ir::BlockId as B;
-    let is_v = |v: &VarId| slots.get(v).is_some_and(|s| s.bank == Bank::V);
-
-    // Edge reads/writes per predecessor block.
-    let mut edge_reads: HashMap<B, Vec<VarId>> = HashMap::new();
-    let mut edge_writes: HashMap<B, Vec<VarId>> = HashMap::new();
-    for b in f.block_ids() {
-        for i in &f.block(b).instrs {
-            if let Instr::Phi { dst, incoming } = i {
-                for (pred, op) in incoming {
-                    if is_v(dst) {
-                        edge_writes.entry(*pred).or_default().push(*dst);
-                    }
-                    if let Some(v) = op.as_var() {
-                        if is_v(&v) {
-                            edge_reads.entry(*pred).or_default().push(v);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Events per block, in execution order: ordinary instructions, then
-    // (just before the terminator) the edge-move batch, then the
-    // terminator's own reads.
-    struct Event {
-        key: usize,
-        reads: Vec<VarId>,
-        writes: Vec<VarId>,
-    }
-    let events_of = |b: B| -> Vec<Event> {
-        let mut out = Vec::new();
-        for (ix, i) in f.block(b).instrs.iter().enumerate() {
-            if i.is_terminator() {
-                out.push(Event {
-                    key: usize::MAX,
-                    reads: edge_reads.get(&b).cloned().unwrap_or_default(),
-                    writes: edge_writes.get(&b).cloned().unwrap_or_default(),
-                });
-                out.push(Event {
-                    key: ix,
-                    reads: i.uses().into_iter().filter(|v| is_v(v)).collect(),
-                    writes: Vec::new(),
-                });
-            } else if matches!(i, Instr::Phi { .. }) {
-                // The phi's write happens at the predecessors' edges.
-                out.push(Event {
-                    key: ix,
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                });
-            } else {
-                out.push(Event {
-                    key: ix,
-                    reads: i.uses().into_iter().filter(|v| is_v(v)).collect(),
-                    writes: i.def().into_iter().filter(|v| is_v(v)).collect(),
-                });
-            }
-        }
-        out
-    };
-    let all_events: HashMap<B, Vec<Event>> = f.block_ids().map(|b| (b, events_of(b))).collect();
-
-    // Backward dataflow to a fixed point.
-    let mut live_in: HashMap<B, HashSet<VarId>> = HashMap::new();
-    let mut live_out: HashMap<B, HashSet<VarId>> = HashMap::new();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in cfg.rpo.iter().rev() {
-            let mut out_set: HashSet<VarId> = HashSet::new();
-            for &s in &cfg.succs[b.0 as usize] {
-                if let Some(s_in) = live_in.get(&s) {
-                    out_set.extend(s_in.iter().copied());
-                }
-            }
-            let mut live = out_set.clone();
-            for ev in all_events[&b].iter().rev() {
-                for w in &ev.writes {
-                    live.remove(w);
-                }
-                for r in &ev.reads {
-                    live.insert(*r);
-                }
-            }
-            if live_out.get(&b) != Some(&out_set) {
-                live_out.insert(b, out_set);
-                changed = true;
-            }
-            if live_in.get(&b) != Some(&live) {
-                live_in.insert(b, live);
-                changed = true;
-            }
-        }
-    }
-
-    // Dying reads: scan each block backward; a read dies when the variable
-    // is not live just after its event (and it is read only once within
-    // the event).
-    let mut dying = HashSet::new();
-    for &b in &cfg.rpo {
-        let mut live = live_out.get(&b).cloned().unwrap_or_default();
-        for ev in all_events[&b].iter().rev() {
-            for w in &ev.writes {
-                live.remove(w);
-            }
-            for r in &ev.reads {
-                let duplicated = ev.reads.iter().filter(|x| *x == r).count() > 1;
-                if !duplicated && !live.contains(r) {
-                    dying.insert((b.0, ev.key, *r));
-                }
-            }
-            for r in &ev.reads {
-                live.insert(*r);
-            }
-        }
-    }
-    dying
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 #   placement:  scripts/placement.sh on the benchmark binary just built
 #               (Machine::run's address, size, address mod 64; fails if
 #               the symbol is gone)
+#   scripts:    bash -n scripts/ab.sh (the A/B procedure is too slow to run
+#               here; its syntax is checked)
 #   lint:       cargo clippy --all-targets -- -D warnings (root, then
 #               --workspace)
 #
@@ -117,6 +119,9 @@ CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path benchmark
 
 echo "==> placement: where Machine::run landed in the benchmark binary"
 scripts/placement.sh "${CARGO_TARGET_DIR:-$PWD/target}/release/wolfram-benchmark"
+
+echo "==> scripts: bash -n scripts/ab.sh"
+bash -n scripts/ab.sh
 
 echo "==> lint: cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings

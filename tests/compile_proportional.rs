@@ -193,7 +193,7 @@ fn describe(pm: &ProgramModule) -> String {
         let r = &facts.functions[&f.name];
         writeln!(
             out,
-            "fn {} parts {}/{} {:?} arith {}/{} {:?} rc {} {:?}",
+            "fn {} parts {}/{} {:?} arith {}/{} {:?}",
             f.name,
             r.parts_proved,
             r.parts_total,
@@ -201,8 +201,6 @@ fn describe(pm: &ProgramModule) -> String {
             r.arith_proved,
             r.arith_total,
             sorted(&r.proved_arith),
-            r.rc_pairs,
-            sorted(&r.elidable_rc),
         )
         .unwrap();
         for d in analyze_function(f, &sigs) {
