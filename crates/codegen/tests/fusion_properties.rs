@@ -149,12 +149,12 @@ const N_IX: usize = 5;
 /// Int bank of the tensor-shape test: the index registers plus a data pool.
 const TNI: usize = N_IX + 4;
 
-/// Builds a straight-line body of fusable tensor pairs — integer load-op
+/// Builds a straight-line body of `steps` tensor steps — integer load-op
 /// (register and immediate form), real matrix load-op, and 1-D/2-D
-/// take-store — each in a random `checked` state. The vector starts in
-/// `v0` and the matrix in `v1`; a take-store moves its tensor to the twin
-/// slot (`v2`/`v3`) and back.
-fn random_tensor_body(rng: &mut Rng, pairs: usize) -> Vec<RegOp> {
+/// in-place element store — each in a random `checked` state. The vector
+/// lives in `v0` and the matrix in `v1`. Returns the body and the number
+/// of load-op pairs in it, each of which fuses; a store fuses with nothing.
+fn random_tensor_body(rng: &mut Rng, steps: usize) -> (Vec<RegOp>, usize) {
     let valid: [i64; N_IX - 1] = [1, DIM as i64, -1, -(DIM as i64)];
     let mut code: Vec<RegOp> = valid
         .iter()
@@ -177,14 +177,16 @@ fn random_tensor_body(rng: &mut Rng, pairs: usize) -> Vec<RegOp> {
             v: (rng.below(401) as f64 - 200.0) / 8.0,
         });
     }
-    let (mut vec_slot, mut mat_slot) = (0, 1);
-    for _ in 0..pairs {
+    let (vec_slot, mat_slot) = (0, 1);
+    let mut pairs = 0;
+    for _ in 0..steps {
         let checked = rng.below(2) == 0;
         // Out-of-range indices are for the checked error path only.
         let index = |rng: &mut Rng| rng.below(if checked { N_IX } else { N_IX - 1 });
         let int_reg = |rng: &mut Rng| N_IX + rng.below(TNI - N_IX);
         match rng.below(5) {
             0 | 1 => {
+                pairs += 1;
                 code.push(RegOp::TenPart1 {
                     kind: ElemKind::I64,
                     d: int_reg(rng),
@@ -210,6 +212,7 @@ fn random_tensor_body(rng: &mut Rng, pairs: usize) -> Vec<RegOp> {
                 });
             }
             2 => {
+                pairs += 1;
                 code.push(RegOp::TenPart2 {
                     kind: ElemKind::F64,
                     d: rng.below(NF),
@@ -225,34 +228,24 @@ fn random_tensor_body(rng: &mut Rng, pairs: usize) -> Vec<RegOp> {
                     b: rng.below(NF),
                 });
             }
-            3 => {
-                let to = vec_slot ^ 2;
-                code.push(RegOp::TakeV { d: to, s: vec_slot });
-                code.push(RegOp::TenSet1 {
-                    kind: ElemKind::I64,
-                    t: to,
-                    i: index(rng),
-                    v: int_reg(rng),
-                    checked,
-                });
-                vec_slot = to;
-            }
-            _ => {
-                let to = mat_slot ^ 2;
-                code.push(RegOp::TakeV { d: to, s: mat_slot });
-                code.push(RegOp::TenSet2 {
-                    kind: ElemKind::F64,
-                    t: to,
-                    i: index(rng),
-                    j: index(rng),
-                    v: rng.below(NF),
-                    checked,
-                });
-                mat_slot = to;
-            }
+            3 => code.push(RegOp::TenSet1 {
+                kind: ElemKind::I64,
+                t: vec_slot,
+                i: index(rng),
+                v: int_reg(rng),
+                checked,
+            }),
+            _ => code.push(RegOp::TenSet2 {
+                kind: ElemKind::F64,
+                t: mat_slot,
+                i: index(rng),
+                j: index(rng),
+                v: rng.below(NF),
+                checked,
+            }),
         }
     }
-    code
+    (code, pairs)
 }
 
 proptest! {
@@ -298,15 +291,15 @@ proptest! {
         }
     }
 
-    /// Tensor load-op and take-store pairs, checked and unchecked: every
-    /// pair fuses, and every int/float register and every value slot (the
-    /// mutated tensors included) ends up identical — as does the error when
-    /// a checked access is out of range.
+    /// Tensor load-op pairs between in-place stores, checked and
+    /// unchecked: every pair fuses, and every int/float register and every
+    /// value slot (the mutated tensors included) ends up identical — as
+    /// does the error when a checked access is out of range.
     #[test]
     fn tensor_pairs_agree_under_fusion(seed in any::<u64>()) {
         let mut rng = Rng(seed);
-        let pairs = 1 + rng.below(12);
-        let body = random_tensor_body(&mut rng, pairs);
+        let steps = 1 + rng.below(12);
+        let (body, pairs) = random_tensor_body(&mut rng, steps);
         let args = || {
             let vector = Tensor::from_i64((0..DIM as i64).map(|k| 3 * k - 4).collect());
             let matrix = Tensor::with_shape(
@@ -319,7 +312,7 @@ proptest! {
         let observables: Vec<Slot> = (0..TNI)
             .map(|ix| Slot::new(Bank::I, ix))
             .chain((0..NF).map(|ix| Slot::new(Bank::F, ix)))
-            .chain((0..4).map(|ix| Slot::new(Bank::V, ix)))
+            .chain((0..2).map(|ix| Slot::new(Bank::V, ix)))
             .collect();
         for ret in observables {
             let mut code = body.clone();
@@ -330,7 +323,7 @@ proptest! {
                 n_int: TNI,
                 n_flt: NF,
                 n_cpx: 0,
-                n_val: 4,
+                n_val: 2,
                 params: vec![Slot::new(Bank::V, 0), Slot::new(Bank::V, 1)],
                 elision: Default::default(),
             };

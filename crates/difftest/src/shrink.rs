@@ -10,7 +10,7 @@
 //! The result is a *replayable* artifact: the shrunk source together with
 //! the argument set that still distinguishes the engines.
 
-use crate::oracle::{prepare, PreparedSubject};
+use crate::oracle::{prepare, Finding, PreparedSubject};
 use wolfram_expr::{parse, Expr, ExprKind};
 use wolfram_runtime::Value;
 
@@ -25,8 +25,8 @@ pub struct Shrunk {
     pub func: Expr,
     /// The single argument set that still demonstrates the divergence.
     pub args: Vec<Value>,
-    /// Description of the surviving divergence.
-    pub note: String,
+    /// The surviving divergence.
+    pub finding: Finding,
 }
 
 /// Shrinks `func` while `args` (some argument set in `arg_sets`) still
@@ -45,23 +45,31 @@ pub fn shrink(func: &Expr, arg_sets: &[Vec<Value>]) -> Option<Shrunk> {
 pub fn shrink_verify(func: &Expr) -> Option<Shrunk> {
     shrink_with(func, &[Vec::new()], |f, _sets, checks| {
         *checks += 1;
-        crate::oracle::verify_failure(f).map(|note| (Vec::new(), note))
+        crate::oracle::verify_failure(f).map(|note| {
+            (
+                Vec::new(),
+                Finding {
+                    note,
+                    imbalance: false,
+                },
+            )
+        })
     })
 }
 
 /// The generic greedy reducer: keeps any smaller candidate on which
 /// `failing` still reports something. The predicate receives the
 /// candidate, the argument sets to try, and the shared check budget
-/// counter; it returns the argument set and note of a surviving failure.
+/// counter; it returns the argument set and finding of a surviving failure.
 fn shrink_with(
     func: &Expr,
     arg_sets: &[Vec<Value>],
-    mut failing: impl FnMut(&Expr, &[Vec<Value>], &mut usize) -> Option<(Vec<Value>, String)>,
+    mut failing: impl FnMut(&Expr, &[Vec<Value>], &mut usize) -> Option<(Vec<Value>, Finding)>,
 ) -> Option<Shrunk> {
     let mut checks = 0usize;
     // Pin down one failing argument set first: shrinking against a
     // single set keeps the predicate stable and the artifact replayable.
-    let (mut args, mut note) = failing(func, arg_sets, &mut checks)?;
+    let (mut args, mut finding) = failing(func, arg_sets, &mut checks)?;
     let mut best = func.clone();
 
     loop {
@@ -71,7 +79,7 @@ fn shrink_with(
                 return Some(Shrunk {
                     func: best,
                     args,
-                    note,
+                    finding,
                 });
             }
             if size(&candidate) >= size(&best) {
@@ -85,10 +93,10 @@ fn shrink_with(
             if !is_well_scoped(&canon) {
                 continue;
             }
-            if let Some((a, n)) = failing(&canon, std::slice::from_ref(&args), &mut checks) {
+            if let Some((a, found)) = failing(&canon, std::slice::from_ref(&args), &mut checks) {
                 best = canon;
                 args = a;
-                note = n;
+                finding = found;
                 improved = true;
                 break; // restart the candidate scan from the smaller tree
             }
@@ -97,7 +105,7 @@ fn shrink_with(
             return Some(Shrunk {
                 func: best,
                 args,
-                note,
+                finding,
             });
         }
     }
@@ -162,12 +170,12 @@ fn first_divergence(
     func: &Expr,
     arg_sets: &[Vec<Value>],
     checks: &mut usize,
-) -> Option<(Vec<Value>, String)> {
+) -> Option<(Vec<Value>, Finding)> {
     let subject: PreparedSubject = prepare(func).ok()?;
     for args in arg_sets {
         *checks += 1;
-        if let Some(note) = subject.run(args).divergence() {
-            return Some((args.clone(), note));
+        if let Some(finding) = subject.run(args).divergence() {
+            return Some((args.clone(), finding));
         }
     }
     None
