@@ -172,10 +172,11 @@ fn render_op(op: &RegOp) -> String {
                 ret.ix
             )
         }
-        RegOp::CallKernel { head, args, ret } => {
+        RegOp::CallKernel { ret, call } => {
             format!(
-                "kernel {head}, {} args -> {:?}{}",
-                args.len(),
+                "kernel {}, {} args -> {:?}{}",
+                call.head,
+                call.args.len(),
                 ret.bank,
                 ret.ix
             )

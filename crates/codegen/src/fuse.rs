@@ -26,11 +26,10 @@
 //!   `mul -> add`);
 //! - function-epilogue `release` pairs.
 //!
-//! Fused variants keep `RegOp` at its pre-fusion 48 bytes by using `u32`
-//! register/pc operands and `i32` immediates (fusion is refused, not
-//! truncated, when a value does not fit).
+//! A fused op narrows its immediates so that it fits the op size; fusion
+//! is refused, not truncated, when an immediate does not fit.
 
-use crate::machine::{ElemKind, NativeFunc, NativeProgram, RegOp};
+use crate::machine::{compact, ElemKind, NativeFunc, NativeProgram, RegOp};
 
 /// Rewrites every function in the program. Returns the total number of
 /// instructions eliminated by fusion.
@@ -41,61 +40,47 @@ pub fn fuse_program(p: &mut NativeProgram) -> usize {
 /// Rewrites one function's code with superinstructions, remapping all
 /// branch targets. Returns the number of instructions eliminated.
 pub fn fuse_function(f: &mut NativeFunc) -> usize {
-    let mut code = std::mem::take(&mut f.code);
-    let n = code.len();
+    let n = f.code.len();
     // Leaders: instructions some branch can transfer control to. A fused
     // group may not *contain* a leader beyond its first op, otherwise the
     // jump would land mid-superinstruction.
     let mut leader = vec![false; n + 1];
-    for op in &mut code {
+    for op in &mut f.code {
         op.map_targets(|t| {
             leader[t] = true;
             t
         });
     }
-    let mut out: Vec<RegOp> = Vec::with_capacity(n);
-    let mut new_pc = vec![0usize; n + 1];
+    // A fused op takes its group's first slot; the rest of the group goes.
+    let mut removed = vec![false; n];
     let mut i = 0;
     while i < n {
-        new_pc[i] = out.len();
         // The window a group may cover: up to the next leader.
         let mut end = i + 1;
         while end < n.min(i + MAX_GROUP) && !leader[end] {
             end += 1;
         }
-        if let Some(fused) = match_group(&code[i..end]) {
-            // Interior positions are unreachable (not leaders); map them
-            // to the group start anyway so the table is total.
-            let len = fused.parts().len();
-            new_pc[i..i + len].fill(out.len());
-            out.push(fused);
-            i += len;
-        } else {
-            out.push(code[i].clone());
-            i += 1;
-        }
+        let len = match match_group(&f.code[i..end]) {
+            Some(fused) => {
+                let len = fused.parts().len();
+                f.code[i] = fused;
+                removed[i + 1..i + len].fill(true);
+                len
+            }
+            None => 1,
+        };
+        i += len;
     }
-    new_pc[n] = out.len();
-    let removed = n - out.len();
-    for op in &mut out {
-        op.map_targets(|t| new_pc[t]);
-    }
-    f.code = out;
-    removed
+    f.code = compact(std::mem::take(&mut f.code), &removed);
+    n - f.code.len()
 }
 
 /// Longest sequence a superinstruction replaces.
 const MAX_GROUP: usize = 4;
 
-/// Narrows a register index / pc to the fused ops' compact `u32` operand
-/// width (fusion is refused on overflow rather than truncating).
-fn r(x: &usize) -> Option<u32> {
-    u32::try_from(*x).ok()
-}
-
-/// Narrows an immediate to the fused ops' `i32` field.
-fn im(x: &i64) -> Option<i32> {
-    i32::try_from(*x).ok()
+/// Narrows an immediate to a fused op's `i32` (or `i16`) field.
+fn im<T: TryFrom<i64>>(x: &i64) -> Option<T> {
+    T::try_from(*x).ok()
 }
 
 /// Tries to fuse a prefix of `window` — the ops from the current position
@@ -119,11 +104,11 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
         [AbortCheck, IntBin { op, d, a, b }, Brz { c, pc }, Jmp { pc: pc_true }] if c == d => {
             RegOp::AbortBrCmpISel {
                 op: *op,
-                a: r(a)?,
-                b: r(b)?,
-                d: r(d)?,
-                pc_false: r(pc)?,
-                pc_true: r(pc_true)?,
+                a: *a,
+                b: *b,
+                d: *d,
+                pc_false: *pc,
+                pc_true: *pc_true,
             }
         }
         // cmp + brz + jmp: the condition register is dual-written, so any
@@ -131,61 +116,61 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
         [IntBin { op, d, a, b }, Brz { c, pc }, Jmp { pc: pc_true }, ..] if c == d => {
             RegOp::BrCmpISel {
                 op: *op,
-                a: r(a)?,
-                b: r(b)?,
-                d: r(d)?,
-                pc_false: r(pc)?,
-                pc_true: r(pc_true)?,
+                a: *a,
+                b: *b,
+                d: *d,
+                pc_false: *pc,
+                pc_true: *pc_true,
             }
         }
         [FltCmp { op, d, a, b }, Brz { c, pc }, Jmp { pc: pc_true }, ..] if c == d => {
             RegOp::BrCmpFSel {
                 op: *op,
-                a: r(a)?,
-                b: r(b)?,
-                d: r(d)?,
-                pc_false: r(pc)?,
-                pc_true: r(pc_true)?,
+                a: *a,
+                b: *b,
+                d: *d,
+                pc_false: *pc,
+                pc_true: *pc_true,
             }
         }
         // brz + jmp: a two-way branch in one dispatch.
         [Brz { c, pc }, Jmp { pc: pc_nz }, ..] => RegOp::BrzJmp {
-            c: r(c)?,
-            pc_z: r(pc)?,
-            pc_nz: r(pc_nz)?,
+            c: *c,
+            pc_z: *pc,
+            pc_nz: *pc_nz,
         },
         // Loop-counter increment / phi edge-move folded into a back-edge.
         [IntBinImm { op, d, a, imm }, Jmp { pc }, ..] => RegOp::IntBinImmJmp {
             op: *op,
-            d: r(d)?,
-            a: r(a)?,
+            d: *d,
+            a: *a,
             imm: im(imm)?,
-            pc: r(pc)?,
+            pc: *pc,
         },
         // Phi edge-moves folded into a back-edge: mov+mov+jmp is a whole
         // two-variable loop latch in one dispatch.
         [MovI { d: d1, s: s1 }, MovI { d: d2, s: s2 }, Jmp { pc }, ..] => RegOp::Mov2IJmp {
-            d1: r(d1)?,
-            s1: r(s1)?,
-            d2: r(d2)?,
-            s2: r(s2)?,
-            pc: r(pc)?,
+            d1: *d1,
+            s1: *s1,
+            d2: *d2,
+            s2: *s2,
+            pc: *pc,
         },
         [MovI { d: d1, s: s1 }, MovI { d: d2, s: s2 }, ..] => RegOp::Mov2I {
-            d1: r(d1)?,
-            s1: r(s1)?,
-            d2: r(d2)?,
-            s2: r(s2)?,
+            d1: *d1,
+            s1: *s1,
+            d2: *d2,
+            s2: *s2,
         },
         [MovI { d, s }, Jmp { pc }, ..] => RegOp::MovIJmp {
-            d: r(d)?,
-            s: r(s)?,
-            pc: r(pc)?,
+            d: *d,
+            s: *s,
+            pc: *pc,
         },
         [MovC { d, s }, Jmp { pc }, ..] => RegOp::MovCJmp {
-            d: r(d)?,
-            s: r(s)?,
-            pc: r(pc)?,
+            d: *d,
+            s: *s,
+            pc: *pc,
         },
         // Loop-counter increment feeding its phi move (`t = i + 1; i = t`),
         // extending to the whole latch (`...; s = u; jmp`) when the next
@@ -193,23 +178,23 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
         [IntBinImm { op, d, a, imm }, MovI { d: d2, s: s2 }, MovI { d: d3, s: s3 }, Jmp { pc }] => {
             RegOp::IntBinImmMov2IJmp {
                 op: *op,
-                d: r(d)?,
-                a: r(a)?,
+                d: *d,
+                a: *a,
                 imm: im(imm)?,
-                d2: r(d2)?,
-                s2: r(s2)?,
-                d3: r(d3)?,
-                s3: r(s3)?,
-                pc: r(pc)?,
+                d2: *d2,
+                s2: *s2,
+                d3: *d3,
+                s3: *s3,
+                pc: *pc,
             }
         }
         [IntBinImm { op, d, a, imm }, MovI { d: d2, s: s2 }, ..] => RegOp::IntBinImmMovI {
             op: *op,
-            d: r(d)?,
-            a: r(a)?,
+            d: *d,
+            a: *a,
             imm: im(imm)?,
-            d2: r(d2)?,
-            s2: r(s2)?,
+            d2: *d2,
+            s2: *s2,
         },
         // Tensor element load feeding an ALU op (load-op); `checked` rides
         // along, so proved and unproved accesses fuse alike.
@@ -220,12 +205,12 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
             i,
             checked,
         }, IntBinImm { op, d, a, imm }, ..] => RegOp::TenPart1IntBinImm {
-            e: r(e)?,
-            t: r(t)?,
-            i: r(i)?,
+            e: *e,
+            t: *t,
+            i: *i,
             op: *op,
-            d: r(d)?,
-            a: r(a)?,
+            d: *d,
+            a: *a,
             imm: im(imm)?,
             checked: *checked,
         },
@@ -236,13 +221,13 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
             i,
             checked,
         }, IntBin { op, d, a, b }, ..] => RegOp::TenPart1IntBin {
-            e: r(e)?,
-            t: r(t)?,
-            i: r(i)?,
+            e: *e,
+            t: *t,
+            i: *i,
             op: *op,
-            d: r(d)?,
-            a: r(a)?,
-            b: r(b)?,
+            d: *d,
+            a: *a,
+            b: *b,
             checked: *checked,
         },
         [TenPart2 {
@@ -253,14 +238,14 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
             j,
             checked,
         }, FltBin { op, d, a, b }, ..] => RegOp::TenPart2FltBin {
-            e: r(e)?,
-            t: r(t)?,
-            i: r(i)?,
-            j: r(j)?,
+            e: *e,
+            t: *t,
+            i: *i,
+            j: *j,
             op: *op,
-            d: r(d)?,
-            a: r(a)?,
-            b: r(b)?,
+            d: *d,
+            a: *a,
+            b: *b,
             checked: *checked,
         },
         // ALU pairs (integer/float multiply-add chains and friends).
@@ -276,12 +261,12 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
             imm: imm2,
         }, ..] => RegOp::IntBinImm2 {
             op1: *op1,
-            d1: r(d1)?,
-            a1: r(a1)?,
+            d1: *d1,
+            a1: *a1,
             imm1: im(imm1)?,
             op2: *op2,
-            d2: r(d2)?,
-            a2: r(a2)?,
+            d2: *d2,
+            a2: *a2,
             imm2: im(imm2)?,
         },
         [IntBin {
@@ -296,13 +281,13 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
             b: b2,
         }, ..] => RegOp::IntBin2 {
             op1: *op1,
-            d1: r(d1)?,
-            a1: r(a1)?,
-            b1: r(b1)?,
+            d1: *d1,
+            a1: *a1,
+            b1: *b1,
             op2: *op2,
-            d2: r(d2)?,
-            a2: r(a2)?,
-            b2: r(b2)?,
+            d2: *d2,
+            a2: *a2,
+            b2: *b2,
         },
         [FltBin {
             op: op1,
@@ -316,19 +301,16 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
             b: b2,
         }, ..] => RegOp::FltBin2 {
             op1: *op1,
-            d1: r(d1)?,
-            a1: r(a1)?,
-            b1: r(b1)?,
+            d1: *d1,
+            a1: *a1,
+            b1: *b1,
             op2: *op2,
-            d2: r(d2)?,
-            a2: r(a2)?,
-            b2: r(b2)?,
+            d2: *d2,
+            a2: *a2,
+            b2: *b2,
         },
         // Function-epilogue release pairs.
-        [Release { v: v1 }, Release { v: v2 }, ..] => RegOp::Release2 {
-            v1: r(v1)?,
-            v2: r(v2)?,
-        },
+        [Release { v: v1 }, Release { v: v2 }, ..] => RegOp::Release2 { v1: *v1, v2: *v2 },
         _ => return None,
     })
 }

@@ -7,7 +7,7 @@
 
 use crate::machine::{
     ArgVal, Bank, CmpCode, CpxOp, ElemKind, ElisionCounters, ExprOp, FltOp, FltUnOp, IntOp,
-    IntUnOp, NativeFunc, NativeProgram, RegOp, Slot, TenOp,
+    IntUnOp, InvalidCode, KernelCall, NativeFunc, NativeProgram, RegOp, Slot, TenOp,
 };
 use crate::{refcount, regalloc};
 use std::collections::{HashMap, HashSet};
@@ -27,6 +27,9 @@ pub enum LowerError {
     /// An unresolved builtin reached code generation (resolution bug or a
     /// function outside the compilable subset).
     Unsupported(String),
+    /// The lowered code failed [`NativeFunc::new`]'s checks (a lowering
+    /// bug).
+    Invalid(InvalidCode),
 }
 
 impl std::fmt::Display for LowerError {
@@ -34,6 +37,7 @@ impl std::fmt::Display for LowerError {
         match self {
             LowerError::MissingType(what) => write!(f, "missing type for {what}"),
             LowerError::Unsupported(what) => write!(f, "cannot generate code for {what}"),
+            LowerError::Invalid(why) => write!(f, "invalid native code: {why}"),
         }
     }
 }
@@ -54,11 +58,11 @@ pub fn lower_program(
     options: &CompilerOptions,
     range_facts: Option<&RangeFacts>,
 ) -> Result<NativeProgram, LowerError> {
-    let name_to_index: HashMap<&str, usize> = pm
+    let name_to_index: HashMap<&str, u32> = pm
         .functions
         .iter()
-        .enumerate()
-        .map(|(ix, f)| (f.name.as_str(), ix))
+        .zip(0..)
+        .map(|(f, ix)| (f.name.as_str(), ix))
         .collect();
     let mut out = NativeProgram::default();
     for f in &pm.functions {
@@ -99,11 +103,11 @@ fn tensor_elem(ty: &Type) -> Option<&Type> {
 
 struct Lowering<'a> {
     f: &'a Function,
-    funcs: &'a HashMap<&'a str, usize>,
+    funcs: &'a HashMap<&'a str, u32>,
     opts: &'a CompilerOptions,
     /// The register of each variable, indexed by its number.
     slots: Vec<Option<Slot>>,
-    counters: [usize; 4],
+    counters: [u32; 4],
     code: Vec<RegOp>,
     block_pc: HashMap<BlockId, usize>,
     patches: Vec<(usize, BlockId)>,
@@ -122,7 +126,7 @@ struct Lowering<'a> {
     current_event: usize,
     /// Deduplicated constant loads, hoisted into a function prologue so
     /// loop bodies do not re-materialize immediates each iteration.
-    const_cache: HashMap<(String, Bank), usize>,
+    const_cache: HashMap<(String, Bank), u32>,
     prologue: Vec<RegOp>,
     /// Interval facts for this function (proved bounds/overflow sites),
     /// when range-check elision is on.
@@ -133,7 +137,7 @@ struct Lowering<'a> {
 
 fn lower_function(
     f: &Function,
-    funcs: &HashMap<&str, usize>,
+    funcs: &HashMap<&str, u32>,
     opts: &CompilerOptions,
     facts: Option<&FnRangeFacts>,
 ) -> Result<NativeFunc, LowerError> {
@@ -193,20 +197,18 @@ fn lower_function(
         l.code = code;
     }
     l.elision.rc_elided = refcount::cancel_idle_pairs(&mut l.code);
-    Ok(NativeFunc {
-        name: f.name.clone(),
-        code: l.code,
-        n_int: l.counters[0],
-        n_flt: l.counters[1],
-        n_cpx: l.counters[2],
-        n_val: l.counters[3],
-        params: l.params,
-        elision: l.elision,
-    })
+    NativeFunc::new(
+        f.name.clone(),
+        l.code,
+        l.counters.map(|n| n as usize),
+        l.params,
+        l.elision,
+    )
+    .map_err(LowerError::Invalid)
 }
 
 impl<'a> Lowering<'a> {
-    fn bump(&mut self, bank: Bank) -> usize {
+    fn bump(&mut self, bank: Bank) -> u32 {
         let ix = regalloc::bank_index(bank);
         let v = self.counters[ix];
         self.counters[ix] += 1;
@@ -265,7 +267,7 @@ impl<'a> Lowering<'a> {
 
     /// Materializes a value-bank operand, reporting whether the resulting
     /// register may be *consumed* (moved from) by the instruction.
-    fn operand_v_take(&mut self, o: &Operand) -> Result<(usize, bool), LowerError> {
+    fn operand_v_take(&mut self, o: &Operand) -> Result<(u32, bool), LowerError> {
         let ix = self.operand(o, Bank::V)?;
         Ok(match o {
             // Constant slots are shared (hoisted) or, in the naive-array
@@ -281,7 +283,7 @@ impl<'a> Lowering<'a> {
 
     /// Emits a value move that steals the source register when allowed;
     /// nothing when coalescing gave both ends one register.
-    fn push_v_move(&mut self, d: usize, s: usize, take: bool) {
+    fn push_v_move(&mut self, d: u32, s: u32, take: bool) {
         if d != s {
             self.code.push(if take {
                 RegOp::TakeV { d, s }
@@ -292,7 +294,7 @@ impl<'a> Lowering<'a> {
     }
 
     /// Emits `d = s` in `bank`; nothing when both ends are one register.
-    fn push_mov(&mut self, bank: Bank, d: usize, s: usize) {
+    fn push_mov(&mut self, bank: Bank, d: u32, s: u32) {
         if d != s {
             self.code.push(match bank {
                 Bank::I => RegOp::MovI { d, s },
@@ -305,7 +307,7 @@ impl<'a> Lowering<'a> {
 
     /// Materializes an operand into a slot of the given bank, emitting
     /// loads/conversions for constants.
-    fn operand(&mut self, o: &Operand, bank: Bank) -> Result<usize, LowerError> {
+    fn operand(&mut self, o: &Operand, bank: Bank) -> Result<u32, LowerError> {
         match o {
             Operand::Var(v) => {
                 let s = self.var_slot(*v);
@@ -525,7 +527,7 @@ impl<'a> Lowering<'a> {
                     self.code.push(RegOp::MakeClosure {
                         d: d.ix,
                         f: fix,
-                        captures: caps,
+                        captures: caps.into(),
                     });
                 }
                 Instr::AbortCheck => self.code.push(RegOp::AbortCheck),
@@ -630,9 +632,11 @@ impl<'a> Lowering<'a> {
                     arg_slots.push(Slot::new(bank, ix));
                 }
                 self.code.push(RegOp::CallKernel {
-                    head: head.clone(),
-                    args: arg_slots.into(),
                     ret: dslot,
+                    call: Box::new(KernelCall {
+                        head: head.clone(),
+                        args: arg_slots.into(),
+                    }),
                 });
                 Ok(())
             }
@@ -977,7 +981,7 @@ impl<'a> Lowering<'a> {
                 RegOp::TenFromList {
                     kind: elem_kind(&params[0]),
                     d,
-                    items,
+                    items: items.into(),
                 }
             }
             Prim::DotVector => {

@@ -19,13 +19,13 @@
 //! and releases alternate, and removing one adjacent pair keeps them
 //! alternating, so counts stay balanced, unwinding included.
 
-use crate::machine::{compact, RegOp};
+use crate::machine::{compact, Bank, RegOp};
 use std::collections::BTreeMap;
 
 /// Removes every refcount pair that brackets nothing from a function's
 /// code, remapping branch targets. Returns the number of ops removed.
 pub(crate) fn cancel_idle_pairs(code: &mut Vec<RegOp>) -> u32 {
-    let mut rc_ops: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    let mut rc_ops: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (pc, op) in code.iter().enumerate() {
         if let Some((v, _)) = rc_op(op) {
             rc_ops.entry(v).or_default().push(pc);
@@ -50,7 +50,7 @@ pub(crate) fn cancel_idle_pairs(code: &mut Vec<RegOp>) -> u32 {
         });
     }
     let mut cfg = Code {
-        regs: code.iter().map(RegOp::value_regs).collect(),
+        regs: code.iter().map(value_regs).collect(),
         code,
         succs: Adjacency::new(n, edges.iter().copied()),
         preds: Adjacency::new(n, edges.iter().map(|&(a, b)| (b, a))),
@@ -71,8 +71,17 @@ pub(crate) fn cancel_idle_pairs(code: &mut Vec<RegOp>) -> u32 {
     u32::try_from(count).expect("op count fits u32")
 }
 
+/// The value-bank registers an op touches.
+fn value_regs(op: &RegOp) -> Vec<u32> {
+    op.regs()
+        .into_iter()
+        .filter(|s| s.bank == Bank::V)
+        .map(|s| s.ix)
+        .collect()
+}
+
 /// `(register, is_acquire)` of an `Acquire`/`Release`.
-fn rc_op(op: &RegOp) -> Option<(usize, bool)> {
+fn rc_op(op: &RegOp) -> Option<(u32, bool)> {
     match op {
         RegOp::Acquire { v } => Some((*v, true)),
         RegOp::Release { v } => Some((*v, false)),
@@ -109,7 +118,7 @@ struct Code<'a> {
     code: &'a [RegOp],
     succs: Adjacency,
     preds: Adjacency,
-    regs: Vec<Vec<usize>>,
+    regs: Vec<Vec<u32>>,
     removed: Vec<bool>,
     /// `seen[pc] == stamp`: visited by the current walk.
     seen: Vec<u32>,
@@ -117,7 +126,7 @@ struct Code<'a> {
 }
 
 impl Code<'_> {
-    fn touches(&self, pc: usize, r: usize) -> bool {
+    fn touches(&self, pc: usize, r: u32) -> bool {
         !self.removed[pc] && self.regs[pc].contains(&r)
     }
 
@@ -128,7 +137,7 @@ impl Code<'_> {
 
     /// The op every path from `pc` reaches first among those touching `r`;
     /// `None` when paths reach different ones or leave the function first.
-    fn next_touch(&mut self, pc: usize, r: usize) -> Option<usize> {
+    fn next_touch(&mut self, pc: usize, r: u32) -> Option<usize> {
         self.stamp += 1;
         let mut stack = self.succs.of(pc).to_vec();
         let mut found = None;
@@ -153,7 +162,7 @@ impl Code<'_> {
     /// The first ops of a cancellable pair whose second op is `y`: every
     /// path into `y` last touched `r` at a refcount op of the other kind
     /// whose every path reaches `y` first.
-    fn first_ops(&mut self, y: usize, r: usize, y_acquires: bool) -> Option<Vec<usize>> {
+    fn first_ops(&mut self, y: usize, r: u32, y_acquires: bool) -> Option<Vec<usize>> {
         if y == 0 {
             return None;
         }
@@ -189,7 +198,7 @@ impl Code<'_> {
     /// Cancels every pair on `r` whose second op is an acquire (a release
     /// when `y_acquires` is false); `ops` are `r`'s refcount ops. Returns
     /// whether any went.
-    fn cancel_round(&mut self, r: usize, ops: &[usize], y_acquires: bool) -> bool {
+    fn cancel_round(&mut self, r: u32, ops: &[usize], y_acquires: bool) -> bool {
         let mut any = false;
         for &y in ops {
             if self.removed[y] || rc_op(&self.code[y]) != Some((r, y_acquires)) {
@@ -212,7 +221,7 @@ mod tests {
     use super::*;
     use crate::machine::{Bank, IntOp, Slot};
 
-    fn ret_v(s: usize) -> RegOp {
+    fn ret_v(s: u32) -> RegOp {
         RegOp::Ret {
             s: Slot::new(Bank::V, s),
         }

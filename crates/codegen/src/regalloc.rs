@@ -35,7 +35,7 @@ pub(crate) struct Registers {
     /// The register of every defined variable, indexed by its number.
     pub slots: Vec<Option<Slot>>,
     /// Registers used per bank (`I`, `F`, `C`, `V`).
-    pub counts: [usize; 4],
+    pub counts: [u32; 4],
     /// Value-bank reads after which the register is dead, keyed
     /// `(block, event, var)`: such a read may move the value out of the
     /// register instead of cloning it (F5).

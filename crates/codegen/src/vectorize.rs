@@ -66,7 +66,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::machine::{ElemKind, FltOp, IntOp, IntUnOp, NativeFunc, NativeProgram, RegOp};
+use crate::machine::{
+    Bank, ElemKind, FltOp, IntOp, IntUnOp, NativeFunc, NativeProgram, RegOp, Slot,
+};
 use wolfram_runtime::simd::{self, SimdOp};
 use wolfram_runtime::{
     memory, parallel, AbortSignal, ParallelConfig, RuntimeError, Tensor, TensorData, Value,
@@ -202,6 +204,44 @@ pub struct VecPlan {
     pub prechecked: u32,
 }
 
+impl VecPlan {
+    /// Every register the batch reads or writes, with its bank (for
+    /// [`RegOp::regs`]).
+    pub(crate) fn regs(&self) -> Vec<Slot> {
+        let affines = self
+            .nodes
+            .iter()
+            .flat_map(|n| match n {
+                VecNode::Load { row, col, .. } => vec![row.as_ref(), Some(col)],
+                _ => Vec::new(),
+            })
+            .chain([self.out.row.as_ref(), Some(&self.out.col)])
+            .flatten()
+            .chain(&self.int_checks);
+        let ints = [self.iv, self.bound]
+            .into_iter()
+            .chain(affines.flat_map(|a| a.terms.iter().map(|&(r, _)| r)))
+            .map(|r| Slot::new(Bank::I, r));
+        let flts = self
+            .nodes
+            .iter()
+            .filter_map(|n| match n {
+                VecNode::Reg(r) => Some(*r),
+                _ => None,
+            })
+            .chain(self.div_checks.iter().copied())
+            .map(|r| Slot::new(Bank::F, r));
+        let vals = self
+            .tensors
+            .iter()
+            .map(|t| t.slot)
+            .chain([self.out.slot])
+            .chain(self.managed_checks.iter().copied())
+            .map(|r| Slot::new(Bank::V, r));
+        ints.chain(flts).chain(vals).collect()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Plan-time symbolic execution.
 // ---------------------------------------------------------------------------
@@ -211,7 +251,7 @@ pub struct VecPlan {
 struct SymAffine {
     c: i64,
     /// Sorted by register, no zero coefficients.
-    terms: Vec<(usize, i64)>,
+    terms: Vec<(u32, i64)>,
 }
 
 impl SymAffine {
@@ -222,7 +262,7 @@ impl SymAffine {
         }
     }
 
-    fn reg(r: usize) -> Self {
+    fn reg(r: u32) -> Self {
         SymAffine {
             c: 0,
             terms: vec![(r, 1)],
@@ -285,7 +325,7 @@ impl SymAffine {
     }
 
     /// Is exactly `Init(r) + 1` (the induction-variable step)?
-    fn is_incr_of(&self, r: usize) -> bool {
+    fn is_incr_of(&self, r: u32) -> bool {
         self.c == 1 && self.terms == [(r, 1)]
     }
 }
@@ -303,9 +343,9 @@ enum IForm {
 #[derive(Debug, Clone, PartialEq)]
 enum SymNode {
     Const(f64),
-    Reg(usize),
+    Reg(u32),
     Load {
-        slot: usize,
+        slot: u32,
         rank: u32,
         row: Option<SymAffine>,
         col: SymAffine,
@@ -324,7 +364,7 @@ enum SymNode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Obj {
     /// The entry value of slot `s`.
-    Orig(usize),
+    Orig(u32),
     /// Taken (`Value::Null`).
     Null,
 }
@@ -336,26 +376,26 @@ enum FlagSim {
 }
 
 struct Planner {
-    imap: HashMap<usize, IForm>,
-    written_ints: HashSet<usize>,
+    imap: HashMap<u32, IForm>,
+    written_ints: HashSet<u32>,
     /// Integer registers read before their first write in the iteration:
     /// their entry value is live into the body, so writing them makes the
     /// register loop-carried.
-    first_read_ints: HashSet<usize>,
+    first_read_ints: HashSet<u32>,
     nodes: Vec<SymNode>,
-    fmap: HashMap<usize, usize>,
-    written_flts: HashSet<usize>,
+    fmap: HashMap<u32, usize>,
+    written_flts: HashSet<u32>,
     /// Float registers read before their first write in the iteration.
-    first_read_flts: HashSet<usize>,
-    vmap: HashMap<usize, Obj>,
+    first_read_flts: HashSet<u32>,
+    vmap: HashMap<u32, Obj>,
     /// First access per touched value slot: `true` = overwrite-first.
-    first_access: HashMap<usize, bool>,
-    flags: HashMap<usize, FlagSim>,
-    store: Option<(usize, u32, Option<SymAffine>, SymAffine, usize, bool)>,
+    first_access: HashMap<u32, bool>,
+    flags: HashMap<u32, FlagSim>,
+    store: Option<(u32, u32, Option<SymAffine>, SymAffine, usize, bool)>,
     int_checks: Vec<SymAffine>,
     prechecked: u32,
-    div_regs: HashSet<usize>,
-    managed: HashSet<usize>,
+    div_regs: HashSet<u32>,
+    managed: HashSet<u32>,
     acquires: u64,
     releases: u64,
 }
@@ -383,7 +423,7 @@ impl Planner {
         }
     }
 
-    fn rd_i(&mut self, r: usize) -> IForm {
+    fn rd_i(&mut self, r: u32) -> IForm {
         if !self.written_ints.contains(&r) {
             self.first_read_ints.insert(r);
         }
@@ -393,12 +433,12 @@ impl Planner {
             .unwrap_or_else(|| IForm::Aff(SymAffine::reg(r)))
     }
 
-    fn wr_i(&mut self, r: usize, f: IForm) {
+    fn wr_i(&mut self, r: u32, f: IForm) {
         self.imap.insert(r, f);
         self.written_ints.insert(r);
     }
 
-    fn rd_f(&mut self, r: usize) -> usize {
+    fn rd_f(&mut self, r: u32) -> usize {
         if !self.written_flts.contains(&r) {
             self.first_read_flts.insert(r);
         }
@@ -411,7 +451,7 @@ impl Planner {
         id
     }
 
-    fn wr_f(&mut self, r: usize, node: usize) {
+    fn wr_f(&mut self, r: u32, node: usize) {
         self.fmap.insert(r, node);
         self.written_flts.insert(r);
     }
@@ -421,11 +461,11 @@ impl Planner {
         self.nodes.len() - 1
     }
 
-    fn obj(&self, v: usize) -> Obj {
+    fn obj(&self, v: u32) -> Obj {
         self.vmap.get(&v).copied().unwrap_or(Obj::Orig(v))
     }
 
-    fn touch(&mut self, v: usize, overwrite: bool) {
+    fn touch(&mut self, v: u32, overwrite: bool) {
         self.first_access.entry(v).or_insert(overwrite);
     }
 
@@ -511,7 +551,7 @@ impl Planner {
     fn load_sym(
         &mut self,
         kind: ElemKind,
-        t: usize,
+        t: u32,
         i: IForm,
         j: Option<IForm>,
         relaxed: bool,
@@ -546,7 +586,7 @@ impl Planner {
     fn store_sym(
         &mut self,
         kind: ElemKind,
-        t: usize,
+        t: u32,
         i: IForm,
         j: Option<IForm>,
         v_node: usize,
@@ -574,7 +614,7 @@ impl Planner {
         Some(())
     }
 
-    fn take_v(&mut self, d: usize, s: usize) {
+    fn take_v(&mut self, d: u32, s: u32) {
         self.touch(s, false);
         self.touch(d, true);
         let o = self.obj(s);
@@ -582,7 +622,7 @@ impl Planner {
         self.vmap.insert(s, Obj::Null);
     }
 
-    fn acquire(&mut self, v: usize) {
+    fn acquire(&mut self, v: u32) {
         self.touch(v, false);
         if let Obj::Orig(s) = self.obj(v) {
             // Runtime-verified managed ⇒ records exactly once.
@@ -594,7 +634,7 @@ impl Planner {
         // untouched.
     }
 
-    fn release(&mut self, v: usize) -> Option<()> {
+    fn release(&mut self, v: u32) -> Option<()> {
         self.touch(v, false);
         match self.flags.get(&v).copied().unwrap_or(FlagSim::Unknown) {
             FlagSim::Known(true) => {
@@ -737,7 +777,7 @@ impl Planner {
 /// The back-edge target of an op that ends in an unconditional jump.
 fn latch_target(op: &RegOp) -> Option<usize> {
     match op.parts().last() {
-        Some(RegOp::Jmp { pc }) => Some(*pc),
+        Some(RegOp::Jmp { pc }) => Some(*pc as usize),
         _ => None,
     }
 }
@@ -745,10 +785,10 @@ fn latch_target(op: &RegOp) -> Option<usize> {
 /// Header compare shape: induction variable, bound, inclusivity, the
 /// condition register it writes, the exit target and the body start.
 struct Header {
-    iv: usize,
-    bound: usize,
+    iv: u32,
+    bound: u32,
     inclusive: bool,
-    cond: usize,
+    cond: u32,
     exit: usize,
     body: usize,
 }
@@ -776,8 +816,8 @@ fn header_compare(op: &RegOp) -> Option<Header> {
         bound: *b,
         inclusive,
         cond: *d,
-        exit: *exit,
-        body: *body,
+        exit: *exit as usize,
+        body: *body as usize,
     })
 }
 
@@ -911,7 +951,7 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
             } else if pl.written_ints.contains(&r) {
                 return None;
             } else {
-                out.terms.push((to_u32(r)?, co));
+                out.terms.push((r, co));
             }
         }
         Some(out)
@@ -919,7 +959,7 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
     // Compact the node list to reachable nodes (insertion order is
     // already topological) and collect input tensors.
     let mut tensors: Vec<TensorRef> = Vec::new();
-    let mut tensor_ix: HashMap<usize, u32> = HashMap::new();
+    let mut tensor_ix: HashMap<u32, u32> = HashMap::new();
     let mut remap: Vec<Option<u32>> = vec![None; pl.nodes.len()];
     let mut nodes: Vec<VecNode> = Vec::new();
     for (i, n) in pl.nodes.iter().enumerate() {
@@ -932,7 +972,7 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
                 if pl.written_flts.contains(r) {
                     return None; // reads a body-written float: recurrence
                 }
-                VecNode::Reg(to_u32(*r)?)
+                VecNode::Reg(*r)
             }
             SymNode::Load {
                 slot,
@@ -954,7 +994,7 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
                     None => {
                         let ix = to_u32(tensors.len())?;
                         tensors.push(TensorRef {
-                            slot: to_u32(*slot)?,
+                            slot: *slot,
                             rank: *rank,
                         });
                         tensor_ix.insert(*slot, ix);
@@ -988,7 +1028,7 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
         .map(lower)
         .collect::<Option<Vec<_>>>()?;
     let out = StoreSpec {
-        slot: to_u32(out_slot)?,
+        slot: out_slot,
         rank: out_rank,
         row: match &out_row {
             Some(r) => Some(lower(r)?),
@@ -997,21 +1037,13 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
         col: lower(&out_col)?,
         relaxed: out_relaxed,
     };
-    let mut div_checks: Vec<u32> = pl
-        .div_regs
-        .iter()
-        .map(|&r| to_u32(r))
-        .collect::<Option<Vec<_>>>()?;
+    let mut div_checks: Vec<u32> = pl.div_regs.iter().copied().collect();
     div_checks.sort_unstable();
-    let mut managed_checks: Vec<u32> = pl
-        .managed
-        .iter()
-        .map(|&s| to_u32(s))
-        .collect::<Option<Vec<_>>>()?;
+    let mut managed_checks: Vec<u32> = pl.managed.iter().copied().collect();
     managed_checks.sort_unstable();
     Some(VecPlan {
-        iv: to_u32(h.iv)?,
-        bound: to_u32(h.bound)?,
+        iv: h.iv,
+        bound: h.bound,
         inclusive: h.inclusive,
         tensors,
         out,

@@ -10,8 +10,8 @@ use wolfram_codegen::machine::ElemKind;
 use wolfram_codegen::{ArgVal, Bank, Machine, NativeFunc, NativeProgram, RegOp, Slot};
 use wolfram_runtime::{Tensor, TensorData, Value};
 
-const NI: usize = 6;
-const NF: usize = 6;
+const NI: u32 = 6;
+const NF: u32 = 6;
 
 /// Deterministic generator (split-mix style) so each proptest case is a
 /// pure function of its seed.
@@ -26,8 +26,12 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+    fn below(&mut self, n: u32) -> u32 {
+        (self.next() % u64::from(n)) as u32
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[(self.next() % xs.len() as u64) as usize]
     }
 
     fn int_op(&mut self) -> wolfram_codegen::machine::IntOp {
@@ -48,13 +52,13 @@ impl Rng {
             IntOp::Eq,
             IntOp::Ne,
         ];
-        OPS[self.below(OPS.len())]
+        self.pick(OPS)
     }
 
     fn flt_op(&mut self) -> wolfram_codegen::machine::FltOp {
         use wolfram_codegen::machine::FltOp;
         const OPS: &[FltOp] = &[FltOp::Add, FltOp::Sub, FltOp::Mul, FltOp::Min, FltOp::Max];
-        OPS[self.below(OPS.len())]
+        self.pick(OPS)
     }
 
     fn flt_cmp(&mut self) -> wolfram_codegen::machine::CmpCode {
@@ -67,24 +71,24 @@ impl Rng {
             CmpCode::Eq,
             CmpCode::Ne,
         ];
-        OPS[self.below(OPS.len())]
+        self.pick(OPS)
     }
 }
 
 /// Builds a random straight-line body over `NI` int and `NF` float
 /// registers, seeded with small constants.
-fn random_body(rng: &mut Rng, len: usize) -> Vec<RegOp> {
+fn random_body(rng: &mut Rng, len: u32) -> Vec<RegOp> {
     let mut code = Vec::new();
     for d in 0..NI {
         code.push(RegOp::LdcI {
             d,
-            v: rng.below(201) as i64 - 100,
+            v: i64::from(rng.below(201)) - 100,
         });
     }
     for d in 0..NF {
         code.push(RegOp::LdcF {
             d,
-            v: (rng.below(401) as f64 - 200.0) / 8.0,
+            v: (f64::from(rng.below(401)) - 200.0) / 8.0,
         });
     }
     for _ in 0..len {
@@ -103,7 +107,7 @@ fn random_body(rng: &mut Rng, len: usize) -> Vec<RegOp> {
                 op: rng.int_op(),
                 d: rng.below(NI),
                 a: rng.below(NI),
-                imm: rng.below(15) as i64 - 7,
+                imm: i64::from(rng.below(15)) - 7,
             },
             3 => RegOp::FltBin {
                 op: rng.flt_op(),
@@ -145,21 +149,21 @@ fn run_with(f: &NativeFunc, args: Vec<ArgVal>) -> Result<ArgVal, String> {
 const DIM: usize = 4;
 /// Int registers `0..N_IX` hold Part indices and are never overwritten;
 /// the last one is out of range and only ever used by checked accesses.
-const N_IX: usize = 5;
+const N_IX: u32 = 5;
 /// Int bank of the tensor-shape test: the index registers plus a data pool.
-const TNI: usize = N_IX + 4;
+const TNI: u32 = N_IX + 4;
 
 /// Builds a straight-line body of `steps` tensor steps — integer load-op
 /// (register and immediate form), real matrix load-op, and 1-D/2-D
 /// in-place element store — each in a random `checked` state. The vector
 /// lives in `v0` and the matrix in `v1`. Returns the body and the number
 /// of load-op pairs in it, each of which fuses; a store fuses with nothing.
-fn random_tensor_body(rng: &mut Rng, steps: usize) -> (Vec<RegOp>, usize) {
-    let valid: [i64; N_IX - 1] = [1, DIM as i64, -1, -(DIM as i64)];
+fn random_tensor_body(rng: &mut Rng, steps: u32) -> (Vec<RegOp>, usize) {
+    let valid: [i64; N_IX as usize - 1] = [1, DIM as i64, -1, -(DIM as i64)];
     let mut code: Vec<RegOp> = valid
         .iter()
-        .enumerate()
-        .map(|(d, &v)| RegOp::LdcI { d, v })
+        .zip(0..)
+        .map(|(&v, d)| RegOp::LdcI { d, v })
         .collect();
     code.push(RegOp::LdcI {
         d: N_IX - 1,
@@ -168,13 +172,13 @@ fn random_tensor_body(rng: &mut Rng, steps: usize) -> (Vec<RegOp>, usize) {
     for d in N_IX..TNI {
         code.push(RegOp::LdcI {
             d,
-            v: rng.below(21) as i64 - 10,
+            v: i64::from(rng.below(21)) - 10,
         });
     }
     for d in 0..NF {
         code.push(RegOp::LdcF {
             d,
-            v: (rng.below(401) as f64 - 200.0) / 8.0,
+            v: (f64::from(rng.below(401)) - 200.0) / 8.0,
         });
     }
     let (vec_slot, mat_slot) = (0, 1);
@@ -207,7 +211,7 @@ fn random_tensor_body(rng: &mut Rng, steps: usize) -> (Vec<RegOp>, usize) {
                         op,
                         d,
                         a,
-                        imm: rng.below(15) as i64 - 7,
+                        imm: i64::from(rng.below(15)) - 7,
                     }
                 });
             }
@@ -269,8 +273,8 @@ proptest! {
             let unfused = NativeFunc {
                 name: "Main".into(),
                 code,
-                n_int: NI,
-                n_flt: NF,
+                n_int: NI as usize,
+                n_flt: NF as usize,
                 n_cpx: 0,
                 n_val: 0,
                 params: Vec::new(),
@@ -320,8 +324,8 @@ proptest! {
             let unfused = NativeFunc {
                 name: "Main".into(),
                 code,
-                n_int: TNI,
-                n_flt: NF,
+                n_int: TNI as usize,
+                n_flt: NF as usize,
                 n_cpx: 0,
                 n_val: 2,
                 params: vec![Slot::new(Bank::V, 0), Slot::new(Bank::V, 1)],
@@ -347,9 +351,9 @@ proptest! {
         let mut rng = Rng(seed);
         // i = trip; do { body; i -= 1 } while (i != 0); return a register.
         // The loop counter lives in register NI, outside the random pool.
-        let trip = 1 + rng.below(5) as i64;
+        let trip = 1 + i64::from(rng.below(5));
         let mut code = vec![RegOp::LdcI { d: NI, v: trip }];
-        let loop_top = code.len();
+        let loop_top = code.len() as u32;
         let body_len = 2 + rng.below(8);
         code.extend(random_body(&mut rng, body_len));
         code.push(RegOp::IntBinImm {
@@ -358,14 +362,14 @@ proptest! {
             a: NI,
             imm: 1,
         });
-        code.push(RegOp::Brz { c: NI, pc: code.len() + 2 });
+        code.push(RegOp::Brz { c: NI, pc: code.len() as u32 + 2 });
         code.push(RegOp::Jmp { pc: loop_top });
         code.push(RegOp::Ret { s: Slot::new(Bank::I, rng.below(NI)) });
         let unfused = NativeFunc {
             name: "Main".into(),
             code,
-            n_int: NI + 1,
-            n_flt: NF,
+            n_int: NI as usize + 1,
+            n_flt: NF as usize,
             n_cpx: 0,
             n_val: 0,
             params: Vec::new(),
