@@ -15,9 +15,10 @@
 # ratio change/parent, and "change ahead k/N": the pairs in which the change
 # was better on that metric (higher ops_per_s; lower op_p50_us, setup_s,
 # peak_rss_mb). Failed operations are summed per side. Ends with
-# scripts/placement.sh on both benchmark binaries: a ratio that moves while
-# ops_executed does not, next to a different Machine::run offset mod 64, is
-# link placement.
+# scripts/placement.sh on both benchmark binaries (every Machine::run
+# instance: address, size, offset mod 64, stack frame): a ratio that moves
+# while ops_executed does not, next to a different Machine::run offset mod
+# 64, is link placement.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -19,8 +19,9 @@
 #   benchmark:  bash benchmark/run.sh --smoke
 #               cargo test -q --offline --manifest-path benchmark/Cargo.toml
 #   placement:  scripts/placement.sh on the benchmark binary just built
-#               (Machine::run's address, size, address mod 64; fails if
-#               the symbol is gone)
+#               (each Machine::run instance's address, size, address mod 64
+#               and stack frame); fails unless there are exactly two, the
+#               plain and the profiling dispatch loop
 #   scripts:    bash -n scripts/ab.sh (the A/B procedure is too slow to run
 #               here; its syntax is checked)
 #   lint:       cargo clippy --all-targets -- -D warnings (root, then
@@ -118,7 +119,14 @@ echo "==> benchmark: its own tests (spec/BENCHMARK.json contract)"
 CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> placement: where Machine::run landed in the benchmark binary"
-scripts/placement.sh "${CARGO_TARGET_DIR:-$PWD/target}/release/wolfram-benchmark"
+placement=$(scripts/placement.sh "${CARGO_TARGET_DIR:-$PWD/target}/release/wolfram-benchmark")
+echo "$placement"
+# `run` is generic over the op profiler and instantiated in one place, so
+# a crate that calls `Machine::call` adds no copy of the dispatch loop.
+if [ "$(grep -c 'Machine::run at' <<< "$placement")" -ne 2 ]; then
+  echo "the benchmark binary must hold exactly two Machine::run instances" >&2
+  exit 1
+fi
 
 echo "==> scripts: bash -n scripts/ab.sh"
 bash -n scripts/ab.sh
