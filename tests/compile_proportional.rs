@@ -16,7 +16,9 @@ use wolfram_compiler_core::{Compiler, CompilerOptions};
 use wolfram_difftest::gen::Program;
 use wolfram_expr::{parse, Expr};
 use wolfram_ir::passes::OPT_PASSES;
-use wolfram_ir::{run_pass, Block, BlockId, Constant, Function, Instr, ProgramModule, VarId};
+use wolfram_ir::{
+    run_pass, Block, BlockId, Callee, Constant, Function, Instr, ProgramModule, VarId,
+};
 use wolfram_types::Type;
 
 /// The seven §6 programs.
@@ -228,9 +230,23 @@ fn describe(pm: &ProgramModule) -> String {
     out
 }
 
+/// Also requires that function resolution left no `Callee::Builtin`: the
+/// passes classify and fold a call by its primitive row alone, so an
+/// unresolved head reaching them would only be treated conservatively.
 fn fingerprint_of(compiler: &Compiler, func: &Expr) -> u64 {
     match compiler.compile_to_twir(func, None) {
-        Ok(pm) => fnv1a(&describe(&pm)),
+        Ok(pm) => {
+            for i in pm.functions.iter().flat_map(Function::instrs) {
+                if let Instr::Call {
+                    callee: Callee::Builtin(head),
+                    ..
+                } = i
+                {
+                    panic!("a call of {head} survives function resolution");
+                }
+            }
+            fnv1a(&describe(&pm))
+        }
         Err(e) => fnv1a(&format!("does not compile: {e}")),
     }
 }
