@@ -651,95 +651,10 @@ mod tests {
             for def in env.lookup(&name) {
                 if let FunctionImpl::Primitive(p) = def.implementation {
                     declared.insert(p);
-                    // A primitive folds as a head it is declared under.
-                    if let Some(head) = p.fold_head() {
-                        assert!(
-                            env.lookup(head)
-                                .iter()
-                                .any(|d| d.implementation == FunctionImpl::Primitive(p)),
-                            "{} folds as {head} but is not declared under it",
-                            p.name()
-                        );
-                    }
                 }
             }
         }
         let all: std::collections::HashSet<Prim> = Prim::ALL.iter().copied().collect();
         assert_eq!(declared, all);
-    }
-
-    /// `pure_builtin`/`total_builtin` classify a head before resolution
-    /// has picked an overload; a primitive's row classifies the overload.
-    /// Where the two disagree on a scalar overload the pair is written
-    /// down here, once; a pair that starts to agree must leave the list.
-    #[test]
-    fn head_level_purity_agrees_with_the_primitive_rows_up_to_the_listed_pairs() {
-        use wolfram_ir::module::{pure_builtin, total_builtin};
-        use Prim::*;
-        let listed: &[(&str, Prim)] = &[
-            // The row is conservatively impure, the head is listed pure
-            // (BitAnd, BitOr, BitXor, Re, Im, Conjugate also total).
-            ("BitAnd", BitAnd),
-            ("BitOr", BitOr),
-            ("BitXor", BitXor),
-            ("BitShiftLeft", BitShiftLeft),
-            ("BitShiftRight", BitShiftRight),
-            ("Abs", ComplexAbs),
-            ("Re", ComplexRe),
-            ("Im", ComplexIm),
-            ("Conjugate", ComplexConjugate),
-            ("StringJoin", StringJoin),
-            ("ToCharacterCode", StringToCodes),
-            ("FromCharacterCode", StringFromCodes),
-            // The row is pure, the head is not listed.
-            ("ArcSin", Elementary(wolfram_types::Elementary::ArcSin)),
-            ("ArcCos", Elementary(wolfram_types::Elementary::ArcCos)),
-            ("GCD", Gcd),
-            ("Factorial", Factorial),
-            // Totality: the row says total and the head list does not (Exp),
-            // or the reverse (ArcTan; List, whose elements may not promote).
-            ("Exp", Elementary(wolfram_types::Elementary::Exp)),
-            ("ArcTan", Elementary(wolfram_types::Elementary::ArcTan)),
-            ("List", ListConstruct),
-        ];
-        let env = builtin_type_environment();
-        for head in env.function_names() {
-            for def in env.lookup(&head) {
-                let FunctionImpl::Primitive(p) = def.implementation else {
-                    continue;
-                };
-                // Tensor, broadcast and symbolic overloads of a head are
-                // all conservatively impure; the head-level lists speak
-                // for the scalar overload.
-                if matches!(
-                    p,
-                    TensorPlus
-                        | TensorSubtract
-                        | TensorTimes
-                        | TensorScalarPlus
-                        | TensorScalarSubtract
-                        | TensorScalarTimes
-                        | ScalarTensorPlus
-                        | ScalarTensorSubtract
-                        | ScalarTensorTimes
-                        | ExprPlus
-                        | ExprSubtract
-                        | ExprTimes
-                        | ExprPower
-                        | ExprUnary(_)
-                ) {
-                    assert!(!p.is_pure());
-                    continue;
-                }
-                let agrees =
-                    pure_builtin(&head) == p.is_pure() && total_builtin(&head) == p.is_total();
-                assert_eq!(
-                    agrees,
-                    !listed.contains(&(head.as_str(), p)),
-                    "{head} / {}",
-                    p.name()
-                );
-            }
-        }
     }
 }

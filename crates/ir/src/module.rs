@@ -357,7 +357,9 @@ impl Instr {
         }
     }
 
-    /// Whether the instruction is pure (no side effects, safe for CSE).
+    /// Whether the instruction is pure (no side effects, safe for CSE). A
+    /// call is pure only as its primitive's row says ([`Prim::is_pure`]);
+    /// any other callee, an unresolved `Builtin` included, is not.
     pub fn is_pure(&self) -> bool {
         match self {
             Instr::LoadArgument { .. }
@@ -365,11 +367,10 @@ impl Instr {
             | Instr::Copy { .. }
             | Instr::Phi { .. }
             | Instr::MakeClosure { .. } => true,
-            Instr::Call { callee, .. } => match callee {
-                Callee::Builtin(name) => pure_builtin(name),
-                Callee::Primitive { prim, .. } => prim.is_pure(),
-                _ => false,
-            },
+            Instr::Call {
+                callee: Callee::Primitive { prim, .. },
+                ..
+            } => prim.is_pure(),
             _ => false,
         }
     }
@@ -382,7 +383,8 @@ impl Instr {
     /// The interpreter evaluates dead code and raises; deleting the
     /// trapping instruction would make compiled code disagree with it
     /// (found by the differential fuzzer: `v = Quotient[x, 0]` with `v`
-    /// never read returned normally under the native engine).
+    /// never read returned normally under the native engine). A call is
+    /// removable only if its primitive's row is total ([`Prim::is_total`]).
     pub fn is_removable(&self) -> bool {
         match self {
             Instr::LoadArgument { .. }
@@ -390,115 +392,13 @@ impl Instr {
             | Instr::Copy { .. }
             | Instr::Phi { .. }
             | Instr::MakeClosure { .. } => true,
-            Instr::Call { callee, .. } => match callee {
-                Callee::Builtin(name) => total_builtin(name),
-                Callee::Primitive { prim, .. } => prim.is_total(),
-                _ => false,
-            },
+            Instr::Call {
+                callee: Callee::Primitive { prim, .. },
+                ..
+            } => prim.is_total(),
             _ => false,
         }
     }
-}
-
-/// Wolfram builtins that are pure at the WIR level.
-pub fn pure_builtin(name: &str) -> bool {
-    matches!(
-        name,
-        "Plus"
-            | "Times"
-            | "Subtract"
-            | "Divide"
-            | "Minus"
-            | "Power"
-            | "Mod"
-            | "Quotient"
-            | "Abs"
-            | "Sign"
-            | "Min"
-            | "Max"
-            | "Floor"
-            | "Ceiling"
-            | "Round"
-            | "Sqrt"
-            | "Exp"
-            | "Log"
-            | "Sin"
-            | "Cos"
-            | "Tan"
-            | "ArcTan"
-            | "Re"
-            | "Im"
-            | "Conjugate"
-            | "Equal"
-            | "Unequal"
-            | "Less"
-            | "Greater"
-            | "LessEqual"
-            | "GreaterEqual"
-            | "SameQ"
-            | "UnsameQ"
-            | "Not"
-            | "And"
-            | "Or"
-            | "Length"
-            | "Part"
-            | "StringLength"
-            | "StringJoin"
-            | "ToCharacterCode"
-            | "FromCharacterCode"
-            | "EvenQ"
-            | "OddQ"
-            | "BitAnd"
-            | "BitOr"
-            | "BitXor"
-            | "BitShiftLeft"
-            | "BitShiftRight"
-            | "List"
-            | "Dot"
-            | "N"
-            | "Boole"
-    )
-}
-
-/// Builtins that are pure *and total* — they cannot raise a runtime error
-/// on any well-typed input, so a dead instance may be removed. Checked
-/// arithmetic (overflow), division (zero), `Part` (range), `Dot` (shape)
-/// are deliberately absent.
-pub fn total_builtin(name: &str) -> bool {
-    matches!(
-        name,
-        "Min"
-            | "Max"
-            | "Sign"
-            | "Sin"
-            | "Cos"
-            | "Tan"
-            | "ArcTan"
-            | "Re"
-            | "Im"
-            | "Conjugate"
-            | "Equal"
-            | "Unequal"
-            | "Less"
-            | "Greater"
-            | "LessEqual"
-            | "GreaterEqual"
-            | "SameQ"
-            | "UnsameQ"
-            | "Not"
-            | "And"
-            | "Or"
-            | "Length"
-            | "StringLength"
-            | "EvenQ"
-            | "OddQ"
-            | "BitAnd"
-            | "BitOr"
-            | "BitXor"
-            | "List"
-            | "N"
-            | "Boole"
-    )
 }
 
 /// A basic block: instructions ending in exactly one terminator.
@@ -703,7 +603,7 @@ mod tests {
     fn defs_and_uses() {
         let i = Instr::Call {
             dst: VarId(3),
-            callee: Callee::Builtin(Arc::from("Plus")),
+            callee: Callee::primitive(Prim::Plus, &[Type::integer64(), Type::integer64()]),
             args: vec![VarId(1).into(), Constant::I64(1).into()],
         };
         assert_eq!(i.def(), Some(VarId(3)));
@@ -735,6 +635,15 @@ mod tests {
             args: vec![],
         };
         assert!(pure.is_pure());
+        // Checked addition may overflow: merged, but never removed.
+        assert!(!pure.is_removable());
+        // Resolution rewrites every head; one it left is conservative.
+        let unresolved = Instr::Call {
+            dst: VarId(0),
+            callee: Callee::Builtin(Arc::from("Plus")),
+            args: vec![],
+        };
+        assert!(!unresolved.is_pure() && !unresolved.is_removable());
         let kernel = Instr::Call {
             dst: VarId(0),
             callee: Callee::Kernel(Arc::from("Print")),

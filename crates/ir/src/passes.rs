@@ -13,10 +13,12 @@ use crate::analysis::{liveness, natural_loops, Cfg, Dominators};
 use crate::module::{Block, BlockId, Callee, Constant, Function, Instr, Operand, VarId};
 use crate::options::{CompilerOptions, VerifyLevel};
 use crate::verify::{verify_function, VerifyError};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wolfram_types::Type;
+use wolfram_runtime::{checked, RuntimeError};
+use wolfram_types::{Cmp, Elementary, Prim, Type};
 
 /// A semantic checker injected into the pipeline at `VerifyLevel::Full`.
 /// Lives behind a function pointer because `wolfram-ir` cannot depend on
@@ -133,10 +135,13 @@ pub fn run_pipeline(
 // Constant folding + dead-branch deletion (SCCP-flavored).
 // ---------------------------------------------------------------------
 
-/// Evaluates a pure builtin over constant arguments. Folding never hides a
-/// runtime numeric exception: overflowing integer ops return `None` so the
-/// soft-failure path (F2) still happens at run time.
-pub fn eval_const_builtin(name: &str, args: &[Constant]) -> Option<Constant> {
+/// Evaluates a call of `prim` over constant arguments, for the rows whose
+/// value is the same at compile time as at run time. Folding never hides a
+/// runtime error: an integer operation that would raise (overflow,
+/// division by zero) and a non-finite elementary result give `None`, so
+/// the call stays and the soft-failure path (F2) still happens at run time.
+pub fn fold(prim: Prim, args: &[Constant]) -> Option<Constant> {
+    use checked::{abs_i64, add_i64, mod_i64, mul_i64, neg_i64, pow_i64, quotient_i64, sub_i64};
     use Constant as C;
     let i2 = || match args {
         [C::I64(a), C::I64(b)] => Some((*a, *b)),
@@ -154,111 +159,70 @@ pub fn eval_const_builtin(name: &str, args: &[Constant]) -> Option<Constant> {
         }
         f2().map(|(a, b)| C::F64(ff(a, b)))
     };
-    let cmp = |ok: fn(std::cmp::Ordering) -> bool| -> Option<Constant> {
+    let int2 = |fi: fn(i64, i64) -> Result<i64, RuntimeError>| {
+        i2().and_then(|(a, b)| fi(a, b).ok()).map(C::I64)
+    };
+    let cmp = |ok: fn(Ordering) -> bool| -> Option<Constant> {
         if let Some((a, b)) = i2() {
             return Some(C::Bool(ok(a.cmp(&b))));
         }
         let (a, b) = f2()?;
         a.partial_cmp(&b).map(|o| C::Bool(ok(o)))
     };
-    match name {
-        "Plus" => num2(i64::checked_add, |a, b| a + b),
-        "Subtract" => num2(i64::checked_sub, |a, b| a - b),
-        "Times" => num2(i64::checked_mul, |a, b| a * b),
-        "Quotient" => {
-            let (a, b) = i2()?;
-            if b == 0 || (a == i64::MIN && b == -1) {
-                return None;
-            }
-            // Exact floor division: Quotient[m, n] = Floor[m/n].
-            let (q, r) = (a / b, a % b);
-            Some(C::I64(if r != 0 && (r < 0) != (b < 0) {
-                q - 1
-            } else {
-                q
-            }))
-        }
-        "Mod" => {
-            let (a, b) = i2()?;
-            if b == 0 {
-                return None;
-            }
-            let r = a.wrapping_rem(b);
-            Some(C::I64(if r != 0 && (r < 0) != (b < 0) {
-                r + b
-            } else {
-                r
-            }))
-        }
-        "Divide" => {
+    match prim {
+        Prim::Plus => num2(|a, b| add_i64(a, b).ok(), |a, b| a + b),
+        Prim::Subtract => num2(|a, b| sub_i64(a, b).ok(), |a, b| a - b),
+        Prim::Times => num2(|a, b| mul_i64(a, b).ok(), |a, b| a * b),
+        Prim::Quotient => int2(quotient_i64),
+        Prim::Mod => int2(mod_i64),
+        Prim::Divide => {
             let (a, b) = f2()?;
             (b != 0.0).then(|| C::F64(a / b))
         }
-        "Minus" => match args {
-            [C::I64(a)] => a.checked_neg().map(C::I64),
+        Prim::Power => match args {
+            [C::I64(_), C::I64(_)] => int2(pow_i64),
+            _ => f2().map(|(a, b)| C::F64(a.powf(b))),
+        },
+        Prim::Minus => match args {
+            [C::I64(a)] => neg_i64(*a).ok().map(C::I64),
             [C::F64(a)] => Some(C::F64(-a)),
             _ => None,
         },
-        "Abs" => match args {
-            [C::I64(a)] => a.checked_abs().map(C::I64),
+        Prim::Abs => match args {
+            [C::I64(a)] => abs_i64(*a).ok().map(C::I64),
             [C::F64(a)] => Some(C::F64(a.abs())),
             _ => None,
         },
-        "Power" => match args {
-            [C::I64(a), C::I64(b)] if *b >= 0 => u32::try_from(*b)
-                .ok()
-                .and_then(|e| a.checked_pow(e))
-                .map(C::I64),
-            _ => {
-                let (a, b) = f2()?;
-                Some(C::F64(a.powf(b)))
-            }
-        },
-        "Less" => cmp(std::cmp::Ordering::is_lt),
-        "Greater" => cmp(std::cmp::Ordering::is_gt),
-        "LessEqual" => cmp(std::cmp::Ordering::is_le),
-        "GreaterEqual" => cmp(std::cmp::Ordering::is_ge),
-        "Equal" => cmp(std::cmp::Ordering::is_eq),
-        "Unequal" => cmp(std::cmp::Ordering::is_ne),
-        "Not" => match args {
+        Prim::Min => num2(|a, b| Some(a.min(b)), f64::min),
+        Prim::Max => num2(|a, b| Some(a.max(b)), f64::max),
+        Prim::Not => match args {
             [C::Bool(b)] => Some(C::Bool(!b)),
             _ => None,
         },
-        "Min" => num2(|a, b| Some(a.min(b)), f64::min),
-        "Max" => num2(|a, b| Some(a.max(b)), f64::max),
-        "Sin" | "Cos" | "Tan" | "Exp" | "Sqrt" | "Log" => match args {
-            [C::F64(a)] => {
-                let v = match name {
-                    "Sin" => a.sin(),
-                    "Cos" => a.cos(),
-                    "Tan" => a.tan(),
-                    "Exp" => a.exp(),
-                    "Sqrt" => a.sqrt(),
-                    _ => a.ln(),
-                };
-                v.is_finite().then_some(C::F64(v))
-            }
-            _ => None,
-        },
-        "N" => match args {
-            [C::I64(a)] => Some(C::F64(*a as f64)),
-            [C::F64(a)] => Some(C::F64(*a)),
-            _ => None,
-        },
-        "StringLength" => match args {
+        Prim::Compare(c) => cmp(match c {
+            Cmp::Less => Ordering::is_lt,
+            Cmp::LessEqual => Ordering::is_le,
+            Cmp::Greater => Ordering::is_gt,
+            Cmp::GreaterEqual => Ordering::is_ge,
+            Cmp::Equal => Ordering::is_eq,
+            Cmp::Unequal => Ordering::is_ne,
+        }),
+        Prim::Elementary(e) => {
+            let [C::F64(a)] = args else { return None };
+            let v = match e {
+                Elementary::Sin => a.sin(),
+                Elementary::Cos => a.cos(),
+                Elementary::Tan => a.tan(),
+                Elementary::Exp => a.exp(),
+                Elementary::Log => a.ln(),
+                Elementary::ArcTan | Elementary::ArcSin | Elementary::ArcCos => return None,
+            };
+            v.is_finite().then_some(C::F64(v))
+        }
+        Prim::StringLength => match args {
             [C::Str(s)] => Some(C::I64(s.chars().count() as i64)),
             _ => None,
         },
-        "StringJoin" => {
-            let mut out = String::new();
-            for a in args {
-                match a {
-                    C::Str(s) => out.push_str(s),
-                    _ => return None,
-                }
-            }
-            Some(C::Str(out.into()))
-        }
         _ => None,
     }
 }
@@ -325,29 +289,22 @@ fn constant_fold(f: &mut Function) -> bool {
                     }
                     _ => {}
                 }
-                // Fold fully-constant pure calls.
-                if let Instr::Call { dst, callee, args } = i {
-                    let foldable = matches!(callee, Callee::Builtin(_) | Callee::Primitive { .. });
-                    if foldable {
-                        let const_args: Option<Vec<Constant>> =
-                            args.iter().map(|a| a.as_const().cloned()).collect();
-                        if let Some(const_args) = const_args {
-                            let folded = match callee {
-                                Callee::Builtin(name) => eval_const_builtin(name, &const_args),
-                                Callee::Primitive { prim, .. } => prim
-                                    .fold_head()
-                                    .and_then(|head| eval_const_builtin(head, &const_args)),
-                                _ => None,
-                            };
-                            if let Some(c) = folded {
-                                consts.insert(*dst, c.clone());
-                                *i = Instr::LoadConst {
-                                    dst: *dst,
-                                    value: c,
-                                };
-                                local_change = true;
-                            }
-                        }
+                // Fold primitive calls whose arguments are all constants.
+                if let Instr::Call {
+                    dst,
+                    callee: Callee::Primitive { prim, .. },
+                    args,
+                } = i
+                {
+                    let const_args: Option<Vec<Constant>> =
+                        args.iter().map(|a| a.as_const().cloned()).collect();
+                    if let Some(c) = const_args.and_then(|a| fold(*prim, &a)) {
+                        consts.insert(*dst, c.clone());
+                        *i = Instr::LoadConst {
+                            dst: *dst,
+                            value: c,
+                        };
+                        local_change = true;
                     }
                 }
                 // Phi with all-identical constant incoming.
@@ -1073,15 +1030,16 @@ mod tests {
     use crate::builder::FunctionBuilder;
     use std::sync::Arc;
 
-    fn builtin(name: &str) -> Callee {
-        Callee::Builtin(Arc::from(name))
+    /// `prim` resolved at two machine integers.
+    fn int2(prim: Prim) -> Callee {
+        Callee::primitive(prim, &[Type::integer64(), Type::integer64()])
     }
 
     /// if (1 < 2) return 10 else return 20 — folds to return 10.
     fn branchy() -> Function {
         let mut b = FunctionBuilder::new("f", 0);
         let c = b.call(
-            builtin("Less"),
+            int2(Prim::Compare(Cmp::Less)),
             vec![Constant::I64(1).into(), Constant::I64(2).into()],
         );
         let t = b.create_block("then");
@@ -1123,7 +1081,7 @@ mod tests {
     fn fold_does_not_hide_overflow() {
         let mut b = FunctionBuilder::new("f", 0);
         let v = b.call(
-            builtin("Plus"),
+            int2(Prim::Plus),
             vec![Constant::I64(i64::MAX).into(), Constant::I64(1).into()],
         );
         b.ret(v);
@@ -1134,13 +1092,26 @@ mod tests {
     }
 
     #[test]
+    fn an_unresolved_call_is_neither_folded_nor_removed() {
+        let mut b = FunctionBuilder::new("f", 0);
+        let _dead = b.call(
+            Callee::Builtin(Arc::from("Plus")),
+            vec![Constant::I64(1).into(), Constant::I64(2).into()],
+        );
+        b.ret(Constant::Null);
+        let mut f = b.finish();
+        assert!(!constant_fold(&mut f));
+        assert!(!dce(&mut f));
+    }
+
+    #[test]
     fn cse_deduplicates() {
         let mut b = FunctionBuilder::new("f", 1);
         let arg = b.func.fresh_var();
         b.push(Instr::LoadArgument { dst: arg, index: 0 });
-        let x = b.call(builtin("Times"), vec![arg.into(), arg.into()]);
-        let y = b.call(builtin("Times"), vec![arg.into(), arg.into()]);
-        let sum = b.call(builtin("Plus"), vec![x.into(), y.into()]);
+        let x = b.call(int2(Prim::Times), vec![arg.into(), arg.into()]);
+        let y = b.call(int2(Prim::Times), vec![arg.into(), arg.into()]);
+        let sum = b.call(int2(Prim::Plus), vec![x.into(), y.into()]);
         b.ret(sum);
         let mut f = b.finish();
         assert!(cse(&mut f));
@@ -1149,9 +1120,7 @@ mod tests {
         verify_function(&f).unwrap();
         let times_count = f
             .instrs()
-            .filter(
-                |i| matches!(i, Instr::Call { callee: Callee::Builtin(n), .. } if &**n == "Times"),
-            )
+            .filter(|i| matches!(i, Instr::Call { callee, .. } if *callee == int2(Prim::Times)))
             .count();
         assert_eq!(times_count, 1);
         let _ = y;
@@ -1159,7 +1128,6 @@ mod tests {
 
     #[test]
     fn a_coercion_is_merged_when_repeated_and_removed_when_dead() {
-        use wolfram_types::{Prim, Type};
         let convert = || Callee::primitive(Prim::Convert, &[Type::integer64()]);
         let mut b = FunctionBuilder::new("f", 1);
         let arg = b.func.fresh_var();
@@ -1188,13 +1156,13 @@ mod tests {
     fn dce_keeps_impure() {
         let mut b = FunctionBuilder::new("f", 0);
         let _unused = b.call(
-            builtin("Min"),
+            int2(Prim::Min),
             vec![Constant::I64(1).into(), Constant::I64(2).into()],
         );
         // Pure but partial: checked Plus may overflow-trap, so a dead
         // instance must survive for interpreter-identical error behavior.
         let _trapping = b.call(
-            builtin("Plus"),
+            int2(Prim::Plus),
             vec![Constant::I64(1).into(), Constant::I64(2).into()],
         );
         let _effect = b.call(
@@ -1227,12 +1195,12 @@ mod tests {
         b.jump(header);
         b.switch_to(header);
         let i0 = b.read_var("i").unwrap();
-        let c = b.call(builtin("Less"), vec![i0, n.into()]);
+        let c = b.call(int2(Prim::Compare(Cmp::Less)), vec![i0, n.into()]);
         b.branch(c, body, exit);
         b.seal_block(body);
         b.switch_to(body);
         let i1 = b.read_var("i").unwrap();
-        let inc = b.call(builtin("Plus"), vec![i1, Constant::I64(1).into()]);
+        let inc = b.call(int2(Prim::Plus), vec![i1, Constant::I64(1).into()]);
         b.write_var("i", inc);
         b.jump(header);
         b.seal_block(header);
@@ -1279,7 +1247,10 @@ mod tests {
         let mut b = FunctionBuilder::new("f", 1);
         let arg = b.func.fresh_var();
         b.push(Instr::LoadArgument { dst: arg, index: 0 });
-        let len = b.call(builtin("StringLength"), vec![arg.into()]);
+        let len = b.call(
+            Callee::primitive(Prim::StringLength, &[Type::string()]),
+            vec![arg.into()],
+        );
         b.ret(len);
         let mut f = b.finish();
         f.var_types.insert(arg, Type::string());

@@ -4,12 +4,12 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
 use wolfram_ir::builder::FunctionBuilder;
 use wolfram_ir::module::{Callee, Constant, Function, Instr, Operand};
-use wolfram_ir::passes::{eval_const_builtin, run_pass, run_pipeline};
+use wolfram_ir::passes::{fold, run_pass, run_pipeline};
 use wolfram_ir::verify::verify_function;
 use wolfram_ir::CompilerOptions;
+use wolfram_types::{Cmp, Prim, Type};
 
 // ---------------------------------------------------------------------
 // Constant evaluator: folding must agree with checked arithmetic and
@@ -20,7 +20,7 @@ proptest! {
     #[test]
     fn const_plus_matches_i128_or_declines(a in any::<i64>(), b in any::<i64>()) {
         let wide = a as i128 + b as i128;
-        match eval_const_builtin("Plus", &[Constant::I64(a), Constant::I64(b)]) {
+        match fold(Prim::Plus, &[Constant::I64(a), Constant::I64(b)]) {
             Some(Constant::I64(v)) => prop_assert_eq!(v as i128, wide),
             Some(other) => prop_assert!(false, "unexpected fold {other:?}"),
             None => prop_assert!(i64::try_from(wide).is_err(), "must fold in range"),
@@ -30,7 +30,7 @@ proptest! {
     #[test]
     fn const_times_matches_i128_or_declines(a in any::<i64>(), b in any::<i64>()) {
         let wide = a as i128 * b as i128;
-        match eval_const_builtin("Times", &[Constant::I64(a), Constant::I64(b)]) {
+        match fold(Prim::Times, &[Constant::I64(a), Constant::I64(b)]) {
             Some(Constant::I64(v)) => prop_assert_eq!(v as i128, wide),
             Some(other) => prop_assert!(false, "unexpected fold {other:?}"),
             None => prop_assert!(i64::try_from(wide).is_err()),
@@ -42,10 +42,10 @@ proptest! {
     fn const_quotient_mod_identity(a in any::<i64>(), b in any::<i64>()) {
         prop_assume!(b != 0 && !(a == i64::MIN && b == -1));
         let args = [Constant::I64(a), Constant::I64(b)];
-        let Some(Constant::I64(q)) = eval_const_builtin("Quotient", &args) else {
+        let Some(Constant::I64(q)) = fold(Prim::Quotient, &args) else {
             return Err(TestCaseError::fail("Quotient must fold"));
         };
-        let Some(Constant::I64(r)) = eval_const_builtin("Mod", &args) else {
+        let Some(Constant::I64(r)) = fold(Prim::Mod, &args) else {
             return Err(TestCaseError::fail("Mod must fold"));
         };
         prop_assert_eq!((b as i128) * (q as i128) + r as i128, a as i128);
@@ -55,25 +55,23 @@ proptest! {
     /// run time, where the engine can soft-fail).
     #[test]
     fn const_folding_never_hides_exceptions(a in any::<i64>()) {
-        prop_assert!(eval_const_builtin("Quotient", &[Constant::I64(a), Constant::I64(0)]).is_none());
-        prop_assert!(eval_const_builtin("Mod", &[Constant::I64(a), Constant::I64(0)]).is_none());
-        prop_assert!(
-            eval_const_builtin("Plus", &[Constant::I64(i64::MAX), Constant::I64(1)]).is_none()
-        );
+        prop_assert!(fold(Prim::Quotient, &[Constant::I64(a), Constant::I64(0)]).is_none());
+        prop_assert!(fold(Prim::Mod, &[Constant::I64(a), Constant::I64(0)]).is_none());
+        prop_assert!(fold(Prim::Plus, &[Constant::I64(i64::MAX), Constant::I64(1)]).is_none());
     }
 
     #[test]
     fn const_comparisons_are_coherent(a in any::<i64>(), b in any::<i64>()) {
         let args = [Constant::I64(a), Constant::I64(b)];
-        let fold = |name| match eval_const_builtin(name, &args) {
+        let compare = |c| match fold(Prim::Compare(c), &args) {
             Some(Constant::Bool(v)) => Ok(v),
-            other => Err(TestCaseError::fail(format!("{name} folded to {other:?}"))),
+            other => Err(TestCaseError::fail(format!("{c:?} folded to {other:?}"))),
         };
-        prop_assert_eq!(fold("Less")?, a < b);
-        prop_assert_eq!(fold("Greater")?, a > b);
-        prop_assert_eq!(fold("Equal")?, a == b);
+        prop_assert_eq!(compare(Cmp::Less)?, a < b);
+        prop_assert_eq!(compare(Cmp::Greater)?, a > b);
+        prop_assert_eq!(compare(Cmp::Equal)?, a == b);
         // Trichotomy through the folds themselves.
-        let hits = [fold("Less")?, fold("Greater")?, fold("Equal")?]
+        let hits = [compare(Cmp::Less)?, compare(Cmp::Greater)?, compare(Cmp::Equal)?]
             .iter()
             .filter(|x| **x)
             .count();
@@ -119,7 +117,7 @@ fn diamond_chain(writes: &[(bool, bool)]) -> Function {
     }
     let x = b.read_var("x").unwrap();
     let out = b.call(
-        Callee::Builtin(Arc::from("Plus")),
+        Callee::primitive(Prim::Plus, &[Type::integer64(), Type::integer64()]),
         vec![x, Constant::I64(0).into()],
     );
     b.ret(out);
