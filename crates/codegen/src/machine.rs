@@ -2270,7 +2270,13 @@ impl Machine {
             }
             RegOp::PowModI { d, a, b, m } => {
                 let (x, y, md) = (fr.ints[*a], fr.ints[*b], fr.ints[*m]);
-                fr.ints[*d] = pow_mod_i64(x, y, md)?;
+                // Where Wolfram leaves the call unevaluated, the
+                // interpreter answers.
+                fr.ints[*d] = checked::power_mod_i64(x, y, md).ok_or_else(|| {
+                    RuntimeError::NumericDomain(
+                        "PowerMod with a zero modulus or no modular inverse".into(),
+                    )
+                })?;
             }
             RegOp::FltUn { op, d, s } => {
                 let x = fr.flts[*s];
@@ -2660,8 +2666,8 @@ fn offset2(t: &Tensor, ix: i64, jx: i64, checked: bool) -> Result<usize, Runtime
 
 /// `x (op) y` on machine integers, inlined into every arm that runs one:
 /// out of line, the call and the `Result` it returns through memory cost
-/// more than the add or compare itself. Powers, GCDs and left shifts stay
-/// out of line in [`int_bin_rare`].
+/// more than the add or compare itself. Powers, GCDs and shifts stay out
+/// of line in [`int_bin_rare`].
 #[inline(always)]
 fn int_bin(op: IntOp, x: i64, y: i64) -> Result<i64, RuntimeError> {
     Ok(match op {
@@ -2684,7 +2690,6 @@ fn int_bin(op: IntOp, x: i64, y: i64) -> Result<i64, RuntimeError> {
         IntOp::BitAnd => x & y,
         IntOp::BitOr => x | y,
         IntOp::BitXor => x ^ y,
-        IntOp::Shr => x >> y.clamp(0, 63),
         IntOp::Lt => (x < y) as i64,
         IntOp::Le => (x <= y) as i64,
         IntOp::Gt => (x > y) as i64,
@@ -2693,7 +2698,7 @@ fn int_bin(op: IntOp, x: i64, y: i64) -> Result<i64, RuntimeError> {
         IntOp::Ne => (x != y) as i64,
         IntOp::And => ((x != 0) && (y != 0)) as i64,
         IntOp::Or => ((x != 0) || (y != 0)) as i64,
-        IntOp::Pow | IntOp::Gcd | IntOp::Shl => int_bin_rare(op, x, y)?,
+        IntOp::Pow | IntOp::Gcd | IntOp::Shl | IntOp::Shr => int_bin_rare(op, x, y)?,
     })
 }
 
@@ -2701,16 +2706,9 @@ fn int_bin(op: IntOp, x: i64, y: i64) -> Result<i64, RuntimeError> {
 fn int_bin_rare(op: IntOp, x: i64, y: i64) -> Result<i64, RuntimeError> {
     match op {
         IntOp::Pow => checked::pow_i64(x, y),
-        IntOp::Gcd => {
-            let (mut a, mut b) = (x.unsigned_abs(), y.unsigned_abs());
-            while b != 0 {
-                let t = a % b;
-                a = b;
-                b = t;
-            }
-            Ok(a as i64)
-        }
-        IntOp::Shl => x.checked_shl(y as u32).ok_or(RuntimeError::IntegerOverflow),
+        IntOp::Gcd => checked::gcd_i64(x, y),
+        IntOp::Shl => checked::shl_i64(x, y),
+        IntOp::Shr => checked::shr_i64(x, y),
         inline => unreachable!("int_bin executes {inline:?} inline"),
     }
 }
@@ -2750,29 +2748,6 @@ fn flt_cmp(op: CmpCode, x: f64, y: f64) -> bool {
         CmpCode::Eq => x == y,
         CmpCode::Ne => x != y,
     }
-}
-
-fn pow_mod_i64(base: i64, exp: i64, m: i64) -> Result<i64, RuntimeError> {
-    if m <= 0 {
-        return Err(RuntimeError::Type(
-            "PowerMod modulus must be positive".into(),
-        ));
-    }
-    if exp < 0 {
-        return Err(RuntimeError::Type("PowerMod negative exponent".into()));
-    }
-    let m = m as u128;
-    let mut base = (base.rem_euclid(m as i64)) as u128;
-    let mut exp = exp as u64;
-    let mut acc: u128 = 1;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = acc * base % m;
-        }
-        base = base * base % m;
-        exp >>= 1;
-    }
-    Ok(acc as i64)
 }
 
 fn tensor_store(t: &mut Tensor, off: usize, v: ArgVal) -> Result<(), RuntimeError> {
@@ -3244,15 +3219,5 @@ mod tests {
                 .to_string(),
             "op 0 names I9, past its bank"
         );
-    }
-
-    #[test]
-    fn powmod() {
-        assert_eq!(pow_mod_i64(2, 10, 1000).unwrap(), 24);
-        assert_eq!(pow_mod_i64(3, 0, 7).unwrap(), 1);
-        // Large values route through u128 without overflow.
-        assert_eq!(pow_mod_i64(1_000_000_007, 2, 1_000_000_009).unwrap(), 4);
-        assert!(pow_mod_i64(2, -1, 7).is_err());
-        assert!(pow_mod_i64(2, 3, 0).is_err());
     }
 }

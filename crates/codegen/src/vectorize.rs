@@ -29,7 +29,7 @@
 //!   registers are never loop-carried (see above), so the recomputation
 //!   depends only on invariants, loads, and the advanced induction
 //!   variable. Any op
-//!   that *can* raise (checked integer `Quot`/`Mod`/`Pow`/`Shl`,
+//!   that *can* raise (checked integer `Quot`/`Mod`/`Pow`/`Gcd`/shifts,
 //!   `Floor`/`Round` casts, float `Mod`, calls, boxing, non-`f64` loads)
 //!   refuses the whole loop: a batch must never succeed past the
 //!   iteration where the scalar loop would have raised.
@@ -502,10 +502,11 @@ impl Planner {
                 Some(IForm::Aff(out))
             }
             // Total on all inputs; the result is dead until the tail.
-            Min | Max | Gcd | BitAnd | BitOr | BitXor | Shr | Lt | Le | Gt | Ge | Eq | Ne | And
-            | Or => Some(IForm::Unknown),
+            Min | Max | BitAnd | BitOr | BitXor | Lt | Le | Gt | Ge | Eq | Ne | And | Or => {
+                Some(IForm::Unknown)
+            }
             // Can raise (divide-by-zero / overflow): refuse.
-            Quot | Mod | Pow | Shl => None,
+            Quot | Mod | Pow | Gcd | Shl | Shr => None,
         }
     }
 
