@@ -48,24 +48,6 @@ pub trait Analysis {
     /// start and must leave the fact at the block end (and vice versa for
     /// backward analyses, which should walk the instructions in reverse).
     fn transfer_block(&self, f: &Function, b: BlockId, fact: &mut Self::Fact);
-
-    /// The fact flowing along one CFG edge, given the fact at its source
-    /// endpoint, or `None` when the edge passes that fact on unchanged (it
-    /// is then joined into the target without a copy). Forward analyses
-    /// see `from -> to` with the fact at `from`'s exit; backward analyses
-    /// see the fact at `to`'s entry flowing into `from`. The default is
-    /// the identity — only path-sensitive analyses (branch-condition
-    /// refinement, per-edge phi transfer) need to override it.
-    fn transfer_edge(
-        &self,
-        f: &Function,
-        from: BlockId,
-        to: BlockId,
-        fact: &Self::Fact,
-    ) -> Option<Self::Fact> {
-        let _ = (f, from, to, fact);
-        None
-    }
 }
 
 /// Converged facts at block boundaries, indexed by block number; `None`
@@ -89,46 +71,6 @@ impl<F> Results<F> {
     }
 }
 
-/// The fact flowing into `b`: the boundary fact where `b` is at the
-/// boundary, joined with the fact along each incoming edge. `ends[n]` is
-/// the fact at the far endpoint of the edge from (forward) or to
-/// (backward) block `n`, `None` while no fact has reached it; `join` is the
-/// lattice join, a parameter so that a client can re-run the flow under a
-/// different one (the interval analysis narrows without widening).
-pub fn flow_in<A: Analysis>(
-    a: &A,
-    f: &Function,
-    cfg: &Cfg,
-    b: BlockId,
-    ends: &[Option<A::Fact>],
-    join: impl Fn(&mut A::Fact, &A::Fact),
-) -> A::Fact {
-    let (neighbours, at_boundary) = match A::DIRECTION {
-        Direction::Forward => (&cfg.preds[b.0 as usize], b == f.entry),
-        Direction::Backward => (
-            &cfg.succs[b.0 as usize],
-            matches!(f.block(b).instrs.last(), Some(Instr::Return { .. })),
-        ),
-    };
-    let mut fact = at_boundary.then(|| a.boundary(f));
-    for &n in neighbours {
-        let Some(end) = &ends[n.0 as usize] else {
-            continue;
-        };
-        let along = match A::DIRECTION {
-            Direction::Forward => a.transfer_edge(f, n, b, end),
-            Direction::Backward => a.transfer_edge(f, b, n, end),
-        };
-        match (&mut fact, along) {
-            (Some(fact), Some(along)) => join(fact, &along),
-            (Some(fact), None) => join(fact, end),
-            (None, Some(along)) => fact = Some(along),
-            (None, None) => fact = Some(end.clone()),
-        }
-    }
-    fact.unwrap_or_else(A::Fact::bottom)
-}
-
 /// Runs the worklist iteration to a fixpoint over the reachable blocks.
 pub fn solve<A: Analysis>(a: &A, f: &Function, cfg: &Cfg) -> Results<A::Fact> {
     let n = f.blocks.len();
@@ -139,15 +81,34 @@ pub fn solve<A: Analysis>(a: &A, f: &Function, cfg: &Cfg) -> Results<A::Fact> {
         Direction::Forward => cfg.rpo.clone(),
         Direction::Backward => cfg.rpo.iter().rev().copied().collect(),
     };
-    let downstream = match A::DIRECTION {
-        Direction::Forward => &cfg.succs,
-        Direction::Backward => &cfg.preds,
+    let (upstream, downstream) = match A::DIRECTION {
+        Direction::Forward => (&cfg.preds, &cfg.succs),
+        Direction::Backward => (&cfg.succs, &cfg.preds),
+    };
+    // The fact flowing into `b`: the boundary fact where `b` is at the
+    // boundary, joined with the fact at the far end of each incoming edge
+    // a fact has reached.
+    let flow_in = |b: BlockId, outs: &[Option<A::Fact>]| {
+        let at_boundary = match A::DIRECTION {
+            Direction::Forward => b == f.entry,
+            Direction::Backward => matches!(f.block(b).instrs.last(), Some(Instr::Return { .. })),
+        };
+        let mut fact = at_boundary.then(|| a.boundary(f));
+        for end in upstream[b.0 as usize]
+            .iter()
+            .filter_map(|n| outs[n.0 as usize].as_ref())
+        {
+            match &mut fact {
+                Some(fact) => {
+                    fact.join(end);
+                }
+                None => fact = Some(end.clone()),
+            }
+        }
+        fact.unwrap_or_else(A::Fact::bottom)
     };
     // Only the blocks of `order` are ever looked at.
     let mut dirty = vec![true; n];
-    let join = |fact: &mut A::Fact, other: &A::Fact| {
-        fact.join(other);
-    };
     let mut transfers = 0;
     let mut changed = true;
     while changed {
@@ -157,7 +118,7 @@ pub fn solve<A: Analysis>(a: &A, f: &Function, cfg: &Cfg) -> Results<A::Fact> {
             if !std::mem::take(&mut dirty[ix]) {
                 continue;
             }
-            let mut fact = flow_in(a, f, cfg, b, &outs, join);
+            let mut fact = flow_in(b, &outs);
             a.transfer_block(f, b, &mut fact);
             transfers += 1;
             if outs[ix].as_ref() != Some(&fact) {
@@ -174,7 +135,7 @@ pub fn solve<A: Analysis>(a: &A, f: &Function, cfg: &Cfg) -> Results<A::Fact> {
     // rather than stored at every transfer.
     let mut ins: Vec<Option<A::Fact>> = vec![None; n];
     for &b in &order {
-        ins[b.0 as usize] = Some(flow_in(a, f, cfg, b, &outs, join));
+        ins[b.0 as usize] = Some(flow_in(b, &outs));
     }
     let (on_entry, on_exit) = match A::DIRECTION {
         Direction::Forward => (ins, outs),

@@ -13,13 +13,14 @@
 //!   pass, §4.5/F7);
 //! - [`lints`]: maybe-uninitialized uses, dead stores, and unreachable
 //!   blocks;
-//! - [`intervals`]: a forward interval (range) dataflow analysis that
-//!   owns the out-of-range `Part` lint and exports
+//! - [`intervals`]: range facts from one walk down the dominator tree
+//!   (difference constraints between integers and tensor lengths, no
+//!   fixpoint) that owns the out-of-range `Part` lint and exports
 //!   [`intervals::RangeFacts`] — per-site proofs the native code
-//!   generator uses to elide bounds, overflow, and refcount checks.
+//!   generator uses to elide bounds and overflow checks.
 //!
-//! Checkers are built on a small lattice-based [`dataflow`] solver over
-//! the IR's existing CFG analyses. Error-severity findings turn into
+//! The other checkers are built on a small lattice-based [`dataflow`]
+//! solver over the IR's existing CFG analyses. Error-severity findings turn into
 //! [`VerifyError`]s via [`pipeline_verifier`], which the compiler plugs
 //! into `run_pipeline` at `VerifyLevel::Full` so the function entering the
 //! pipeline and the result of every pass that changes it are checked.

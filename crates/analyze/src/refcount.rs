@@ -428,4 +428,26 @@ mod tests {
         let diags = check(&f);
         assert!(diags.iter().any(|d| d.code == "refcount-leak"), "{diags:?}");
     }
+
+    #[test]
+    fn the_solver_transfers_only_blocks_whose_inputs_moved() {
+        // A count, not a timer: the solver re-transfers a block only when
+        // the fact on one of its incoming edges changed, so each of these
+        // counts is the reachable blocks plus one re-visit per loop whose
+        // carried facts moved.
+        use wolfram_bench::{programs, workloads};
+        let primeq = programs::primeq_src(&workloads::prime_seed_table());
+        for (name, src, pinned) in [
+            ("QSort", programs::QSORT_SRC, 62),
+            ("PrimeQ", primeq.as_str(), 41),
+        ] {
+            let func = wolfram_expr::parse(src).unwrap();
+            let pm = wolfram_compiler_core::Compiler::default()
+                .compile_to_twir(&func, None)
+                .unwrap();
+            let f = pm.functions.iter().find(|f| f.name == "Main").unwrap();
+            let transfers = solve(&RefcountAnalysis::of(f), f, &Cfg::new(f)).transfers;
+            assert_eq!(transfers, pinned, "{name}");
+        }
+    }
 }

@@ -186,18 +186,34 @@ pub fn fusion_ablation(string_len: usize, reps: usize) -> AblationRow {
     )
 }
 
-/// Range-check elision (this reproduction's interval analysis proving
-/// Part bounds and overflow checks away): Histogram with the proofs used
-/// vs every check executed.
+/// Range-check elision (this reproduction's range analysis proving Part
+/// bounds and overflow checks away): FNV1a over an `n`-character string
+/// plus Histogram over `n` bytes, the two kernels whose loops the proofs
+/// speed up, with the proofs used vs every check executed.
 pub fn elision_ablation(n: usize, reps: usize) -> AblationRow {
-    default_vs_ablated(
-        "range-check elision off",
-        "ours: ~1.00x while dispatch, not the checks, bounds the loop",
+    let row = |src, arg| {
+        default_vs_ablated(
+            "range-check elision off",
+            "ours: FNV1a + Histogram, the kernels where it pays",
+            src,
+            &[arg],
+            reps,
+            Ablation::RangeElision,
+        )
+    };
+    let fnv = row(
+        programs::FNV1A_SRC,
+        Value::Str(std::sync::Arc::new(workloads::random_string(n, 0x5eed))),
+    );
+    let hist = row(
         programs::HISTOGRAM_SRC,
-        &[Value::Tensor(workloads::random_bytes_tensor(n, 4))],
-        reps,
-        Ablation::RangeElision,
-    )
+        Value::Tensor(workloads::random_bytes_tensor(n, 4)),
+    );
+    AblationRow {
+        default_secs: fnv.default_secs + hist.default_secs,
+        ablated_secs: fnv.ablated_secs + hist.ablated_secs,
+        ..hist
+    }
 }
 
 #[cfg(test)]

@@ -128,11 +128,6 @@ pub enum VecNode {
         row: Option<Affine>,
         /// Column (or sole) index.
         col: Affine,
-        /// The interval analysis proved the indices in bounds (the load
-        /// came from an unchecked Part): the batch-entry precheck skips
-        /// the upper endpoint test and only verifies `>= 1`, which the
-        /// affine addressing itself requires.
-        relaxed: bool,
     },
     /// Elementwise binary op over two earlier nodes.
     Bin {
@@ -165,9 +160,6 @@ pub struct StoreSpec {
     pub row: Option<Affine>,
     /// Column (or sole) index affine.
     pub col: Affine,
-    /// Store bounds proved at compile time (unchecked set op): the
-    /// batch-entry precheck skips the upper endpoint test.
-    pub relaxed: bool,
 }
 
 /// Everything the VecLoop executor needs, computed once at compile time.
@@ -198,10 +190,6 @@ pub struct VecPlan {
     pub acquires: u64,
     /// Releases recorded per scalar iteration.
     pub releases: u64,
-    /// Batch-entry tests discharged by the interval analysis instead of
-    /// evaluated at runtime (skipped overflow checks and upper-bound
-    /// endpoint tests).
-    pub prechecked: u32,
 }
 
 impl VecPlan {
@@ -349,7 +337,6 @@ enum SymNode {
         rank: u32,
         row: Option<SymAffine>,
         col: SymAffine,
-        relaxed: bool,
     },
     Bin {
         op: SimdOp,
@@ -391,9 +378,8 @@ struct Planner {
     /// First access per touched value slot: `true` = overwrite-first.
     first_access: HashMap<u32, bool>,
     flags: HashMap<u32, FlagSim>,
-    store: Option<(u32, u32, Option<SymAffine>, SymAffine, usize, bool)>,
+    store: Option<(u32, u32, Option<SymAffine>, SymAffine, usize)>,
     int_checks: Vec<SymAffine>,
-    prechecked: u32,
     div_regs: HashSet<u32>,
     managed: HashSet<u32>,
     acquires: u64,
@@ -415,7 +401,6 @@ impl Planner {
             flags: HashMap::new(),
             store: None,
             int_checks: Vec::new(),
-            prechecked: 0,
             div_regs: HashSet::new(),
             managed: HashSet::new(),
             acquires: 0,
@@ -492,13 +477,7 @@ impl Planner {
                         }
                     }
                 };
-                if matches!(op, AddU | SubU | MulU) {
-                    // The interval analysis already proved the op cannot
-                    // overflow for any reachable input: no endpoint test.
-                    self.prechecked += 1;
-                } else {
-                    self.int_checks.push(out.clone());
-                }
+                self.int_checks.push(out.clone());
                 Some(IForm::Aff(out))
             }
             // Total on all inputs; the result is dead until the tail.
@@ -549,14 +528,7 @@ impl Planner {
         }
     }
 
-    fn load_sym(
-        &mut self,
-        kind: ElemKind,
-        t: u32,
-        i: IForm,
-        j: Option<IForm>,
-        relaxed: bool,
-    ) -> Option<usize> {
+    fn load_sym(&mut self, kind: ElemKind, t: u32, i: IForm, j: Option<IForm>) -> Option<usize> {
         if kind != ElemKind::F64 {
             return None;
         }
@@ -572,15 +544,11 @@ impl Planner {
             Some(IForm::Aff(jj)) => (2, Some(col_or_row), jj),
             Some(IForm::Unknown) => return None,
         };
-        if relaxed {
-            self.prechecked += 1;
-        }
         Some(self.push(SymNode::Load {
             slot,
             rank,
             row,
             col,
-            relaxed,
         }))
     }
 
@@ -591,7 +559,6 @@ impl Planner {
         i: IForm,
         j: Option<IForm>,
         v_node: usize,
-        relaxed: bool,
     ) -> Option<()> {
         if kind != ElemKind::F64 || self.store.is_some() {
             return None;
@@ -608,10 +575,7 @@ impl Planner {
             Some(IForm::Aff(jj)) => (2, Some(col_or_row), jj),
             Some(IForm::Unknown) => return None,
         };
-        if relaxed {
-            self.prechecked += 1;
-        }
-        self.store = Some((slot, rank, row, col, v_node, relaxed));
+        self.store = Some((slot, rank, row, col, v_node));
         Some(())
     }
 
@@ -712,51 +676,30 @@ impl Planner {
                 self.wr_f(*d, n);
             }
             RegOp::FltCmp { d, .. } => self.wr_i(*d, IForm::Unknown),
-            RegOp::TenPart1 {
-                kind,
-                d,
-                t,
-                i,
-                checked,
-            } => {
+            // Checked or not, a plan tests every index at batch entry.
+            RegOp::TenPart1 { kind, d, t, i, .. } => {
                 let ix = self.rd_i(*i);
-                let n = self.load_sym(*kind, *t, ix, None, !checked)?;
+                let n = self.load_sym(*kind, *t, ix, None)?;
                 self.wr_f(*d, n);
             }
             RegOp::TenPart2 {
-                kind,
-                d,
-                t,
-                i,
-                j,
-                checked,
+                kind, d, t, i, j, ..
             } => {
                 let (ix, jx) = (self.rd_i(*i), self.rd_i(*j));
-                let n = self.load_sym(*kind, *t, ix, Some(jx), !checked)?;
+                let n = self.load_sym(*kind, *t, ix, Some(jx))?;
                 self.wr_f(*d, n);
             }
-            RegOp::TenSet1 {
-                kind,
-                t,
-                i,
-                v,
-                checked,
-            } => {
+            RegOp::TenSet1 { kind, t, i, v, .. } => {
                 let ix = self.rd_i(*i);
                 let vn = self.rd_f(*v);
-                self.store_sym(*kind, *t, ix, None, vn, !checked)?;
+                self.store_sym(*kind, *t, ix, None, vn)?;
             }
             RegOp::TenSet2 {
-                kind,
-                t,
-                i,
-                j,
-                v,
-                checked,
+                kind, t, i, j, v, ..
             } => {
                 let (ix, jx) = (self.rd_i(*i), self.rd_i(*j));
                 let vn = self.rd_f(*v);
-                self.store_sym(*kind, *t, ix, Some(jx), vn, !checked)?;
+                self.store_sym(*kind, *t, ix, Some(jx), vn)?;
             }
             RegOp::TakeV { d, s } => self.take_v(*d, *s),
             RegOp::Acquire { v } => self.acquire(*v),
@@ -906,7 +849,7 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
         }
     }
     // The store is mandatory; its object must not be readable as input.
-    let (out_slot, out_rank, out_row, out_col, root_sym, out_relaxed) = pl.store.clone()?;
+    let (out_slot, out_rank, out_row, out_col, root_sym) = pl.store.clone()?;
     // Per-iteration acquire/release counts must balance (mirrors the
     // memory pass's own invariant; see the module docs on aborts).
     if pl.acquires != pl.releases {
@@ -980,7 +923,6 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
                 rank,
                 row,
                 col,
-                relaxed,
             } => {
                 if *slot == out_slot {
                     return None; // reading the output object: recurrence
@@ -1009,7 +951,6 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
                         None => None,
                     },
                     col: lower(col)?,
-                    relaxed: *relaxed,
                 }
             }
             SymNode::Bin { op, l, r } => VecNode::Bin {
@@ -1036,7 +977,6 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
             None => None,
         },
         col: lower(&out_col)?,
-        relaxed: out_relaxed,
     };
     let mut div_checks: Vec<u32> = pl.div_regs.iter().copied().collect();
     div_checks.sort_unstable();
@@ -1055,7 +995,6 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
         managed_checks,
         acquires: pl.acquires,
         releases: pl.releases,
-        prechecked: pl.prechecked,
     })
 }
 
@@ -1146,30 +1085,14 @@ struct Addr {
 
 /// Checks an index affine against `1..=dim` at both batch endpoints
 /// (linear ⇒ the interior is covered) and returns its value at `k = 0`.
-/// Evaluation overflow counts as a failed check. With `relaxed` (the
-/// interval analysis proved the access in bounds at compile time) only
-/// the `>= 1` half runs: positivity is what makes the affine addressing
-/// match the scalar op's sign resolution, while an upper-bound miss —
-/// impossible under the proof — would at worst panic on the safe slice
-/// index exactly as the scalar unchecked op would.
-fn index_endpoints(
-    a: &Affine,
-    ints: &[i64],
-    iv0: i128,
-    m: i128,
-    dim: usize,
-    relaxed: bool,
-) -> Option<i128> {
+/// Evaluation overflow counts as a failed check. The test runs whether or
+/// not the scalar op was proved in bounds: it costs two comparisons per
+/// batch.
+fn index_endpoints(a: &Affine, ints: &[i64], iv0: i128, m: i128, dim: usize) -> Option<i128> {
     let at0 = a.eval(ints, iv0, 0)?;
     let at_end = a.eval(ints, iv0, m - 1)?;
-    let dim = dim as i128;
-    if at0 < 1 || at_end < 1 {
-        return None;
-    }
-    if !relaxed && (at0 > dim || at_end > dim) {
-        return None;
-    }
-    Some(at0)
+    let inside = |at: i128| (1..=dim as i128).contains(&at);
+    (inside(at0) && inside(at_end)).then_some(at0)
 }
 
 fn resolve_addr(
@@ -1179,19 +1102,18 @@ fn resolve_addr(
     ints: &[i64],
     iv0: i128,
     m: i128,
-    relaxed: bool,
 ) -> Option<Addr> {
     match row {
         None => {
-            let c0 = index_endpoints(col, ints, iv0, m, shape[0], relaxed)?;
+            let c0 = index_endpoints(col, ints, iv0, m, shape[0])?;
             Some(Addr {
                 off0: c0 - 1,
                 stride: i128::from(col.iv_coef),
             })
         }
         Some(r) => {
-            let r0 = index_endpoints(r, ints, iv0, m, shape[0], relaxed)?;
-            let c0 = index_endpoints(col, ints, iv0, m, shape[1], relaxed)?;
+            let r0 = index_endpoints(r, ints, iv0, m, shape[0])?;
+            let c0 = index_endpoints(col, ints, iv0, m, shape[1])?;
             let cols = shape[1] as i128;
             Some(Addr {
                 off0: (r0 - 1) * cols + (c0 - 1),
@@ -1361,7 +1283,6 @@ pub(crate) fn exec_batch(
             ints,
             iv0,
             m,
-            plan.out.relaxed,
         ) else {
             return Ok(());
         };
@@ -1375,15 +1296,9 @@ pub(crate) fn exec_batch(
         let tag = match node {
             VecNode::Const(c) => Tag::Sc(*c),
             VecNode::Reg(r) => Tag::Sc(flts[*r as usize]),
-            VecNode::Load {
-                tensor,
-                row,
-                col,
-                relaxed,
-            } => {
+            VecNode::Load { tensor, row, col } => {
                 let t = &inputs[*tensor as usize];
-                let Some(addr) = resolve_addr(row.as_ref(), col, t.shape(), ints, iv0, m, *relaxed)
-                else {
+                let Some(addr) = resolve_addr(row.as_ref(), col, t.shape(), ints, iv0, m) else {
                     return Ok(());
                 };
                 if addr.stride == 0 {
@@ -1686,17 +1601,18 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_loop_vectorizes_relaxed_with_prechecked_tests() {
-        let mut vectored = saxpy_unchecked();
-        assert_eq!(vectorize_function(&mut vectored), 1);
-        let RegOp::VecLoop { plan } = &vectored.code[1] else {
-            panic!("expected a VecLoop, got {:?}", vectored.code[1]);
+    fn a_loop_with_unchecked_ops_plans_exactly_like_its_checked_twin() {
+        let plan_of = |mut f: NativeFunc| {
+            assert_eq!(vectorize_function(&mut f), 1);
+            match &f.code[1] {
+                RegOp::VecLoop { plan } => (**plan).clone(),
+                op => panic!("expected a VecLoop, got {op:?}"),
+            }
         };
-        // Two relaxed loads, a relaxed store, and the AddU latch: four
-        // batch-entry tests discharged by the proofs, none left behind.
-        assert_eq!(plan.prechecked, 4, "{plan:?}");
-        assert!(plan.out.relaxed);
-        assert!(plan.int_checks.is_empty(), "{:?}", plan.int_checks);
+        // Every batch tests its endpoints whatever the scalar ops proved.
+        assert_eq!(plan_of(saxpy_unchecked()), plan_of(saxpy()));
+        let mut vectored = saxpy_unchecked();
+        vectorize_function(&mut vectored);
 
         // Same results as the fully checked scalar loop, at every width.
         let n = 100;

@@ -6,9 +6,9 @@
 //! [`Prim::is_total`]: the passes ask nothing else of a call, and a call
 //! resolution left unresolved is neither merged, removed nor folded.
 //!
-//! The set is closed because code generation and the interval analysis
-//! must decide about every member: both `match` without a wildcard, so a
-//! row added here is a compile error at each site that has to handle it.
+//! The set is closed because code generation must decide about every
+//! member: instruction selection `match`es without a wildcard, so a row
+//! added here is a compile error at the site that has to handle it.
 //! Users extend the compiler through [`crate::FunctionImpl::Source`] and
 //! [`crate::FunctionImpl::Kernel`].
 

@@ -22,8 +22,9 @@
 #               (each Machine::run instance's address, size, address mod 64
 #               and stack frame); fails unless there are exactly two, the
 #               plain and the profiling dispatch loop
-#   scripts:    bash -n scripts/ab.sh (the A/B procedure is too slow to run
-#               here; its syntax is checked)
+#   scripts:    bash -n scripts/ab.sh and scripts/lines.sh (the A/B
+#               procedure is too slow to run here, and the line count needs a
+#               revision to compare with; their syntax is checked)
 #   lint:       cargo clippy --all-targets -- -D warnings (root, then
 #               --workspace)
 #
@@ -128,8 +129,9 @@ if [ "$(grep -c 'Machine::run at' <<< "$placement")" -ne 2 ]; then
   exit 1
 fi
 
-echo "==> scripts: bash -n scripts/ab.sh"
+echo "==> scripts: bash -n scripts/ab.sh scripts/lines.sh"
 bash -n scripts/ab.sh
+bash -n scripts/lines.sh
 
 echo "==> lint: cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
