@@ -252,9 +252,9 @@ fn fingerprint_of(compiler: &Compiler, func: &Expr) -> u64 {
 }
 
 /// One line per paper program and per hundred `wolfram_difftest` draws at
-/// seed 42. Generated at the commit before the solver became a worklist,
-/// the interval `Env` dense and the refcount facts managed-only; none of
-/// those may move a single fact or diagnostic.
+/// seed 42. Regenerated, in a commit of its own, when the range facts
+/// became one walk down the dominator tree; a change that means to keep
+/// the analyses' output must not move a single fact or diagnostic.
 const GOLDEN: &str = include_str!("../ANALYZE_facts.golden");
 
 #[test]
