@@ -25,6 +25,8 @@
 //! into `run_pipeline` at `VerifyLevel::Full` so the function entering the
 //! pipeline and the result of every pass that changes it are checked.
 
+#![forbid(unsafe_code)]
+
 pub mod dataflow;
 pub mod diag;
 pub mod intervals;

@@ -27,6 +27,8 @@
 //! their pass/fail contracts are the integration tests under `tests/`
 //! (`serve_gates`, `cli_serve`, `parallel_equivalence`).
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod harness;
 pub mod intro;

@@ -1,8 +1,8 @@
 //! The data-parallel tier's contract: every configuration computes
 //! bit-for-bit what the fused-scalar baseline computes (elementwise
-//! chunking and the vectorized loops keep evaluation order, and the
-//! per-row dot folds are not reassociated), and no worker thread leaks an
-//! acquire. What the tier is worth is `benchmark/`'s business
+//! chunking, matrix row blocks and the vectorized loops keep evaluation
+//! order, and a Dot with a vector operand runs the default's sequential
+//! fold), and no thread leaks an acquire. What the tier is worth is `benchmark/`'s business
 //! (`runtime.parallel.*` beside `codegen.machine.blur_ms`,
 //! `runtime.linalg.dot_ms`, `runtime.tensor.listable_ms`).
 //!
@@ -16,6 +16,14 @@ use wolfram_runtime::{memory, ParallelConfig, Tensor, Value};
 const LISTABLE_SRC: &str = r#"
 Function[{Typed[a, "Tensor"["Real64", 1]], Typed[b, "Tensor"["Real64", 1]]},
     (a + b) * a]
+"#;
+
+const DOT_MAT_VEC_SRC: &str = r#"
+Function[{Typed[a, "Tensor"["Real64", 2]], Typed[x, "Tensor"["Real64", 1]]}, Dot[a, x]]
+"#;
+
+const DOT_VEC_VEC_SRC: &str = r#"
+Function[{Typed[x, "Tensor"["Real64", 1]], Typed[y, "Tensor"["Real64", 1]]}, Dot[x, y]]
 "#;
 
 fn compiler(parallel: Option<ParallelConfig>) -> Compiler {
@@ -34,11 +42,14 @@ fn real_vector(n: usize, seed: u64) -> Value {
     ))
 }
 
-/// Shape and bit pattern of a real tensor: a single flipped bit is a
-/// routing bug, so there is no tolerance.
+/// Shape and bit pattern of a real tensor, or of a real scalar as a
+/// rank-0 shape: a single flipped bit is a routing bug, so there is no
+/// tolerance.
 fn bits(v: &Value) -> (Vec<usize>, Vec<u64>) {
-    let Value::Tensor(t) = v else {
-        panic!("expected a tensor, got {v:?}")
+    let t = match v {
+        Value::Tensor(t) => t,
+        Value::F64(x) => return (vec![], vec![x.to_bits()]),
+        _ => panic!("expected a real tensor or scalar, got {v:?}"),
     };
     let cells = t.as_f64().expect("real tensor");
     (
@@ -52,7 +63,10 @@ fn every_parallel_configuration_is_bit_identical_and_balanced() {
     // Tensors small enough to run in milliseconds; the chunk floor is
     // lowered with them (8 elements) so the threaded paths still engage.
     let (blur_n, dot_n, list_n) = (24usize, 24usize, 4000usize);
-    let kernels: [(&str, &str, Vec<Value>); 3] = [
+    // The vector Dots at 100 elements: at 24 a lane-split fold happens to
+    // agree with the sequential one.
+    let vec_n = 100usize;
+    let kernels: [(&str, &str, Vec<Value>); 5] = [
         (
             "Blur",
             programs::BLUR_SRC,
@@ -69,6 +83,19 @@ fn every_parallel_configuration_is_bit_identical_and_balanced() {
                 Value::Tensor(workloads::random_matrix(dot_n, 1)),
                 Value::Tensor(workloads::random_matrix(dot_n, 2)),
             ],
+        ),
+        (
+            "Dot[matrix, vector]",
+            DOT_MAT_VEC_SRC,
+            vec![
+                Value::Tensor(workloads::random_matrix(vec_n, 7)),
+                real_vector(vec_n, 8),
+            ],
+        ),
+        (
+            "Dot[vector, vector]",
+            DOT_VEC_VEC_SRC,
+            vec![real_vector(vec_n, 9), real_vector(vec_n, 10)],
         ),
         (
             "Listable",

@@ -34,6 +34,8 @@
 //! # Ok::<(), wolfram_expr::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod compiled_function;
 pub mod image;

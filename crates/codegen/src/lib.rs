@@ -21,7 +21,7 @@
 //! - `export` — standalone library export/load (F10); standalone code
 //!   runs without engine integration (aborts and kernel escapes disabled).
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod asm;
 pub mod backend;

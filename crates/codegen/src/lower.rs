@@ -13,7 +13,6 @@ use crate::{refcount, regalloc};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use wolfram_analyze::intervals::{FnRangeFacts, RangeFacts};
-use wolfram_expr::Expr;
 use wolfram_ir::module::{Block, BlockId, Callee, Constant, Function, Instr, Operand, VarId};
 use wolfram_ir::CompilerOptions;
 use wolfram_runtime::{Tensor, Value};
@@ -1203,11 +1202,6 @@ fn const_value(c: &Constant) -> Value {
 pub fn result_to_value(result: ArgVal, ret_ty: &Type) -> Value {
     let is_bool = matches!(ret_ty, Type::Atomic(n) if &**n == "Boolean");
     result.into_value(is_bool)
-}
-
-/// The `Expr` used in docs/tests.
-pub fn _doc_expr() -> Expr {
-    Expr::null()
 }
 
 #[cfg(test)]

@@ -697,8 +697,8 @@ pub enum RegOp {
     /// the final iteration through SIMD kernels when the runtime prechecks
     /// in the plan hold, then falls through to the scalar header for the
     /// last iteration and loop exit; otherwise it is a pure no-op and the
-    /// scalar loop executes unchanged. Ignored unless the program carries a
-    /// [`ParallelConfig`].
+    /// scalar loop executes unchanged. Planted only when the compiler's
+    /// `data_parallel` option is on; runs on the calling thread.
     VecLoop {
         plan: Arc<crate::vectorize::VecPlan>,
     },
@@ -1416,11 +1416,21 @@ impl std::error::Error for InvalidCode {}
 pub struct NativeProgram {
     /// Functions; index 0 is the entry (`Main`).
     pub funcs: Vec<NativeFunc>,
-    /// Data-parallel runtime configuration. `None` (the default) executes
-    /// every op on the scalar path; `Some` routes whole-tensor builtins
-    /// through the chunked worker pool and arms `VecLoop` batching.
+    /// Data-parallel runtime configuration: the threads and chunking that
+    /// whole-tensor builtins (elementwise tensor arithmetic, matrix Dot)
+    /// run under. `None` (the default) runs each of them as one kernel
+    /// call on the calling thread; every configuration computes the same
+    /// bits.
     pub parallel: Option<ParallelConfig>,
 }
+
+/// What a program without a [`ParallelConfig`] runs its whole-tensor
+/// builtins under: one thread and one chunk, so each is one plain kernel
+/// call.
+const ONE_THREAD: ParallelConfig = ParallelConfig {
+    num_threads: 1,
+    min_elems_per_chunk: usize::MAX,
+};
 
 impl NativeProgram {
     /// Finds a function by name.
@@ -2236,7 +2246,7 @@ impl Machine {
         fr: &mut Frame,
         engine: &mut Option<&mut Interpreter>,
     ) -> Result<(), RuntimeError> {
-        let par = prog.parallel.as_ref();
+        let par = prog.parallel.as_ref().unwrap_or(&ONE_THREAD);
         match op {
             RegOp::LdcArrayCopy { d, v } => {
                 fr.vals[*d] = match v {
@@ -2428,10 +2438,7 @@ impl Machine {
                 if x.len() != y.len() {
                     return Err(RuntimeError::Type("Dot length mismatch".into()));
                 }
-                fr.flts[*d] = match par {
-                    Some(cfg) => parallel::dot_f64(cfg, x, y),
-                    None => wolfram_runtime::linalg::ddot(x, y),
-                };
+                fr.flts[*d] = wolfram_runtime::linalg::ddot(x, y);
             }
             RegOp::DotVecI { d, a, b } => {
                 let ta = fr.vals[*a].expect_tensor()?;
@@ -2457,10 +2464,7 @@ impl Machine {
                 let (m, k, n) = (ta.shape()[0], ta.shape()[1], tb.shape()[1]);
                 let mut out = vec![0.0; m * n];
                 let (x, y) = (ta.expect_f64()?, tb.expect_f64()?);
-                match par {
-                    Some(cfg) => parallel::dgemm(cfg, x, y, &mut out, m, k, n),
-                    None => wolfram_runtime::linalg::dgemm(x, y, &mut out, m, k, n),
-                }
+                parallel::dgemm(par, x, y, &mut out, m, k, n);
                 fr.vals[*d] = Value::Tensor(Tensor::with_shape(vec![m, n], TensorData::F64(out))?);
             }
             RegOp::DotMatVec { d, a, b } => {
@@ -2472,10 +2476,7 @@ impl Machine {
                 let (m, n) = (ta.shape()[0], ta.shape()[1]);
                 let mut out = vec![0.0; m];
                 let (x, y) = (ta.expect_f64()?, tb.expect_f64()?);
-                match par {
-                    Some(cfg) => parallel::dgemv(cfg, x, y, &mut out, m, n),
-                    None => wolfram_runtime::linalg::dgemv(x, y, &mut out, m, n),
-                }
+                wolfram_runtime::linalg::dgemv(x, y, &mut out, m, n);
                 fr.vals[*d] = Value::Tensor(Tensor::from_f64(out));
             }
             RegOp::StrLen { d, s } => {
@@ -2596,16 +2597,13 @@ impl Machine {
                 fr.store(*ret, ArgVal::V(Value::from_expr(&result)))?;
             }
             RegOp::VecLoop { plan } => {
-                if let Some(cfg) = par {
-                    crate::vectorize::exec_batch(
-                        plan,
-                        cfg,
-                        &self.abort,
-                        &mut fr.ints.0,
-                        &fr.flts.0,
-                        &mut fr.vals.0,
-                    )?;
-                }
+                crate::vectorize::exec_batch(
+                    plan,
+                    &self.abort,
+                    &mut fr.ints.0,
+                    &fr.flts.0,
+                    &mut fr.vals.0,
+                )?;
             }
             hot => unreachable!("{} executes in the dispatch loop", hot.mnemonic()),
         }
@@ -2765,7 +2763,7 @@ fn tensor_elementwise(
     op: TenOp,
     a: &Tensor,
     b: &Tensor,
-    par: Option<&ParallelConfig>,
+    par: &ParallelConfig,
 ) -> Result<Tensor, RuntimeError> {
     if a.shape() != b.shape() {
         return Err(RuntimeError::Type("tensor shape mismatch".into()));
@@ -2794,23 +2792,16 @@ fn tensor_elementwise(
                 .collect();
             Tensor::with_shape(a.shape().to_vec(), TensorData::Complex(out))
         }
-        // The f64 arm is unchecked IEEE arithmetic, so chunked parallel
-        // execution is bit-identical to the sequential loop (the checked
-        // integer arm above must stay sequential: first-overflow-wins).
+        // The f64 arm is unchecked IEEE arithmetic, so chunked execution
+        // is bit-identical to one sequential loop (the checked integer arm
+        // above must stay sequential: first-overflow-wins).
         _ => {
             let fa = a.to_f64_tensor();
             let fb = b.to_f64_tensor();
             let (x, y) = (fa.expect_f64()?, fb.expect_f64()?);
             let sop = ten_simd_op(op);
             let mut out = vec![0.0; x.len()];
-            match par {
-                Some(cfg) => parallel::zip_f64(cfg, sop, x, y, &mut out),
-                None => {
-                    for ((o, p), q) in out.iter_mut().zip(x).zip(y) {
-                        *o = sop.apply(*p, *q);
-                    }
-                }
-            }
+            parallel::zip_f64(par, sop, x, y, &mut out);
             Tensor::with_shape(a.shape().to_vec(), TensorData::F64(out))
         }
     }
@@ -2830,7 +2821,7 @@ fn tensor_scalar_elementwise(
     t: &Tensor,
     s: &Value,
     rev: bool,
-    par: Option<&ParallelConfig>,
+    par: &ParallelConfig,
 ) -> Result<Tensor, RuntimeError> {
     match (t.data(), s) {
         (TensorData::I64(x), Value::I64(q)) => {
@@ -2875,15 +2866,7 @@ fn tensor_scalar_elementwise(
             };
             let sop = ten_simd_op(op);
             let mut out = vec![0.0; x.len()];
-            match par {
-                Some(cfg) => parallel::map_f64(cfg, sop, x, q, rev, &mut out),
-                None => {
-                    for (o, p) in out.iter_mut().zip(x) {
-                        let (a, b) = if rev { (q, *p) } else { (*p, q) };
-                        *o = sop.apply(a, b);
-                    }
-                }
-            }
+            parallel::map_f64(par, sop, x, q, rev, &mut out);
             Tensor::with_shape(t.shape().to_vec(), TensorData::F64(out))
         }
     }

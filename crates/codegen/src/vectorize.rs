@@ -3,12 +3,12 @@
 //! Scans fused native code for innermost counted loops whose body is a
 //! straight-line dense `f64` tensor map (Blur's stencil row, Listable
 //! inner loops) and plants a [`RegOp::VecLoop`] superinstruction in front
-//! of the loop header. At run time — only when the program carries a
-//! [`ParallelConfig`] — the VecLoop executes all but the final iteration
-//! as one batch through the SIMD kernels (and the worker pool, when the
-//! store is contiguous), then falls through to the untouched scalar loop
-//! for the last iteration and the exit test. When any precheck fails the
-//! VecLoop is a no-op and the scalar loop runs exactly as before.
+//! of the loop header (the compiler runs this pass only under its
+//! `data_parallel` option). At run time the VecLoop executes all but the
+//! final iteration as one batch through the SIMD kernels, on the calling
+//! thread, then falls through to the untouched scalar loop for the last
+//! iteration and the exit test. When any precheck fails the VecLoop is a
+//! no-op and the scalar loop runs exactly as before.
 //!
 //! # Soundness
 //!
@@ -53,9 +53,10 @@
 //!   proven uniform (no release may precede the slot's first acquire in
 //!   an iteration, acquires are runtime-verified managed, and the counts
 //!   must balance); the batch bumps the counters in bulk by `m × count`.
-//! - **Aborts.** The batch polls the abort flag per chunk instead of per
-//!   iteration — a documented relaxation; an abort mid-batch unwinds with
-//!   entry-state flags, so accounting still balances.
+//! - **Aborts.** The batch polls the abort flag once per 1,024-element
+//!   block instead of per iteration — a documented relaxation; an abort
+//!   mid-batch unwinds with entry-state flags, so accounting still
+//!   balances.
 //!
 //! The only observable differences, both documented in DESIGN.md: abort
 //! polling granularity, and the drop timing of a dead value that a
@@ -70,14 +71,13 @@ use crate::machine::{
     Bank, ElemKind, FltOp, IntOp, IntUnOp, NativeFunc, NativeProgram, RegOp, Slot,
 };
 use wolfram_runtime::simd::{self, SimdOp};
-use wolfram_runtime::{
-    memory, parallel, AbortSignal, ParallelConfig, RuntimeError, Tensor, TensorData, Value,
-};
+use wolfram_runtime::{memory, AbortSignal, RuntimeError, Tensor, TensorData, Value};
 
 /// Smallest batch (iterations beyond the tail) worth vectorizing.
 const VEC_MIN: i128 = 8;
 
-/// Elements evaluated per scratch sub-block inside a chunk.
+/// Elements evaluated per scratch block; the batch polls the abort signal
+/// once per block.
 const BLOCK: usize = 1024;
 
 // ---------------------------------------------------------------------------
@@ -704,7 +704,7 @@ impl Planner {
             RegOp::TakeV { d, s } => self.take_v(*d, *s),
             RegOp::Acquire { v } => self.acquire(*v),
             RegOp::Release { v } => self.release(*v)?,
-            // The batch polls the abort flag per chunk instead.
+            // The batch polls the abort flag once per block instead.
             RegOp::AbortCheck => {}
             // Anything else — calls, boxing, RNG, strings, complex,
             // whole-tensor ops, integer loads, branches — refuses.
@@ -1000,8 +1000,7 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
 
 /// Plants `VecLoop` ops in front of every vectorizable counted loop of
 /// the program. Returns the number of loops vectorized. Safe to run on
-/// any fused program; the planted ops are inert until the program carries
-/// a [`ParallelConfig`].
+/// any fused program.
 pub fn vectorize_program(p: &mut NativeProgram) -> usize {
     p.funcs.iter_mut().map(vectorize_function).sum()
 }
@@ -1223,7 +1222,6 @@ fn tag_slice<'a>(
 #[allow(clippy::too_many_lines)]
 pub(crate) fn exec_batch(
     plan: &VecPlan,
-    cfg: &ParallelConfig,
     abort: &AbortSignal,
     ints: &mut [i64],
     flts: &[f64],
@@ -1343,8 +1341,7 @@ pub(crate) fn exec_batch(
     }
     let root = tags[plan.root as usize];
     // Commit: one data_mut on the output (COW-exact, see above), then
-    // evaluate chunks. Chunk boundaries are a function of the length
-    // only, so thread counts never change results.
+    // evaluate the batch block by block, in iteration order.
     let m_us = m as usize;
     let input_slices: Vec<&[f64]> = inputs
         .iter()
@@ -1359,75 +1356,38 @@ pub(crate) fn exec_batch(
     let TensorData::F64(out_data) = out_t.data_mut() else {
         unreachable!()
     };
-    let n_chunks = cfg.chunk_count(m_us);
-    if out_addr.stride == 1 && cfg.threads() > 1 && n_chunks > 1 {
-        let start = out_addr.off0 as usize;
-        let run = &mut out_data[start..start + m_us];
-        parallel::for_each_row_block(
-            cfg.threads(),
-            n_chunks,
-            m_us,
-            1,
-            run,
-            &|_, lo, hi, stripe| {
-                if abort.is_triggered() {
-                    return;
-                }
-                let mut scratch = vec![vec![0.0f64; BLOCK]; n_bufs];
-                let mut s = lo;
-                while s < hi {
-                    let len = (hi - s).min(BLOCK);
-                    eval_block(
-                        &steps,
-                        root,
-                        &input_slices,
-                        &mut scratch,
-                        s,
-                        len,
-                        &mut stripe[s - lo..s - lo + len],
-                    );
-                    s += len;
-                }
-            },
-        );
+    let mut scratch = vec![vec![0.0f64; BLOCK]; n_bufs];
+    let mut block = vec![0.0f64; BLOCK];
+    let mut s = 0;
+    while s < m_us {
         abort.check()?;
-    } else {
-        let mut scratch = vec![vec![0.0f64; BLOCK]; n_bufs];
-        let mut block = vec![0.0f64; BLOCK];
-        for ci in 0..n_chunks {
-            abort.check()?;
-            let (lo, hi) = parallel::chunk_bounds(m_us, n_chunks, ci);
-            let mut s = lo;
-            while s < hi {
-                let len = (hi - s).min(BLOCK);
-                if out_addr.stride == 1 {
-                    let start = (out_addr.off0 + s as i128) as usize;
-                    eval_block(
-                        &steps,
-                        root,
-                        &input_slices,
-                        &mut scratch,
-                        s,
-                        len,
-                        &mut out_data[start..start + len],
-                    );
-                } else {
-                    eval_block(
-                        &steps,
-                        root,
-                        &input_slices,
-                        &mut scratch,
-                        s,
-                        len,
-                        &mut block[..len],
-                    );
-                    for (t, &v) in block[..len].iter().enumerate() {
-                        out_data[(out_addr.off0 + (s + t) as i128 * out_addr.stride) as usize] = v;
-                    }
-                }
-                s += len;
+        let len = (m_us - s).min(BLOCK);
+        if out_addr.stride == 1 {
+            let start = (out_addr.off0 + s as i128) as usize;
+            eval_block(
+                &steps,
+                root,
+                &input_slices,
+                &mut scratch,
+                s,
+                len,
+                &mut out_data[start..start + len],
+            );
+        } else {
+            eval_block(
+                &steps,
+                root,
+                &input_slices,
+                &mut scratch,
+                s,
+                len,
+                &mut block[..len],
+            );
+            for (t, &v) in block[..len].iter().enumerate() {
+                out_data[(out_addr.off0 + (s + t) as i128 * out_addr.stride) as usize] = v;
             }
         }
+        s += len;
     }
     // The batch consumed iterations 0..m: advance the induction variable
     // (endpoint-checked above) and record the skipped refcount traffic.
@@ -1455,13 +1415,6 @@ mod tests {
         ArgVal::V(Value::Tensor(
             Tensor::with_shape(vec![rows, cols], TensorData::F64(v)).unwrap(),
         ))
-    }
-
-    fn cfg(threads: usize) -> ParallelConfig {
-        ParallelConfig {
-            num_threads: threads,
-            min_elems_per_chunk: 16,
-        }
     }
 
     fn run(prog: &NativeProgram, args: Vec<ArgVal>) -> Result<ArgVal, RuntimeError> {
@@ -1567,15 +1520,8 @@ mod tests {
             funcs: vec![scalar],
         };
         let want = run(&base, saxpy_args(n, n as i64)).unwrap();
-        for threads in [1, 2, 8] {
-            let prog = NativeProgram {
-                parallel: Some(cfg(threads)),
-                funcs: vec![vectored.clone()],
-            };
-            let got = run(&prog, saxpy_args(n, n as i64)).unwrap();
-            assert_eq!(got, want, "threads={threads}");
-        }
-        // Inert without a ParallelConfig.
+        // A planted plan runs without a ParallelConfig and matches the
+        // scalar loop.
         let prog = NativeProgram {
             parallel: None,
             funcs: vec![vectored],
@@ -1624,17 +1570,15 @@ mod tests {
             saxpy_args(n, n as i64),
         )
         .unwrap();
-        for threads in [1, 2, 8] {
-            let got = run(
-                &NativeProgram {
-                    parallel: Some(cfg(threads)),
-                    funcs: vec![vectored.clone()],
-                },
-                saxpy_args(n, n as i64),
-            )
-            .unwrap();
-            assert_eq!(got, want, "threads={threads}");
-        }
+        let got = run(
+            &NativeProgram {
+                parallel: None,
+                funcs: vec![vectored],
+            },
+            saxpy_args(n, n as i64),
+        )
+        .unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1656,7 +1600,7 @@ mod tests {
         memory::reset_stats();
         run(
             &NativeProgram {
-                parallel: Some(cfg(1)),
+                parallel: None,
                 funcs: vec![vectored],
             },
             saxpy_args(n, n as i64),
@@ -1684,7 +1628,7 @@ mod tests {
             .unwrap();
             let got = run(
                 &NativeProgram {
-                    parallel: Some(cfg(2)),
+                    parallel: None,
                     funcs: vec![vectored.clone()],
                 },
                 saxpy_args(n, n as i64),
@@ -1710,7 +1654,7 @@ mod tests {
         .unwrap_err();
         let got = run(
             &NativeProgram {
-                parallel: Some(cfg(2)),
+                parallel: None,
                 funcs: vec![vectored],
             },
             saxpy_args(n, n as i64 + 5),
@@ -1799,7 +1743,7 @@ mod tests {
             funcs: vec![scalar],
         };
         let prog = NativeProgram {
-            parallel: Some(cfg(2)),
+            parallel: None,
             funcs: vec![vectored],
         };
         assert_eq!(
@@ -1899,7 +1843,7 @@ mod tests {
         .unwrap();
         let got = run(
             &NativeProgram {
-                parallel: Some(cfg(4)),
+                parallel: None,
                 funcs: vec![vectored],
             },
             args(),
@@ -2004,17 +1948,15 @@ mod tests {
         };
         let full: f64 = 1.25 + (0..n).map(|i| i as f64 * 0.5 - 7.0).sum::<f64>();
         assert_eq!(s, full, "scalar baseline must be the full sum");
-        for threads in [1, 2, 8] {
-            let got = run(
-                &NativeProgram {
-                    parallel: Some(cfg(threads)),
-                    funcs: vec![vectored.clone()],
-                },
-                args(),
-            )
-            .unwrap();
-            assert_eq!(got, want, "threads={threads}");
-        }
+        let got = run(
+            &NativeProgram {
+                parallel: None,
+                funcs: vec![vectored],
+            },
+            args(),
+        )
+        .unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //!   abortability (F3), installation into a hosting engine, and the
 //!   `FindRoot` auto-compilation hook.
 
+#![forbid(unsafe_code)]
+
 pub mod binding;
 pub mod engine;
 pub mod infer;

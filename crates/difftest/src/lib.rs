@@ -23,6 +23,8 @@
 //! 2. `reproduce -- difftest --iters N --seed S` for long local runs, and
 //! 3. a scheduled CI job that uploads shrunk counterexamples.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod gen;
 pub mod oracle;

@@ -18,6 +18,8 @@
 //! # Ok::<(), wolfram_expr::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bigint;
 pub mod expr;
 pub mod format;

@@ -24,6 +24,8 @@
 //! assert_eq!(i.eval_src("Total[Table[k^2, {k, 1, 10}]]").unwrap().as_i64(), Some(385));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builtins;
 pub mod env;
 pub mod eval;

@@ -21,6 +21,8 @@
 //! [`CompilerOptions`] lives here too: the passes and every layer above
 //! read the one definition ([`options`]).
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod builder;
 pub mod module;

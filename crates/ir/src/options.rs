@@ -72,10 +72,12 @@ pub struct CompilerOptions {
     /// entering the pass pipeline and on the result of every pass that
     /// changes it; benchmarks set `Off` to measure pure pass cost.
     pub verify: VerifyLevel,
-    /// Enable the data-parallel execution tier: whole-tensor builtins run
-    /// chunked across the runtime's worker pool, and fused counted loops
-    /// are batched through the SIMD kernels (`vectorize` pass). Off by
-    /// default — the scalar engine is the semantics reference.
+    /// Enable the data-parallel execution tier: elementwise tensor
+    /// arithmetic and matrix Dot run chunked across scoped threads, and
+    /// fused counted loops are batched through the SIMD kernels on the
+    /// calling thread (`vectorize` pass). Every configuration computes the
+    /// same bits as the default. Off by default — the scalar engine is the
+    /// semantics reference.
     pub data_parallel: bool,
     /// Tuning for the data-parallel tier (threads, chunk granularity).
     /// Ignored unless `data_parallel` is set.

@@ -144,8 +144,7 @@ impl DeadlineTimer {
     }
 
     fn arm(&self, at: Instant, signal: AbortSignal) -> DeadlineGuard {
-        // The thread lives as long as the process, like the data-parallel
-        // pool's workers; it is never joined.
+        // The thread lives as long as the process; it is never joined.
         static START: Once = Once::new();
         START.call_once(|| {
             std::thread::Builder::new()

@@ -16,9 +16,11 @@
 //!   compiler's memory-management pass.
 //! - [`linalg`] — the shared `dgemm` kernel standing in for MKL (all three
 //!   implementations of the Dot benchmark route through it, as in §6).
-//! - [`parallel`] / [`simd`] — the data-parallel tier: a persistent worker
-//!   pool with deterministic chunking for whole-tensor builtins, and
+//! - [`parallel`] / [`simd`] — the data-parallel tier: deterministic
+//!   chunking of whole-tensor builtins over scoped threads, and
 //!   stable-Rust SIMD-shaped kernels for dense `f64` inner loops.
+
+#![forbid(unsafe_code)]
 
 pub mod abort;
 pub mod checked;

@@ -8,12 +8,9 @@
 //! same scalar operation to each lane, so results are bit-identical to a
 //! plain loop regardless of how the compiler vectorizes them.
 //!
-//! The reductions ([`sum`], [`dot`]) are *reassociated*: they accumulate
-//! into `LANES` independent lanes merged as `((l0+l2)+(l1+l3))+tail`.
-//! That order is a deterministic function of the input length alone, but
-//! it differs from the strict left-to-right order the interpreter uses —
-//! which is exactly what the difftest ULP/cancellation equivalence
-//! relation exists to absorb (see DESIGN.md, "The parallel tier").
+//! There are no reduction kernels: a lane-split sum would reassociate the
+//! fold and differ from the scalar engine in the last bits, so dot
+//! products stay in [`crate::linalg`].
 
 /// Unroll width of every kernel in this module.
 pub const LANES: usize = 4;
@@ -127,46 +124,6 @@ pub fn fill(out: &mut [f64], v: f64) {
     }
 }
 
-/// Sum with `LANES` accumulator lanes, merged `((l0+l2)+(l1+l3))+tail`.
-///
-/// The association is a fixed function of `a.len()` — two calls on equal
-/// data always agree bitwise — but it is *not* the interpreter's strict
-/// left-to-right fold.
-pub fn sum(a: &[f64]) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let mut ac = a.chunks_exact(LANES);
-    for x in &mut ac {
-        acc[0] += x[0];
-        acc[1] += x[1];
-        acc[2] += x[2];
-        acc[3] += x[3];
-    }
-    let mut tail = 0.0f64;
-    for x in ac.remainder() {
-        tail += *x;
-    }
-    ((acc[0] + acc[2]) + (acc[1] + acc[3])) + tail
-}
-
-/// Dot product with the same lane structure and merge order as [`sum`].
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert!(a.len() == b.len(), "dot length mismatch");
-    let mut acc = [0.0f64; LANES];
-    let mut ac = a.chunks_exact(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    for (x, y) in (&mut ac).zip(&mut bc) {
-        acc[0] += x[0] * y[0];
-        acc[1] += x[1] * y[1];
-        acc[2] += x[2] * y[2];
-        acc[3] += x[3] * y[3];
-    }
-    let mut tail = 0.0f64;
-    for (x, y) in ac.remainder().iter().zip(bc.remainder()) {
-        tail += x * y;
-    }
-    ((acc[0] + acc[2]) + (acc[1] + acc[3])) + tail
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,40 +202,6 @@ mod tests {
                 }
             }
         }
-        // -0.0 + 0.0 sign handling in the reductions: the lanes start at
-        // +0.0, so sum of all -0.0 inputs is +0.0 (same as a scalar fold
-        // seeded with 0.0).
-        assert_eq!(
-            sum(&[-0.0, -0.0, -0.0, -0.0, -0.0]).to_bits(),
-            0.0f64.to_bits()
-        );
-    }
-
-    #[test]
-    fn reductions_are_deterministic_and_close_to_sequential() {
-        for n in [0, 1, 3, 4, 5, 7, 8, 9, 1000, 1001] {
-            let a = pattern(n);
-            let b: Vec<f64> = a.iter().map(|x| 1.0 - x).collect();
-            let s1 = sum(&a);
-            let s2 = sum(&a);
-            assert_eq!(s1.to_bits(), s2.to_bits(), "sum must be deterministic");
-            let seq: f64 = a.iter().sum();
-            assert!((s1 - seq).abs() <= 1e-9 * seq.abs().max(1.0));
-            let d1 = dot(&a, &b);
-            assert_eq!(d1.to_bits(), dot(&a, &b).to_bits());
-            let seq_dot: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            assert!((d1 - seq_dot).abs() <= 1e-9 * seq_dot.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn integer_valued_reductions_are_exact() {
-        // Small integers are exact in f64 under any association, so the
-        // reassociated reductions must agree exactly with sequential.
-        let a: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(sum(&a), 5050.0);
-        let ones = vec![1.0; 37];
-        assert_eq!(dot(&a[..37], &ones), a[..37].iter().sum::<f64>());
     }
 
     #[test]

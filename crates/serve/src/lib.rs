@@ -82,6 +82,8 @@
 //! assert!(pool.metrics().hit_rate() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod disk;
 pub mod key;

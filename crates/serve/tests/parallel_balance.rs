@@ -2,7 +2,7 @@
 //! must be cached separately from scalar ones (fingerprint separation
 //! observed end to end), produce identical results, and leave the
 //! process-wide memory counters balanced even though the compiled code
-//! fans work out to the runtime worker pool from inside a serve worker.
+//! runs the tier's batched loops from inside a serve worker.
 //!
 //! Like `memory_balance.rs`, this lives in its own test binary so no
 //! concurrently running test can perturb the process-wide totals
@@ -20,8 +20,8 @@ fn data_parallel_requests_balance_and_cache_separately() {
     });
 
     // A vectorizable loop over a managed tensor: the tier plants a
-    // vec.loop plan, so batched acquire/release accounting and the
-    // chunked threaded path both run inside a serve worker.
+    // vec.loop plan, so batched acquire/release accounting runs inside a
+    // serve worker.
     let src = "Function[{Typed[v, \"Tensor\"[\"Real64\", 1]], Typed[n, \"MachineInteger\"]}, \
                Module[{out, i}, out = ConstantArray[0., {n}]; i = 1; \
                While[i <= n, out[[i]] = 2.0*v[[i]] + 1.0; i = i + 1]; out]]";

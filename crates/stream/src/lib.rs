@@ -26,6 +26,8 @@
 //! including runs with mid-stream errors. `tests/equivalence.rs` holds
 //! both properties down.
 
+#![forbid(unsafe_code)]
+
 pub mod exec;
 pub mod metrics;
 pub mod net;

@@ -21,6 +21,8 @@
 //!   alternatives by specificity ordering, raising ambiguity errors when no
 //!   ordering exists.
 
+#![forbid(unsafe_code)]
+
 pub mod classes;
 pub mod constraint;
 pub mod env;

@@ -9,6 +9,9 @@
 #               data-parallel contracts are crates/bench/tests/*.rs)
 #   primitives: no primitive base name is spelled in crates/ outside the
 #               table (crates/types/src/prim.rs) and test modules
+#   unsafe:     no `unsafe` under crates/*/src but the signal(2) FFI in
+#               crates/bench/src/bin/reproduce.rs (every library crate root
+#               is #![forbid(unsafe_code)]; this covers the binaries too)
 #   build:      cargo build --release -p wolfram-bench --bin reproduce
 #   analyzer:   reproduce analyze over difftest/corpus/*.wl, at every IR
 #               stage, and --stats against ANALYZE_stats.golden
@@ -52,6 +55,14 @@ echo "==> primitives: base names are spelled only in crates/types/src/prim.rs"
 pat='"((checked_(binary|unary)|compare|unary|binary|bit|tensor|scalar_tensor|dot|complex|string|random|expr)_[A-Za-z0-9_]*|power_mod|list_construct|boole|convert)[$"]'
 spelled=$(find crates -name '*.rs' ! -path crates/types/src/prim.rs -print0 | xargs -0 awk -v pat="$pat" '/#\[cfg\(test\)\]/{nextfile} $0 ~ pat {print FILENAME":"FNR": "$0}')
 if [ -n "$spelled" ]; then echo "$spelled"; exit 1; fi
+
+echo "==> unsafe: none under crates/*/src but reproduce's signal(2) FFI"
+unsafe_uses=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+  FNR == 1 { ffi = 0 }
+  FILENAME == "crates/bench/src/bin/reproduce.rs" && /^fn install_shutdown_handler\(/ { ffi = 1 }
+  /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ && !ffi { print FILENAME":"FNR": "$0 }
+  ffi && /^}/ { ffi = 0 }')
+if [ -n "$unsafe_uses" ]; then echo "$unsafe_uses"; exit 1; fi
 
 # The root package does not depend on wolfram-bench, so the tier-1 build
 # above leaves ./target/release/reproduce missing or stale.
