@@ -21,9 +21,10 @@
 //! `analyze` compiles one program to the requested IR stage and prints
 //! every `wolfram-analyze` diagnostic (type errors, refcount imbalance,
 //! lints); it exits nonzero if any error-severity finding is reported.
-//! `analyze --stats` instead reports the interval-analysis elision
-//! counters (Part bounds, integer overflow, refcount pairs) and per-lint
-//! finding totals over the paper corpus, with a `--golden` CI gate.
+//! `analyze --stats` instead reports the elision counters (Part bounds and
+//! integer overflow from the interval analysis, and the refcount pairs the
+//! lowering cancels on every compile) and per-lint finding totals over the
+//! paper corpus, with a `--golden` CI gate.
 //!
 //! `serve` runs the concurrent compile-and-evaluate pool over stdin (one
 //! request per line as a two-element list `{Function[...], {arg, ...}}`,

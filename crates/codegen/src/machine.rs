@@ -1253,10 +1253,11 @@ fn clone_cheap(v: &Value) -> Value {
     }
 }
 
-/// Per-function counts of runtime checks the interval analysis let the
-/// lowering elide (and the totals they are drawn from), for
-/// observability: `reproduce analyze --stats` and the CI golden gate
-/// read these instead of grepping op listings.
+/// Per-function counts of runtime checks the lowering elided (and the
+/// totals they are drawn from), for observability: `reproduce analyze
+/// --stats` and the CI golden gate read these instead of grepping op
+/// listings. The bounds and overflow counts come from the interval
+/// analysis; `rc_elided` does not depend on it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElisionCounters {
     /// Part bounds checks elided at lowering (unchecked tensor ops).
@@ -1289,8 +1290,8 @@ pub struct NativeFunc {
     pub n_val: usize,
     /// Where incoming arguments are stored, in order.
     pub params: Vec<Slot>,
-    /// Check-elision statistics fixed at lowering; all zero when the
-    /// range analysis is off.
+    /// Check-elision statistics fixed at lowering; the bounds and
+    /// overflow counts are zero when the range analysis is off.
     pub elision: ElisionCounters,
 }
 

@@ -12,9 +12,14 @@
 //!
 //! # Soundness
 //!
-//! The planner refuses by default; a loop is batched only when every
-//! instruction in it is on the whitelist below, so the batch is
-//! observationally identical to the scalar iterations it replaces:
+//! The planner refuses by default. A loop is batched only when every
+//! instruction in it is on a short whitelist — the ops counted loops
+//! lowered from source actually hold: affine integer `+ − ×` and `Neg`,
+//! `LdcI`/`MovI`; `LdcF`/`MovF` and real `+ − × /`; `f64` `TenPart1/2`
+//! loads; one `f64` `TenSet1/2` store; and `AbortCheck`. Anything else
+//! (calls, boxing, value moves, refcount ops, compares, casts, unary math,
+//! non-`f64` elements) refuses the whole loop. On the whitelist the batch
+//! is observationally identical to the scalar iterations it replaces:
 //!
 //! - **Loop-carried scalars.** Any register (int or float) that is read
 //!   before its first write in the iteration and also written by the
@@ -22,17 +27,16 @@
 //!   when its value never reaches the store: the batch replays no
 //!   per-iteration scalar updates, so a running accumulator next to the
 //!   store (`s = s + x[[j]]`) would otherwise exit the loop holding only
-//!   the tail iteration's update.
-//! - **Errors.** Unhandled-but-total ops (float compares, `Pow`, unary
-//!   math) may be skipped in the batch — the tail iteration recomputes
-//!   every register the body writes before the loop can read it; such
-//!   registers are never loop-carried (see above), so the recomputation
-//!   depends only on invariants, loads, and the advanced induction
-//!   variable. Any op
-//!   that *can* raise (checked integer `Quot`/`Mod`/`Pow`/`Gcd`/shifts,
-//!   `Floor`/`Round` casts, float `Mod`, calls, boxing, non-`f64` loads)
-//!   refuses the whole loop: a batch must never succeed past the
-//!   iteration where the scalar loop would have raised.
+//!   the tail iteration's update. The tail iteration recomputes every
+//!   register the body writes from invariants, loads and the advanced
+//!   induction variable, so it leaves each as the last scalar iteration
+//!   would.
+//! - **Errors.** Abort polls aside, a whitelisted op raises only through
+//!   one of the next three conditions, each tested for the whole batch at
+//!   entry, and every float value the body computes feeds the store (a
+//!   dead one refuses the loop, so no load escapes its bounds test). A
+//!   batch never succeeds past the iteration where the scalar loop would
+//!   have raised.
 //! - **Integer overflow.** Every checked integer result in the body is an
 //!   affine function of the induction variable and loop invariants; its
 //!   value over the whole batch range is endpoint-checked in `i128` at
@@ -41,28 +45,22 @@
 //! - **Part bounds.** Load/store indices are affine; both endpoints are
 //!   range-checked against the tensor shape (1-based, negative or
 //!   out-of-range indices fall back to the scalar path and its error).
-//! - **Division.** A vectorized `Div` requires a provably nonzero
-//!   divisor: a nonzero constant, or a loop-invariant register checked
-//!   nonzero at batch entry.
+//! - **Division.** A divisor must be a nonzero constant; a register
+//!   divisor refuses the loop.
 //! - **Copy-on-write.** Inputs are `Arc`-cloned first, then the output
 //!   tensor takes one `data_mut()`: it copies iff the storage is shared
 //!   at batch entry — the same condition the scalar loop's first store
 //!   sees — and loads never read the output object (plan-time refusal),
 //!   so the batch writes the same bytes the scalar iterations would.
-//! - **Refcount accounting.** Per-iteration acquire/release counts are
-//!   proven uniform (no release may precede the slot's first acquire in
-//!   an iteration, acquires are runtime-verified managed, and the counts
-//!   must balance); the batch bumps the counters in bulk by `m × count`.
+//! - **Values and refcounts.** The body writes no value register and
+//!   holds no refcount op, so every value slot and the acquire/release
+//!   counters end the batch as the scalar iterations would leave them.
 //! - **Aborts.** The batch polls the abort flag once per 1,024-element
 //!   block instead of per iteration — a documented relaxation; an abort
-//!   mid-batch unwinds with entry-state flags, so accounting still
-//!   balances.
+//!   mid-batch unwinds like any other error.
 //!
-//! The only observable differences, both documented in DESIGN.md: abort
-//! polling granularity, and the drop timing of a dead value that a
-//! batched iteration would have overwritten (which can shift the
-//! `tensor_copies` diagnostic counter under pathological aliasing, never
-//! values or acquire/release counts).
+//! The only observable difference, documented in DESIGN.md, is the abort
+//! polling granularity.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -71,7 +69,7 @@ use crate::machine::{
     Bank, ElemKind, FltOp, IntOp, IntUnOp, NativeFunc, NativeProgram, RegOp, Slot,
 };
 use wolfram_runtime::simd::{self, SimdOp};
-use wolfram_runtime::{memory, AbortSignal, RuntimeError, Tensor, TensorData, Value};
+use wolfram_runtime::{AbortSignal, RuntimeError, Tensor, TensorData, Value};
 
 /// Smallest batch (iterations beyond the tail) worth vectorizing.
 const VEC_MIN: i128 = 8;
@@ -182,14 +180,6 @@ pub struct VecPlan {
     /// Affine results of checked integer ops; each endpoint must fit
     /// `i64` over the batch range or the batch falls back.
     pub int_checks: Vec<Affine>,
-    /// Float registers that must be nonzero at batch entry (divisors).
-    pub div_checks: Vec<u32>,
-    /// Value slots that must hold managed values (acquire targets).
-    pub managed_checks: Vec<u32>,
-    /// Acquires recorded per scalar iteration.
-    pub acquires: u64,
-    /// Releases recorded per scalar iteration.
-    pub releases: u64,
 }
 
 impl VecPlan {
@@ -217,14 +207,12 @@ impl VecPlan {
                 VecNode::Reg(r) => Some(*r),
                 _ => None,
             })
-            .chain(self.div_checks.iter().copied())
             .map(|r| Slot::new(Bank::F, r));
         let vals = self
             .tensors
             .iter()
             .map(|t| t.slot)
             .chain([self.out.slot])
-            .chain(self.managed_checks.iter().copied())
             .map(|r| Slot::new(Bank::V, r));
         ints.chain(flts).chain(vals).collect()
     }
@@ -318,52 +306,20 @@ impl SymAffine {
     }
 }
 
-/// Symbolic integer register state.
-#[derive(Debug, Clone, PartialEq)]
-enum IForm {
-    Aff(SymAffine),
-    /// Written by a total op we don't model; dead until the tail
-    /// recomputes it.
-    Unknown,
-}
-
 /// Symbolic float dataflow node.
 #[derive(Debug, Clone, PartialEq)]
 enum SymNode {
     Const(f64),
     Reg(u32),
-    Load {
-        slot: u32,
-        rank: u32,
-        row: Option<SymAffine>,
-        col: SymAffine,
-    },
-    Bin {
-        op: SimdOp,
-        l: usize,
-        r: usize,
-    },
-    /// Result of a total op outside the kernel set; must stay dead.
-    Opaque,
+    Load(SymAddr),
+    Bin { op: SimdOp, l: usize, r: usize },
 }
 
-/// What a value slot currently holds during the symbolic iteration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Obj {
-    /// The entry value of slot `s`.
-    Orig(u32),
-    /// Taken (`Value::Null`).
-    Null,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FlagSim {
-    Unknown,
-    Known(bool),
-}
+/// A load or store address: value slot, rank, row (rank 2) and column.
+type SymAddr = (u32, u32, Option<SymAffine>, SymAffine);
 
 struct Planner {
-    imap: HashMap<u32, IForm>,
+    imap: HashMap<u32, SymAffine>,
     written_ints: HashSet<u32>,
     /// Integer registers read before their first write in the iteration:
     /// their entry value is live into the body, so writing them makes the
@@ -374,16 +330,9 @@ struct Planner {
     written_flts: HashSet<u32>,
     /// Float registers read before their first write in the iteration.
     first_read_flts: HashSet<u32>,
-    vmap: HashMap<u32, Obj>,
-    /// First access per touched value slot: `true` = overwrite-first.
-    first_access: HashMap<u32, bool>,
-    flags: HashMap<u32, FlagSim>,
-    store: Option<(u32, u32, Option<SymAffine>, SymAffine, usize)>,
+    /// The store's address and the node it stores.
+    store: Option<(SymAddr, usize)>,
     int_checks: Vec<SymAffine>,
-    div_regs: HashSet<u32>,
-    managed: HashSet<u32>,
-    acquires: u64,
-    releases: u64,
 }
 
 impl Planner {
@@ -396,29 +345,22 @@ impl Planner {
             fmap: HashMap::new(),
             written_flts: HashSet::new(),
             first_read_flts: HashSet::new(),
-            vmap: HashMap::new(),
-            first_access: HashMap::new(),
-            flags: HashMap::new(),
             store: None,
             int_checks: Vec::new(),
-            div_regs: HashSet::new(),
-            managed: HashSet::new(),
-            acquires: 0,
-            releases: 0,
         }
     }
 
-    fn rd_i(&mut self, r: u32) -> IForm {
+    fn rd_i(&mut self, r: u32) -> SymAffine {
         if !self.written_ints.contains(&r) {
             self.first_read_ints.insert(r);
         }
         self.imap
             .get(&r)
             .cloned()
-            .unwrap_or_else(|| IForm::Aff(SymAffine::reg(r)))
+            .unwrap_or_else(|| SymAffine::reg(r))
     }
 
-    fn wr_i(&mut self, r: u32, f: IForm) {
+    fn wr_i(&mut self, r: u32, f: SymAffine) {
         self.imap.insert(r, f);
         self.written_ints.insert(r);
     }
@@ -430,8 +372,7 @@ impl Planner {
         if let Some(&n) = self.fmap.get(&r) {
             return n;
         }
-        self.nodes.push(SymNode::Reg(r));
-        let id = self.nodes.len() - 1;
+        let id = self.push(SymNode::Reg(r));
         self.fmap.insert(r, id);
         id
     }
@@ -446,172 +387,63 @@ impl Planner {
         self.nodes.len() - 1
     }
 
-    fn obj(&self, v: u32) -> Obj {
-        self.vmap.get(&v).copied().unwrap_or(Obj::Orig(v))
-    }
-
-    fn touch(&mut self, v: u32, overwrite: bool) {
-        self.first_access.entry(v).or_insert(overwrite);
-    }
-
-    /// Checked-arithmetic integer binary op. `None` = refuse the loop.
-    fn int_bin_sym(&mut self, op: IntOp, a: IForm, b: IForm) -> Option<IForm> {
+    /// Affine integer binary op, its result endpoint-checked. Any other
+    /// op (`None`) refuses the loop.
+    fn int_bin_sym(&mut self, op: IntOp, x: &SymAffine, y: &SymAffine) -> Option<SymAffine> {
         use IntOp::*;
-        match op {
-            Add | Sub | Mul | AddU | SubU | MulU => {
-                let (IForm::Aff(x), IForm::Aff(y)) = (a, b) else {
-                    // A checked op over an unmodelled value: the scalar
-                    // loop could raise where the batch cannot check.
-                    return None;
-                };
-                let out = match op {
-                    Add | AddU => x.add(&y, false)?,
-                    Sub | SubU => x.add(&y, true)?,
-                    _ => {
-                        if let Some(k) = y.as_const() {
-                            x.scale(k)?
-                        } else if let Some(k) = x.as_const() {
-                            y.scale(k)?
-                        } else {
-                            return None;
-                        }
-                    }
-                };
-                self.int_checks.push(out.clone());
-                Some(IForm::Aff(out))
-            }
-            // Total on all inputs; the result is dead until the tail.
-            Min | Max | BitAnd | BitOr | BitXor | Lt | Le | Gt | Ge | Eq | Ne | And | Or => {
-                Some(IForm::Unknown)
-            }
-            // Can raise (divide-by-zero / overflow): refuse.
-            Quot | Mod | Pow | Gcd | Shl | Shr => None,
-        }
-    }
-
-    /// Float binary op; errors (`None`) refuse the loop.
-    fn flt_bin_sym(&mut self, op: FltOp, l: usize, r: usize) -> Option<usize> {
-        let sop = match op {
-            FltOp::Add => Some(SimdOp::Add),
-            FltOp::Sub => Some(SimdOp::Sub),
-            FltOp::Mul => Some(SimdOp::Mul),
-            FltOp::Div => Some(SimdOp::Div),
-            // Total, no kernel: dead-only result.
-            FltOp::Pow | FltOp::Min | FltOp::Max | FltOp::ArcTan2 => None,
-            // Raises DivideByZero; handled below.
-            FltOp::Mod => None,
+        let out = match op {
+            Add | AddU => x.add(y, false)?,
+            Sub | SubU => x.add(y, true)?,
+            Mul | MulU => match (x.as_const(), y.as_const()) {
+                (_, Some(k)) => x.scale(k)?,
+                (Some(k), None) => y.scale(k)?,
+                (None, None) => return None,
+            },
+            _ => return None,
         };
-        if op == FltOp::Mod {
-            return None; // can raise, refuse the loop
-        }
-        if op == FltOp::Div {
-            // The divisor must be provably nonzero for every batched
-            // iteration even if the quotient is dead — the scalar loop
-            // would still evaluate (and possibly raise) it.
-            match &self.nodes[r] {
-                SymNode::Const(c) => {
-                    if *c == 0.0 {
-                        return None;
-                    }
-                }
-                SymNode::Reg(reg) => {
-                    self.div_regs.insert(*reg);
-                }
-                _ => return None,
-            }
-        }
-        let opaque =
-            matches!(self.nodes[l], SymNode::Opaque) || matches!(self.nodes[r], SymNode::Opaque);
-        match sop {
-            Some(sop) if !opaque => Some(self.push(SymNode::Bin { op: sop, l, r })),
-            _ => Some(self.push(SymNode::Opaque)),
-        }
+        self.int_checks.push(out.clone());
+        Some(out)
     }
 
-    fn load_sym(&mut self, kind: ElemKind, t: u32, i: IForm, j: Option<IForm>) -> Option<usize> {
+    /// Real `+ − ×`, and `/` by a nonzero constant: the scalar `Div`
+    /// raises on a zero divisor, which the batch cannot test per element.
+    /// Anything else (`None`) refuses the loop.
+    fn flt_bin_sym(&mut self, op: FltOp, l: usize, r: usize) -> Option<usize> {
+        let op = match op {
+            FltOp::Add => SimdOp::Add,
+            FltOp::Sub => SimdOp::Sub,
+            FltOp::Mul => SimdOp::Mul,
+            FltOp::Div if matches!(self.nodes[r], SymNode::Const(c) if c != 0.0) => SimdOp::Div,
+            _ => return None,
+        };
+        Some(self.push(SymNode::Bin { op, l, r }))
+    }
+
+    /// The address of an `f64` element access; `j` is the column of a
+    /// rank-2 access.
+    fn addr_sym(&mut self, kind: ElemKind, t: u32, i: u32, j: Option<u32>) -> Option<SymAddr> {
         if kind != ElemKind::F64 {
             return None;
         }
-        let Obj::Orig(slot) = self.obj(t) else {
-            return None;
-        };
-        self.touch(t, false);
-        let IForm::Aff(col_or_row) = i else {
-            return None;
-        };
-        let (rank, row, col) = match j {
-            None => (1, None, col_or_row),
-            Some(IForm::Aff(jj)) => (2, Some(col_or_row), jj),
-            Some(IForm::Unknown) => return None,
-        };
-        Some(self.push(SymNode::Load {
-            slot,
-            rank,
-            row,
-            col,
-        }))
+        let first = self.rd_i(i);
+        Some(match j {
+            None => (t, 1, None, first),
+            Some(j) => (t, 2, Some(first), self.rd_i(j)),
+        })
     }
 
-    fn store_sym(
-        &mut self,
-        kind: ElemKind,
-        t: u32,
-        i: IForm,
-        j: Option<IForm>,
-        v_node: usize,
-    ) -> Option<()> {
-        if kind != ElemKind::F64 || self.store.is_some() {
+    fn load_sym(&mut self, d: u32, addr: SymAddr) {
+        let n = self.push(SymNode::Load(addr));
+        self.wr_f(d, n);
+    }
+
+    fn store_sym(&mut self, addr: SymAddr, v: u32) -> Option<()> {
+        if self.store.is_some() {
             return None;
         }
-        let Obj::Orig(slot) = self.obj(t) else {
-            return None;
-        };
-        self.touch(t, false);
-        let IForm::Aff(col_or_row) = i else {
-            return None;
-        };
-        let (rank, row, col) = match j {
-            None => (1, None, col_or_row),
-            Some(IForm::Aff(jj)) => (2, Some(col_or_row), jj),
-            Some(IForm::Unknown) => return None,
-        };
-        self.store = Some((slot, rank, row, col, v_node));
+        let vn = self.rd_f(v);
+        self.store = Some((addr, vn));
         Some(())
-    }
-
-    fn take_v(&mut self, d: u32, s: u32) {
-        self.touch(s, false);
-        self.touch(d, true);
-        let o = self.obj(s);
-        self.vmap.insert(d, o);
-        self.vmap.insert(s, Obj::Null);
-    }
-
-    fn acquire(&mut self, v: u32) {
-        self.touch(v, false);
-        if let Obj::Orig(s) = self.obj(v) {
-            // Runtime-verified managed ⇒ records exactly once.
-            self.managed.insert(s);
-            self.acquires += 1;
-            self.flags.insert(v, FlagSim::Known(true));
-        }
-        // Obj::Null holds Value::Null — unmanaged, uniform no-op, flag
-        // untouched.
-    }
-
-    fn release(&mut self, v: u32) -> Option<()> {
-        self.touch(v, false);
-        match self.flags.get(&v).copied().unwrap_or(FlagSim::Unknown) {
-            FlagSim::Known(true) => {
-                self.releases += 1;
-                self.flags.insert(v, FlagSim::Known(false));
-                Some(())
-            }
-            FlagSim::Known(false) => Some(()),
-            // A release whose effect depends on the flag at loop entry
-            // would make per-iteration counts non-uniform.
-            FlagSim::Unknown => None,
-        }
     }
 
     /// Symbolically executes one body op — a superinstruction as the
@@ -620,37 +452,32 @@ impl Planner {
         op.parts().iter().try_for_each(|p| self.step_primitive(p))
     }
 
-    #[allow(clippy::too_many_lines)]
     fn step_primitive(&mut self, op: &RegOp) -> Option<()> {
         match op {
-            RegOp::LdcI { d, v } => self.wr_i(*d, IForm::Aff(SymAffine::konst(*v))),
+            RegOp::LdcI { d, v } => self.wr_i(*d, SymAffine::konst(*v)),
             RegOp::MovI { d, s } => {
                 let f = self.rd_i(*s);
                 self.wr_i(*d, f);
             }
             RegOp::IntBin { op, d, a, b } => {
                 let (x, y) = (self.rd_i(*a), self.rd_i(*b));
-                let f = self.int_bin_sym(*op, x, y)?;
+                let f = self.int_bin_sym(*op, &x, &y)?;
                 self.wr_i(*d, f);
             }
             RegOp::IntBinImm { op, d, a, imm } => {
                 let x = self.rd_i(*a);
-                let f = self.int_bin_sym(*op, x, IForm::Aff(SymAffine::konst(*imm)))?;
+                let f = self.int_bin_sym(*op, &x, &SymAffine::konst(*imm))?;
                 self.wr_i(*d, f);
             }
-            RegOp::IntUn { op, d, s } => match op {
-                IntUnOp::Neg => {
-                    let IForm::Aff(x) = self.rd_i(*s) else {
-                        return None;
-                    };
-                    let out = x.scale(-1)?;
-                    self.int_checks.push(out.clone());
-                    self.wr_i(*d, IForm::Aff(out));
-                }
-                IntUnOp::Not | IntUnOp::Sign => self.wr_i(*d, IForm::Unknown),
-                // Abs/Factorial can raise.
-                IntUnOp::Abs | IntUnOp::Factorial => return None,
-            },
+            RegOp::IntUn {
+                op: IntUnOp::Neg,
+                d,
+                s,
+            } => {
+                let out = self.rd_i(*s).scale(-1)?;
+                self.int_checks.push(out.clone());
+                self.wr_i(*d, out);
+            }
             RegOp::LdcF { d, v } => {
                 let n = self.push(SymNode::Const(*v));
                 self.wr_f(*d, n);
@@ -670,44 +497,30 @@ impl Planner {
                 let n = self.flt_bin_sym(*op, l, r)?;
                 self.wr_f(*d, n);
             }
-            // Total float unaries without kernels: dead-only result.
-            RegOp::FltUn { d, .. } | RegOp::IntToFlt { d, .. } => {
-                let n = self.push(SymNode::Opaque);
-                self.wr_f(*d, n);
-            }
-            RegOp::FltCmp { d, .. } => self.wr_i(*d, IForm::Unknown),
             // Checked or not, a plan tests every index at batch entry.
             RegOp::TenPart1 { kind, d, t, i, .. } => {
-                let ix = self.rd_i(*i);
-                let n = self.load_sym(*kind, *t, ix, None)?;
-                self.wr_f(*d, n);
+                let addr = self.addr_sym(*kind, *t, *i, None)?;
+                self.load_sym(*d, addr);
             }
             RegOp::TenPart2 {
                 kind, d, t, i, j, ..
             } => {
-                let (ix, jx) = (self.rd_i(*i), self.rd_i(*j));
-                let n = self.load_sym(*kind, *t, ix, Some(jx))?;
-                self.wr_f(*d, n);
+                let addr = self.addr_sym(*kind, *t, *i, Some(*j))?;
+                self.load_sym(*d, addr);
             }
             RegOp::TenSet1 { kind, t, i, v, .. } => {
-                let ix = self.rd_i(*i);
-                let vn = self.rd_f(*v);
-                self.store_sym(*kind, *t, ix, None, vn)?;
+                let addr = self.addr_sym(*kind, *t, *i, None)?;
+                self.store_sym(addr, *v)?;
             }
             RegOp::TenSet2 {
                 kind, t, i, j, v, ..
             } => {
-                let (ix, jx) = (self.rd_i(*i), self.rd_i(*j));
-                let vn = self.rd_f(*v);
-                self.store_sym(*kind, *t, ix, Some(jx), vn)?;
+                let addr = self.addr_sym(*kind, *t, *i, Some(*j))?;
+                self.store_sym(addr, *v)?;
             }
-            RegOp::TakeV { d, s } => self.take_v(*d, *s),
-            RegOp::Acquire { v } => self.acquire(*v),
-            RegOp::Release { v } => self.release(*v)?,
             // The batch polls the abort flag once per block instead.
             RegOp::AbortCheck => {}
-            // Anything else — calls, boxing, RNG, strings, complex,
-            // whole-tensor ops, integer loads, branches — refuses.
+            // Anything else refuses.
             _ => return None,
         }
         Some(())
@@ -771,44 +584,32 @@ fn to_u32(x: usize) -> Option<u32> {
 
 /// Tries to plan the loop `[l, latch]`; `edges` lists every `(pc, target)`
 /// branch edge of the function. `None` = leave it scalar.
-#[allow(clippy::too_many_lines)]
 fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) -> Option<VecPlan> {
-    // Header: a run of Acquires, then the counted compare.
-    let mut c = l;
-    while c < latch && matches!(code[c], RegOp::Acquire { .. }) {
-        c += 1;
-    }
-    if c >= latch {
-        return None;
-    }
-    let h = header_compare(&code[c])?;
+    let h = header_compare(&code[l])?;
     // The iterated body starts at the compare's taken edge (the not-taken
     // exit path — often the *outer* loop's latch — sits between the compare
     // and the body).
     let bt = h.body;
-    if bt <= c || bt > latch {
+    if bt <= l || bt > latch {
         return None;
     }
     // The exit edge must not re-enter the header or land in the body.
-    if (h.exit >= l && h.exit <= c) || (h.exit >= bt && h.exit <= latch) {
+    if h.exit == l || (bt..=latch).contains(&h.exit) {
         return None;
     }
     // Straight-line body: no op inside branches, and no op anywhere else
     // jumps into the iterated region.
     for &(p, t) in edges {
         let from_body = (bt..latch).contains(&p);
-        let into_region = p != c && p != latch && (bt..=latch).contains(&t);
+        let into_region = p != l && p != latch && (bt..=latch).contains(&t);
         if from_body || into_region {
             return None;
         }
     }
-    // Symbolic execution of one full iteration: header acquires, the
-    // taken compare, the body, and the latch's non-jump writes.
+    // Symbolic execution of one full iteration: the taken compare, the
+    // body, and the latch's non-jump writes.
     let mut pl = Planner::new();
-    for op in &code[l..c] {
-        pl.step(op)?;
-    }
-    pl.wr_i(h.cond, IForm::Aff(SymAffine::konst(1))); // taken: condition true
+    pl.wr_i(h.cond, SymAffine::konst(1)); // taken: condition true
     for op in &code[bt..latch] {
         pl.step(op)?;
     }
@@ -825,10 +626,7 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
     }
     // The induction variable must step by exactly one per iteration, and
     // the bound must be invariant.
-    let IForm::Aff(iv_final) = pl.rd_i(h.iv) else {
-        return None;
-    };
-    if !iv_final.is_incr_of(h.iv) || pl.written_ints.contains(&h.bound) {
+    if !pl.rd_i(h.iv).is_incr_of(h.iv) || pl.written_ints.contains(&h.bound) {
         return None;
     }
     // Loop-carried scalars: a register read before its first write in the
@@ -849,37 +647,20 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
         }
     }
     // The store is mandatory; its object must not be readable as input.
-    let (out_slot, out_rank, out_row, out_col, root_sym) = pl.store.clone()?;
-    // Per-iteration acquire/release counts must balance (mirrors the
-    // memory pass's own invariant; see the module docs on aborts).
-    if pl.acquires != pl.releases {
+    let ((out_slot, out_rank, out_row, out_col), root_sym) = pl.store.clone()?;
+    // Every node must feed the stored element: the batch evaluates only
+    // that, so a dead load would escape its bounds test. Nodes are in
+    // topological order, so one backward sweep finds the live ones.
+    let mut live = vec![false; pl.nodes.len()];
+    live[root_sym] = true;
+    for n in (0..pl.nodes.len()).rev() {
+        if let (true, SymNode::Bin { l, r, .. }) = (live[n], &pl.nodes[n]) {
+            live[*l] = true;
+            live[*r] = true;
+        }
+    }
+    if live.contains(&false) {
         return None;
-    }
-    // Object round-trip: every slot whose first access is a read must end
-    // the iteration holding its entry object.
-    for (&s, &overwrote_first) in &pl.first_access {
-        if !overwrote_first && pl.obj(s) != Obj::Orig(s) {
-            return None;
-        }
-    }
-    // Reachable nodes: the stored element plus nothing else. Opaque must
-    // be dead; Reg leaves and affine terms must be loop-invariant.
-    let mut reach: Vec<bool> = vec![false; pl.nodes.len()];
-    let mut stack = vec![root_sym];
-    while let Some(n) = stack.pop() {
-        if reach[n] {
-            continue;
-        }
-        reach[n] = true;
-        if let SymNode::Bin { l, r, .. } = &pl.nodes[n] {
-            stack.push(*l);
-            stack.push(*r);
-        }
-    }
-    for r in &pl.div_regs {
-        if pl.written_flts.contains(r) {
-            return None;
-        }
     }
     // Convert symbolic affines to runtime forms: terms may reference only
     // invariants; the induction variable folds into `iv_coef`.
@@ -900,17 +681,15 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
         }
         Some(out)
     };
-    // Compact the node list to reachable nodes (insertion order is
-    // already topological) and collect input tensors.
+    let lower_row =
+        |row: &Option<SymAffine>| row.as_ref().map_or(Some(None), |r| lower(r).map(Some));
+    // Lower the nodes (insertion order is already topological) and
+    // collect the input tensors.
     let mut tensors: Vec<TensorRef> = Vec::new();
     let mut tensor_ix: HashMap<u32, u32> = HashMap::new();
-    let mut remap: Vec<Option<u32>> = vec![None; pl.nodes.len()];
-    let mut nodes: Vec<VecNode> = Vec::new();
-    for (i, n) in pl.nodes.iter().enumerate() {
-        if !reach[i] {
-            continue;
-        }
-        let lowered = match n {
+    let mut nodes: Vec<VecNode> = Vec::with_capacity(pl.nodes.len());
+    for n in &pl.nodes {
+        nodes.push(match n {
             SymNode::Const(c) => VecNode::Const(*c),
             SymNode::Reg(r) => {
                 if pl.written_flts.contains(r) {
@@ -918,12 +697,7 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
                 }
                 VecNode::Reg(*r)
             }
-            SymNode::Load {
-                slot,
-                rank,
-                row,
-                col,
-            } => {
+            SymNode::Load((slot, rank, row, col)) => {
                 if *slot == out_slot {
                     return None; // reading the output object: recurrence
                 }
@@ -946,24 +720,17 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
                 };
                 VecNode::Load {
                     tensor: ix,
-                    row: match row {
-                        Some(r) => Some(lower(r)?),
-                        None => None,
-                    },
+                    row: lower_row(row)?,
                     col: lower(col)?,
                 }
             }
             SymNode::Bin { op, l, r } => VecNode::Bin {
                 op: *op,
-                l: remap[*l]?,
-                r: remap[*r]?,
+                l: to_u32(*l)?,
+                r: to_u32(*r)?,
             },
-            SymNode::Opaque => return None, // reachable opaque value
-        };
-        remap[i] = Some(to_u32(nodes.len())?);
-        nodes.push(lowered);
+        });
     }
-    let root = remap[root_sym]?;
     let int_checks = pl
         .int_checks
         .iter()
@@ -972,16 +739,9 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
     let out = StoreSpec {
         slot: out_slot,
         rank: out_rank,
-        row: match &out_row {
-            Some(r) => Some(lower(r)?),
-            None => None,
-        },
+        row: lower_row(&out_row)?,
         col: lower(&out_col)?,
     };
-    let mut div_checks: Vec<u32> = pl.div_regs.iter().copied().collect();
-    div_checks.sort_unstable();
-    let mut managed_checks: Vec<u32> = pl.managed.iter().copied().collect();
-    managed_checks.sort_unstable();
     Some(VecPlan {
         iv: h.iv,
         bound: h.bound,
@@ -989,12 +749,8 @@ fn try_plan(code: &[RegOp], edges: &[(usize, usize)], l: usize, latch: usize) ->
         tensors,
         out,
         nodes,
-        root,
+        root: to_u32(root_sym)?,
         int_checks,
-        div_checks,
-        managed_checks,
-        acquires: pl.acquires,
-        releases: pl.releases,
     })
 }
 
@@ -1234,16 +990,6 @@ pub(crate) fn exec_batch(
     if !(VEC_MIN..=1 << 46).contains(&m) {
         return Ok(());
     }
-    for &s in &plan.managed_checks {
-        if !vals[s as usize].is_managed() {
-            return Ok(());
-        }
-    }
-    for &r in &plan.div_checks {
-        if flts[r as usize] == 0.0 {
-            return Ok(());
-        }
-    }
     for a in &plan.int_checks {
         for k in [0, m - 1] {
             let Some(v) = a.eval(ints, iv0, k) else {
@@ -1390,10 +1136,8 @@ pub(crate) fn exec_batch(
         s += len;
     }
     // The batch consumed iterations 0..m: advance the induction variable
-    // (endpoint-checked above) and record the skipped refcount traffic.
+    // (endpoint-checked above).
     ints[plan.iv as usize] = (iv0 + m) as i64;
-    memory::record_acquires(plan.acquires * m as u64);
-    memory::record_releases(plan.releases * m as u64);
     Ok(())
 }
 
@@ -1401,7 +1145,8 @@ pub(crate) fn exec_batch(
 mod tests {
     use super::*;
     use crate::machine::{
-        ArgVal, Bank, ElemKind, FltOp, IntOp, Machine, NativeFunc, NativeProgram, RegOp, Slot,
+        ArgVal, Bank, CmpCode, ElemKind, FltOp, FltUnOp, IntOp, Machine, NativeFunc, NativeProgram,
+        RegOp, Slot,
     };
 
     fn ten(v: Vec<f64>) -> ArgVal {
@@ -1421,21 +1166,19 @@ mod tests {
         Machine::standalone().call(prog, 0, args.into_iter().map(Ok), None)
     }
 
-    /// `out[j] = a[j]*2 + b[j]` for `j = 1..=n`, with a header acquire and
-    /// a body release (the shape `lower` emits for managed loop values).
+    /// `out[j] = a[j]*2 + b[j]` for `j = 1..=n`.
     fn saxpy() -> NativeFunc {
         NativeFunc {
             name: "Main".into(),
             code: vec![
                 RegOp::LdcI { d: 0, v: 1 },
-                RegOp::Acquire { v: 0 },
                 RegOp::AbortBrCmpISel {
                     op: IntOp::Le,
                     a: 0,
                     b: 1,
                     d: 2,
-                    pc_false: 10,
-                    pc_true: 3,
+                    pc_false: 8,
+                    pc_true: 2,
                 },
                 RegOp::TenPart1 {
                     kind: ElemKind::F64,
@@ -1470,7 +1213,6 @@ mod tests {
                     v: 3,
                     checked: true,
                 },
-                RegOp::Release { v: 0 },
                 RegOp::IntBinImmJmp {
                     op: IntOp::Add,
                     d: 0,
@@ -1478,7 +1220,6 @@ mod tests {
                     imm: 1,
                     pc: 1,
                 },
-                RegOp::Release { v: 0 },
                 RegOp::Ret {
                     s: Slot::new(Bank::V, 2),
                 },
@@ -1497,6 +1238,16 @@ mod tests {
         }
     }
 
+    /// `f` with `op` inserted at `at`; targets past `at` follow their ops,
+    /// so an op inserted into the body stays in it.
+    fn insert(mut f: NativeFunc, at: usize, op: RegOp) -> NativeFunc {
+        for o in &mut f.code {
+            o.map_targets(|t| if t > at { t + 1 } else { t });
+        }
+        f.code.insert(at, op);
+        f
+    }
+
     fn saxpy_args(n: usize, bound: i64) -> Vec<ArgVal> {
         let a: Vec<f64> = (0..n).map(|i| i as f64 * 0.25 - 3.0).collect();
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
@@ -1511,7 +1262,7 @@ mod tests {
         assert!(matches!(vectored.code[1], RegOp::VecLoop { .. }));
         // The latch must re-enter at the scalar header (after the VecLoop).
         assert!(matches!(
-            vectored.code[10],
+            vectored.code[8],
             RegOp::IntBinImmJmp { pc: 2, .. }
         ));
         let n = 100;
@@ -1582,34 +1333,18 @@ mod tests {
     }
 
     #[test]
-    fn refcount_accounting_matches_scalar() {
-        let scalar = saxpy();
-        let mut vectored = scalar.clone();
-        vectorize_function(&mut vectored);
-        let n = 64;
-        memory::reset_stats();
-        run(
-            &NativeProgram {
-                parallel: None,
-                funcs: vec![scalar],
-            },
-            saxpy_args(n, n as i64),
-        )
-        .unwrap();
-        let seq = memory::stats();
-        memory::reset_stats();
-        run(
-            &NativeProgram {
-                parallel: None,
-                funcs: vec![vectored],
-            },
-            saxpy_args(n, n as i64),
-        )
-        .unwrap();
-        let vec_stats = memory::stats();
-        assert_eq!(seq.acquires, vec_stats.acquires);
-        assert_eq!(seq.releases, vec_stats.releases);
-        assert!(vec_stats.balanced(), "{vec_stats:?}");
+    fn refcount_ops_and_value_moves_refuse_the_loop() {
+        // An Acquire/Release pair on an input around the store.
+        let f = insert(saxpy(), 2, RegOp::Acquire { v: 0 });
+        let mut f = insert(f, 8, RegOp::Release { v: 0 });
+        assert_eq!(vectorize_function(&mut f), 0);
+
+        // A value move that hands the input back, so the slot ends the
+        // iteration holding its entry object.
+        let f = insert(saxpy(), 2, RegOp::TakeV { d: 3, s: 0 });
+        let mut f = insert(f, 3, RegOp::TakeV { d: 0, s: 3 });
+        f.n_val = 4;
+        assert_eq!(vectorize_function(&mut f), 0);
     }
 
     #[test]
@@ -1663,9 +1398,7 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// `out[j] = a[j] / d` with a loop-invariant register divisor: the
-    /// batch requires a nonzero divisor; zero falls back to the scalar
-    /// loop's DivideByZero.
+    /// `out[j] = a[j] / d` with a loop-invariant register divisor.
     fn divloop() -> NativeFunc {
         NativeFunc {
             name: "Main".into(),
@@ -1725,34 +1458,41 @@ mod tests {
     }
 
     #[test]
-    fn invariant_divisor_is_runtime_checked() {
-        let scalar = divloop();
+    fn only_nonzero_constant_divisors_are_planned() {
+        // A register divisor would need a zero test the batch cannot make
+        // per element; the scalar loop raises DivideByZero itself.
+        assert_eq!(vectorize_function(&mut divloop()), 0);
+        let by_const = |imm: f64| {
+            let mut f = divloop();
+            f.code[3] = RegOp::FltBinImm {
+                op: FltOp::Div,
+                d: 1,
+                a: 0,
+                imm,
+            };
+            f
+        };
+        assert_eq!(vectorize_function(&mut by_const(0.0)), 0);
+
+        let scalar = by_const(4.0);
         let mut vectored = scalar.clone();
         assert_eq!(vectorize_function(&mut vectored), 1);
         let n = 40usize;
-        let args = |d: f64| {
+        let args = || {
             vec![
                 ten((0..n).map(|i| i as f64 + 1.0).collect()),
                 ten(vec![0.0; n]),
                 ArgVal::I(n as i64),
-                ArgVal::F(d),
+                ArgVal::F(0.0),
             ]
         };
-        let base = NativeProgram {
+        let prog = |f: NativeFunc| NativeProgram {
             parallel: None,
-            funcs: vec![scalar],
-        };
-        let prog = NativeProgram {
-            parallel: None,
-            funcs: vec![vectored],
+            funcs: vec![f],
         };
         assert_eq!(
-            run(&prog, args(2.0)).unwrap(),
-            run(&base, args(2.0)).unwrap()
-        );
-        assert_eq!(
-            run(&prog, args(0.0)).unwrap_err(),
-            run(&base, args(0.0)).unwrap_err()
+            run(&prog(vectored), args()).unwrap(),
+            run(&prog(scalar), args()).unwrap()
         );
     }
 
@@ -1962,9 +1702,9 @@ mod tests {
     #[test]
     fn unsafe_loop_shapes_are_refused() {
         // Error-capable integer op in the body.
-        let mut f = saxpy();
-        f.code.insert(
-            3,
+        let mut f = insert(
+            saxpy(),
+            2,
             RegOp::IntBin {
                 op: IntOp::Quot,
                 d: 2,
@@ -1972,29 +1712,18 @@ mod tests {
                 b: 1,
             },
         );
-        // Fix up targets crossing the insertion.
-        if let RegOp::AbortBrCmpISel {
-            pc_false, pc_true, ..
-        } = &mut f.code[2]
-        {
-            *pc_false = 11;
-            *pc_true = 3;
-        }
-        if let RegOp::IntBinImmJmp { pc, .. } = &mut f.code[10] {
-            *pc = 1;
-        }
         assert_eq!(vectorize_function(&mut f), 0);
 
         // Load from the output tensor (loop-carried recurrence).
         let mut f = saxpy();
-        if let RegOp::TenPart1 { t, .. } = &mut f.code[5] {
+        if let RegOp::TenPart1 { t, .. } = &mut f.code[4] {
             *t = 2;
         }
         assert_eq!(vectorize_function(&mut f), 0);
 
         // Float accumulator: f3 = f3 + f1 reads its own previous value.
         let mut f = saxpy();
-        f.code[6] = RegOp::FltBin {
+        f.code[5] = RegOp::FltBin {
             op: FltOp::Add,
             d: 3,
             a: 3,
@@ -2004,13 +1733,13 @@ mod tests {
 
         // Non-affine index: j*j.
         let mut f = saxpy();
-        f.code[3] = RegOp::IntBin {
+        f.code[2] = RegOp::IntBin {
             op: IntOp::Mul,
             d: 2,
             a: 0,
             b: 0,
         };
-        if let RegOp::TenSet1 { i, .. } = &mut f.code[7] {
+        if let RegOp::TenSet1 { i, .. } = &mut f.code[6] {
             *i = 2;
         }
         assert_eq!(vectorize_function(&mut f), 0);
@@ -2019,10 +1748,9 @@ mod tests {
         // next to out[[j]] = 2 x[[j]]. The sum is loop-carried state the
         // batch would skip, so the loop must stay scalar even though the
         // store's dataflow alone looks clean.
-        let mut f = saxpy();
-        f.n_flt = 5;
-        f.code.insert(
-            4,
+        let mut f = insert(
+            saxpy(),
+            3,
             RegOp::FltBin {
                 op: FltOp::Add,
                 d: 4,
@@ -2030,27 +1758,77 @@ mod tests {
                 b: 0,
             },
         );
-        if let RegOp::AbortBrCmpISel { pc_false, .. } = &mut f.code[2] {
-            *pc_false = 11;
-        }
+        f.n_flt = 5;
         assert_eq!(vectorize_function(&mut f), 0);
 
-        // Same with an integer register through a total op the symbolic
-        // executor does not model: hi = Max(hi, j) is loop-carried too.
-        let mut f = saxpy();
-        f.n_int = 4;
-        f.code.insert(
-            4,
+        // Same with an integer register: k = k + j is loop-carried too,
+        // though affine.
+        let mut f = insert(
+            saxpy(),
+            3,
             RegOp::IntBin {
-                op: IntOp::Max,
+                op: IntOp::Add,
                 d: 3,
                 a: 3,
                 b: 0,
             },
         );
-        if let RegOp::AbortBrCmpISel { pc_false, .. } = &mut f.code[2] {
-            *pc_false = 11;
-        }
+        f.n_int = 4;
+        assert_eq!(vectorize_function(&mut f), 0);
+
+        // Dead ops off the whitelist: a float compare and a float unary
+        // whose results feed nothing. Both are total, but the planner
+        // accepts only the ops it batches.
+        let mut f = insert(
+            saxpy(),
+            3,
+            RegOp::FltCmp {
+                op: CmpCode::Lt,
+                d: 3,
+                a: 0,
+                b: 0,
+            },
+        );
+        f.n_int = 4;
+        assert_eq!(vectorize_function(&mut f), 0);
+        let mut f = insert(
+            saxpy(),
+            3,
+            RegOp::FltUn {
+                op: FltUnOp::Sqrt,
+                d: 4,
+                s: 0,
+            },
+        );
+        f.n_flt = 5;
+        assert_eq!(vectorize_function(&mut f), 0);
+
+        // A dead load of b[[j + 1000]]: the batch evaluates only what
+        // feeds the store, so its index would go untested and the scalar
+        // tail would raise PartOutOfRange for the last j instead of the
+        // first.
+        let f = insert(
+            saxpy(),
+            3,
+            RegOp::IntBinImm {
+                op: IntOp::Add,
+                d: 3,
+                a: 0,
+                imm: 1000,
+            },
+        );
+        let mut f = insert(
+            f,
+            4,
+            RegOp::TenPart1 {
+                kind: ElemKind::F64,
+                d: 4,
+                t: 1,
+                i: 3,
+                checked: true,
+            },
+        );
+        (f.n_int, f.n_flt) = (4, 5);
         assert_eq!(vectorize_function(&mut f), 0);
     }
 }

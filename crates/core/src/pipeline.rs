@@ -476,6 +476,12 @@ mod tests {
         assert!(ovf_elided(&native_on) > 0, "overflow proof must fire");
         assert_eq!(bounds_elided(&native_off), 0);
         assert_eq!(ovf_elided(&native_off), 0);
+        // Refcount pairs are cancelled by the lowering on every compile,
+        // not by the range analysis.
+        let rc_elided =
+            |n: &NativeProgram| -> u32 { n.funcs.iter().map(|f| f.elision.rc_elided).sum() };
+        assert!(rc_elided(&native_on) > 0, "no refcount pair cancelled");
+        assert_eq!(rc_elided(&native_on), rc_elided(&native_off));
 
         // The unchecked mnemonics (".u") appear only in the elided build.
         let asm = |n: &NativeProgram| -> String {

@@ -84,10 +84,10 @@ pub struct CompilerOptions {
     pub parallel: ParallelConfig,
     /// Run the interval range analysis over the optimized TWIR and let
     /// the lowering elide runtime checks it discharges: Part bounds
-    /// checks become unchecked accesses, provably overflow-free integer
-    /// add/subtract/times become wrapping ops, and redundant refcount
-    /// pairs disappear. On by default; off gives the fully checked
-    /// ablation baseline.
+    /// checks become unchecked accesses, and provably overflow-free
+    /// integer add/subtract/times become wrapping ops. On by default; off
+    /// gives the fully checked ablation baseline. Refcount pairs that
+    /// bracket nothing are cancelled by the lowering either way.
     pub range_checks_elision: bool,
 }
 

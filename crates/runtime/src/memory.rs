@@ -64,18 +64,6 @@ pub fn record_release() {
     RELEASES.with(|c| c.set(c.get() + 1));
 }
 
-/// Records `n` acquires at once (batched loop iterations).
-#[inline]
-pub fn record_acquires(n: u64) {
-    ACQUIRES.with(|c| c.set(c.get() + n));
-}
-
-/// Records `n` releases at once (batched loop iterations).
-#[inline]
-pub fn record_releases(n: u64) {
-    RELEASES.with(|c| c.set(c.get() + n));
-}
-
 /// Records a copy-on-write tensor copy.
 #[inline]
 pub fn record_tensor_copy() {

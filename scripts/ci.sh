@@ -26,8 +26,11 @@
 #               and stack frame); fails unless there are exactly two, the
 #               plain and the profiling dispatch loop
 #   scripts:    bash -n scripts/ab.sh and scripts/lines.sh (the A/B
-#               procedure is too slow to run here, and the line count needs a
-#               revision to compare with; their syntax is checked)
+#               procedure is too slow to run here, and the line counts are
+#               numbers, not gates: `scripts/lines.sh` prints the non-test
+#               lines per crate and their total, the unit of ROADMAP.md's
+#               line target, and `scripts/lines.sh <rev>` the net per file
+#               since a revision; their syntax is checked)
 #   lint:       cargo clippy --all-targets -- -D warnings (root, then
 #               --workspace)
 #
