@@ -219,9 +219,21 @@ pub fn elision_ablation(n: usize, reps: usize) -> AblationRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Held by every timing test, so no two of them time at once: the test
+    /// binary runs its tests on parallel threads, and one test's loop
+    /// slows another's on a machine with few cores.
+    static TIMING: Mutex<()> = Mutex::new(());
+
+    fn timing() -> MutexGuard<'static, ()> {
+        // A failed timing test poisons the lock; the others still run.
+        TIMING.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn inlining_matters() {
+        let _timing = timing();
         let a = inline_ablation(200_000, 1);
         assert!(
             a.slowdown() > 1.2,
@@ -232,6 +244,7 @@ mod tests {
 
     #[test]
     fn abort_checks_cost_on_memory_bound_loops() {
+        let _timing = timing();
         // Min-of-5 over a million elements: a single rep, or a shorter
         // one, flakes below the noise floor when the test binary runs its
         // threads in parallel.
@@ -243,6 +256,7 @@ mod tests {
 
     #[test]
     fn naive_constant_arrays_cost() {
+        let _timing = timing();
         let a = constant_array_ablation(4000, 1);
         assert!(
             a.slowdown() > 1.1,
@@ -253,6 +267,7 @@ mod tests {
 
     #[test]
     fn fusion_on_is_not_slower() {
+        let _timing = timing();
         let a = fusion_ablation(20_000, 2);
         // The ablated (unfused) configuration must not be faster than the
         // fused default beyond noise.
@@ -261,6 +276,7 @@ mod tests {
 
     #[test]
     fn elision_on_is_not_slower() {
+        let _timing = timing();
         // Min-of-5 over 200,000 elements, as for the abort checks.
         let a = elision_ablation(200_000, 5);
         assert!(a.slowdown() > 0.9, "{:.2}x", a.slowdown());

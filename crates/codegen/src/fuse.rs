@@ -11,11 +11,13 @@
 //! old-pc → new-pc table afterwards.
 //!
 //! The superinstruction set is chosen from the dyad/triad profiles of the
-//! seven §6 benchmarks (`opstats`):
+//! seven §6 benchmarks (`opstats`), and a fused op stays only while some
+//! benchmark program executes it in a loop (`crates/bench/tests/
+//! fusion_differential.rs` pins the set that executes):
 //!
 //! - `While` headers: abort poll + compare + branch (+ unconditional
 //!   jump), up to four ops in one dispatch
-//!   (`abort.check -> int.bin -> brz -> jmp`, `flt.cmp -> brz`);
+//!   (`abort.check -> int.bin -> brz -> jmp`);
 //! - loop latches: counter increment and the phi edge-moves coalescing
 //!   leaves folded into the back-edge (`addi -> jmp` in every counted
 //!   loop, `mov.i -> jmp` in Blur's, `addi -> mov.i -> mov.i -> jmp` in
@@ -23,8 +25,7 @@
 //! - tensor element load feeding an ALU op (FNV1a's `part1 -> bitxor`,
 //!   Histogram's `part1 -> addi`, Blur's `part2 -> mul/add`);
 //! - ALU pairs: integer/float multiply-add chains (Blur's stencil
-//!   `mul -> add`);
-//! - function-epilogue `release` pairs.
+//!   `mul -> add`).
 //!
 //! A fused op narrows its immediates so that it fits the op size; fusion
 //! is refused, not truncated, when an immediate does not fit.
@@ -93,10 +94,7 @@ fn im<T: TryFrom<i64>>(x: &i64) -> Option<T> {
 #[allow(clippy::too_many_lines)]
 fn match_group(window: &[RegOp]) -> Option<RegOp> {
     // Patterns name the primitives bare; the fused op built stays qualified.
-    use RegOp::{
-        AbortCheck, Brz, FltBin, FltCmp, IntBin, IntBinImm, Jmp, MovC, MovI, Release, TenPart1,
-        TenPart2,
-    };
+    use RegOp::{AbortCheck, Brz, FltBin, IntBin, IntBinImm, Jmp, MovI, TenPart1, TenPart2};
     Some(match window {
         // abort.check + cmp + brz + jmp: a full `While` loop header. (A
         // `Branch` always lowers to `brz; jmp`, so there are no jump-less
@@ -115,16 +113,6 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
         // later read still sees the comparison result.
         [IntBin { op, d, a, b }, Brz { c, pc }, Jmp { pc: pc_true }, ..] if c == d => {
             RegOp::BrCmpISel {
-                op: *op,
-                a: *a,
-                b: *b,
-                d: *d,
-                pc_false: *pc,
-                pc_true: *pc_true,
-            }
-        }
-        [FltCmp { op, d, a, b }, Brz { c, pc }, Jmp { pc: pc_true }, ..] if c == d => {
-            RegOp::BrCmpFSel {
                 op: *op,
                 a: *a,
                 b: *b,
@@ -156,25 +144,13 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
             s2: *s2,
             pc: *pc,
         },
-        [MovI { d: d1, s: s1 }, MovI { d: d2, s: s2 }, ..] => RegOp::Mov2I {
-            d1: *d1,
-            s1: *s1,
-            d2: *d2,
-            s2: *s2,
-        },
         [MovI { d, s }, Jmp { pc }, ..] => RegOp::MovIJmp {
             d: *d,
             s: *s,
             pc: *pc,
         },
-        [MovC { d, s }, Jmp { pc }, ..] => RegOp::MovCJmp {
-            d: *d,
-            s: *s,
-            pc: *pc,
-        },
-        // Loop-counter increment feeding its phi move (`t = i + 1; i = t`),
-        // extending to the whole latch (`...; s = u; jmp`) when the next
-        // two ops are another move and the back-edge.
+        // A whole loop latch: counter increment, its phi move, another
+        // move and the back-edge (`t = i + 1; i = t; s = u; jmp`).
         [IntBinImm { op, d, a, imm }, MovI { d: d2, s: s2 }, MovI { d: d3, s: s3 }, Jmp { pc }] => {
             RegOp::IntBinImmMov2IJmp {
                 op: *op,
@@ -188,14 +164,6 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
                 pc: *pc,
             }
         }
-        [IntBinImm { op, d, a, imm }, MovI { d: d2, s: s2 }, ..] => RegOp::IntBinImmMovI {
-            op: *op,
-            d: *d,
-            a: *a,
-            imm: im(imm)?,
-            d2: *d2,
-            s2: *s2,
-        },
         // Tensor element load feeding an ALU op (load-op); `checked` rides
         // along, so proved and unproved accesses fuse alike.
         [TenPart1 {
@@ -309,8 +277,6 @@ fn match_group(window: &[RegOp]) -> Option<RegOp> {
             a2: *a2,
             b2: *b2,
         },
-        // Function-epilogue release pairs.
-        [Release { v: v1 }, Release { v: v2 }, ..] => RegOp::Release2 { v1: *v1, v2: *v2 },
         _ => return None,
     })
 }
@@ -400,26 +366,40 @@ mod tests {
 
     #[test]
     fn no_fusion_across_jump_targets() {
-        // pc 2 is a jump target: the mov pair at 1..=2 must NOT fuse.
+        // pc 3 is a jump target: the int.bin pair at 2..=3, which would
+        // otherwise fuse into `int.bin2`, must NOT fuse.
         let mut f = func(
             vec![
-                RegOp::Brz { c: 0, pc: 2 },
-                RegOp::MovI { d: 1, s: 0 },
-                RegOp::MovI { d: 2, s: 0 },
+                RegOp::LdcI { d: 3, v: 7 },
+                RegOp::Brz { c: 0, pc: 3 },
+                RegOp::IntBin {
+                    op: IntOp::Add,
+                    d: 1,
+                    a: 0,
+                    b: 0,
+                },
+                RegOp::IntBin {
+                    op: IntOp::Add,
+                    d: 2,
+                    a: 1,
+                    b: 3,
+                },
                 RegOp::Ret {
                     s: Slot::new(Bank::I, 2),
                 },
             ],
-            3,
+            4,
         );
         fuse_function(&mut f);
         assert!(
-            f.code.iter().all(|op| !matches!(op, RegOp::Mov2I { .. })),
+            f.code.iter().all(|op| !matches!(op, RegOp::IntBin2 { .. })),
             "fused across a jump target: {:?}",
             f.code
         );
-        assert_eq!(run_i(&f, 0), 0);
-        assert_eq!(run_i(&f, 5), 5);
+        // Taken (x = 0): r1 is still 0, so r2 = 0 + 7; a jump that skipped
+        // the second add would return 0. Not taken: r2 = 2x + 7.
+        assert_eq!(run_i(&f, 0), 7);
+        assert_eq!(run_i(&f, 5), 17);
     }
 
     #[test]

@@ -533,15 +533,6 @@ pub enum RegOp {
         pc_false: u32,
         pc_true: u32,
     },
-    /// [`RegOp::BrCmpISel`] on reals.
-    BrCmpFSel {
-        op: CmpCode,
-        a: u32,
-        b: u32,
-        d: u32,
-        pc_false: u32,
-        pc_true: u32,
-    },
     /// Fused brz + jmp: a two-way branch on a materialized condition.
     BrzJmp {
         c: u32,
@@ -632,13 +623,6 @@ pub enum RegOp {
         s: u32,
         pc: u32,
     },
-    /// Two integer moves in one dispatch (adjacent phi edge-moves).
-    Mov2I {
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        s2: u32,
-    },
     /// Two phi edge-moves fused with the loop back-edge (the full latch
     /// block of a two-variable loop in one dispatch).
     Mov2IJmp {
@@ -647,11 +631,6 @@ pub enum RegOp {
         d2: u32,
         s2: u32,
         pc: u32,
-    },
-    /// Two reference-count releases in one dispatch (function epilogues).
-    Release2 {
-        v1: u32,
-        v2: u32,
     },
     /// Abort poll + compare + two-way branch: a full `While` loop header
     /// (abort.check, cmp, brz, jmp) in one dispatch.
@@ -662,21 +641,6 @@ pub enum RegOp {
         d: u32,
         pc_false: u32,
         pc_true: u32,
-    },
-    /// Immediate-form integer op feeding a phi move (`t = i + 1; i = t`).
-    IntBinImmMovI {
-        op: IntOp,
-        d: u32,
-        a: u32,
-        imm: i32,
-        d2: u32,
-        s2: u32,
-    },
-    /// Complex phi edge-move fused with the loop back-edge.
-    MovCJmp {
-        d: u32,
-        s: u32,
-        pc: u32,
     },
     /// A whole integer loop latch in one dispatch: immediate-form op +
     /// two phi edge-moves + back-edge (`t = i + 1; i = t; s = u; jmp`).
@@ -798,7 +762,6 @@ impl RegOp {
             RegOp::Jmp { .. } => "jmp",
             RegOp::Brz { .. } => "brz",
             RegOp::BrCmpISel { .. } => "br.cmp.i.sel",
-            RegOp::BrCmpFSel { .. } => "br.cmp.f.sel",
             RegOp::BrzJmp { .. } => "brz.jmp",
             RegOp::IntBin2 { .. } => "int.bin2",
             RegOp::IntBinImm2 { .. } => "int.bin.imm2",
@@ -811,12 +774,8 @@ impl RegOp {
             RegOp::TenPart2FltBin { checked: true, .. } => "ten.part2.flt.bin",
             RegOp::TenPart2FltBin { checked: false, .. } => "ten.part2.flt.bin.u",
             RegOp::MovIJmp { .. } => "mov.i.jmp",
-            RegOp::Mov2I { .. } => "mov2.i",
             RegOp::Mov2IJmp { .. } => "mov2.i.jmp",
-            RegOp::Release2 { .. } => "release2",
             RegOp::AbortBrCmpISel { .. } => "abort.br.cmp.i.sel",
-            RegOp::IntBinImmMovI { .. } => "int.bin.imm.mov",
-            RegOp::MovCJmp { .. } => "mov.c.jmp",
             RegOp::IntBinImmMov2IJmp { .. } => "int.imm.mov2.jmp",
             RegOp::AbortCheck => "abort.check",
             RegOp::VecLoop { .. } => "vec.loop",
@@ -844,18 +803,6 @@ impl RegOp {
                 pc_true,
             } => vec![
                 IntBin { op, d, a, b },
-                Brz { c: d, pc: pc_false },
-                Jmp { pc: pc_true },
-            ],
-            RegOp::BrCmpFSel {
-                op,
-                a,
-                b,
-                d,
-                pc_false,
-                pc_true,
-            } => vec![
-                RegOp::FltCmp { op, d, a, b },
                 Brz { c: d, pc: pc_false },
                 Jmp { pc: pc_true },
             ],
@@ -951,22 +898,6 @@ impl RegOp {
                 },
                 Jmp { pc },
             ],
-            RegOp::IntBinImmMovI {
-                op,
-                d,
-                a,
-                imm,
-                d2,
-                s2,
-            } => vec![
-                IntBinImm {
-                    op,
-                    d,
-                    a,
-                    imm: imm.into(),
-                },
-                MovI { d: d2, s: s2 },
-            ],
             RegOp::IntBinImmMov2IJmp {
                 op,
                 imm,
@@ -989,13 +920,8 @@ impl RegOp {
                 Jmp { pc },
             ],
             RegOp::MovIJmp { d, s, pc } => vec![MovI { d, s }, Jmp { pc }],
-            RegOp::Mov2I { d1, s1, d2, s2 } => vec![MovI { d: d1, s: s1 }, MovI { d: d2, s: s2 }],
             RegOp::Mov2IJmp { d1, s1, d2, s2, pc } => {
                 vec![MovI { d: d1, s: s1 }, MovI { d: d2, s: s2 }, Jmp { pc }]
-            }
-            RegOp::MovCJmp { d, s, pc } => vec![RegOp::MovC { d, s }, Jmp { pc }],
-            RegOp::Release2 { v1, v2 } => {
-                vec![RegOp::Release { v: v1 }, RegOp::Release { v: v2 }]
             }
             RegOp::TenPart1IntBin {
                 op,
@@ -1078,12 +1004,8 @@ impl RegOp {
             | RegOp::IntBinImmJmp { pc, .. }
             | RegOp::MovIJmp { pc, .. }
             | RegOp::Mov2IJmp { pc, .. }
-            | RegOp::MovCJmp { pc, .. }
             | RegOp::IntBinImmMov2IJmp { pc, .. } => map(pc),
             RegOp::BrCmpISel {
-                pc_false, pc_true, ..
-            }
-            | RegOp::BrCmpFSel {
                 pc_false, pc_true, ..
             }
             | RegOp::AbortBrCmpISel {
@@ -1192,7 +1114,6 @@ impl RegOp {
             RegOp::VecLoop { plan } => plan.regs(),
             RegOp::Jmp { .. } | RegOp::AbortCheck | RegOp::RetNull => Vec::new(),
             RegOp::BrCmpISel { .. }
-            | RegOp::BrCmpFSel { .. }
             | RegOp::BrzJmp { .. }
             | RegOp::IntBin2 { .. }
             | RegOp::IntBinImm2 { .. }
@@ -1202,12 +1123,8 @@ impl RegOp {
             | RegOp::TenPart1IntBinImm { .. }
             | RegOp::TenPart2FltBin { .. }
             | RegOp::MovIJmp { .. }
-            | RegOp::Mov2I { .. }
             | RegOp::Mov2IJmp { .. }
-            | RegOp::Release2 { .. }
             | RegOp::AbortBrCmpISel { .. }
-            | RegOp::IntBinImmMovI { .. }
-            | RegOp::MovCJmp { .. }
             | RegOp::IntBinImmMov2IJmp { .. } => {
                 self.parts().iter().flat_map(RegOp::regs).collect()
             }
@@ -2009,18 +1926,6 @@ impl Machine {
                     fr.ints[*d] = v;
                     pc = if v == 0 { *pc_false } else { *pc_true };
                 }
-                RegOp::BrCmpFSel {
-                    op,
-                    a,
-                    b,
-                    d,
-                    pc_false,
-                    pc_true,
-                } => {
-                    let cond = flt_cmp(*op, fr.flts[*a], fr.flts[*b]);
-                    fr.ints[*d] = cond as i64;
-                    pc = if cond { *pc_true } else { *pc_false };
-                }
                 RegOp::BrzJmp { c, pc_z, pc_nz } => {
                     pc = if fr.ints[*c] == 0 { *pc_z } else { *pc_nz };
                 }
@@ -2117,10 +2022,6 @@ impl Machine {
                     fr.ints[*d] = fr.ints[*s];
                     pc = *t;
                 }
-                RegOp::Mov2I { d1, s1, d2, s2 } => {
-                    fr.ints[*d1] = fr.ints[*s1];
-                    fr.ints[*d2] = fr.ints[*s2];
-                }
                 RegOp::Mov2IJmp {
                     d1,
                     s1,
@@ -2131,10 +2032,6 @@ impl Machine {
                     fr.ints[*d1] = fr.ints[*s1];
                     fr.ints[*d2] = fr.ints[*s2];
                     pc = *t;
-                }
-                RegOp::Release2 { v1, v2 } => {
-                    fr.release(*v1);
-                    fr.release(*v2);
                 }
                 RegOp::AbortBrCmpISel {
                     op,
@@ -2148,21 +2045,6 @@ impl Machine {
                     let v = int_bin(*op, fr.ints[*a], fr.ints[*b])?;
                     fr.ints[*d] = v;
                     pc = if v == 0 { *pc_false } else { *pc_true };
-                }
-                RegOp::IntBinImmMovI {
-                    op,
-                    d,
-                    a,
-                    imm,
-                    d2,
-                    s2,
-                } => {
-                    fr.ints[*d] = int_bin(*op, fr.ints[*a], i64::from(*imm))?;
-                    fr.ints[*d2] = fr.ints[*s2];
-                }
-                RegOp::MovCJmp { d, s, pc: t } => {
-                    fr.cpxs[*d] = fr.cpxs[*s];
-                    pc = *t;
                 }
                 RegOp::IntBinImmMov2IJmp {
                     op,
