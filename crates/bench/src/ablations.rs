@@ -1,6 +1,6 @@
 //! The §6 in-text ablations: abort-check overhead, inlining, constant-array
-//! handling, the mutability copy, superinstruction fusion and range-check
-//! elision.
+//! handling, the mutability copy, superinstruction fusion, range-check
+//! elision and loop vectorization.
 
 use crate::harness::{bench_seconds, timing_compiler};
 use crate::{native, programs, workloads};
@@ -216,6 +216,25 @@ pub fn elision_ablation(n: usize, reps: usize) -> AblationRow {
     }
 }
 
+/// Loop vectorization (this reproduction's stand-in for the SIMD code
+/// LLVM emits for the paper's Blur): Blur on an `n` x `n` image with its
+/// inner loop run as planted `vec.loop` batches vs every iteration
+/// dispatched one scalar op at a time.
+pub fn vectorize_ablation(n: usize, reps: usize) -> AblationRow {
+    default_vs_ablated(
+        "loop vectorization off (Blur)",
+        "ours: the scalar loop dispatches every op of every pixel",
+        programs::BLUR_SRC,
+        &[
+            Value::Tensor(workloads::random_matrix_hw(n, n, 3)),
+            Value::I64(n as i64),
+            Value::I64(n as i64),
+        ],
+        reps,
+        Ablation::Vectorize,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,6 +299,17 @@ mod tests {
         // Min-of-5 over 200,000 elements, as for the abort checks.
         let a = elision_ablation(200_000, 5);
         assert!(a.slowdown() > 0.9, "{:.2}x", a.slowdown());
+    }
+
+    #[test]
+    fn vectorize_on_is_not_slower() {
+        let _timing = timing();
+        let a = vectorize_ablation(200, 3);
+        assert!(
+            a.slowdown() > 3.0,
+            "the scalar Blur loop must cost several times the batch: {:.2}x",
+            a.slowdown()
+        );
     }
 
     #[test]

@@ -674,10 +674,10 @@ fn main() {
 
     if matches!(what.as_str(), "ablations" | "all") {
         println!("== Section 6 ablations ==");
-        let (iters, hist_n, prime_n, qsort_n) = if quick {
-            (200_000, 200_000, 20_000, 1 << 12)
+        let (iters, hist_n, prime_n, qsort_n, blur_n) = if quick {
+            (200_000, 200_000, 20_000, 1 << 12, 200)
         } else {
-            (2_000_000, 1_000_000, 50_000, 1 << 15)
+            (2_000_000, 1_000_000, 50_000, 1 << 15, 1000)
         };
         println!(
             "{}",
@@ -702,6 +702,10 @@ fn main() {
         println!(
             "{}",
             ablations::elision_ablation(hist_n, scale.repetitions).render()
+        );
+        println!(
+            "{}",
+            ablations::vectorize_ablation(blur_n, scale.repetitions).render()
         );
         println!();
     }

@@ -15,7 +15,7 @@
 //!   bytecode vs FunctionCompile, and `FindRoot` auto-compilation.
 //! - [`ablations`] — §6 in-text ablations: abort checking, inlining,
 //!   constant-array handling, mutability copies, superinstruction fusion,
-//!   range-check elision.
+//!   range-check elision, loop vectorization.
 //! - [`opstats`] — dynamic op/dyad frequency profiles of the seven
 //!   benchmarks (the data superinstruction selection is driven by).
 //! - [`serve_load`] — the served request mix (a program catalog with

@@ -1,5 +1,6 @@
-//! The data-parallel tier's contract: every configuration computes
-//! bit-for-bit what the fused-scalar baseline computes (elementwise
+//! The data-parallel tier's contract: the default and every threaded
+//! configuration compute bit-for-bit what the fused-scalar baseline
+//! (`Ablation::Vectorize`: every loop scalar) computes (elementwise
 //! chunking, matrix row blocks and the vectorized loops keep evaluation
 //! order, and a Dot with a vector operand runs the default's sequential
 //! fold), and no thread leaks an acquire. What the tier is worth is `benchmark/`'s business
@@ -10,7 +11,7 @@
 //! run and nothing else.
 
 use wolfram_bench::{programs, workloads};
-use wolfram_compiler_core::{Compiler, CompilerOptions};
+use wolfram_compiler_core::{Ablation, Compiler, CompilerOptions};
 use wolfram_runtime::{memory, ParallelConfig, Tensor, Value};
 
 const LISTABLE_SRC: &str = r#"
@@ -26,11 +27,19 @@ const DOT_VEC_VEC_SRC: &str = r#"
 Function[{Typed[x, "Tensor"["Real64", 1]], Typed[y, "Tensor"["Real64", 1]]}, Dot[x, y]]
 "#;
 
-fn compiler(parallel: Option<ParallelConfig>) -> Compiler {
+/// The default compiler with its whole-tensor builtins on `threads`
+/// threads, or with none and no loop vectorized: the scalar baseline.
+fn compiler(threads: Option<usize>) -> Compiler {
     let mut options = CompilerOptions::default();
-    if let Some(cfg) = parallel {
-        options.data_parallel = true;
-        options.parallel = cfg;
+    match threads {
+        Some(num_threads) => {
+            options.data_parallel = true;
+            options.parallel = ParallelConfig {
+                num_threads,
+                min_elems_per_chunk: 8,
+            };
+        }
+        None => Ablation::Vectorize.apply(&mut options),
     }
     Compiler::new(options)
 }
@@ -111,20 +120,18 @@ fn every_parallel_configuration_is_bit_identical_and_balanced() {
             .call(args)
             .expect("fused-scalar baseline runs");
         let (want_shape, want_cells) = bits(&expected);
-        for threads in [1, 2, 4, 8] {
-            let cfg = ParallelConfig {
-                num_threads: threads,
-                min_elems_per_chunk: 8,
-            };
-            let got = programs::compile_new(&compiler(Some(cfg)), src)
+        let configurations = std::iter::once(("the default".to_owned(), Compiler::default()))
+            .chain([1, 2, 4, 8].map(|n| (format!("{n} thread(s)"), compiler(Some(n)))));
+        for (config, compiler) in configurations {
+            let got = programs::compile_new(&compiler, src)
                 .call(args)
-                .expect("parallel configuration runs");
+                .expect("configuration runs");
             let (shape, cells) = bits(&got);
-            assert_eq!(shape, want_shape, "{name} at {threads} thread(s)");
+            assert_eq!(shape, want_shape, "{name} under {config}");
             assert_eq!(
                 cells.iter().zip(&want_cells).position(|(a, b)| a != b),
                 None,
-                "{name} at {threads} thread(s): first cell differing from the scalar baseline"
+                "{name} under {config}: first cell differing from the scalar baseline"
             );
         }
     }

@@ -661,8 +661,9 @@ pub enum RegOp {
     /// the final iteration through SIMD kernels when the runtime prechecks
     /// in the plan hold, then falls through to the scalar header for the
     /// last iteration and loop exit; otherwise it is a pure no-op and the
-    /// scalar loop executes unchanged. Planted only when the compiler's
-    /// `data_parallel` option is on; runs on the calling thread.
+    /// scalar loop executes unchanged. Planted by every default compile
+    /// (the compiler's `loop_vectorize` option); runs on the calling
+    /// thread.
     VecLoop {
         plan: Arc<crate::vectorize::VecPlan>,
     },

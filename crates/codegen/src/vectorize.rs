@@ -1,14 +1,15 @@
-//! Counted-loop vectorizer: the compiler half of the data-parallel tier.
+//! Counted-loop vectorizer: batched SIMD execution of scalar loops.
 //!
 //! Scans fused native code for innermost counted loops whose body is a
 //! straight-line dense `f64` tensor map (Blur's stencil row, Listable
 //! inner loops) and plants a [`RegOp::VecLoop`] superinstruction in front
-//! of the loop header (the compiler runs this pass only under its
-//! `data_parallel` option). At run time the VecLoop executes all but the
-//! final iteration as one batch through the SIMD kernels, on the calling
-//! thread, then falls through to the untouched scalar loop for the last
-//! iteration and the exit test. When any precheck fails the VecLoop is a
-//! no-op and the scalar loop runs exactly as before.
+//! of the loop header (the compiler runs this pass right after fusion on
+//! every compile, unless its `loop_vectorize` option is off). At run time
+//! the VecLoop executes all but the final iteration as one batch through
+//! the SIMD kernels, on the calling thread, then falls through to the
+//! untouched scalar loop for the last iteration and the exit test. When
+//! any precheck fails the VecLoop is a no-op and the scalar loop runs
+//! exactly as before.
 //!
 //! # Soundness
 //!

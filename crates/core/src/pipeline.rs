@@ -206,17 +206,17 @@ impl Compiler {
             .map_err(CompileError::Codegen)?;
         if self.options.superinstruction_fusion {
             self.time("superinstruction-fusion", || {
-                wolfram_codegen::fuse_program(&mut native)
+                wolfram_codegen::fuse_program(&mut native);
+                // The planner recognizes the fused loop header and latch
+                // superinstructions, so it runs only on fused code.
+                if self.options.loop_vectorize {
+                    wolfram_codegen::vectorize_program(&mut native);
+                }
             });
         }
         if self.options.data_parallel {
-            // Runs after fusion: the vectorizer recognizes the fused loop
-            // header/latch superinstructions. Attaching the config also
-            // switches the machine's whole-tensor builtins to the chunked
+            // Switches the machine's whole-tensor builtins to the chunked
             // parallel kernels.
-            self.time("loop-vectorize", || {
-                wolfram_codegen::vectorize_program(&mut native)
-            });
             native.parallel = Some(self.options.parallel);
         }
         Ok(native)
@@ -551,30 +551,35 @@ Function[{Typed[img, "Tensor"["Real64", 2]], Typed[h, "MachineInteger"], Typed[w
         ]
     }
 
+    fn scalar_loops() -> Compiler {
+        let mut options = CompilerOptions::default();
+        Ablation::Vectorize.apply(&mut options);
+        Compiler::new(options)
+    }
+
     #[test]
     fn data_parallel_blur_plants_vec_loops_and_matches_scalar() {
-        let compiler = Compiler::new(CompilerOptions {
-            data_parallel: true,
-            ..CompilerOptions::default()
-        });
-        let pm = compiler
-            .compile_to_twir(&parse(BLUR_SRC).unwrap(), None)
-            .unwrap();
-        let native = compiler.generate_native(&pm).unwrap();
-        assert!(native.parallel.is_some());
-        let n_vec = native
-            .funcs
-            .iter()
-            .flat_map(|f| &f.code)
-            .filter(|op| matches!(op, wolfram_codegen::RegOp::VecLoop { .. }))
-            .count();
-        assert!(n_vec >= 1, "the blur inner loop must vectorize");
-
-        let want = Compiler::default()
-            .function_compile_src(BLUR_SRC)
-            .unwrap()
-            .call(&blur_args(31, 23))
-            .unwrap();
+        let vec_loops = |cf: &CompiledCodeFunction| {
+            let ops = cf.program.funcs.iter().flat_map(|f| &f.code);
+            ops.filter(|op| matches!(op, wolfram_codegen::RegOp::VecLoop { .. }))
+                .count()
+        };
+        let compiler = Compiler::default();
+        let default = compiler.function_compile_src(BLUR_SRC).unwrap();
+        assert!(
+            vec_loops(&default) >= 1,
+            "the blur inner loop must vectorize"
+        );
+        assert!(default.program.parallel.is_none());
+        // Planning reports under fusion's timing name, not one of its own.
+        let stages: Vec<String> = compiler.timings().into_iter().map(|(n, _)| n).collect();
+        assert!(stages.iter().any(|s| s == "superinstruction-fusion"));
+        assert!(!stages.iter().any(|s| s == "loop-vectorize"), "{stages:?}");
+        // The reference keeps every loop scalar.
+        let scalar = scalar_loops().function_compile_src(BLUR_SRC).unwrap();
+        assert_eq!(vec_loops(&scalar), 0);
+        let want = scalar.call(&blur_args(31, 23)).unwrap();
+        assert_eq!(default.call(&blur_args(31, 23)).unwrap(), want);
         for threads in [1usize, 4] {
             let opts = CompilerOptions {
                 data_parallel: true,
@@ -585,6 +590,7 @@ Function[{Typed[img, "Tensor"["Real64", 2]], Typed[h, "MachineInteger"], Typed[w
                 ..CompilerOptions::default()
             };
             let cf = Compiler::new(opts).function_compile_src(BLUR_SRC).unwrap();
+            assert!(cf.program.parallel.is_some());
             // Bit-identical: each output element's expression tree is
             // evaluated in the scalar loop's operation order.
             assert_eq!(
@@ -595,6 +601,64 @@ Function[{Typed[img, "Tensor"["Real64", 2]], Typed[h, "MachineInteger"], Typed[w
             // Repeat calls on the same compiled function stay stable.
             assert_eq!(cf.call(&blur_args(31, 23)).unwrap(), want);
         }
+    }
+
+    #[test]
+    fn blur_around_the_batch_threshold_matches_scalar_loops() {
+        // Rows of 1 to 10 interior pixels: the batch is empty, below the
+        // planner's minimum, or just above it, and the scalar tail runs
+        // after each.
+        let planted = Compiler::default().function_compile_src(BLUR_SRC).unwrap();
+        let scalar = scalar_loops().function_compile_src(BLUR_SRC).unwrap();
+        for h in 3..=5 {
+            for w in 3..=12 {
+                assert_eq!(
+                    planted.call(&blur_args(h, w)).unwrap(),
+                    scalar.call(&blur_args(h, w)).unwrap(),
+                    "{h}x{w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_abort_during_a_planted_blur_unwinds_balanced_and_the_function_recovers() {
+        let cf = Compiler::default().function_compile_src(BLUR_SRC).unwrap();
+        let args = blur_args(1000, 1000);
+        let want = scalar_loops()
+            .function_compile_src(BLUR_SRC)
+            .unwrap()
+            .call(&args)
+            .unwrap();
+        // The batch polls once per 1,024-element block. A call that
+        // finishes before the trigger lands must return the right image,
+        // and is tried again.
+        let aborted = (0..10).any(|_| {
+            cf.abort.reset();
+            wolfram_runtime::memory::reset_stats();
+            let signal = cf.abort.clone();
+            let trigger = std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                signal.trigger();
+            });
+            let got = cf.call(&args);
+            trigger.join().unwrap();
+            let stats = wolfram_runtime::memory::stats();
+            assert_eq!(stats.acquires, stats.releases, "{stats:?}");
+            match got {
+                Err(e) => {
+                    assert_eq!(e, wolfram_runtime::RuntimeError::Aborted);
+                    true
+                }
+                Ok(v) => {
+                    assert_eq!(v, want);
+                    false
+                }
+            }
+        });
+        assert!(aborted, "no trigger landed inside the call");
+        cf.abort.reset();
+        assert_eq!(cf.call(&args).unwrap(), want);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! from one list ([`oracle::native_engines`]): the shipped
 //! `CompilerOptions::default()`, the default with each §6 ablation applied
 //! (`wolfram_compiler_core::Ablation`, all but abort checks), and the
-//! default plus the data-parallel tier — eight configurations with the
-//! interpreter and the VM ([`oracle::engine_names`]). Any observable
+//! default with whole-tensor builtins on threads — nine configurations
+//! with the interpreter and the VM ([`oracle::engine_names`]). Any observable
 //! disagreement between them on the common subset is a bug in at least
 //! one engine; this crate generates programs, runs all configurations,
 //! compares the outcomes under a documented equivalence relation
@@ -336,6 +336,7 @@ mod tests {
                 "native-constant-array-sharing",
                 "native-fusion",
                 "native-range-elision",
+                "native-vectorize",
                 "native+parallel",
             ]
         );
@@ -364,7 +365,7 @@ mod tests {
         assert_eq!(counts, want);
         let summary = report.summary();
         assert!(
-            summary.contains("across 8 engine configurations"),
+            summary.contains("across 9 engine configurations"),
             "{summary}"
         );
         for name in &names[1..] {

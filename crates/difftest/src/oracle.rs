@@ -9,11 +9,12 @@
 //! 3. then the native register machine (hosted) under each of
 //!    [`native_engines`]: `native`, the shipped
 //!    `CompilerOptions::default()`; `native-<name>`, the default with one
-//!    [`Ablation`] applied; and `native+parallel`, the default plus the
-//!    data-parallel tier. An ablation switches an optimisation off, so the
-//!    default and each ablated build must agree; a wrong range proof, a bad
-//!    fusion or a bad inline shows up as a divergence (or a panic) against
-//!    the engines that do not use it.
+//!    [`Ablation`] applied; and `native+parallel`, the default with its
+//!    whole-tensor builtins on threads. An ablation switches an
+//!    optimisation off, so the default and each ablated build must agree; a
+//!    wrong range proof, a bad fusion, a bad loop plan or a bad inline
+//!    shows up as a divergence (or a panic) against the engines that do not
+//!    use it (`native-vectorize` keeps every loop scalar).
 //!
 //! Each native run must also balance its refcount traffic (F7): the
 //! thread's `memory::stats()` is read before and after the call, and a run
@@ -585,9 +586,13 @@ mod tests {
 
     #[test]
     fn an_unbalanced_native_run_is_a_finding_even_when_values_agree() {
-        let engines = native_engines().len();
-        let mut refcounts = vec![(3, 3); engines];
-        refcounts[1] = (2, 1);
+        let engines = native_engines();
+        let mut refcounts = vec![(3, 3); engines.len()];
+        let scalar_loops = engines
+            .iter()
+            .position(|(name, _)| name == "native-vectorize")
+            .expect("the scalar-loop engine");
+        refcounts[scalar_loops] = (2, 1);
         let run = EngineRun {
             outcomes: vec![Outcome::Ok(Value::I64(1)); engine_names().len()],
             refcounts,
@@ -596,7 +601,7 @@ mod tests {
         assert_eq!(
             run.divergence(),
             Some(Finding {
-                note: "native-inlining acquired 2 managed values and released 1".into(),
+                note: "native-vectorize acquired 2 managed values and released 1".into(),
                 imbalance: true,
             })
         );

@@ -72,12 +72,11 @@ pub struct CompilerOptions {
     /// entering the pass pipeline and on the result of every pass that
     /// changes it; benchmarks set `Off` to measure pure pass cost.
     pub verify: VerifyLevel,
-    /// Enable the data-parallel execution tier: elementwise tensor
-    /// arithmetic and matrix Dot run chunked across scoped threads, and
-    /// fused counted loops are batched through the SIMD kernels on the
-    /// calling thread (`vectorize` pass). Every configuration computes the
-    /// same bits as the default. Off by default — the scalar engine is the
-    /// semantics reference.
+    /// Run whole-tensor builtins on threads: elementwise tensor arithmetic
+    /// and matrix Dot run chunked across scoped threads. Every
+    /// configuration computes the same bits as the default. Off by default,
+    /// pending a size cost model (at 32 Ki elements two threads lose to
+    /// one). Batched counted loops are `loop_vectorize`'s, not this.
     pub data_parallel: bool,
     /// Tuning for the data-parallel tier (threads, chunk granularity).
     /// Ignored unless `data_parallel` is set.
@@ -89,6 +88,14 @@ pub struct CompilerOptions {
     /// gives the fully checked ablation baseline. Refcount pairs that
     /// bracket nothing are cancelled by the lowering either way.
     pub range_checks_elision: bool,
+    /// Plant a `vec.loop` in front of every fused counted loop the
+    /// planner accepts (`wolfram_codegen::vectorize`): all but the last
+    /// iteration run as one batch through the SIMD kernels on the calling
+    /// thread, computing the same bits as the scalar loop and polling the
+    /// abort signal once per 1,024-element block. Needs
+    /// `superinstruction_fusion`, whose loop headers the planner reads. On
+    /// by default; off keeps every loop scalar.
+    pub loop_vectorize: bool,
 }
 
 impl CompilerOptions {
@@ -107,12 +114,16 @@ impl CompilerOptions {
     }
 
     /// These options with inert settings at their defaults: the
-    /// data-parallel tuning changes nothing while the tier is off, so it
-    /// must not split cache keys then.
+    /// data-parallel tuning changes nothing while the tier is off, and
+    /// loop vectorization nothing without fusion, so neither may split
+    /// cache keys then.
     fn effective(&self) -> CompilerOptions {
         let mut options = self.clone();
         if !options.data_parallel {
             options.parallel = ParallelConfig::default();
+        }
+        if !options.superinstruction_fusion {
+            options.loop_vectorize = true;
         }
         options
     }
@@ -132,6 +143,7 @@ impl Default for CompilerOptions {
             data_parallel: false,
             parallel: ParallelConfig::default(),
             range_checks_elision: true,
+            loop_vectorize: true,
         }
     }
 }
@@ -168,16 +180,19 @@ pub enum Ablation {
     Fusion,
     /// Every bounds and overflow check executed.
     RangeElision,
+    /// Every counted loop runs scalar: no `vec.loop` is planted.
+    Vectorize,
 }
 
 impl Ablation {
     /// Every ablation, in report order.
-    pub const ALL: [Ablation; 5] = [
+    pub const ALL: [Ablation; 6] = [
         Ablation::Inlining,
         Ablation::AbortChecks,
         Ablation::ConstantArraySharing,
         Ablation::Fusion,
         Ablation::RangeElision,
+        Ablation::Vectorize,
     ];
 
     /// The short name of what is switched off (`native-<name>` in
@@ -189,6 +204,7 @@ impl Ablation {
             Ablation::ConstantArraySharing => "constant-array-sharing",
             Ablation::Fusion => "fusion",
             Ablation::RangeElision => "range-elision",
+            Ablation::Vectorize => "vectorize",
         }
     }
 
@@ -200,6 +216,7 @@ impl Ablation {
             Ablation::ConstantArraySharing => options.naive_constant_arrays = true,
             Ablation::Fusion => options.superinstruction_fusion = false,
             Ablation::RangeElision => options.range_checks_elision = false,
+            Ablation::Vectorize => options.loop_vectorize = false,
         }
     }
 }
@@ -226,6 +243,7 @@ mod tests {
             data_parallel: _,
             parallel: _,
             range_checks_elision: _,
+            loop_vectorize: _,
         } = base;
         const TUNED: ParallelConfig = ParallelConfig {
             num_threads: 2,
@@ -272,5 +290,12 @@ mod tests {
         };
         assert_ne!(tuned_but_off, base);
         assert_eq!(tuned_but_off.fingerprint(), base.fingerprint());
+        // Nor does loop vectorization without the fused loops it plans.
+        let unfused = |loop_vectorize| CompilerOptions {
+            superinstruction_fusion: false,
+            loop_vectorize,
+            ..CompilerOptions::default()
+        };
+        assert_eq!(unfused(false).fingerprint(), unfused(true).fingerprint());
     }
 }

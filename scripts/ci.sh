@@ -18,7 +18,9 @@
 #   stream:     reproduce stream over two short record streams, checked
 #               line by line; the first again with --workers 3 --batch 1,
 #               byte-identical (the shared queue and the reorder buffer)
-#   reproduce:  compile-times smoke; an unknown subcommand must exit nonzero
+#   reproduce:  compile-times smoke; ablations --quick must print a row
+#               for every Ablation::ALL entry; an unknown subcommand must
+#               exit nonzero
 #   benchmark:  bash benchmark/run.sh --smoke
 #               cargo test -q --offline --manifest-path benchmark/Cargo.toml
 #   placement:  scripts/placement.sh on the benchmark binary just built
@@ -117,6 +119,17 @@ fi
 
 echo "==> reproduce: compile-times smoke (the per-stage compile-time table)"
 ./target/release/reproduce compile-times > /dev/null
+
+echo "==> reproduce: ablations --quick prints a row per Ablation::ALL entry"
+ABLATIONS_OUT="$(./target/release/reproduce ablations --quick)"
+for row in "inlining disabled" "abort checks (Histogram)" "naive constant arrays (PrimeQ)" \
+  "superinstruction fusion off" "range-check elision off" "loop vectorization off (Blur)"; do
+  if ! grep -qF "$row" <<< "$ABLATIONS_OUT"; then
+    echo "reproduce ablations --quick printed no \"$row\" row:" >&2
+    echo "$ABLATIONS_OUT" >&2
+    exit 1
+  fi
+done
 
 echo "==> reproduce: an unknown subcommand fails instead of printing nothing"
 if ./target/release/reproduce no-such-subcommand 2>/dev/null; then

@@ -31,7 +31,7 @@ fn three_hundred_programs_agree_across_engines() {
     );
     assert_eq!(report.prepare_failures, 0, "{:?}", report.prepare_samples);
     assert_eq!(report.roundtrip_failures, 0);
-    // Every program compiled and ran on all eight engines.
+    // Every program compiled and ran on all nine engines.
     assert_eq!(report.programs_run, 300);
     // ~1% of generated programs evaluate to an inert symbolic form on the
     // oracle (e.g. `Mod[x, 0.]`) and are counted inconclusive rather than
