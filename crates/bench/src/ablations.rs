@@ -284,6 +284,46 @@ mod tests {
         );
     }
 
+    /// Constant-array loads in compiled PrimeQ (its seed table and its
+    /// witness list): pooled (`ldc.v` of a tensor) and per use (`ldc.copy`).
+    fn primeq_array_loads(ablation: Option<Ablation>) -> (usize, usize) {
+        use wolfram_codegen::machine::RegOp;
+        let compiler = timing_compiler(ablation);
+        let src = programs::primeq_src(&workloads::prime_seed_table());
+        let pm = compiler
+            .compile_to_twir(&wolfram_expr::parse(&src).unwrap(), None)
+            .unwrap();
+        let native = compiler.generate_native(&pm).unwrap();
+        let ops = native.funcs.iter().flat_map(|f| &f.code);
+        let pooled = ops
+            .clone()
+            .filter(|op| {
+                matches!(
+                    op,
+                    RegOp::LdcV {
+                        v: Value::Tensor(_),
+                        ..
+                    }
+                )
+            })
+            .count();
+        let copies = ops
+            .filter(|op| matches!(op, RegOp::LdcArrayCopy { .. }))
+            .count();
+        (pooled, copies)
+    }
+
+    #[test]
+    fn primeq_pools_each_constant_array_once() {
+        // Two arrays, two uses: one pooled load each, against one copy
+        // per use when sharing is ablated.
+        assert_eq!(primeq_array_loads(None), (2, 0));
+        assert_eq!(
+            primeq_array_loads(Some(Ablation::ConstantArraySharing)),
+            (0, 2)
+        );
+    }
+
     #[test]
     fn fusion_on_is_not_slower() {
         let _timing = timing();

@@ -730,49 +730,64 @@ fn main() {
             ("PrimeQ", wolfram_bench::programs::primeq_src(&table)),
             ("QSort", wolfram_bench::programs::QSORT_SRC.into()),
         ];
-        // Medians over repeated compiles, in ms. `passes` and `verification`
-        // split what the IR pass pipeline costs into the passes themselves
-        // and the checking of their results (`optimize[f]` and
-        // `optimize[f].verify` in `Compiler::timings()`, summed over the
-        // program's functions).
+        // Medians over repeated compiles, in ms. `parse` is timed here, the
+        // stages after it come from `Compiler::timings()`: `passes` and
+        // `verification` split what the IR pass pipeline costs into the
+        // passes themselves and the checking of their results
+        // (`optimize[f]` and `optimize[f].verify`, summed over the
+        // program's functions). `other` is the rest of the total (function
+        // resolution, instantiation), which must not be negative.
         let reps = if quick { 3 } else { 15 };
         type Belongs = fn(&str) -> bool;
-        let stages: [(&str, Belongs); 5] = [
+        let stages: [(&str, Belongs); 8] = [
+            ("macro-expansion", |t| t == "macro-expansion"),
+            ("binding", |t| t == "binding-analysis"),
+            ("lowering", |t| t == "lowering"),
+            ("inference", |t| t == "type-inference"),
             ("passes", |t| t.starts_with("optimize[") && t.ends_with(']')),
             ("verification", |t| {
                 t.starts_with("optimize[") && t.ends_with(".verify") || t == "analyze"
             }),
             ("range-analysis", |t| t == "range-analysis"),
-            ("macro-expansion", |t| t == "macro-expansion"),
-            ("inference", |t| t == "type-inference"),
+            ("codegen", |t| {
+                matches!(t, "code-generation" | "superinstruction-fusion")
+            }),
         ];
-        print!("{:<11} {:>9}", "program", "total");
-        for (stage, _) in &stages {
-            print!(" {stage:>15}");
-        }
+        let columns = [&["total", "parse"], &stages.map(|(s, _)| s)[..], &["other"]].concat();
+        print!("{:<11}", "program");
+        columns
+            .iter()
+            .for_each(|c| print!(" {c:>0$}", c.len().max(9)));
         println!();
         for (name, src) in &programs {
-            // One column of samples for the total, one per stage.
-            let mut samples = vec![Vec::with_capacity(reps); 1 + stages.len()];
+            // One column of samples per printed column.
+            let mut samples = vec![Vec::with_capacity(reps); columns.len()];
             for _ in 0..reps {
                 let start = std::time::Instant::now();
-                let _ = compiler.function_compile_src(src).expect("compiles");
-                samples[0].push(start.elapsed().as_secs_f64() * 1e3);
-                let timings = compiler.timings();
-                for ((_, belongs), column) in stages.iter().zip(&mut samples[1..]) {
-                    column.push(
+                let f = wolfram_expr::parse(src).expect("parses");
+                let parse = start.elapsed();
+                let _ = compiler.function_compile(&f).expect("compiles");
+                let (total, timings) = (start.elapsed(), compiler.timings());
+                let mut row = vec![total, parse];
+                for (_, belongs) in &stages {
+                    row.push(
                         timings
                             .iter()
                             .filter(|(t, _)| belongs(t))
-                            .map(|(_, d)| d.as_secs_f64() * 1e3)
-                            .sum::<f64>(),
+                            .map(|(_, d)| *d)
+                            .sum(),
                     );
+                }
+                let rest = total.checked_sub(row[1..].iter().sum());
+                row.push(rest.expect("the stages of a compile fit in its total"));
+                for (column, d) in samples.iter_mut().zip(row) {
+                    column.push(d.as_secs_f64() * 1e3);
                 }
             }
             print!("{name:<11}");
-            for (i, column) in samples.iter_mut().enumerate() {
-                column.sort_by(f64::total_cmp);
-                print!(" {:>1$.3}", column[reps / 2], if i == 0 { 9 } else { 15 });
+            for (column, samples) in columns.iter().zip(&mut samples) {
+                samples.sort_by(f64::total_cmp);
+                print!(" {:>1$.3}", samples[reps / 2], column.len().max(9));
             }
             println!();
         }

@@ -13,7 +13,9 @@ use crate::{refcount, regalloc};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use wolfram_analyze::intervals::{FnRangeFacts, RangeFacts};
-use wolfram_ir::module::{Block, BlockId, Callee, Constant, Function, Instr, Operand, VarId};
+use wolfram_ir::module::{
+    Block, BlockId, Callee, ConstKey, Constant, Function, Instr, Operand, VarId,
+};
 use wolfram_ir::CompilerOptions;
 use wolfram_runtime::{Tensor, Value};
 use wolfram_types::{Cmp, Elementary, Prim, Type};
@@ -125,7 +127,7 @@ struct Lowering<'a> {
     current_event: usize,
     /// Deduplicated constant loads, hoisted into a function prologue so
     /// loop bodies do not re-materialize immediates each iteration.
-    const_cache: HashMap<(String, Bank), u32>,
+    const_cache: HashMap<(ConstKey, Bank), u32>,
     prologue: Vec<RegOp>,
     /// Interval facts for this function (proved bounds/overflow sites),
     /// when range-check elision is on.
@@ -350,7 +352,7 @@ impl<'a> Lowering<'a> {
                 // The naive-constant-array ablation keeps per-use loads.
                 let naive_array = self.opts.naive_constant_arrays
                     && matches!(c, Constant::I64Array(_) | Constant::F64Array(_));
-                let key = (format!("{c:?}"), bank);
+                let key = (ConstKey(c.clone()), bank);
                 if !naive_array {
                     if let Some(&slot) = self.const_cache.get(&key) {
                         return Ok(slot);
@@ -1231,6 +1233,52 @@ mod tests {
         let mut m = Machine::standalone();
         let out = m.call(&native, 0, [Ok(ArgVal::I(41))], None).unwrap();
         assert_eq!(out, ArgVal::I(42));
+    }
+
+    /// The constant loads emitted for `prim(args)` at `params`.
+    fn constant_loads(prim: Prim, params: &[Type], ret: Type, args: [Constant; 2]) -> usize {
+        let mut bld = FunctionBuilder::new("Main", 0);
+        let r = bld.call(
+            Callee::primitive(prim, params),
+            args.map(Operand::from).into(),
+        );
+        bld.ret(r);
+        let mut f = bld.finish();
+        f.var_types.insert(r, ret.clone());
+        f.return_type = Some(ret);
+        let pm = wolfram_ir::ProgramModule::with_main(f);
+        let native = lower_program(&pm, &CompilerOptions::default(), None).unwrap();
+        native.funcs[0]
+            .code
+            .iter()
+            .filter(|op| matches!(op, RegOp::LdcV { .. } | RegOp::LdcF { .. }))
+            .count()
+    }
+
+    #[test]
+    fn the_constant_pool_shares_only_identical_constants() {
+        let ints = Type::tensor(Type::integer64(), 1);
+        let dot = |a: &[i64], b: &[i64]| {
+            let args = [a, b].map(|v| Constant::I64Array(v.into()));
+            constant_loads(
+                Prim::DotVector,
+                &[ints.clone(), ints.clone()],
+                Type::integer64(),
+                args,
+            )
+        };
+        let table: Vec<i64> = (0..16_384).collect();
+        let mut last = table.clone();
+        *last.last_mut().unwrap() += 1;
+        assert_eq!(dot(&table, &table), 1);
+        assert_eq!(dot(&table, &last), 2);
+        let reals = Type::tensor(Type::real64(), 1);
+        let list = |a: f64, b: f64| {
+            let args = [a, b].map(Constant::F64);
+            constant_loads(Prim::ListConstruct, &[Type::real64()], reals.clone(), args)
+        };
+        assert_eq!(list(-0.0, -0.0), 1);
+        assert_eq!(list(0.0, -0.0), 2);
     }
 
     #[test]

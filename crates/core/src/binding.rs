@@ -5,7 +5,8 @@
 //! nested scopes are flattened out, and variables are renamed to avoid
 //! shadowing. ... Escape analysis is also performed as part of the binding
 //! analysis. Escaped variables are annotated and are used during closure
-//! conversion."
+//! conversion." Here the links are the unique names themselves (no node
+//! carries metadata), and escapes are reported in [`BoundFunction::escaped`].
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -85,7 +86,7 @@ pub fn analyze(f: &Expr) -> Result<BoundFunction, BindingError> {
         escaped: HashSet::new(),
     };
     let normalized = normalize_lambda(f, &mut a)?;
-    // normalize_lambda returns Function[{params...}, body] with metadata.
+    // normalize_lambda returns Function[{params...}, body].
     let params_e = &normalized.args()[0];
     let body = normalized.args()[1].clone();
     let mut params = Vec::new();

@@ -105,52 +105,65 @@ impl MacroEnvironment {
 
     /// Expands `e` to a fixed point: depth-first, most-specific rule first,
     /// hygienic (fresh `Module` variables introduced by a rule body are
-    /// renamed per application).
+    /// renamed per application). Subtrees no rule changed are shared with
+    /// `e`, and `e` itself comes back when nothing changed.
     pub fn expand(&self, e: &Expr, opts: &CompilerOptions) -> Expr {
         const MAX_ROUNDS: usize = 512;
+        // Literals and symbols are matched only when a rule is filed under
+        // the head of an atom.
+        let atoms = ["Integer", "Real", "Complex", "String", "Symbol"]
+            .iter()
+            .any(|h| self.rules.contains_key(*h));
         let mut current = e.clone();
         for _ in 0..MAX_ROUNDS {
-            let next = self.expand_once(&current, opts);
-            if next == current {
-                return current;
+            match self.expand_once(&current, opts, atoms) {
+                Some(next) => current = next,
+                None => return current,
             }
-            current = next;
         }
         current
     }
 
-    /// One depth-first pass.
-    fn expand_once(&self, e: &Expr, opts: &CompilerOptions) -> Expr {
+    /// One depth-first pass: `None` when the result would equal `e`.
+    fn expand_once(&self, e: &Expr, opts: &CompilerOptions, atoms: bool) -> Option<Expr> {
         // Children first (depth-first evaluation order).
         let rebuilt = match e.kind() {
             ExprKind::Normal(n) => {
-                let head = self.expand_once(n.head(), opts);
-                let args: Vec<Expr> = n.args().iter().map(|a| self.expand_once(a, opts)).collect();
-                Expr::normal(head, args)
+                let head = self.expand_once(n.head(), opts, atoms);
+                let mut args: Option<Vec<Expr>> = None;
+                for (ix, a) in n.args().iter().enumerate() {
+                    match (self.expand_once(a, opts, atoms), &mut args) {
+                        (Some(new), args) => args
+                            .get_or_insert_with(|| n.args()[..ix].to_vec())
+                            .push(new),
+                        (None, Some(args)) => args.push(a.clone()),
+                        (None, None) => {}
+                    }
+                }
+                (head.is_some() || args.is_some()).then(|| {
+                    Expr::normal(
+                        head.unwrap_or_else(|| n.head().clone()),
+                        args.unwrap_or_else(|| n.args().to_vec()),
+                    )
+                })
             }
-            _ => e.clone(),
+            _ if !atoms => return None,
+            _ => None,
         };
-        let Some(head) = rebuilt.head_symbol() else {
-            return rebuilt;
-        };
-        let Some(rules) = self.rules.get(head.name()) else {
-            return rebuilt;
-        };
-        for r in rules {
+        let node = rebuilt.as_ref().unwrap_or(e);
+        let rules = node.head_symbol().and_then(|h| self.rules.get(h.name()));
+        for r in rules.into_iter().flatten() {
             if let Some(cond) = &r.condition {
                 if !cond(opts) {
                     continue;
                 }
             }
             let mut bindings = Bindings::new();
-            if match_pattern(
-                &rebuilt,
-                &r.rule.lhs,
-                &mut bindings,
-                &mut MatchCtx::default(),
-            ) {
+            if match_pattern(node, &r.rule.lhs, &mut bindings, &mut MatchCtx::default()) {
                 let rhs = apply_bindings(&r.rule.rhs, &bindings);
-                return self.hygienify(&rhs, &bindings);
+                let out = self.hygienify(&rhs, &bindings);
+                // A rewrite to an equal tree is no change.
+                return (out != *e).then_some(out);
             }
         }
         rebuilt
@@ -375,5 +388,114 @@ mod tests {
     #[test]
     fn sqrt_becomes_power() {
         assert_eq!(expand("Sqrt[x]"), "Power[x, 0.5]");
+    }
+
+    #[test]
+    fn a_rule_under_an_atom_head_fires() {
+        let mut env = MacroEnvironment::builtin();
+        env.register_src("{7 -> 8}");
+        let out = env.expand(&parse("f[7, x, 7.]").unwrap(), &CompilerOptions::default());
+        assert_eq!(out.to_full_form(), "f[8, x, 7.]");
+    }
+
+    /// The first normal node of `e`, depth-first, with `n` arguments.
+    fn node_with_arity(e: &Expr, n: usize) -> Expr {
+        let mut found = None;
+        wolfram_expr::walk(e, &mut |node| {
+            if node.as_normal().is_some() && node.length() == n {
+                found = Some(node.clone());
+                return wolfram_expr::VisitAction::Stop;
+            }
+            wolfram_expr::VisitAction::Descend
+        });
+        found.expect("no node of that arity")
+    }
+
+    #[test]
+    fn an_unchanged_tree_comes_back_shared() {
+        let env = MacroEnvironment::builtin();
+        let opts = CompilerOptions::default();
+        let e = parse(r#"f[g[x, 1], {1, 2.5, "s"}, If[a, b, c]]"#).unwrap();
+        assert!(env.expand(&e, &opts).ptr_eq(&e));
+        // PrimeQ's seed table: alone, and as the untouched part of a
+        // program whose `&&` the macros rewrite.
+        let table = wolfram_bench::workloads::prime_seed_table();
+        let src = wolfram_bench::programs::primeq_src(&table);
+        let list = node_with_arity(&parse(&src).unwrap(), table.len());
+        assert!(env.expand(&list, &opts).ptr_eq(&list));
+        let program = parse(&src).unwrap();
+        let out = env.expand(&program, &opts);
+        assert!(!out.ptr_eq(&program));
+        assert!(node_with_arity(&out, table.len()).ptr_eq(&node_with_arity(&program, table.len())));
+    }
+
+    /// 64-bit FNV-1a of a string: a hash that is the same on every build.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn expansions_of_the_benchmark_programs_are_pinned() {
+        use wolfram_bench::programs as p;
+        let table = wolfram_bench::workloads::prime_seed_table();
+        let sources: Vec<(&str, String)> = vec![
+            ("FNV1A_SRC", p::FNV1A_SRC.into()),
+            ("FNV1A_BYTECODE_BODY", p::FNV1A_BYTECODE_BODY.into()),
+            ("MANDELBROT_SRC", p::MANDELBROT_SRC.into()),
+            (
+                "MANDELBROT_BYTECODE_BODY",
+                p::MANDELBROT_BYTECODE_BODY.into(),
+            ),
+            ("DOT_SRC", p::DOT_SRC.into()),
+            ("BLUR_SRC", p::BLUR_SRC.into()),
+            ("BLUR_BYTECODE_BODY", p::BLUR_BYTECODE_BODY.into()),
+            ("HISTOGRAM_SRC", p::HISTOGRAM_SRC.into()),
+            ("HISTOGRAM_BYTECODE_BODY", p::HISTOGRAM_BYTECODE_BODY.into()),
+            ("primeq_src", p::primeq_src(&table)),
+            ("primeq_bytecode_body", p::primeq_bytecode_body(&table)),
+            ("QSORT_SRC", p::QSORT_SRC.into()),
+            ("QSORT_BYTECODE_BODY", p::QSORT_BYTECODE_BODY.into()),
+            // And, Or, Which and both Do forms, for the hygiene counter.
+            (
+                "desugarings",
+                "Module[{s = 0}, Do[s += Which[k < 3 && k > 0, 1, k == 5 || k == 7, 2, \
+                 True, 3], {k, n}]; Do[s++, 3]; Do[s--, {j, 2, 4}]; s]"
+                    .into(),
+            ),
+        ];
+        // One environment throughout, so the hygiene numbering carries
+        // from one program to the next as in a long-lived compiler.
+        let env = MacroEnvironment::builtin();
+        let opts = CompilerOptions::default();
+        let got: Vec<(&str, u64)> = sources
+            .iter()
+            .map(|(name, src)| {
+                (
+                    *name,
+                    fnv1a(&env.expand(&parse(src).unwrap(), &opts).to_full_form()),
+                )
+            })
+            .collect();
+        // FullForm hashes, pinned from the expansion that rebuilt every
+        // node on every round.
+        let pinned = [
+            ("FNV1A_SRC", 0xc2b3cc9ac7b5b656),
+            ("FNV1A_BYTECODE_BODY", 0xaee5677da05717f0),
+            ("MANDELBROT_SRC", 0xb54525919ced9e8f),
+            ("MANDELBROT_BYTECODE_BODY", 0x8814e790f0e2299d),
+            ("DOT_SRC", 0xa2ac487146648308),
+            ("BLUR_SRC", 0xcf684ca2138af2f3),
+            ("BLUR_BYTECODE_BODY", 0x01efe6f3db4d1422),
+            ("HISTOGRAM_SRC", 0xd0aa3e3512bf58c4),
+            ("HISTOGRAM_BYTECODE_BODY", 0x25d4c7b47195af66),
+            ("primeq_src", 0x41f0fc4a428750b0),
+            ("primeq_bytecode_body", 0x2781e2c3cefc8712),
+            ("QSORT_SRC", 0xabd5608b12ab8995),
+            ("QSORT_BYTECODE_BODY", 0xa7766c9756189ffe),
+            ("desugarings", 0x5bb68e7f5c550446),
+        ];
+        assert_eq!(got, pinned);
     }
 }

@@ -2,14 +2,13 @@
 //!
 //! Mirrors the paper's `MExpr` (§4.2): "MExpr is either an atomic leaf node
 //! (representing a literal or Symbol) or a tree node (representing a Normal
-//! Wolfram expression) and can be serialized and deserialized. Arbitrary
-//! metadata can be set on any node within the AST."
+//! Wolfram expression) and can be serialized and deserialized." The paper's
+//! per-node metadata is not reproduced: no pass reads or writes any.
 
 use crate::bigint::BigInt;
 use crate::symbol::{sym, Symbol};
 use std::fmt;
 use std::sync::Arc;
-use std::sync::Mutex;
 
 /// The payload of an expression node.
 #[derive(Clone, PartialEq)]
@@ -49,16 +48,6 @@ impl Normal {
     }
 }
 
-struct ExprData {
-    kind: ExprKind,
-    /// Arbitrary metadata, ignored by equality and hashing. The compiler uses
-    /// this for binding links, source spans, and inferred types. Guarded by a
-    /// mutex (not a `RefCell`) so expression trees — including the ones
-    /// embedded in compiled artifacts — are `Send + Sync` and can be shared
-    /// across serving threads.
-    props: Mutex<Vec<(Arc<str>, Expr)>>,
-}
-
 /// A Wolfram Language expression. Cheap to clone (reference counted).
 ///
 /// # Examples
@@ -70,14 +59,11 @@ struct ExprData {
 /// assert_eq!(e.head_symbol().unwrap().name(), "Plus");
 /// ```
 #[derive(Clone)]
-pub struct Expr(Arc<ExprData>);
+pub struct Expr(Arc<ExprKind>);
 
 impl Expr {
     fn from_kind(kind: ExprKind) -> Self {
-        Expr(Arc::new(ExprData {
-            kind,
-            props: Mutex::new(Vec::new()),
-        }))
+        Expr(Arc::new(kind))
     }
 
     /// A machine integer literal.
@@ -152,18 +138,18 @@ impl Expr {
 
     /// The node payload.
     pub fn kind(&self) -> &ExprKind {
-        &self.0.kind
+        &self.0
     }
 
     /// Whether this is an atomic (leaf) node.
     pub fn is_atom(&self) -> bool {
-        !matches!(self.0.kind, ExprKind::Normal(_))
+        !matches!(*self.0, ExprKind::Normal(_))
     }
 
     /// The head of the expression, following Wolfram semantics: the head of
     /// an atom is the symbol naming its type (`Integer`, `Real`, ...).
     pub fn head(&self) -> Expr {
-        match &self.0.kind {
+        match &*self.0 {
             ExprKind::Integer(_) | ExprKind::BigInteger(_) => Expr::symbol(sym::integer()),
             ExprKind::Real(_) => Expr::symbol(sym::real()),
             ExprKind::Complex(..) => Expr::symbol(sym::complex()),
@@ -175,28 +161,26 @@ impl Expr {
 
     /// The head as a symbol, if the head is a symbol (atoms included).
     pub fn head_symbol(&self) -> Option<Symbol> {
-        match &self.0.kind {
-            ExprKind::Normal(n) => match n.head.kind() {
-                ExprKind::Symbol(s) => Some(s.clone()),
-                _ => None,
-            },
-            _ => match self.head().kind() {
-                ExprKind::Symbol(s) => Some(s.clone()),
-                _ => unreachable!("atom heads are symbols"),
-            },
+        match &*self.0 {
+            ExprKind::Integer(_) | ExprKind::BigInteger(_) => Some(sym::integer()),
+            ExprKind::Real(_) => Some(sym::real()),
+            ExprKind::Complex(..) => Some(sym::complex()),
+            ExprKind::Str(_) => Some(sym::string()),
+            ExprKind::Symbol(_) => Some(sym::symbol()),
+            ExprKind::Normal(n) => n.head.as_symbol(),
         }
     }
 
     /// Whether the expression is a normal node whose head is the symbol
     /// `name`.
     pub fn has_head(&self, name: &str) -> bool {
-        matches!(&self.0.kind, ExprKind::Normal(n)
+        matches!(&*self.0, ExprKind::Normal(n)
             if matches!(n.head.kind(), ExprKind::Symbol(s) if s.name() == name))
     }
 
     /// The normal node, if this is one.
     pub fn as_normal(&self) -> Option<&Normal> {
-        match &self.0.kind {
+        match &*self.0 {
             ExprKind::Normal(n) => Some(n),
             _ => None,
         }
@@ -204,7 +188,7 @@ impl Expr {
 
     /// The arguments of a normal node, or `&[]` for atoms.
     pub fn args(&self) -> &[Expr] {
-        match &self.0.kind {
+        match &*self.0 {
             ExprKind::Normal(n) => &n.args,
             _ => &[],
         }
@@ -217,7 +201,7 @@ impl Expr {
 
     /// The symbol, if this is a symbol node.
     pub fn as_symbol(&self) -> Option<Symbol> {
-        match &self.0.kind {
+        match &*self.0 {
             ExprKind::Symbol(s) => Some(s.clone()),
             _ => None,
         }
@@ -225,12 +209,12 @@ impl Expr {
 
     /// Whether this is the symbol named `name`.
     pub fn is_symbol(&self, name: &str) -> bool {
-        matches!(&self.0.kind, ExprKind::Symbol(s) if s.name() == name)
+        matches!(&*self.0, ExprKind::Symbol(s) if s.name() == name)
     }
 
     /// The machine integer value, if this is a machine integer.
     pub fn as_i64(&self) -> Option<i64> {
-        match &self.0.kind {
+        match &*self.0 {
             ExprKind::Integer(v) => Some(*v),
             _ => None,
         }
@@ -238,7 +222,7 @@ impl Expr {
 
     /// A numeric value as `f64` (integers, bigints, and reals).
     pub fn as_f64(&self) -> Option<f64> {
-        match &self.0.kind {
+        match &*self.0 {
             ExprKind::Integer(v) => Some(*v as f64),
             ExprKind::BigInteger(v) => Some(v.to_f64()),
             ExprKind::Real(v) => Some(*v),
@@ -248,7 +232,7 @@ impl Expr {
 
     /// The string contents, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
-        match &self.0.kind {
+        match &*self.0 {
             ExprKind::Str(s) => Some(s),
             _ => None,
         }
@@ -264,37 +248,16 @@ impl Expr {
         self.is_symbol("False")
     }
 
-    /// Replaces the arguments, keeping the head. Metadata is not carried
-    /// over: the result is a fresh node.
+    /// Replaces the arguments, keeping the head: the result is a fresh node.
     ///
     /// # Panics
     ///
     /// Panics if this is an atom.
     pub fn with_args(&self, args: impl Into<Vec<Expr>>) -> Expr {
-        match &self.0.kind {
+        match &*self.0 {
             ExprKind::Normal(n) => Expr::normal(n.head.clone(), args),
             _ => panic!("with_args on atom {self:?}"),
         }
-    }
-
-    /// Attaches metadata `key -> value` to this node (paper §4.2: "Arbitrary
-    /// metadata can be set on any node within the AST"). Metadata does not
-    /// participate in equality or hashing.
-    pub fn set_prop(&self, key: &str, value: Expr) {
-        let mut props = lock_props(&self.0.props);
-        if let Some(slot) = props.iter_mut().find(|(k, _)| &**k == key) {
-            slot.1 = value;
-        } else {
-            props.push((Arc::from(key), value));
-        }
-    }
-
-    /// Reads metadata attached with [`Expr::set_prop`].
-    pub fn prop(&self, key: &str) -> Option<Expr> {
-        lock_props(&self.0.props)
-            .iter()
-            .find(|(k, _)| &**k == key)
-            .map(|(_, v)| v.clone())
     }
 
     /// Structural identity: whether the two handles point at the same node.
@@ -303,19 +266,9 @@ impl Expr {
     }
 }
 
-/// Locks a metadata table, recovering from poisoning: props are plain data,
-/// so a panic mid-update cannot leave them logically inconsistent.
-fn lock_props(
-    props: &Mutex<Vec<(Arc<str>, Expr)>>,
-) -> std::sync::MutexGuard<'_, Vec<(Arc<str>, Expr)>> {
-    props
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 impl PartialEq for Expr {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0.kind == other.0.kind
+        Arc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
     }
 }
 
@@ -323,7 +276,7 @@ impl Eq for Expr {}
 
 impl std::hash::Hash for Expr {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match &self.0.kind {
+        match &*self.0 {
             ExprKind::Integer(v) => {
                 0u8.hash(state);
                 v.hash(state);
@@ -442,27 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_props() {
-        let a = Expr::call("f", [Expr::int(1)]);
-        let b = Expr::call("f", [Expr::int(1)]);
-        a.set_prop("binding", Expr::int(7));
-        assert_eq!(a, b);
-        assert_eq!(a.prop("binding").unwrap().as_i64(), Some(7));
-        assert!(b.prop("binding").is_none());
-    }
-
-    #[test]
-    fn props_overwrite() {
-        let a = Expr::sym("x");
-        a.set_prop("t", Expr::int(1));
-        a.set_prop("t", Expr::int(2));
-        assert_eq!(a.prop("t").unwrap().as_i64(), Some(2));
-    }
-
-    #[test]
-    // Metadata is interior-mutable but excluded from Hash/Eq, so Expr is a
-    // sound hash key despite what the lint sees.
-    #[allow(clippy::mutable_key_type)]
     fn hash_consistency() {
         use std::collections::HashSet;
         let mut set = HashSet::new();

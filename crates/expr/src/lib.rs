@@ -3,10 +3,9 @@
 //! This crate implements the AST data structure the CGO 2020 paper calls
 //! `MExpr` (§4.2): an expression is either an *atomic* leaf node (integer,
 //! arbitrary-precision integer, real, complex, string, or symbol) or a
-//! *normal* node with a head expression and arguments. Arbitrary metadata can
-//! be attached to any node, expressions can be serialized (`FullForm`) and
-//! deserialized (the parser), and transformations are carried out either with
-//! the pattern/rule system or the visitor API.
+//! *normal* node with a head expression and arguments. Expressions can be
+//! serialized (`FullForm`) and deserialized (the parser), and transformations
+//! are carried out either with the pattern/rule system or the visitor API.
 //!
 //! # Examples
 //!

@@ -33,7 +33,8 @@ pub mod verify;
 
 pub use builder::FunctionBuilder;
 pub use module::{
-    Block, BlockId, Callee, Constant, FuncId, Function, Instr, Operand, ProgramModule, VarId,
+    Block, BlockId, Callee, ConstKey, Constant, FuncId, Function, Instr, Operand, ProgramModule,
+    VarId,
 };
 pub use options::{Ablation, CompilerOptions, InlinePolicy, TargetSystem, VerifyLevel};
 pub use passes::{run_pass, run_pipeline, FullVerifier, PipelineReport};

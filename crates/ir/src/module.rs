@@ -2,8 +2,9 @@
 //! modules, and program modules.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use wolfram_expr::Expr;
+use wolfram_expr::{Expr, ExprKind};
 use wolfram_types::{mangle, Prim, Type};
 
 /// An SSA variable (`%n` in dumps).
@@ -58,8 +59,73 @@ impl Constant {
     }
 }
 
+/// A [`Constant`] as a map key, for merging equal constants. Two keys are
+/// equal only if their constants are identical to the bit: floats compare
+/// by bits (`0.0` and `-0.0` differ), inside `Constant::Expr` too. Arrays
+/// hash on their length and a short prefix; equality reads every element.
+#[derive(Debug, Clone)]
+pub struct ConstKey(pub Constant);
+
+impl PartialEq for ConstKey {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Constant::F64(a), Constant::F64(b)) => a.to_bits() == b.to_bits(),
+            (Constant::Complex(a, b), Constant::Complex(c, d)) => {
+                bits(&[*a, *b]).eq(bits(&[*c, *d]))
+            }
+            (Constant::F64Array(a), Constant::F64Array(b)) => bits(a).eq(bits(b)),
+            (Constant::Expr(a), Constant::Expr(b)) => expr_bits_eq(a, b),
+            // The rest hold no floats, so their own `==` is exact.
+            (a, b) => a == b,
+        }
+    }
+}
+
+impl Eq for ConstKey {}
+
+impl Hash for ConstKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let prefix = |len: usize| ..len.min(8);
+        std::mem::discriminant(&self.0).hash(state);
+        match &self.0 {
+            Constant::I64(v) => v.hash(state),
+            Constant::F64(v) => v.to_bits().hash(state),
+            Constant::Bool(b) => b.hash(state),
+            Constant::Complex(re, im) => bits(&[*re, *im]).for_each(|b| b.hash(state)),
+            Constant::Str(s) => s.hash(state),
+            Constant::I64Array(a) => (a.len(), &a[prefix(a.len())]).hash(state),
+            Constant::F64Array(a) => bits(&a[prefix(a.len())])
+                .chain([a.len() as u64])
+                .for_each(|b| b.hash(state)),
+            // `Expr` hashes reals by their bits.
+            Constant::Expr(e) => e.hash(state),
+            Constant::Null => {}
+        }
+    }
+}
+
+fn bits(xs: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    xs.iter().map(|x| x.to_bits())
+}
+
+/// Structural equality with reals compared by bits.
+fn expr_bits_eq(a: &Expr, b: &Expr) -> bool {
+    match (a.kind(), b.kind()) {
+        (ExprKind::Real(x), ExprKind::Real(y)) => x.to_bits() == y.to_bits(),
+        (ExprKind::Complex(w, x), ExprKind::Complex(y, z)) => bits(&[*w, *x]).eq(bits(&[*y, *z])),
+        (ExprKind::Normal(m), ExprKind::Normal(n)) => {
+            let (ms, ns) = (m.args(), n.args());
+            a.ptr_eq(b)
+                || ms.len() == ns.len()
+                    && expr_bits_eq(m.head(), n.head())
+                    && ms.iter().zip(ns).all(|(x, y)| expr_bits_eq(x, y))
+        }
+        (x, y) => x == y,
+    }
+}
+
 /// The target of a call instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Callee {
     /// An unresolved Wolfram function (WIR stage): `Plus`, `Part`, ...
     Builtin(Arc<str>),

@@ -10,7 +10,7 @@
 //! memory-management insertion, and the verification level.
 
 use crate::analysis::{liveness, natural_loops, Cfg, Dominators};
-use crate::module::{Block, BlockId, Callee, Constant, Function, Instr, Operand, VarId};
+use crate::module::{Block, BlockId, Callee, ConstKey, Constant, Function, Instr, Operand, VarId};
 use crate::options::{CompilerOptions, VerifyLevel};
 use crate::verify::{verify_function, VerifyError};
 use std::cmp::Ordering;
@@ -408,13 +408,13 @@ fn cse(f: &mut Function) -> bool {
         }
     }
     let mut changed = false;
-    let mut available: HashMap<String, VarId> = HashMap::new();
+    let mut available: HashMap<InstrKey, VarId> = HashMap::new();
     let mut replaced: HashMap<VarId, VarId> = HashMap::new();
     fn visit(
         b: BlockId,
         f: &mut Function,
         children: &HashMap<BlockId, Vec<BlockId>>,
-        available: &mut HashMap<String, VarId>,
+        available: &mut HashMap<InstrKey, VarId>,
         replaced: &mut HashMap<VarId, VarId>,
         changed: &mut bool,
     ) {
@@ -464,19 +464,27 @@ fn cse(f: &mut Function) -> bool {
     changed
 }
 
-fn instr_key(i: &Instr) -> Option<String> {
+/// What CSE merges on: the callee and operands (`Ok` a variable, `Err` a
+/// constant) of a pure call, or the constant a load produces.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum InstrKey {
+    Call(Callee, Vec<Result<VarId, ConstKey>>),
+    Const(ConstKey),
+}
+
+fn instr_key(i: &Instr) -> Option<InstrKey> {
     match i {
         Instr::Call { callee, args, .. } => {
-            let args: Vec<String> = args
+            let args = args
                 .iter()
                 .map(|a| match a {
-                    Operand::Var(v) => format!("%{}", v.0),
-                    Operand::Const(c) => format!("{c:?}"),
+                    Operand::Var(v) => Ok(*v),
+                    Operand::Const(c) => Err(ConstKey(c.clone())),
                 })
                 .collect();
-            Some(format!("{}({})", callee.name(), args.join(",")))
+            Some(InstrKey::Call(callee.clone(), args))
         }
-        Instr::LoadConst { value, .. } => Some(format!("const {value:?}")),
+        Instr::LoadConst { value, .. } => Some(InstrKey::Const(ConstKey(value.clone()))),
         _ => None,
     }
 }
@@ -1124,6 +1132,43 @@ mod tests {
             .count();
         assert_eq!(times_count, 1);
         let _ = y;
+    }
+
+    /// Whether CSE merges a load of `a` with a later load of `b`.
+    fn cse_merges(a: Constant, b: Constant) -> bool {
+        let mut bld = FunctionBuilder::new("f", 0);
+        let (x, y) = (bld.func.fresh_var(), bld.func.fresh_var());
+        bld.push(Instr::LoadConst { dst: x, value: a });
+        bld.push(Instr::LoadConst { dst: y, value: b });
+        bld.ret(y);
+        cse(&mut bld.finish())
+    }
+
+    #[test]
+    fn cse_merges_constants_only_when_identical_to_the_bit() {
+        use wolfram_expr::Expr;
+        let table: Arc<[i64]> = (0..16_384).collect();
+        let mut last = table.to_vec();
+        *last.last_mut().unwrap() += 1;
+        // An equal copy, not the same allocation.
+        let copy = Constant::I64Array(table.to_vec().into());
+        assert!(cse_merges(Constant::I64Array(table.clone()), copy));
+        // Same length and prefix: the hash agrees, equality must not.
+        assert!(!cse_merges(
+            Constant::I64Array(table),
+            Constant::I64Array(last.into())
+        ));
+        assert!(cse_merges(Constant::F64(-0.0), Constant::F64(-0.0)));
+        assert!(!cse_merges(Constant::F64(0.0), Constant::F64(-0.0)));
+        let list = |x: f64| Constant::Expr(Expr::list(vec![Expr::int(1), Expr::real(x)]));
+        assert!(cse_merges(list(0.5), list(0.5)));
+        assert!(!cse_merges(
+            Constant::Expr(Expr::real(0.0)),
+            Constant::Expr(Expr::real(-0.0))
+        ));
+        assert!(!cse_merges(list(0.0), list(-0.0)));
+        // Unequal whatever the hashes: `Expr`'s own `==` has `0. == -0.`.
+        assert!(ConstKey(list(0.0)) != ConstKey(list(-0.0)));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 #   stream:     reproduce stream over two short record streams, checked
 #               line by line; the first again with --workers 3 --batch 1,
 #               byte-identical (the shared queue and the reorder buffer)
-#   reproduce:  compile-times smoke; ablations --quick must print a row
+#   reproduce:  compile-times must print a row for each of the seven
+#               paper programs; ablations --quick must print a row
 #               for every Ablation::ALL entry; an unknown subcommand must
 #               exit nonzero
 #   benchmark:  bash benchmark/run.sh --smoke
@@ -117,8 +118,15 @@ if [ "$STREAM_OUT" != "$(printf 'ok 6.\nerr type error: argument rank-2 tensor d
   exit 1
 fi
 
-echo "==> reproduce: compile-times smoke (the per-stage compile-time table)"
-./target/release/reproduce compile-times > /dev/null
+echo "==> reproduce: compile-times smoke (the per-stage compile-time table, a row per program)"
+COMPILE_TIMES_OUT="$(./target/release/reproduce compile-times)"
+for row in FNV1a Mandelbrot Dot Blur Histogram PrimeQ QSort; do
+  if ! grep -q "^$row " <<< "$COMPILE_TIMES_OUT"; then
+    echo "reproduce compile-times printed no \"$row\" row:" >&2
+    echo "$COMPILE_TIMES_OUT" >&2
+    exit 1
+  fi
+done
 
 echo "==> reproduce: ablations --quick prints a row per Ablation::ALL entry"
 ABLATIONS_OUT="$(./target/release/reproduce ablations --quick)"

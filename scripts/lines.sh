@@ -19,8 +19,9 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 [ $# -le 1 ] || { echo "usage: scripts/lines.sh [<rev>]" >&2; exit 2; }
 cd "$root"
 
-# Lines before the first `#[cfg(test)]` of the text on stdin.
-non_test() { awk '/^[[:space:]]*#\[cfg\(test\)\]/{exit} {n++} END{print n+0}'; }
+# Lines before the first `#[cfg(test)]` of the text on stdin. Reads to the
+# end: exiting early would kill a `git show` still writing into the pipe.
+non_test() { awk '/^[[:space:]]*#\[cfg\(test\)\]/{done=1} !done{n++} END{print n+0}'; }
 
 if [ $# -eq 0 ]; then
   total=0
