@@ -88,6 +88,20 @@ pub fn inline_ablation(iterations: i64, reps: usize) -> AblationRow {
     )
 }
 
+/// The same ablation on a paper program: QSort's comparator, chosen by
+/// `If[ascending, ...]`. The default resolves its four calls to the two
+/// lambdas and inlines them; never-inline leaves each a `call.value`.
+pub fn qsort_inline_ablation(n: usize, reps: usize) -> AblationRow {
+    default_vs_ablated(
+        "inlining disabled (QSort)",
+        "~10x on Mandelbrot's tight loops",
+        programs::QSORT_SRC,
+        &[Value::Tensor(workloads::sorted_list(n)), Value::Bool(true)],
+        reps,
+        Ablation::Inlining,
+    )
+}
+
 /// §6: "abort checking inhibits vectorized loads" on Histogram; "abort
 /// checking ... at the function header is insignificant" for Mandelbrot.
 pub fn abort_ablation_histogram(n: usize, reps: usize) -> AblationRow {
@@ -253,12 +267,16 @@ mod tests {
     #[test]
     fn inlining_matters() {
         let _timing = timing();
-        let a = inline_ablation(200_000, 1);
-        assert!(
-            a.slowdown() > 1.2,
-            "never-inline must cost something: {:.2}x",
-            a.slowdown()
-        );
+        for a in [
+            inline_ablation(200_000, 1),
+            qsort_inline_ablation(1 << 12, 1),
+        ] {
+            assert!(
+                a.slowdown() > 1.2,
+                "never-inline must cost something: {}",
+                a.render()
+            );
+        }
     }
 
     #[test]

@@ -685,6 +685,10 @@ fn main() {
         );
         println!(
             "{}",
+            ablations::qsort_inline_ablation(qsort_n, scale.repetitions).render()
+        );
+        println!(
+            "{}",
             ablations::abort_ablation_histogram(hist_n, scale.repetitions).render()
         );
         println!(

@@ -291,14 +291,20 @@ fn every_take_store_coalesces() {
 /// outside the loops. (10,265 with every loop scalar: 21 per pixel.)
 const BLUR_24: u64 = (1 + 21 + 4) * 22 + 13;
 
-/// QSort of the sorted 256-element list (46,693 with one register per
-/// SSA value).
-const QSORT_256: u64 = 24_441;
+/// QSort of the sorted 256-element list: 1,930 comparisons, each inlined
+/// behind a branch on which lambda `If[ascending, ...]` chose. Through
+/// `call.value` it was 24,441 (46,693 with one register per SSA value):
+/// each comparison drops the `call.value`, the lambda's prologue
+/// `abort.check` and its `ret` (3 x 1,930) and gains the branch and a
+/// jump to the join (1,930 + 1,929: one arm falls through). The
+/// prologue trades the `closure` op and a refcount pair for the tag's
+/// `mov.i.jmp` and two constants: 24,441 - 5,790 + 3,859 = 22,510.
+const QSORT_256: u64 = 22_510;
 
 /// One call of every paper program and the dispatches it executes:
 /// FNV1a runs 5 per element plus 12 and Histogram plus 13 (its epilogue
 /// releases two tensors), Blur and QSort as pinned above; QSort's count
-/// includes its comparator's, run through nested `call.value`s.
+/// includes its comparator's, inlined into the sort's loops.
 fn paper_calls() -> Vec<(&'static str, String, Vec<Value>, u64)> {
     let (bytes, blur) = (1000, 24);
     vec![

@@ -662,6 +662,42 @@ Function[{Typed[img, "Tensor"["Real64", 2]], Typed[h, "MachineInteger"], Typed[w
     }
 
     #[test]
+    fn an_abort_during_a_qsort_with_inlined_comparators_unwinds_balanced_and_recovers() {
+        // The comparator's body is inlined into the sort's loops, so only
+        // their headers poll the signal.
+        use wolfram_bench::{programs::QSORT_SRC, workloads::sorted_list};
+        let cf = Compiler::default().function_compile_src(QSORT_SRC).unwrap();
+        let list = sorted_list(1 << 15);
+        let args = [Value::Tensor(list.clone()), Value::Bool(true)];
+        let aborted = (0..10).any(|_| {
+            cf.abort.reset();
+            wolfram_runtime::memory::reset_stats();
+            let signal = cf.abort.clone();
+            let trigger = std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                signal.trigger();
+            });
+            let got = cf.call(&args);
+            trigger.join().unwrap();
+            let stats = wolfram_runtime::memory::stats();
+            assert_eq!(stats.acquires, stats.releases, "{stats:?}");
+            match got {
+                Err(e) => {
+                    assert_eq!(e, wolfram_runtime::RuntimeError::Aborted);
+                    true
+                }
+                Ok(v) => {
+                    assert_eq!(v, Value::Tensor(list.clone()));
+                    false
+                }
+            }
+        });
+        assert!(aborted, "no trigger landed inside the call");
+        cf.abort.reset();
+        assert_eq!(cf.call(&args).unwrap(), Value::Tensor(list));
+    }
+
+    #[test]
     fn data_parallel_elementwise_builtins_match_scalar() {
         let src = r#"
 Function[{Typed[a, "Tensor"["Real64", 1]], Typed[b, "Tensor"["Real64", 1]]}, (a + b) * a]

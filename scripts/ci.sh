@@ -20,7 +20,8 @@
 #               byte-identical (the shared queue and the reorder buffer)
 #   reproduce:  compile-times must print a row for each of the seven
 #               paper programs; ablations --quick must print a row
-#               for every Ablation::ALL entry; an unknown subcommand must
+#               for every Ablation::ALL entry and the inlining row on
+#               QSort; an unknown subcommand must
 #               exit nonzero
 #   benchmark:  bash benchmark/run.sh --smoke
 #               cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -128,9 +129,9 @@ for row in FNV1a Mandelbrot Dot Blur Histogram PrimeQ QSort; do
   fi
 done
 
-echo "==> reproduce: ablations --quick prints a row per Ablation::ALL entry"
+echo "==> reproduce: ablations --quick prints a row per Ablation::ALL entry, and QSort's inlining row"
 ABLATIONS_OUT="$(./target/release/reproduce ablations --quick)"
-for row in "inlining disabled" "abort checks (Histogram)" "naive constant arrays (PrimeQ)" \
+for row in "inlining disabled" "inlining disabled (QSort)" "abort checks (Histogram)" "naive constant arrays (PrimeQ)" \
   "superinstruction fusion off" "range-check elision off" "loop vectorization off (Blur)"; do
   if ! grep -qF "$row" <<< "$ABLATIONS_OUT"; then
     echo "reproduce ablations --quick printed no \"$row\" row:" >&2

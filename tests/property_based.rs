@@ -433,3 +433,95 @@ fn a_guard_at_i64_min_keeps_the_decrement_checked() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Calls through a closure chosen at run time: the default compile
+// resolves them to direct calls and inlines them, `Ablation::Inlining`
+// keeps `call.value`, and the interpreter is the reference.
+// ---------------------------------------------------------------------
+
+/// The comparators a drawn program picks among; the last adds before it
+/// compares, so `i64::MAX` in the list overflows inside it.
+const COMPARATORS: [&str; 4] = ["a < b", "a > b", "a <= b", "a + 1 < b"];
+
+/// An insertion sort of `v` with the comparator `If` picks by `w` out of
+/// two or three of [`COMPARATORS`] (a comparator drawn twice is two
+/// lambdas).
+fn closure_sort_src(picks: &[usize]) -> String {
+    let lambda = |k: usize| {
+        format!(
+            "Function[{{Typed[a, \"MachineInteger\"], Typed[b, \"MachineInteger\"]}}, {}]",
+            COMPARATORS[k]
+        )
+    };
+    let choice = match picks {
+        [x, y] => format!("If[w == 0, {}, {}]", lambda(*x), lambda(*y)),
+        [x, y, z] => format!(
+            "If[w == 0, {}, If[w == 1, {}, {}]]",
+            lambda(*x),
+            lambda(*y),
+            lambda(*z)
+        ),
+        _ => unreachable!("two or three comparators"),
+    };
+    format!(
+        "Function[{{Typed[v, \"Tensor\"[\"Integer64\", 1]], Typed[w, \"MachineInteger\"]}}, \
+         Module[{{cmp = {choice}, arr = v, i = 2, j, t}}, \
+          While[i <= Length[arr], \
+           j = i; \
+           While[j > 1 && cmp[arr[[j]], arr[[j - 1]]], \
+            t = arr[[j]]; arr[[j]] = arr[[j - 1]]; arr[[j - 1]] = t; j = j - 1]; \
+           i = i + 1]; \
+          arr]]"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn closure_calls_agree_with_and_without_inlining_and_with_the_interpreter(
+        picks in prop::collection::vec(0usize..4, 2..4),
+        xs in prop::collection::vec(
+            prop_oneof![-3i64..4, Just(i64::MIN), Just(i64::MAX)],
+            0..12,
+        ),
+        w in 0i64..3,
+    ) {
+        use std::{cell::RefCell, rc::Rc};
+        use wolfram_language_compiler::compiler::{Ablation, CompilerOptions};
+        use wolfram_language_compiler::runtime::memory;
+        let src = closure_sort_src(&picks);
+        let mut indirect = CompilerOptions::default();
+        Ablation::Inlining.apply(&mut indirect);
+        let args = [Value::Tensor(Tensor::from_i64(xs.clone())), Value::I64(w)];
+        let outcome = |options: CompilerOptions| {
+            let cf = Compiler::new(options).function_compile_src(&src).expect("compiles");
+            let before = memory::stats();
+            let got = cf.call(&args).map(|v| v.to_expr()).map_err(|e| e.tag().to_owned());
+            let after = memory::stats();
+            (got, after.acquires - before.acquires, after.releases - before.releases)
+        };
+        let (direct, acquired, released) = outcome(CompilerOptions::default());
+        prop_assert_eq!(acquired, released, "default compile of {}", src);
+        let (by_value, acquired, released) = outcome(indirect);
+        prop_assert_eq!(acquired, released, "call.value compile of {}", src);
+        prop_assert_eq!(&direct, &by_value, "program: {} on {:?}, w = {}", src, xs, w);
+        // The interpreter's integers do not overflow: where the compiled
+        // sort raises, the hosted compile reverts to it (F2).
+        let call = Expr::normal(
+            parse(&src).unwrap(),
+            args.iter().map(Value::to_expr).collect::<Vec<_>>(),
+        );
+        let interpreted = Interpreter::new().eval(&call).expect("interprets");
+        match &direct {
+            Ok(value) => prop_assert_eq!(value, &interpreted, "program: {}", src),
+            Err(tag) => prop_assert_eq!(tag.as_str(), "IntegerOverflow"),
+        }
+        let hosted = Compiler::default()
+            .function_compile_src(&src)
+            .expect("compiles")
+            .hosted(Rc::new(RefCell::new(Interpreter::new())));
+        prop_assert_eq!(hosted.call(&args).unwrap().to_expr(), interpreted);
+    }
+}
