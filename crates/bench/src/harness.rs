@@ -124,15 +124,15 @@ impl Figure2Row {
     }
 }
 
-/// The default compiler, or the default with `ablation` applied, as the
+/// The default compiler, with each of `ablations` applied, as the
 /// paper-figure timings use it: they measure steady-state execution, so
 /// the per-pass analyzer is skipped to keep compile time out of the way.
-pub(crate) fn timing_compiler(ablation: Option<Ablation>) -> Compiler {
+pub(crate) fn timing_compiler(ablations: impl IntoIterator<Item = Ablation>) -> Compiler {
     let mut options = CompilerOptions {
         verify: wolfram_ir::VerifyLevel::Off,
         ..CompilerOptions::default()
     };
-    if let Some(ablation) = ablation {
+    for ablation in ablations {
         ablation.apply(&mut options);
     }
     Compiler::new(options)

@@ -185,11 +185,15 @@ fn render_op(op: &RegOp) -> String {
         RegOp::Brz { c, pc } => format!("brz i{c}, L{pc:04}"),
         RegOp::AbortCheck => "abort.check".into(),
         RegOp::VecLoop { plan } => format!(
-            "vec.loop i{}, {} i{}, {} nodes, out v{}",
+            "vec.loop i{}, {} i{}, {} nodes, {} v{}",
             plan.iv,
             if plan.inclusive { "le" } else { "lt" },
             plan.bound,
             plan.nodes.len(),
+            match plan.out.at {
+                crate::vectorize::StoreAt::Affine { .. } => "out",
+                crate::vectorize::StoreAt::AddAt { .. } => "add.at",
+            },
             plan.out.slot
         ),
         RegOp::Acquire { v } => format!("acquire v{v}"),

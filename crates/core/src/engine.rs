@@ -559,7 +559,7 @@ impl StreamCaller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Compiler;
+    use crate::pipeline::{Compiler, CompilerOptions};
     use wolfram_expr::parse;
 
     fn compile(src: &str) -> CompiledCodeFunction {
@@ -917,12 +917,19 @@ mod tests {
     #[test]
     fn function_values_pass_to_arrow_parameters() {
         // A compiled function value has no expression form, so only the
-        // value routes can carry one; anything else is a type error.
-        let cf = compile(
-            "Function[{Typed[f, {\"MachineInteger\"} -> \"MachineInteger\"], \
-                       Typed[n, \"MachineInteger\"]}, \
-             Module[{g = Function[{Typed[k, \"MachineInteger\"]}, k + 1]}, f[n] + g[n]]]",
-        );
+        // value routes can carry one; anything else is a type error. The
+        // local function is the value passed: it stays lifted while its
+        // call goes through the closure (the default inlines the call and
+        // drops the function).
+        let mut options = CompilerOptions::default();
+        crate::Ablation::Inlining.apply(&mut options);
+        let cf = Compiler::new(options)
+            .function_compile_src(
+                "Function[{Typed[f, {\"MachineInteger\"} -> \"MachineInteger\"], \
+                           Typed[n, \"MachineInteger\"]}, \
+                 Module[{g = Function[{Typed[k, \"MachineInteger\"]}, k + 1]}, f[n] + g[n]]]",
+            )
+            .unwrap();
         let lifted = cf
             .program
             .funcs

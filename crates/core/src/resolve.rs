@@ -571,6 +571,57 @@ fn inline_one(caller: &mut Function, bix: usize, iix: usize, callee: &Function) 
     });
 }
 
+/// Drops the functions nothing reachable from the entry references — by a
+/// direct call or a `MakeClosure` — and renumbers the `FuncId`s of the
+/// calls that remain. A lambda every call of which was resolved and
+/// inlined is one, once the entry's passes have deleted its closure.
+/// Returns the number dropped.
+pub fn drop_unreachable(pm: &mut ProgramModule) -> usize {
+    let mut reached = vec![false; pm.functions.len()];
+    let mut stack = vec![0];
+    while let Some(fix) = stack.pop() {
+        if std::mem::replace(&mut reached[fix], true) {
+            continue;
+        }
+        for i in pm.functions[fix].instrs() {
+            let target = match i {
+                Instr::Call {
+                    callee: Callee::Function { func, .. },
+                    ..
+                } => Some(func.0 as usize),
+                Instr::MakeClosure { func, .. } => pm.find(func).map(|f| f.0 as usize),
+                _ => None,
+            };
+            stack.extend(target.filter(|&t| !reached[t]));
+        }
+    }
+    let dropped = reached.iter().filter(|&&r| !r).count();
+    if dropped == 0 {
+        return 0;
+    }
+    let mut renumbered = Vec::with_capacity(reached.len());
+    let mut next = 0;
+    for &r in &reached {
+        renumbered.push(FuncId(next));
+        next += u32::from(r);
+    }
+    let mut keep = reached.iter();
+    pm.functions
+        .retain(|_| *keep.next().expect("one flag per function"));
+    for block in pm.functions.iter_mut().flat_map(|f| &mut f.blocks) {
+        for i in &mut block.instrs {
+            if let Instr::Call {
+                callee: Callee::Function { func, .. },
+                ..
+            } = i
+            {
+                *func = renumbered[func.0 as usize];
+            }
+        }
+    }
+    dropped
+}
+
 /// Counts remaining unresolved builtin calls (should be zero post-resolve).
 pub fn unresolved_builtins(pm: &ProgramModule) -> usize {
     pm.functions

@@ -21,8 +21,10 @@
 #   reproduce:  compile-times must print a row for each of the seven
 #               paper programs; ablations --quick must print a row
 #               for every Ablation::ALL entry and the inlining row on
-#               QSort; an unknown subcommand must
-#               exit nonzero
+#               QSort; opstats --quick must print the loop planner's
+#               verdict per loop, with Blur's and Histogram's loops
+#               planned and FNV1a's refused as LoopCarried; an unknown
+#               subcommand must exit nonzero
 #   benchmark:  bash benchmark/run.sh --smoke
 #               cargo test -q --offline --manifest-path benchmark/Cargo.toml
 #   placement:  scripts/placement.sh on the benchmark binary just built
@@ -136,6 +138,21 @@ for row in "inlining disabled" "inlining disabled (QSort)" "abort checks (Histog
   if ! grep -qF "$row" <<< "$ABLATIONS_OUT"; then
     echo "reproduce ablations --quick printed no \"$row\" row:" >&2
     echo "$ABLATIONS_OUT" >&2
+    exit 1
+  fi
+done
+
+echo "==> reproduce: opstats --quick names each loop's verdict: Blur and Histogram planned, FNV1a refused as LoopCarried"
+OPSTATS_OUT="$(./target/release/reproduce opstats --quick)"
+for want in "Blur|planned" "Histogram|planned" "FNV1a|refused: LoopCarried("; do
+  prog="${want%%|*}"
+  verdict="${want#*|}"
+  if ! awk -v p="$prog" -v v="$verdict" '
+      /^[^ ]/ { cur = $1 }
+      cur == p && /^  loop L/ && index($0, v) { found = 1 }
+      END { exit !found }' <<< "$OPSTATS_OUT"; then
+    echo "reproduce opstats --quick printed no $prog loop \"$verdict\":" >&2
+    echo "$OPSTATS_OUT" >&2
     exit 1
   fi
 done

@@ -525,3 +525,76 @@ proptest! {
         prop_assert_eq!(hosted.call(&args).unwrap().to_expr(), interpreted);
     }
 }
+
+// ---------------------------------------------------------------------
+// Scatter-add loops: the default compile plans them, `Ablation::Vectorize`
+// keeps them scalar, and the interpreter is the reference.
+// ---------------------------------------------------------------------
+
+/// `t[[data[[i]] + off]] += addend` over a `len`-bin tensor of `init`s.
+fn scatter_add_src(len: usize, init: i64, off: i64, addend: &str) -> String {
+    format!(
+        "Function[{{Typed[data, \"Tensor\"[\"Integer64\", 1]]}}, \
+         Module[{{t = ConstantArray[{init}, {len}], i = 1, n = Length[data], b}}, \
+          While[i <= n, b = data[[i]] + ({off}); t[[b]] = t[[b]] + {addend}; i = i + 1]; \
+          t]]"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn scatter_add_loops_agree_with_scalar_loops_and_the_interpreter(
+        len in 1usize..300,
+        init in prop_oneof![Just(0i64), -3i64..4, Just(i64::MAX - 600)],
+        off in -2i64..3,
+        addend in 0usize..4,
+        data in prop::collection::vec(
+            (0u16..2000, -320i64..321).prop_map(|(r, x)| if r == 0 { i64::MAX } else { x }),
+            0..1400,
+        ),
+        fold in 0u8..2,
+    ) {
+        use wolfram_language_compiler::codegen::RegOp;
+        use wolfram_language_compiler::compiler::{Ablation, CompilerOptions};
+        use wolfram_language_compiler::runtime::memory;
+        let addend = ["1", "data[[i]]", "(data[[i]] - 2)", "(data[[i]] * data[[i]])"][addend];
+        let src = scatter_add_src(len, init, off, addend);
+        let mut scalar = CompilerOptions::default();
+        Ablation::Vectorize.apply(&mut scalar);
+        // Half the draws fold the data into the bins, so most elements
+        // count and long batches run to the end.
+        let data: Vec<i64> = if fold == 1 {
+            let m = len as i64;
+            data.iter().map(|&x| if x == i64::MAX { x } else { x % m }).collect()
+        } else {
+            data
+        };
+        let args = [Value::Tensor(Tensor::from_i64(data.clone()))];
+        let outcome = |options: CompilerOptions| {
+            let planted = options.loop_vectorize;
+            let cf = Compiler::new(options).function_compile_src(&src).expect("compiles");
+            let ops = cf.program.funcs.iter().flat_map(|f| &f.code);
+            let plans = ops.filter(|op| matches!(op, RegOp::VecLoop { .. })).count();
+            prop_assert_eq!(plans, usize::from(planted), "program: {}", src);
+            let before = memory::stats();
+            let got = cf.call(&args).map(|v| v.to_expr()).map_err(|e| e.to_string());
+            let after = memory::stats();
+            prop_assert_eq!(after.acquires - before.acquires, after.releases - before.releases);
+            Ok((got, after.tensor_copies - before.tensor_copies))
+        };
+        let planted = outcome(CompilerOptions::default())?;
+        prop_assert_eq!(&planted, &outcome(scalar)?, "program: {} on {:?}", src, data);
+        // The interpreter's integers do not overflow and its Part does not
+        // raise: compare where the compiled loop finishes.
+        if let Ok(value) = &planted.0 {
+            let call = Expr::normal(
+                parse(&src).unwrap(),
+                args.iter().map(Value::to_expr).collect::<Vec<_>>(),
+            );
+            let interpreted = Interpreter::new().eval(&call).expect("interprets");
+            prop_assert_eq!(value, &interpreted, "program: {}", src);
+        }
+    }
+}
