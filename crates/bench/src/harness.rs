@@ -74,6 +74,26 @@ pub fn bench_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Times two sides of an A/B comparison, returning the minimum of `reps`
+/// runs of each in seconds (after one warmup run of each). The sides
+/// alternate rep by rep, so a load swing on a shared machine lands on both
+/// rather than on whichever ran second.
+pub fn bench_paired(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let time = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_secs_f64()
+    };
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        best_a = best_a.min(time(&mut a));
+        best_b = best_b.min(time(&mut b));
+    }
+    (best_a, best_b)
+}
+
 /// One Figure 2 row.
 #[derive(Debug, Clone)]
 pub struct Figure2Row {

@@ -10,7 +10,7 @@
 use crate::harness::Scale;
 use crate::{programs, workloads};
 use std::sync::Arc;
-use wolfram_codegen::vectorize::{plan_loops, StoreAt};
+use wolfram_codegen::vectorize::{plan_loops, PlanOut};
 use wolfram_codegen::OpStats;
 use wolfram_compiler_core::{Ablation, CompiledCodeFunction, Compiler, CompilerOptions};
 use wolfram_runtime::{memory, Value};
@@ -36,9 +36,10 @@ fn loop_verdicts(cf: &CompiledCodeFunction) -> Vec<String> {
     for f in &cf.program.funcs {
         for v in plan_loops(&f.code) {
             let verdict = match &v.plan {
-                Ok(plan) => match plan.out.at {
-                    StoreAt::Affine { .. } => "planned (f64 map)".to_owned(),
-                    StoreAt::AddAt { .. } => "planned (i64 scatter-add)".to_owned(),
+                Ok(plan) => match plan.out {
+                    PlanOut::Map { .. } => "planned (f64 map)".to_owned(),
+                    PlanOut::AddAt { .. } => "planned (i64 scatter-add)".to_owned(),
+                    PlanOut::Fold { .. } => "planned (i64 fold)".to_owned(),
                 },
                 Err(why) => format!("refused: {why:?}"),
             };
@@ -186,8 +187,9 @@ mod tests {
         let rendered = render(&profiles, 5);
         assert!(rendered.contains("FNV1a"), "{rendered}");
         assert!(rendered.contains("hottest dyads"), "{rendered}");
-        // The planner's verdicts: Blur's row and Histogram's scatter-add
-        // planned, FNV1a's hash refused for the value it carries.
+        // The planner's verdicts: Blur's row, Histogram's scatter-add and
+        // FNV1a's hash, a fold of the value it carries, planned; one
+        // refused loop, Mandelbrot's escape test, named by its reason.
         let verdicts = |name: &str| &profiles.iter().find(|p| p.name == name).unwrap().loops;
         assert!(verdicts("Blur")
             .iter()
@@ -197,6 +199,9 @@ mod tests {
             .any(|l| l.contains("planned (i64 scatter-add)")));
         let fnv1a = verdicts("FNV1a");
         assert_eq!(fnv1a.len(), 1, "{fnv1a:?}");
-        assert!(fnv1a[0].contains("refused: LoopCarried(I, "), "{fnv1a:?}");
+        assert!(fnv1a[0].contains("planned (i64 fold)"), "{fnv1a:?}");
+        assert!(verdicts("Mandelbrot")
+            .iter()
+            .any(|l| l.contains("refused: Branches")));
     }
 }

@@ -8,6 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use wolfram_bench::{programs, serve_load, workloads};
+use wolfram_codegen::vectorize::{PlanOut, VecPlan};
 use wolfram_codegen::{fuse_program, LowerError, NativeProgram, RegOp};
 use wolfram_compiler_core::{
     Ablation, CompileError, CompiledCodeFunction, Compiler, CompilerOptions,
@@ -268,8 +269,9 @@ fn every_take_store_coalesces() {
             }
         }
     }
-    // Histogram's dispatch count, derived in `histogram_dispatches`, on
-    // both sides of the planner's minimum batch.
+    // Histogram's and FNV1a's dispatch counts, derived in
+    // `histogram_dispatches` and `fnv1a_dispatches`, on both sides of the
+    // planner's minimum batch.
     // (Blur's, QSort's and every other paper program's counts are pinned
     // by `profiling_changes_no_result_and_counts_nested_calls`.)
     for n in [0, 1, 8, 9, 1000] {
@@ -278,6 +280,12 @@ fn every_take_store_coalesces() {
             dispatches(programs::HISTOGRAM_SRC, &[Value::Tensor(data)]),
             histogram_dispatches(n as u64),
             "Histogram n = {n}"
+        );
+        let s = Value::Str(Arc::new(workloads::random_string(n, 7)));
+        assert_eq!(
+            dispatches(programs::FNV1A_SRC, &[s]),
+            fnv1a_dispatches(n as u64),
+            "FNV1a n = {n}"
         );
     }
 }
@@ -297,6 +305,18 @@ fn histogram_dispatches(n: u64) -> u64 {
     5 * scalar + 14
 }
 
+/// FNV1a on `n` ASCII characters. Its scalar loop is 5 dispatches per
+/// byte: the header, the load fused with the `BitXor`, the multiply, the
+/// `Mod` and the counter's increment-and-jump. The `vec.loop` in front of
+/// the header runs all but the last byte as one fold once there are at
+/// least 9; below that it does nothing. 13 more run outside the loop: 9
+/// before it, the `vec.loop`, the header's exit test, the release and
+/// `ret`. With the loop scalar it was 5n + 12.
+fn fnv1a_dispatches(n: u64) -> u64 {
+    let scalar = if n >= 9 { 1 } else { n };
+    5 * scalar + 13
+}
+
 /// Blur on a 24 x 24 image: per row, the `vec.loop` that runs 21 of the
 /// 22 interior pixels as one batch, the scalar loop's last iteration (21
 /// dispatches: the header, 19 body ops and the latch) and 4 more; 13
@@ -314,8 +334,9 @@ const BLUR_24: u64 = (1 + 21 + 4) * 22 + 13;
 const QSORT_256: u64 = 22_510;
 
 /// One call of every paper program and the dispatches it executes:
-/// FNV1a runs 5 per element plus 12, Histogram 19 once its loop is
-/// batched (`histogram_dispatches`), Blur and QSort as pinned above;
+/// FNV1a 18 and Histogram 19 once their loops are batched
+/// (`fnv1a_dispatches`, `histogram_dispatches`), Blur and QSort as pinned
+/// above;
 /// QSort's count includes its comparator's, inlined into the sort's loops.
 fn paper_calls() -> Vec<(&'static str, String, Vec<Value>, u64)> {
     let (bytes, blur) = (1000, 24);
@@ -324,7 +345,7 @@ fn paper_calls() -> Vec<(&'static str, String, Vec<Value>, u64)> {
             "FNV1a",
             programs::FNV1A_SRC.into(),
             vec![Value::Str(Arc::new(workloads::random_string(bytes, 7)))],
-            5 * bytes as u64 + 12,
+            fnv1a_dispatches(bytes as u64),
         ),
         (
             "Mandelbrot",
@@ -468,10 +489,14 @@ fn every_executed_superinstruction_runs_in_a_loop() {
     // The superinstruction census: one profiled call of each program the
     // benchmark runs (the paper kernels, the serve catalog's loop, the
     // per-event functions of the call and stream workloads). A fused op
-    // pays for its executor arm only where it runs hot, so each one that
+    // pays for its executor arm only where it runs hot, so each arm that
     // executes at all must reach 8 executions in one call of some program,
-    // and the set that executes is pinned: a fused op that drops out of
-    // it, or one that runs only in straight-line code, shows here.
+    // and the set of mnemonics that executes is pinned: a fused op that
+    // drops out of it, or one that runs only in straight-line code, shows
+    // here. An arm is a `RegOp` variant: the `.u` of an unchecked load is
+    // an operand of its variant (FNV1a's `ten.part1.int.bin.u` runs once
+    // per call, in the tail of its planned fold, on the arm QSort's
+    // `ten.part1.int.bin` runs hot).
     let catalog = serve_load::Catalog::new(1, 64);
     let mut calls: Vec<(&str, String, Vec<Value>)> = paper_calls()
         .into_iter()
@@ -493,35 +518,38 @@ fn every_executed_superinstruction_runs_in_a_loop() {
     for (name, src, args) in tiny_calls() {
         calls.push((name, src.into(), args));
     }
+    let mut executed: BTreeSet<&'static str> = BTreeSet::new();
     let mut hottest: BTreeMap<&'static str, (u64, &str)> = BTreeMap::new();
     for (name, src, args) in &calls {
         let cf = programs::compile_new(&Compiler::default(), src);
-        let fused: BTreeSet<&'static str> = cf
+        // Each fused mnemonic with the first mnemonic of its arm.
+        let arms: BTreeMap<&'static str, &'static str> = cf
             .program
             .funcs
             .iter()
             .flat_map(|f| &f.code)
             .filter(|op| op.parts().len() > 1)
-            .map(RegOp::mnemonic)
+            .map(|op| (op.mnemonic(), op.mnemonic().trim_end_matches(".u")))
             .collect();
         cf.profile_ops(true);
         cf.call(args).unwrap();
         for (op, n) in cf.take_op_stats().ops {
-            if fused.contains(op) {
-                let best = hottest.entry(op).or_insert((0, name));
+            if let Some(&arm) = arms.get(op) {
+                executed.insert(op);
+                let best = hottest.entry(arm).or_insert((0, name));
                 if n > best.0 {
                     *best = (n, name);
                 }
             }
         }
     }
-    for (op, (n, name)) in &hottest {
+    for (arm, (n, name)) in &hottest {
         assert!(
             *n >= 8,
-            "{op} runs at most {n} times in one call (in {name}): no program runs it in a loop"
+            "{arm} runs at most {n} times in one call (in {name}): no program runs it in a loop"
         );
     }
-    let executed: Vec<&str> = hottest.keys().copied().collect();
+    let executed: Vec<&str> = executed.into_iter().collect();
     assert_eq!(
         executed, EXECUTED_FUSED,
         "fused ops the benchmark programs execute"
@@ -538,8 +566,9 @@ fn every_lowered_program_validates() {
     Ablation::Vectorize.apply(&mut options);
     let scalar_loops = Compiler::new(options);
     // The `vec.loop`s each compiler plants: the default, then the two
-    // that must plant none.
-    let check = |name: &str, func: &Expr| -> [usize; 3] {
+    // that must plant none; and the programs whose plans include a fold.
+    let mut folds: Vec<String> = Vec::new();
+    let mut check = |name: &str, func: &Expr| -> [usize; 3] {
         let mut planted = [0; 3];
         for (ix, compiler) in [&fused, &scalar_loops, &unfused].into_iter().enumerate() {
             let Ok(pm) = compiler.compile_to_twir(func, None) else {
@@ -554,11 +583,18 @@ fn every_lowered_program_validates() {
                 if let Err(e) = f.validate() {
                     panic!("{name}/{}: {e}", f.name);
                 }
-                let loops = f
+                let plans: Vec<&VecPlan> = f
                     .code
                     .iter()
-                    .filter(|op| matches!(op, RegOp::VecLoop { .. }));
-                planted[ix] += loops.count();
+                    .filter_map(|op| match op {
+                        RegOp::VecLoop { plan } => Some(&**plan),
+                        _ => None,
+                    })
+                    .collect();
+                if plans.iter().any(|p| matches!(p.out, PlanOut::Fold { .. })) {
+                    folds.push(name.to_owned());
+                }
+                planted[ix] += plans.len();
             }
         }
         planted
@@ -579,21 +615,39 @@ fn every_lowered_program_validates() {
             *total += n;
         }
     }
-    // The loop planner's census: its whitelist is exactly what these 35
+    // The loop planner's census: its whitelist is exactly what these 37
     // loops use, so a change to lowering or to the planner that loses or
     // gains a plan shows here. Only the default compiler plants.
-    // Histogram's scatter-add is the one integer plan; the generator draws
-    // no scatter-add (`Program::generate` stays byte-stable), so the
-    // draws' 33 `f64` maps are unchanged.
+    // Histogram's scatter-add and FNV1a's fold are the paper programs'
+    // integer plans. The generator draws no scatter-add
+    // (`Program::generate` stays byte-stable), so the draws hold their 33
+    // `f64` maps; of their 7 loops that carry one integer register and
+    // store nothing, one is a fold, named below.
     assert_eq!(
         paper_plans,
-        [("Blur", [1, 0, 0]), ("Histogram", [1, 0, 0])],
+        [
+            ("FNV1a", [1, 0, 0]),
+            ("Blur", [1, 0, 0]),
+            ("Histogram", [1, 0, 0])
+        ],
         "vec.loops in the paper programs (default, scalar loops, unfused)"
     );
     assert_eq!(
         drawn_plans,
-        [33, 0, 0],
+        [34, 0, 0],
         "vec.loops in 2,000 seed-42 draws (default, scalar loops, unfused)"
+    );
+    // The drawn fold is `While[k4 < 2, v1 = v1 + 19; k4 = k4 + 1]`: a
+    // constant step on the carried `v1`, checked per element. It runs two
+    // iterations, below the batch minimum, so the scalar loop runs them.
+    // The other six stay `LoopCarried`: `h + h` (a second use), `h ^ -3`
+    // and `Min[h, 5]` (ops off the whitelist), `h - x` with `x` a
+    // register, `Mod[x, h]` (a register divisor), and an outer loop whose
+    // body holds a loop.
+    assert_eq!(
+        folds,
+        ["FNV1a", "difftest seed 9481706540736735178"],
+        "programs with a planned fold"
     );
 }
 
@@ -653,5 +707,92 @@ fn assembler_export_lists_the_code_that_runs() {
             // Range facts reach the export: proved accesses list unchecked.
             assert!(listing.contains(".u"), "{listing}");
         }
+        // A fold's `vec.loop` names its carried register.
+        if name == "FNV1a" {
+            assert!(
+                listing.contains("vec.loop i1, le i0, 7 nodes, fold i2"),
+                "{listing}"
+            );
+        }
     }
+}
+
+#[test]
+fn a_constant_left_operand_takes_the_immediate_form() {
+    // `3 * x` lowers as `x * 3`: the constant is the op's immediate, not
+    // a register, so the loop planner reads it as a constant. FNV1a with
+    // its multiplier on the left plans as a fold, and a Histogram whose
+    // addend is `2 * data[[i]]` as a scatter-add.
+    let fnv1a = programs::FNV1A_SRC.replace("h * 16777619", "16777619 * h");
+    let doubled = programs::HISTOGRAM_SRC.replace("bins[[b]] + 1", "bins[[b]] + 2 * data[[i]]");
+    let (fused, _) = compilers();
+    let mut options = CompilerOptions::default();
+    Ablation::Vectorize.apply(&mut options);
+    let scalar_loops = Compiler::new(options);
+    for (src, shape) in [(fnv1a, "fold i"), (doubled, "add.at v")] {
+        let func = parse(&src).unwrap();
+        let listing = fused.export_string(&func, "Assembler").unwrap();
+        // Checked or proved (`mului`), the multiply takes an immediate.
+        assert!(
+            ["muli.i64", "mului.i64"]
+                .iter()
+                .any(|m| listing.contains(m)),
+            "{listing}"
+        );
+        assert!(
+            !["mul.i64", "mulu.i64"].iter().any(|m| listing.contains(m)),
+            "{listing}"
+        );
+        assert!(listing.contains(shape), "{listing}");
+        let cf = programs::compile_new(&scalar_loops, &src);
+        let verdicts = wolfram_codegen::vectorize::plan_loops(&cf.program.funcs[0].code);
+        assert!(
+            matches!(&verdicts[..], [v] if v.plan.is_ok()),
+            "{verdicts:?}"
+        );
+    }
+}
+
+#[test]
+fn no_call_stream_or_serve_loop_runs_a_fold() {
+    // The serve catalog's `acc + i*i + k` and SumSq's `s + i*i` carry an
+    // integer through a product of the induction variable, which no plan
+    // holds, and Norm8's `s` is a float: each stays a scalar loop, so no
+    // call, stream or serve workload changes path.
+    let mut options = CompilerOptions::default();
+    Ablation::Vectorize.apply(&mut options);
+    let scalar_loops = Compiler::new(options);
+    let catalog = serve_load::Catalog::new(1, 64);
+    let mut sources = vec![("serve catalog", catalog.source(0).to_owned())];
+    sources.extend(
+        tiny_calls()
+            .into_iter()
+            .map(|(name, src, _)| (name, src.to_owned())),
+    );
+    let verdicts: Vec<(&str, Vec<String>)> = sources
+        .iter()
+        .map(|(name, src)| {
+            let cf = programs::compile_new(&scalar_loops, src);
+            let loops = cf.program.funcs.iter().flat_map(|f| {
+                wolfram_codegen::vectorize::plan_loops(&f.code)
+                    .into_iter()
+                    .map(|v| {
+                        v.plan
+                            .map_or_else(|why| format!("{why:?}"), |_| "planned".into())
+                    })
+            });
+            (*name, loops.collect())
+        })
+        .collect();
+    let carried = |v: &str| vec![v.to_owned()];
+    assert_eq!(
+        verdicts,
+        [
+            ("serve catalog", carried("LoopCarried(I, 2)")),
+            ("AddMul", vec![]),
+            ("Poly", vec![]),
+            ("Norm8", carried("LoopCarried(F, 0)")),
+            ("SumSq", carried("LoopCarried(I, 2)")),
+        ]
+    );
 }

@@ -3,6 +3,7 @@
 //! analog from appendix A.6.5).
 
 use crate::machine::{NativeFunc, NativeProgram, RegOp};
+use crate::vectorize::PlanOut;
 use std::fmt::Write as _;
 
 /// Renders a native program — the code the engine executes, superinstructions
@@ -184,18 +185,20 @@ fn render_op(op: &RegOp) -> String {
         RegOp::Jmp { pc } => format!("jmp L{pc:04}"),
         RegOp::Brz { c, pc } => format!("brz i{c}, L{pc:04}"),
         RegOp::AbortCheck => "abort.check".into(),
-        RegOp::VecLoop { plan } => format!(
-            "vec.loop i{}, {} i{}, {} nodes, {} v{}",
-            plan.iv,
-            if plan.inclusive { "le" } else { "lt" },
-            plan.bound,
-            plan.nodes.len(),
-            match plan.out.at {
-                crate::vectorize::StoreAt::Affine { .. } => "out",
-                crate::vectorize::StoreAt::AddAt { .. } => "add.at",
-            },
-            plan.out.slot
-        ),
+        RegOp::VecLoop { plan } => {
+            let (kind, bank, ix) = match plan.out {
+                PlanOut::Map { slot, .. } => ("out", 'v', slot),
+                PlanOut::AddAt { slot, .. } => ("add.at", 'v', slot),
+                PlanOut::Fold { reg } => ("fold", 'i', reg),
+            };
+            format!(
+                "vec.loop i{}, {} i{}, {} nodes, {kind} {bank}{ix}",
+                plan.iv,
+                if plan.inclusive { "le" } else { "lt" },
+                plan.bound,
+                plan.nodes.len(),
+            )
+        }
         RegOp::Acquire { v } => format!("acquire v{v}"),
         RegOp::Release { v } => format!("release v{v}"),
         RegOp::Ret { s } => format!("ret {:?}{}", s.bank, s.ix),

@@ -1062,9 +1062,29 @@ impl<'a> Lowering<'a> {
                         op = unchecked;
                     }
                 }
-                let a = self.operand(&args[0], Bank::I)?;
-                // Immediate forms avoid a register read per iteration.
-                match args[1].as_const() {
+                // Immediate forms avoid a register read per iteration; a
+                // commutative op takes a constant left operand as its
+                // immediate too (`3 * x` lowers as `x * 3`).
+                let int_const = |o: &Operand| matches!(o.as_const(), Some(Constant::I64(_)));
+                let commutes = matches!(
+                    op,
+                    IntOp::Add
+                        | IntOp::AddU
+                        | IntOp::Mul
+                        | IntOp::MulU
+                        | IntOp::BitAnd
+                        | IntOp::BitOr
+                        | IntOp::BitXor
+                        | IntOp::Min
+                        | IntOp::Max
+                );
+                let (x, y) = if commutes && int_const(&args[0]) && !int_const(&args[1]) {
+                    (&args[1], &args[0])
+                } else {
+                    (&args[0], &args[1])
+                };
+                let a = self.operand(x, Bank::I)?;
+                match y.as_const() {
                     Some(Constant::I64(imm)) => RegOp::IntBinImm {
                         op,
                         d,
@@ -1075,7 +1095,7 @@ impl<'a> Lowering<'a> {
                         op,
                         d,
                         a,
-                        b: self.operand(&args[1], Bank::I)?,
+                        b: self.operand(y, Bank::I)?,
                     },
                 }
             }

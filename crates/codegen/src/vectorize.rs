@@ -1,6 +1,6 @@
 //! Counted-loop vectorizer: batched execution of scalar loops.
 //!
-//! Scans fused native code for innermost counted loops of two shapes and
+//! Scans fused native code for innermost counted loops of three shapes and
 //! plants a [`RegOp::VecLoop`] superinstruction in front of the loop
 //! header (the compiler runs this pass right after fusion on every
 //! compile, unless its `loop_vectorize` option is off):
@@ -9,7 +9,10 @@
 //!   inner loops), run through the SIMD kernels;
 //! - an `i64` scatter-add `t[[k]] = t[[k]] + v` whose index `k` is
 //!   computed from loaded data (Histogram's `bins[[b]] = bins[[b]] + 1`),
-//!   run as one plain loop per block.
+//!   run as one plain loop per block;
+//! - an `i64` fold `h = f(h, …)` of one loop-carried register and no store
+//!   (FNV1a's `h = Mod[BitXor[h, bytes[[i]]] * 16777619, 2^32]`), run as a
+//!   chain of flat steps per element.
 //!
 //! At run time the VecLoop executes all but the final iteration as one
 //! batch, on the calling thread, then falls through to the untouched
@@ -24,7 +27,8 @@
 //! instruction in it is on a short whitelist — the ops counted loops
 //! lowered from source actually hold: affine integer `+ − ×` and `Neg`,
 //! `LdcI`/`MovI`; `LdcF`/`MovF` and real `+ − × /`; `f64` and `i64`
-//! `TenPart1/2` loads; checked integer `+ − ×` on loaded values; one
+//! `TenPart1/2` loads; checked integer `+ − ×`, `BitXor` and `Mod` by a
+//! nonzero constant on loaded values or a fold's carried value; one
 //! `TenSet1/2` store; and `AbortCheck`. Anything else (calls, boxing, value
 //! moves, refcount ops, compares, casts, unary math, complex elements)
 //! refuses the whole loop. On the whitelist the batch is observationally
@@ -40,10 +44,25 @@
 //!   register the body writes from invariants, loads and the advanced
 //!   induction variable, so it leaves each as the last scalar iteration
 //!   would.
+//! - **The fold.** The one exception: a body with no store whose only
+//!   loop-carried register is an integer. The planner re-runs the
+//!   iteration with that register's entry value as a node, and the
+//!   register's value at the end of the iteration is the plan's root. The
+//!   chain is linear: each node that depends on the carried value takes it
+//!   through exactly one operand, and with every node live (below) those
+//!   nodes form one path, so the value feeds nothing but its own chain —
+//!   no index, no second use. At run time the nodes that do not depend on
+//!   it are columns as in the scatter-add; the chain is resolved at batch
+//!   entry into flat steps, each with the carried value on the left (a
+//!   commutative op swapped, `x − h` its own step) and a column on the
+//!   right, and runs once per element. The batch writes the result back
+//!   before the tail iteration runs, so the tail continues from the value
+//!   the scalar iterations would have carried. Induction-variable nodes
+//!   are not planned: `s = s + i*i` stays refused as `LoopCarried`.
 //! - **Errors.** Abort polls aside, a whitelisted op raises only through
 //!   one of the conditions below, and every value the body computes feeds
-//!   the store or its index (a dead one refuses the loop, so no check goes
-//!   untested). A batch never commits an iteration where the scalar loop
+//!   the store, its index or the fold's result (a dead one refuses the
+//!   loop, so no check goes untested). A batch never commits an iteration where the scalar loop
 //!   would have raised.
 //! - **Integer overflow, affine.** A checked integer result that is an
 //!   affine function of the induction variable and loop invariants has
@@ -51,8 +70,8 @@
 //!   run time (linear ⇒ endpoints suffice), falling back to the scalar
 //!   loop — which raises at exactly the right iteration — on overflow.
 //! - **Integer overflow, data-dependent.** A checked `+ − ×` on a loaded
-//!   value (and the scatter-add's sum) is tested per element: its value
-//!   comes from data, so no endpoint test can prove it.
+//!   or carried value (and the scatter-add's sum) is tested per element:
+//!   its value comes from data, so no endpoint test can prove it.
 //! - **Part bounds.** Affine load/store indices are range-checked against
 //!   the tensor shape at both endpoints (1-based, negative or out-of-range
 //!   indices fall back to the scalar path and its error). The
@@ -60,24 +79,33 @@
 //!   scalar op's own rule (`resolve_part_index`: negative indices count
 //!   from the end, 0 and out-of-range indices fail).
 //! - **Commit up to the fault.** A per-element check cannot be made at
-//!   batch entry. The scatter-add therefore stops at the first element
-//!   whose overflow or bounds check fails: it commits every element before
-//!   it, sets the induction variable to it and returns, so the scalar loop
+//!   batch entry. The scatter-add and the fold therefore stop at the first
+//!   element whose overflow or bounds check fails: they commit every
+//!   element before it (the fold writes back the value carried *into*
+//!   it), set the induction variable to it and return, so the scalar loop
 //!   re-runs that element and raises the exact error at the exact
 //!   position. The `f64` map keeps its entry prechecks.
-//! - **Division.** A divisor must be a nonzero constant; a register
-//!   divisor refuses the loop.
+//! - **Division.** A divisor (real `/`, integer `Mod`) must be a nonzero
+//!   constant; a register or zero divisor refuses the loop. `Mod` by a
+//!   positive power of two `2^k` runs as `x & (2^k − 1)`: under floored
+//!   `Mod` the result lies in `[0, 2^k)` and differs from `x` by a multiple
+//!   of `2^k`, which is exactly the low `k` bits of `x` in two's
+//!   complement, for every `i64` including negative ones. Any other
+//!   divisor runs through the scalar op's own `mod_i64`.
 //! - **Copy-on-write.** Inputs are `Arc`-cloned first, then the output
 //!   tensor takes one `data_mut()`: it copies iff the storage is shared
 //!   at batch entry — the same condition the scalar loop's first store
 //!   sees. The scatter-add takes it only once its first element is known
-//!   to commit, as the scalar store would. Loads never read the output
-//!   object but for the scatter-add's `t[[k]]` at the store's own index
-//!   (plan-time refusal), which reads the elements in iteration order, so
-//!   the batch writes the same bytes the scalar iterations would.
+//!   to commit, as the scalar store would; a fold writes no tensor. Loads
+//!   never read the output object but for the scatter-add's `t[[k]]` at
+//!   the store's own index (plan-time refusal), which reads the elements
+//!   in iteration order, so the batch writes the same bytes the scalar
+//!   iterations would.
 //! - **Values and refcounts.** The body writes no value register and
 //!   holds no refcount op, so every value slot and the acquire/release
-//!   counters end the batch as the scalar iterations would leave them.
+//!   counters end the batch as the scalar iterations would leave them; the
+//!   only scalar registers the batch writes are the induction variable
+//!   and a fold's carried register.
 //! - **Aborts.** The batch polls the abort flag once per 1,024-element
 //!   block instead of per iteration — a documented relaxation; an abort
 //!   mid-batch unwinds like any other error.
@@ -91,7 +119,7 @@ use std::sync::Arc;
 use crate::machine::{
     Bank, ElemKind, FltOp, IntOp, IntUnOp, NativeFunc, NativeProgram, RegOp, Slot,
 };
-use wolfram_runtime::checked::resolve_part_index;
+use wolfram_runtime::checked::{mod_i64, resolve_part_index};
 use wolfram_runtime::simd::{self, SimdOp};
 use wolfram_runtime::{AbortSignal, RuntimeError, Tensor, TensorData, Value};
 
@@ -135,16 +163,16 @@ impl Affine {
 }
 
 /// One value in the batched dataflow graph. A plan's nodes are all `f64`
-/// (under an affine store) or all `i64` (under a scatter-add).
+/// (under a map) or all `i64` (under a scatter-add or a fold).
 #[derive(Debug, Clone, PartialEq)]
 pub enum VecNode {
     /// Literal constant.
     Const(f64),
     /// Loop-invariant float register (read at batch entry).
     Reg(u32),
-    /// Tensor element load — `f64` in a map, `i64` in a scatter-add;
-    /// `row` is `None` for rank-1 tensors. Indices are 1-based affine
-    /// forms, bounds-checked at batch entry.
+    /// Tensor element load — `f64` in a map, `i64` otherwise; `row` is
+    /// `None` for rank-1 tensors. Indices are 1-based affine forms,
+    /// bounds-checked at batch entry.
     Load {
         /// Index into [`VecPlan::tensors`].
         tensor: u32,
@@ -164,16 +192,19 @@ pub enum VecNode {
     },
     /// Integer immediate.
     Int(i64),
-    /// Checked integer `+`, `−` or `×` of two earlier nodes, tested per
-    /// element.
+    /// Integer op of two earlier nodes: checked `+ − ×` (tested per
+    /// element), `BitXor`, or `Mod` by a nonzero [`VecNode::Int`] on the
+    /// right.
     IntBin {
-        /// The operation: `Add`, `Sub` or `Mul`.
+        /// The operation: `Add`, `Sub`, `Mul`, `BitXor` or `Mod`.
         op: IntOp,
         /// Left operand node index.
         l: u32,
         /// Right operand node index.
         r: u32,
     },
+    /// A fold's carried register at the start of an iteration.
+    Carried,
 }
 
 /// An input tensor the batch reads.
@@ -185,35 +216,37 @@ pub struct TensorRef {
     pub rank: u32,
 }
 
-/// Where each iteration's element goes.
+/// What each iteration produces from the plan's root node.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StoreAt {
+pub enum PlanOut {
     /// `out[[row, col]] = root` at affine indices, endpoint-checked at
     /// batch entry: an `f64` map.
-    Affine {
+    Map {
+        /// Value slot holding the output tensor.
+        slot: u32,
+        /// Required rank (1 or 2).
+        rank: u32,
         /// Row index affine (rank-2 only).
         row: Option<Affine>,
         /// Column (or sole) index affine.
         col: Affine,
     },
-    /// `out[[k]] = out[[k]] + root` with `k` the value of node `index`: an
-    /// `i64` scatter-add, its index resolved and its sum checked per
-    /// element.
+    /// `out[[k]] = out[[k]] + root` into a rank-1 tensor, with `k` the
+    /// value of node `index`: an `i64` scatter-add, its index resolved
+    /// and its sum checked per element.
     AddAt {
+        /// Value slot holding the output tensor.
+        slot: u32,
         /// The node computing `k`.
         index: u32,
     },
-}
-
-/// The output tensor and where each iteration's element is stored.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreSpec {
-    /// Value slot holding the output tensor.
-    pub slot: u32,
-    /// Required rank (1 or 2).
-    pub rank: u32,
-    /// The element each iteration writes.
-    pub at: StoreAt,
+    /// `reg = root`, where the chain from [`VecNode::Carried`] to `root`
+    /// reads `reg`'s previous value: an `i64` fold, written back at the
+    /// end of the batch.
+    Fold {
+        /// The carried integer register.
+        reg: u32,
+    },
 }
 
 /// Everything the VecLoop executor needs, computed once at compile time.
@@ -227,12 +260,12 @@ pub struct VecPlan {
     pub inclusive: bool,
     /// Input tensors (never the output object).
     pub tensors: Vec<TensorRef>,
-    /// The single store of the loop body.
-    pub out: StoreSpec,
+    /// What the loop body produces: a store or the carried register.
+    pub out: PlanOut,
     /// Dataflow nodes in topological order.
     pub nodes: Vec<VecNode>,
     /// Node index producing the stored element (the addend of a
-    /// scatter-add).
+    /// scatter-add, the carried register's next value in a fold).
     pub root: u32,
     /// Affine results of checked integer ops; each endpoint must fit
     /// `i64` over the batch range or the batch falls back.
@@ -243,9 +276,12 @@ impl VecPlan {
     /// Every register the batch reads or writes, with its bank (for
     /// [`RegOp::regs`]).
     pub(crate) fn regs(&self) -> Vec<Slot> {
-        let out = match &self.out.at {
-            StoreAt::Affine { row, col } => vec![row.as_ref(), Some(col)],
-            StoreAt::AddAt { .. } => Vec::new(),
+        let (out, out_int, out_val) = match &self.out {
+            PlanOut::Map { slot, row, col, .. } => {
+                (vec![row.as_ref(), Some(col)], None, Some(*slot))
+            }
+            PlanOut::AddAt { slot, .. } => (Vec::new(), None, Some(*slot)),
+            PlanOut::Fold { reg } => (Vec::new(), Some(*reg), None),
         };
         let affines = self
             .nodes
@@ -259,6 +295,7 @@ impl VecPlan {
             .chain(&self.int_checks);
         let ints = [self.iv, self.bound]
             .into_iter()
+            .chain(out_int)
             .chain(affines.flat_map(|a| a.terms.iter().map(|&(r, _)| r)))
             .map(|r| Slot::new(Bank::I, r));
         let flts = self
@@ -273,7 +310,7 @@ impl VecPlan {
             .tensors
             .iter()
             .map(|t| t.slot)
-            .chain([self.out.slot])
+            .chain(out_val)
             .map(|r| Slot::new(Bank::V, r));
         ints.chain(flts).chain(vals).collect()
     }
@@ -428,6 +465,7 @@ enum SymNode {
         l: usize,
         r: usize,
     },
+    Carried,
 }
 
 /// A load or store address: value slot, rank, row (rank 2) and column.
@@ -458,12 +496,20 @@ struct Planner {
     store: Option<SymStore>,
     int_checks: Vec<SymAffine>,
     /// The first integer op off the whitelist. It does not stop the scan,
-    /// so that the loop-carried test can name the more basic reason
-    /// (FNV1a's `h` runs through `BitXor` and `Mod`).
+    /// so that the loop-carried test can name the more basic reason.
     deferred: Option<Refusal>,
 }
 
 impl Planner {
+    /// A planner whose integer register `r` holds the fold's
+    /// [`SymNode::Carried`], node 0.
+    fn seeded(r: u32) -> Self {
+        let mut pl = Planner::default();
+        let n = pl.push(SymNode::Carried);
+        pl.imap.insert(r, SymInt::Node(n));
+        pl
+    }
+
     fn rd_i(&mut self, r: u32) -> SymInt {
         if !self.written_ints.contains(&r) {
             self.first_read_ints.insert(r);
@@ -502,8 +548,9 @@ impl Planner {
     }
 
     /// Integer binary op: affine when both operands are (its result
-    /// endpoint-checked), a checked `+ − ×` node when either comes from
-    /// data. Any other op (`None`) refuses the loop.
+    /// endpoint-checked), a node when either comes from data or the
+    /// carried register: checked `+ − ×`, `BitXor`, or `Mod` by a nonzero
+    /// constant. Any other op (`None`) refuses the loop.
     fn int_bin_sym(&mut self, op: IntOp, x: &SymInt, y: &SymInt) -> Option<SymInt> {
         use IntOp::*;
         if let (SymInt::Aff(x), SymInt::Aff(y)) = (x, y) {
@@ -524,6 +571,8 @@ impl Planner {
             Add | AddU => Add,
             Sub | SubU => Sub,
             Mul | MulU => Mul,
+            BitXor => BitXor,
+            Mod if matches!(y, SymInt::Aff(a) if a.as_const().is_some_and(|c| c != 0)) => Mod,
             _ => return None,
         };
         let (l, r) = (self.int_node(x)?, self.int_node(y)?);
@@ -769,7 +818,6 @@ fn index_nodes((_, _, row, col): &SymAddr) -> impl Iterator<Item = usize> + '_ {
 
 /// Tries to plan the loop `[l, latch]`; `edges` lists every `(pc, target)`
 /// branch edge of the function.
-#[allow(clippy::too_many_lines)]
 fn try_plan(
     code: &[RegOp],
     edges: &[(usize, usize)],
@@ -794,14 +842,46 @@ fn try_plan(
             return Err(Refusal::Branches);
         }
     }
-    // Symbolic execution of one full iteration: the taken compare, the
-    // body, and the latch's non-jump writes.
-    let mut pl = Planner::default();
-    pl.wr_i(h.cond, SymInt::Aff(SymAffine::konst(1))); // taken: condition true
+    let pl = iterate(code, &h, latch, Planner::default())?;
+    // Loop-carried scalars: a register read before its first write in the
+    // iteration consumes the previous iteration's value, and the batch
+    // replays no per-iteration updates but the induction variable's and a
+    // fold's. Refuse any other regardless of whether the value feeds the
+    // store — code after the loop may read the register (e.g. a running
+    // accumulator `s = s + x[[j]]` next to the store), and the tail
+    // iteration alone would leave it at entry-value + one update: a silent
+    // wrong answer.
+    let carried = |written: &HashSet<u32>, first_read: &HashSet<u32>, skip: Option<u32>| {
+        let mut regs: Vec<u32> = written.intersection(first_read).copied().collect();
+        regs.retain(|&r| Some(r) != skip);
+        regs.sort_unstable();
+        regs
+    };
+    let ints = carried(&pl.written_ints, &pl.first_read_ints, Some(h.iv));
+    let flts = carried(&pl.written_flts, &pl.first_read_flts, None);
+    if let Some(&r) = ints.first() {
+        // A fold: the one carried register, beside no store and no carried
+        // float, re-run with its entry value as the chain's start.
+        let why = Refusal::LoopCarried(Bank::I, r);
+        if ints.len() > 1 || !flts.is_empty() || pl.store.is_some() {
+            return Err(why);
+        }
+        let pl = iterate(code, &h, latch, Planner::seeded(r)).map_err(|_| why)?;
+        return build(&pl, &h, Some(r)).map_err(|_| why);
+    }
+    if let Some(&r) = flts.first() {
+        return Err(Refusal::LoopCarried(Bank::F, r));
+    }
+    build(&pl, &h, None)
+}
 
-    // A refusal names the first op refused in program order.
+/// Symbolic execution of one full iteration of the loop `h` heads into
+/// `pl`: the taken compare, the body, and the latch's non-jump writes. A
+/// refusal names the first op refused in program order.
+fn iterate(code: &[RegOp], h: &Header, latch: usize, mut pl: Planner) -> Result<Planner, Refusal> {
+    pl.wr_i(h.cond, SymInt::Aff(SymAffine::konst(1))); // taken: condition true
     let first = |pl: &Planner, why: Refusal| pl.deferred.unwrap_or(why);
-    for op in &code[bt..latch] {
+    for op in &code[h.body..latch] {
         pl.step(op).map_err(|why| first(&pl, why))?;
     }
     // The latch: integer phi moves and immediate steps, then the back-edge.
@@ -821,34 +901,35 @@ fn try_plan(
     if !steps_by_one || pl.written_ints.contains(&h.bound) {
         return Err(Refusal::NotCounted);
     }
-    // Loop-carried scalars: a register read before its first write in the
-    // iteration consumes the previous iteration's value, and the batch
-    // replays no per-iteration updates except the induction variable's.
-    // Refuse regardless of whether the value feeds the store — code after
-    // the loop may read the register (e.g. a running accumulator
-    // `s = s + x[[j]]` next to the store), and the tail iteration alone
-    // would leave it at entry-value + one update: a silent wrong answer.
-    let carried = |written: &HashSet<u32>, first_read: &HashSet<u32>, skip: Option<u32>| {
-        let regs = written.intersection(first_read).copied();
-        regs.filter(|&r| Some(r) != skip).min()
-    };
-    if let Some(r) = carried(&pl.written_ints, &pl.first_read_ints, Some(h.iv)) {
-        return Err(Refusal::LoopCarried(Bank::I, r));
-    }
-    if let Some(r) = carried(&pl.written_flts, &pl.first_read_flts, None) {
-        return Err(Refusal::LoopCarried(Bank::F, r));
-    }
+    Ok(pl)
+}
+
+/// Lowers an iteration `pl` to a plan: the fold of register `fold`, whose
+/// entry value is `pl`'s node 0, or else the body's one store.
+#[allow(clippy::too_many_lines)]
+fn build(pl: &Planner, h: &Header, fold: Option<u32>) -> Result<VecPlan, Refusal> {
     if let Some(refusal) = pl.deferred {
         return Err(refusal);
     }
-    let store = pl.store.clone().ok_or(Refusal::NoStore)?;
-    // Every node must feed the stored element or an index: the batch
-    // evaluates only those, so a dead load or checked op would escape its
-    // test. Nodes are in topological order, so one backward sweep finds
-    // the live ones.
+    // The nodes the batch evaluates for their own sake: the fold's result,
+    // or the stored element and the store's index.
+    let (store, roots): (_, Vec<usize>) = match fold {
+        Some(r) => match pl.imap.get(&r) {
+            Some(SymInt::Node(root)) => (None, vec![*root]),
+            _ => return Err(Refusal::LoopCarried(Bank::I, r)),
+        },
+        None => {
+            let store = pl.store.clone().ok_or(Refusal::NoStore)?;
+            let roots = [store.value].into_iter().chain(index_nodes(&store.addr));
+            let roots = roots.collect();
+            (Some(store), roots)
+        }
+    };
+    // Every node must feed a root: the batch evaluates only those, so a
+    // dead load or checked op would escape its test. Nodes are in
+    // topological order, so one backward sweep finds the live ones.
     let mut live = vec![false; pl.nodes.len()];
-    live[store.value] = true;
-    for n in index_nodes(&store.addr) {
+    for &n in &roots {
         live[n] = true;
     }
     for n in (0..pl.nodes.len()).rev() {
@@ -871,13 +952,36 @@ fn try_plan(
     if live.contains(&false) {
         return Err(Refusal::DeadLoad);
     }
-    let (out_slot, out_rank, out_row, out_col) = store.addr.clone();
+    // A fold's chain is linear: each node that depends on the carried
+    // value takes it through exactly one operand. With every node live,
+    // those nodes form one path from the carried value to the result, so
+    // the value feeds nothing but its own chain (an index that depends on
+    // it is a data index, refused below).
+    if let Some(r) = fold {
+        let mut dep = vec![false; pl.nodes.len()];
+        for (n, node) in pl.nodes.iter().enumerate() {
+            dep[n] = match node {
+                SymNode::Carried => true,
+                SymNode::IntBin { l, r: rr, .. } if dep[*l] && dep[*rr] => {
+                    return Err(Refusal::LoopCarried(Bank::I, r));
+                }
+                SymNode::IntBin { l, r: rr, .. } => dep[*l] || dep[*rr],
+                _ => false,
+            };
+        }
+    }
+    let out_slot = store.as_ref().map(|s| s.addr.0);
     // A scatter-add (an `i64` store at a node) stores `acc + addend`,
     // where `acc` is the output's own element at the store's index node.
     // Those two nodes are the store itself: the plan keeps the rest, and
     // any other use of `acc` finds no node to lower to (`ReadsOutput`).
-    let scatter = match &out_col {
-        SymInt::Node(index) => {
+    let scatter = match &store {
+        Some(
+            store @ SymStore {
+                addr: (out, _, _, SymInt::Node(index)),
+                ..
+            },
+        ) => {
             let SymNode::IntBin {
                 op: IntOp::Add,
                 l,
@@ -888,10 +992,10 @@ fn try_plan(
             };
             let is_acc = |n: usize| {
                 matches!(&pl.nodes[n], SymNode::Load { addr: (s, 1, None, SymInt::Node(k)), .. }
-                    if *s == out_slot && k == index)
+                    if s == out && k == index)
             };
             let reads_out =
-                |n: &SymNode| matches!(n, SymNode::Load { addr: (s, ..), .. } if *s == out_slot);
+                |n: &SymNode| matches!(n, SymNode::Load { addr: (s, ..), .. } if s == out);
             let (acc, addend) = match (is_acc(l), is_acc(r)) {
                 (true, false) => (l, r),
                 (false, true) => (r, l),
@@ -900,7 +1004,7 @@ fn try_plan(
                 }
                 _ => return Err(Refusal::ReadsOutput),
             };
-            Some((*index, acc, addend))
+            Some((*index, acc, addend, store.value))
         }
         _ => None,
     };
@@ -931,7 +1035,7 @@ fn try_plan(
     // Lower the nodes (insertion order is already topological; node
     // indices fit `u32` as the body's pcs do) and collect the input
     // tensors.
-    let skipped = scatter.map(|(_, acc, _)| [acc, store.value]);
+    let skipped = scatter.map(|(_, acc, _, sum)| [acc, sum]);
     let mut remap: Vec<Option<u32>> = vec![None; pl.nodes.len()];
     let at = |remap: &[Option<u32>], n: usize| remap[n].ok_or(Refusal::ReadsOutput);
     let mut tensors: Vec<TensorRef> = Vec::new();
@@ -953,7 +1057,7 @@ fn try_plan(
                 addr: (slot, rank, row, col),
                 ..
             } => {
-                if *slot == out_slot {
+                if Some(*slot) == out_slot {
                     return Err(Refusal::ReadsOutput);
                 }
                 let ix = match tensor_ix.get(slot) {
@@ -988,6 +1092,7 @@ fn try_plan(
                 l: at(&remap, *l)?,
                 r: at(&remap, *r)?,
             },
+            SymNode::Carried => VecNode::Carried,
         });
         remap[n] = Some(nodes.len() as u32 - 1);
     }
@@ -996,31 +1101,32 @@ fn try_plan(
         .iter()
         .map(lower_aff)
         .collect::<Result<Vec<_>, _>>()?;
-    let (at_store, root) = match scatter {
-        Some((index, _, addend)) => (
-            StoreAt::AddAt {
+    let (out, root) = match (fold, store, scatter) {
+        (Some(reg), ..) => (PlanOut::Fold { reg }, at(&remap, roots[0])?),
+        (None, Some(store), Some((index, _, addend, _))) => (
+            PlanOut::AddAt {
+                slot: store.addr.0,
                 index: at(&remap, index)?,
             },
             at(&remap, addend)?,
         ),
-        None => (
-            StoreAt::Affine {
-                row: lower_row(&out_row)?,
-                col: lower(&out_col)?,
+        (None, Some(SymStore { addr, value, .. }), None) => (
+            PlanOut::Map {
+                slot: addr.0,
+                rank: addr.1,
+                row: lower_row(&addr.2)?,
+                col: lower(&addr.3)?,
             },
-            at(&remap, store.value)?,
+            at(&remap, value)?,
         ),
+        (None, None, _) => unreachable!("a plan without a fold stores"),
     };
     Ok(VecPlan {
         iv: h.iv,
         bound: h.bound,
         inclusive: h.inclusive,
         tensors,
-        out: StoreSpec {
-            slot: out_slot,
-            rank: out_rank,
-            at: at_store,
-        },
+        out,
         nodes,
         root,
         int_checks,
@@ -1266,7 +1372,7 @@ fn tag_slice<'a>(
 }
 
 /// Executes the batch for `plan`: the `f64` map when every precheck
-/// holds, the scatter-add up to its first failing element. Whatever the
+/// holds, the scatter-add or the fold up to its first failing element. Whatever the
 /// batch does not commit — all of it when a precheck fails — runs in the
 /// scalar loop, which raises whatever error the checks anticipated.
 ///
@@ -1298,11 +1404,10 @@ pub(crate) fn exec_batch(
             }
         }
     }
-    let done = match plan.out.at {
-        StoreAt::Affine { .. } => exec_map(plan, abort, ints, flts, vals, iv0, m)?,
-        StoreAt::AddAt { index } => {
-            exec_scatter_add(plan, index as usize, abort, ints, vals, iv0, m)?
-        }
+    let done = match plan.out {
+        PlanOut::Map { .. } => exec_map(plan, abort, ints, flts, vals, iv0, m)?,
+        PlanOut::AddAt { .. } => exec_scatter_add(plan, abort, ints, vals, iv0, m)?,
+        PlanOut::Fold { .. } => exec_fold(plan, abort, ints, vals, iv0, m)?,
     };
     // The batch consumed iterations 0..done: advance the induction
     // variable (endpoint-checked above).
@@ -1338,17 +1443,23 @@ fn exec_map(
     iv0: i128,
     m: i128,
 ) -> Result<i128, RuntimeError> {
-    let StoreAt::Affine { row, col } = &plan.out.at else {
+    let PlanOut::Map {
+        slot,
+        rank,
+        row,
+        col,
+    } = &plan.out
+    else {
         unreachable!("a map stores at an affine index")
     };
     let Some(inputs) = clone_inputs(plan, vals, |d| matches!(d, TensorData::F64(_))) else {
         return Ok(0);
     };
     let out_addr = {
-        let Value::Tensor(t) = &vals[plan.out.slot as usize] else {
+        let Value::Tensor(t) = &vals[*slot as usize] else {
             return Ok(0);
         };
-        if t.rank() != plan.out.rank as usize || !matches!(t.data(), TensorData::F64(_)) {
+        if t.rank() != *rank as usize || !matches!(t.data(), TensorData::F64(_)) {
             return Ok(0);
         }
         let Some(addr) = resolve_addr(row.as_ref(), col, t.shape(), ints, iv0, m) else {
@@ -1406,7 +1517,7 @@ fn exec_map(
                     Tag::Buf(buf)
                 }
             }
-            VecNode::Int(_) | VecNode::IntBin { .. } => {
+            VecNode::Int(_) | VecNode::IntBin { .. } | VecNode::Carried => {
                 unreachable!("a map holds f64 nodes only")
             }
         };
@@ -1423,7 +1534,7 @@ fn exec_map(
             _ => unreachable!(),
         })
         .collect();
-    let Value::Tensor(out_t) = &mut vals[plan.out.slot as usize] else {
+    let Value::Tensor(out_t) = &mut vals[*slot as usize] else {
         unreachable!()
     };
     let TensorData::F64(out_data) = out_t.data_mut() else {
@@ -1473,7 +1584,7 @@ enum IntStep {
         input: usize,
         addr: Addr,
     },
-    /// A checked `+ − ×` of two earlier columns.
+    /// An integer op of two earlier columns.
     Bin {
         node: usize,
         op: IntOp,
@@ -1515,7 +1626,9 @@ fn eval_int_block(
                     IntOp::Add => checked_column(a, b, out, i64::checked_add),
                     IntOp::Sub => checked_column(a, b, out, i64::checked_sub),
                     IntOp::Mul => checked_column(a, b, out, i64::checked_mul),
-                    _ => unreachable!("integer nodes are checked + − ×"),
+                    IntOp::BitXor => checked_column(a, b, out, |x, y| Some(x ^ y)),
+                    IntOp::Mod => checked_column(a, b, out, |x, y| mod_i64(x, y).ok()),
+                    _ => unreachable!("integer nodes are checked + − ×, xor and Mod"),
                 };
             }
         }
@@ -1550,6 +1663,90 @@ fn add_at(out: &[i64], k: i64, v: i64) -> Option<(usize, i64)> {
     Some((p, out[p].checked_add(v)?))
 }
 
+/// One link of a fold's chain: the carried value `h` on the left, and on
+/// the right a column (an immediate's column is filled once).
+#[derive(Clone, Copy)]
+enum Link {
+    Add(usize),
+    Sub(usize),
+    /// `col − h`: a `Sub` with the carried value on the right.
+    SubFrom(usize),
+    Mul(usize),
+    Xor(usize),
+    /// `Mod` by a positive power of two `2^k`, as `h & (2^k − 1)`: exact
+    /// for every `i64` under floored `Mod` (two's complement).
+    Mask(i64),
+    /// `Mod` by any other nonzero constant.
+    Mod(i64),
+}
+
+/// A plan's integer nodes, resolved at batch entry.
+struct IntProgram {
+    /// The steps that fill the columns of the nodes that do not depend on
+    /// a fold's carried value.
+    steps: Vec<IntStep>,
+    /// One column per node (immediates filled once; empty for the chain).
+    cols: Vec<Vec<i64>>,
+    /// The chain of the nodes that do, in order.
+    chain: Vec<Link>,
+}
+
+/// The integer nodes of `plan` at batch entry; `None` when a load's index
+/// fails its endpoint check.
+fn int_program(
+    plan: &VecPlan,
+    inputs: &[Tensor],
+    ints: &[i64],
+    iv0: i128,
+    m: i128,
+) -> Option<IntProgram> {
+    let len = (m as usize).min(BLOCK);
+    let mut cols = vec![Vec::new(); plan.nodes.len()];
+    let mut dep = vec![false; plan.nodes.len()];
+    let (mut steps, mut chain) = (Vec::new(), Vec::new());
+    for (node, n) in plan.nodes.iter().enumerate() {
+        match n {
+            VecNode::Carried => dep[node] = true,
+            VecNode::Int(c) => cols[node] = vec![*c; len],
+            VecNode::Load { tensor, row, col } => {
+                let input = *tensor as usize;
+                let shape = inputs[input].shape();
+                let addr = resolve_addr(row.as_ref(), col, shape, ints, iv0, m)?;
+                steps.push(IntStep::Gather { node, input, addr });
+                cols[node] = vec![0; len];
+            }
+            &VecNode::IntBin { op, l, r } => {
+                let (l, r) = (l as usize, r as usize);
+                if !dep[l] && !dep[r] {
+                    steps.push(IntStep::Bin { node, op, l, r });
+                    cols[node] = vec![0; len];
+                    continue;
+                }
+                // Linear (plan-time rule): exactly one operand is carried.
+                let y = if dep[l] { r } else { l };
+                chain.push(match op {
+                    IntOp::Add => Link::Add(y),
+                    IntOp::Sub if dep[l] => Link::Sub(y),
+                    IntOp::Sub => Link::SubFrom(y),
+                    IntOp::Mul => Link::Mul(y),
+                    IntOp::BitXor => Link::Xor(y),
+                    IntOp::Mod => match plan.nodes[r] {
+                        VecNode::Int(d) if d > 0 && d & (d - 1) == 0 => Link::Mask(d - 1),
+                        VecNode::Int(d) => Link::Mod(d),
+                        _ => unreachable!("a divisor is a nonzero constant"),
+                    },
+                    _ => unreachable!("integer nodes are checked + − ×, xor and Mod"),
+                });
+                dep[node] = true;
+            }
+            VecNode::Const(_) | VecNode::Reg(_) | VecNode::Bin { .. } => {
+                unreachable!("integer plans hold i64 nodes only")
+            }
+        }
+    }
+    Some(IntProgram { steps, cols, chain })
+}
+
 /// The `i64` scatter-add over iterations `0..m`, in iteration order, one
 /// block at a time: the block's index and addend columns first, then one
 /// plain loop of resolve-and-add into the output. Returns the iterations
@@ -1557,48 +1754,32 @@ fn add_at(out: &[i64], k: i64, v: i64) -> Option<(usize, i64)> {
 /// re-runs it and raises), or 0 when a precheck fails.
 fn exec_scatter_add(
     plan: &VecPlan,
-    index: usize,
     abort: &AbortSignal,
     ints: &[i64],
     vals: &mut [Value],
     iv0: i128,
     m: i128,
 ) -> Result<i128, RuntimeError> {
+    let PlanOut::AddAt { slot, index } = plan.out else {
+        unreachable!("a scatter-add adds at a node")
+    };
+    let (slot, index) = (slot as usize, index as usize);
     let Some(inputs) = clone_inputs(plan, vals, |d| matches!(d, TensorData::I64(_))) else {
         return Ok(0);
     };
-    let slot = plan.out.slot as usize;
     let Value::Tensor(out_t) = &vals[slot] else {
         return Ok(0);
     };
     let (1, Some(out)) = (out_t.rank(), out_t.as_i64()) else {
         return Ok(0);
     };
-    // One column per node: immediates filled once, loads gathered and
-    // checked ops evaluated per block.
+    let Some(IntProgram {
+        steps, mut cols, ..
+    }) = int_program(plan, &inputs, ints, iv0, m)
+    else {
+        return Ok(0);
+    };
     let m_us = m as usize;
-    let mut cols = vec![vec![0i64; m_us.min(BLOCK)]; plan.nodes.len()];
-    let mut steps: Vec<IntStep> = Vec::new();
-    for (node, n) in plan.nodes.iter().enumerate() {
-        match n {
-            VecNode::Int(c) => cols[node].fill(*c),
-            VecNode::Load { tensor, row, col } => {
-                let input = *tensor as usize;
-                let shape = inputs[input].shape();
-                let Some(addr) = resolve_addr(row.as_ref(), col, shape, ints, iv0, m) else {
-                    return Ok(0);
-                };
-                steps.push(IntStep::Gather { node, input, addr });
-            }
-            VecNode::IntBin { op, l, r } => steps.push(IntStep::Bin {
-                node,
-                op: *op,
-                l: *l as usize,
-                r: *r as usize,
-            }),
-            _ => unreachable!("a scatter-add holds i64 nodes only"),
-        }
-    }
     let slices: Vec<&[i64]> = inputs.iter().filter_map(Tensor::as_i64).collect();
     let root = plan.root as usize;
     // Copy-on-write as in the scalar loop, whose first store copies shared
@@ -1632,6 +1813,78 @@ fn exec_scatter_add(
         s += len;
     }
     Ok(m)
+}
+
+/// One element of a fold: `h` through every link, or `None` at the first
+/// checked `+ − ×` that overflows.
+#[inline(always)]
+fn fold_elem(chain: &[Link], cols: &[Vec<i64>], t: usize, mut h: i64) -> Option<i64> {
+    for link in chain {
+        h = match *link {
+            Link::Add(c) => h.checked_add(cols[c][t])?,
+            Link::Sub(c) => h.checked_sub(cols[c][t])?,
+            Link::SubFrom(c) => cols[c][t].checked_sub(h)?,
+            Link::Mul(c) => h.checked_mul(cols[c][t])?,
+            Link::Xor(c) => h ^ cols[c][t],
+            Link::Mask(mask) => h & mask,
+            Link::Mod(d) => mod_i64(h, d).ok()?,
+        };
+    }
+    Some(h)
+}
+
+/// The `i64` fold of the carried register over iterations `0..m`, one
+/// block at a time: the block's columns first, then the chain per
+/// element. Writes back the value carried into the first uncommitted
+/// iteration and returns the iterations committed: all `m`, the first
+/// whose check fails (the scalar loop then re-runs it and raises), or 0
+/// when a precheck fails.
+fn exec_fold(
+    plan: &VecPlan,
+    abort: &AbortSignal,
+    ints: &mut [i64],
+    vals: &[Value],
+    iv0: i128,
+    m: i128,
+) -> Result<i128, RuntimeError> {
+    let PlanOut::Fold { reg } = plan.out else {
+        unreachable!("a fold carries a register")
+    };
+    let Some(inputs) = clone_inputs(plan, vals, |d| matches!(d, TensorData::I64(_))) else {
+        return Ok(0);
+    };
+    let Some(IntProgram {
+        steps,
+        mut cols,
+        chain,
+    }) = int_program(plan, &inputs, ints, iv0, m)
+    else {
+        return Ok(0);
+    };
+    let slices: Vec<&[i64]> = inputs.iter().filter_map(Tensor::as_i64).collect();
+    let (m_us, mut h, mut s) = (m as usize, ints[reg as usize], 0);
+    let done = loop {
+        if s == m_us {
+            break m_us;
+        }
+        abort.check()?;
+        let len = (m_us - s).min(BLOCK);
+        let valid = eval_int_block(&steps, &slices, &mut cols, s, len);
+        let mut t = 0;
+        while t < valid {
+            let Some(next) = fold_elem(&chain, &cols, t, h) else {
+                break;
+            };
+            h = next;
+            t += 1;
+        }
+        if t < len {
+            break s + t;
+        }
+        s += len;
+    };
+    ints[reg as usize] = h;
+    Ok(done as i128)
 }
 
 #[cfg(test)]
@@ -2264,7 +2517,7 @@ mod tests {
             panic!("a VecLoop in front of the header");
         };
         // The gather, the `+ 1` computing the index, and the addend.
-        assert_eq!(plan.out.at, StoreAt::AddAt { index: 2 });
+        assert_eq!(plan.out, PlanOut::AddAt { slot: 1, index: 2 });
         assert_eq!(plan.nodes.len(), 4);
         let prog = |f: &NativeFunc| NativeProgram {
             parallel: None,
@@ -2332,6 +2585,179 @@ mod tests {
             *t = 0;
         }
         assert_eq!(refusal(&mut f), Refusal::Op("ten.set1.u"));
+    }
+
+    /// FNV1a's loop over an `i64` tensor, unfused: `h = Mod[BitXor[h,
+    /// d[[i]]] * 16777619, 2^32]` for `i = 1..=n`, returning `h`.
+    fn fnv_fold() -> NativeFunc {
+        NativeFunc {
+            name: "Main".into(),
+            code: vec![
+                RegOp::LdcI { d: 1, v: 1 },
+                RegOp::AbortBrCmpISel {
+                    op: IntOp::Le,
+                    a: 1,
+                    b: 0,
+                    d: 3,
+                    pc_false: 7,
+                    pc_true: 2,
+                },
+                RegOp::TenPart1 {
+                    kind: ElemKind::I64,
+                    d: 4,
+                    t: 0,
+                    i: 1,
+                    checked: false,
+                },
+                RegOp::IntBin {
+                    op: IntOp::BitXor,
+                    d: 5,
+                    a: 2,
+                    b: 4,
+                },
+                RegOp::IntBinImm {
+                    op: IntOp::Mul,
+                    d: 6,
+                    a: 5,
+                    imm: 16_777_619,
+                },
+                RegOp::IntBinImm {
+                    op: IntOp::Mod,
+                    d: 2,
+                    a: 6,
+                    imm: 1 << 32,
+                },
+                RegOp::IntBinImmJmp {
+                    op: IntOp::AddU,
+                    d: 1,
+                    a: 1,
+                    imm: 1,
+                    pc: 1,
+                },
+                RegOp::Ret {
+                    s: Slot::new(Bank::I, 2),
+                },
+            ],
+            n_int: 7,
+            n_flt: 0,
+            n_cpx: 0,
+            n_val: 1,
+            params: vec![
+                Slot::new(Bank::V, 0),
+                Slot::new(Bank::I, 0),
+                Slot::new(Bank::I, 2),
+            ],
+            elision: Default::default(),
+        }
+    }
+
+    #[test]
+    fn a_fold_writes_back_the_value_carried_into_the_faulting_element() {
+        let mut vectored = fnv_fold();
+        assert_eq!(vectorize_function(&mut vectored), 1);
+        let RegOp::VecLoop { plan } = &vectored.code[1] else {
+            panic!("a VecLoop in front of the header");
+        };
+        // The carried value, the load, the xor, the multiplier, the
+        // product, the divisor and the `Mod`.
+        assert_eq!(plan.out, PlanOut::Fold { reg: 2 });
+        assert_eq!(plan.nodes.len(), 7);
+        assert!(plan.regs().contains(&Slot::new(Bank::I, 2)));
+        let hash = |d: &[i64]| {
+            d.iter()
+                .fold(2_166_136_261, |h, &x| ((h ^ x) * 16_777_619) % (1 << 32))
+        };
+        let n = 3000;
+        let data: Vec<i64> = (0..n as i64).map(|k| k * 7 % 256).collect();
+        // Runs the batch alone: the induction variable and the hash after it.
+        let batch = |data: &[i64]| {
+            let mut ints = vec![n as i64, 1, 2_166_136_261, 0, 0, 0, 0];
+            let mut vals = vec![Value::Tensor(Tensor::from_i64(data.to_vec()))];
+            exec_batch(plan, &AbortSignal::new(), &mut ints, &[], &mut vals).unwrap();
+            (ints[1], ints[2])
+        };
+        // All but the last element, which the scalar tail runs.
+        assert_eq!(batch(&data), (n as i64, hash(&data[..n - 1])));
+        for k in [0, 1, 517, 1022, 1023, 1024, 1025, 2047, 2048, n - 2] {
+            let mut data = data.clone();
+            data[k] = i64::MAX;
+            assert_eq!(
+                batch(&data),
+                (1 + k as i64, hash(&data[..k])),
+                "fault at {k}"
+            );
+            let prog = |f: &NativeFunc| NativeProgram {
+                parallel: None,
+                funcs: vec![f.clone()],
+            };
+            let args = || {
+                let t = Tensor::from_i64(data.clone());
+                vec![
+                    ArgVal::V(Value::Tensor(t)),
+                    ArgVal::I(n as i64),
+                    ArgVal::I(2_166_136_261),
+                ]
+            };
+            let want = run(&prog(&fnv_fold()), args());
+            assert_eq!(want, Err(RuntimeError::IntegerOverflow));
+            assert_eq!(run(&prog(&vectored), args()), want);
+        }
+    }
+
+    #[test]
+    fn folds_refuse_a_store_a_second_use_and_a_register_or_zero_divisor() {
+        let carried = Refusal::LoopCarried(Bank::I, 2);
+        // A store the planner maps beside the fold: `t[[i]] = 1.5`.
+        let store = RegOp::TenSet1 {
+            kind: ElemKind::F64,
+            t: 1,
+            i: 1,
+            v: 0,
+            checked: true,
+        };
+        let f = insert(fnv_fold(), 3, RegOp::LdcF { d: 0, v: 1.5 });
+        let mut f = insert(f, 4, store);
+        (f.n_flt, f.n_val) = (1, 2);
+        assert_eq!(refusal(&mut f), carried);
+        // `h` feeds its chain twice: `BitXor[h, d[[i]]] * h`.
+        let mut f = fnv_fold();
+        f.code[4] = RegOp::IntBin {
+            op: IntOp::Mul,
+            d: 6,
+            a: 5,
+            b: 2,
+        };
+        assert_eq!(refusal(&mut f), carried);
+        // `Mod` by the bound register, and by zero.
+        let mut f = fnv_fold();
+        f.code[5] = RegOp::IntBin {
+            op: IntOp::Mod,
+            d: 2,
+            a: 6,
+            b: 0,
+        };
+        assert_eq!(refusal(&mut f), carried);
+        let mut f = fnv_fold();
+        f.code[5] = RegOp::IntBinImm {
+            op: IntOp::Mod,
+            d: 2,
+            a: 6,
+            imm: 0,
+        };
+        assert_eq!(refusal(&mut f), carried);
+        // A second carried register.
+        let mut f = insert(
+            fnv_fold(),
+            3,
+            RegOp::IntBinImm {
+                op: IntOp::Add,
+                d: 7,
+                a: 7,
+                imm: 1,
+            },
+        );
+        f.n_int = 8;
+        assert_eq!(refusal(&mut f), carried);
     }
 
     /// Why the planner refuses `f`'s one loop; the loop stays scalar.

@@ -903,6 +903,217 @@ Function[{Typed[data, "Tensor"["Integer64", 1]], Typed[bins, "Tensor"["Integer64
         assert_eq!(cf.call(&args).unwrap(), want);
     }
 
+    /// `src` on `args` under the default compile (its loop a planted fold)
+    /// and with every loop scalar: the same result, or the same error with
+    /// the same text.
+    fn fold_agrees(src: &str, args: &[Value]) -> Result<Value, wolfram_runtime::RuntimeError> {
+        use wolfram_codegen::{vectorize::PlanOut, RegOp};
+        let planted = Compiler::default().function_compile_src(src).unwrap();
+        let ops = planted.program.funcs.iter().flat_map(|f| &f.code);
+        let folds = ops.filter(
+            |op| matches!(op, RegOp::VecLoop { plan } if matches!(plan.out, PlanOut::Fold { .. })),
+        );
+        assert_eq!(folds.count(), 1, "the fold must plan:\n{src}");
+        let got = planted.call(args);
+        let want = scalar_loops().function_compile_src(src).unwrap().call(args);
+        assert_eq!(got, want);
+        assert_eq!(
+            got.as_ref().map_err(ToString::to_string),
+            want.as_ref().map_err(ToString::to_string)
+        );
+        got
+    }
+
+    /// A fold over `d` whose checked `×` overflows at an element near
+    /// `i64::MAX` (FNV1a's chain over a tensor).
+    const FOLD_MUL: &str = r#"
+Function[{Typed[d, "Tensor"["Integer64", 1]]},
+ Module[{h = 2166136261, i = 1, n = Length[d]},
+  While[i <= n, h = Mod[BitXor[h, d[[i]]] * 16777619, 4294967296]; i = i + 1];
+  h]]
+"#;
+
+    /// A fold whose checked `+` overflows there.
+    const FOLD_ADD: &str = r#"
+Function[{Typed[d, "Tensor"["Integer64", 1]]},
+ Module[{h = 0, i = 1, n = Length[d]},
+  While[i <= n, h = Mod[(h + 1) + d[[i]], 1000003]; i = i + 1];
+  h]]
+"#;
+
+    /// A fold whose carried value is the right operand of a checked `−`
+    /// that overflows at an element near `i64::MIN` (`h` stays positive).
+    const FOLD_SUB: &str = r#"
+Function[{Typed[d, "Tensor"["Integer64", 1]]},
+ Module[{h = 1, i = 1, n = Length[d]},
+  While[i <= n, h = Mod[d[[i]] - h, 1000003] + 1; i = i + 1];
+  h]]
+"#;
+
+    fn ints(data: Vec<i64>) -> [Value; 1] {
+        [Value::Tensor(wolfram_runtime::Tensor::from_i64(data))]
+    }
+
+    #[test]
+    fn a_planted_fold_raises_at_the_faulting_element_like_the_scalar_loop() {
+        use wolfram_runtime::RuntimeError;
+        let n = 3000;
+        for src in [FOLD_MUL, FOLD_ADD, FOLD_SUB] {
+            fold_agrees(src, &ints(bytes(n))).unwrap();
+        }
+        // The positions of the Histogram test; `fold_writes_back_the_value_
+        // carried_into_the_faulting_element` (vectorize.rs) checks where the
+        // batch stops.
+        for k in [0, 1, 517, 1022, 1023, 1024, 1025, 2047, 2048, n - 2, n - 1] {
+            for (src, huge) in [
+                (FOLD_MUL, i64::MAX),
+                (FOLD_MUL, i64::MIN),
+                (FOLD_ADD, i64::MAX),
+                (FOLD_SUB, i64::MIN),
+            ] {
+                let mut data = bytes(n);
+                data[k] = huge;
+                let err = fold_agrees(src, &ints(data)).unwrap_err();
+                assert_eq!(err, RuntimeError::IntegerOverflow, "{huge} at {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_planted_fold_matches_the_scalar_loop_at_every_trip_count() {
+        for n in (0..=9).chain(1023..=1026).chain([2049]) {
+            for src in [FOLD_MUL, FOLD_ADD, FOLD_SUB] {
+                fold_agrees(src, &ints(bytes(n))).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_fold_mods_by_any_constant_like_the_scalar_loop() {
+        // Powers of two run as a mask, the others through `mod_i64`; the
+        // xor of `h` with data at the extremes gives negative dividends.
+        let data: Vec<i64> = (0..3000i64)
+            .map(|k| match k % 5 {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => -k * 7919,
+                _ => k * k,
+            })
+            .collect();
+        for c in [1i64 << 32, 1, -8, 1_000_003, 1 << 62] {
+            let src = format!(
+                r#"Function[{{Typed[d, "Tensor"["Integer64", 1]]}},
+ Module[{{h = 0, i = 1, n = Length[d]}},
+  While[i <= n, h = Mod[BitXor[h, d[[i]]], {c}]; i = i + 1];
+  h]]"#
+            );
+            let Value::I64(h) = fold_agrees(&src, &ints(data.clone())).unwrap() else {
+                panic!("an integer hash");
+            };
+            // Floored: the result takes the divisor's sign.
+            let floored = |x: i64| match x.rem_euclid(c.abs()) {
+                r if c < 0 && r != 0 => r + c,
+                r => r,
+            };
+            let want = data.iter().fold(0, |h, &x| floored(h ^ x));
+            assert_eq!(h, want, "Mod by {c}");
+        }
+    }
+
+    #[test]
+    fn a_planted_fnv1a_hashes_multi_byte_characters_like_the_scalar_loop() {
+        use wolfram_bench::programs::FNV1A_SRC;
+        let s = "héllo wörld ✓ 日本語 😀 ".repeat(150);
+        let got = fold_agrees(FNV1A_SRC, &[Value::Str(std::sync::Arc::new(s.clone()))]);
+        let want = s.chars().fold(2_166_136_261i64, |h, c| {
+            ((h ^ i64::from(u32::from(c))) * 16_777_619) % (1 << 32)
+        });
+        assert_eq!(got.unwrap(), Value::I64(want));
+    }
+
+    #[test]
+    fn an_abort_during_a_planted_fnv1a_unwinds_balanced_and_the_function_recovers() {
+        use wolfram_bench::{programs::FNV1A_SRC, workloads::random_string};
+        let cf = Compiler::default().function_compile_src(FNV1A_SRC).unwrap();
+        let args = [Value::Str(std::sync::Arc::new(random_string(1_000_000, 4)))];
+        let want = scalar_loops()
+            .function_compile_src(FNV1A_SRC)
+            .unwrap()
+            .call(&args)
+            .unwrap();
+        // The call takes ~10 ms and its batch polls once per 1,024-element
+        // block; a call that finishes before the trigger lands must hash
+        // right, and is tried again.
+        let aborted = (0..20).any(|_| {
+            cf.abort.reset();
+            wolfram_runtime::memory::reset_stats();
+            let signal = cf.abort.clone();
+            let trigger = std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_micros(500));
+                signal.trigger();
+            });
+            let got = cf.call(&args);
+            trigger.join().unwrap();
+            let stats = wolfram_runtime::memory::stats();
+            assert_eq!(stats.acquires, stats.releases, "{stats:?}");
+            match got {
+                Err(e) => {
+                    assert_eq!(e, wolfram_runtime::RuntimeError::Aborted);
+                    true
+                }
+                Ok(v) => {
+                    assert_eq!(v, want);
+                    false
+                }
+            }
+        });
+        assert!(aborted, "no trigger landed inside the call");
+        cf.abort.reset();
+        assert_eq!(cf.call(&args).unwrap(), want);
+    }
+
+    #[test]
+    fn a_fold_beside_a_store_and_a_float_accumulator_stay_refused() {
+        use wolfram_codegen::vectorize::{plan_loops, Refusal};
+        use wolfram_codegen::Bank;
+        let verdicts = |src: &str| -> Vec<Refusal> {
+            let cf = scalar_loops().function_compile_src(src).unwrap();
+            let f = &cf.program.funcs[0];
+            plan_loops(&f.code)
+                .into_iter()
+                .map(|v| v.plan.unwrap_err())
+                .collect()
+        };
+        // `h` folds next to the `f64` map `t[[i]] = 2. v[[i]]`.
+        let beside_a_store = r#"
+Function[{Typed[d, "Tensor"["Integer64", 1]], Typed[v, "Tensor"["Real64", 1]]},
+ Module[{h = 0, t = ConstantArray[0., Length[v]], i = 1, n = Length[v]},
+  While[i <= n, h = Mod[h + d[[i]], 1000003]; t[[i]] = 2. * v[[i]]; i = i + 1];
+  h + t[[2]]]]"#;
+        let accumulator = r#"
+Function[{Typed[v, "Tensor"["Real64", 1]]},
+ Module[{s = 0., i = 1, n = Length[v]},
+  While[i <= n, s = s + v[[i]] * 3.; i = i + 1];
+  s]]"#;
+        let [beside, acc] = [beside_a_store, accumulator].map(verdicts);
+        assert!(
+            matches!(beside[..], [Refusal::LoopCarried(Bank::I, _)]),
+            "{beside:?}"
+        );
+        assert!(
+            matches!(acc[..], [Refusal::LoopCarried(Bank::F, _)]),
+            "{acc:?}"
+        );
+        let [d] = ints((0..2000).map(|k| k * 31 % 1000).collect());
+        let v = wolfram_runtime::Tensor::from_f64((0..2000).map(|k| f64::from(k) * 0.5).collect());
+        let args = [d, Value::Tensor(v)];
+        let planted = Compiler::default()
+            .function_compile_src(beside_a_store)
+            .unwrap();
+        let scalar = scalar_loops().function_compile_src(beside_a_store).unwrap();
+        assert_eq!(planted.call(&args), scalar.call(&args));
+    }
+
     #[test]
     fn an_abort_during_a_qsort_with_inlined_comparators_unwinds_balanced_and_recovers() {
         // The comparator's body is inlined into the sort's loops, so only

@@ -22,9 +22,10 @@
 #               paper programs; ablations --quick must print a row
 #               for every Ablation::ALL entry and the inlining row on
 #               QSort; opstats --quick must print the loop planner's
-#               verdict per loop, with Blur's and Histogram's loops
-#               planned and FNV1a's refused as LoopCarried; an unknown
-#               subcommand must exit nonzero
+#               verdict per loop, with Blur's, Histogram's and FNV1a's
+#               loops planned and Mandelbrot's refused as Branches (the
+#               line of a refused loop); an unknown subcommand must exit
+#               nonzero
 #   benchmark:  bash benchmark/run.sh --smoke
 #               cargo test -q --offline --manifest-path benchmark/Cargo.toml
 #   placement:  scripts/placement.sh on the benchmark binary just built
@@ -142,9 +143,10 @@ for row in "inlining disabled" "inlining disabled (QSort)" "abort checks (Histog
   fi
 done
 
-echo "==> reproduce: opstats --quick names each loop's verdict: Blur and Histogram planned, FNV1a refused as LoopCarried"
+echo "==> reproduce: opstats --quick names each loop's verdict: Blur, Histogram and FNV1a planned, Mandelbrot refused as Branches"
 OPSTATS_OUT="$(./target/release/reproduce opstats --quick)"
-for want in "Blur|planned" "Histogram|planned" "FNV1a|refused: LoopCarried("; do
+for want in "Blur|planned (f64 map)" "Histogram|planned (i64 scatter-add)" "FNV1a|planned (i64 fold)" \
+  "Mandelbrot|refused: Branches"; do
   prog="${want%%|*}"
   verdict="${want#*|}"
   if ! awk -v p="$prog" -v v="$verdict" '

@@ -598,3 +598,87 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Fold loops: a chain over one carried integer. The default compile plans
+// it, `Ablation::Vectorize` keeps it scalar, and the interpreter is the
+// reference.
+// ---------------------------------------------------------------------
+
+/// `h = chain(h, d[[i]])` for `i = 1..=Length[d]`, returning `h`. Each
+/// step is `(op, rhs, swap)`: `BitXor`, `+`, `−`, `×` or `Mod` (by the
+/// constant `rhs` picks) of the chain so far and `rhs` (the element or a
+/// constant), the chain on the right when `swap`. A constant minuend stays
+/// on the right: `c − h` keeps `c` in a register, which no plan reads.
+fn fold_src(init: i64, steps: &[(u8, usize, bool)]) -> String {
+    const RHS: [&str; 5] = ["d[[i]]", "3", "-5", "1000", "16777619"];
+    const MODULI: [i64; 5] = [1 << 32, 1, -8, 1_000_003, 1 << 62];
+    let mut e = "h".to_owned();
+    for &(op, rhs, swap) in steps {
+        let y = RHS[rhs];
+        let swap = swap && (op != 2 || rhs == 0);
+        let (a, b) = if swap {
+            (y, e.as_str())
+        } else {
+            (e.as_str(), y)
+        };
+        e = match op {
+            0 => format!("BitXor[{a}, {b}]"),
+            1 => format!("({a} + {b})"),
+            2 => format!("({a} - {b})"),
+            3 => format!("({a} * {b})"),
+            _ => format!("Mod[{e}, {}]", MODULI[rhs]),
+        };
+    }
+    format!(
+        "Function[{{Typed[d, \"Tensor\"[\"Integer64\", 1]]}}, \
+         Module[{{h = {init}, i = 1, n = Length[d]}}, \
+          While[i <= n, h = {e}; i = i + 1]; \
+          h]]"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn fold_loops_agree_with_scalar_loops_and_the_interpreter(
+        init in prop_oneof![Just(0i64), Just(2_166_136_261), -5i64..6],
+        steps in prop::collection::vec((0u8..5, 0usize..5, any::<bool>()), 1..5),
+        data in prop::collection::vec(
+            (0u16..3000, -300i64..301).prop_map(|(r, x)| match r {
+                0 => i64::MAX,
+                1 => i64::MIN,
+                _ => x,
+            }),
+            8..3000,
+        ),
+    ) {
+        use wolfram_language_compiler::codegen::RegOp;
+        use wolfram_language_compiler::compiler::{Ablation, CompilerOptions};
+        let src = fold_src(init, &steps);
+        let mut scalar = CompilerOptions::default();
+        Ablation::Vectorize.apply(&mut scalar);
+        let args = [Value::Tensor(Tensor::from_i64(data.clone()))];
+        let outcome = |options: CompilerOptions| {
+            let planted = options.loop_vectorize;
+            let cf = Compiler::new(options).function_compile_src(&src).expect("compiles");
+            let ops = cf.program.funcs.iter().flat_map(|f| &f.code);
+            let plans = ops.filter(|op| matches!(op, RegOp::VecLoop { .. })).count();
+            prop_assert_eq!(plans, usize::from(planted), "program: {}", src);
+            Ok(cf.call(&args).map(|v| v.to_expr()).map_err(|e| e.to_string()))
+        };
+        let planted = outcome(CompilerOptions::default())?;
+        prop_assert_eq!(&planted, &outcome(scalar)?, "program: {} on {:?}", src, data);
+        // The interpreter's integers do not overflow: compare where the
+        // compiled loop finishes.
+        if let Ok(value) = &planted {
+            let call = Expr::normal(
+                parse(&src).unwrap(),
+                args.iter().map(Value::to_expr).collect::<Vec<_>>(),
+            );
+            let interpreted = Interpreter::new().eval(&call).expect("interprets");
+            prop_assert_eq!(value, &interpreted, "program: {}", src);
+        }
+    }
+}
