@@ -615,14 +615,14 @@ fn every_lowered_program_validates() {
             *total += n;
         }
     }
-    // The loop planner's census: its whitelist is exactly what these 37
+    // The loop planner's census: its whitelist is exactly what these 38
     // loops use, so a change to lowering or to the planner that loses or
     // gains a plan shows here. Only the default compiler plants.
     // Histogram's scatter-add and FNV1a's fold are the paper programs'
     // integer plans. The generator draws no scatter-add
     // (`Program::generate` stays byte-stable), so the draws hold their 33
     // `f64` maps; of their 7 loops that carry one integer register and
-    // store nothing, one is a fold, named below.
+    // store nothing, two are folds, named below.
     assert_eq!(
         paper_plans,
         [
@@ -634,19 +634,24 @@ fn every_lowered_program_validates() {
     );
     assert_eq!(
         drawn_plans,
-        [34, 0, 0],
+        [35, 0, 0],
         "vec.loops in 2,000 seed-42 draws (default, scalar loops, unfused)"
     );
-    // The drawn fold is `While[k4 < 2, v1 = v1 + 19; k4 = k4 + 1]`: a
-    // constant step on the carried `v1`, checked per element. It runs two
-    // iterations, below the batch minimum, so the scalar loop runs them.
-    // The other six stay `LoopCarried`: `h + h` (a second use), `h ^ -3`
-    // and `Min[h, 5]` (ops off the whitelist), `h - x` with `x` a
-    // register, `Mod[x, h]` (a register divisor), and an outer loop whose
-    // body holds a loop.
+    // The drawn folds are `While[k4 < 2, v1 = v1 + 19; k4 = k4 + 1]`, a
+    // constant step on the carried `v1`, and `While[k4 < 1, v2 =
+    // Subtract[v2, p2]; k4 = k4 + 1]`, a step by the parameter `p2`, read
+    // once at batch entry; both are checked per element. They run two
+    // iterations and one, below the batch minimum, so the scalar loop runs
+    // them. The other five stay `LoopCarried`: `h + h` (a second use),
+    // `h ^ -3` and `Min[h, 5]` (ops off the whitelist), `Mod[x, h]` (a
+    // register divisor), and an outer loop whose body holds a loop.
     assert_eq!(
         folds,
-        ["FNV1a", "difftest seed 9481706540736735178"],
+        [
+            "FNV1a",
+            "difftest seed 16899056752012441291",
+            "difftest seed 9481706540736735178"
+        ],
         "programs with a planned fold"
     );
 }

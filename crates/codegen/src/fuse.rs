@@ -30,7 +30,7 @@
 //! A fused op narrows its immediates so that it fits the op size; fusion
 //! is refused, not truncated, when an immediate does not fit.
 
-use crate::machine::{compact, ElemKind, NativeFunc, NativeProgram, RegOp};
+use crate::machine::{splice, ElemKind, NativeFunc, NativeProgram, RegOp};
 
 /// Rewrites every function in the program. Returns the total number of
 /// instructions eliminated by fusion.
@@ -72,7 +72,7 @@ pub fn fuse_function(f: &mut NativeFunc) -> usize {
         };
         i += len;
     }
-    f.code = compact(std::mem::take(&mut f.code), &removed);
+    f.code = splice(std::mem::take(&mut f.code), &removed, Vec::new());
     n - f.code.len()
 }
 

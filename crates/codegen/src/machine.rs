@@ -15,7 +15,7 @@ use wolfram_runtime::{
 };
 
 /// Register bank selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Bank {
     /// Machine integers and booleans (0/1).
     I,
@@ -28,7 +28,7 @@ pub enum Bank {
 }
 
 /// A typed register reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Slot {
     /// Which bank.
     pub bank: Bank,
@@ -1133,15 +1133,24 @@ impl RegOp {
     }
 }
 
-/// Drops the ops `removed` marks from `code`, remapping every branch
-/// target through [`RegOp::map_targets`]; a jump to a dropped op lands on
-/// the next op kept.
-pub(crate) fn compact(code: Vec<RegOp>, removed: &[bool]) -> Vec<RegOp> {
+/// Rebuilds `code` without the ops `removed` marks and with each op of
+/// `inserted` (in pc order, at most one per pc) placed in front of the op
+/// at its pc, remapping
+/// every branch target through [`RegOp::map_targets`]: a jump to a dropped
+/// op lands on the next op kept, and a jump to an op with an op inserted
+/// in front of it lands on the inserted op.
+pub(crate) fn splice(
+    code: Vec<RegOp>,
+    removed: &[bool],
+    inserted: Vec<(usize, RegOp)>,
+) -> Vec<RegOp> {
     let n = code.len();
     let mut new_pc = vec![0; n + 1];
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n + inserted.len());
+    let mut inserted = inserted.into_iter().peekable();
     for (pc, op) in code.into_iter().enumerate() {
         new_pc[pc] = out.len();
+        out.extend(inserted.next_if(|(at, _)| *at == pc).map(|(_, op)| op));
         if !removed[pc] {
             out.push(op);
         }

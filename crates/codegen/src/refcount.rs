@@ -19,7 +19,7 @@
 //! and releases alternate, and removing one adjacent pair keeps them
 //! alternating, so counts stay balanced, unwinding included.
 
-use crate::machine::{compact, Bank, RegOp};
+use crate::machine::{splice, Bank, RegOp};
 use std::collections::BTreeMap;
 
 /// Removes every refcount pair that brackets nothing from a function's
@@ -66,7 +66,7 @@ pub(crate) fn cancel_idle_pairs(code: &mut Vec<RegOp>) -> u32 {
     let removed = cfg.removed;
     let count = removed.iter().filter(|&&x| x).count();
     if count > 0 {
-        *code = compact(std::mem::take(code), &removed);
+        *code = splice(std::mem::take(code), &removed, Vec::new());
     }
     u32::try_from(count).expect("op count fits u32")
 }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use wolfram_language_compiler::compiler::Compiler;
 use wolfram_language_compiler::expr::{parse, BigInt, Expr};
 use wolfram_language_compiler::interp::Interpreter;
-use wolfram_language_compiler::runtime::{Tensor, Value};
+use wolfram_language_compiler::runtime::{Tensor, TensorData, Value};
 
 // ---------------------------------------------------------------------
 // Expression parse/print round-trips.
@@ -607,16 +607,14 @@ proptest! {
 
 /// `h = chain(h, d[[i]])` for `i = 1..=Length[d]`, returning `h`. Each
 /// step is `(op, rhs, swap)`: `BitXor`, `+`, `−`, `×` or `Mod` (by the
-/// constant `rhs` picks) of the chain so far and `rhs` (the element or a
-/// constant), the chain on the right when `swap`. A constant minuend stays
-/// on the right: `c − h` keeps `c` in a register, which no plan reads.
+/// constant `rhs` picks) of the chain so far and `rhs` (the element, a
+/// constant or the parameter `k`), the chain on the right when `swap`.
 fn fold_src(init: i64, steps: &[(u8, usize, bool)]) -> String {
-    const RHS: [&str; 5] = ["d[[i]]", "3", "-5", "1000", "16777619"];
-    const MODULI: [i64; 5] = [1 << 32, 1, -8, 1_000_003, 1 << 62];
+    const RHS: [&str; 6] = ["d[[i]]", "3", "-5", "1000", "16777619", "k"];
+    const MODULI: [i64; 6] = [1 << 32, 1, -8, 1_000_003, 1 << 62, 7];
     let mut e = "h".to_owned();
     for &(op, rhs, swap) in steps {
         let y = RHS[rhs];
-        let swap = swap && (op != 2 || rhs == 0);
         let (a, b) = if swap {
             (y, e.as_str())
         } else {
@@ -631,7 +629,7 @@ fn fold_src(init: i64, steps: &[(u8, usize, bool)]) -> String {
         };
     }
     format!(
-        "Function[{{Typed[d, \"Tensor\"[\"Integer64\", 1]]}}, \
+        "Function[{{Typed[d, \"Tensor\"[\"Integer64\", 1]], Typed[k, \"MachineInteger\"]}}, \
          Module[{{h = {init}, i = 1, n = Length[d]}}, \
           While[i <= n, h = {e}; i = i + 1]; \
           h]]"
@@ -644,7 +642,8 @@ proptest! {
     #[test]
     fn fold_loops_agree_with_scalar_loops_and_the_interpreter(
         init in prop_oneof![Just(0i64), Just(2_166_136_261), -5i64..6],
-        steps in prop::collection::vec((0u8..5, 0usize..5, any::<bool>()), 1..5),
+        steps in prop::collection::vec((0u8..5, 0usize..6, any::<bool>()), 1..5),
+        k in prop_oneof![-3i64..4, Just(i64::MAX)],
         data in prop::collection::vec(
             (0u16..3000, -300i64..301).prop_map(|(r, x)| match r {
                 0 => i64::MAX,
@@ -659,7 +658,7 @@ proptest! {
         let src = fold_src(init, &steps);
         let mut scalar = CompilerOptions::default();
         Ablation::Vectorize.apply(&mut scalar);
-        let args = [Value::Tensor(Tensor::from_i64(data.clone()))];
+        let args = [Value::Tensor(Tensor::from_i64(data.clone())), Value::I64(k)];
         let outcome = |options: CompilerOptions| {
             let planted = options.loop_vectorize;
             let cf = Compiler::new(options).function_compile_src(&src).expect("compiles");
@@ -679,6 +678,124 @@ proptest! {
             );
             let interpreted = Interpreter::new().eval(&call).expect("interprets");
             prop_assert_eq!(value, &interpreted, "program: {}", src);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Map loops: a straight-line real stencil stored at an affine index. The
+// default compile plans it, `Ablation::Vectorize` keeps it scalar, and the
+// interpreter is the reference.
+// ---------------------------------------------------------------------
+
+/// One operand of a stencil body, `(kind, offset, pick)`: `a[[i + o]]`,
+/// `a[[2 i + o]]` (a strided load), `m[[r, i + o]]` (along a row of `m`),
+/// a real constant or the parameter `p`.
+fn stencil_leaf((kind, o, pick): (u8, i64, usize)) -> String {
+    const CONSTANTS: [&str; 4] = ["0.5", "-1.25", "3.", "p"];
+    match kind {
+        0 => format!("a[[i + ({o})]]"),
+        1 => format!("a[[2*i + ({o})]]"),
+        2 => format!("m[[{}, i + ({o})]]", pick % 3 + 1),
+        _ => CONSTANTS[pick % 4].to_owned(),
+    }
+}
+
+/// `out[[i]] = e` for `i = 2..=n + 1`, or `out[[i, 2]] = e` into an
+/// `(n + 2) × 3` matrix (a strided store) when `strided`. `e` combines the
+/// leaves left to right by `+`, `−` or `×`, or divides by a nonzero
+/// constant (the leaf then unused).
+fn map_src(leaves: &[(u8, i64, usize)], ops: &[u8], strided: bool) -> String {
+    const DIVISORS: [&str; 3] = ["2.", "-4.", "0.5"];
+    let mut e = stencil_leaf(leaves[0]);
+    for (&op, &leaf) in ops.iter().zip(&leaves[1..]) {
+        let y = stencil_leaf(leaf);
+        e = match op {
+            0 => format!("({e} + {y})"),
+            1 => format!("({e} - {y})"),
+            2 => format!("({e} * {y})"),
+            _ => format!("({e} / {})", DIVISORS[leaf.2 % 3]),
+        };
+    }
+    let (out, store) = if strided {
+        ("ConstantArray[0., {n + 2, 3}]", "out[[i, 2]]")
+    } else {
+        ("ConstantArray[0., n + 2]", "out[[i]]")
+    };
+    format!(
+        "Function[{{Typed[a, \"Tensor\"[\"Real64\", 1]], Typed[m, \"Tensor\"[\"Real64\", 2]], \
+          Typed[p, \"Real64\"], Typed[n, \"MachineInteger\"]}}, \
+         Module[{{out = {out}, i = 2, k = n + 1}}, \
+          While[i <= k, {store} = {e}; i = i + 1]; \
+          out]]"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn map_loops_agree_with_scalar_loops_and_the_interpreter(
+        leaves in prop::collection::vec((0u8..4, -1i64..2, 0usize..12), 1..5),
+        ops in prop::collection::vec(0u8..4, 4),
+        strided in any::<bool>(),
+        // Trip counts from 0 to past two blocks (1,024 elements each), a
+        // third of them around a block's end.
+        n in prop_oneof![0usize..40, 0usize..40, 1020usize..1030, 2045usize..2055],
+        short in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use wolfram_language_compiler::codegen::RegOp;
+        use wolfram_language_compiler::compiler::{Ablation, CompilerOptions};
+        let src = map_src(&leaves, &ops, strided);
+        let mut scalar = CompilerOptions::default();
+        Ablation::Vectorize.apply(&mut scalar);
+        // Dyadic values: every sum, difference, product and quotient the
+        // bodies compute is exact, so the interpreter's order of operations
+        // cannot change a bit.
+        let mut state = seed;
+        let mut draw = |len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    ((state >> 33) % 1601) as f64 / 8.0 - 100.0
+                })
+                .collect()
+        };
+        let tensor = |shape: Vec<usize>, data: Vec<f64>| {
+            Value::Tensor(Tensor::with_shape(shape, TensorData::F64(data)).unwrap())
+        };
+        // A short `m` faults on the last element a `+ 1` offset reads.
+        let cols = n + 2 - usize::from(short);
+        let args = [
+            tensor(vec![2 * n + 4], draw(2 * n + 4)),
+            tensor(vec![3, cols], draw(3 * cols)),
+            Value::F64(draw(1)[0]),
+            Value::I64(n as i64),
+        ];
+        let outcome = |options: CompilerOptions| {
+            let planted = options.loop_vectorize;
+            let cf = Compiler::new(options).function_compile_src(&src).expect("compiles");
+            let ops = cf.program.funcs.iter().flat_map(|f| &f.code);
+            let plans = ops.filter(|op| matches!(op, RegOp::VecLoop { .. })).count();
+            prop_assert_eq!(plans, usize::from(planted), "program: {}", src);
+            Ok(cf.call(&args).map_err(|e| e.to_string()))
+        };
+        let bits = |r: &Result<Value, String>| {
+            r.as_ref().map(|v| {
+                let t = v.expect_tensor().expect("a tensor");
+                (t.shape().to_vec(), t.as_f64().expect("reals").iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            }).map_err(Clone::clone)
+        };
+        let planted = outcome(CompilerOptions::default())?;
+        prop_assert_eq!(bits(&planted), bits(&outcome(scalar)?), "program: {} at n = {}", src, n);
+        if let Ok(value) = &planted {
+            let call = Expr::normal(
+                parse(&src).unwrap(),
+                args.iter().map(Value::to_expr).collect::<Vec<_>>(),
+            );
+            let interpreted = Interpreter::new().eval(&call).expect("interprets");
+            prop_assert_eq!(&value.to_expr(), &interpreted, "program: {}", src);
         }
     }
 }
