@@ -562,8 +562,7 @@ fn run_stream_cmd(args: &[String]) -> ! {
     };
     let elapsed = started.elapsed();
     use std::io::Write as _;
-    let _ = out.flush();
-    match summary {
+    match summary.and_then(|s| out.flush().map(|()| s)) {
         Ok(s) => {
             if s.stopped {
                 eprintln!(

@@ -17,7 +17,13 @@
 #               stage, and --stats against ANALYZE_stats.golden
 #   stream:     reproduce stream over two short record streams, checked
 #               line by line; the first again with --workers 3 --batch 1,
-#               byte-identical (the shared queue and the reorder buffer)
+#               byte-identical (the shared queue and the reorder buffer);
+#               a sink on a full device must exit nonzero
+#   records:    reproduce stream over one fixed input of numbers, lists,
+#               near misses and malformed lines, through an integer, a
+#               real, a vector and a two-argument function on the native
+#               and the bytecode tier: the output must equal
+#               STREAM_records.golden line for line
 #   reproduce:  compile-times must print a row for each of the seven
 #               paper programs; ablations --quick must print a row
 #               for every Ablation::ALL entry and the inlining row on
@@ -119,6 +125,37 @@ STREAM_OUT="$(printf '{1., 2., 3.}\n{{1., 2.}, {3., 4.}}\n{5., 6.}\n' | ./target
 if [ "$STREAM_OUT" != "$(printf 'ok 6.\nerr type error: argument rank-2 tensor does not match parameter type Tensor[Real64, 1]\nok 11.')" ]; then
   echo "unexpected stream output for a wrong-rank record:" >&2
   echo "$STREAM_OUT" >&2
+  exit 1
+fi
+
+# The output error of the final flush is an error of the run.
+if printf '1\n2\n' | ./target/release/reproduce stream --function "$SQUARE" > /dev/full 2>/dev/null; then
+  echo "reproduce stream exited 0 with its output on a full device" >&2
+  exit 1
+fi
+
+echo "==> records: the record reader and writer vs STREAM_records.golden"
+# Each reader branch and each fallback to the expression reader, through
+# four functions on two tiers. The golden is this output: after an
+# intended change to what a record reads or prints, write the new output
+# to it and let the diff show in review.
+RECORD_LINES=('7' '-12' '007' '-0' '2.5' '-0.' '3.' '0.1000000000000000055511151231257827'
+  '1.5*^3' '1.*^300' '9223372036854775807' '-9223372036854775808' '123456789012345678901234'
+  '+3' '  4  ' $'\t5' '{1, 2, 3}' '{ 1.,2.5 , -3 }' '{{1, 2}, {3, 4}}' '{3, 4.5}' '{2, -0.}'
+  '{{1., 2.}, 3}' '{1, 2., 3}' '{}' '{1, {2}}' 'x' '"s"' '{1,,2}' '1.2.3' '--1' '{1, 2')
+RECORD_FUNCTIONS=('Function[{Typed[n, "MachineInteger"]}, n*n - 50]'
+  'Function[{Typed[x, "Real64"]}, x*(x - 2.5) + 0.5]'
+  'Function[{Typed[v, "Tensor"["Real64", 1]]}, 2.*v]'
+  'Function[{Typed[a, "MachineInteger"], Typed[b, "Real64"]}, a*b]')
+RECORDS_OUT="$(for tier in native bytecode; do
+  for f in "${RECORD_FUNCTIONS[@]}"; do
+    echo "== $tier $f"
+    printf '%s\n' "${RECORD_LINES[@]}" | ./target/release/reproduce stream --tier "$tier" \
+      --function "$f" 2>/dev/null || echo "exit $?"
+  done
+done)"
+if ! diff -u STREAM_records.golden - <<< "$RECORDS_OUT"; then
+  echo "the record layer's output differs from STREAM_records.golden" >&2
   exit 1
 fi
 
