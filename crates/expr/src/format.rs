@@ -23,7 +23,11 @@ impl Expr {
     }
 }
 
-fn write_real(v: f64, out: &mut String) {
+/// Appends the InputForm of a machine real: `1.` for an integral value
+/// below 10^15, `Infinity`, `-Infinity`, `Indeterminate` for NaN, and
+/// Rust's shortest round-trip digits otherwise.
+pub fn write_real(v: f64, out: &mut String) {
+    use std::fmt::Write as _;
     if v == f64::INFINITY {
         out.push_str("Infinity");
     } else if v == f64::NEG_INFINITY {
@@ -32,9 +36,9 @@ fn write_real(v: f64, out: &mut String) {
         out.push_str("Indeterminate");
     } else if v == v.trunc() && v.abs() < 1e15 {
         // Wolfram prints machine reals with a trailing dot: 1. not 1.0
-        out.push_str(&format!("{}.", v as i64));
+        let _ = write!(out, "{}.", v as i64);
     } else {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     }
 }
 

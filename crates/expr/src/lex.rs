@@ -180,62 +180,12 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_number(&mut self, start: usize) -> Result<TokenKind, LexError> {
-        let mut is_real = false;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let (len, token) = scan_number(&self.src[start..]);
+        // The first digit is consumed; the rest of the literal is ASCII.
+        for _ in 1..len {
             self.bump();
         }
-        if self.peek() == Some('.') {
-            // `1.` and `1.5` are reals; `1..` would be a span (unsupported).
-            let mut look = self.chars.clone();
-            look.next();
-            let after = look.peek().map(|&(_, c)| c);
-            if after != Some('.') {
-                is_real = true;
-                self.bump();
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.bump();
-                }
-            }
-        }
-        // Exponent notation `*^n` (Wolfram).
-        let end = self.offset;
-        let text = &self.src[start..end];
-        if self.peek() == Some('*') {
-            let mut look = self.chars.clone();
-            look.next();
-            if look.peek().map(|&(_, c)| c) == Some('^') {
-                self.bump();
-                self.bump();
-                if self.peek() == Some('-') || self.peek() == Some('+') {
-                    self.bump();
-                }
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.bump();
-                }
-                let text = self.src[start..self.offset].replace("*^", "e");
-                let v: f64 = text
-                    .parse()
-                    .map_err(|_| self.err(format!("bad real literal `{text}`")))?;
-                return Ok(TokenKind::Real(v));
-            }
-        }
-        if is_real {
-            let v: f64 = if let Some(stripped) = text.strip_suffix('.') {
-                stripped
-                    .parse()
-                    .map_err(|_| self.err(format!("bad real literal `{text}`")))?
-            } else {
-                text.parse()
-                    .map_err(|_| self.err(format!("bad real literal `{text}`")))?
-            };
-            Ok(TokenKind::Real(v))
-        } else if let Ok(v) = text.parse::<i64>() {
-            Ok(TokenKind::Integer(v))
-        } else {
-            let big =
-                BigInt::parse(text).ok_or_else(|| self.err(format!("bad integer `{text}`")))?;
-            Ok(TokenKind::BigInteger(big))
-        }
+        token.map_err(|message| self.err(message))
     }
 
     fn lex_ident_text(&mut self, first: char) -> String {
@@ -483,6 +433,62 @@ fn normalize_ident(name: String) -> String {
     }
 }
 
+/// Scans the number literal at the start of `src`, which begins with an
+/// ASCII digit: digits, an optional fraction (`1.` and `1.5` are reals,
+/// while `1..` is the integer `1` before a span) and an optional `*^`
+/// exponent (`1.5*^3`, `2*^-1`, both reals). Returns the literal's length
+/// in bytes and its token (`Integer`, `BigInteger` past `i64`, or `Real`),
+/// or the message for a malformed literal such as `1*^`.
+///
+/// The one meaning of a number literal: the lexer and the stream record
+/// reader both read numbers here.
+pub fn scan_number(src: &str) -> (usize, Result<TokenKind, String>) {
+    let bytes = src.as_bytes();
+    let digits_from = |mut i: usize| {
+        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+        }
+        i
+    };
+    let mut end = digits_from(0);
+    let is_real = bytes.get(end) == Some(&b'.') && bytes.get(end + 1) != Some(&b'.');
+    if is_real {
+        end = digits_from(end + 1);
+    }
+    let bad_real = |text: &str| format!("bad real literal `{text}`");
+    if bytes.get(end) == Some(&b'*') && bytes.get(end + 1) == Some(&b'^') {
+        end += 2;
+        if matches!(bytes.get(end), Some(b'-' | b'+')) {
+            end += 1;
+        }
+        end = digits_from(end);
+        let text = src[..end].replace("*^", "e");
+        let token = text.parse().map(TokenKind::Real);
+        return (end, token.map_err(|_| bad_real(&text)));
+    }
+    let text = &src[..end];
+    let token = if is_real {
+        let digits = text.strip_suffix('.').unwrap_or(text);
+        digits
+            .parse()
+            .map(TokenKind::Real)
+            .map_err(|_| bad_real(text))
+    } else if end <= 18 {
+        // Below 10^18: no overflow, and no second pass of `str::parse`.
+        let v = bytes[..end]
+            .iter()
+            .fold(0, |v, &d| v * 10 + i64::from(d - b'0'));
+        Ok(TokenKind::Integer(v))
+    } else if let Ok(v) = text.parse::<i64>() {
+        Ok(TokenKind::Integer(v))
+    } else {
+        BigInt::parse(text)
+            .map(TokenKind::BigInteger)
+            .ok_or_else(|| format!("bad integer `{text}`"))
+    };
+    (end, token)
+}
+
 /// Tokenizes `src`, ending with a single [`TokenKind::Eof`] token.
 ///
 /// # Errors
@@ -520,6 +526,26 @@ mod tests {
             TokenKind::BigInteger(b) => assert_eq!(b.to_string(), "99999999999999999999999"),
             other => panic!("expected bigint, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn scan_number_reports_extent_and_errors() {
+        assert_eq!(scan_number("1..2"), (1, Ok(TokenKind::Integer(1))));
+        assert_eq!(scan_number("1.5*^3}"), (6, Ok(TokenKind::Real(1500.0))));
+        assert_eq!(
+            scan_number("123456789012345678,"),
+            (18, Ok(TokenKind::Integer(123_456_789_012_345_678)))
+        );
+        assert_eq!(
+            scan_number("9223372036854775807"),
+            (19, Ok(TokenKind::Integer(i64::MAX)))
+        );
+        assert_eq!(scan_number("1*^"), (3, Err("bad real literal `1e`".into())));
+        let err = tokenize("x + 1*^").unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (7, "bad real literal `1e`")
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod visit;
 
 pub use bigint::BigInt;
 pub use expr::{Expr, ExprKind, Normal};
-pub use lex::{LexError, Token, TokenKind};
+pub use lex::{scan_number, LexError, Token, TokenKind};
 pub use parse::{parse, parse_all, ParseError};
 pub use pattern::{match_pattern, Bindings, MatchCtx};
 pub use rules::{replace_all, replace_repeated, Rule};

@@ -58,15 +58,33 @@ pub fn run_lines<R: BufRead + Send, W: Write>(
     stop: &AtomicBool,
 ) -> std::io::Result<StreamSummary> {
     let arity = func.arity();
-    let records = input.lines().filter_map(move |line| match line {
-        Ok(l) if l.trim().is_empty() => None,
-        Ok(l) => Some(parse_record(&l, arity)),
-        Err(e) => Some(Err(format!("input error: {e}"))),
+    // `BufRead::lines` without its String per line: one buffer, reused.
+    let (mut input, mut buf) = (input, String::new());
+    let records = std::iter::from_fn(move || loop {
+        buf.clear();
+        return match input.read_line(&mut buf) {
+            Ok(0) => None,
+            Ok(_) => {
+                let line = match buf.strip_suffix('\n') {
+                    Some(l) => l.strip_suffix('\r').unwrap_or(l),
+                    None => &buf,
+                };
+                if line.trim().is_empty() {
+                    continue;
+                }
+                Some(parse_record(line, arity))
+            }
+            Err(e) => Some(Err(format!("input error: {e}"))),
+        };
     });
     let mut io_err = None;
+    let mut line = String::new();
     let summary = run_stream(func, cfg, records, metrics, stop, |r| {
         if io_err.is_none() {
-            if let Err(e) = writeln!(output, "{}", render_result(&r)) {
+            line.clear();
+            record::write_result(&r, &mut line);
+            line.push('\n');
+            if let Err(e) = output.write_all(line.as_bytes()) {
                 io_err = Some(e);
             }
         }

@@ -3,11 +3,24 @@
 //! A record is one line of text. For a unary function the whole line is
 //! the single argument (so `{1.0, 2.0}` can feed a tensor parameter);
 //! for higher arities the line must be a list with one element per
-//! parameter: `{3, 4.5}`. Everything parses through the ordinary
-//! expression reader, so records carry exactly what one-shot evaluation
-//! would see.
+//! parameter: `{3, 4.5}`.
+//!
+//! The common records read and print without an expression tree. The
+//! reader takes machine integers, machine reals and rectangular lists of
+//! them, separated by spaces, commas and braces, and packs a list into
+//! the tensor `Value::from_expr` would build. Its numbers come from the
+//! lexer's own [`scan_number`], so a literal means what it means to the
+//! expression reader. Any other line goes to that reader: symbols,
+//! strings, integers past `i64`, a leading `+`, tabs, empty or ragged
+//! lists, malformed text. It gives the same value or the same error it
+//! always did. The writer prints a machine integer or real through
+//! InputForm's own [`write_real`], and anything else through
+//! `to_input_form`. Either way a record reads and prints exactly as
+//! one-shot evaluation would.
 
-use wolfram_runtime::Value;
+use wolfram_expr::format::write_real;
+use wolfram_expr::{scan_number, TokenKind};
+use wolfram_runtime::{RuntimeError, Tensor, TensorData, Value};
 
 /// One decoded record: the argument vector for a single application.
 pub type Record = Vec<Value>;
@@ -18,6 +31,9 @@ pub type Record = Vec<Value>;
 ///
 /// A human-readable description of the malformed line.
 pub fn parse_record(line: &str, arity: usize) -> Result<Record, String> {
+    if let Some(record) = (Direct { text: line, pos: 0 }).record(arity) {
+        return Ok(record);
+    }
     let expr = wolfram_expr::parse(line).map_err(|e| e.to_string())?;
     if arity == 1 {
         return Ok(vec![Value::from_expr(&expr)]);
@@ -32,10 +48,148 @@ pub fn parse_record(line: &str, arity: usize) -> Result<Record, String> {
 }
 
 /// Renders one per-record result as its output line.
-pub fn render_result(r: &Result<Value, wolfram_runtime::RuntimeError>) -> String {
-    match r {
-        Ok(v) => format!("ok {}", v.to_expr().to_input_form()),
-        Err(e) => format!("err {e}"),
+pub fn render_result(r: &Result<Value, RuntimeError>) -> String {
+    let mut line = String::new();
+    write_result(r, &mut line);
+    line
+}
+
+/// Appends the output line of one result, without its newline.
+pub(crate) fn write_result(r: &Result<Value, RuntimeError>, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = match r {
+        Ok(Value::I64(v)) => write!(out, "ok {v}"),
+        Ok(Value::F64(v)) => {
+            out.push_str("ok ");
+            write_real(*v, out);
+            Ok(())
+        }
+        Ok(v) => write!(out, "ok {}", v.to_expr().to_input_form()),
+        Err(e) => write!(out, "err {e}"),
+    };
+}
+
+/// The direct reader: a cursor over one line. Every method returns `None`
+/// for text it does not take, and the line goes to the expression reader.
+struct Direct<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Direct<'_> {
+    /// Whether the next byte after spaces is `c`, consumed if so.
+    fn eat(&mut self, c: u8) -> bool {
+        let bytes = self.text.as_bytes();
+        while bytes.get(self.pos) == Some(&b' ') {
+            self.pos += 1;
+        }
+        let hit = bytes.get(self.pos) == Some(&c);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// The whole line as the arguments of one application.
+    fn record(mut self, arity: usize) -> Option<Record> {
+        let record = if arity == 1 {
+            vec![self.value()?]
+        } else {
+            if !self.eat(b'{') {
+                return None;
+            }
+            let mut args = Vec::with_capacity(arity);
+            if !self.eat(b'}') {
+                loop {
+                    args.push(self.value()?);
+                    if self.eat(b'}') {
+                        break;
+                    }
+                    if !self.eat(b',') {
+                        return None;
+                    }
+                }
+            }
+            if args.len() != arity {
+                return None;
+            }
+            args
+        };
+        let rest = &self.text.as_bytes()[self.pos..];
+        rest.iter().all(|&b| b == b' ').then_some(record)
+    }
+
+    /// A machine integer or real, negated by a `-` right before its digits.
+    fn number(&mut self) -> Option<Value> {
+        let negative = self.eat(b'-');
+        if !self.text.as_bytes().get(self.pos)?.is_ascii_digit() {
+            return None;
+        }
+        let (len, token) = scan_number(&self.text[self.pos..]);
+        self.pos += len;
+        // The digits are unsigned, so negating cannot overflow.
+        match token.ok()? {
+            TokenKind::Integer(v) => Some(Value::I64(if negative { -v } else { v })),
+            TokenKind::Real(v) => Some(Value::F64(if negative { -v } else { v })),
+            _ => None,
+        }
+    }
+
+    /// A number, or a rectangular list of numbers as a tensor: integer
+    /// if every element is, real otherwise. The nesting depth is counted
+    /// from the leading braces, then the elements are read in one loop.
+    fn value(&mut self) -> Option<Value> {
+        let mut rank = 0;
+        while self.eat(b'{') {
+            rank += 1;
+        }
+        if rank == 0 {
+            return self.number();
+        }
+        // Per depth: the length every list there must have (0 until the
+        // first one closes), and the elements so far of the open one.
+        let mut shape = vec![0usize; rank];
+        let mut count = vec![0usize; rank];
+        let mut open = rank;
+        let mut ints = Vec::new();
+        let mut reals: Option<Vec<f64>> = None;
+        loop {
+            if open < rank {
+                if !self.eat(b'{') {
+                    return None;
+                }
+                open += 1;
+                continue;
+            }
+            match (self.number()?, &mut reals) {
+                (Value::I64(v), None) => ints.push(v),
+                (Value::I64(v), Some(reals)) => reals.push(v as f64),
+                (Value::F64(v), reals) => reals
+                    .get_or_insert_with(|| ints.iter().map(|&i| i as f64).collect())
+                    .push(v),
+                _ => return None,
+            }
+            count[open - 1] += 1;
+            while !self.eat(b',') {
+                if !self.eat(b'}') {
+                    return None;
+                }
+                let depth = open - 1;
+                if shape[depth] == 0 {
+                    shape[depth] = count[depth];
+                } else if shape[depth] != count[depth] {
+                    return None;
+                }
+                count[depth] = 0;
+                open = depth;
+                if open == 0 {
+                    let data = match reals {
+                        Some(reals) => TensorData::F64(reals),
+                        None => TensorData::I64(ints),
+                    };
+                    return Tensor::with_shape(shape, data).ok().map(Value::Tensor);
+                }
+                count[open - 1] += 1;
+            }
+        }
     }
 }
 
@@ -58,5 +212,32 @@ mod tests {
         assert!(parse_record("{3}", 2).is_err());
         assert!(parse_record("3", 2).is_err());
         assert!(parse_record("{", 2).is_err());
+    }
+
+    #[test]
+    fn lists_pack_like_the_expression_reader() {
+        let direct = |line: &str| (Direct { text: line, pos: 0 }).record(1);
+        let packed = |line: &str| {
+            let expr = wolfram_expr::parse(line).unwrap();
+            Some(vec![Value::from_expr(&expr)])
+        };
+        for line in ["{{1, 2}, {3, 4}}", "{1, 2.5, -3}", "{{-0.}, {7}}", " {1} "] {
+            assert_eq!(direct(line), packed(line), "{line}");
+        }
+        for line in [
+            "{}",
+            "{{1}, {2, 3}}",
+            "{1, {2}}",
+            "{{1}, 2}",
+            "{1,}",
+            "+3",
+            "\t1",
+        ] {
+            assert_eq!(
+                direct(line),
+                None,
+                "{line} is left to the expression reader"
+            );
+        }
     }
 }

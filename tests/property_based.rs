@@ -799,3 +799,294 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Stream records: the direct reader and writer against the expression
+// tree they bypass.
+// ---------------------------------------------------------------------
+
+use proptest::prelude::prop::sample::select;
+use wolfram_language_compiler::runtime::RuntimeError;
+use wolfram_language_compiler::stream::{parse_record, render_result};
+
+/// A record read through the expression tree: the expression reader,
+/// `Value::from_expr`, then the split into one argument per parameter.
+fn parse_record_via_expr(line: &str, arity: usize) -> Result<Vec<Value>, String> {
+    let expr = parse(line).map_err(|e| e.to_string())?;
+    if arity == 1 {
+        return Ok(vec![Value::from_expr(&expr)]);
+    }
+    if !expr.has_head("List") || expr.args().len() != arity {
+        return Err(format!(
+            "expected a {arity}-element argument list, got {}",
+            line.trim()
+        ));
+    }
+    Ok(expr.args().iter().map(Value::from_expr).collect())
+}
+
+/// Equal values, reals compared by their bits: `-0.` is not `0.`.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    match (a, b) {
+        (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+        (Value::Tensor(x), Value::Tensor(y)) => {
+            x.shape() == y.shape()
+                && match (x.data(), y.data()) {
+                    (TensorData::F64(p), TensorData::F64(q)) => bits(p) == bits(q),
+                    (p, q) => p == q,
+                }
+        }
+        _ => a == b,
+    }
+}
+
+fn reads_like_the_expression_reader(line: &str, arity: usize) -> Result<(), TestCaseError> {
+    match (
+        parse_record(line, arity),
+        parse_record_via_expr(line, arity),
+    ) {
+        (Ok(direct), Ok(tree)) => prop_assert!(
+            direct.len() == tree.len() && direct.iter().zip(&tree).all(|(a, b)| same_bits(a, b)),
+            "{:?} at arity {}: {:?}, through the tree {:?}",
+            line,
+            arity,
+            direct,
+            tree
+        ),
+        (Err(direct), Err(tree)) => prop_assert_eq!(direct, tree, "{:?} at arity {}", line, arity),
+        (direct, tree) => prop_assert!(
+            false,
+            "{:?} at arity {}: {:?}, through the tree {:?}",
+            line,
+            arity,
+            direct,
+            tree
+        ),
+    }
+    Ok(())
+}
+
+/// Number literals of the record grammar and their near misses.
+fn arb_number_text() -> impl Strategy<Value = String> {
+    let fixed = select(vec![
+        "0",
+        "-0",
+        "007",
+        "-007",
+        "123456789012345678",
+        "-123456789012345678",
+        "1234567890123456789",
+        "9223372036854775807",
+        "-9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775808",
+        "99999999999999999999",
+        "3.",
+        "-0.",
+        "-3.",
+        "0.1000000000000000055511151231257827",
+        "1.5*^3",
+        "2*^-1",
+        "1.*^300",
+        "5.*^-324",
+        "1*^",
+        "+3",
+        "1.2.3",
+        "--1",
+        "1..2",
+        "1e5",
+        ".5",
+        "- 3",
+        "-{1}",
+        "Infinity",
+        "x",
+    ])
+    .prop_map(String::from);
+    prop_oneof![
+        fixed,
+        any::<i64>().prop_map(|v| v.to_string()),
+        any::<f64>().prop_map(|x| format!("{x:?}")),
+        (-1.0e3..1.0e3f64).prop_map(|x| format!("{x:.3}")),
+        "-?[0-9]{1,20}",
+        "-?[0-9]{1,20}\\.[0-9]{0,20}",
+    ]
+}
+
+/// A number with spaces, or now and then a tab, around it.
+fn arb_spaced_number() -> impl Strategy<Value = String> {
+    let space = || select(vec!["", "", "", " ", "  ", "\t"]);
+    (space(), arb_number_text(), space()).prop_map(|(a, n, b)| format!("{a}{n}{b}"))
+}
+
+fn braced(items: Vec<String>) -> String {
+    format!("{{{}}}", items.join(","))
+}
+
+/// Record lines: numbers; empty, rank-1 and rank-2 lists, rectangular,
+/// ragged and mixed; lists of two or three arguments; malformed text;
+/// arbitrary strings.
+fn arb_record_line() -> BoxedStrategy<String> {
+    let vector = prop::collection::vec(arb_spaced_number(), 0..5).prop_map(braced);
+    let matrix = (1usize..4, prop::collection::vec(arb_spaced_number(), 1..4))
+        .prop_map(|(rows, row)| braced(vec![braced(row); rows]));
+    let ragged = prop::collection::vec(prop::collection::vec(arb_spaced_number(), 1..4), 1..4)
+        .prop_map(|rows| braced(rows.into_iter().map(braced).collect()));
+    let nested = arb_spaced_number().prop_recursive(3, 16, 4, |inner| {
+        prop::collection::vec(inner, 0..4).prop_map(braced)
+    });
+    let arguments = prop::collection::vec(
+        prop_oneof![arb_spaced_number(), vector.clone(), matrix.clone()],
+        2..4,
+    )
+    .prop_map(|args| args.join(", "))
+    .prop_map(|args| format!("{{{args}}}"));
+    let malformed = select(vec![
+        "{1,,2}",
+        "1.2.3",
+        "--1",
+        "{1, 2",
+        "{1, 2}}",
+        "{}",
+        "{{}}",
+        "{{}, {}}",
+        "{1,}",
+        "{,1}",
+        "{1 2}",
+        "{{1, 2}, {3}}",
+        "{{1, 2}, {3}, {4, 5, 6}}",
+        "{1, {2}}",
+        "{{1}, 2}",
+        "+3",
+        " 4 ",
+        "",
+        " ",
+        "{\"s\", 1}",
+        "{1, 2}[[1]]",
+        "-{1, 2}",
+        "{-1, -2.}",
+    ])
+    .prop_map(String::from);
+    prop_oneof![
+        arb_spaced_number(),
+        vector,
+        matrix,
+        ragged,
+        nested,
+        arguments,
+        malformed,
+        "[ -~]{0,16}",
+        "[-0-9.,{} *^+\t]{0,16}",
+        "[0-9{}, é]{0,10}",
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn record_reader_matches_the_expression_reader(line in arb_record_line(), arity in 0usize..4) {
+        reads_like_the_expression_reader(&line, arity)?;
+    }
+
+    #[test]
+    fn record_writer_matches_input_form(bits in any::<u64>(), v in any::<i64>(), x in any::<f64>()) {
+        for value in [Value::F64(f64::from_bits(bits)), Value::I64(v), Value::F64(x)] {
+            prop_assert_eq!(
+                render_result(&Ok(value.clone())),
+                format!("ok {}", value.to_expr().to_input_form())
+            );
+        }
+    }
+}
+
+#[test]
+fn record_reader_edge_lines() {
+    let lines = [
+        "0",
+        "-0",
+        "007",
+        "123456789012345678",
+        "1234567890123456789",
+        "9223372036854775807",
+        "-9223372036854775807",
+        "-9223372036854775808",
+        "3.",
+        "-0.",
+        "0.1000000000000000055511151231257827",
+        "1.5*^3",
+        "+3",
+        "  4  ",
+        "\t5",
+        "{}",
+        "{1, 2, 3}",
+        "{{1, 2}, {3, 4}}",
+        "{{1., 2}, {3, 4}}",
+        "{{1}, {2, 3}}",
+        "{{1, 2}, {3}, {4, 5, 6}}",
+        "{1, 2., 3}",
+        "{3, 4.5}",
+        "{{1, 2}, 3}",
+        "{1,,2}",
+        "1.2.3",
+        "--1",
+        "{1, 2",
+    ];
+    for line in lines {
+        for arity in 0..4 {
+            if let Err(e) = reads_like_the_expression_reader(line, arity) {
+                panic!("{e:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn record_reader_does_not_recurse_on_depth() {
+    let depth = 100_000;
+    let line = format!("{}1{}", "{".repeat(depth), "}".repeat(depth));
+    let record = parse_record(&line, 1).expect("a deep rectangular list reads");
+    let tensor = record[0].expect_tensor().expect("a tensor");
+    assert_eq!(tensor.shape(), vec![1; depth].as_slice());
+}
+
+#[test]
+fn record_writer_edge_values() {
+    let mut values: Vec<Value> = [i64::MIN, i64::MAX, 0, -1].map(Value::I64).to_vec();
+    values.extend(
+        [
+            0.0,
+            -0.0,
+            1e15 - 1.0,
+            1e15,
+            1e15 + 1.0,
+            -(1e15 - 1.0),
+            -1e15,
+            -(1e15 + 1.0),
+            0.1,
+            1e300,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]
+        .map(Value::F64),
+    );
+    values.push(Value::Tensor(
+        Tensor::with_shape(vec![2, 2], TensorData::F64(vec![1.0, -0.0, 0.5, 1e20])).unwrap(),
+    ));
+    values.push(Value::Str(std::sync::Arc::new("a \"b\"".to_owned())));
+    values.push(Value::Bool(true));
+    for v in values {
+        assert_eq!(
+            render_result(&Ok(v.clone())),
+            format!("ok {}", v.to_expr().to_input_form())
+        );
+    }
+    let e = RuntimeError::PartOutOfRange {
+        index: 5,
+        length: 3,
+    };
+    assert_eq!(render_result(&Err(e.clone())), format!("err {e}"));
+}
