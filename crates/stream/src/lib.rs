@@ -62,20 +62,16 @@ pub fn run_lines<R: BufRead + Send, W: Write>(
     let (mut input, mut buf) = (input, String::new());
     let records = std::iter::from_fn(move || loop {
         buf.clear();
-        return match input.read_line(&mut buf) {
-            Ok(0) => None,
-            Ok(_) => {
-                let line = match buf.strip_suffix('\n') {
-                    Some(l) => l.strip_suffix('\r').unwrap_or(l),
-                    None => &buf,
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                Some(parse_record(line, arity))
-            }
-            Err(e) => Some(Err(format!("input error: {e}"))),
+        let line = match input.read_line(&mut buf) {
+            Ok(0) => return None,
+            Ok(_) => buf
+                .strip_suffix('\n')
+                .map_or(&*buf, |l| l.strip_suffix('\r').unwrap_or(l)),
+            Err(e) => return Some(Err(format!("input error: {e}"))),
         };
+        if !line.trim().is_empty() {
+            return Some(parse_record(line, arity));
+        }
     });
     let mut io_err = None;
     let mut line = String::new();

@@ -3,20 +3,11 @@
 //! A record is one line of text. For a unary function the whole line is
 //! the single argument (so `{1.0, 2.0}` can feed a tensor parameter);
 //! for higher arities the line must be a list with one element per
-//! parameter: `{3, 4.5}`.
-//!
-//! The common records read and print without an expression tree. The
-//! reader takes machine integers, machine reals and rectangular lists of
-//! them, separated by spaces, commas and braces, and packs a list into
-//! the tensor `Value::from_expr` would build. Its numbers come from the
-//! lexer's own [`scan_number`], so a literal means what it means to the
-//! expression reader. Any other line goes to that reader: symbols,
-//! strings, integers past `i64`, a leading `+`, tabs, empty or ragged
-//! lists, malformed text. It gives the same value or the same error it
-//! always did. The writer prints a machine integer or real through
-//! InputForm's own [`write_real`], and anything else through
-//! `to_input_form`. Either way a record reads and prints exactly as
-//! one-shot evaluation would.
+//! parameter: `{3, 4.5}`. Machine numbers and rectangular lists of them
+//! read and print directly, their literals through the lexer's own
+//! [`scan_number`] and reals through InputForm's [`write_real`]; every
+//! other line goes through the ordinary expression reader and printer.
+//! Either way a record reads and prints as one-shot evaluation would.
 
 use wolfram_expr::format::write_real;
 use wolfram_expr::{scan_number, TokenKind};
@@ -59,18 +50,15 @@ pub(crate) fn write_result(r: &Result<Value, RuntimeError>, out: &mut String) {
     use std::fmt::Write as _;
     let _ = match r {
         Ok(Value::I64(v)) => write!(out, "ok {v}"),
-        Ok(Value::F64(v)) => {
-            out.push_str("ok ");
-            write_real(*v, out);
-            Ok(())
-        }
+        Ok(Value::F64(v)) => out.write_str("ok ").map(|()| write_real(*v, out)),
         Ok(v) => write!(out, "ok {}", v.to_expr().to_input_form()),
         Err(e) => write!(out, "err {e}"),
     };
 }
 
-/// The direct reader: a cursor over one line. Every method returns `None`
-/// for text it does not take, and the line goes to the expression reader.
+/// The direct reader, a cursor over one line of numbers, spaces, commas
+/// and braces. `None` leaves the line to the expression reader: symbols,
+/// strings, integers past `i64`, `+`, tabs, empty or ragged lists, errors.
 struct Direct<'a> {
     text: &'a str,
     pos: usize,
@@ -88,29 +76,24 @@ impl Direct<'_> {
         hit
     }
 
+    fn expect(&mut self, c: u8) -> Option<()> {
+        self.eat(c).then_some(())
+    }
+
     /// The whole line as the arguments of one application.
     fn record(mut self, arity: usize) -> Option<Record> {
         let record = if arity == 1 {
             vec![self.value()?]
         } else {
-            if !self.eat(b'{') {
-                return None;
-            }
+            self.expect(b'{')?;
             let mut args = Vec::with_capacity(arity);
-            if !self.eat(b'}') {
-                loop {
-                    args.push(self.value()?);
-                    if self.eat(b'}') {
-                        break;
-                    }
-                    if !self.eat(b',') {
-                        return None;
-                    }
+            for i in 0..arity {
+                if i > 0 {
+                    self.expect(b',')?;
                 }
+                args.push(self.value()?);
             }
-            if args.len() != arity {
-                return None;
-            }
+            self.expect(b'}')?;
             args
         };
         let rest = &self.text.as_bytes()[self.pos..];
@@ -133,9 +116,9 @@ impl Direct<'_> {
         }
     }
 
-    /// A number, or a rectangular list of numbers as a tensor: integer
-    /// if every element is, real otherwise. The nesting depth is counted
-    /// from the leading braces, then the elements are read in one loop.
+    /// A number, or a rectangular list of them packed as `Value::from_expr`
+    /// packs it (integer if every element is). The rank is the count of
+    /// leading braces; one loop reads the elements, so depth costs no stack.
     fn value(&mut self) -> Option<Value> {
         let mut rank = 0;
         while self.eat(b'{') {
@@ -144,18 +127,14 @@ impl Direct<'_> {
         if rank == 0 {
             return self.number();
         }
-        // Per depth: the length every list there must have (0 until the
-        // first one closes), and the elements so far of the open one.
-        let mut shape = vec![0usize; rank];
-        let mut count = vec![0usize; rank];
+        // Per depth: the length every list there has (0 until the first
+        // one closes), and the elements so far of the open one.
+        let (mut shape, mut count) = (vec![0; rank], vec![0; rank]);
         let mut open = rank;
-        let mut ints = Vec::new();
-        let mut reals: Option<Vec<f64>> = None;
+        let (mut ints, mut reals) = (Vec::new(), None::<Vec<f64>>);
         loop {
             if open < rank {
-                if !self.eat(b'{') {
-                    return None;
-                }
+                self.expect(b'{')?;
                 open += 1;
                 continue;
             }
@@ -169,22 +148,15 @@ impl Direct<'_> {
             }
             count[open - 1] += 1;
             while !self.eat(b',') {
-                if !self.eat(b'}') {
+                self.expect(b'}')?;
+                open -= 1;
+                let n = std::mem::take(&mut count[open]);
+                if shape[open] != 0 && shape[open] != n {
                     return None;
                 }
-                let depth = open - 1;
-                if shape[depth] == 0 {
-                    shape[depth] = count[depth];
-                } else if shape[depth] != count[depth] {
-                    return None;
-                }
-                count[depth] = 0;
-                open = depth;
+                shape[open] = n;
                 if open == 0 {
-                    let data = match reals {
-                        Some(reals) => TensorData::F64(reals),
-                        None => TensorData::I64(ints),
-                    };
+                    let data = reals.map_or(TensorData::I64(ints), TensorData::F64);
                     return Tensor::with_shape(shape, data).ok().map(Value::Tensor);
                 }
                 count[open - 1] += 1;
