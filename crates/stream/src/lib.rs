@@ -103,7 +103,8 @@ mod tests {
             .unwrap()
             .artifact();
         let func = StreamFunction::Native(artifact);
-        let input = b"3\n\n4\nnope\n5\n" as &[u8];
+        // CRLF, a blank line and a last line without its newline.
+        let input = b"3\r\n\r\n4\nnope\n5" as &[u8];
         let mut out = Vec::new();
         let metrics = StreamMetrics::new();
         let stop = AtomicBool::new(false);
