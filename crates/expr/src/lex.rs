@@ -473,12 +473,6 @@ pub fn scan_number(src: &str) -> (usize, Result<TokenKind, String>) {
             .parse()
             .map(TokenKind::Real)
             .map_err(|_| bad_real(text))
-    } else if end <= 18 {
-        // Below 10^18: no overflow, and no second pass of `str::parse`.
-        let v = bytes[..end]
-            .iter()
-            .fold(0, |v, &d| v * 10 + i64::from(d - b'0'));
-        Ok(TokenKind::Integer(v))
     } else if let Ok(v) = text.parse::<i64>() {
         Ok(TokenKind::Integer(v))
     } else {

@@ -103,27 +103,28 @@ mod tests {
             .unwrap()
             .artifact();
         let func = StreamFunction::Native(artifact);
-        // CRLF, a blank line and a last line without its newline.
-        let input = b"3\r\n\r\n4\nnope\n5" as &[u8];
-        let mut out = Vec::new();
-        let metrics = StreamMetrics::new();
-        let stop = AtomicBool::new(false);
-        let summary = run_lines(
-            &func,
-            &StreamConfig::default(),
-            input,
-            &mut out,
-            &metrics,
-            &stop,
-        )
-        .unwrap();
-        assert_eq!(summary.records, 4, "blank line skipped");
-        assert_eq!(summary.errors, 1, "unparseable symbol is a type error");
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "ok 9");
-        assert_eq!(lines[1], "ok 16");
-        assert!(lines[2].starts_with("err "), "{}", lines[2]);
-        assert_eq!(lines[3], "ok 25");
+        // LF with a final newline; CRLF with none.
+        for input in [b"3\n\n4\nnope\n5\n" as &[u8], b"3\r\n\r\n4\nnope\n5"] {
+            let mut out = Vec::new();
+            let metrics = StreamMetrics::new();
+            let stop = AtomicBool::new(false);
+            let summary = run_lines(
+                &func,
+                &StreamConfig::default(),
+                input,
+                &mut out,
+                &metrics,
+                &stop,
+            )
+            .unwrap();
+            assert_eq!(summary.records, 4, "blank line skipped");
+            assert_eq!(summary.errors, 1, "unparseable symbol is a type error");
+            let text = String::from_utf8(out).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines[0], "ok 9");
+            assert_eq!(lines[1], "ok 16");
+            assert!(lines[2].starts_with("err "), "{}", lines[2]);
+            assert_eq!(lines[3], "ok 25");
+        }
     }
 }

@@ -64,6 +64,11 @@ struct Direct<'a> {
     pos: usize,
 }
 
+enum Number {
+    Int(i64),
+    Real(f64),
+}
+
 impl Direct<'_> {
     /// Whether the next byte after spaces is `c`, consumed if so.
     fn eat(&mut self, c: u8) -> bool {
@@ -101,7 +106,7 @@ impl Direct<'_> {
     }
 
     /// A machine integer or real, negated by a `-` right before its digits.
-    fn number(&mut self) -> Option<Value> {
+    fn number(&mut self) -> Option<Number> {
         let negative = self.eat(b'-');
         if !self.text.as_bytes().get(self.pos)?.is_ascii_digit() {
             return None;
@@ -110,8 +115,8 @@ impl Direct<'_> {
         self.pos += len;
         // The digits are unsigned, so negating cannot overflow.
         match token.ok()? {
-            TokenKind::Integer(v) => Some(Value::I64(if negative { -v } else { v })),
-            TokenKind::Real(v) => Some(Value::F64(if negative { -v } else { v })),
+            TokenKind::Integer(v) => Some(Number::Int(if negative { -v } else { v })),
+            TokenKind::Real(v) => Some(Number::Real(if negative { -v } else { v })),
             _ => None,
         }
     }
@@ -125,7 +130,10 @@ impl Direct<'_> {
             rank += 1;
         }
         if rank == 0 {
-            return self.number();
+            return Some(match self.number()? {
+                Number::Int(v) => Value::I64(v),
+                Number::Real(v) => Value::F64(v),
+            });
         }
         // Per depth: the length every list there has (0 until the first
         // one closes), and the elements so far of the open one.
@@ -139,12 +147,11 @@ impl Direct<'_> {
                 continue;
             }
             match (self.number()?, &mut reals) {
-                (Value::I64(v), None) => ints.push(v),
-                (Value::I64(v), Some(reals)) => reals.push(v as f64),
-                (Value::F64(v), reals) => reals
+                (Number::Int(v), None) => ints.push(v),
+                (Number::Int(v), Some(reals)) => reals.push(v as f64),
+                (Number::Real(v), reals) => reals
                     .get_or_insert_with(|| ints.iter().map(|&i| i as f64).collect())
                     .push(v),
-                _ => return None,
             }
             count[open - 1] += 1;
             while !self.eat(b',') {
