@@ -1,9 +1,11 @@
-//! The warm-restart contract through the real binary, the real wire and a
-//! real SIGTERM: a `reproduce serve --listen` process over an empty
-//! `--cache-dir` compiles each program once and stores it; stopped and
-//! restarted over the same directory, it serves every first-sight program
-//! from disk without compiling. (The in-process half, including a corrupt
-//! entry, is `wolfram-serve`'s `send_audit.rs`.)
+//! Serve contracts through the real binary, the real wire and a real
+//! SIGTERM. Warm restart: a `reproduce serve --listen` process over an
+//! empty `--cache-dir` compiles each program once and stores it; stopped
+//! and restarted over the same directory, it serves every first-sight
+//! program from disk without compiling. (The in-process half, including a
+//! corrupt entry, is `wolfram-serve`'s `send_audit.rs`.) Hostile frame: a
+//! frame nested far past the parser's limit is answered with an `err`
+//! reply, and the server keeps serving.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read};
@@ -139,6 +141,30 @@ fn restart_over_the_same_cache_dir_serves_from_disk_without_compiling() {
     assert_eq!(stat(&stats, "disk_corrupt"), 0);
     assert_eq!(stat(&stats, "ok"), 2 * programs);
     warm.terminate();
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_frame_nested_past_the_parser_limit_is_answered_and_the_server_lives() {
+    let dir = std::env::temp_dir().join(format!("wolfram-cli-nest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let catalog = Catalog::new(1, 64);
+    let line = format!("{{{}, {{{}}}}}", catalog.source(0), catalog.arg());
+
+    let server = Server::start(&dir);
+    let mut client = NetClient::connect(&server.addr).expect("connect");
+    // 200 KB of `{`: before the limit, this overflowed the connection
+    // thread's stack and aborted the whole process.
+    let hostile = client.call(&"{".repeat(200_000)).expect("an err reply");
+    let err = hostile.result.expect_err("a request error");
+    assert!(err.starts_with("request error: "), "{err}");
+    let fresh = NetClient::connect(&server.addr).expect("a new connection");
+    for mut conn in [client, fresh] {
+        let reply = conn.call(&line).expect("reply frame");
+        assert_eq!(reply.result.as_deref(), Ok(catalog.expected(0)));
+    }
+    server.terminate();
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,6 +10,17 @@ use crate::expr::Expr;
 use crate::lex::{tokenize, LexError, Token, TokenKind};
 use std::fmt;
 
+/// Deepest nesting [`parse`] accepts: brackets, braces, parentheses and
+/// operator operands all count one level each. The parser recurses once
+/// per level, and so do the passes that read its output (the cache key's
+/// `FullForm`, macro expansion, lowering), so a deeper input is a
+/// [`ParseError`] instead of a stack overflow that takes the process
+/// down. At this depth a request parses, is keyed and compiles or fails
+/// cleanly on a 2 MiB thread stack in a debug build, where the parser
+/// alone takes about 5 KiB of stack per level of `f[...]` and 320 levels
+/// overflow (an optimized build parses 1,000 levels on that stack).
+pub const MAX_DEPTH: usize = 256;
+
 /// An error produced by [`parse`] / [`parse_all`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -78,6 +89,8 @@ pub fn parse_all(src: &str) -> Result<Vec<Expr>, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting of the `parse_expr` calls under way.
+    depth: usize,
 }
 
 impl Parser {
@@ -85,6 +98,7 @@ impl Parser {
         Ok(Parser {
             tokens: tokenize(src)?,
             pos: 0,
+            depth: 0,
         })
     }
 
@@ -175,11 +189,16 @@ impl Parser {
     }
 
     fn parse_expr(&mut self, rbp: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.nud()?;
-        while self.lbp() > rbp {
-            lhs = self.led(lhs)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
         }
-        Ok(lhs)
+        self.depth += 1;
+        let mut lhs = self.nud();
+        while lhs.is_ok() && self.lbp() > rbp {
+            lhs = self.led(lhs?);
+        }
+        self.depth -= 1;
+        lhs
     }
 
     fn nud(&mut self) -> Result<Expr, ParseError> {
@@ -530,6 +549,31 @@ mod tests {
         assert!(parse("").is_err());
         assert!(parse("a +").is_err());
         assert!(parse_all("f[x] g[y]").is_ok()); // two statements
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let braces = |n: usize| format!("{}{}", "{".repeat(n), "}".repeat(n));
+        assert!(parse(&braces(MAX_DEPTH)).is_ok());
+        let err = parse(&braces(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Every recursive form counts: application, parentheses, prefix
+        // and right-associative operators.
+        let calls = format!("{}x{}", "f[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&calls).is_err());
+        assert!(parse(&format!(
+            "{}x{}",
+            "(".repeat(MAX_DEPTH),
+            ")".repeat(MAX_DEPTH)
+        ))
+        .is_err());
+        assert!(parse(&format!("{}x", "- ".repeat(MAX_DEPTH))).is_err());
+        assert!(parse(&vec!["x"; MAX_DEPTH + 1].join(" -> ")).is_err());
+        // A long flat chain is not nesting.
+        assert!(parse(&vec!["x"; 10 * MAX_DEPTH].join(" + ")).is_ok());
+        // Far past the limit it is still an error, not a stack overflow.
+        assert!(parse(&"{".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   request; overflow is an explicit [`ServeError::Overloaded`]
 //!   rejection, never an unbounded backlog.
 //! - **Wire protocol** ([`net`]): `u32`-length-prefixed UTF-8 frames over
-//!   TCP with in-order replies and a per-client pipelining cap as the
+//!   TCP, one thread per connection, with in-order replies written by the
+//!   thread that completes them and a per-client pipelining cap as the
 //!   fairness layer on top of pool shedding.
 //! - **Deadlines**: every request's remaining budget is armed through
 //!   [`wolfram_runtime::AbortSignal::deadline`] on the process's one timer
@@ -51,10 +52,14 @@
 //! together with its abort signal, its register machine, and an optional
 //! `Rc<RefCell<Interpreter>>` hosting engine for eval-escapes. Workers
 //! therefore share artifacts but instantiate per-worker execution handles
-//! ([`wolfram_compiler_core::CompiledArtifact::instantiate`]); arguments
-//! and results still cross the boundary as text. If this ever compiles,
-//! an interpreter handle has leaked across threads and the design needs a
-//! re-audit:
+//! ([`wolfram_compiler_core::CompiledArtifact::instantiate`]). A request
+//! crosses to its worker parsed: the program and its arguments are
+//! [`wolfram_expr::Expr`]s, `Arc`-based and `Send + Sync`, parsed once on
+//! the thread that received the request (the caller of
+//! [`ServePool::submit`], or the connection's reader), and `Value`s are
+//! made from them on the worker. Results come back as rendered text. If
+//! this ever compiles, an interpreter handle has leaked across threads
+//! and the design needs a re-audit:
 //!
 //! ```compile_fail
 //! fn assert_send<T: Send>() {}

@@ -30,6 +30,24 @@
 //! err <message...>
 //! ```
 //!
+//! # Threads
+//!
+//! One thread per connection reads its frames, parses each request once
+//! and hands the parsed program to the pool. Replies go through the
+//! connection's outbox: the reader reserves a slot per request, and
+//! whoever completes a slot — the pool worker that answered it, or the
+//! reader for a reply it makes itself (`!stats`, a `!stream` record, a
+//! malformed request) — parks the reply there. The thread that completes
+//! the next slot to write writes it and every reply parked after it, so
+//! a warm request's reply leaves from the worker that computed it, with
+//! no hand-off to another thread.
+//!
+//! Every connection has a fixed send timeout, [`SEND_TIMEOUT`]: a client
+//! that does not take the next [`SEND_CHUNK`] bytes of its replies within
+//! it is closed. A client that stops reading therefore holds the thread
+//! writing to it (possibly a pool worker) for at most that long; a client
+//! that is slow but still reading holds it while its reply drains.
+//!
 //! # Admission and fairness
 //!
 //! Two layers bound a client:
@@ -37,27 +55,64 @@
 //! 1. **Pool shedding** (existing): a full pool queue rejects with
 //!    `Overloaded`, reported as an `err` reply.
 //! 2. **Per-client pipelining cap** (this module): a connection may have
-//!    at most [`NetConfig::max_pipeline`] requests in flight. At the
+//!    at most [`NetConfig::max_pipeline`] unwritten replies. At the
 //!    cap, the server stops *reading* that connection until a reply
-//!    drains — per-client backpressure through TCP flow control, so one
-//!    greedy client can occupy at most `max_pipeline` queue slots and
+//!    is written — per-client backpressure through TCP flow control, so
+//!    one greedy client can occupy at most `max_pipeline` queue slots and
 //!    can never starve other connections by itself.
 //!
 //! # Failure modes
 //!
 //! Malformed frame length / oversized frame / non-UTF-8 payload: the
 //! connection is dropped (the stream can no longer be trusted). A
-//! malformed *request line* inside a valid frame is an `err` reply; the
-//! connection stays usable. Server shutdown mid-flight: in-flight
+//! malformed *request line* inside a valid frame — including one nested
+//! deeper than [`wolfram_expr::parse::MAX_DEPTH`] — is an `err` reply;
+//! the connection stays usable. Server shutdown mid-flight: in-flight
 //! requests finish and their replies are written before the process
 //! prints its final stats table.
 
-use crate::pool::{PendingReply, ServePool, ServeReply, ServeRequest};
+use crate::metrics::ServeMetrics;
+use crate::pool::{ReplyTo, ServePool, ServeReply, ServeRequest};
+use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+/// How long a client may take to accept the next [`SEND_CHUNK`] bytes of
+/// its replies before the connection is closed: the longest a client that
+/// stops reading can hold the thread writing to it.
+pub const SEND_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Most bytes one send moves (see [`SEND_TIMEOUT`]).
+pub const SEND_CHUNK: usize = 64 * 1024;
+
+/// A connection's write half. A send under the socket's send timeout can
+/// move a few bytes into the kernel's buffers and then wait out the whole
+/// timeout; counting those bytes as progress would let a client that
+/// stopped reading hold the writer for several timeouts, so such a send
+/// fails.
+struct Socket(TcpStream);
+
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let chunk = &buf[..buf.len().min(SEND_CHUNK)];
+        let start = Instant::now();
+        let sent = self.0.write(chunk)?;
+        if sent < chunk.len() && start.elapsed() >= SEND_TIMEOUT {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "the client stopped reading",
+            ));
+        }
+        Ok(sent)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
 
 /// Wire-protocol knobs.
 #[derive(Clone)]
@@ -122,8 +177,9 @@ pub trait StreamSession {
     fn finish(&mut self) -> String;
 }
 
-/// Parses one request line: `{Function[...], {arg, ...}}`. Shared by the
-/// stdin and socket modes of `reproduce serve`.
+/// Parses one request line, `{Function[...], {arg, ...}}`, into a request
+/// that carries the parsed program and arguments. Shared by the stdin and
+/// socket modes of `reproduce serve`.
 ///
 /// # Errors
 ///
@@ -141,8 +197,7 @@ pub fn parse_request_line(text: &str) -> Result<ServeRequest, String> {
     if !arg_list.has_head("List") {
         return Err("second element must be the argument list".into());
     }
-    let args: Vec<String> = arg_list.args().iter().map(|a| a.to_input_form()).collect();
-    Ok(ServeRequest::new(func.to_input_form(), args))
+    Ok(ServeRequest::parsed(func.clone(), arg_list.args().to_vec()))
 }
 
 /// Renders a reply as its wire line (without framing).
@@ -166,11 +221,16 @@ pub fn render_reply(reply: &ServeReply) -> String {
 ///
 /// Propagates I/O failures.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    put_frame(w, payload)?;
+    w.flush()
+}
+
+/// Writes one frame without flushing.
+fn put_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
     w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    w.write_all(payload)
 }
 
 /// Reads one frame; `Ok(None)` is a clean EOF at a frame boundary.
@@ -233,14 +293,123 @@ pub fn serve_listener(
     Ok(())
 }
 
-/// One queued reply slot: either a pool ticket to wait on, a reply that
-/// is already known, or a stats request resolved at *write* time (so the
-/// snapshot observes every earlier request on this connection as
-/// complete).
-enum ReplySlot {
-    Pending(PendingReply),
-    Immediate(String),
+/// A reply waiting in its slot for its turn on the wire.
+enum Parked {
+    Line(String),
+    /// `!stats`, rendered when it is written, so the snapshot counts
+    /// every earlier request on this connection as complete.
     Stats,
+}
+
+/// A connection's replies in request order (see "Threads" in the module
+/// docs): one slot per request, written by whichever thread completes the
+/// next slot to write.
+struct Outbox {
+    order: Mutex<Order>,
+    /// Signalled when replies leave the window or the connection dies.
+    room: Condvar,
+    /// Used only by the thread that set `Order::writing`.
+    socket: Mutex<BufWriter<Socket>>,
+    metrics: Arc<ServeMetrics>,
+    /// Unwritten replies at which the reader stops reading.
+    cap: usize,
+}
+
+struct Order {
+    /// Sequence number of `slots[0]`, the next reply to write.
+    next: u64,
+    /// Reserved, unwritten replies from `next` on; `None` is pending.
+    slots: VecDeque<Option<Parked>>,
+    /// A thread is writing; it also writes what is parked meanwhile.
+    writing: bool,
+    /// A write failed or timed out: replies are dropped, reading stops.
+    dead: bool,
+}
+
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A reply handle completes its slot while its worker unwinds, so the
+    // lock must not panic again.
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Outbox {
+    /// Reserves the next reply slot, blocking while `cap` replies are
+    /// unwritten; `None` once the connection is dead.
+    fn reserve(&self) -> Option<u64> {
+        let mut order = relock(&self.order);
+        while order.slots.len() >= self.cap && !order.dead {
+            order = self
+                .room
+                .wait(order)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if order.dead {
+            return None;
+        }
+        order.slots.push_back(None);
+        Some(order.next + order.slots.len() as u64 - 1)
+    }
+
+    /// Parks `reply` in slot `seq`. If no other thread is writing, writes
+    /// every parked reply from the next slot on, until a pending slot.
+    fn complete(&self, seq: u64, reply: Parked) {
+        let mut order = relock(&self.order);
+        if order.dead {
+            return;
+        }
+        let ix = usize::try_from(seq - order.next).expect("an unwritten slot");
+        order.slots[ix] = Some(reply);
+        if order.writing {
+            return;
+        }
+        order.writing = true;
+        loop {
+            let ready = order.slots.iter().take_while(|s| s.is_some()).count();
+            if ready == 0 || order.dead {
+                break;
+            }
+            let batch: Vec<Parked> = order.slots.drain(..ready).flatten().collect();
+            order.next += ready as u64;
+            drop(order);
+            self.room.notify_all();
+            let written = self.write(batch);
+            order = relock(&self.order);
+            if written.is_err() {
+                order.dead = true;
+                order.slots.clear();
+                self.room.notify_all();
+            }
+        }
+        order.writing = false;
+    }
+
+    /// Writes `batch` as one flush. A failure — the send timeout
+    /// included — shuts the socket down, which also ends the reader.
+    fn write(&self, batch: Vec<Parked>) -> std::io::Result<()> {
+        let mut socket = relock(&self.socket);
+        let result = batch
+            .into_iter()
+            .try_for_each(|reply| match reply {
+                Parked::Line(line) => put_frame(&mut *socket, line.as_bytes()),
+                Parked::Stats => put_frame(&mut *socket, render_stats(&self.metrics).as_bytes()),
+            })
+            .and_then(|()| socket.flush());
+        if result.is_err() {
+            let _ = socket.get_ref().0.shutdown(Shutdown::Both);
+        }
+        result
+    }
+}
+
+fn render_stats(metrics: &ServeMetrics) -> String {
+    let mut out = String::new();
+    for (name, value) in metrics.snapshot() {
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(&value.to_string());
+        out.push('\n');
+    }
+    out
 }
 
 fn handle_connection(
@@ -249,109 +418,85 @@ fn handle_connection(
     config: &NetConfig,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(SEND_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let outbox = Arc::new(Outbox {
+        order: Mutex::new(Order {
+            next: 0,
+            slots: VecDeque::new(),
+            writing: false,
+            dead: false,
+        }),
+        room: Condvar::new(),
+        socket: Mutex::new(BufWriter::new(Socket(stream))),
+        metrics: Arc::clone(&pool.metrics),
+        cap: config.max_pipeline.max(1),
+    });
 
-    // Reader and writer halves: the reader (this thread) parses frames
-    // and submits to the pool; the writer thread waits on replies and
-    // writes them back *in request order* (the channel is the FIFO). The
-    // channel bound IS the per-client pipelining cap: at `max_pipeline`
-    // unwritten replies, `send` blocks the reader, which stops draining
-    // the socket — backpressure via TCP flow control.
-    let (tx, rx) = std::sync::mpsc::sync_channel::<ReplySlot>(config.max_pipeline.max(1));
-    let writer_pool = Arc::clone(pool);
-    let writer_handle = std::thread::Builder::new()
-        .name("wolfram-serve-conn-writer".into())
-        .spawn(move || -> std::io::Result<()> {
-            while let Ok(slot) = rx.recv() {
-                let line = match slot {
-                    ReplySlot::Pending(pending) => render_reply(&pending.wait()),
-                    ReplySlot::Immediate(line) => line,
-                    ReplySlot::Stats => {
-                        let mut out = String::new();
-                        for (name, value) in writer_pool.metrics().snapshot() {
-                            out.push_str(name);
-                            out.push(' ');
-                            out.push_str(&value.to_string());
-                            out.push('\n');
-                        }
-                        out
-                    }
-                };
-                write_frame(&mut writer, line.as_bytes())?;
-            }
-            Ok(())
-        })?;
-
-    let read_result: std::io::Result<()> = (|| {
-        // Runs until client EOF or a protocol error; on server shutdown
-        // the process exits, which closes in-flight connections (the CI
-        // lifecycle stops clients before the server).
-        //
-        // While a `!stream` session is open, every frame is a record
-        // handled synchronously on this thread (the function was compiled
-        // once at `!stream` time; records bypass the pool). Replies still
-        // flow through the writer channel, so the pipelining cap bounds
-        // un-drained stream replies exactly as it bounds pool requests.
-        let mut session: Option<Box<dyn StreamSession>> = None;
-        loop {
-            let Some(payload) = read_frame(&mut reader, config.max_frame)? else {
-                return Ok(()); // clean EOF
-            };
-            let Ok(text) = String::from_utf8(payload) else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "non-UTF-8 request frame",
-                ));
-            };
-            let text = text.trim();
-            let slot = if let Some(sess) = session.as_deref_mut() {
-                if text == "!end" {
-                    let summary = sess.finish();
-                    session = None;
-                    ReplySlot::Immediate(summary)
-                } else {
-                    ReplySlot::Immediate(sess.record(text))
-                }
-            } else if text == "!stats" {
-                ReplySlot::Stats
-            } else if let Some(spec) = text.strip_prefix("!stream") {
-                match &config.stream {
-                    None => {
-                        ReplySlot::Immediate("err streaming is not enabled on this server".into())
-                    }
-                    Some(handler) => match handler.begin(spec.trim()) {
-                        Ok(sess) => {
-                            session = Some(sess);
-                            ReplySlot::Immediate("ok stream".into())
-                        }
-                        Err(e) => ReplySlot::Immediate(format!("err {e}")),
-                    },
-                }
+    // Runs until client EOF, a protocol error or a failed write; on
+    // server shutdown the process exits, which closes in-flight
+    // connections (the CI lifecycle stops clients before the server).
+    // Replies still owed when the reader returns are written by the
+    // workers that owe them.
+    //
+    // While a `!stream` session is open, every frame is a record
+    // handled synchronously on this thread (the function was compiled
+    // once at `!stream` time; records bypass the pool). Its replies take
+    // slots like any other, so the pipelining cap bounds un-drained
+    // stream replies exactly as it bounds pool requests.
+    let mut session: Option<Box<dyn StreamSession>> = None;
+    loop {
+        let Some(payload) = read_frame(&mut reader, config.max_frame)? else {
+            return Ok(()); // clean EOF
+        };
+        let Ok(text) = String::from_utf8(payload) else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "non-UTF-8 request frame",
+            ));
+        };
+        let Some(seq) = outbox.reserve() else {
+            return Ok(()); // a reply write failed: the connection is dead
+        };
+        let text = text.trim();
+        let reply = if let Some(sess) = session.as_deref_mut() {
+            if text == "!end" {
+                let summary = sess.finish();
+                session = None;
+                Parked::Line(summary)
             } else {
-                match parse_request_line(text) {
-                    Err(e) => ReplySlot::Immediate(format!("err request error: {e}")),
-                    Ok(req) => match pool.submit(req) {
-                        Ok(pending) => ReplySlot::Pending(pending),
-                        Err(e) => ReplySlot::Immediate(format!("err {e}")),
-                    },
-                }
-            };
-            if tx.send(slot).is_err() {
-                // Writer hit an I/O error and exited; the connection is
-                // dead either way.
-                return Ok(());
+                Parked::Line(sess.record(text))
             }
-        }
-    })();
-
-    // EOF (or error): close the channel so the writer drains the
-    // remaining in-order replies and exits.
-    drop(tx);
-    let write_result = writer_handle
-        .join()
-        .unwrap_or_else(|_| Err(std::io::Error::other("connection writer panicked")));
-    read_result.and(write_result)
+        } else if text == "!stats" {
+            Parked::Stats
+        } else if let Some(spec) = text.strip_prefix("!stream") {
+            match &config.stream {
+                None => Parked::Line("err streaming is not enabled on this server".into()),
+                Some(handler) => match handler.begin(spec.trim()) {
+                    Ok(sess) => {
+                        session = Some(sess);
+                        Parked::Line("ok stream".into())
+                    }
+                    Err(e) => Parked::Line(format!("err {e}")),
+                },
+            }
+        } else {
+            match parse_request_line(text) {
+                Err(e) => Parked::Line(format!("err request error: {e}")),
+                Ok(req) => {
+                    let slot = Arc::clone(&outbox);
+                    let reply_to = ReplyTo::new(move |reply| {
+                        slot.complete(seq, Parked::Line(render_reply(&reply)));
+                    });
+                    match pool.enqueue(req, reply_to) {
+                        Ok(()) => continue,
+                        Err(e) => Parked::Line(format!("err {e}")),
+                    }
+                }
+            }
+        };
+        outbox.complete(seq, reply);
+    }
 }
 
 /// A reply as parsed off the wire by a client.
@@ -405,7 +550,8 @@ impl NetReply {
 #[derive(Debug)]
 pub struct NetClient {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// Buffered, so a frame's length and payload leave in one write.
+    writer: BufWriter<TcpStream>,
     max_frame: usize,
 }
 
@@ -420,7 +566,7 @@ impl NetClient {
         stream.set_nodelay(true)?;
         Ok(NetClient {
             reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            writer: BufWriter::new(stream),
             max_frame: NetConfig::default().max_frame,
         })
     }
@@ -509,7 +655,10 @@ mod tests {
     use crate::pool::{ServeConfig, TierPolicy};
 
     fn start_server(config: ServeConfig) -> (String, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-        let pool = Arc::new(ServePool::start(config));
+        serve_pool(Arc::new(ServePool::start(config)))
+    }
+
+    fn serve_pool(pool: Arc<ServePool>) -> (String, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -637,6 +786,206 @@ mod tests {
             .unwrap();
         assert_eq!(reply.result.as_deref(), Ok("42"));
         assert_eq!(reply.tier, "bytecode");
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    const INC: &str = "Function[{Typed[n, \"MachineInteger\"]}, n + 1]";
+    /// Spins until its deadline aborts it.
+    const SPIN: &str = "Function[{Typed[n, \"MachineInteger\"]}, \
+                        Module[{i = 0}, While[True, If[i > 3, i = i - 1, i = i + 1]]; i]]";
+
+    fn line(program: &str, arg: i64) -> String {
+        format!("{{{program}, {{{arg}}}}}")
+    }
+
+    fn read_text(stream: &mut TcpStream) -> String {
+        let frame = read_frame(stream, 1 << 20).unwrap().expect("a reply frame");
+        String::from_utf8(frame).unwrap()
+    }
+
+    #[test]
+    fn a_slow_first_request_keeps_later_replies_behind_it() {
+        let (addr, shutdown, handle) = start_server(ServeConfig {
+            workers: 2,
+            default_deadline: Some(Duration::from_millis(300)),
+            ..ServeConfig::default()
+        });
+        let mut client = NetClient::connect(&addr).unwrap();
+        client.send(&line(SPIN, 0)).unwrap();
+        for i in 0..10 {
+            client.send(&line(INC, i)).unwrap();
+        }
+        // The second worker answers every fast request while the first
+        // spins; their replies wait for the slow one's.
+        let slow = client.read_reply().unwrap();
+        assert!(
+            slow.result.as_ref().is_err_and(|e| e.contains("deadline")),
+            "{slow:?}"
+        );
+        for i in 0..10 {
+            let reply = client.read_reply().unwrap();
+            assert_eq!(reply.result, Ok((i + 1).to_string()));
+        }
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn stats_queued_behind_a_pending_request_counts_it() {
+        let (addr, shutdown, handle) = start_server(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        // A first sight compiles, so the request is still pending when
+        // `!stats` arrives behind it.
+        write_frame(&mut stream, line(INC, 41).as_bytes()).unwrap();
+        write_frame(&mut stream, b"!stats").unwrap();
+        assert!(read_text(&mut stream).ends_with(" 42"));
+        let stats = read_text(&mut stream);
+        for counted in ["admitted 1", "ok 1", "compiles 1"] {
+            assert!(stats.lines().any(|l| l == counted), "{counted} in {stats}");
+        }
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn queued_jobs_dropped_unsent_answer_pool_closed_and_the_connection_ends() {
+        let pool = Arc::new(ServePool::start(ServeConfig {
+            workers: 1,
+            default_deadline: Some(Duration::from_millis(300)),
+            ..ServeConfig::default()
+        }));
+        let (addr, shutdown, handle) = serve_pool(Arc::clone(&pool));
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_frame(&mut stream, line(SPIN, 0).as_bytes()).unwrap();
+        for i in 0..3 {
+            write_frame(&mut stream, line(INC, i).as_bytes()).unwrap();
+        }
+        // With the worker spinning, empty the queue as the last worker
+        // out does (`QueueHold`): the jobs are dropped unsent.
+        while pool.jobs.len() < 3 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        pool.jobs.close();
+        while pool.jobs.pop().is_some() {}
+        assert!(read_text(&mut stream).contains("deadline"));
+        for _ in 0..3 {
+            assert_eq!(read_text(&mut stream), "err pool closed");
+        }
+        // A request after the close is refused the same way.
+        write_frame(&mut stream, line(INC, 0).as_bytes()).unwrap();
+        assert_eq!(read_text(&mut stream), "err pool closed");
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "EOF, not a hang");
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_closed_after_the_send_timeout() {
+        let (addr, shutdown, handle) = start_server(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        // 16 replies of 600 KB, twice what the socket buffers hold, to a
+        // client that never reads.
+        let big = "Function[{Typed[n, \"MachineInteger\"]}, ConstantArray[0, n]]";
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        for _ in 0..16 {
+            write_frame(&mut stalled, line(big, 200_000).as_bytes()).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        // The one worker is stuck writing to the stalled client; another
+        // client's request waits for the send timeout, not forever.
+        let sent = std::time::Instant::now();
+        let mut other = NetClient::connect(&addr).unwrap();
+        let reply = other.call(&line(INC, 1)).unwrap();
+        assert_eq!(reply.result.as_deref(), Ok("2"));
+        let waited = sent.elapsed();
+        assert!(
+            waited < SEND_TIMEOUT + Duration::from_secs(5),
+            "answered after {waited:?}"
+        );
+        // The stalled connection was closed: what it was sent ends in EOF
+        // or a reset, short of the full pipeline.
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut replies = 0;
+        loop {
+            match read_frame(&mut stalled, 1 << 20) {
+                Ok(Some(_)) => replies += 1,
+                Ok(None) => break,
+                Err(e) => {
+                    assert!(
+                        !matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ),
+                        "the stalled connection stays open: {e}"
+                    );
+                    break;
+                }
+            }
+        }
+        assert!(replies < 16, "{replies}");
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_wire_request_and_a_text_request_share_one_compile() {
+        let pool = Arc::new(ServePool::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        }));
+        let (addr, shutdown, handle) = serve_pool(Arc::clone(&pool));
+        let mut client = NetClient::connect(&addr).unwrap();
+        let first = client.call(&line(INC, 41)).unwrap();
+        assert_eq!(first.cache, "miss");
+        let again = pool.call(ServeRequest::new(INC, ["41"]));
+        assert_eq!(again.cache, crate::CacheStatus::Hit);
+        let square = "Function[{Typed[n, \"MachineInteger\"]}, n * n]";
+        assert_eq!(
+            pool.call(ServeRequest::new(square, ["3"])).cache,
+            crate::CacheStatus::Miss
+        );
+        let wired = client.call(&line(square, 3)).unwrap();
+        assert_eq!(
+            (wired.result.as_deref(), wired.cache.as_str()),
+            (Ok("9"), "hit")
+        );
+        assert_eq!(pool.metrics().compiles.load(Ordering::Relaxed), 2);
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_frame_nested_past_the_parser_limit_is_a_request_error() {
+        let (addr, shutdown, handle) = start_server(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let mut client = NetClient::connect(&addr).unwrap();
+        let hostile = "{".repeat(200_000);
+        let reply = client.call(&hostile).unwrap();
+        let err = reply.result.unwrap_err();
+        assert!(err.starts_with("request error: "), "{err}");
+        assert!(err.contains("nesting"), "{err}");
+        let same = client.call(&line(INC, 1)).unwrap();
+        assert_eq!(same.result.as_deref(), Ok("2"));
+        let mut fresh = NetClient::connect(&addr).unwrap();
+        assert_eq!(
+            fresh.call(&line(INC, 2)).unwrap().result.as_deref(),
+            Ok("3")
+        );
         shutdown.store(true, Ordering::SeqCst);
         handle.join().unwrap();
     }

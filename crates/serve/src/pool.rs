@@ -14,10 +14,11 @@ use crate::metrics::ServeMetrics;
 use crate::queue::BoundedQueue;
 use crate::worker;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wolfram_compiler_core::CompilerOptions;
+use wolfram_expr::{parse, Expr};
 
 /// Which tier(s) the pool compiles to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,23 +74,47 @@ impl Default for ServeConfig {
     }
 }
 
-/// A compile-and-evaluate request. Everything here is plain data
-/// (`Send`): the program and its arguments cross the thread boundary as
-/// text and are parsed on the worker that takes the request (see the
+/// A compile-and-evaluate request: a program and its arguments, as text
+/// or already parsed. A request crosses to a worker parsed —
+/// [`ServePool::submit`] parses text on the caller's thread and the wire
+/// reader parses each frame once — so the worker never parses (see the
 /// crate-level Send/Sync audit).
 #[derive(Debug, Clone)]
 pub struct ServeRequest {
-    /// `Function[...]` source text.
-    pub source: String,
-    /// Argument expressions in `InputForm` (one string per argument).
-    pub args: Vec<String>,
+    program: Program,
     /// Compiler options; `None` uses [`CompilerOptions::default`]. Part
     /// of the cache key — same source under different options is a
     /// different artifact.
     pub options: Option<CompilerOptions>,
-    /// Wall-clock budget measured from submission (queue wait included);
-    /// `None` uses the pool's default.
+    /// Wall-clock budget measured from submission (parse and queue wait
+    /// included); `None` uses the pool's default.
     pub deadline: Option<Duration>,
+}
+
+#[derive(Debug, Clone)]
+enum Program {
+    /// `Function[...]` source text and one `InputForm` string per argument.
+    Text { source: String, args: Vec<String> },
+    /// The parsed `Function[...]` and its arguments.
+    Parsed { func: Expr, args: Vec<Expr> },
+}
+
+impl Program {
+    fn parse(self) -> Result<(Expr, Vec<Expr>), ServeError> {
+        match self {
+            Program::Parsed { func, args } => Ok((func, args)),
+            Program::Text { source, args } => {
+                let func = parse(&source).map_err(|e| ServeError::Parse(e.to_string()))?;
+                let args = args
+                    .iter()
+                    .map(|a| {
+                        parse(a).map_err(|e| ServeError::Parse(format!("argument {a:?}: {e}")))
+                    })
+                    .collect::<Result<_, _>>()?;
+                Ok((func, args))
+            }
+        }
+    }
 }
 
 impl ServeRequest {
@@ -99,8 +124,20 @@ impl ServeRequest {
         args: impl IntoIterator<Item = impl Into<String>>,
     ) -> Self {
         ServeRequest {
-            source: source.into(),
-            args: args.into_iter().map(Into::into).collect(),
+            program: Program::Text {
+                source: source.into(),
+                args: args.into_iter().map(Into::into).collect(),
+            },
+            options: None,
+            deadline: None,
+        }
+    }
+
+    /// A request over an already parsed `Function[...]` and its
+    /// arguments, with default options and deadline.
+    pub(crate) fn parsed(func: Expr, args: Vec<Expr>) -> Self {
+        ServeRequest {
+            program: Program::Parsed { func, args },
             options: None,
             deadline: None,
         }
@@ -218,15 +255,48 @@ impl ServeReply {
 
 /// One queued request (crate-internal).
 pub(crate) struct Job {
-    pub req: ServeRequest,
+    pub func: Expr,
+    pub args: Vec<Expr>,
+    pub options: Option<CompilerOptions>,
     pub submitted: Instant,
     pub deadline_at: Option<Instant>,
-    pub reply: SyncSender<ServeReply>,
+    pub reply: ReplyTo,
+}
+
+/// Where a job's reply goes: a [`PendingReply`]'s channel, or a
+/// connection's reply slot. Dropped unsent — the queue closed with the job
+/// in it, or its worker unwound — it delivers [`ServeError::PoolClosed`],
+/// so no waiter and no connection is left hanging.
+pub(crate) struct ReplyTo(Option<Box<dyn FnOnce(ServeReply) + Send>>);
+
+impl ReplyTo {
+    pub fn new(deliver: impl FnOnce(ServeReply) + Send + 'static) -> Self {
+        ReplyTo(Some(Box::new(deliver)))
+    }
+
+    pub fn send(mut self, reply: ServeReply) {
+        if let Some(deliver) = self.0.take() {
+            deliver(reply);
+        }
+    }
+
+    /// Drops the handle without a reply: the caller reports the failure.
+    fn disarm(mut self) {
+        self.0 = None;
+    }
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        if let Some(deliver) = self.0.take() {
+            deliver(ServeReply::failed(ServeError::PoolClosed));
+        }
+    }
 }
 
 /// An in-flight request; [`PendingReply::wait`] blocks for the reply.
 pub struct PendingReply {
-    rx: Receiver<ServeReply>,
+    pub(crate) rx: Receiver<ServeReply>,
 }
 
 impl PendingReply {
@@ -245,8 +315,8 @@ impl PendingReply {
 /// the queue and drops what is still queued: their waiters and every
 /// later submit get [`ServeError::PoolClosed`] rather than blocking.
 pub struct ServePool {
-    jobs: Arc<BoundedQueue<Job>>,
-    metrics: Arc<ServeMetrics>,
+    pub(crate) jobs: Arc<BoundedQueue<Job>>,
+    pub(crate) metrics: Arc<ServeMetrics>,
     cache: Arc<SharedArtifactCache<worker::SharedArtifact>>,
     default_deadline: Option<Duration>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -328,25 +398,51 @@ impl ServePool {
         self.handles.len()
     }
 
-    /// Submits a request without blocking on execution.
+    /// Submits a request without blocking on execution. A text request
+    /// is parsed here, on the caller's thread, and its reply's `total_ns`
+    /// and its deadline count from before the parse.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when the queue is full;
+    /// [`ServeError::Parse`] when the program or an argument does not
+    /// parse; [`ServeError::Overloaded`] when the queue is full;
     /// [`ServeError::PoolClosed`] if the pool is shutting down or every
     /// worker has exited.
     pub fn submit(&self, req: ServeRequest) -> Result<PendingReply, ServeError> {
+        let (tx, rx) = sync_channel(1);
+        self.enqueue(
+            req,
+            ReplyTo::new(move |reply| {
+                // A dropped receiver means the client gave up.
+                let _ = tx.send(reply);
+            }),
+        )?;
+        Ok(PendingReply { rx })
+    }
+
+    /// Parses `req` and queues it with `reply` as its destination. On an
+    /// error nothing is sent to `reply`: the caller reports the error.
+    pub(crate) fn enqueue(&self, req: ServeRequest, reply: ReplyTo) -> Result<(), ServeError> {
         let submitted = Instant::now();
         let deadline_at = req
             .deadline
             .or(self.default_deadline)
             .map(|d| submitted + d);
-        let (reply_tx, reply_rx) = sync_channel(1);
+        let (func, args) = match req.program.parse() {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                self.metrics.compile_errors.fetch_add(1, Ordering::Relaxed);
+                reply.disarm();
+                return Err(e);
+            }
+        };
         let job = Job {
-            req,
+            func,
+            args,
+            options: req.options,
             submitted,
             deadline_at,
-            reply: reply_tx,
+            reply,
         };
         // Count the depth before pushing so the worker's decrement can
         // never observe the queue below zero.
@@ -358,16 +454,20 @@ impl ServePool {
                 self.metrics
                     .queue_depth_max
                     .fetch_max(depth, Ordering::Relaxed);
-                Ok(PendingReply { rx: reply_rx })
+                Ok(())
             }
             Err(e) => {
                 self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 match e {
-                    TrySendError::Full(_) => {
+                    TrySendError::Full(job) => {
+                        job.reply.disarm();
                         self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                         Err(ServeError::Overloaded)
                     }
-                    TrySendError::Disconnected(_) => Err(ServeError::PoolClosed),
+                    TrySendError::Disconnected(job) => {
+                        job.reply.disarm();
+                        Err(ServeError::PoolClosed)
+                    }
                 }
             }
         }

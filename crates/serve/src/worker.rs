@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use wolfram_bytecode::BytecodeCompiler;
 use wolfram_compiler_core::{CompiledCodeFunction, Compiler, CompilerOptions};
-use wolfram_expr::{parse, Expr};
+use wolfram_expr::Expr;
 use wolfram_interp::Interpreter;
 use wolfram_runtime::{AbortSignal, RuntimeError, Value};
 
@@ -128,9 +128,9 @@ pub(crate) fn run(hold: QueueHold, cfg: WorkerConfig) {
         // request (aborted runs included — the machine balances its
         // acquire/release bracket on unwind).
         wolfram_runtime::memory::flush_thread_stats();
-        // A dropped receiver means the client gave up; the work is done
-        // either way.
-        let _ = job.reply.send(reply);
+        // For a wire request this renders the reply and, when it is the
+        // connection's next, writes it (see `net`).
+        job.reply.send(reply);
     }
 }
 
@@ -142,7 +142,7 @@ impl Worker {
     fn count_failure(&self, err: &ServeError) {
         let counter = match err {
             ServeError::DeadlineExceeded => &self.metrics.aborted,
-            ServeError::Parse(_) | ServeError::Compile(_) => &self.metrics.compile_errors,
+            ServeError::Compile(_) => &self.metrics.compile_errors,
             _ => &self.metrics.runtime_errors,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -161,18 +161,7 @@ impl Worker {
                 return self.fail(ServeError::DeadlineExceeded);
             }
         }
-        let options = job.req.options.clone().unwrap_or_default();
-        let func = match parse(&job.req.source) {
-            Ok(f) => f,
-            Err(e) => return self.fail(ServeError::Parse(e.to_string())),
-        };
-        let mut args = Vec::with_capacity(job.req.args.len());
-        for a in &job.req.args {
-            match parse(a) {
-                Ok(e) => args.push(e),
-                Err(e) => return self.fail(ServeError::Parse(format!("argument {a:?}: {e}"))),
-            }
-        }
+        let options = job.options.clone().unwrap_or_default();
 
         // The deadline is armed across compile + execute: the compiler
         // itself is not abortable, but a deadline firing mid-compile
@@ -182,9 +171,9 @@ impl Worker {
                 .deadline(at.saturating_duration_since(Instant::now()))
         });
 
-        let key = CacheKey::of(&func, &options);
+        let key = CacheKey::of(&job.func, &options);
         let (artifact, tier, compile_ns, cache_status) =
-            match self.lookup_or_compile(key, &func, &options) {
+            match self.lookup_or_compile(key, &job.func, &options) {
                 Ok(found) => found,
                 Err(e) => {
                     drop(armed);
@@ -194,7 +183,7 @@ impl Worker {
             };
 
         let exec_start = Instant::now();
-        let outcome = self.execute(&artifact, &args);
+        let outcome = self.execute(&artifact, &job.args);
         let execute_ns = elapsed_ns(exec_start);
         self.metrics.execute_latency.record(execute_ns);
 
@@ -446,19 +435,22 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ServeRequest;
+    use crate::pool::{PendingReply, ReplyTo};
     use std::sync::mpsc::{sync_channel, TrySendError};
 
-    fn job() -> (Job, std::sync::mpsc::Receiver<ServeReply>) {
-        let (reply, rx) = sync_channel(1);
-        let req = ServeRequest::new("Function[{}, 1]", Vec::<String>::new());
+    fn job() -> (Job, PendingReply) {
+        let (tx, rx) = sync_channel(1);
         let job = Job {
-            req,
+            func: wolfram_expr::parse("Function[{}, 1]").unwrap(),
+            args: Vec::new(),
+            options: None,
             submitted: Instant::now(),
             deadline_at: None,
-            reply,
+            reply: ReplyTo::new(move |reply| {
+                let _ = tx.send(reply);
+            }),
         };
-        (job, rx)
+        (job, PendingReply { rx })
     }
 
     #[test]
@@ -486,7 +478,11 @@ mod tests {
         })
         .join();
         assert!(died.is_err());
-        assert!(waiter.recv().is_err(), "the waiter is released");
+        assert_eq!(
+            waiter.wait().result,
+            Err(ServeError::PoolClosed),
+            "the waiter is released"
+        );
         assert!(matches!(
             jobs.try_push(job().0),
             Err(TrySendError::Disconnected(_))

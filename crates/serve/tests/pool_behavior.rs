@@ -184,3 +184,50 @@ fn idle_worker_serves_while_another_spins() {
     );
     assert_eq!(spin.wait().result, Err(ServeError::DeadlineExceeded));
 }
+
+/// The request with `line(k)` for the largest `k` the parser accepts: one
+/// more step of nesting is past its limit.
+fn at_the_nesting_limit(line: impl Fn(usize) -> String) -> String {
+    let mut k = 0;
+    while wolfram_serve::net::parse_request_line(&line(k + 1)).is_ok() {
+        k += 1;
+    }
+    assert!(k > 64, "only {k} steps of nesting parse");
+    line(k)
+}
+
+/// A request nested as deep as the parser allows is keyed, compiled (or
+/// refused) and run on a worker's default stack: the limit is what keeps
+/// deep input from overflowing it, so it must be low enough for every
+/// recursive pass behind the parser, in a debug build too.
+#[test]
+fn requests_nested_at_the_parser_limit_are_served_or_refused_cleanly() {
+    let pool = ServePool::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let nest = |open: &str, inner: &str, close: &str, k: usize| {
+        format!("{}{inner}{}", open.repeat(k), close.repeat(k))
+    };
+    let request = |body: String, arg: String| {
+        format!("{{Function[{{Typed[n, \"MachineInteger\"]}}, {body}], {{{arg}}}}}")
+    };
+    let shapes: Vec<Box<dyn Fn(usize) -> String>> = vec![
+        Box::new(|k| request(nest("f[", "n", "]", k), "1".into())),
+        Box::new(|k| request(nest("If[n > 0, ", "n", ", n]", k), "1".into())),
+        Box::new(|k| request(nest("1 - (", "n", ")", k), "1".into())),
+        Box::new(|k| request(nest("n ^ ", "n", "", k), "1".into())),
+        Box::new(|k| request(nest("{", "n", "}", k), "1".into())),
+        Box::new(|k| request("n".into(), nest("{", "1", "}", k))),
+    ];
+    for shape in &shapes {
+        let line = at_the_nesting_limit(shape);
+        let req = wolfram_serve::net::parse_request_line(&line).expect("parses");
+        // Served or refused, the worker lives on.
+        let _ = pool.call(req);
+        assert_eq!(
+            pool.call(ServeRequest::new(INC, ["1"])).result.as_deref(),
+            Ok("2")
+        );
+    }
+}

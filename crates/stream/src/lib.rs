@@ -127,4 +127,34 @@ mod tests {
             assert_eq!(lines[3], "ok 25");
         }
     }
+
+    #[test]
+    fn a_line_nested_past_the_parser_limit_is_an_err_record() {
+        let artifact = Compiler::default()
+            .function_compile_src("Function[{Typed[n, \"MachineInteger\"]}, n*n]")
+            .unwrap()
+            .artifact();
+        let func = StreamFunction::Native(artifact);
+        let input = format!("3\n{}\n4\n", "{".repeat(100_000));
+        let mut out = Vec::new();
+        let summary = run_lines(
+            &func,
+            &StreamConfig::default(),
+            input.as_bytes(),
+            &mut out,
+            &StreamMetrics::new(),
+            &AtomicBool::new(false),
+        )
+        .unwrap();
+        assert_eq!((summary.records, summary.errors), (3, 1));
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "ok 9");
+        assert!(
+            lines[1].starts_with("err ") && lines[1].contains("nesting"),
+            "{}",
+            lines[1]
+        );
+        assert_eq!(lines[2], "ok 16");
+    }
 }

@@ -5,7 +5,9 @@
 #   lint:       cargo fmt --all -- --check
 #   tier-1:     cargo build --release && cargo test -q
 #   tests:      cargo test --release --workspace -q (every crate's unit and
-#               integration tests; the serve, wire, warm-restart and
+#               integration tests; the serve, wire, warm-restart,
+#               hostile-frame (a frame nested past the parser's limit is an
+#               `err` reply from a live `reproduce serve --listen`) and
 #               data-parallel contracts are crates/bench/tests/*.rs)
 #   primitives: no primitive base name is spelled in crates/ outside the
 #               table (crates/types/src/prim.rs) and test modules
