@@ -15,9 +15,20 @@
 //!   on the condvar and wakes to a hit. N concurrent requests for one
 //!   uncached program — even different textual spellings taken by
 //!   different pool workers — trigger exactly one compile.
+//!
+//! Each shard puts a frequency **admission filter** (the TinyLFU idea) in
+//! front of its LRU: `claim` counts every lookup of a key, hit or miss,
+//! and a compiled entry that would evict is inserted only if its key is
+//! requested at least as often as the LRU victim (a tie evicts, as plain
+//! LRU does). A program seen once no longer displaces a hot one, so it
+//! does not cost the hot one a recompile. The counts are exact and aged:
+//! every `10 × cap` claims they are halved and zeros dropped, which keeps
+//! the table small and lets a newly hot key in within about two such
+//! windows. A key another claimant waited on is always inserted, so
+//! single-flight still means one compile.
 
 use crate::key::CacheKey;
-use std::collections::{HashMap, HashSet};
+use std::collections::{hash_map, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Which engine an artifact targets (the Titzer-style tier tag: bytecode
@@ -216,6 +227,13 @@ impl<A> ArtifactCache<A> {
         evicted
     }
 
+    /// The key inserting `key` would evict: the least-recently-used
+    /// entry of a full cache that does not hold `key`.
+    pub fn would_evict(&self, key: &CacheKey) -> Option<CacheKey> {
+        let full = self.cap > 0 && self.map.len() == self.cap;
+        (full && !self.map.contains_key(key)).then(|| self.slots[self.tail].key)
+    }
+
     /// Keys from most- to least-recently used (tests assert exact LRU
     /// order through this).
     pub fn keys_by_recency(&self) -> Vec<CacheKey> {
@@ -258,22 +276,45 @@ pub struct ComputeTicket<A> {
     fulfilled: bool,
 }
 
+/// What [`ComputeTicket::fulfill`] did with the compiled entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Inserted without displacing anything.
+    Admitted,
+    /// Inserted in place of this least-recently-used key.
+    Evicted(CacheKey),
+    /// Dropped: the key is requested less often than the entry it would
+    /// have evicted.
+    Refused,
+}
+
 impl<A> ComputeTicket<A> {
     /// The key this ticket owns.
     pub fn key(&self) -> CacheKey {
         self.key
     }
 
-    /// Publishes the compiled entry and wakes every waiter. Returns the
-    /// evicted key, if the insert displaced one.
-    pub fn fulfill(mut self, entry: Entry<A>) -> Option<CacheKey> {
+    /// Publishes the compiled entry, unless the admission filter refuses
+    /// it, and wakes every waiter. A key another claimant waited on is
+    /// always admitted, so the waiters wake to a hit.
+    pub fn fulfill(mut self, entry: Entry<A>) -> Admission {
         self.fulfilled = true;
         let shard = self.cache.shard(&self.key);
         let mut st = lock(&shard.state);
-        let evicted = st.lru.insert(self.key, entry);
-        st.inflight.remove(&self.key);
+        let waited = st.inflight.remove(&self.key).unwrap_or(false);
+        let refuse = st
+            .lru
+            .would_evict(&self.key)
+            .is_some_and(|victim| !waited && st.freq.of(&self.key) < st.freq.of(&victim));
+        let admission = if refuse {
+            Admission::Refused
+        } else {
+            st.lru
+                .insert(self.key, entry)
+                .map_or(Admission::Admitted, Admission::Evicted)
+        };
         shard.cv.notify_all();
-        evicted
+        admission
     }
 }
 
@@ -293,8 +334,36 @@ impl<A> Drop for ComputeTicket<A> {
 
 struct ShardState<A> {
     lru: ArtifactCache<A>,
-    /// Keys currently being compiled by some thread.
-    inflight: HashSet<CacheKey>,
+    /// Keys currently being compiled by some thread, each with whether
+    /// another claimant is waiting for it.
+    inflight: HashMap<CacheKey, bool>,
+    freq: Frequency,
+}
+
+/// The admission filter's request counts: exact, halved every `window`
+/// claims with zeros dropped.
+struct Frequency {
+    counts: HashMap<CacheKey, u32>,
+    claims: usize,
+    window: usize,
+}
+
+impl Frequency {
+    fn bump(&mut self, key: CacheKey) {
+        *self.counts.entry(key).or_insert(0) += 1;
+        self.claims += 1;
+        if self.claims == self.window {
+            self.claims = 0;
+            self.counts.retain(|_, n| {
+                *n /= 2;
+                *n > 0
+            });
+        }
+    }
+
+    fn of(&self, key: &CacheKey) -> u32 {
+        self.counts.get(key).copied().unwrap_or(0)
+    }
 }
 
 struct Shard<A> {
@@ -337,7 +406,12 @@ impl<A: Clone> SharedArtifactCache<A> {
                 .map(|_| Shard {
                     state: Mutex::new(ShardState {
                         lru: ArtifactCache::new(cap_per_shard),
-                        inflight: HashSet::new(),
+                        inflight: HashMap::new(),
+                        freq: Frequency {
+                            counts: HashMap::new(),
+                            claims: 0,
+                            window: 10 * cap_per_shard.max(1),
+                        },
                     }),
                     cv: Condvar::new(),
                 })
@@ -346,7 +420,8 @@ impl<A: Clone> SharedArtifactCache<A> {
     }
 
     /// Resolves `key` to a hit or a compute permit, blocking while
-    /// another thread holds the permit.
+    /// another thread holds the permit. Counts the lookup for the
+    /// admission filter.
     ///
     /// The caller MUST resolve a returned [`ComputeTicket`] promptly
     /// (fulfill or drop); holding it parks every concurrent claimant of
@@ -354,6 +429,7 @@ impl<A: Clone> SharedArtifactCache<A> {
     pub fn claim(self: &Arc<Self>, key: CacheKey) -> Claim<A> {
         let shard = self.shard(&key);
         let mut st = lock(&shard.state);
+        st.freq.bump(key);
         loop {
             if let Some(e) = st.lru.lookup(&key) {
                 return Claim::Hit {
@@ -363,12 +439,16 @@ impl<A: Clone> SharedArtifactCache<A> {
                     hits: e.hits,
                 };
             }
-            if st.inflight.insert(key) {
-                return Claim::Compute(ComputeTicket {
-                    cache: Arc::clone(self),
-                    key,
-                    fulfilled: false,
-                });
+            match st.inflight.entry(key) {
+                hash_map::Entry::Vacant(slot) => {
+                    slot.insert(false);
+                    return Claim::Compute(ComputeTicket {
+                        cache: Arc::clone(self),
+                        key,
+                        fulfilled: false,
+                    });
+                }
+                hash_map::Entry::Occupied(mut waited) => *waited.get_mut() = true,
             }
             st = shard.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
@@ -546,6 +626,99 @@ mod tests {
             Claim::Hit { artifact, .. } => assert_eq!(artifact, 9),
             Claim::Compute(_) => panic!("artifact should be resident"),
         }
+    }
+
+    /// Claims `key` on a one-shard cache and fulfills a compute with
+    /// `entry(n)`: what happened, or `None` on a hit.
+    fn request(cache: &Arc<SharedArtifactCache<u32>>, n: u64) -> Option<Admission> {
+        match cache.claim(key(n)) {
+            Claim::Compute(t) => Some(t.fulfill(entry(n as u32))),
+            Claim::Hit { .. } => None,
+        }
+    }
+
+    fn recency(cache: &SharedArtifactCache<u32>) -> Vec<CacheKey> {
+        lock(&cache.shards[0].state).lru.keys_by_recency()
+    }
+
+    #[test]
+    fn a_key_seen_once_does_not_displace_a_more_requested_one() {
+        let cache: Arc<SharedArtifactCache<u32>> = SharedArtifactCache::new(1, 2);
+        for n in [1, 2] {
+            assert_eq!(request(&cache, n), Some(Admission::Admitted));
+            assert_eq!(request(&cache, n), None);
+        }
+        // Key 3 has one request against the victim's two.
+        assert_eq!(request(&cache, 3), Some(Admission::Refused));
+        assert_eq!(recency(&cache), vec![key(2), key(1)]);
+        // Its second request ties the victim, and a tie evicts.
+        assert_eq!(request(&cache, 3), Some(Admission::Evicted(key(1))));
+        assert_eq!(recency(&cache), vec![key(3), key(2)]);
+    }
+
+    #[test]
+    fn at_equal_counts_the_shard_evicts_in_exact_lru_order() {
+        let cache: Arc<SharedArtifactCache<u32>> = SharedArtifactCache::new(1, 3);
+        for n in 0..3 {
+            assert_eq!(request(&cache, n), Some(Admission::Admitted));
+        }
+        // Every key at two requests, touched in the order 1, 0, 2: key 1
+        // is the victim.
+        for n in [1, 0, 2] {
+            assert_eq!(request(&cache, n), None);
+        }
+        assert_eq!(recency(&cache), vec![key(2), key(0), key(1)]);
+        // Each new key is refused at one request and evicts at two, taking
+        // the least recently used key each time.
+        for (n, victim) in [(3, 1), (4, 0), (5, 2)] {
+            assert_eq!(request(&cache, n), Some(Admission::Refused));
+            assert_eq!(request(&cache, n), Some(Admission::Evicted(key(victim))));
+        }
+        assert_eq!(recency(&cache), vec![key(5), key(4), key(3)]);
+    }
+
+    #[test]
+    fn a_key_the_filter_would_refuse_compiles_once_for_two_claimants() {
+        let cache: Arc<SharedArtifactCache<u32>> = SharedArtifactCache::new(1, 1);
+        assert_eq!(request(&cache, 1), Some(Admission::Admitted));
+        for _ in 0..4 {
+            assert_eq!(request(&cache, 1), None);
+        }
+        let Claim::Compute(ticket) = cache.claim(key(2)) else {
+            panic!("first claim must be a compute");
+        };
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || match cache.claim(key(2)) {
+                Claim::Hit { artifact, .. } => artifact,
+                Claim::Compute(_) => panic!("the waiter compiled a second time"),
+            })
+        };
+        // Fulfill only once the waiter is parked on the key.
+        while !lock(&cache.shards[0].state).inflight[&key(2)] {
+            std::thread::yield_now();
+        }
+        // Two requests against five: refused, were it not waited on.
+        assert_eq!(ticket.fulfill(entry(2)), Admission::Evicted(key(1)));
+        assert_eq!(waiter.join().unwrap(), 2);
+    }
+
+    #[test]
+    fn a_newly_hot_key_is_admitted_within_two_ageing_windows() {
+        let cache: Arc<SharedArtifactCache<u32>> = SharedArtifactCache::new(1, 2);
+        let window = 20;
+        // Keys 1 and 2 take every request for ten windows.
+        for i in 0..10 * window {
+            request(&cache, 1 + i % 2);
+        }
+        // Then only key 3 is requested.
+        let admitted_after = (1..=4 * window)
+            .find(|_| matches!(request(&cache, 3), Some(Admission::Evicted(_))))
+            .expect("key 3 is admitted");
+        assert!(
+            (2..=2 * window).contains(&admitted_after),
+            "admitted after {admitted_after} requests"
+        );
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   MExpr plus the [`CompilerOptions::fingerprint`]. Level 1 is one
 //!   process-wide [`SharedArtifactCache`] — a sharded-lock map of
 //!   `Send + Sync` artifacts, so a program compiled once serves *every*
-//!   worker. Level 2 is an optional [`DiskCache`] of checksummed,
-//!   versioned bytecode images, so a restarted server starts warm.
+//!   worker, behind a frequency admission filter so that a program seen
+//!   once does not evict a hot one. Level 2 is an optional [`DiskCache`]
+//!   of checksummed, versioned bytecode images, so a restarted server
+//!   starts warm.
 //! - **Single-flight compilation** ([`cache::Claim`]): N concurrent
 //!   requests for one uncached program produce one [`cache::ComputeTicket`]
 //!   and N−1 condvar waiters; exactly one compile runs, and a failed or
@@ -99,7 +101,7 @@ pub mod queue;
 mod worker;
 
 pub use cache::{
-    ArtifactCache, CacheCounters, Claim, ComputeTicket, Entry, SharedArtifactCache, Tier,
+    Admission, ArtifactCache, CacheCounters, Claim, ComputeTicket, Entry, SharedArtifactCache, Tier,
 };
 pub use disk::{DiskCache, DiskOutcome};
 pub use key::CacheKey;

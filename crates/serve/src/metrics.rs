@@ -116,12 +116,16 @@ pub struct ServeMetrics {
     pub cache_misses: AtomicU64,
     /// LRU evictions across all shards.
     pub cache_evictions: AtomicU64,
+    /// Compiled artifacts the admission filter kept out of the cache.
+    pub cache_refused: AtomicU64,
     /// In-memory misses served from the disk cache (no compile ran).
     pub disk_hits: AtomicU64,
     /// Artifacts written to the disk cache.
     pub disk_stores: AtomicU64,
     /// Disk entries rejected as corrupt/stale (each cost one recompile).
     pub disk_corrupt: AtomicU64,
+    /// Queued requests skipped because their connection had died.
+    pub abandoned: AtomicU64,
     /// Requests currently in the pool queue.
     pub queue_depth: AtomicU64,
     /// High-water mark of `queue_depth`.
@@ -165,11 +169,13 @@ impl ServeMetrics {
             ("runtime_errors", g(&self.runtime_errors)),
             ("aborted", g(&self.aborted)),
             ("fallbacks", g(&self.fallbacks)),
+            ("abandoned", g(&self.abandoned)),
             ("compiles", g(&self.compiles)),
             ("promotions", g(&self.promotions)),
             ("cache_hits", g(&self.cache_hits)),
             ("cache_misses", g(&self.cache_misses)),
             ("cache_evictions", g(&self.cache_evictions)),
+            ("cache_refused", g(&self.cache_refused)),
             ("disk_hits", g(&self.disk_hits)),
             ("disk_stores", g(&self.disk_stores)),
             ("disk_corrupt", g(&self.disk_corrupt)),
@@ -184,7 +190,7 @@ impl ServeMetrics {
         let mut out = String::new();
         out.push_str("serve stats\n");
         out.push_str(&format!(
-            "  requests   admitted {:>8}  rejected {:>6}  ok {:>8}  compile-err {:>4}  runtime-err {:>4}  aborted {:>5}  fallback {:>4}\n",
+            "  requests   admitted {:>8}  rejected {:>6}  ok {:>8}  compile-err {:>4}  runtime-err {:>4}  aborted {:>5}  fallback {:>4}  abandoned {:>4}\n",
             g(&self.admitted),
             g(&self.rejected),
             g(&self.ok),
@@ -192,12 +198,14 @@ impl ServeMetrics {
             g(&self.runtime_errors),
             g(&self.aborted),
             g(&self.fallbacks),
+            g(&self.abandoned),
         ));
         out.push_str(&format!(
-            "  cache      hits {:>12}  misses {:>8}  evictions {:>6}  hit-rate {:>6.1}%  compiles {:>6}  promotions {:>4}\n",
+            "  cache      hits {:>12}  misses {:>8}  evictions {:>6}  refused {:>6}  hit-rate {:>6.1}%  compiles {:>6}  promotions {:>4}\n",
             g(&self.cache_hits),
             g(&self.cache_misses),
             g(&self.cache_evictions),
+            g(&self.cache_refused),
             self.hit_rate() * 100.0,
             g(&self.compiles),
             g(&self.promotions),

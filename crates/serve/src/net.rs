@@ -46,7 +46,9 @@
 //! that does not take the next [`SEND_CHUNK`] bytes of its replies within
 //! it is closed. A client that stops reading therefore holds the thread
 //! writing to it (possibly a pool worker) for at most that long; a client
-//! that is slow but still reading holds it while its reply drains.
+//! that is slow but still reading holds it while its reply drains. Once a
+//! connection is closed, a worker skips its queued requests unserved
+//! (counted as `abandoned`).
 //!
 //! # Admission and fairness
 //!
@@ -484,10 +486,11 @@ fn handle_connection(
             match parse_request_line(text) {
                 Err(e) => Parked::Line(format!("err request error: {e}")),
                 Ok(req) => {
-                    let slot = Arc::clone(&outbox);
+                    let (slot, watch) = (Arc::clone(&outbox), Arc::clone(&outbox));
                     let reply_to = ReplyTo::new(move |reply| {
                         slot.complete(seq, Parked::Line(render_reply(&reply)));
-                    });
+                    })
+                    .abandoned_when(move || relock(&watch.order).dead);
                     match pool.enqueue(req, reply_to) {
                         Ok(()) => continue,
                         Err(e) => Parked::Line(format!("err {e}")),
@@ -890,10 +893,11 @@ mod tests {
 
     #[test]
     fn a_client_that_stops_reading_is_closed_after_the_send_timeout() {
-        let (addr, shutdown, handle) = start_server(ServeConfig {
+        let pool = Arc::new(ServePool::start(ServeConfig {
             workers: 1,
             ..ServeConfig::default()
-        });
+        }));
+        let (addr, shutdown, handle) = serve_pool(Arc::clone(&pool));
         // 16 replies of 600 KB, twice what the socket buffers hold, to a
         // client that never reads.
         let big = "Function[{Typed[n, \"MachineInteger\"]}, ConstantArray[0, n]]";
@@ -913,6 +917,10 @@ mod tests {
             waited < SEND_TIMEOUT + Duration::from_secs(5),
             "answered after {waited:?}"
         );
+        // The stalled connection's requests still queued when it was
+        // closed were skipped, not run.
+        let abandoned = pool.metrics().abandoned.load(Ordering::Relaxed);
+        assert!(abandoned > 0, "{abandoned}");
         // The stalled connection was closed: what it was sent ends in EOF
         // or a reset, short of the full pipeline.
         stalled

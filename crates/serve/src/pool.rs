@@ -267,28 +267,46 @@ pub(crate) struct Job {
 /// connection's reply slot. Dropped unsent — the queue closed with the job
 /// in it, or its worker unwound — it delivers [`ServeError::PoolClosed`],
 /// so no waiter and no connection is left hanging.
-pub(crate) struct ReplyTo(Option<Box<dyn FnOnce(ServeReply) + Send>>);
+pub(crate) struct ReplyTo {
+    deliver: Option<Box<dyn FnOnce(ServeReply) + Send>>,
+    /// Whether nobody can receive the reply any more.
+    abandoned: Option<Box<dyn Fn() -> bool + Send>>,
+}
 
 impl ReplyTo {
     pub fn new(deliver: impl FnOnce(ServeReply) + Send + 'static) -> Self {
-        ReplyTo(Some(Box::new(deliver)))
+        ReplyTo {
+            deliver: Some(Box::new(deliver)),
+            abandoned: None,
+        }
+    }
+
+    /// Lets the worker ask `abandoned` before serving the job.
+    #[must_use]
+    pub fn abandoned_when(mut self, abandoned: impl Fn() -> bool + Send + 'static) -> Self {
+        self.abandoned = Some(Box::new(abandoned));
+        self
+    }
+
+    pub fn is_abandoned(&self) -> bool {
+        self.abandoned.as_ref().is_some_and(|dead| dead())
     }
 
     pub fn send(mut self, reply: ServeReply) {
-        if let Some(deliver) = self.0.take() {
+        if let Some(deliver) = self.deliver.take() {
             deliver(reply);
         }
     }
 
     /// Drops the handle without a reply: the caller reports the failure.
     fn disarm(mut self) {
-        self.0 = None;
+        self.deliver = None;
     }
 }
 
 impl Drop for ReplyTo {
     fn drop(&mut self) {
-        if let Some(deliver) = self.0.take() {
+        if let Some(deliver) = self.deliver.take() {
             deliver(ServeReply::failed(ServeError::PoolClosed));
         }
     }

@@ -12,7 +12,7 @@
 //! artifact by `Arc` pointer identity, so a republished (e.g. promoted)
 //! artifact is picked up immediately.
 
-use crate::cache::{Claim, Entry, SharedArtifactCache, Tier};
+use crate::cache::{Admission, Claim, Entry, SharedArtifactCache, Tier};
 use crate::disk::{DiskCache, DiskOutcome};
 use crate::key::CacheKey;
 use crate::metrics::ServeMetrics;
@@ -120,6 +120,12 @@ pub(crate) fn run(hold: QueueHold, cfg: WorkerConfig) {
     };
     while let Some(job) = hold.jobs.pop() {
         worker.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        // Nobody can receive the reply of a dead connection's job: skip
+        // the compile, the run and the render.
+        if job.reply.is_abandoned() {
+            worker.metrics.abandoned.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
         let mut reply = worker.serve_one(&job);
         reply.total_ns = elapsed_ns(job.submitted);
         worker.metrics.request_latency.record(reply.total_ns);
@@ -291,17 +297,12 @@ impl Worker {
                         self.metrics.disk_hits.fetch_add(1, Ordering::Relaxed);
                         let shared = SharedArtifact::Bytecode(Arc::new(cf));
                         let local = self.localize(key, &shared);
-                        if ticket
-                            .fulfill(Entry {
-                                artifact: shared,
-                                tier: Tier::Bytecode,
-                                compile_ns: 0,
-                                hits: 0,
-                            })
-                            .is_some()
-                        {
-                            self.metrics.cache_evictions.fetch_add(1, Ordering::Relaxed);
-                        }
+                        self.count_admission(ticket.fulfill(Entry {
+                            artifact: shared,
+                            tier: Tier::Bytecode,
+                            compile_ns: 0,
+                            hits: 0,
+                        }));
                         return Ok((local, Tier::Bytecode, 0, CacheStatus::DiskHit));
                     }
                     DiskOutcome::Corrupt => {
@@ -325,18 +326,22 @@ impl Worker {
                 }
             }
         }
-        if ticket
-            .fulfill(Entry {
-                artifact: shared,
-                tier,
-                compile_ns,
-                hits: 0,
-            })
-            .is_some()
-        {
-            self.metrics.cache_evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count_admission(ticket.fulfill(Entry {
+            artifact: shared,
+            tier,
+            compile_ns,
+            hits: 0,
+        }));
         Ok((local, tier, compile_ns, CacheStatus::Miss))
+    }
+
+    fn count_admission(&self, admission: Admission) {
+        let counter = match admission {
+            Admission::Admitted => return,
+            Admission::Evicted(_) => &self.metrics.cache_evictions,
+            Admission::Refused => &self.metrics.cache_refused,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Binds a shared artifact to this worker for execution, reusing the
